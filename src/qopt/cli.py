@@ -178,8 +178,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif family == "qap":
         inst = problems_mod.gen_qap(args.n, seed=args.seed, penalty=args.penalty)
     elif family == "spin-glass":
+        # The flag says ``heavy-hex``; the generator names it ``heavy-hex-like``.
+        topology = "heavy-hex-like" if args.topology == "heavy-hex" else args.topology
         inst = problems_mod.gen_spin_glass(
-            args.topology, args.n, dist=args.dist, seed=args.seed, cubic_terms=args.cubic_terms
+            topology, args.n, dist=args.dist, seed=args.seed, cubic_terms=args.cubic_terms
         )
     elif family == "ev-parking":
         inst = problems_mod.gen_ev_parking(
@@ -549,8 +551,6 @@ def run_cli(argv=None) -> int:
         cap=args.cap,
         output=getattr(args, "output", None),
     )
-    if config.cap is not None:
-        os.environ["QOPT_STATEVECTOR_CAP"] = str(config.cap)
     handlers = {
         "generate": _cmd_generate,
         "solve": _cmd_solve,
@@ -558,11 +558,21 @@ def run_cli(argv=None) -> int:
         "report": _cmd_report,
         "verify": _cmd_verify,
     }
+    # The cap override holds for this invocation only; the previous value
+    # (or its absence) comes back afterwards.
+    previous_cap = os.environ.get("QOPT_STATEVECTOR_CAP")
+    if config.cap is not None:
+        os.environ["QOPT_STATEVECTOR_CAP"] = str(config.cap)
     try:
         return handlers[config.command](args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous_cap is None:
+            os.environ.pop("QOPT_STATEVECTOR_CAP", None)
+        else:
+            os.environ["QOPT_STATEVECTOR_CAP"] = previous_cap
 
 
 def main() -> None:

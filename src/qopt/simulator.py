@@ -18,7 +18,11 @@ the index. A phase layer with angle ``g`` multiplies each amplitude by
 ``exp(-1j * g * E(x))``. A mixing layer with angle ``beta`` applies the
 single-qubit rotation ``[[cos b, i sin b], [i sin b, cos b]]`` (an X-axis
 rotation by ``2*beta``) to every qubit; the warm-start variant tilts the
-rotation axis per qubit so its initial product state is fixed. The state
+rotation axis per qubit so its initial product state is fixed. Samples
+(:class:`SampleSet`) keep the same packing: the distinct measured patterns
+are an ascending ``int64`` index array with aligned counts and energies,
+and bit tuples appear only in the derived ``counts``/``energies`` views
+and in JSON output. The state
 size is capped (default 24 qubits, about 256 MiB of amplitudes); the
 ``QOPT_STATEVECTOR_CAP`` environment variable overrides the cap.
 """
@@ -28,13 +32,13 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from qopt.model import DiagonalObjective
+from qopt.model import DiagonalObjective, bits_to_index, index_to_bits
 
 __all__ = [
     "CapacityError",
@@ -60,6 +64,7 @@ DEFAULT_CAP = 24
 _CAP_ENV = "QOPT_STATEVECTOR_CAP"
 _NORM_TOL = 1e-10
 _MAGIC = b"QSV1"
+_PACKED_BITS = 62  # widest pattern a SampleSet packs into an int64 index
 
 
 class CapacityError(RuntimeError):
@@ -191,52 +196,152 @@ class WarmStart:
         return tuple(2.0 * math.asin(math.sqrt(min(max(c, lo), hi))) for c in self.c_star)
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    """Measurement outcomes: pattern counts plus optionally cached energies."""
+    """Measurement outcomes of ``shots`` basis measurements on ``n`` qubits.
 
-    counts: Mapping[tuple[int, ...], int]
-    shots: int
-    seed: int
-    energies: Mapping[tuple[int, ...], float] | None = None
+    The sampled patterns are stored as packed basis indices (variable ``i``
+    at bit ``i``): ``indices`` is the ascending ``int64`` array of distinct
+    patterns that were hit, ``index_counts`` how often each one was drawn,
+    and ``index_energies`` (``None`` until :meth:`with_energies`) the energy
+    of each. All three arrays are read-only and aligned, and CVaR, sorting
+    and best-pattern lookups work on them directly.
 
-    def __post_init__(self) -> None:
-        counts = {tuple(int(b) for b in k): int(v) for k, v in dict(self.counts).items()}
-        if sum(counts.values()) != self.shots:
+    Bit tuples exist only at the edges: the constructor takes tuple-keyed
+    ``counts``/``energies`` mappings, and the :attr:`counts` and
+    :attr:`energies` properties rebuild such dicts on each access (in index
+    order), for output and inspection. Packing limits patterns to 62
+    variables.
+    """
+
+    __slots__ = ("n", "shots", "seed", "indices", "index_counts", "index_energies")
+
+    def __init__(
+        self,
+        counts: Mapping[tuple[int, ...], int],
+        shots: int,
+        seed: int,
+        energies: Mapping[tuple[int, ...], float] | None = None,
+    ) -> None:
+        counts = {tuple(int(b) for b in k): int(v) for k, v in dict(counts).items()}
+        if sum(counts.values()) != shots:
             raise ValueError("counts must sum to the shot total")
         lengths = {len(k) for k in counts}
         if len(lengths) > 1:
             raise ValueError("all patterns must have the same length")
-        object.__setattr__(self, "counts", counts)
-        if self.energies is not None:
-            energies = {tuple(int(b) for b in k): float(v) for k, v in dict(self.energies).items()}
-            if set(energies) != set(counts):
+        n = lengths.pop() if lengths else 0
+        if n > _PACKED_BITS:
+            raise ValueError(f"{n}-bit patterns exceed the {_PACKED_BITS}-bit index packing limit")
+        patterns = sorted(counts, key=bits_to_index)
+        cached = None
+        if energies is not None:
+            table = {tuple(int(b) for b in k): float(v) for k, v in dict(energies).items()}
+            if set(table) != set(counts):
                 raise ValueError("cached energies must cover exactly the sampled patterns")
-            object.__setattr__(self, "energies", energies)
+            cached = np.array([table[k] for k in patterns], dtype=np.float64)
+        self._fill(
+            n,
+            np.array([bits_to_index(k) for k in patterns], dtype=np.int64),
+            np.array([counts[k] for k in patterns], dtype=np.int64),
+            shots,
+            seed,
+            cached,
+        )
+
+    @classmethod
+    def _from_arrays(cls, n, indices, index_counts, shots, seed, index_energies=None):
+        # Trusted fast path: ``indices`` ascend and the arrays are aligned.
+        out = cls.__new__(cls)
+        out._fill(n, indices, index_counts, shots, seed, index_energies)
+        return out
+
+    def _fill(self, n, indices, index_counts, shots, seed, index_energies) -> None:
+        self.n = int(n)
+        self.shots = int(shots)
+        self.seed = seed
+        self.indices = _frozen(indices, np.int64)
+        self.index_counts = _frozen(index_counts, np.int64)
+        self.index_energies = (
+            None if index_energies is None else _frozen(index_energies, np.float64)
+        )
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], int]:
+        """Shot count per sampled bit pattern, in ascending index order."""
+        return {
+            index_to_bits(i, self.n): c
+            for i, c in zip(self.indices.tolist(), self.index_counts.tolist())
+        }
+
+    @property
+    def energies(self) -> dict[tuple[int, ...], float] | None:
+        """Cached energy per sampled bit pattern, or ``None`` if not attached."""
+        if self.index_energies is None:
+            return None
+        return {
+            index_to_bits(i, self.n): e
+            for i, e in zip(self.indices.tolist(), self.index_energies.tolist())
+        }
+
+    def _key(self) -> tuple:
+        energies = None if self.index_energies is None else self.index_energies.tobytes()
+        return (
+            self.n, self.shots, self.seed,
+            self.indices.tobytes(), self.index_counts.tobytes(), energies,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"SampleSet(n={self.n}, shots={self.shots}, seed={self.seed}, "
+            f"patterns={self.indices.size}, energies={self.index_energies is not None})"
+        )
 
     def with_energies(self, obj: DiagonalObjective) -> "SampleSet":
-        """Attach per-pattern energies evaluated under ``obj``."""
-        energies = {pattern: obj.value(pattern) for pattern in self.counts}
-        return SampleSet(counts=self.counts, shots=self.shots, seed=self.seed, energies=energies)
+        """Attach energies under ``obj``, priced in one batched evaluation.
+
+        Raises ``ValueError`` on a variable-count mismatch or if any sampled
+        pattern has a non-finite energy.
+        """
+        if obj.n != self.n:
+            raise ValueError(f"samples have {self.n} variables, objective has {obj.n}")
+        energies = np.asarray(obj.energies_at(self.indices), dtype=np.float64)
+        bad = ~np.isfinite(energies)
+        if bad.any():
+            raise ValueError(f"evaluator returned non-finite energy {energies[bad][0]!r}")
+        return SampleSet._from_arrays(
+            self.n, self.indices, self.index_counts, self.shots, self.seed, energies
+        )
 
     def energy_values(self) -> np.ndarray:
         """All sampled energies, one entry per shot, ascending."""
-        if self.energies is None:
+        if self.index_energies is None:
             raise ValueError("no energies cached; attach them with with_energies()")
-        out = np.empty(self.shots, dtype=np.float64)
-        pos = 0
-        for pattern, count in self.counts.items():
-            out[pos : pos + count] = self.energies[pattern]
-            pos += count
+        out = np.repeat(self.index_energies, self.index_counts)
         out.sort()
         return out
 
     def best(self) -> tuple[tuple[int, ...], float]:
-        """Lowest-energy observed pattern and its energy."""
-        if self.energies is None:
+        """Lowest-energy observed pattern and its energy.
+
+        Ties go to the lexicographically smallest bit tuple, which is not
+        the smallest index: ``(0, 1)`` (index 2) beats ``(1, 0)`` (index 1).
+        """
+        if self.index_energies is None:
             raise ValueError("no energies cached; attach them with with_energies()")
-        pattern = min(self.energies, key=lambda k: (self.energies[k], k))
-        return pattern, self.energies[pattern]
+        low = self.index_energies.min()
+        ties = self.indices[self.index_energies == low]
+        return min(index_to_bits(i, self.n) for i in ties.tolist()), float(low)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    # A private read-only copy, so no caller can edit a set after the fact.
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -347,8 +452,11 @@ def sample(
 ) -> SampleSet:
     """Aggregate ``shots`` i.i.d. basis measurements of the state.
 
-    Deterministic given the seed. When ``obj`` is passed, per-pattern
-    energies are cached on the result, which CVaR and the solvers need.
+    Deterministic given the seed: one multinomial draw over the basis
+    probabilities, whose nonzero entries become the result's ascending
+    ``indices`` and ``index_counts``. When ``obj`` is passed, the hit
+    patterns are priced in one batched ``obj.energies_at`` call and cached
+    on the result, which CVaR and the solvers need.
     """
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
@@ -357,10 +465,7 @@ def sample(
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     hit = np.flatnonzero(draws)
-    counts = {
-        tuple(int((int(idx) >> i) & 1) for i in range(sv.n)): int(draws[idx]) for idx in hit
-    }
-    out = SampleSet(counts=counts, shots=shots, seed=seed)
+    out = SampleSet._from_arrays(sv.n, hit, draws[hit], shots, seed)
     return out.with_energies(obj) if obj is not None else out
 
 
@@ -371,17 +476,18 @@ def cvar(
 ) -> float:
     """Average of the best (lowest-energy) alpha-fraction.
 
-    For a :class:`SampleSet`, sorts the sampled energies ascending and
-    averages the lowest ``ceil(alpha * shots)``; ``alpha = 1`` is the plain
-    mean, and any alpha small enough to include a single sample returns the
-    best observed energy. For a :class:`Statevector` (with ``obj``), the
+    For a :class:`SampleSet`, expands the cached per-index energies to one
+    entry per shot, sorts them ascending and averages the lowest
+    ``ceil(alpha * shots)``, without building the bit-tuple views;
+    ``alpha = 1`` is the plain mean, and any alpha small enough to include
+    a single sample returns the best observed energy. For a :class:`Statevector` (with ``obj``), the
     same tail average is taken over the exact distribution, splitting the
     boundary pattern fractionally.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if isinstance(values, SampleSet):
-        if values.energies is None:
+        if values.index_energies is None:
             if obj is None:
                 raise ValueError("sample set has no cached energies; pass obj")
             values = values.with_energies(obj)

@@ -6,6 +6,7 @@ point works outside the test harness.
 """
 
 import json
+import os
 import subprocess
 import sys
 from xml.etree import ElementTree
@@ -15,6 +16,7 @@ import pytest
 from qopt.bench import CSV_HEADER
 from qopt.cli import run_cli
 from qopt.problems import instance_from_json
+from qopt.simulator import statevector_cap
 
 
 def generate(tmp_path, *args, name="instance.json"):
@@ -72,6 +74,13 @@ class TestGenerate:
         code = run_cli(["generate", "mis", "--n", "7", "--edge-prob", "0.4", "-o", str(path)])
         assert code == 0
         assert json.loads(path.read_text(encoding="utf-8"))["family"] == "mis"
+
+    def test_heavy_hex_topology_flag(self, capsys):
+        code = run_cli(["generate", "spin-glass", "--topology", "heavy-hex", "--n", "12"])
+        assert code == 0
+        inst = instance_from_json(json.loads(capsys.readouterr().out))
+        assert inst.objective.n == 12
+        assert inst.meta["params"]["topology"] == "heavy-hex-like"
 
     def test_same_seed_same_payload(self, capsys):
         # Everything except the creation timestamp must replay exactly.
@@ -176,6 +185,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "cap" in err
+
+    @pytest.mark.parametrize("before", [None, "20"])
+    def test_cap_flag_scoped_to_one_invocation(self, before, capsys, monkeypatch):
+        if before is None:
+            monkeypatch.delenv("QOPT_STATEVECTOR_CAP", raising=False)
+        else:
+            monkeypatch.setenv("QOPT_STATEVECTOR_CAP", before)
+        assert run_cli(["--cap", "10", "generate", "labs", "--k", "4"]) == 0
+        capsys.readouterr()
+        assert os.environ.get("QOPT_STATEVECTOR_CAP") == before
+        assert statevector_cap() == (24 if before is None else 20)
 
 
 class TestBench:

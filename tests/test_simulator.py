@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qopt.model import IsingModel, QuboModel
+from qopt.model import DiagonalObjective, IsingModel, QuboModel
 from qopt.problems import gen_spin_glass
 from qopt.simulator import (
     CapacityError,
@@ -261,6 +261,46 @@ class TestSample:
         with pytest.raises(ValueError):
             SampleSet(counts={(0,): 1, (0, 1): 1}, shots=2, seed=0)
 
+    def test_non_finite_energy_rejected(self):
+        # Pricing is one batched call, but every sampled energy is still checked.
+        def _eval(bits):
+            return math.inf if bits == (1, 1) else float(sum(bits))
+
+        obj = DiagonalObjective(n=2, evaluator=_eval)
+        with pytest.raises(ValueError, match="non-finite"):
+            sample(Statevector.plus(2), shots=400, seed=0, obj=obj)
+        clean = sample(Statevector.basis(2, (1, 0)), shots=5, seed=0, obj=obj)
+        assert clean.best() == ((1, 0), 1.0)
+
+    def test_index_arrays_match_counts_view(self):
+        obj = gen_spin_glass("complete", 5, seed=2).objective
+        sv = qaoa_state(obj, QaoaParams(p=1, gammas=(0.4,), betas=(0.3,)))
+        ss = sample(sv, shots=300, seed=4)
+        assert ss.indices.dtype == np.int64
+        assert list(ss.indices) == sorted(set(ss.indices.tolist()))
+        assert int(ss.index_counts.sum()) == 300
+        pairs = zip(ss.indices.tolist(), ss.index_counts.tolist())
+        assert ss.counts == {tuple((i >> b) & 1 for b in range(5)): c for i, c in pairs}
+        assert ss.energies is None and ss.index_energies is None
+        assert not ss.indices.flags.writeable
+
+    def test_tuple_constructor_round_trips(self):
+        counts = {(1, 1): 2, (0, 1): 3}
+        ss = SampleSet(counts=counts, shots=5, seed=1, energies={(0, 1): 0.5, (1, 1): -2.0})
+        assert ss.indices.tolist() == [2, 3]
+        assert ss.index_counts.tolist() == [3, 2]
+        assert ss.index_energies.tolist() == [0.5, -2.0]
+        assert ss.counts == {(0, 1): 3, (1, 1): 2}
+        assert ss.energies == {(0, 1): 0.5, (1, 1): -2.0}
+        reordered = {(0, 1): 3, (1, 1): 2}
+        assert ss == SampleSet(reordered, shots=5, seed=1, energies={(1, 1): -2.0, (0, 1): 0.5})
+        assert ss != SampleSet(reordered, shots=5, seed=1)
+
+    def test_packing_limit(self):
+        SampleSet(counts={(1,) * 62: 1}, shots=1, seed=0)
+        with pytest.raises(ValueError, match="62"):
+            SampleSet(counts={(1,) * 63: 1}, shots=1, seed=0)
+
 
 class TestCvar:
     def test_two_point_examples(self):
@@ -299,6 +339,18 @@ class TestCvar:
         assert cvar(ss, 1e-6) == -1.0
         best_pattern, best_e = ss.best()
         assert (best_pattern, best_e) == ((1, 0), -1.0)
+
+    def test_best_ties_go_to_smallest_bit_tuple(self):
+        # (1, 0) is index 1 and (0, 1) is index 2: tuple order wins, not index order.
+        ss = SampleSet(
+            counts={(1, 0): 4, (0, 1): 1}, shots=5, seed=0, energies={(1, 0): -1.0, (0, 1): -1.0}
+        )
+        assert ss.best() == ((0, 1), -1.0)
+        # Same rule on the sampling path: energies 0, -1, -1, 0 over indices 0..3.
+        obj = QuboModel(n=2, terms={(0, 0): -1.0, (1, 1): -1.0, (0, 1): 2.0}).as_objective()
+        sampled = sample(Statevector.plus(2), shots=200, seed=1, obj=obj)
+        assert {1, 2} <= set(sampled.indices.tolist())
+        assert sampled.best() == ((0, 1), -1.0)
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(54)

@@ -8,6 +8,7 @@ Independent oracles used here:
 - the closed-form single-spin QAOA landscape for the variational optimizer.
 """
 
+import hashlib
 import json
 import math
 
@@ -435,3 +436,14 @@ class TestSolveResultJson:
         parsed = json.loads(json.dumps(solve_result_to_json(res)))
         assert parsed["params"]["p"] == 1
         assert sum(parsed["samples"]["counts"].values()) == parsed["samples"]["shots"]
+
+    def test_samples_block_bytes_pinned(self):
+        # Digest of the block as `qopt solve` writes it (indent=2): the
+        # bit-string output must not drift with the in-memory sample format.
+        res = qaoa_solve(gen_maxcut_r3r(8, seed=0), p=1, shots=256, seed=0)
+        text = json.dumps(solve_result_to_json(res)["samples"], indent=2)
+        assert len(text) == 2178
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "35bcca7a45a5b36f4af8fa70a1c7c47e462b4575a1fd5b0eac356c8f494e84e9"
+        )
+        assert (res.best_assignment, res.best_energy) == ((0, 1, 0, 0, 1, 0, 1, 1), -10.0)
