@@ -18,7 +18,15 @@ the index. A phase layer with angle ``g`` multiplies each amplitude by
 ``exp(-1j * g * E(x))``. A mixing layer with angle ``beta`` applies the
 single-qubit rotation ``[[cos b, i sin b], [i sin b, cos b]]`` (an X-axis
 rotation by ``2*beta``) to every qubit; the warm-start variant tilts the
-rotation axis per qubit so its initial product state is fixed. Samples
+rotation axis per qubit so its initial product state is fixed.
+
+Both layers are exact kernels over the cached energy table. The phase
+takes one complex ``exp`` per distinct energy and gathers it through each
+pattern's level index, which equals ``exp(-1j * g * table)`` element for
+element. The mixer updates each qubit in place: the bit-flipped partners,
+scaled by the off-diagonal, go to one scratch buffer per call, the state is
+scaled by the diagonal, and the two are added, so the plus-state mixer
+does the same floating-point operations as a plain 2x2 update. Samples
 (:class:`SampleSet`) keep the same packing: the distinct measured patterns
 are an ascending ``int64`` index array with aligned counts and energies,
 and bit tuples appear only in the derived ``counts``/``energies`` views
@@ -306,9 +314,12 @@ class SampleSet:
         Raises ``ValueError`` on a variable-count mismatch or if any sampled
         pattern has a non-finite energy.
         """
-        if obj.n != self.n:
-            raise ValueError(f"samples have {self.n} variables, objective has {obj.n}")
-        energies = np.asarray(obj.energies_at(self.indices), dtype=np.float64)
+        _check_variables(self.n, obj)
+        return self._priced(obj.energies_at(self.indices))
+
+    def _priced(self, energies) -> "SampleSet":
+        # Attach one energy per hit index, refusing any that is not finite.
+        energies = np.asarray(energies, dtype=np.float64)
         bad = ~np.isfinite(energies)
         if bad.any():
             raise ValueError(f"evaluator returned non-finite energy {energies[bad][0]!r}")
@@ -335,6 +346,11 @@ class SampleSet:
         low = self.index_energies.min()
         ties = self.indices[self.index_energies == low]
         return min(index_to_bits(i, self.n) for i in ties.tolist()), float(low)
+
+
+def _check_variables(n: int, obj: DiagonalObjective) -> None:
+    if obj.n != n:
+        raise ValueError(f"samples have {n} variables, objective has {obj.n}")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -371,31 +387,55 @@ def energy_table(obj: DiagonalObjective) -> np.ndarray:
     return table
 
 
-def _apply_phase(amps: np.ndarray, table: np.ndarray, angle: float) -> None:
-    amps *= np.exp(-1j * angle * table)
+def _energy_levels(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct energies of ``obj`` and each pattern's position among them.
+
+    ``levels[level_of]`` reproduces :func:`energy_table` exactly; both arrays
+    are cached on the objective next to the table.
+    """
+    found = obj._cache.get("energy_levels")
+    if found is None:
+        levels, level_of = np.unique(energy_table(obj), return_inverse=True)
+        levels.setflags(write=False)
+        level_of.setflags(write=False)
+        found = obj._cache["energy_levels"] = (levels, level_of)
+    return found
+
+
+def _apply_phase(amps: np.ndarray, levels: np.ndarray, level_of: np.ndarray, angle: float) -> None:
+    # One complex exp per distinct energy, then a gather: element for element
+    # this is exp(-1j * angle * table), since levels[level_of] == table.
+    amps *= np.exp(-1j * angle * levels)[level_of]
 
 
 def _apply_mixer(
-    amps: np.ndarray, n: int, beta: float, thetas: Sequence[float] | None = None
+    amps: np.ndarray,
+    scratch: np.ndarray,
+    n: int,
+    beta: float,
+    thetas: Sequence[float] | None = None,
 ) -> None:
-    # One in-place 2x2 rotation per qubit; bit i has stride 2^i, so axis 1 of
-    # the (high, 2, low) reshape addresses exactly that qubit.
+    # One 2x2 rotation per qubit, in place. Bit i has stride 2^i, so axis 1 of
+    # the (high, 2, low) reshape addresses exactly that qubit and reversing it
+    # pairs every amplitude with its bit-flipped partner. Per qubit: the
+    # partner times the off-diagonal goes to ``scratch``, the state is scaled
+    # by the diagonal, and the two are added; ``scratch`` is a caller-owned
+    # buffer of the state's size.
     cb = math.cos(beta)
     isb = 1j * math.sin(beta)
     for i in range(n):
-        view = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
+        shape = (1 << (n - 1 - i), 2, 1 << i)
+        view = amps.reshape(shape)
+        flipped = scratch.reshape(shape)
         if thetas is None:
-            d0 = d1 = cb
-            off = isb
+            np.multiply(view[:, ::-1, :], isb, out=flipped)
+            view *= cb
         else:
             ct, st = math.cos(thetas[i]), math.sin(thetas[i])
-            d0 = cb + isb * ct
-            d1 = cb - isb * ct
-            off = isb * st
-        view[:, 0, :] = d0 * a0 + off * a1
-        view[:, 1, :] = off * a0 + d1 * a1
+            np.multiply(view[:, ::-1, :], isb * st, out=flipped)
+            view[:, 0, :] *= cb + isb * ct
+            view[:, 1, :] *= cb - isb * ct
+        view += flipped
 
 
 def _initial_state(obj: DiagonalObjective, initial) -> tuple[Statevector, tuple[float, ...] | None]:
@@ -430,10 +470,11 @@ def qaoa_state(
     sv, thetas = _initial_state(obj, initial)
     if params.p == 0:
         return sv
-    table = energy_table(obj)
+    levels, level_of = _energy_levels(obj)
+    scratch = np.empty_like(sv.amplitudes)
     for gamma, beta in zip(params.gammas, params.betas):
-        _apply_phase(sv.amplitudes, table, gamma)
-        _apply_mixer(sv.amplitudes, sv.n, beta, thetas)
+        _apply_phase(sv.amplitudes, levels, level_of, gamma)
+        _apply_mixer(sv.amplitudes, scratch, sv.n, beta, thetas)
     return sv
 
 
@@ -455,8 +496,9 @@ def sample(
     Deterministic given the seed: one multinomial draw over the basis
     probabilities, whose nonzero entries become the result's ascending
     ``indices`` and ``index_counts``. When ``obj`` is passed, the hit
-    patterns are priced in one batched ``obj.energies_at`` call and cached
-    on the result, which CVaR and the solvers need.
+    patterns are priced by one gather from ``energy_table(obj)`` (which fits,
+    since the state does) and cached on the result, which CVaR and the
+    solvers need.
     """
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
@@ -466,7 +508,10 @@ def sample(
     draws = rng.multinomial(shots, probs)
     hit = np.flatnonzero(draws)
     out = SampleSet._from_arrays(sv.n, hit, draws[hit], shots, seed)
-    return out.with_energies(obj) if obj is not None else out
+    if obj is None:
+        return out
+    _check_variables(sv.n, obj)
+    return out._priced(energy_table(obj)[hit])
 
 
 def cvar(
@@ -541,12 +586,13 @@ def anneal_trotter(
     if abs(lam0) > 1e-12 or abs(lam1 - 1.0) > 1e-12:
         raise ValueError(f"schedule must run from 0 to 1, got lam(0)={lam0}, lam(1)={lam1}")
     sv = Statevector.plus(obj.n)
-    table = energy_table(obj)
+    levels, level_of = _energy_levels(obj)
+    scratch = np.empty_like(sv.amplitudes)
     dt = T / steps
     for k in range(steps):
         lam = float(schedule((k + 0.5) / steps))
-        _apply_phase(sv.amplitudes, table, dt * lam)
-        _apply_mixer(sv.amplitudes, sv.n, dt * (1.0 - lam))
+        _apply_phase(sv.amplitudes, levels, level_of, dt * lam)
+        _apply_mixer(sv.amplitudes, scratch, sv.n, dt * (1.0 - lam))
     return sv
 
 

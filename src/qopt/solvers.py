@@ -122,9 +122,10 @@ def _objective_of(problem) -> DiagonalObjective:
 def brute_force(problem) -> SolveResult:
     """Exact enumeration: spectrum edges and the complete argmin set.
 
-    Works in memory up to the statevector cap and in fixed-size streaming
-    chunks for a few qubits beyond it. This is the reference oracle every
-    other solver is tested against.
+    Reads the cached :func:`~qopt.simulator.energy_table` when it fits in
+    one chunk under the statevector cap (building it if needed), and
+    otherwise streams fixed-size chunks, up to a few qubits beyond the cap.
+    This is the reference oracle every other solver is tested against.
     """
     obj = _objective_of(problem)
     limit = statevector_cap() + _STREAM_EXTRA
@@ -136,8 +137,14 @@ def brute_force(problem) -> SolveResult:
     c_min = math.inf
     c_max = -math.inf
     argmin_idx: list[int] = []
-    for start in range(0, total, chunk):
-        table = obj.energies_at(np.arange(start, min(start + chunk, total), dtype=np.int64))
+    if obj.n <= min(statevector_cap(), _CHUNK_BITS):
+        chunks = [(0, energy_table(obj))]
+    else:
+        chunks = (
+            (start, obj.energies_at(np.arange(start, min(start + chunk, total), dtype=np.int64)))
+            for start in range(0, total, chunk)
+        )
+    for start, table in chunks:
         lo = float(table.min())
         hi = float(table.max())
         if hi > c_max:
@@ -572,7 +579,8 @@ def recursive_qaoa(
     the strongest pair (aligned for non-negative correlation, anti-aligned
     otherwise; ties resolve to the lowest index pair). Eliminations repeat
     until the model reaches ``cutoff`` variables, which are enumerated
-    exactly; substitutions then unwind to a full assignment. With
+    exactly, or until no coupling is left, when each spin follows the sign
+    of its field; substitutions then unwind to a full assignment. With
     ``cutoff >= n`` this degenerates to plain enumeration and keeps its
     certificate.
     """
@@ -622,8 +630,13 @@ def recursive_qaoa(
         ising = _substitute_spin(ising, i, j, sign)
         del original_of[j]
 
-    remainder = brute_force(ising.as_objective())
-    spin_of = {original_of[k]: 1 - 2 * remainder.best_assignment[k] for k in range(ising.n)}
+    if ising.J:
+        remainder = brute_force(ising.as_objective()).best_assignment
+    else:
+        # Every spin is decoupled: bit 1 (spin -1) iff its field is positive,
+        # which is enumeration's smallest-index argmin without the 2^n cost.
+        remainder = tuple(int(hv > 0.0) for hv in ising.h)
+    spin_of = {original_of[k]: 1 - 2 * remainder[k] for k in range(ising.n)}
     for orig_j, orig_i, sign in reversed(substitutions):
         spin_of[orig_j] = sign * spin_of[orig_i]
     best_bits = tuple((1 - spin_of[v]) // 2 for v in range(obj.n))

@@ -2,11 +2,12 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from qopt.model import DiagonalObjective, IsingModel, QuboModel
-from qopt.problems import gen_spin_glass
+from qopt.problems import gen_maxcut_r3r, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
     CapacityError,
     GibbsTable,
@@ -40,6 +41,67 @@ def single_spin_oracle(gamma, beta):
     )
     state = mixer @ phase @ plus
     return state, float((np.abs(state) ** 2 @ np.array([1.0, -1.0])).real)
+
+
+def reference_layers(amps, table, layers, thetas=None):
+    """Loop reference for the kernels: full-table phase, per-qubit 2x2 mixer.
+
+    Each layer multiplies by ``exp(-1j * g * table)`` and then rotates every
+    qubit from a contiguous copy of its bit-0 half. The simulator's level
+    lookup and in-place flip update must reproduce this arithmetic.
+    """
+    amps = np.array(amps, dtype=np.complex128)
+    n = amps.size.bit_length() - 1
+    for gamma, beta in layers:
+        amps *= np.exp(-1j * gamma * table)
+        cb = math.cos(beta)
+        isb = 1j * math.sin(beta)
+        for i in range(n):
+            view = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
+            a0 = view[:, 0, :].copy()
+            a1 = view[:, 1, :]
+            if thetas is None:
+                d0 = d1 = cb
+                off = isb
+            else:
+                ct, st = math.cos(thetas[i]), math.sin(thetas[i])
+                d0 = cb + isb * ct
+                d1 = cb - isb * ct
+                off = isb * st
+            view[:, 0, :] = d0 * a0 + off * a1
+            view[:, 1, :] = off * a0 + d1 * a1
+    return amps
+
+
+# Few distinct energies (MaxCut), and all distinct ones (Gaussian SK, portfolio).
+KERNEL_CASES = {
+    "maxcut-r3r": lambda: gen_maxcut_r3r(10, seed=4).objective,
+    "sk-gaussian": lambda: gen_spin_glass("complete", 9, dist="gaussian", seed=5).objective,
+    "portfolio": lambda: gen_portfolio(8, 3, seed=6).objective,
+}
+
+
+def maxcut_p1_edge(gamma, beta, du, dv, tri):
+    """Wang et al. (arXiv:1706.02998) p=1 expectation of one cut edge.
+
+    Their state is exp(-i beta B) exp(-i gamma C)|+> with C the cut count
+    and B the sum of X; ``du``/``dv`` are the endpoint degrees minus one and
+    ``tri`` the triangles through the edge.
+    """
+    c, s = math.cos(gamma), math.sin(gamma)
+    return (
+        0.5
+        + 0.25 * math.sin(4 * beta) * s * (c**du + c**dv)
+        - 0.25 * math.sin(2 * beta) ** 2 * c ** (du + dv - 2 * tri) * (1 - math.cos(2 * gamma) ** tri)
+    )
+
+
+def maxcut_objective(n, edges):
+    # Energy -C(x): each edge contributes -(x_u + x_v - 2 x_u x_v).
+    entries = []
+    for u, v in edges:
+        entries += [(u, u, -1.0), (v, v, -1.0), (u, v, 2.0)]
+    return QuboModel.from_entries(n, entries).as_objective()
 
 
 class TestStatevector:
@@ -157,6 +219,91 @@ class TestQaoaState:
             QaoaParams(p=-1, gammas=(), betas=())
 
 
+class TestKernels:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_plus_state_matches_loop_reference_exactly(self, case):
+        obj = KERNEL_CASES[case]()
+        table = energy_table(obj)
+        rng = np.random.default_rng(61)
+        for p in (1, 2, 3):
+            gammas = tuple(rng.uniform(-2.0, 2.0, p))
+            betas = tuple(rng.uniform(-2.0, 2.0, p))
+            got = qaoa_state(obj, QaoaParams(p=p, gammas=gammas, betas=betas)).amplitudes
+            ref = reference_layers(Statevector.plus(obj.n).amplitudes, table, zip(gammas, betas))
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_warm_start_matches_loop_reference(self, case):
+        # Complex diagonals on strided halves round differently, so 1e-14.
+        obj = KERNEL_CASES[case]()
+        rng = np.random.default_rng(62)
+        warm = WarmStart(tuple(rng.uniform(0.0, 1.0, obj.n)))
+        start = qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), warm).amplitudes
+        for p in (1, 2, 3):
+            gammas = tuple(rng.uniform(-2.0, 2.0, p))
+            betas = tuple(rng.uniform(-2.0, 2.0, p))
+            got = qaoa_state(obj, QaoaParams(p=p, gammas=gammas, betas=betas), warm).amplitudes
+            ref = reference_layers(start, energy_table(obj), zip(gammas, betas), warm.thetas())
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_anneal_matches_loop_reference_exactly(self, case):
+        obj = KERNEL_CASES[case]()
+        T, steps = 2.5, 6
+        dt = T / steps
+        lams = [(k + 0.5) / steps for k in range(steps)]
+        ref = reference_layers(
+            Statevector.plus(obj.n).amplitudes,
+            energy_table(obj),
+            [(dt * lam, dt * (1.0 - lam)) for lam in lams],
+        )
+        assert np.array_equal(anneal_trotter(obj, T, steps).amplitudes, ref)
+
+    def test_energy_levels_rebuild_the_table(self):
+        from qopt.simulator import _energy_levels
+
+        obj = KERNEL_CASES["maxcut-r3r"]()
+        levels, level_of = _energy_levels(obj)
+        assert np.array_equal(levels[level_of], energy_table(obj))
+        assert level_of.dtype == np.intp
+        assert levels.size < 2**obj.n
+        assert _energy_levels(obj)[1] is level_of
+
+
+class TestMaxcutP1ClosedForm:
+    # qopt's phase is exp(-i g E) with E = -C, i.e. exp(-i (-g) C), and its
+    # mixer [[cos b, i sin b], [i sin b, cos b]] is exp(+i b X) = exp(-i (-b) X)
+    # per qubit. So Wang et al.'s (gamma, beta) is qopt's (-g, -b); their
+    # formula is even under flipping both signs, and <E> = -sum_edges <C_uv>.
+    @staticmethod
+    def _check(graph, rng):
+        edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+        obj = maxcut_objective(graph.number_of_nodes(), edges)
+        for _ in range(3):
+            g, b = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
+            sv = qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,)))
+            closed = -sum(
+                maxcut_p1_edge(
+                    -g, -b,
+                    graph.degree(u) - 1,
+                    graph.degree(v) - 1,
+                    len(set(graph[u]) & set(graph[v])),
+                )
+                for u, v in edges
+            )
+            assert expectation(sv, obj) == pytest.approx(closed, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_random_three_regular(self, n):
+        rng = np.random.default_rng(70 + n)
+        self._check(nx.random_regular_graph(3, n, seed=n), rng)
+
+    def test_graph_with_triangles(self):
+        graph = nx.gnp_random_graph(9, 0.5, seed=3)
+        assert sum(nx.triangles(graph).values()) > 0
+        self._check(graph, np.random.default_rng(71))
+
+
 class TestWarmStart:
     def test_binary_optimum_with_zero_clamp_is_basis_state(self):
         obj = QuboModel(n=3, terms={(0, 0): -1.0, (1, 1): 2.0, (2, 2): -3.0}).as_objective()
@@ -271,6 +418,16 @@ class TestSample:
             sample(Statevector.plus(2), shots=400, seed=0, obj=obj)
         clean = sample(Statevector.basis(2, (1, 0)), shots=5, seed=0, obj=obj)
         assert clean.best() == ((1, 0), 1.0)
+
+    def test_priced_from_cached_table(self, energies_at_calls):
+        calls = energies_at_calls
+        obj = gen_spin_glass("complete", 7, dist="gaussian", seed=8).objective
+        sv = qaoa_state(obj, QaoaParams(p=1, gammas=(0.4,), betas=(0.3,)))
+        assert calls == [2**7]
+        got = sample(sv, shots=700, seed=2, obj=obj)
+        assert calls == [2**7]
+        assert got == sample(sv, shots=700, seed=2).with_energies(obj)
+        assert calls == [2**7, got.indices.size]
 
     def test_index_arrays_match_counts_view(self):
         obj = gen_spin_glass("complete", 5, seed=2).objective

@@ -111,6 +111,30 @@ class TestBruteForce:
         assert res.best_energy == pytest.approx(dp_min, abs=1e-9)
         assert_self_consistent(res, obj)
 
+    def test_second_run_reads_cached_table(self, energies_at_calls):
+        calls = energies_at_calls
+        obj = random_qubo(9, 4).as_objective()
+        first = brute_force(obj)
+        assert calls == [2**9]
+        second = brute_force(obj)
+        assert calls == [2**9]
+        assert (second.c_min, second.c_max, second.argmin) == (first.c_min, first.c_max, first.argmin)
+        assert np.array_equal(energy_table(obj), obj.energies_at(np.arange(2**9)))
+
+    def test_capped_enumeration_streams_beyond_cap(self, monkeypatch):
+        # Under a lowered cap the table is only read up to the cap; above it,
+        # enumeration streams (up to cap + 4) and caches nothing.
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "6")
+        for n in (6, 9):
+            obj = random_qubo(n, 30 + n).as_objective()
+            res = brute_force(obj)
+            best, worst, argmin = naive_enumerate(obj)
+            assert (res.c_min, res.c_max) == (best, worst)
+            assert set(res.argmin) == set(argmin)
+            assert ("energy_table" in obj._cache) == (n <= 6)
+        with pytest.raises(CapacityError):
+            brute_force(random_qubo(11, 0).as_objective())
+
     def test_labs_k13_optimum(self):
         res = brute_force(gen_labs(13))
         assert res.c_min == 6.0
@@ -366,6 +390,26 @@ class TestRecursiveQaoa:
         res = recursive_qaoa(inst, cutoff=4, optimizer_budget=150, seed=0)
         ar = (ref.c_max - res.best_energy) / (ref.c_max - ref.c_min)
         assert ar >= 0.8
+
+    def test_fields_only_beyond_enumeration_limit(self):
+        # No coupling to eliminate: each spin follows its field, no 2^30 scan.
+        rng = np.random.default_rng(90)
+        h = [float(v) for v in rng.normal(size=30)]
+        h[3] = h[17] = 0.0
+        obj = IsingModel(n=30, h=tuple(h)).as_objective()
+        res = recursive_qaoa(obj, seed=0)
+        assert res.best_assignment == tuple(int(v > 0.0) for v in h)
+        assert res.best_energy == pytest.approx(-sum(abs(v) for v in h), abs=1e-9)
+        assert res.extras["levels"] == 0
+
+    def test_decoupled_remainder_matches_enumeration(self):
+        rng = np.random.default_rng(91)
+        h = [float(v) for v in rng.normal(size=10)]
+        h[0] = h[6] = 0.0
+        obj = IsingModel(n=10, h=tuple(h), offset=1.5).as_objective()
+        res = recursive_qaoa(obj, cutoff=4, seed=0)
+        assert res.best_assignment == brute_force(obj).best_assignment
+        assert_self_consistent(res, obj)
 
     def test_needs_quadratic_model(self):
         with pytest.raises(TypeError):
