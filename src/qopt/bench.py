@@ -11,7 +11,6 @@ injectable so replayed runs can produce byte-identical reports.
 from __future__ import annotations
 
 import csv
-import functools
 import inspect
 import io
 import json
@@ -26,17 +25,7 @@ import numpy as np
 
 from qopt._rng import derive_seed
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, density, ising_to_qubo
-from qopt.problems import (
-    ProblemInstance,
-    gen_ev_parking,
-    gen_labs,
-    gen_market_share,
-    gen_maxcut_r3r,
-    gen_mis,
-    gen_portfolio,
-    gen_qap,
-    gen_spin_glass,
-)
+from qopt.problems import FAMILIES, ProblemInstance
 from qopt.simulator import energy_table, statevector_cap
 from qopt.solvers import (
     SolveResult,
@@ -72,15 +61,7 @@ CSV_HEADER = (
 )
 
 GENERATORS: dict[str, Callable[..., ProblemInstance]] = {
-    "maxcut-r3r": gen_maxcut_r3r,
-    "mis": gen_mis,
-    "udmis": functools.partial(gen_mis, unit_disc=True),
-    "market-share": gen_market_share,
-    "labs": gen_labs,
-    "qap": gen_qap,
-    "spin-glass": gen_spin_glass,
-    "ev-parking": gen_ev_parking,
-    "portfolio": gen_portfolio,
+    name: family.generate for name, family in FAMILIES.items()
 }
 
 SOLVERS: dict[str, Callable[..., SolveResult]] = {

@@ -19,7 +19,6 @@ from xml.etree import ElementTree
 
 import numpy as np
 
-from qopt import problems as problems_mod
 from qopt.bench import (
     SOLVERS,
     BenchmarkConfig,
@@ -28,7 +27,7 @@ from qopt.bench import (
     emit_report,
     run_benchmark,
 )
-from qopt.problems import instance_from_json, instance_to_json
+from qopt.problems import FAMILIES, Flag, instance_from_json, instance_to_json
 from qopt.solvers import solve_result_to_json
 
 __all__ = ["CliConfig", "build_parser", "run_cli", "main", "run_verify_checks"]
@@ -46,6 +45,20 @@ class CliConfig:
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
+
+def _add_flag(parser: argparse.ArgumentParser, flag: Flag) -> None:
+    spec = {"dest": flag.kwarg, "type": flag.type, "help": flag.help}
+    if flag.choices:
+        spec["choices"] = flag.choices
+    else:
+        # What argparse would print had ``dest`` been left to the option name.
+        spec["metavar"] = flag.name.lstrip("-").replace("-", "_").upper()
+    if flag.default is ...:
+        spec["required"] = True
+    else:
+        spec["default"] = flag.default
+    parser.add_argument(flag.name, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,51 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a benchmark instance as JSON")
     fam = gen.add_subparsers(dest="family", required=True)
 
-    p = fam.add_parser("maxcut-r3r", parents=[out_parent], help="random 3-regular MAXCUT")
-    p.add_argument("--n", type=int, required=True)
-    _add_seed(p)
-
-    p = fam.add_parser("mis", parents=[out_parent], help="maximum independent set on G(n, p)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--edge-prob", type=float, default=0.3)
-    _add_seed(p)
-
-    p = fam.add_parser("udmis", parents=[out_parent], help="unit-disc maximum independent set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--side", type=float, default=None)
-    _add_seed(p)
-
-    p = fam.add_parser("market-share", parents=[out_parent], help="market-sharing exact-fit instance")
-    p.add_argument("--m", type=int, required=True, help="number of retailers")
-    _add_seed(p)
-
-    p = fam.add_parser("labs", parents=[out_parent], help="low-autocorrelation binary sequence")
-    p.add_argument("--k", type=int, required=True, help="sequence length")
-
-    p = fam.add_parser("qap", parents=[out_parent], help="quadratic assignment problem")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--penalty", type=float, default=None)
-    _add_seed(p)
-
-    p = fam.add_parser("spin-glass", parents=[out_parent], help="seeded spin glass")
-    p.add_argument("--topology", choices=("complete", "grid", "heavy-hex"), default="complete")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dist", choices=("pm1", "gaussian"), default="pm1")
-    p.add_argument("--cubic-terms", type=int, default=0)
-    _add_seed(p)
-
-    p = fam.add_parser("ev-parking", parents=[out_parent], help="EV charging/parking scheduling")
-    p.add_argument("--sessions", type=int, required=True, help="number of charging requests")
-    p.add_argument("--intervals", type=int, required=True, help="number of time intervals")
-    p.add_argument("--spaces", type=int, required=True, help="parking space capacity")
-    p.add_argument("--energy", type=int, required=True, help="per-interval power cap")
-    _add_seed(p)
-
-    p = fam.add_parser("portfolio", parents=[out_parent], help="mean-variance portfolio selection")
-    p.add_argument("--assets", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True, help="number of assets to pick")
-    p.add_argument("--lam", type=float, default=1.0)
-    _add_seed(p)
+    for name, family in FAMILIES.items():
+        p = fam.add_parser(name, parents=[out_parent], help=family.help)
+        for flag in family.flags:
+            _add_flag(p, flag)
 
     slv = sub.add_parser("solve", help="run one solver on an instance file")
     slv.add_argument("instance", help="instance JSON produced by generate")
@@ -164,31 +136,12 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "maxcut-r3r":
-        inst = problems_mod.gen_maxcut_r3r(args.n, seed=args.seed)
-    elif family == "mis":
-        inst = problems_mod.gen_mis(args.n, edge_prob=args.edge_prob, seed=args.seed)
-    elif family == "udmis":
-        inst = problems_mod.gen_mis(args.n, unit_disc=True, side=args.side, seed=args.seed)
-    elif family == "market-share":
-        inst = problems_mod.gen_market_share(args.m, seed=args.seed)
-    elif family == "labs":
-        inst = problems_mod.gen_labs(args.k)
-    elif family == "qap":
-        inst = problems_mod.gen_qap(args.n, seed=args.seed, penalty=args.penalty)
-    elif family == "spin-glass":
-        # The flag says ``heavy-hex``; the generator names it ``heavy-hex-like``.
-        topology = "heavy-hex-like" if args.topology == "heavy-hex" else args.topology
-        inst = problems_mod.gen_spin_glass(
-            topology, args.n, dist=args.dist, seed=args.seed, cubic_terms=args.cubic_terms
-        )
-    elif family == "ev-parking":
-        inst = problems_mod.gen_ev_parking(
-            args.sessions, args.intervals, args.spaces, args.energy, seed=args.seed
-        )
-    else:
-        inst = problems_mod.gen_portfolio(args.assets, args.budget, seed=args.seed, lam=args.lam)
+    family = FAMILIES[args.family]
+    kwargs = {}
+    for flag in family.flags:
+        value = getattr(args, flag.kwarg)
+        kwargs[flag.kwarg] = flag.choices[value] if flag.choices else value
+    inst = family.generate(**kwargs)
     _write_or_print(json.dumps(instance_to_json(inst), indent=2), args.output)
     return 0
 

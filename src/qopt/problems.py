@@ -1,4 +1,4 @@
-"""Seeded generators for the benchmark problem families.
+"""Seeded generators for the benchmark problem families, and their registry.
 
 Each generator returns a :class:`ProblemInstance` bundling the raw
 family-specific data, a compiled :class:`~qopt.model.DiagonalObjective`
@@ -32,6 +32,14 @@ Families
 ``portfolio``
     Equal-weight mean-variance asset selection with a cardinality equality.
 
+Registry
+--------
+:data:`FAMILIES` is the only list of family names: one :class:`Family` entry
+each, read by ``qopt bench``, ``qopt generate`` and :func:`instance_from_json`.
+Every ``gen_*`` and ``*_from_data`` function only draws or normalises the raw
+payload and compiles it with the family's ``build``, which is also what
+re-reads an envelope, so generation and ingestion run the same code.
+
 All generators draw exclusively from ``numpy.random.default_rng(seed)`` in a
 fixed order, so identical (family, params, seed) reproduce bit-identical raw
 payloads. Distribution choices not pinned down by the problem definitions
@@ -41,10 +49,11 @@ recorded in instance metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -63,6 +72,8 @@ from qopt.model import (
 __all__ = [
     "ProblemInstance",
     "LabsSequence",
+    "Flag",
+    "Family",
     "FAMILIES",
     "gen_maxcut_r3r",
     "gen_mis",
@@ -81,18 +92,6 @@ __all__ = [
     "instance_to_json",
     "instance_from_json",
 ]
-
-FAMILIES = (
-    "maxcut-r3r",
-    "mis",
-    "udmis",
-    "market-share",
-    "labs",
-    "qap",
-    "spin-glass",
-    "ev-parking",
-    "portfolio",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +119,9 @@ class ProblemInstance:
         return self.objective.n
 
 
+_Built = tuple[DiagonalObjective, ConstrainedModel | None]
+
+
 def _meta(seed, params: dict, **extra) -> dict:
     out = {
         "seed": seed,
@@ -130,18 +132,25 @@ def _meta(seed, params: dict, **extra) -> dict:
     return out
 
 
+def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:
+    """Compile ``raw`` through the family's ``build`` and bundle the result."""
+    objective, constrained = FAMILIES[family].build(raw, meta)
+    return ProblemInstance(family, raw, objective, constrained, meta)
+
+
 # ---------------------------------------------------------------------------
 # Max-cut on random 3-regular graphs
 
 
-def _maxcut_model(n: int, edges: Sequence[tuple[int, int]]) -> QuboModel:
+def _build_maxcut(raw: Mapping, meta: Mapping) -> _Built:
     # Cut value of edge (u, v) is x_u + x_v - 2 x_u x_v; minimize its negation.
     entries = []
-    for u, v in edges:
+    for u, v in raw["edges"]:
+        u, v = int(u), int(v)
         entries.append((u, u, -1.0))
         entries.append((v, v, -1.0))
         entries.append((u, v, 2.0))
-    return QuboModel.from_entries(n, entries)
+    return QuboModel.from_entries(int(raw["n"]), entries).as_objective(), None
 
 
 def gen_maxcut_r3r(n: int, seed: int = 0) -> ProblemInstance:
@@ -156,29 +165,26 @@ def gen_maxcut_r3r(n: int, seed: int = 0) -> ProblemInstance:
         raise ValueError(f"3-regular graphs need an even vertex count >= 4, got {n}")
     graph = nx.random_regular_graph(3, n, seed=seed)
     edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
-    model = _maxcut_model(n, edges)
-    return ProblemInstance(
-        family="maxcut-r3r",
-        raw={"n": n, "edges": [[u, v] for u, v in edges]},
-        objective=model.as_objective(),
-        meta=_meta(seed, {"n": n}, cut_min=0),
-    )
+    raw = {"n": n, "edges": [[u, v] for u, v in edges]}
+    return _instance("maxcut-r3r", raw, _meta(seed, {"n": n}, cut_min=0))
 
 
 # ---------------------------------------------------------------------------
 # (Weighted) maximum independent set
 
 
-def _mis_build(
-    n: int,
-    edges: list[tuple[int, int]],
-    weights: tuple[float, ...],
-) -> tuple[QuboModel, ConstrainedModel, float]:
-    penalty = 1.0 + sum(weights)
+def _mis_penalty(weights: Sequence[float]) -> float:
+    return 1.0 + sum(weights)
+
+
+def _build_mis(raw: Mapping, meta: Mapping) -> _Built:
+    n = int(raw["n"])
+    edges = [(int(u), int(v)) for u, v in raw["edges"]]
+    weights = [float(w) for w in raw["weights"]]
+    penalty = _mis_penalty(weights)
     base = QuboModel(n=n, terms={(v, v): -w for v, w in enumerate(weights) if w != 0.0})
     entries = [(v, v, -w) for v, w in enumerate(weights)]
     entries += [(u, v, penalty) for u, v in edges]
-    compiled = QuboModel.from_entries(n, entries)
     rows = []
     for u, v in edges:
         coeffs = [0.0] * n
@@ -186,7 +192,7 @@ def _mis_build(
         coeffs[v] = 1.0
         rows.append(LinearConstraint(tuple(coeffs), 1.0))
     constrained = ConstrainedModel(objective=base, inequalities=tuple(rows))
-    return compiled, constrained, penalty
+    return QuboModel.from_entries(n, entries).as_objective(), constrained
 
 
 def gen_mis(
@@ -204,13 +210,14 @@ def gen_mis(
     with ``P = 1 + sum(c_v)``, which makes every optimum an independent set.
     With ``unit_disc`` the graph connects point pairs at distance <= 1;
     points default to uniform draws in a square of side ``sqrt(n)`` (or
-    ``side``), and may be supplied explicitly. The pre-penalty form keeps one
+    ``side``), and may be supplied explicitly. ``points`` and ``side`` are
+    rejected without ``unit_disc``. The pre-penalty form keeps one
     ``x_u + x_v <= 1`` row per edge.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     rng = np.random.default_rng(seed)
-    pts = None
+    params: dict = {"n": n, "unit_disc": unit_disc}
     if unit_disc:
         box = math.sqrt(n) if side is None else float(side)
         if box <= 0:
@@ -227,44 +234,38 @@ def gen_mis(
             for v in range(u + 1, n)
             if math.dist(pts[u], pts[v]) <= 1.0
         ]
+        params["side"] = box
     else:
-        if points is not None:
-            raise ValueError("points are only meaningful with unit_disc=True")
+        if points is not None or side is not None:
+            raise ValueError("points and side are only meaningful with unit_disc=True")
         if not 0.0 <= edge_prob <= 1.0:
             raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
         draws = rng.random(size=(n, n))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draws[u, v] < edge_prob]
+        params["edge_prob"] = edge_prob
     if weights is None:
-        w = tuple(1.0 for _ in range(n))
+        w = [1.0] * n
     else:
-        w = tuple(float(c) for c in weights)
+        w = [float(c) for c in weights]
         if len(w) != n:
             raise ValueError(f"got {len(w)} weights for n={n} vertices")
         if any(c <= 0.0 for c in w):
             raise ValueError("vertex weights must be positive")
-    compiled, constrained, penalty = _mis_build(n, edges, w)
-    raw: dict = {"n": n, "edges": [[u, v] for u, v in edges], "weights": list(w)}
-    params: dict = {"n": n, "unit_disc": unit_disc}
+    raw: dict = {"n": n, "edges": [[u, v] for u, v in edges], "weights": w}
     if unit_disc:
         raw["points"] = [[x, y] for x, y in pts]
-        params["side"] = math.sqrt(n) if side is None else float(side)
-    else:
-        params["edge_prob"] = edge_prob
-    return ProblemInstance(
-        family="udmis" if unit_disc else "mis",
-        raw=raw,
-        objective=compiled.as_objective(),
-        constrained=constrained,
-        meta=_meta(seed, params, penalty=penalty),
-    )
+    meta = _meta(seed, params, penalty=_mis_penalty(w))
+    return _instance("udmis" if unit_disc else "mis", raw, meta)
 
 
 # ---------------------------------------------------------------------------
 # Market-share splitting
 
 
-def _market_share_model(weights: np.ndarray, targets: np.ndarray) -> QuboModel:
+def _build_market_share(raw: Mapping, meta: Mapping) -> _Built:
     # sum_j (w_j . x - C_j)^2, expanded with x_i^2 = x_i.
+    weights = np.asarray(raw["weights"])
+    targets = np.asarray(raw["targets"])
     m, n = weights.shape
     entries = []
     offset = 0.0
@@ -279,7 +280,7 @@ def _market_share_model(weights: np.ndarray, targets: np.ndarray) -> QuboModel:
             for i2 in range(i + 1, n):
                 if w[i2] != 0:
                     entries.append((i, i2, float(2.0 * w[i] * w[i2])))
-    return QuboModel.from_entries(n, entries, offset=offset)
+    return QuboModel.from_entries(n, entries, offset=offset).as_objective(), None
 
 
 def gen_market_share(m: int, seed: int = 0) -> ProblemInstance:
@@ -297,18 +298,8 @@ def gen_market_share(m: int, seed: int = 0) -> ProblemInstance:
     rng = np.random.default_rng(seed)
     weights = rng.integers(0, 100, size=(m, n))
     targets = weights.sum(axis=1) // 2
-    model = _market_share_model(weights, targets)
-    return ProblemInstance(
-        family="market-share",
-        raw={
-            "m": m,
-            "n": n,
-            "weights": weights.tolist(),
-            "targets": targets.tolist(),
-        },
-        objective=model.as_objective(),
-        meta=_meta(seed, {"m": m}),
-    )
+    raw = {"m": m, "n": n, "weights": weights.tolist(), "targets": targets.tolist()}
+    return _instance("market-share", raw, _meta(seed, {"m": m}))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +374,17 @@ def _labs_table_fn(k: int):
     return table
 
 
+def _build_labs(raw: Mapping, meta: Mapping) -> _Built:
+    k = int(raw["k"])
+    if k < 2:
+        raise ValueError(f"sequence length must be at least 2, got {k}")
+
+    def _eval(bits: tuple[int, ...]) -> float:
+        return labs_energy(tuple(1 - 2 * b for b in bits))
+
+    return DiagonalObjective(n=k, evaluator=_eval, kind="native", table_fn=_labs_table_fn(k)), None
+
+
 def gen_labs(k: int) -> ProblemInstance:
     """The canonical length-``k`` sequence-energy instance (one per length).
 
@@ -390,40 +392,27 @@ def gen_labs(k: int) -> ProblemInstance:
     only ever need assignment energies, and quadratization would inflate the
     variable count. Bit ``i`` maps to spin ``1 - 2 x_i``.
     """
-    if k < 2:
-        raise ValueError(f"sequence length must be at least 2, got {k}")
-
-    def _eval(bits: tuple[int, ...]) -> float:
-        return labs_energy(tuple(1 - 2 * b for b in bits))
-
-    objective = DiagonalObjective(n=k, evaluator=_eval, kind="native", table_fn=_labs_table_fn(k))
-    return ProblemInstance(
-        family="labs",
-        raw={"k": k},
-        objective=objective,
-        meta=_meta(0, {"k": k}),
-    )
+    return _instance("labs", {"k": k}, _meta(0, {"k": k}))
 
 
 # ---------------------------------------------------------------------------
 # Quadratic assignment
 
 
-def qap_from_data(a, b, penalty: float | None = None) -> ProblemInstance:
-    """Assignment instance from explicit flow/distance matrices.
-
-    Variables are ``x[i, k] = 1`` iff facility ``i`` sits at location ``k``
-    (flattened as ``i * n + k``); the cost sums ``a[i, j] b[k, l]`` over
-    placed pairs, and the one-facility-per-location equalities are
-    penalty-encoded.
-    """
+def _qap_raw(a, b) -> dict:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n, n):
-        raise ValueError(f"flow and distance matrices must both be square, got {a.shape} and {b.shape}")
+    return {"n": a.shape[0], "a": a.tolist(), "b": b.tolist()}
+
+
+def _build_qap(raw: Mapping, meta: Mapping) -> _Built:
+    n = int(raw["n"])
+    a = np.asarray(raw["a"], dtype=np.float64)
+    b = np.asarray(raw["b"], dtype=np.float64)
     if n < 2:
         raise ValueError(f"need at least two facilities, got n={n}")
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise ValueError(f"flow and distance matrices must both be {n} x {n}, got {a.shape} and {b.shape}")
 
     def var(i: int, k: int) -> int:
         return i * n + k
@@ -453,31 +442,28 @@ def qap_from_data(a, b, penalty: float | None = None) -> ProblemInstance:
             coeffs[var(i, k)] = 1.0
         rows.append(LinearConstraint(tuple(coeffs), 1.0))
     constrained = ConstrainedModel(objective=cost, equalities=tuple(rows))
-    compiled = penalty_encode(constrained, penalty)
-    return ProblemInstance(
-        family="qap",
-        raw={"n": n, "a": a.tolist(), "b": b.tolist()},
-        objective=compiled.as_objective(),
-        constrained=constrained,
-        meta=_meta(None, {"n": n, "penalty": penalty}, crafted=True),
-    )
+    penalty = meta.get("params", {}).get("penalty")
+    return penalty_encode(constrained, penalty).as_objective(), constrained
+
+
+def qap_from_data(a, b, penalty: float | None = None) -> ProblemInstance:
+    """Assignment instance from explicit flow/distance matrices.
+
+    Variables are ``x[i, k] = 1`` iff facility ``i`` sits at location ``k``
+    (flattened as ``i * n + k``); the cost sums ``a[i, j] b[k, l]`` over
+    placed pairs, and the one-facility-per-location equalities are
+    penalty-encoded.
+    """
+    raw = _qap_raw(a, b)
+    return _instance("qap", raw, _meta(None, {"n": raw["n"], "penalty": penalty}, crafted=True))
 
 
 def gen_qap(n: int, seed: int = 0, penalty: float | None = None) -> ProblemInstance:
     """Random assignment instance: integer matrices uniform in {0..9}."""
-    if n < 2:
-        raise ValueError(f"need at least two facilities, got n={n}")
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 10, size=(n, n))
     b = rng.integers(0, 10, size=(n, n))
-    inst = qap_from_data(a, b, penalty)
-    return ProblemInstance(
-        family="qap",
-        raw=inst.raw,
-        objective=inst.objective,
-        constrained=inst.constrained,
-        meta=_meta(seed, {"n": n, "penalty": penalty}),
-    )
+    return _instance("qap", _qap_raw(a, b), _meta(seed, {"n": n, "penalty": penalty}))
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +524,34 @@ def _heavy_hex_edges(n: int) -> list[tuple[int, int]]:
     return kept
 
 
+def _build_spin_glass(raw: Mapping, meta: Mapping) -> _Built:
+    n = int(raw["n"])
+    couplings = {(int(u), int(v)): float(c) for (u, v), c in zip(raw["edges"], raw["couplings"])}
+    model = IsingModel(n=n, J=couplings)
+    cubic = [(int(a), int(b), int(c), float(w)) for a, b, c, w in raw.get("cubic", ())]
+    if not cubic:
+        return model.as_objective(), None
+
+    def _eval(bits: tuple[int, ...]) -> float:
+        spins = tuple(1 - 2 * b for b in bits)
+        total = model.energy(spins)
+        for a, b, c, w in cubic:
+            total += w * spins[a] * spins[b] * spins[c]
+        return total
+
+    def _table(indices: np.ndarray) -> np.ndarray:
+        idx = np.asarray(indices, dtype=np.int64)
+        out = model.energies_at(idx)
+        for a, b, c, w in cubic:
+            za = 1.0 - 2.0 * ((idx >> a) & 1)
+            zb = 1.0 - 2.0 * ((idx >> b) & 1)
+            zc = 1.0 - 2.0 * ((idx >> c) & 1)
+            out = out + w * za * zb * zc
+        return out
+
+    return DiagonalObjective(n=n, evaluator=_eval, kind="pubo", table_fn=_table), None
+
+
 def gen_spin_glass(
     topology: str,
     n: int,
@@ -579,51 +593,76 @@ def gen_spin_glass(
         return float(rng.normal())
 
     couplings = {edge: draw() for edge in sorted(edges)}
-    model = IsingModel(n=n, J=couplings)
     raw: dict = {
         "n": n,
         "topology": topology,
         "edges": [[u, v] for u, v in couplings],
-        "couplings": [c for c in couplings.values()],
+        "couplings": list(couplings.values()),
     }
-    meta = _meta(seed, {"topology": topology, "n": n, "dist": dist, "cubic_terms": cubic_terms})
-
-    if cubic_terms == 0:
-        return ProblemInstance(
-            family="spin-glass", raw=raw, objective=model.as_objective(), meta=meta
-        )
-
-    if n < 3:
-        raise ValueError("cubic terms need at least three spins")
-    cubic: list[tuple[int, int, int, float]] = []
-    for _ in range(cubic_terms):
-        a, b, c = sorted(int(v) for v in rng.choice(n, size=3, replace=False))
-        cubic.append((a, b, c, draw()))
-    raw["cubic"] = [[a, b, c, w] for a, b, c, w in cubic]
-
-    def _eval(bits: tuple[int, ...]) -> float:
-        spins = tuple(1 - 2 * b for b in bits)
-        total = model.energy(spins)
-        for a, b, c, w in cubic:
-            total += w * spins[a] * spins[b] * spins[c]
-        return total
-
-    def _table(indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        out = model.energies_at(idx)
-        for a, b, c, w in cubic:
-            za = 1.0 - 2.0 * ((idx >> a) & 1)
-            zb = 1.0 - 2.0 * ((idx >> b) & 1)
-            zc = 1.0 - 2.0 * ((idx >> c) & 1)
-            out = out + w * za * zb * zc
-        return out
-
-    objective = DiagonalObjective(n=n, evaluator=_eval, kind="pubo", table_fn=_table)
-    return ProblemInstance(family="spin-glass", raw=raw, objective=objective, meta=meta)
+    if cubic_terms:
+        if n < 3:
+            raise ValueError("cubic terms need at least three spins")
+        cubic = []
+        for _ in range(cubic_terms):
+            a, b, c = sorted(int(v) for v in rng.choice(n, size=3, replace=False))
+            cubic.append([a, b, c, draw()])
+        raw["cubic"] = cubic
+    params = {"topology": topology, "n": n, "dist": dist, "cubic_terms": cubic_terms}
+    return _instance("spin-glass", raw, _meta(seed, params))
 
 
 # ---------------------------------------------------------------------------
 # EV charging-station admission
+
+
+def _positive_int(value, what: str) -> int:
+    if int(value) != value or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value}")
+    return int(value)
+
+
+def _ev_parking_raw(u, d, values, M, E) -> dict:
+    u = np.asarray(u, dtype=np.int64)
+    if u.ndim != 2:
+        raise ValueError(f"presence must be a vehicle x interval matrix, got shape {u.shape}")
+    n_ev, k_slots = u.shape
+    return {
+        "N": n_ev,
+        "K": k_slots,
+        "M": _positive_int(M, "space capacity"),
+        "E": _positive_int(E, "power cap"),
+        "windows": u.tolist(),
+        "demand": np.asarray(d, dtype=np.int64).tolist(),
+        "values": [float(v) for v in values],
+    }
+
+
+def _build_ev_parking(raw: Mapping, meta: Mapping) -> _Built:
+    n_ev, k_slots = int(raw["N"]), int(raw["K"])
+    u = np.asarray(raw["windows"], dtype=np.int64)
+    d = np.asarray(raw["demand"], dtype=np.int64)
+    vals = [float(v) for v in raw["values"]]
+    if u.shape != (n_ev, k_slots) or d.shape != u.shape:
+        raise ValueError(
+            f"presence and demand must both be {n_ev} x {k_slots} matrices, got {u.shape} and {d.shape}"
+        )
+    if len(vals) != n_ev:
+        raise ValueError(f"got {len(vals)} values for {n_ev} vehicles")
+    if not np.isin(u, (0, 1)).all():
+        raise ValueError("presence entries must be 0 or 1")
+    if (d < 0).any() or ((u == 0) & (d != 0)).any():
+        raise ValueError("demand must be non-negative and zero outside the presence window")
+    M = _positive_int(raw["M"], "space capacity")
+    E = _positive_int(raw["E"], "power cap")
+
+    base = QuboModel(n=n_ev, terms={(i, i): -v for i, v in enumerate(vals) if v != 0.0})
+    rows = []
+    for k in range(k_slots):
+        rows.append(LinearConstraint(tuple(float(u[i, k]) for i in range(n_ev)), float(M)))
+    for k in range(k_slots):
+        rows.append(LinearConstraint(tuple(float(d[i, k]) for i in range(n_ev)), float(E)))
+    constrained = ConstrainedModel(objective=base, inequalities=tuple(rows))
+    return penalty_encode(constrained).as_objective(), constrained
 
 
 def ev_parking_from_data(u, d, values, M: int, E: int) -> ProblemInstance:
@@ -637,47 +676,9 @@ def ev_parking_from_data(u, d, values, M: int, E: int) -> ProblemInstance:
     and compiled with binary slacks, so ``M``, ``E``, and demands must be
     integers.
     """
-    u = np.asarray(u, dtype=np.int64)
-    d = np.asarray(d, dtype=np.int64)
-    vals = tuple(float(v) for v in values)
-    if u.ndim != 2 or d.shape != u.shape:
-        raise ValueError(f"presence and demand must be equal-shape matrices, got {u.shape} and {d.shape}")
-    n_ev, k_slots = u.shape
-    if len(vals) != n_ev:
-        raise ValueError(f"got {len(vals)} values for {n_ev} vehicles")
-    if not np.isin(u, (0, 1)).all():
-        raise ValueError("presence entries must be 0 or 1")
-    if (d < 0).any() or ((u == 0) & (d != 0)).any():
-        raise ValueError("demand must be non-negative and zero outside the presence window")
-    if int(M) != M or M < 1:
-        raise ValueError(f"space capacity must be a positive integer, got {M}")
-    if int(E) != E or E <= 0:
-        raise ValueError(f"power cap must be a positive integer, got {E}")
-    M, E = int(M), int(E)
-
-    base = QuboModel(n=n_ev, terms={(i, i): -v for i, v in enumerate(vals) if v != 0.0})
-    rows = []
-    for k in range(k_slots):
-        rows.append(LinearConstraint(tuple(float(u[i, k]) for i in range(n_ev)), float(M)))
-    for k in range(k_slots):
-        rows.append(LinearConstraint(tuple(float(d[i, k]) for i in range(n_ev)), float(E)))
-    constrained = ConstrainedModel(objective=base, inequalities=tuple(rows))
-    compiled = penalty_encode(constrained)
-    return ProblemInstance(
-        family="ev-parking",
-        raw={
-            "N": n_ev,
-            "K": k_slots,
-            "M": M,
-            "E": E,
-            "windows": u.tolist(),
-            "demand": d.tolist(),
-            "values": list(vals),
-        },
-        objective=compiled.as_objective(),
-        constrained=constrained,
-        meta=_meta(None, {"N": n_ev, "K": k_slots, "M": M, "E": E}, crafted=True),
-    )
+    raw = _ev_parking_raw(u, d, values, M, E)
+    params = {key: raw[key] for key in ("N", "K", "M", "E")}
+    return _instance("ev-parking", raw, _meta(None, params, crafted=True))
 
 
 def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInstance:
@@ -687,8 +688,8 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
     demands uniform in {1..10} inside the window, and a value equal to its
     total demand times a uniform markup in [1.0, 1.5].
     """
-    if N < 1 or K < 1 or M < 1:
-        raise ValueError(f"need N, K, M >= 1, got N={N} K={K} M={M}")
+    if N < 1 or K < 1:
+        raise ValueError(f"need N, K >= 1, got N={N} K={K}")
     rng = np.random.default_rng(seed)
     u = np.zeros((N, K), dtype=np.int64)
     d = np.zeros((N, K), dtype=np.int64)
@@ -702,36 +703,29 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
         markup = float(rng.uniform(1.0, 1.5))
         markups.append(markup)
         values.append(float(d[i].sum()) * markup)
-    inst = ev_parking_from_data(u, d, values, M, E)
-    raw = dict(inst.raw)
+    raw = _ev_parking_raw(u, d, values, M, E)
     raw["markups"] = markups
-    return ProblemInstance(
-        family="ev-parking",
-        raw=raw,
-        objective=inst.objective,
-        constrained=inst.constrained,
-        meta=_meta(seed, {"N": N, "K": K, "M": M, "E": E}),
-    )
+    return _instance("ev-parking", raw, _meta(seed, {"N": N, "K": K, "M": M, "E": E}))
 
 
 # ---------------------------------------------------------------------------
 # Mean-variance portfolio selection
 
 
-def portfolio_from_data(mu, sigma, B: int, lam: float = 1.0) -> ProblemInstance:
-    """Selection instance from explicit returns and covariance.
-
-    Picks exactly ``B`` of the assets at equal weight ``1/B``, minimizing
-    ``(lam / 2B^2) x' Sigma x - (1/B) mu . x`` under the cardinality
-    equality ``sum x = B``.
-    """
+def _portfolio_raw(mu, sigma, B, lam) -> dict:
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    n = mu.shape[0]
-    if sigma.shape != (n, n):
-        raise ValueError(f"covariance shape {sigma.shape} does not match {n} assets")
+    return {"N": mu.shape[0], "B": int(B), "lam": float(lam), "mu": mu.tolist(), "sigma": sigma.tolist()}
+
+
+def _build_portfolio(raw: Mapping, meta: Mapping) -> _Built:
+    n, B, lam = int(raw["N"]), int(raw["B"]), float(raw["lam"])
+    mu = np.asarray(raw["mu"], dtype=np.float64)
+    sigma = np.asarray(raw["sigma"], dtype=np.float64)
     if not 1 <= B <= n:
         raise ValueError(f"cardinality must satisfy 1 <= B <= {n}, got {B}")
+    if mu.shape != (n,) or sigma.shape != (n, n):
+        raise ValueError(f"returns {mu.shape} and covariance {sigma.shape} do not match {n} assets")
     if lam <= 0:
         raise ValueError(f"risk aversion must be positive, got {lam}")
     scale = lam / (2.0 * B * B)
@@ -741,19 +735,23 @@ def portfolio_from_data(mu, sigma, B: int, lam: float = 1.0) -> ProblemInstance:
         for j in range(i + 1, n):
             if sigma[i, j] != 0.0 or sigma[j, i] != 0.0:
                 entries.append((i, j, float(scale * (sigma[i, j] + sigma[j, i]))))
-    base = QuboModel.from_entries(n, entries)
     constrained = ConstrainedModel(
-        objective=base,
+        objective=QuboModel.from_entries(n, entries),
         equalities=(LinearConstraint(tuple(1.0 for _ in range(n)), float(B)),),
     )
-    compiled = penalty_encode(constrained)
-    return ProblemInstance(
-        family="portfolio",
-        raw={"N": n, "B": int(B), "lam": float(lam), "mu": mu.tolist(), "sigma": sigma.tolist()},
-        objective=compiled.as_objective(),
-        constrained=constrained,
-        meta=_meta(None, {"N": n, "B": int(B), "lam": float(lam)}, crafted=True),
-    )
+    return penalty_encode(constrained).as_objective(), constrained
+
+
+def portfolio_from_data(mu, sigma, B: int, lam: float = 1.0) -> ProblemInstance:
+    """Selection instance from explicit returns and covariance.
+
+    Picks exactly ``B`` of the assets at equal weight ``1/B``, minimizing
+    ``(lam / 2B^2) x' Sigma x - (1/B) mu . x`` under the cardinality
+    equality ``sum x = B``.
+    """
+    raw = _portfolio_raw(mu, sigma, B, lam)
+    params = {key: raw[key] for key in ("N", "B", "lam")}
+    return _instance("portfolio", raw, _meta(None, params, crafted=True))
 
 
 def gen_portfolio(N: int, B: int, seed: int = 0, lam: float = 1.0) -> ProblemInstance:
@@ -764,21 +762,13 @@ def gen_portfolio(N: int, B: int, seed: int = 0, lam: float = 1.0) -> ProblemIns
     diagonal noise uniform in [0.001, 0.01], guaranteeing positive
     definiteness.
     """
-    if not 1 <= B <= N:
-        raise ValueError(f"cardinality must satisfy 1 <= B <= N, got B={B} N={N}")
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.0, 0.1, size=N)
     factors = rng.normal(0.0, 0.1, size=(N, max(1, N // 4)))
     noise = rng.uniform(0.001, 0.01, size=N)
     sigma = factors @ factors.T + np.diag(noise)
-    inst = portfolio_from_data(mu, sigma, B, lam)
-    return ProblemInstance(
-        family="portfolio",
-        raw=inst.raw,
-        objective=inst.objective,
-        constrained=inst.constrained,
-        meta=_meta(seed, {"N": N, "B": B, "lam": lam}),
-    )
+    raw = _portfolio_raw(mu, sigma, B, lam)
+    return _instance("portfolio", raw, _meta(seed, {"N": N, "B": B, "lam": lam}))
 
 
 # ---------------------------------------------------------------------------
@@ -812,107 +802,111 @@ def instance_to_json(inst: ProblemInstance) -> dict:
 
 
 def instance_from_json(data: Mapping) -> ProblemInstance:
-    """Rebuild an instance from its envelope via the raw payload.
+    """Rebuild an instance from its envelope via the family's ``build``.
 
-    Reconstruction goes through the family builders, so objective kind,
-    constrained form, and energies all round-trip exactly.
+    The raw payload is compiled by the same code the generators use, so
+    objective kind, constrained form, and energies all round-trip exactly.
+    A stored ``model`` or ``constrained`` block must equal the rebuilt one;
+    an edited or stale envelope raises ``ValueError``.
     """
     family = data["family"]
-    raw = data["raw"]
-    meta = dict(data.get("meta", {}))
-    if family == "maxcut-r3r":
-        edges = [(int(u), int(v)) for u, v in raw["edges"]]
-        model = _maxcut_model(int(raw["n"]), edges)
-        inst = ProblemInstance(
-            family=family, raw=dict(raw), objective=model.as_objective(), meta=meta
-        )
-    elif family in ("mis", "udmis"):
-        n = int(raw["n"])
-        edges = [(int(u), int(v)) for u, v in raw["edges"]]
-        compiled, constrained, _ = _mis_build(n, edges, tuple(float(w) for w in raw["weights"]))
-        inst = ProblemInstance(
-            family=family,
-            raw=dict(raw),
-            objective=compiled.as_objective(),
-            constrained=constrained,
-            meta=meta,
-        )
-    elif family == "market-share":
-        model = _market_share_model(np.asarray(raw["weights"]), np.asarray(raw["targets"]))
-        inst = ProblemInstance(
-            family=family, raw=dict(raw), objective=model.as_objective(), meta=meta
-        )
-    elif family == "labs":
-        built = gen_labs(int(raw["k"]))
-        inst = ProblemInstance(family=family, raw=dict(raw), objective=built.objective, meta=meta)
-    elif family == "qap":
-        penalty = meta.get("params", {}).get("penalty")
-        built = qap_from_data(raw["a"], raw["b"], penalty)
-        inst = ProblemInstance(
-            family=family,
-            raw=dict(raw),
-            objective=built.objective,
-            constrained=built.constrained,
-            meta=meta,
-        )
-    elif family == "spin-glass":
-        n = int(raw["n"])
-        couplings = {
-            (int(u), int(v)): float(c) for (u, v), c in zip(raw["edges"], raw["couplings"])
-        }
-        model = IsingModel(n=n, J=couplings)
-        if raw.get("cubic"):
-            # Rebuild through the polynomial path used by the generator.
-            cubic = [(int(a), int(b), int(c), float(w)) for a, b, c, w in raw["cubic"]]
-
-            def _eval(bits: tuple[int, ...]) -> float:
-                spins = tuple(1 - 2 * b for b in bits)
-                total = model.energy(spins)
-                for a, b, c, w in cubic:
-                    total += w * spins[a] * spins[b] * spins[c]
-                return total
-
-            def _table(indices: np.ndarray) -> np.ndarray:
-                idx = np.asarray(indices, dtype=np.int64)
-                out = model.energies_at(idx)
-                for a, b, c, w in cubic:
-                    za = 1.0 - 2.0 * ((idx >> a) & 1)
-                    zb = 1.0 - 2.0 * ((idx >> b) & 1)
-                    zc = 1.0 - 2.0 * ((idx >> c) & 1)
-                    out = out + w * za * zb * zc
-                return out
-
-            objective = DiagonalObjective(n=n, evaluator=_eval, kind="pubo", table_fn=_table)
-        else:
-            objective = model.as_objective()
-        inst = ProblemInstance(family=family, raw=dict(raw), objective=objective, meta=meta)
-    elif family == "ev-parking":
-        built = ev_parking_from_data(
-            raw["windows"], raw["demand"], raw["values"], int(raw["M"]), int(raw["E"])
-        )
-        inst = ProblemInstance(
-            family=family,
-            raw=dict(raw),
-            objective=built.objective,
-            constrained=built.constrained,
-            meta=meta,
-        )
-    elif family == "portfolio":
-        built = portfolio_from_data(raw["mu"], raw["sigma"], int(raw["B"]), float(raw["lam"]))
-        inst = ProblemInstance(
-            family=family,
-            raw=dict(raw),
-            objective=built.objective,
-            constrained=built.constrained,
-            meta=meta,
-        )
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown problem family {family!r}")
-    stored = data.get("model")
-    if stored is not None:
-        rebuilt = instance_to_json(inst)["model"]
-        if stored["n"] != rebuilt["n"]:
-            raise ValueError(
-                f"stored model has n={stored['n']} but the raw payload rebuilds n={rebuilt['n']}"
-            )
+    inst = _instance(family, dict(data["raw"]), dict(data.get("meta", {})))
+    rebuilt = instance_to_json(inst)
+    for block in ("model", "constrained"):
+        if block in data and data[block] != rebuilt.get(block):
+            raise ValueError(f"stored {block} does not match the one rebuilt from the raw payload")
     return inst
+
+
+# ---------------------------------------------------------------------------
+# Registry
+
+
+class Flag(NamedTuple):
+    """One ``qopt generate <family>`` option.
+
+    The value of option ``name`` is passed to the generator as ``kwarg``. A
+    ``default`` of ``...`` makes the option required; ``choices`` maps each
+    accepted word to the value the generator receives.
+    """
+
+    name: str
+    kwarg: str
+    type: Callable = int
+    default: object = ...
+    help: str | None = None
+    choices: Mapping[str, str] | None = None
+
+
+class Family(NamedTuple):
+    """Everything that names one problem family.
+
+    ``generate`` is the seeded generator ``qopt bench`` calls with a config's
+    params. ``build(raw, meta)`` compiles a raw payload into ``(objective,
+    constrained)``. ``help`` and ``flags`` describe ``qopt generate``.
+    """
+
+    generate: Callable[..., ProblemInstance]
+    build: Callable[[Mapping, Mapping], _Built]
+    help: str
+    flags: tuple[Flag, ...]
+
+
+_N = Flag("--n", "n")
+_SEED = Flag("--seed", "seed", default=0, help="master seed (default 0)")
+
+FAMILIES: dict[str, Family] = {
+    "maxcut-r3r": Family(gen_maxcut_r3r, _build_maxcut, "random 3-regular MAXCUT", (_N, _SEED)),
+    "mis": Family(
+        gen_mis, _build_mis, "maximum independent set on G(n, p)",
+        (_N, Flag("--edge-prob", "edge_prob", float, 0.3), _SEED),
+    ),
+    "udmis": Family(
+        functools.partial(gen_mis, unit_disc=True), _build_mis, "unit-disc maximum independent set",
+        (_N, Flag("--side", "side", float, None), _SEED),
+    ),
+    "market-share": Family(
+        gen_market_share, _build_market_share, "market-sharing exact-fit instance",
+        (Flag("--m", "m", help="number of retailers"), _SEED),
+    ),
+    "labs": Family(
+        gen_labs, _build_labs, "low-autocorrelation binary sequence",
+        (Flag("--k", "k", help="sequence length"),),
+    ),
+    "qap": Family(
+        gen_qap, _build_qap, "quadratic assignment problem",
+        (_N, Flag("--penalty", "penalty", float, None), _SEED),
+    ),
+    "spin-glass": Family(
+        gen_spin_glass, _build_spin_glass, "seeded spin glass",
+        (
+            Flag("--topology", "topology", str, "complete",
+                 choices={"complete": "complete", "grid": "grid", "heavy-hex": "heavy-hex-like"}),
+            _N,
+            Flag("--dist", "dist", str, "pm1", choices={"pm1": "pm1", "gaussian": "gaussian"}),
+            Flag("--cubic-terms", "cubic_terms", int, 0),
+            _SEED,
+        ),
+    ),
+    "ev-parking": Family(
+        gen_ev_parking, _build_ev_parking, "EV charging/parking scheduling",
+        (
+            Flag("--sessions", "N", help="number of charging requests"),
+            Flag("--intervals", "K", help="number of time intervals"),
+            Flag("--spaces", "M", help="parking space capacity"),
+            Flag("--energy", "E", help="per-interval power cap"),
+            _SEED,
+        ),
+    ),
+    "portfolio": Family(
+        gen_portfolio, _build_portfolio, "mean-variance portfolio selection",
+        (
+            Flag("--assets", "N"),
+            Flag("--budget", "B", help="number of assets to pick"),
+            Flag("--lam", "lam", float, 1.0),
+            _SEED,
+        ),
+    ),
+}

@@ -5,17 +5,22 @@ written files; one subprocess case proves the ``python -m qopt`` entry
 point works outside the test harness.
 """
 
+import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
-from qopt.bench import CSV_HEADER
-from qopt.cli import run_cli
-from qopt.problems import instance_from_json
+from qopt.bench import CSV_HEADER, GENERATORS
+from qopt.cli import build_parser, run_cli
+from qopt.model import QuboModel
+from qopt.problems import FAMILIES, ProblemInstance, instance_from_json
 from qopt.simulator import statevector_cap
 
 
@@ -96,6 +101,96 @@ class TestGenerate:
     def test_missing_required_option_is_usage_error(self, capsys):
         assert run_cli(["generate", "maxcut-r3r"]) == 2
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_envelope_bytes_pinned(self, tmp_path, family):
+        # Digests of the envelope minus ``meta.created``, recorded before the
+        # families moved into one registry; any drift in a generator, a
+        # build or a flag mapping changes them.
+        argv, digest = PINNED_ENVELOPES[family]
+        path = generate(tmp_path, family, *argv.split())
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["meta"]["created"]
+        assert hashlib.sha256(json.dumps(data, indent=2).encode()).hexdigest() == digest
+
+    def test_registry_names_every_entry_point(self, capsys):
+        assert tuple(FAMILIES) == FAMILY_NAMES
+        assert tuple(GENERATORS) == FAMILY_NAMES
+        assert run_cli(["generate", "--help"]) == 0
+        assert "{" + ",".join(FAMILY_NAMES) + "}" in capsys.readouterr().out
+        objective = QuboModel(n=1).as_objective()
+        for name in FAMILY_NAMES:
+            assert ProblemInstance(name, {}, objective).family == name
+        with pytest.raises(ValueError):
+            ProblemInstance("sudoku", {}, objective)
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = [
+            line
+            for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+            for line in block.splitlines()
+            if line.startswith("python -m qopt ")
+        ]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[3:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
+
+FAMILY_NAMES = (
+    "maxcut-r3r",
+    "mis",
+    "udmis",
+    "market-share",
+    "labs",
+    "qap",
+    "spin-glass",
+    "ev-parking",
+    "portfolio",
+)
+
+PINNED_ENVELOPES = {
+    "maxcut-r3r": (
+        "--n 8 --seed 1",
+        "9137f87cafc6a0b800f7c7eea6c2cea71f8e0c45a78fe48228b1a7ed220ac1b0",
+    ),
+    "mis": (
+        "--n 6 --edge-prob 0.5 --seed 2",
+        "e84ce7c89073ddc7983deb408fd2b6cced0eea9d8274bedb7f998b0c24a535d4",
+    ),
+    "udmis": (
+        "--n 5 --side 1.5 --seed 3",
+        "4ffdb3e02ef22b56e60cd50b3fc96c13eac97eb916fbc2f37078ce0ba9b02471",
+    ),
+    "market-share": (
+        "--m 2 --seed 4",
+        "f5f180ca9a755aa195215b115c91b4a7a5e4fa9b2e3eab6b4fd7bc8f2c46470b",
+    ),
+    "labs": (
+        "--k 9",
+        "1daeb58c72c0678fd47ce1326b9edc898e33f2dd9fa15fa926f39c5d8afc353c",
+    ),
+    "qap": (
+        "--n 2 --penalty 40 --seed 5",
+        "af282d41c232576f05cd31b065bbdab941d3304502c008a00bd4fbf25a64aa56",
+    ),
+    "spin-glass": (
+        "--topology heavy-hex --n 12 --dist gaussian --cubic-terms 2 --seed 6",
+        "ec71a629f2351c444f5d31568249fa9e5b510ca706be45f061ad0ceb518155cb",
+    ),
+    "ev-parking": (
+        "--sessions 3 --intervals 2 --spaces 1 --energy 9 --seed 8",
+        "51479b70b001867057f92d56431e5436c8b31b2ec63dc151b53cb2ef25e71337",
+    ),
+    "portfolio": (
+        "--assets 5 --budget 2 --lam 0.5 --seed 9",
+        "45161b73d117f7ae3acf7cdd0b3db4ddb64d480a5b92865c57939b1f4c6b82c7",
+    ),
+}
 
 
 class TestSolve:

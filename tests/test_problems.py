@@ -136,6 +136,11 @@ class TestMis:
         side = math.sqrt(9)
         assert all(0 <= x <= side and 0 <= y <= side for x, y in inst.raw["points"])
 
+    def test_side_without_unit_disc_rejected(self):
+        # A G(n, p) draw would otherwise ignore the side it was asked for.
+        with pytest.raises(ValueError):
+            gen_mis(6, side=2.0, seed=1)
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             gen_mis(3, weights=(1.0, -1.0, 2.0))
@@ -567,6 +572,13 @@ class TestSerialization:
             gen_spin_glass("complete", 5, dist="pm1", seed=7, cubic_terms=2),
             gen_ev_parking(3, 2, 1, 9, seed=8),
             gen_portfolio(5, 2, seed=9),
+            gen_qap(2, seed=5, penalty=40.0),
+            gen_mis(3, points=[(0.0, 0.0), (0.5, 0.0), (3.0, 3.0)], unit_disc=True, seed=0),
+            qap_from_data([[0, 3], [1, 0]], [[0, 2], [5, 0]], penalty=7.0),
+            ev_parking_from_data(
+                [[1, 1], [1, 0], [0, 1]], [[2, 1], [3, 0], [0, 2]], [2.0, 3.0, 2.5], M=2, E=4
+            ),
+            portfolio_from_data([0.1, 0.0, 0.05], np.eye(3), B=1),
         ]
 
     def test_round_trip_preserves_energies(self):
@@ -598,6 +610,26 @@ class TestSerialization:
     def test_mismatched_stored_model_rejected(self):
         data = instance_to_json(gen_maxcut_r3r(6, seed=0))
         data["model"]["n"] = 7
+        with pytest.raises(ValueError):
+            instance_from_json(data)
+
+    def test_edited_term_coefficient_rejected(self):
+        data = json.loads(json.dumps(instance_to_json(gen_maxcut_r3r(6, seed=0))))
+        data["model"]["terms"][0][2] += 5.0
+        with pytest.raises(ValueError):
+            instance_from_json(data)
+
+    def test_edited_constraint_bound_rejected(self):
+        data = json.loads(json.dumps(instance_to_json(gen_portfolio(5, 2, seed=9))))
+        data["constrained"]["constraints"]["equalities"][0]["bound"] += 1.0
+        with pytest.raises(ValueError):
+            instance_from_json(data)
+
+    def test_qap_without_meta_rejected(self):
+        # Without meta the rebuild falls back to the default penalty, so the
+        # stored model no longer matches it.
+        data = json.loads(json.dumps(instance_to_json(gen_qap(2, seed=5, penalty=40.0))))
+        del data["meta"]
         with pytest.raises(ValueError):
             instance_from_json(data)
 
