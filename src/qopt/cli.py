@@ -238,6 +238,7 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     from qopt.model import (
         QuboModel,
         evaluate,
+        index_to_bits,
         ising_to_qubo,
         penalty_encode,
         qubo_to_ising,
@@ -248,6 +249,7 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         QaoaParams,
         anneal_trotter,
         cvar,
+        energy_table,
         expectation,
         gibbs_distribution,
         ground_state_overlap,
@@ -285,6 +287,32 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
                     raise AssertionError(f"round trip drift at {bits}")
 
     check("qubo-ising round trip (20 models, 1e-9)", conversions)
+
+    def replay_equals_table():
+        from qopt.model import IsingModel
+
+        rng = np.random.default_rng(seed + 7)
+        n = 10
+        pairs = {(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)}
+        cubic = [
+            (*sorted(int(v) for v in rng.choice(n, size=3, replace=False)), float(rng.normal()))
+            for _ in range(5)
+        ]
+        fields = tuple(float(v) for v in rng.normal(size=n))
+        objectives = (
+            random_qubo(n, rng).as_objective(),
+            IsingModel(n=n, h=fields, J=pairs, offset=0.5).as_objective(),
+            IsingModel(n=n, J=pairs).as_objective(cubic),
+        )
+        for obj in objectives:
+            table = energy_table(obj)
+            idx = rng.integers(0, 1 << n, size=200)
+            if not np.array_equal(obj.energies_at(idx), table[idx]):
+                raise AssertionError(f"{obj.kind} replay differs from its table")
+            if any(obj.value(index_to_bits(int(i), n)) != table[i] for i in idx):
+                raise AssertionError(f"{obj.kind} value() differs from its table")
+
+    check("energy tables equal their per-index replay", replay_equals_table)
 
     def penalty():
         from qopt.model import ConstrainedModel, LinearConstraint

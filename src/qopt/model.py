@@ -20,6 +20,27 @@ Conventions
   of ``x_i`` (``x_i^2 = x_i``); an off-diagonal entry is the full coefficient
   of the product ``x_i * x_j``.
 * Spins relate to bits via ``z = 1 - 2 x`` (bit 0 is spin +1).
+
+Energy program
+--------------
+QUBO models, Ising models (kept in spin form) and spin models with cubic
+terms compile into one private per-variable program (:class:`_Program`).
+The energy is the offset plus one contribution per variable, accumulated in
+ascending variable order: variable ``k`` adds ``c_k(x_<k)`` when its bit is
+set (bit form), or adds ``d_k(z_<k)`` for spin +1 and subtracts it for spin
+-1 (spin form). Each contribution is itself a constant plus the
+contributions of lower variables, so a model is a trie of monomials keyed by
+their variables in descending order. Three readers share it:
+
+* the full table, built by doubling into one preallocated array:
+  ``E[2^k:2^(k+1)] = E[:2^k] + c_k`` for bits, or ``E[:2^k] - d_k`` above
+  and ``E[:2^k] + d_k`` below for spins, where ``c_k`` and ``d_k`` are built
+  the same way in one reused scratch buffer per level;
+* the replay, which prices any array of packed indices with the same
+  additions in the same order, skipping the same zero terms, so it equals
+  the table element for element;
+* ``value()``, the replay on one assignment's bits, which works at any
+  width.
 """
 
 from __future__ import annotations
@@ -83,6 +104,127 @@ def _check_bits(x: Sequence[int], n: int) -> tuple[int, ...]:
     return bits
 
 
+# A program node is ``(const, ((k, child), ...))`` with ascending ``k``: its
+# value is ``const`` followed by each child's contribution, gated by bit k.
+_Node = tuple
+_REPLAY_BLOCK = 1 << 16  # indices priced per replay pass; bounds the bit masks
+
+
+def _compile(
+    n: int, spin: bool, offset: float, monomials: Iterable[tuple[tuple[int, ...], float]]
+) -> "_Program":
+    # Monomial (v1 < ... < vd) adds its coefficient to the node reached from
+    # the root through vd, then v(d-1), ..., v1; zero coefficients are dropped.
+    root: list = [offset, {}]
+    for variables, coeff in monomials:
+        if coeff == 0.0:
+            continue
+        node = root
+        for v in sorted(variables, reverse=True):
+            node = node[1].setdefault(v, [0.0, {}])
+        node[0] += coeff
+
+    def freeze(node: list) -> _Node:
+        return (node[0], tuple((k, freeze(child)) for k, child in sorted(node[1].items())))
+
+    return _Program(n=n, spin=spin, root=freeze(root))
+
+
+def _fill(node: _Node, spin: bool, out: np.ndarray, scratch: list[np.ndarray]) -> int:
+    # Write the node's value for every pattern of the variables below its
+    # last child into out[:2^t] by doubling, and return t. A child that
+    # depends only on bits < t' is built over 2^t' patterns into scratch[0]
+    # and broadcast over the blocks of the half it is added to.
+    const, children = node
+    out[0] = const
+    size = 1
+    for k, child in children:
+        while size < 1 << k:
+            out[size : 2 * size] = out[:size]
+            size *= 2
+        lo, hi = out[:size], out[size : 2 * size]
+        if child[1]:
+            width = 1 << _fill(child, spin, scratch[0], scratch[1:])
+            c = scratch[0][:width]
+            lo, hi = lo.reshape(-1, width), hi.reshape(-1, width)
+        else:
+            c = child[0]
+        if spin:
+            np.subtract(lo, c, out=hi)
+            np.add(lo, c, out=lo)
+        else:
+            np.add(lo, c, out=hi)
+        size *= 2
+    return size.bit_length() - 1
+
+
+def _replay(node: _Node, spin: bool, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    # The same additions as _fill for each column of the (variable, pattern)
+    # masks: ``ones[k]`` where bit k is set, ``zeros[k]`` where it is clear.
+    const, children = node
+    acc = np.full(ones.shape[1], const, dtype=np.float64)
+    for k, child in children:
+        c = _replay(child, spin, ones, zeros) if child[1] else child[0]
+        if spin:
+            np.subtract(acc, c, out=acc, where=ones[k])
+            np.add(acc, c, out=acc, where=zeros[k])
+        else:
+            np.add(acc, c, out=acc, where=ones[k])
+    return acc
+
+
+def _replay_one(node: _Node, spin: bool, bits: Sequence[int]) -> float:
+    # _replay for one assignment on Python floats, which round like float64.
+    const, children = node
+    acc = const
+    for k, child in children:
+        c = _replay_one(child, spin, bits) if child[1] else child[0]
+        if spin:
+            acc = acc - c if bits[k] else acc + c
+        elif bits[k]:
+            acc = acc + c
+    return acc
+
+
+def _depth(node: _Node) -> int:
+    return 1 + max((_depth(child) for _, child in node[1]), default=0)
+
+
+@dataclass(frozen=True)
+class _Program:
+    """Energy as an offset plus per-variable contributions; see the module notes."""
+
+    n: int
+    spin: bool
+    root: _Node
+
+    def table(self) -> np.ndarray:
+        """Energies of all ``2^n`` patterns in index order."""
+        out = np.empty(1 << self.n, dtype=np.float64)
+        scratch = [np.empty(1 << max(self.n - d, 0)) for d in range(1, _depth(self.root) - 1)]
+        size = 1 << _fill(self.root, self.spin, out, scratch)
+        while size < out.size:
+            out[size : 2 * size] = out[:size]
+            size *= 2
+        return out
+
+    def at(self, indices: np.ndarray) -> np.ndarray:
+        """Replay on packed indices; equal to ``table()[indices]`` element for element."""
+        idx = np.asarray(indices, dtype=np.int64)
+        flat = idx.ravel()
+        out = np.empty(flat.shape, dtype=np.float64)
+        place = np.int64(1) << np.arange(self.n, dtype=np.int64)[:, None]
+        for start in range(0, flat.size, _REPLAY_BLOCK):
+            block = flat[start : start + _REPLAY_BLOCK]
+            ones = (block & place) != 0
+            out[start : start + block.size] = _replay(self.root, self.spin, ones, ~ones)
+        return out.reshape(idx.shape)
+
+    def value(self, bits: Sequence[int]) -> float:
+        """Replay on one assignment's bits, at any width."""
+        return float(_replay_one(self.root, self.spin, bits))
+
+
 @dataclass(frozen=True)
 class QuboModel:
     """Quadratic binary objective ``min x^T Q x + offset`` over ``{0, 1}^n``.
@@ -140,15 +282,11 @@ class QuboModel:
 
     def energies_at(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized energies for an array of packed assignment indices."""
-        idx = np.asarray(indices, dtype=np.int64)
-        out = np.full(idx.shape, self.offset, dtype=np.float64)
-        for (i, j), c in self.terms.items():
-            bi = (idx >> i) & 1
-            if i == j:
-                out += c * bi
-            else:
-                out += c * (bi & ((idx >> j) & 1))
-        return out
+        return self._program().at(indices)
+
+    def _program(self) -> _Program:
+        monomials = (((i,) if i == j else (i, j), c) for (i, j), c in self.terms.items())
+        return _compile(self.n, False, self.offset, monomials)
 
     def quadratic_pairs(self) -> set[tuple[int, int]]:
         """Distinct ``i < j`` pairs with a nonzero coupling coefficient."""
@@ -177,13 +315,7 @@ class QuboModel:
 
     def as_objective(self) -> "DiagonalObjective":
         """Diagonal-objective view of this model (kind ``qubo``)."""
-        return DiagonalObjective(
-            n=self.n,
-            evaluator=self.energy,
-            kind="qubo",
-            source=self,
-            table_fn=self.energies_at,
-        )
+        return DiagonalObjective(n=self.n, kind="qubo", source=self, program=self._program())
 
 
 @dataclass(frozen=True)
@@ -235,30 +367,27 @@ class IsingModel:
 
     def energies_at(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized energies for packed bit indices (bit b maps to spin 1 - 2b)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        out = np.full(idx.shape, self.offset, dtype=np.float64)
-        for i, v in enumerate(self.h):
-            if v != 0.0:
-                out += v * (1.0 - 2.0 * ((idx >> i) & 1))
-        for (i, j), c in self.J.items():
-            zi = 1.0 - 2.0 * ((idx >> i) & 1)
-            zj = 1.0 - 2.0 * ((idx >> j) & 1)
-            out += c * zi * zj
-        return out
+        return self._program().at(indices)
 
-    def as_objective(self) -> "DiagonalObjective":
-        """Diagonal-objective view over bits via ``z = 1 - 2x`` (kind ``ising-view``)."""
+    def _program(self, cubic: Sequence[tuple[int, int, int, float]] = ()) -> _Program:
+        monomials = [((i,), v) for i, v in enumerate(self.h)]
+        monomials += [((i, j), c) for (i, j), c in self.J.items()]
+        for a, b, c, w in cubic:
+            triple = (int(a), int(b), int(c))
+            if len(set(triple)) != 3 or not all(0 <= v < self.n for v in triple):
+                raise ValueError(f"cubic term {triple} needs three distinct spins in 0..{self.n - 1}")
+            monomials.append((triple, float(w)))
+        return _compile(self.n, True, self.offset, monomials)
 
-        def _eval(bits: tuple[int, ...]) -> float:
-            return self.energy(tuple(1 - 2 * b for b in bits))
+    def as_objective(self, cubic: Sequence[tuple[int, int, int, float]] = ()) -> "DiagonalObjective":
+        """Diagonal-objective view over bits via ``z = 1 - 2x`` (kind ``ising-view``).
 
-        return DiagonalObjective(
-            n=self.n,
-            evaluator=_eval,
-            kind="ising-view",
-            source=self,
-            table_fn=self.energies_at,
-        )
+        ``cubic`` adds ``w z_a z_b z_c`` for each ``(a, b, c, w)``; the view
+        is then a polynomial (kind ``pubo``) with no quadratic source.
+        """
+        if cubic:
+            return DiagonalObjective(n=self.n, kind="pubo", program=self._program(cubic))
+        return DiagonalObjective(n=self.n, kind="ising-view", source=self, program=self._program())
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,21 +396,27 @@ class DiagonalObjective:
 
     This is the shared evaluation contract: QUBO, Ising-view, polynomial, and
     native objectives (for example sequence autocorrelation energies) all
-    reduce to it.  ``evaluator`` must be deterministic and side-effect free.
+    reduce to it.  Exactly one of two backings is given:
 
-    ``table_fn``, when present, evaluates a whole array of packed assignment
-    indices at once; it is an optimization hook and must agree with
-    ``evaluator`` exactly.  ``source`` optionally points at the backing
-    quadratic model so solvers can exploit structure.
+    * ``program``, an object with ``table()`` (all ``2^n`` energies in index
+      order), ``at(indices)`` and ``value(bits)``. The model views carry the
+      per-variable program described in the module notes, so the table, the
+      replay on packed indices and ``value()`` are one computation and agree
+      bit for bit.
+    * ``evaluator``, a deterministic, side-effect-free function of one bit
+      tuple; packed indices and the table are priced one index at a time.
+
+    ``source`` optionally points at the backing quadratic model so solvers
+    can exploit structure.
     """
 
     KINDS: ClassVar[tuple[str, ...]] = ("qubo", "ising-view", "pubo", "native")
 
     n: int
-    evaluator: Callable[[tuple[int, ...]], float]
+    evaluator: Callable[[tuple[int, ...]], float] | None = None
     kind: str = "native"
     source: object | None = field(default=None, repr=False)
-    table_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    program: object | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -289,11 +424,13 @@ class DiagonalObjective:
             raise ValueError(f"variable count must be a non-negative integer, got {self.n!r}")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}; expected one of {self.KINDS}")
+        if (self.evaluator is None) == (self.program is None):
+            raise ValueError("give exactly one of evaluator and program")
 
     def value(self, x: Sequence[int]) -> float:
         """Energy of one assignment; raises on length or bit-range mismatch."""
         bits = _check_bits(x, self.n)
-        e = float(self.evaluator(bits))
+        e = float(self.evaluator(bits) if self.program is None else self.program.value(bits))
         if not math.isfinite(e):
             raise ValueError(f"evaluator returned non-finite energy {e!r}")
         return e
@@ -301,16 +438,19 @@ class DiagonalObjective:
     def energies_at(self, indices: np.ndarray) -> np.ndarray:
         """Energies for an array of packed assignment indices."""
         idx = np.asarray(indices, dtype=np.int64)
-        if self.table_fn is not None:
-            out = np.asarray(self.table_fn(idx), dtype=np.float64)
-            if out.shape != idx.shape:
-                raise ValueError("table_fn returned a mismatched shape")
-            return out
+        if self.program is not None:
+            return self.program.at(idx)
         flat = np.array(
             [self.evaluator(index_to_bits(int(i), self.n)) for i in idx.ravel()],
             dtype=np.float64,
         )
         return flat.reshape(idx.shape)
+
+    def table(self) -> np.ndarray:
+        """Energies of all ``2^n`` assignments in index order (not cached)."""
+        if self.program is not None:
+            return self.program.table()
+        return self.energies_at(np.arange(1 << self.n, dtype=np.int64))
 
 
 def evaluate(obj: DiagonalObjective, x: Sequence[int]) -> float:

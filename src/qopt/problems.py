@@ -197,7 +197,7 @@ def _build_mis(raw: Mapping, meta: Mapping) -> _Built:
 
 def gen_mis(
     n: int,
-    edge_prob: float = 0.3,
+    edge_prob: float | None = None,
     points: Sequence[tuple[float, float]] | None = None,
     weights: Sequence[float] | None = None,
     unit_disc: bool = False,
@@ -211,14 +211,17 @@ def gen_mis(
     With ``unit_disc`` the graph connects point pairs at distance <= 1;
     points default to uniform draws in a square of side ``sqrt(n)`` (or
     ``side``), and may be supplied explicitly. ``points`` and ``side`` are
-    rejected without ``unit_disc``. The pre-penalty form keeps one
-    ``x_u + x_v <= 1`` row per edge.
+    rejected without ``unit_disc``, and ``edge_prob`` (default 0.3 on
+    G(n, p)) with it. The pre-penalty form keeps one ``x_u + x_v <= 1`` row
+    per edge.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     rng = np.random.default_rng(seed)
     params: dict = {"n": n, "unit_disc": unit_disc}
     if unit_disc:
+        if edge_prob is not None:
+            raise ValueError("edge_prob is only meaningful without unit_disc")
         box = math.sqrt(n) if side is None else float(side)
         if box <= 0:
             raise ValueError(f"square side must be positive, got {side}")
@@ -238,6 +241,8 @@ def gen_mis(
     else:
         if points is not None or side is not None:
             raise ValueError("points and side are only meaningful with unit_disc=True")
+        if edge_prob is None:
+            edge_prob = 0.3
         if not 0.0 <= edge_prob <= 1.0:
             raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
         draws = rng.random(size=(n, n))
@@ -359,30 +364,54 @@ def labs_from_string(text: str) -> LabsSequence:
     return LabsSequence(k=len(values), s=tuple(values))
 
 
-def _labs_table_fn(k: int):
-    def table(indices: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _LabsProgram:
+    """Energies of the length-``k`` sequence family (bit ``i`` is spin ``1 - 2 x_i``)."""
+
+    k: int
+
+    def table(self) -> np.ndarray:
+        # Each lag's correlation A_j grows by doubling in int16 over bits
+        # j..k-1: bit m adds s_(m-j) s_m, so the half with s_m = -1 is the
+        # other half minus s_(m-j). Every value is an integer below 2^53, so
+        # the sum of squares equals the direct formula exactly.
+        k = self.k
+        energy = np.zeros(1 << k, dtype=np.float64)
+        corr = np.empty(1 << k, dtype=np.int16)
+        for j in range(1, k):
+            size = 1 << j
+            corr[:size] = 0
+            for m in range(j, k):
+                lo = corr[:size].reshape(-1, 2, 1 << (m - j))
+                hi = corr[size : 2 * size].reshape(-1, 2, 1 << (m - j))
+                np.subtract(lo[:, 0], 1, out=hi[:, 0])
+                np.add(lo[:, 1], 1, out=hi[:, 1])
+                lo[:, 0] += 1
+                lo[:, 1] -= 1
+                size *= 2
+            energy += corr * corr
+        return energy
+
+    def at(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
         flat = idx.ravel()
-        bits = (flat[:, None] >> np.arange(k)) & 1
+        bits = (flat[:, None] >> np.arange(self.k)) & 1
         spins = 1.0 - 2.0 * bits
         energy = np.zeros(flat.shape[0], dtype=np.float64)
-        for j in range(1, k):
-            a = np.einsum("mi,mi->m", spins[:, : k - j], spins[:, j:])
+        for j in range(1, self.k):
+            a = np.einsum("mi,mi->m", spins[:, : self.k - j], spins[:, j:])
             energy += a * a
         return energy.reshape(idx.shape)
 
-    return table
+    def value(self, bits: Sequence[int]) -> float:
+        return labs_energy(tuple(1 - 2 * b for b in bits))
 
 
 def _build_labs(raw: Mapping, meta: Mapping) -> _Built:
     k = int(raw["k"])
     if k < 2:
         raise ValueError(f"sequence length must be at least 2, got {k}")
-
-    def _eval(bits: tuple[int, ...]) -> float:
-        return labs_energy(tuple(1 - 2 * b for b in bits))
-
-    return DiagonalObjective(n=k, evaluator=_eval, kind="native", table_fn=_labs_table_fn(k)), None
+    return DiagonalObjective(n=k, kind="native", program=_LabsProgram(k)), None
 
 
 def gen_labs(k: int) -> ProblemInstance:
@@ -527,29 +556,7 @@ def _heavy_hex_edges(n: int) -> list[tuple[int, int]]:
 def _build_spin_glass(raw: Mapping, meta: Mapping) -> _Built:
     n = int(raw["n"])
     couplings = {(int(u), int(v)): float(c) for (u, v), c in zip(raw["edges"], raw["couplings"])}
-    model = IsingModel(n=n, J=couplings)
-    cubic = [(int(a), int(b), int(c), float(w)) for a, b, c, w in raw.get("cubic", ())]
-    if not cubic:
-        return model.as_objective(), None
-
-    def _eval(bits: tuple[int, ...]) -> float:
-        spins = tuple(1 - 2 * b for b in bits)
-        total = model.energy(spins)
-        for a, b, c, w in cubic:
-            total += w * spins[a] * spins[b] * spins[c]
-        return total
-
-    def _table(indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        out = model.energies_at(idx)
-        for a, b, c, w in cubic:
-            za = 1.0 - 2.0 * ((idx >> a) & 1)
-            zb = 1.0 - 2.0 * ((idx >> b) & 1)
-            zc = 1.0 - 2.0 * ((idx >> c) & 1)
-            out = out + w * za * zb * zc
-        return out
-
-    return DiagonalObjective(n=n, evaluator=_eval, kind="pubo", table_fn=_table), None
+    return IsingModel(n=n, J=couplings).as_objective(raw.get("cubic", ())), None
 
 
 def gen_spin_glass(

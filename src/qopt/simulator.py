@@ -20,12 +20,16 @@ single-qubit rotation ``[[cos b, i sin b], [i sin b, cos b]]`` (an X-axis
 rotation by ``2*beta``) to every qubit; the warm-start variant tilts the
 rotation axis per qubit so its initial product state is fixed.
 
-Both layers are exact kernels over the cached energy table. The phase
-takes one complex ``exp`` per distinct energy and gathers it through each
-pattern's level index, which equals ``exp(-1j * g * table)`` element for
-element. The mixer updates each qubit in place: the bit-flipped partners,
-scaled by the off-diagonal, go to one scratch buffer per call, the state is
-scaled by the diagonal, and the two are added, so the plus-state mixer
+Both layers are exact kernels over the energy table, which
+:func:`energy_table` builds once per objective and caches on it: a model
+view doubles its per-variable program into one array (see
+:mod:`qopt.model`), and an evaluator-only objective prices every index.
+The phase takes one complex ``exp`` per distinct energy and gathers it
+through each pattern's level index, which equals
+``exp(-1j * g * table)`` element for element. The mixer updates each qubit
+in place: the bit-flipped partners, scaled by the off-diagonal, go to one
+scratch buffer per call, the state is scaled by the diagonal, and the two
+are added, so the plus-state mixer
 does the same floating-point operations as a plain 2x2 update. Samples
 (:class:`SampleSet`) keep the same packing: the distinct measured patterns
 are an ascending ``int64`` index array with aligned counts and energies,
@@ -377,11 +381,15 @@ class GibbsTable:
 
 
 def energy_table(obj: DiagonalObjective) -> np.ndarray:
-    """Full 2^n energy table for ``obj``, cached on the objective."""
+    """Full 2^n energy table for ``obj``, cached on the objective.
+
+    The objective builds it: a model view doubles its per-variable program
+    into one array, and an evaluator-only objective prices every index.
+    """
     table = obj._cache.get("energy_table")
     if table is None:
         _check_cap(obj.n)
-        table = obj.energies_at(np.arange(1 << obj.n, dtype=np.int64))
+        table = obj.table()
         table.setflags(write=False)
         obj._cache["energy_table"] = table
     return table

@@ -124,7 +124,9 @@ def brute_force(problem) -> SolveResult:
 
     Reads the cached :func:`~qopt.simulator.energy_table` when it fits in
     one chunk under the statevector cap (building it if needed), and
-    otherwise streams fixed-size chunks, up to a few qubits beyond the cap.
+    otherwise streams fixed-size chunks, up to a few qubits beyond the cap;
+    a model view prices each chunk by its replay, which equals the table's
+    slice bit for bit.
     This is the reference oracle every other solver is tested against.
     """
     obj = _objective_of(problem)

@@ -400,11 +400,12 @@ class TestVerify:
         assert run_cli(["verify", "--junit", str(junit_path)]) == 0
         out = capsys.readouterr().out.splitlines()
         ok_lines = [line for line in out if line.startswith("ok   ")]
-        assert len(ok_lines) == 11
+        assert len(ok_lines) == 12
+        assert "ok   energy tables equal their per-index replay" in ok_lines
         assert not any(line.startswith("FAIL") for line in out)
-        assert out[-1] == "11/11 checks passed"
+        assert out[-1] == "12/12 checks passed"
         suite = ElementTree.parse(junit_path).getroot()
-        assert suite.get("tests") == "11"
+        assert suite.get("tests") == "12"
         assert suite.get("failures") == "0"
 
 

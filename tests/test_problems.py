@@ -141,6 +141,12 @@ class TestMis:
         with pytest.raises(ValueError):
             gen_mis(6, side=2.0, seed=1)
 
+    def test_edge_prob_with_unit_disc_rejected(self):
+        # A unit-disc draw would otherwise ignore the edge probability.
+        with pytest.raises(ValueError):
+            gen_mis(6, unit_disc=True, edge_prob=0.9, seed=1)
+        assert gen_mis(6, seed=1).meta["params"]["edge_prob"] == 0.3
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             gen_mis(3, weights=(1.0, -1.0, 2.0))
@@ -233,6 +239,13 @@ class TestLabs:
         inst = gen_labs(13)
         table = inst.objective.energies_at(np.arange(1 << 13))
         assert table.min() == 6.0
+
+    def test_table_by_lag_doubling(self):
+        for k in range(2, 13):
+            want = [labs_energy([1 - 2 * b for b in bits]) for bits in all_bits(k)]
+            assert gen_labs(k).objective.table().tolist() == want
+        obj = gen_labs(16).objective
+        assert np.array_equal(obj.table(), obj.energies_at(np.arange(1 << 16)))
 
     def test_instance_matches_energy_function(self):
         inst = gen_labs(6)
