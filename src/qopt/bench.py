@@ -17,7 +17,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, NamedTuple, Sequence
 from xml.etree import ElementTree
 
@@ -98,13 +98,6 @@ def approximation_ratio(value: float, c_min: float, c_max: float) -> Approximati
     return ApproximationRatio(float(raw), False)
 
 
-def _wall_time(result: SolveResult) -> float:
-    timings = result.timings
-    if "total" in timings:
-        return float(timings["total"])
-    return float(sum(timings.values()))
-
-
 def success_metrics(
     results: Sequence[SolveResult],
     target="optimal",
@@ -118,8 +111,9 @@ def success_metrics(
     certificate on the result or an explicit ``c_min``) or ``("ar", theta)``
     with theta in (0, 1], judged on the best-sample AR and requiring both
     range edges. A repetition succeeds when it hits the target within
-    ``time_limit`` seconds of solver wall time. ``time_to_target`` is the
-    median wall time among successes, None when there are none.
+    ``time_limit`` seconds of solver wall time, ``timings["total"]``.
+    ``time_to_target`` is the median wall time among successes, None when
+    there are none.
     """
     if not results:
         raise ValueError("need at least one repetition")
@@ -143,8 +137,8 @@ def success_metrics(
                 hit = False
         else:
             hit = approximation_ratio(res.best_energy, c_min, c_max).ratio >= theta
-        if hit and _wall_time(res) <= time_limit:
-            hits.append(_wall_time(res))
+        if hit and res.timings["total"] <= time_limit:
+            hits.append(res.timings["total"])
     return {
         "success_rate": len(hits) / len(results),
         "time_to_target": statistics.median(hits) if hits else None,
@@ -195,9 +189,10 @@ class BenchmarkConfig:
 
     ``instances`` and ``solvers`` are mappings like
     ``{"family": "maxcut-r3r", "params": {"n": 16}}`` and
-    ``{"algorithm": "qaoa", "params": {"p": 1}}``. Instance seeds default to
-    values derived from the master seed when the generator takes one and the
-    params leave it out; solver seeds are always derived per repetition.
+    ``{"algorithm": "qaoa", "params": {"p": 1}}``; any other key is an
+    error. Instance seeds default to values derived from the master seed
+    when the generator takes one and the params leave it out; solver seeds
+    are always derived per repetition.
     """
 
     instances: tuple[Mapping, ...] = ()
@@ -219,6 +214,16 @@ class BenchmarkConfig:
             raise ValueError(f"need at least one worker, got {self.jobs}")
         object.__setattr__(self, "instances", tuple(self.instances))
         object.__setattr__(self, "solvers", tuple(self.solvers))
+        for kind, entries, keys in (
+            ("instance", self.instances, {"family", "params"}),
+            ("solver", self.solvers, {"algorithm", "params"}),
+        ):
+            for entry in entries:
+                if not isinstance(entry, Mapping):
+                    raise ValueError(f"{kind} entry must be an object, got {entry!r}")
+                unknown = sorted(set(entry) - keys)
+                if unknown:
+                    raise ValueError(f"unknown {kind} key {unknown[0]!r}")
 
 
 def _cell_label(kind: str, params: Mapping) -> str:
@@ -373,56 +378,46 @@ def _format_percent(value: float) -> str:
     return np.format_float_positional(value * 100.0, precision=2, fractional=False, trim="-") + "%"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, bool):
-        return str(value).lower()
-    return str(value)
-
-
 def _record_row(record: BenchmarkRecord) -> list[str]:
-    return [
-        record.problem,
-        record.algorithm,
-        str(record.variables),
-        "n/a" if record.density is None else _format_percent(record.density),
-        _csv_cell(record.ar_mean),
-        _csv_cell(record.ar_best),
-        _csv_cell(record.depth),
-        _csv_cell(record.shots),
-        str(record.seed),
-        str(record.t_generate),
-        str(record.t_preprocess),
-        str(record.t_compile),
-        str(record.t_execute),
-        str(record.t_post),
-        str(record.t_total),
-    ]
+    row = []
+    for column in CSV_HEADER.split(","):
+        value = getattr(record, column)
+        if value is None:
+            row.append("n/a")
+        elif column == "density":
+            row.append(_format_percent(value))
+        else:
+            row.append(str(value))
+    return row
 
 
 def record_to_json(record: BenchmarkRecord) -> dict:
-    return {
-        "problem": record.problem,
-        "algorithm": record.algorithm,
-        "variables": record.variables,
-        "density": record.density,
-        "ar_mean": record.ar_mean,
-        "ar_best": record.ar_best,
-        "depth": record.depth,
-        "shots": record.shots,
-        "seed": record.seed,
-        "t_generate": record.t_generate,
-        "t_preprocess": record.t_preprocess,
-        "t_compile": record.t_compile,
-        "t_execute": record.t_execute,
-        "t_post": record.t_post,
-        "t_total": record.t_total,
-        "t_transpile": record.t_transpile,
-        "t_embed": record.t_embed,
-        "success": record.success,
-        "extras": dict(record.extras),
-    }
+    data = {f.name: getattr(record, f.name) for f in fields(record)}
+    data["extras"] = dict(record.extras)
+    return data
+
+
+def _write(text: str, path) -> str:
+    if path is not None:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write report to {path}: {exc}") from exc
+    return text
+
+
+def _junit(suite: str, cases: Sequence[tuple[Mapping, tuple[str, str | None] | None]]) -> str:
+    """One ``testsuite`` document; each case is its ``testcase`` attributes
+    and, when it failed, the failure's message and text (None for none)."""
+    failures = sum(failure is not None for _, failure in cases)
+    root = ElementTree.Element("testsuite", name=suite, tests=str(len(cases)), failures=str(failures))
+    for attributes, failure in cases:
+        case = ElementTree.SubElement(root, "testcase", attributes)
+        if failure is not None:
+            message, text = failure
+            ElementTree.SubElement(case, "failure", message=message).text = text
+    return ElementTree.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
 def emit_report(records: Sequence[BenchmarkRecord], format: str = "csv", path=None) -> str:
@@ -447,13 +442,7 @@ def emit_report(records: Sequence[BenchmarkRecord], format: str = "csv", path=No
         text = json.dumps({"records": [record_to_json(r) for r in records]}, indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {format!r}")
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-    return text
+    return _write(text, path)
 
 
 def emit_junit(records: Sequence[BenchmarkRecord], path=None) -> str:
@@ -462,27 +451,11 @@ def emit_junit(records: Sequence[BenchmarkRecord], path=None) -> str:
     A record fails its testcase when its success flag is False or its cell
     recorded an error; records without a target count as passing.
     """
-    suite = ElementTree.Element("testsuite", name="qopt-bench", tests=str(len(records)))
-    failures = 0
+    cases = []
     for record in records:
-        case = ElementTree.SubElement(
-            suite,
-            "testcase",
-            classname=record.problem,
-            name=record.algorithm,
-            time=str(record.t_total),
-        )
+        attributes = {"classname": record.problem, "name": record.algorithm, "time": str(record.t_total)}
         error = record.extras.get("error")
-        if record.success is False or error is not None:
-            failures += 1
-            failure = ElementTree.SubElement(case, "failure", message=str(error or "target missed"))
-            failure.text = str(error or f"ar_best={record.ar_best}")
-    suite.set("failures", str(failures))
-    text = ElementTree.tostring(suite, encoding="unicode", xml_declaration=True) + "\n"
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-    return text
+        failed = record.success is False or error is not None
+        failure = (str(error or "target missed"), str(error or f"ar_best={record.ar_best}"))
+        cases.append((attributes, failure if failed else None))
+    return _write(_junit("qopt-bench", cases), path)

@@ -14,8 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from xml.etree import ElementTree
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from qopt.bench import (
     SOLVERS,
     BenchmarkConfig,
     BenchmarkRecord,
+    _junit,
     emit_junit,
     emit_report,
     run_benchmark,
@@ -30,17 +30,20 @@ from qopt.bench import (
 from qopt.problems import FAMILIES, Flag, instance_from_json, instance_to_json
 from qopt.solvers import solve_result_to_json
 
-__all__ = ["CliConfig", "build_parser", "run_cli", "main", "run_verify_checks"]
+__all__ = ["build_parser", "run_cli", "main", "run_verify_checks"]
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed global invocation state."""
-
-    command: str
-    seed: int
-    cap: int | None
-    output: str | None
+# ``qopt solve`` options; each is passed on only to a solver that takes it.
+_SOLVE_FLAGS = (
+    Flag("--p", "p", int, None, "ansatz layers (qaoa, rqaoa)"),
+    Flag("--shots", "shots", int, None),
+    Flag("--mode", "objective_mode", str, None, "training objective", {"mean": "mean", "cvar": "cvar"}),
+    Flag("--alpha", "alpha", float, None, "CVaR tail fraction"),
+    Flag("--budget", "optimizer_budget", int, None, "optimizer evaluation budget"),
+    Flag("--sweeps", "sweeps", int, None, "annealing sweeps"),
+    Flag("--restarts", "restarts", int, None, "annealing restarts"),
+    Flag("--max-rounds", "max_rounds", int, None, "Grover round budget"),
+    Flag("--cutoff", "cutoff", int, None, "rqaoa enumeration cutoff"),
+)
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -91,15 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--solver", choices=sorted(SOLVERS), required=True)
     slv.add_argument("--output", "-o", default=None)
     _add_seed(slv)
-    slv.add_argument("--p", type=int, default=None, help="ansatz layers (qaoa, rqaoa)")
-    slv.add_argument("--shots", type=int, default=None)
-    slv.add_argument("--mode", choices=("mean", "cvar"), default=None, help="training objective")
-    slv.add_argument("--alpha", type=float, default=None, help="CVaR tail fraction")
-    slv.add_argument("--budget", type=int, default=None, help="optimizer evaluation budget")
-    slv.add_argument("--sweeps", type=int, default=None, help="annealing sweeps")
-    slv.add_argument("--restarts", type=int, default=None, help="annealing restarts")
-    slv.add_argument("--max-rounds", type=int, default=None, help="Grover round budget")
-    slv.add_argument("--cutoff", type=int, default=None, help="rqaoa enumeration cutoff")
+    for flag in _SOLVE_FLAGS:
+        _add_flag(slv, flag)
 
     ben = sub.add_parser("bench", help="run a benchmark matrix from a config file")
     ben.add_argument("config", help="declarative JSON config")
@@ -146,32 +142,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-_SOLVER_FLAGS = {
-    "p": "p",
-    "shots": "shots",
-    "mode": "objective_mode",
-    "alpha": "alpha",
-    "budget": "optimizer_budget",
-    "sweeps": "sweeps",
-    "restarts": "restarts",
-    "max_rounds": "max_rounds",
-    "cutoff": "cutoff",
-}
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     with open(args.instance, encoding="utf-8") as fh:
         inst = instance_from_json(json.load(fh))
     solver = SOLVERS[args.solver]
     accepted = inspect.signature(solver).parameters
     kwargs = {}
-    for flag, kw in _SOLVER_FLAGS.items():
-        value = getattr(args, flag)
+    for flag in _SOLVE_FLAGS:
+        value = getattr(args, flag.kwarg)
         if value is None:
             continue
-        if kw not in accepted:
-            raise ValueError(f"solver {args.solver!r} does not take --{flag.replace('_', '-')}")
-        kwargs[kw] = value
+        if flag.kwarg not in accepted:
+            raise ValueError(f"solver {args.solver!r} does not take {flag.name}")
+        kwargs[flag.kwarg] = flag.choices[value] if flag.choices else value
     if "seed" in accepted:
         kwargs["seed"] = args.seed
     result = solver(inst, **kwargs)
@@ -182,6 +165,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("a bench config must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(BenchmarkConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
     target = raw.get("target")
     if isinstance(target, list):
         target = (target[0], float(target[1]))
@@ -507,15 +495,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL {name}: {detail}")
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     if args.junit:
-        root = ElementTree.Element(
-            "testsuite", name="qopt-verify", tests=str(len(checks)), failures=str(failures)
-        )
-        for name, ok, detail in checks:
-            case = ElementTree.SubElement(root, "testcase", name=name)
-            if not ok:
-                ElementTree.SubElement(case, "failure", message=detail)
-        with open(args.junit, "w", encoding="utf-8") as fh:
-            fh.write(ElementTree.tostring(root, encoding="unicode", xml_declaration=True) + "\n")
+        cases = [({"name": name}, None if ok else (detail, None)) for name, ok, detail in checks]
+        _write_or_print(_junit("qopt-verify", cases), args.junit)
     return 0 if failures == 0 else 1
 
 
@@ -526,12 +507,6 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed usage; 2 for bad invocations, 0 for --help.
         return int(exc.code or 0)
-    config = CliConfig(
-        command=args.command,
-        seed=getattr(args, "seed", 0) or 0,
-        cap=args.cap,
-        output=getattr(args, "output", None),
-    )
     handlers = {
         "generate": _cmd_generate,
         "solve": _cmd_solve,
@@ -542,10 +517,10 @@ def run_cli(argv=None) -> int:
     # The cap override holds for this invocation only; the previous value
     # (or its absence) comes back afterwards.
     previous_cap = os.environ.get("QOPT_STATEVECTOR_CAP")
-    if config.cap is not None:
-        os.environ["QOPT_STATEVECTOR_CAP"] = str(config.cap)
+    if args.cap is not None:
+        os.environ["QOPT_STATEVECTOR_CAP"] = str(args.cap)
     try:
-        return handlers[config.command](args)
+        return handlers[args.command](args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

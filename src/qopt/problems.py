@@ -832,11 +832,11 @@ def instance_from_json(data: Mapping) -> ProblemInstance:
 
 
 class Flag(NamedTuple):
-    """One ``qopt generate <family>`` option.
+    """One ``qopt generate <family>`` or ``qopt solve`` option.
 
-    The value of option ``name`` is passed to the generator as ``kwarg``. A
-    ``default`` of ``...`` makes the option required; ``choices`` maps each
-    accepted word to the value the generator receives.
+    The value of option ``name`` is passed to the generator or solver as
+    ``kwarg``. A ``default`` of ``...`` makes the option required;
+    ``choices`` maps each accepted word to the value passed on.
     """
 
     name: str

@@ -410,6 +410,22 @@ def _energy_levels(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
     return found
 
 
+def _energy_order(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
+    """A stable ascending order of :func:`energy_table` and the table in it.
+
+    Both arrays are cached on the objective next to the table.
+    """
+    found = obj._cache.get("energy_order")
+    if found is None:
+        table = energy_table(obj)
+        order = np.argsort(table, kind="stable")
+        ordered = table[order]
+        order.setflags(write=False)
+        ordered.setflags(write=False)
+        found = obj._cache["energy_order"] = (order, ordered)
+    return found
+
+
 def _apply_phase(amps: np.ndarray, levels: np.ndarray, level_of: np.ndarray, angle: float) -> None:
     # One complex exp per distinct energy, then a gather: element for element
     # this is exp(-1j * angle * table), since levels[level_of] == table.
@@ -550,13 +566,10 @@ def cvar(
     if isinstance(values, Statevector):
         if obj is None:
             raise ValueError("computing CVaR from a state requires the objective")
-        table = energy_table(obj)
         if values.n != obj.n:
             raise ValueError(f"state has {values.n} qubits, objective has {obj.n} variables")
-        probs = values.probabilities()
-        order = np.argsort(table, kind="stable")
-        sorted_e = table[order]
-        sorted_p = probs[order]
+        order, sorted_e = _energy_order(obj)
+        sorted_p = values.probabilities()[order]
         cum = np.cumsum(sorted_p)
         # Everything strictly below the alpha boundary is taken in full, the
         # boundary state contributes the leftover fraction.

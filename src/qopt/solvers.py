@@ -33,6 +33,7 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     WarmStart,
+    _energy_order,
     cvar,
     energy_table,
     expectation,
@@ -66,7 +67,8 @@ class SolveResult:
     enumeration, in which case ``c_min``/``c_max``/``argmin`` describe the
     exact spectrum edges and the complete optimum set. ``samples`` is set by
     sampling-based solvers, ``params`` by variational ones. ``timings`` maps
-    phase names to wall seconds; ``trace`` is the solver's iteration log.
+    phase names to wall seconds, and ``"total"`` to the whole run's;
+    ``trace`` is the solver's iteration log.
     """
 
     best_assignment: tuple[int, ...]
@@ -164,7 +166,7 @@ def brute_force(problem) -> SolveResult:
         c_min=c_min,
         c_max=c_max,
         argmin=argmin,
-        timings={"enumerate": time.perf_counter() - started},
+        timings={"total": time.perf_counter() - started},
         extras={"states": total},
     )
 
@@ -180,10 +182,21 @@ def _probe_temperature(obj: DiagonalObjective, rng: np.random.Generator, table: 
     # Hot end sized from observed flip magnitudes on random states, read from
     # the cached table when there is one (it equals the per-index replay).
     probes = min(256, 1 << min(obj.n, 16))
-    idx = rng.integers(0, 1 << obj.n, size=probes, dtype=np.int64)
-    flips = rng.integers(0, obj.n, size=probes)
-    energies_at = obj.energies_at if table is None else table.take
-    deltas = np.abs(energies_at(idx ^ (np.int64(1) << flips)) - energies_at(idx))
+    if obj.n < 64:
+        idx = rng.integers(0, 1 << obj.n, size=probes, dtype=np.int64)
+        flips = rng.integers(0, obj.n, size=probes)
+        energies_at = obj.energies_at if table is None else table.take
+        deltas = np.abs(energies_at(idx ^ (np.int64(1) << flips)) - energies_at(idx))
+    else:
+        # Wider states have no int64 index, so draw their bits and price
+        # each state and its flip one by one.
+        rows = rng.integers(0, 2, size=(probes, obj.n))
+        flips = rng.integers(0, obj.n, size=probes)
+        deltas = np.empty(probes)
+        for k, (row, v) in enumerate(zip(rows, flips)):
+            before = obj.value(row)
+            row[v] ^= 1
+            deltas[k] = abs(obj.value(row) - before)
     scale = float(deltas.mean())
     return scale if scale > 0 else 1.0
 
@@ -283,7 +296,7 @@ def simulated_annealing(
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if obj.n == 0:
-        return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"anneal": 0.0})
+        return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
     if temperatures is not None:
         temps = np.asarray([float(t) for t in temperatures], dtype=np.float64)
         if temps.shape != (sweeps,) or not (np.isfinite(temps) & (temps > 0)).all():
@@ -354,7 +367,7 @@ def simulated_annealing(
     return SolveResult(
         best_assignment=tuple(int(b) for b in best_bits),
         best_energy=float(best_energy),
-        timings={"anneal": time.perf_counter() - started},
+        timings={"total": time.perf_counter() - started},
         trace=tuple(per_restart),
         extras={"sweeps": sweeps, "restarts": restarts, "t_hot": float(temps[0]), "t_cold": float(temps[-1])},
     )
@@ -377,8 +390,7 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     started = time.perf_counter()
     table = energy_table(obj)
     n_states = table.shape[0]
-    order = np.argsort(table, kind="stable")
-    sorted_e = table[order]
+    order, sorted_e = _energy_order(obj)
     rng = np.random.default_rng(seed)
 
     first = int(rng.integers(0, n_states))
@@ -414,7 +426,7 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     return SolveResult(
         best_assignment=best_bits,
         best_energy=float(table[best_idx]),
-        timings={"search": time.perf_counter() - started},
+        timings={"total": time.perf_counter() - started},
         trace=tuple(thresholds),
         extras={
             "rounds_used": rounds_used,

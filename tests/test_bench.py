@@ -14,6 +14,7 @@ import pytest
 
 from qopt.bench import (
     CSV_HEADER,
+    SOLVERS,
     TIME_LIMIT_LADDER,
     ApproximationRatio,
     BenchmarkConfig,
@@ -25,7 +26,7 @@ from qopt.bench import (
     success_metrics,
 )
 from qopt.model import QuboModel
-from qopt.problems import gen_spin_glass
+from qopt.problems import gen_maxcut_r3r, gen_spin_glass
 from qopt.solvers import SolveResult, brute_force, simulated_annealing
 
 import qopt.bench as bench_module
@@ -96,6 +97,17 @@ def timed_result(energy, seconds, certificate=False):
     )
 
 
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_every_solver_reports_total_time(name):
+    params = {"qaoa": {"optimizer_budget": 10}, "rqaoa": {"cutoff": 4}}.get(name, {})
+    result = SOLVERS[name](gen_maxcut_r3r(6, seed=0), **params)
+    assert result.timings["total"] >= 0.0
+
+
+def test_annealing_without_variables_reports_total_time():
+    assert simulated_annealing(QuboModel(n=0).as_objective()).timings == {"total": 0.0}
+
+
 class TestSuccessMetrics:
     def test_all_certified_optimal(self):
         obj = QuboModel(n=3, terms={(0, 0): -1.0}).as_objective()
@@ -161,6 +173,14 @@ class TestRecordAndConfig:
             BenchmarkConfig(time_limit=0.0)
         with pytest.raises(ValueError):
             BenchmarkConfig(jobs=0)
+
+    def test_unknown_entry_keys_rejected(self):
+        with pytest.raises(ValueError, match="unknown instance key 'name'"):
+            BenchmarkConfig(instances=({"family": "labs", "name": "x"},))
+        with pytest.raises(ValueError, match="unknown solver key 'param'"):
+            BenchmarkConfig(solvers=({"algorithm": "grover", "param": {}},))
+        with pytest.raises(ValueError, match="instance entry must be an object, got 'labs'"):
+            BenchmarkConfig(instances=("labs",))
 
     def test_ladder_values(self):
         assert TIME_LIMIT_LADDER == (1.0, 10.0, 60.0, 600.0, 3600.0, 10000.0)

@@ -221,6 +221,11 @@ class TestSolve:
         assert result["extras"]["restarts"] == 3
         assert len(result["trace"]) == 3
 
+    def test_annealing_default_schedule_at_64_variables(self, tmp_path, capsys):
+        inst_path = generate(tmp_path, "maxcut-r3r", "--n", "64", "--seed", "1")
+        assert run_cli(["solve", str(inst_path), "--solver", "annealing", "--sweeps", "3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["best_assignment"]) == 64
+
     def test_qaoa_flags_reach_the_solver(self, tmp_path):
         inst_path = generate(tmp_path, "maxcut-r3r", "--n", "8", "--seed", "1")
         out_path = tmp_path / "qaoa.json"
@@ -348,6 +353,24 @@ class TestBench:
         ) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"repetition": 5}, "unknown config key 'repetition'"),
+            ({"solvers": [{"algorithm": "annealing", "param": {"sweeps": 5}}]}, "unknown solver key 'param'"),
+            ({"instances": [{"family": "labs", "params": {"k": 5}, "seed": 3}]}, "unknown instance key 'seed'"),
+        ],
+    )
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys, change, message):
+        config = write_config(tmp_path, {**SMALL_BENCH, **change})
+        assert run_cli(["bench", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, [SMALL_BENCH])
+        assert run_cli(["bench", str(config)]) == 1
+        assert capsys.readouterr().err == "error: a bench config must be a JSON object\n"
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, {"instances": [], "solvers": [], "repetitions": 0})
         assert run_cli(["bench", str(config)]) == 1
@@ -419,3 +442,82 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["family"] == "labs"
+
+
+# A matrix whose report exercises every column kind: a QAOA cell (depth and
+# shots set), cells that miss or hit an AR target, and a cell whose solver
+# raises, so that its record carries an error.
+PINNED_BENCH = {
+    "instances": [
+        {"family": "maxcut-r3r", "params": {"n": 8, "seed": 1}},
+        {"family": "spin-glass", "params": {"topology": "complete", "n": 6}},
+    ],
+    "solvers": [
+        {"algorithm": "annealing", "params": {"sweeps": 20}},
+        {"algorithm": "grover", "params": {"max_rounds": 1}},
+        {"algorithm": "qaoa", "params": {"p": 1, "optimizer_budget": 12}},
+        {"algorithm": "brute-force", "params": {"cutoff": 3}},
+    ],
+    "repetitions": 2,
+    "master_seed": 5,
+    "target": ["ar", 0.95],
+}
+
+# sha256 of every harness output, recorded before the report columns, the
+# JUnit layout and the solve flags each came to be described once.
+PINNED_HARNESS = {
+    "report csv": "c8fcaf7edf8bfeb6863e7666453048a2e931bfc7814ee035c2b5a9de352ca9c3",
+    "report json": "9e407df7df38b450d1164454bd706e9f70f49a5903abd006a9ec74885e09bd2c",
+    "verify": "2a8bcc34b856123d6a2f36d87d2dd0eeaaa04f95123a5c9e16bb1eefda2af634",
+    "--help": "c3f778091c1baf251b39949b82ad1ca4a17d8f1c8fb8be8c3f176b60bd27046e",
+    "solve --help": "92e0f7b22f4845e249fadd0bdb026f90703f284c26e64cc169b18db2f394c7b4",
+    "bench --help": "183a8bbf3ac26f8f75325df6523edd8a88d4ef1c90d2498c117413c99fd687ff",
+    "unsupported flag": "c8b0df5334b07c0a10e200ffa5b77b2753ed5e5f89d2789e32acceec1f006ff9",
+    "verify fail": "20f33b892866ae43e451f975806bbf9185c1bb36ba550382f28faae98165be85",
+    "bench.csv": "c8fcaf7edf8bfeb6863e7666453048a2e931bfc7814ee035c2b5a9de352ca9c3",
+    "bench.json": "9e407df7df38b450d1164454bd706e9f70f49a5903abd006a9ec74885e09bd2c",
+    "bench.xml": "1d57d6a3f52053f051fa8d4016012ab051e0f98ccd2daf42f7e0924fcdc638aa",
+    "report.xml": "1d57d6a3f52053f051fa8d4016012ab051e0f98ccd2daf42f7e0924fcdc638aa",
+    "verify.xml": "84d2d012135e03b86e47c46b591a88be967e9f4e4e32e68e4f012f9e68996ccf",
+    "verify-fail.xml": "faf06f2d576f5ceaf8726e12e143899a6f8f21c0a8d7525dce904ed550e9e4a1",
+}
+
+
+def harness_outputs(tmp_path, capsys, monkeypatch) -> dict[str, str]:
+    """Each output by name: what a command printed, or a file it wrote."""
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps --help to this width
+    out = {}
+
+    def path(name):
+        return str(tmp_path / name)
+
+    def run(name, argv, code=0, stream="out"):
+        capsys.readouterr()
+        assert run_cli(argv) == code
+        if name is not None:
+            out[name] = getattr(capsys.readouterr(), stream)
+
+    config = str(write_config(tmp_path, PINNED_BENCH))
+    run(None, ["bench", config, "--deterministic-clock", "--csv", path("bench.csv"),
+               "--json", path("bench.json"), "--junit", path("bench.xml")])
+    run("report csv", ["report", path("bench.json"), "--junit", path("report.xml")])
+    run("report json", ["report", path("bench.json"), "--format", "json"])
+    run("verify", ["verify", "--junit", path("verify.xml")])
+    for argv in (["--help"], ["solve", "--help"], ["bench", "--help"]):
+        run(" ".join(argv), argv)
+    inst = str(generate(tmp_path, "labs", "--k", "5"))
+    run("unsupported flag", ["solve", inst, "--solver", "brute-force", "--budget", "5"], 1, "err")
+    # A failing check, to pin how verify renders a failure.
+    failing = [("passes", True, ""), ("fails", False, "AssertionError: drift at (0, 1)")]
+    monkeypatch.setattr("qopt.cli.run_verify_checks", lambda seed=0: failing)
+    run("verify fail", ["verify", "--junit", path("verify-fail.xml")], 1)
+    for name in ("bench.csv", "bench.json", "bench.xml", "report.xml", "verify.xml", "verify-fail.xml"):
+        out[name] = (tmp_path / name).read_text(encoding="utf-8")
+    return out
+
+
+class TestHarnessBytes:
+    def test_outputs_pinned(self, tmp_path, capsys, monkeypatch):
+        outputs = harness_outputs(tmp_path, capsys, monkeypatch)
+        digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
+        assert digests == PINNED_HARNESS

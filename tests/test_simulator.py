@@ -561,6 +561,12 @@ class TestCvar:
         # Fractional boundary: half of the second state's mass.
         assert cvar(sv, 0.375, obj=obj) == pytest.approx((0.25 * 0 + 0.125 * 1) / 0.375, abs=1e-12)
 
+    def test_state_objective_mismatch_caught_before_the_table(self):
+        # The objective's table would exceed the cap; the mismatch is the error.
+        obj = QuboModel(n=30, terms={(0, 1): 1.0}).as_objective()
+        with pytest.raises(ValueError, match="state has 2 qubits, objective has 30 variables"):
+            cvar(Statevector.plus(2), 0.5, obj=obj)
+
     def test_alpha_validation(self):
         ss = SampleSet(counts={(0,): 1}, shots=1, seed=0, energies={(0,): 0.0})
         for bad in (0.0, -0.5, 1.5):

@@ -15,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from qopt.model import DiagonalObjective, IsingModel, QuboModel, evaluate
-from qopt.problems import gen_labs, gen_maxcut_r3r, gen_spin_glass
+from qopt.model import DiagonalObjective, IsingModel, QuboModel, evaluate, index_to_bits
+from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
 from qopt.simulator import CapacityError, QaoaParams, WarmStart, energy_table
 from qopt.solvers import (
     SolveResult,
@@ -193,6 +193,14 @@ class TestSimulatedAnnealing:
         assert res.best_energy == pytest.approx(n - 3.0 * (n - 1), abs=1e-9)
         assert_self_consistent(res, obj)
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_default_schedule_beyond_int64_indices(self, n):
+        # From 64 variables on, a state's index no longer fits an int64.
+        inst = gen_maxcut_r3r(n, seed=1)
+        res = simulated_annealing(inst, sweeps=3, seed=0)
+        assert res.extras["t_hot"] > 0
+        assert_self_consistent(res, inst.objective)
+
     def test_generic_fallback_path_runs(self):
         calls = []
 
@@ -223,6 +231,43 @@ def grover_probability_oracle(n, marked, r):
         psi[list(marked)] *= -1.0
         psi = 2.0 * psi.mean() - psi
     return float(np.sum(psi[list(marked)] ** 2))
+
+
+def grover_reference(obj, max_rounds=128, seed=0):
+    """The search with the stable sort it ran on every call before the order
+    was cached; returns (best index, best energy, trace, extras)."""
+    table = energy_table(obj)
+    n_states = table.shape[0]
+    order = np.argsort(table, kind="stable")
+    sorted_e = table[order]
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(0, n_states))
+    threshold = float(table[first])
+    best_idx = first
+    thresholds = [threshold]
+    m = 1.0
+    m_cap = math.sqrt(n_states)
+    marked_empty = False
+    rounds_used = 0
+    iterations_total = 0
+    for _ in range(max_rounds):
+        rounds_used += 1
+        count = int(np.searchsorted(sorted_e, threshold, side="left"))
+        if count == 0:
+            marked_empty = True
+            break
+        theta = math.asin(math.sqrt(count / n_states))
+        r = int(rng.integers(0, int(m) + 1))
+        iterations_total += r
+        if rng.random() < math.sin((2 * r + 1) * theta) ** 2:
+            best_idx = int(order[int(rng.integers(0, count))])
+            threshold = float(table[best_idx])
+            thresholds.append(threshold)
+            m = 1.0
+        else:
+            m = min(m * 8.0 / 7.0, m_cap)
+    extras = {"rounds_used": rounds_used, "marked_set_empty": marked_empty, "grover_iterations": iterations_total}
+    return best_idx, float(table[best_idx]), tuple(thresholds), extras
 
 
 class TestGroverAdaptiveSearch:
@@ -265,6 +310,27 @@ class TestGroverAdaptiveSearch:
         obj = random_qubo(4, 0).as_objective()
         with pytest.raises(ValueError):
             grover_adaptive_search(obj, max_rounds=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_maxcut_r3r(12, seed=3),
+            lambda: gen_spin_glass("complete", 10, dist="gaussian", seed=2),
+            lambda: gen_labs(11),
+            lambda: gen_portfolio(9, 3, seed=1),
+        ],
+        ids=["maxcut", "sk-gauss", "labs", "portfolio"],
+    )
+    def test_cached_order_matches_per_call_sort(self, make):
+        obj = make().objective
+        for seed in range(4):
+            for max_rounds in (1, 5, 128):
+                want_idx, want_e, want_trace, want_extras = grover_reference(obj, max_rounds, seed)
+                res = grover_adaptive_search(obj, max_rounds=max_rounds, seed=seed)
+                assert res.best_assignment == index_to_bits(want_idx, obj.n)
+                assert res.best_energy == want_e
+                assert res.trace == want_trace
+                assert res.extras == want_extras
 
     def test_replay_deterministic(self):
         obj = random_qubo(8, 77).as_objective()
