@@ -38,6 +38,7 @@ from qopt.simulator import (
     energy_table,
     expectation,
     qaoa_state,
+    qaoa_value_and_gradient,
     sample,
     statevector_cap,
 )
@@ -327,7 +328,11 @@ def simulated_annealing(
         for t in temps:
             for v in rng.permutation(n):
                 delta = (1.0 - 2.0 * x[:, v]) * g[:, v]
-                accept = (delta <= 0) | (rng.random(restarts) < np.exp(-delta / t))
+                # Only uphill moves need the exponential; clamping the rest to
+                # exp(0) keeps cold downhill moves from overflowing, and a NaN
+                # delta still compares false on both sides.
+                uphill = np.exp(-np.maximum(delta, 0.0) / t)
+                accept = (delta <= 0) | (rng.random(restarts) < uphill)
                 sign = np.where(accept, 1.0 - 2.0 * x[:, v], 0.0)
                 x[accept, v] = 1.0 - x[accept, v]
                 g += np.outer(sign, pairs[v])
@@ -448,6 +453,64 @@ def _grid_points(p: int) -> int:
     return 2
 
 
+def _angle_grid(p: int) -> np.ndarray:
+    # Rows of (gammas, betas) over [0, pi)^p x [0, pi/2)^p.
+    axis_g = _grid_axis(_grid_points(p), math.pi)
+    axis_b = _grid_axis(_grid_points(p), math.pi / 2)
+    grids = np.meshgrid(*([axis_g] * p + [axis_b] * p), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _params_of(vec: np.ndarray, p: int | None = None) -> QaoaParams:
+    # Angles as (gammas, betas); with ``p`` beyond their depth, the missing
+    # layers get zero angles, which leave the state unchanged bit for bit.
+    depth = len(vec) // 2
+    pad = (0.0,) * (0 if p is None else p - depth)
+    return QaoaParams(p=depth + len(pad), gammas=(*vec[:depth], *pad), betas=(*vec[depth:], *pad))
+
+
+def _interp(vec: np.ndarray) -> np.ndarray:
+    """INTERP (Zhou et al., arXiv:1812.01041): depth-p angles to p + 1.
+
+    Each angle list is read as samples of a smooth schedule and resampled
+    at one more point: entry ``i`` of the result is
+    ``i/p * a[i-1] + (p-i)/p * a[i]``, with ``a[-1] = a[p] = 0``.
+    """
+    p = len(vec) // 2
+    i = np.arange(p + 1)
+    out = []
+    for angles in (vec[:p], vec[p:]):
+        padded = np.concatenate(([0.0], angles, [0.0]))
+        out.append(i / p * padded[i] + (p - i) / p * padded[i + 1])
+    return np.concatenate(out)
+
+
+def _distinct(optima: list) -> list:
+    # Refined optima without repeats: an optimum whose value equals a kept
+    # one is a mirror image of it (gamma <-> pi - gamma on regular MaxCut),
+    # and mirror images refine to mirror images at the next depth. Of equal
+    # values the one with the smallest angles stays, the small-angle schedule
+    # that INTERP extends (Zhou et al.); the rest follow by value.
+    kept = []
+    for res in sorted(optima, key=lambda r: float(np.abs(r.x).sum())):
+        if all(abs(res.fun - k.fun) > _SAME_OPTIMUM * max(1.0, abs(k.fun)) for k in kept):
+            kept.append(res)
+    return sorted(kept, key=lambda r: r.fun)
+
+
+# Relative value gap below which two refined optima count as one.
+_SAME_OPTIMUM = 1e-9
+# Evaluations charged for one value-and-gradient call. Per layer it runs
+# four mixer-sized passes (the forward layer, un-applying it on the state and
+# on the co-state, and one generator sweep) where a plain evaluation runs
+# one; tests/test_solvers.py counts them.
+_GRADIENT_COST = 4
+# L-BFGS-B stops once no gradient entry exceeds 1e-6 or a step gains less
+# than 1e-13 relative. Near an optimum the value then sits within rounding
+# of a run at gtol 1e-9: on criteria 01/02 the ratios agree to 5e-15.
+_LBFGS_OPTIONS = {"ftol": 1e-13, "gtol": 1e-6}
+
+
 def qaoa_solve(
     problem,
     p: int = 1,
@@ -458,14 +521,26 @@ def qaoa_solve(
     shots: int = 2048,
     seed: int = 0,
 ) -> SolveResult:
-    """Variational solve: coarse grid over the angle box, simplex refinement.
+    """Variational solve over the angle box ``[0, pi)^p x [0, pi/2)^p``.
 
-    The grid covers ``[0, pi)^p x [0, pi/2)^p`` at 8 points per parameter
-    for p=1, 4 for p=2, and 2 beyond; the best grid points seed Nelder-Mead
-    refinements. ``objective_mode`` is ``mean`` (exact expectation) or
-    ``cvar`` (tail mean of seeded samples; every evaluation reuses one
-    derived seed so the optimizer sees a fixed landscape). Evaluations stop
-    at ``optimizer_budget``; exhausting it flags the result instead of
+    ``objective_mode`` selects the objective and with it the optimizer:
+
+    * ``mean`` (exact expectation) trains with exact gradients
+      (:func:`~qopt.simulator.qaoa_value_and_gradient`). At depth 1 an 8x8
+      grid of plain evaluations picks the three best starts, each refined
+      by L-BFGS-B. Each further depth up to ``p`` maps the distinct refined
+      optima of the depth below by INTERP and refines them again. If the
+      budget runs out below depth ``p``, the best angles found get zero
+      angles for the missing layers, which leaves their state unchanged.
+    * ``cvar`` (tail mean of seeded samples; every evaluation reuses one
+      derived seed so the optimizer sees a fixed landscape) is piecewise
+      constant in the angles, so it searches a grid at 8 points per
+      parameter for p=1, 4 for p=2 and 2 beyond, then refines the best grid
+      points with Nelder-Mead.
+
+    Evaluations stop at ``optimizer_budget``, counted in state preparations:
+    a value-and-gradient call is charged as four plain evaluations, the
+    layer passes it runs. Exhausting the budget flags the result instead of
     raising. ``p = 0`` just samples the initial state.
     """
     obj = _objective_of(problem)
@@ -488,55 +563,71 @@ def qaoa_solve(
     best_value = math.inf
     best_vec: np.ndarray | None = None
 
-    def objective_value(vec: np.ndarray) -> float:
-        nonlocal evaluations, best_value, best_vec
-        if evaluations >= optimizer_budget:
+    def spend(cost: int) -> None:
+        nonlocal evaluations
+        if evaluations + cost > optimizer_budget:
             raise _BudgetDone
-        evaluations += 1
-        params = QaoaParams(p=p, gammas=tuple(vec[:p]), betas=tuple(vec[p:]))
-        sv = qaoa_state(obj, params, initial=initial)
-        if objective_mode == "mean":
-            value = expectation(sv, obj)
-        else:
-            value = cvar(sample(sv, shots=shots, seed=eval_seed, obj=obj), alpha)
+        evaluations += cost
+
+    def keep(vec: np.ndarray, value: float) -> None:
+        nonlocal best_value, best_vec
         if value < best_value:
             best_value = value
             best_vec = vec.copy()
             trace.append((evaluations, value))
+
+    def objective_value(vec: np.ndarray) -> float:
+        spend(1)
+        sv = qaoa_state(obj, _params_of(vec), initial=initial)
+        if objective_mode == "mean":
+            value = expectation(sv, obj)
+        else:
+            value = cvar(sample(sv, shots=shots, seed=eval_seed, obj=obj), alpha)
+        keep(vec, value)
         return value
+
+    def value_and_gradient(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        spend(_GRADIENT_COST)
+        value, grad = qaoa_value_and_gradient(obj, _params_of(vec), initial)
+        keep(vec, value)
+        return value, grad
+
+    def refine(start: np.ndarray):
+        return minimize(value_and_gradient, start, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
 
     if p == 0:
         final_params = QaoaParams(p=0, gammas=(), betas=())
         optimize_time = 0.0
     else:
         scored: list[tuple[float, np.ndarray]] = []
-        axis_g = _grid_axis(_grid_points(p), math.pi)
-        axis_b = _grid_axis(_grid_points(p), math.pi / 2)
-        grids = np.meshgrid(*([axis_g] * p + [axis_b] * p), indexing="ij")
-        candidates = np.stack([g.ravel() for g in grids], axis=1)
         try:
-            for vec in candidates:
+            for vec in _angle_grid(p if objective_mode == "cvar" else 1):
                 scored.append((objective_value(vec), vec))
-            # Refine from the best few grid points; spend what remains.
             scored.sort(key=lambda sv_: sv_[0])
-            starts = min(3 if p == 1 else 2, len(scored))
-            for _, start_vec in scored[:starts]:
-                left = optimizer_budget - evaluations
-                if left < 8:
-                    break
-                minimize(
-                    objective_value,
-                    start_vec,
-                    method="Nelder-Mead",
-                    options={
-                        "maxfev": left if start_vec is scored[0][1] else max(left // 2, 8),
-                        "xatol": 1e-10,
-                        "fatol": 1e-12,
-                    },
-                )
+            if objective_mode == "mean":
+                optima = [refine(vec) for _, vec in scored[:3]]
+                for _ in range(1, p):
+                    optima = [refine(_interp(res.x)) for res in _distinct(optima)]
+            else:
+                # Refine from the best few grid points; spend what remains.
+                starts = min(3 if p == 1 else 2, len(scored))
+                for _, start_vec in scored[:starts]:
+                    left = optimizer_budget - evaluations
+                    if left < 8:
+                        break
+                    minimize(
+                        objective_value,
+                        start_vec,
+                        method="Nelder-Mead",
+                        options={
+                            "maxfev": left if start_vec is scored[0][1] else max(left // 2, 8),
+                            "xatol": 1e-10,
+                            "fatol": 1e-12,
+                        },
+                    )
         except _BudgetDone:
             budget_exhausted = True
-        final_params = QaoaParams(p=p, gammas=tuple(best_vec[:p]), betas=tuple(best_vec[p:]))
+        final_params = _params_of(best_vec, p)
         optimize_time = time.perf_counter() - started
 
     sv = qaoa_state(obj, final_params, initial=initial)

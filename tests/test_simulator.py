@@ -24,6 +24,7 @@ from qopt.simulator import (
     ground_state_overlap,
     load_statevector,
     qaoa_state,
+    qaoa_value_and_gradient,
     sample,
     statevector_cap,
 )
@@ -88,11 +89,11 @@ def maxcut_p1_edge(gamma, beta, du, dv, tri):
     and B the sum of X; ``du``/``dv`` are the endpoint degrees minus one and
     ``tri`` the triangles through the edge.
     """
-    c, s = math.cos(gamma), math.sin(gamma)
+    c, s = np.cos(gamma), np.sin(gamma)
     return (
         0.5
-        + 0.25 * math.sin(4 * beta) * s * (c**du + c**dv)
-        - 0.25 * math.sin(2 * beta) ** 2 * c ** (du + dv - 2 * tri) * (1 - math.cos(2 * gamma) ** tri)
+        + 0.25 * np.sin(4 * beta) * s * (c**du + c**dv)
+        - 0.25 * np.sin(2 * beta) ** 2 * c ** (du + dv - 2 * tri) * (1 - np.cos(2 * gamma) ** tri)
     )
 
 
@@ -270,28 +271,36 @@ class TestKernels:
         assert _energy_levels(obj)[1] is level_of
 
 
+def complex_step_gradient(closed, g, b, h=1e-30):
+    # Exact derivatives of an analytic closed form in (g, b): Im f(x + ih) / h
+    # subtracts nothing, so its only error is O(h^2), far below rounding.
+    return np.array([closed(g + 1j * h, b).imag / h, closed(g, b + 1j * h).imag / h])
+
+
+def maxcut_p1_energy(graph):
+    """The MaxCut objective of ``graph`` and its p=1 energy in qopt's (g, b).
+
+    qopt's phase is exp(-i g E) with E = -C, i.e. exp(-i (-g) C), and its
+    mixer [[cos b, i sin b], [i sin b, cos b]] is exp(+i b X) = exp(-i (-b) X)
+    per qubit. So Wang et al.'s (gamma, beta) is qopt's (-g, -b); their
+    formula is even under flipping both signs, and <E> = -sum_edges <C_uv>.
+    """
+    edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+    obj = maxcut_objective(graph.number_of_nodes(), edges)
+    shapes = [
+        (graph.degree(u) - 1, graph.degree(v) - 1, len(set(graph[u]) & set(graph[v]))) for u, v in edges
+    ]
+    return obj, lambda g, b: -sum(maxcut_p1_edge(-g, -b, *shape) for shape in shapes)
+
+
 class TestMaxcutP1ClosedForm:
-    # qopt's phase is exp(-i g E) with E = -C, i.e. exp(-i (-g) C), and its
-    # mixer [[cos b, i sin b], [i sin b, cos b]] is exp(+i b X) = exp(-i (-b) X)
-    # per qubit. So Wang et al.'s (gamma, beta) is qopt's (-g, -b); their
-    # formula is even under flipping both signs, and <E> = -sum_edges <C_uv>.
     @staticmethod
     def _check(graph, rng):
-        edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
-        obj = maxcut_objective(graph.number_of_nodes(), edges)
+        obj, closed = maxcut_p1_energy(graph)
         for _ in range(3):
             g, b = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
             sv = qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,)))
-            closed = -sum(
-                maxcut_p1_edge(
-                    -g, -b,
-                    graph.degree(u) - 1,
-                    graph.degree(v) - 1,
-                    len(set(graph[u]) & set(graph[v])),
-                )
-                for u, v in edges
-            )
-            assert expectation(sv, obj) == pytest.approx(closed, abs=1e-12)
+            assert expectation(sv, obj) == pytest.approx(closed(g, b), abs=1e-12)
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_random_three_regular(self, n):
@@ -303,6 +312,17 @@ class TestMaxcutP1ClosedForm:
         assert sum(nx.triangles(graph).values()) > 0
         self._check(graph, np.random.default_rng(71))
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_gradient_is_the_closed_form_derivative(self, n):
+        # A flipped mixer sign negates the beta derivative, which is nonzero
+        # at these random angles, so it fails here.
+        obj, closed = maxcut_p1_energy(nx.random_regular_graph(3, n, seed=n))
+        rng = np.random.default_rng(90 + n)
+        for _ in range(3):
+            g, b = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
+            _, grad = qaoa_value_and_gradient(obj, QaoaParams(p=1, gammas=(g,), betas=(b,)))
+            np.testing.assert_allclose(grad, complex_step_gradient(closed, g, b), rtol=0, atol=1e-9)
+
 
 def ising_p1_zz(J, u, v, gamma, beta):
     """Ozaeta, van Dam, McMahon (arXiv:2012.03421) p=1 <Z_u Z_v> for h=0.
@@ -311,28 +331,79 @@ def ising_p1_zz(J, u, v, gamma, beta):
     C = sum J_uv Z_u Z_v; ``J`` is the symmetric coupling matrix.
     """
     others = [w for w in range(J.shape[0]) if w not in (u, v)]
-    cos = lambda a: math.prod(math.cos(2 * gamma * x) for x in a)  # noqa: E731
-    first = math.sin(2 * gamma * J[u, v]) * (cos(J[u, others]) + cos(J[v, others]))
+    cos = lambda a: np.prod(np.cos(2 * gamma * a))  # noqa: E731
+    first = np.sin(2 * gamma * J[u, v]) * (cos(J[u, others]) + cos(J[v, others]))
     second = cos(J[u, others] + J[v, others]) - cos(J[u, others] - J[v, others])
-    return 0.5 * math.sin(4 * beta) * first - 0.5 * math.sin(2 * beta) ** 2 * second
+    return 0.5 * np.sin(4 * beta) * first - 0.5 * np.sin(2 * beta) ** 2 * second
+
+
+def ising_p1_energy(inst):
+    """The p=1 energy of a zero-field spin glass in qopt's (g, b).
+
+    qopt's phase is exp(-i g E) with E = C, so gamma = g; its mixer
+    exp(+i b X) per qubit is exp(-i (-b) X), so beta = -b. The first term
+    of the formula is odd in beta, so a flipped mixer sign fails against it.
+    """
+    n = inst.n
+    J = np.zeros((n, n))
+    for (u, v), c in zip(inst.raw["edges"], inst.raw["couplings"]):
+        J[u, v] = J[v, u] = c
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return lambda g, b: sum(J[u, v] * ising_p1_zz(J, u, v, g, -b) for u, v in pairs)
 
 
 class TestWeightedIsingP1ClosedForm:
-    # qopt's phase is exp(-i g E) with E = C, so gamma = g; its mixer
-    # exp(+i b X) per qubit is exp(-i (-b) X), so beta = -b. The first term
-    # of the formula is odd in beta, so a flipped mixer sign fails here.
     @pytest.mark.parametrize("n", [8, 12])
     def test_gaussian_sk(self, n):
         inst = gen_spin_glass("complete", n, dist="gaussian", seed=40 + n)
-        J = np.zeros((n, n))
-        for (u, v), c in zip(inst.raw["edges"], inst.raw["couplings"]):
-            J[u, v] = J[v, u] = c
+        closed = ising_p1_energy(inst)
         rng = np.random.default_rng(80 + n)
         for _ in range(3):
             g, b = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
             sv = qaoa_state(inst.objective, QaoaParams(p=1, gammas=(g,), betas=(b,)))
-            closed = sum(J[u, v] * ising_p1_zz(J, u, v, g, -b) for u in range(n) for v in range(u + 1, n))
-            assert expectation(sv, inst.objective) == pytest.approx(closed, abs=1e-12)
+            assert expectation(sv, inst.objective) == pytest.approx(closed(g, b), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_gradient_is_the_closed_form_derivative(self, n):
+        inst = gen_spin_glass("complete", n, dist="gaussian", seed=40 + n)
+        closed = ising_p1_energy(inst)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            g, b = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
+            _, grad = qaoa_value_and_gradient(inst.objective, QaoaParams(p=1, gammas=(g,), betas=(b,)))
+            np.testing.assert_allclose(grad, complex_step_gradient(closed, g, b), rtol=0, atol=1e-9)
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("warm", [False, True], ids=["plus", "warm"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_central_differences(self, case, warm):
+        obj = KERNEL_CASES[case]()
+        rng = np.random.default_rng(sorted(KERNEL_CASES).index(case) + 10 * warm)
+        initial = WarmStart(c_star=tuple(rng.random(obj.n)), epsilon=0.1) if warm else "plus"
+
+        def energy(vec, p):
+            params = QaoaParams(p=p, gammas=vec[:p], betas=vec[p:])
+            return expectation(qaoa_state(obj, params, initial), obj)
+
+        h = 1e-3
+        for p in (1, 2, 3):
+            x = rng.uniform(-1.5, 1.5, 2 * p)
+            value, grad = qaoa_value_and_gradient(obj, QaoaParams(p=p, gammas=x[:p], betas=x[p:]), initial)
+            assert value == energy(x, p)
+            # Fourth-order central differences, one axis at a time.
+            fd = [
+                (8 * (energy(x + h * e, p) - energy(x - h * e, p)) - energy(x + 2 * h * e, p)
+                 + energy(x - 2 * h * e, p)) / (12 * h)
+                for e in np.eye(2 * p)
+            ]
+            np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+    def test_zero_layers(self):
+        obj = KERNEL_CASES["portfolio"]()
+        value, grad = qaoa_value_and_gradient(obj, QaoaParams(p=0, gammas=(), betas=()))
+        assert value == pytest.approx(float(energy_table(obj).mean()), abs=1e-9)
+        assert grad.shape == (0,)
 
 
 class TestWarmStart:

@@ -11,6 +11,7 @@ Independent oracles used here:
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ class TestSimulatedAnnealing:
         res = simulated_annealing(inst, sweeps=3, seed=0)
         assert res.extras["t_hot"] > 0
         assert_self_consistent(res, inst.objective)
+
+    def test_cold_downhill_moves_do_not_overflow(self):
+        # The local-field path once took exp(-delta / t) of downhill moves
+        # too, which overflows at cold temperatures; the result is pinned at
+        # its value from before the exponent was clamped to uphill moves.
+        inst = gen_maxcut_r3r(1024, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulated_annealing(inst, sweeps=3, seed=0)
+        assert res.best_energy == -1292.0
+        assert res.trace == (-1292.0,)
+        assert hashlib.sha256(bytes(res.best_assignment)).hexdigest() == (
+            "94f083e37473ffc055ac19acfa44d15725a7cb50d032ad69e8d3d5f2e12dec10"
+        )
+        assert res.extras == {
+            "sweeps": 3, "restarts": 1, "t_hot": 1.4609375, "t_cold": float.fromhex("0x1.7ef9db22d0e55p-10"),
+        }
 
     def test_generic_fallback_path_runs(self):
         calls = []
@@ -404,6 +422,90 @@ class TestQaoaSolve:
             qaoa_solve(SINGLE_SPIN, objective_mode="median")
         with pytest.raises(ValueError):
             qaoa_solve(SINGLE_SPIN, objective_mode="cvar", alpha=0.0)
+
+    # CVaR-mode results recorded before mean mode moved to gradients: the
+    # sampled objective keeps its grid and Nelder-Mead search bit for bit.
+    CVAR_PINS = {
+        1: (
+            lambda: gen_maxcut_r3r(8, seed=2),
+            {"optimizer_budget": 120, "shots": 256, "seed": 3},
+            (["0x1.73f6ee1257684p-1"], ["0x1.a13418dd38862p-2"]),
+            120,
+            [(1, "-0x1.0000000000000p+3"), (10, "-0x1.2600000000000p+3"), (11, "-0x1.2f80000000000p+3"),
+             (19, "-0x1.3500000000000p+3"), (68, "-0x1.3600000000000p+3"), (72, "-0x1.3680000000000p+3")],
+            "bfd81796902c7988782739fc6014bc0741eee78918653b71f64eb288984eef30",
+        ),
+        2: (
+            lambda: gen_spin_glass("complete", 6, dist="gaussian", seed=7),
+            {"optimizer_budget": 300, "shots": 128, "seed": 4},
+            (["0x1.2d97c7f3321d2p+1", "0x1.2d97c7f3321d2p+1"], ["0x1.a63ae4badfc26p-1", "0x1.921fb54442d18p-1"]),
+            300,
+            [(1, "-0x1.41eacf78b9760p+1"), (2, "-0x1.45a680d1e9aaep+1"), (18, "-0x1.08bd54f06a419p+2"),
+             (251, "-0x1.3eea64af314a4p+2"), (260, "-0x1.3f166e149de5cp+2")],
+            "4b9a8faab6195d4a5ebb8bef3d2eec20af26a46c26b545c590d7bd440dab2b16",
+        ),
+    }
+
+    @pytest.mark.parametrize("p", sorted(CVAR_PINS))
+    def test_cvar_mode_pinned(self, p):
+        make, kwargs, (gammas, betas), evaluations, trace, samples_digest = self.CVAR_PINS[p]
+        res = qaoa_solve(make(), p=p, objective_mode="cvar", alpha=0.25, **kwargs)
+        assert res.params == QaoaParams(
+            p=p, gammas=[float.fromhex(g) for g in gammas], betas=[float.fromhex(b) for b in betas]
+        )
+        assert res.extras["evaluations"] == evaluations
+        assert res.trace == tuple((k, float.fromhex(v)) for k, v in trace)
+        packed = res.samples.indices.tobytes() + res.samples.index_counts.tobytes()
+        assert hashlib.sha256(packed).hexdigest() == samples_digest
+
+    def test_gradient_charge_is_its_layer_pass_count(self, monkeypatch):
+        # One value-and-gradient call is charged as many plain evaluations as
+        # it runs layer-sized passes (mixers and generator sweeps; the phase
+        # passes are fewer) for each one a plain evaluation runs.
+        import qopt.simulator as simulator
+        from qopt.solvers import _GRADIENT_COST
+
+        passes = {"mixer": 0, "phase": 0}
+        for name, key in (("_apply_mixer", "mixer"), ("_apply_generator", "mixer"), ("_apply_phase", "phase")):
+            def counted(*args, _fn=getattr(simulator, name), _key=key):
+                passes[_key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(simulator, name, counted)
+        obj = gen_maxcut_r3r(8, seed=0).objective
+        for p in (1, 2, 3):
+            params = QaoaParams(p=p, gammas=(0.3,) * p, betas=(0.2,) * p)
+            passes.update(mixer=0, phase=0)
+            simulator.qaoa_state(obj, params)
+            plain = dict(passes)
+            passes.update(mixer=0, phase=0)
+            simulator.qaoa_value_and_gradient(obj, params)
+            assert passes["mixer"] == _GRADIENT_COST * plain["mixer"]
+            assert passes["phase"] <= _GRADIENT_COST * plain["phase"]
+
+    def test_mean_mode_charges_grid_then_gradient_calls(self):
+        res = qaoa_solve(gen_maxcut_r3r(8, seed=1), p=2, optimizer_budget=1000, seed=0)
+        assert not res.extras["budget_exhausted"]
+        assert res.extras["evaluations"] > 64
+        assert (res.extras["evaluations"] - 64) % 4 == 0
+
+    def test_budget_spent_below_depth_p_still_returns_p_layers(self):
+        # 64 grid points and one gradient call fit in 70; the next call does
+        # not, so the run ends at depth 1. The missing layer gets zero angles,
+        # which leave the state, and so the reported value, unchanged.
+        res = qaoa_solve(gen_maxcut_r3r(8, seed=1), p=2, optimizer_budget=70, seed=0)
+        assert res.extras["budget_exhausted"]
+        assert res.extras["evaluations"] == 68
+        assert res.params.p == 2
+        assert (res.params.gammas[1], res.params.betas[1]) == (0.0, 0.0)
+        assert res.extras["objective_value"] == res.extras["mean_energy"]
+
+    def test_deeper_mean_training_is_never_worse(self):
+        # Depth p trains depth p - 1 first with the same budget accounting,
+        # and a depth p - 1 optimum is a depth p point with a zero layer.
+        obj = random_qubo(7, 12).as_objective()
+        values = [qaoa_solve(obj, p=p, optimizer_budget=2000, seed=0).extras["objective_value"] for p in (1, 2, 3)]
+        assert values[0] >= values[1] >= values[2]
 
     def test_replay_deterministic(self):
         obj = random_qubo(6, 90).as_objective()
