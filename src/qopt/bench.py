@@ -14,6 +14,7 @@ import csv
 import inspect
 import io
 import json
+import numbers
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -98,6 +99,18 @@ def approximation_ratio(value: float, c_min: float, c_max: float) -> Approximati
     return ApproximationRatio(float(raw), False)
 
 
+def _ar_theta(target) -> float | None:
+    # None for the "optimal" target, theta for ("ar", theta); nothing else passes.
+    if target == "optimal":
+        return None
+    kind, theta = target if isinstance(target, (list, tuple)) and len(target) == 2 else (None, None)
+    if kind != "ar" or not isinstance(theta, numbers.Real) or isinstance(theta, bool):
+        raise ValueError(f'target must be "optimal" or ["ar", theta], got {target!r}')
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"target AR must lie in (0, 1], got {theta}")
+    return float(theta)
+
+
 def success_metrics(
     results: Sequence[SolveResult],
     target="optimal",
@@ -117,18 +130,13 @@ def success_metrics(
     """
     if not results:
         raise ValueError("need at least one repetition")
-    if target != "optimal":
-        kind, theta = target
-        if kind != "ar":
-            raise ValueError(f"unknown target {target!r}")
-        if not 0.0 < theta <= 1.0:
-            raise ValueError(f"target AR must lie in (0, 1], got {theta}")
-        if c_min is None or c_max is None:
-            raise ValueError("AR targets need both c_min and c_max")
+    theta = _ar_theta(target)
+    if theta is not None and (c_min is None or c_max is None):
+        raise ValueError("AR targets need both c_min and c_max")
 
     hits = []
     for res in results:
-        if target == "optimal":
+        if theta is None:
             if res.certificate:
                 hit = True
             elif c_min is not None:
@@ -206,6 +214,13 @@ class BenchmarkConfig:
     json_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("repetitions", "jobs", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.target is not None:
+            theta = _ar_theta(self.target)
+            object.__setattr__(self, "target", "optimal" if theta is None else ("ar", theta))
         if self.repetitions < 1:
             raise ValueError(f"need at least one repetition, got {self.repetitions}")
         if self.time_limit <= 0:

@@ -170,21 +170,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     unknown = sorted(set(raw) - {f.name for f in fields(BenchmarkConfig)})
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
-    target = raw.get("target")
-    if isinstance(target, list):
-        target = (target[0], float(target[1]))
-    if args.seed is not None:
-        master_seed = args.seed
-    else:
-        master_seed = int(raw.get("master_seed", 0))
     config = BenchmarkConfig(
-        instances=tuple(raw.get("instances", ())),
-        solvers=tuple(raw.get("solvers", ())),
-        repetitions=int(raw.get("repetitions", 1)),
+        instances=raw.get("instances", ()),
+        solvers=raw.get("solvers", ()),
+        repetitions=raw.get("repetitions", 1),
         time_limit=float(raw.get("time_limit", 60.0)),
-        target=target,
-        master_seed=master_seed,
-        jobs=args.jobs if args.jobs is not None else int(raw.get("jobs", 1)),
+        target=raw.get("target"),
+        master_seed=args.seed if args.seed is not None else raw.get("master_seed", 0),
+        jobs=args.jobs if args.jobs is not None else raw.get("jobs", 1),
         csv_path=args.csv if args.csv is not None else raw.get("csv_path"),
         json_path=args.json_out if args.json_out is not None else raw.get("json_path"),
     )

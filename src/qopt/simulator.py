@@ -382,13 +382,18 @@ class GibbsTable:
     log_z: float
 
 
+def _cached_table(obj: DiagonalObjective) -> np.ndarray | None:
+    # The table energy_table cached on obj, without building one.
+    return obj._cache.get("energy_table")
+
+
 def energy_table(obj: DiagonalObjective) -> np.ndarray:
     """Full 2^n energy table for ``obj``, cached on the objective.
 
     The objective builds it: a model view doubles its per-variable program
     into one array, and an evaluator-only objective prices every index.
     """
-    table = obj._cache.get("energy_table")
+    table = _cached_table(obj)
     if table is None:
         _check_cap(obj.n)
         table = obj.table()

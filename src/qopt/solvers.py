@@ -33,6 +33,7 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     WarmStart,
+    _cached_table,
     _energy_order,
     cvar,
     energy_table,
@@ -125,11 +126,11 @@ def _objective_of(problem) -> DiagonalObjective:
 def brute_force(problem) -> SolveResult:
     """Exact enumeration: spectrum edges and the complete argmin set.
 
-    Reads the cached :func:`~qopt.simulator.energy_table` when it fits in
-    one chunk under the statevector cap (building it if needed), and
-    otherwise streams fixed-size chunks, up to a few qubits beyond the cap;
-    a model view prices each chunk by its replay, which equals the table's
-    slice bit for bit.
+    Reads the :func:`~qopt.simulator.energy_table` whenever it is cached,
+    and builds it when it fits in one chunk under the statevector cap.
+    Otherwise it streams fixed-size chunks, up to a few qubits beyond the
+    cap; a model view prices each chunk by its replay, which equals the
+    table's slice bit for bit.
     This is the reference oracle every other solver is tested against.
     """
     obj = _objective_of(problem)
@@ -142,7 +143,7 @@ def brute_force(problem) -> SolveResult:
     c_min = math.inf
     c_max = -math.inf
     argmin_idx: list[int] = []
-    if obj.n <= min(statevector_cap(), _CHUNK_BITS):
+    if _cached_table(obj) is not None or obj.n <= min(statevector_cap(), _CHUNK_BITS):
         chunks = [(0, energy_table(obj))]
     else:
         chunks = (
@@ -212,51 +213,82 @@ _EXP_BAND_HI = 1.0 + 2.0**-40
 _EXP_FLOOR = 1e-300
 
 
-def _table_chains(
-    table: np.ndarray, n: int, temps: np.ndarray, restarts: int, rng: np.random.Generator
-) -> tuple[list[int], list[float]]:
-    """Anneal ``restarts`` independent chains over ``table``.
+class _ValueByIndex:
+    """``obj.value`` by packed index, for objectives with no table."""
 
-    Returns each chain's best index and its energy (the first reached, on
-    ties).
+    def __init__(self, obj: DiagonalObjective) -> None:
+        self.obj = obj
+
+    def __getitem__(self, index: int) -> float:
+        return self.obj.value(index_to_bits(index, self.obj.n))
+
+
+def _chains(
+    obj: DiagonalObjective, table: np.ndarray | None, temps: np.ndarray, restarts: int, rng: np.random.Generator
+) -> tuple[list[int], list[float]]:
+    """Anneal ``restarts`` independent chains over packed-int states.
+
+    A move's energy change is read from ``table``, from the restart's local
+    fields when a QUBO or Ising source is behind ``obj``, or else from
+    ``obj.value``. Returns each chain's best state and its energy (the first
+    reached, on ties).
     """
-    energy_of = memoryview(table)
+    n = obj.n
+    fields = neighbours = None
+    if table is not None:
+        energy_of = memoryview(table)
+        states = rng.integers(0, 1 << n, size=restarts, dtype=np.int64).tolist()
+    else:
+        energy_of = _ValueByIndex(obj)
+        bits = rng.integers(0, 2, size=(restarts, n))
+        states = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in bits]
+        src = ising_to_qubo(obj.source) if isinstance(obj.source, IsingModel) else obj.source
+        if isinstance(src, QuboModel):
+            # Local field g_i gives the energy change of flipping bit i as
+            # (1 - 2 x_i) g_i; an accepted flip updates its neighbours' fields.
+            lin, pairs = src.linear_vector(), src.pair_matrix()
+            x = bits.astype(np.float64)
+            xp = x @ pairs
+            fields = (xp + lin).tolist()
+            energies = (src.offset + x @ lin + 0.5 * np.einsum("ri,ri->r", xp, x)).tolist()
+            neighbours = [list(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in pairs]
+    if fields is None:
+        energies = [energy_of[s] for s in states]
     exp, floor, lo, hi = math.exp, _EXP_FLOOR, _EXP_BAND_LO, _EXP_BAND_HI
-    states = rng.integers(0, 1 << n, size=restarts, dtype=np.int64).tolist()
-    energies = [energy_of[s] for s in states]
     best_states = states[:]
     best_energies = energies[:]
     for t in temps.tolist():
-        flips = [1 << v for v in rng.permutation(n).tolist()]
+        order = rng.permutation(n).tolist()
+        flips = [1 << v for v in order]
         uniforms = rng.random((n, restarts)).T.tolist()
         for r in range(restarts):
             s, e, best_s, best_e = states[r], energies[r], best_states[r], best_energies[r]
-            for flip, u in zip(flips, uniforms[r]):
+            g = None if fields is None else fields[r]
+            for v, flip, u in zip(order, flips, uniforms[r]):
                 proposal = s ^ flip
-                e_new = energy_of[proposal]
-                delta = e_new - e
-                # Negated tests, so that a NaN delta is rejected as numpy's is.
+                if g is None:
+                    e_new = energy_of[proposal]
+                    delta = e_new - e
+                else:
+                    sign = -1.0 if s & flip else 1.0
+                    delta = sign * g[v]
+                    e_new = e + delta
+                # Negated tests, so that a NaN delta is rejected.
                 if not delta <= 0:
                     x = -delta / t
-                    g = exp(x)
-                    if g < floor or g * lo <= u <= g * hi:
-                        g = float(np.exp(x))
-                    if not u < g:
+                    p = exp(x)
+                    if p < floor or p * lo <= u <= p * hi:
+                        p = float(np.exp(x))
+                    if not u < p:
                         continue
+                if g is not None:
+                    for j, w in neighbours[v]:
+                        g[j] += sign * w
                 s, e = proposal, e_new
                 if e < best_e:
                     best_s, best_e = s, e
             states[r], energies[r], best_states[r], best_energies[r] = s, e, best_s, best_e
     return best_states, best_energies
-
-
-def _coupling_matrix(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray, float] | None:
-    src = obj.source
-    if isinstance(src, IsingModel):
-        src = ising_to_qubo(src)
-    if not isinstance(src, QuboModel):
-        return None
-    return src.linear_vector(), src.pair_matrix(), src.offset
 
 
 def simulated_annealing(
@@ -273,23 +305,26 @@ def simulated_annealing(
     probed hot temperature down to a thousandth of it; pass ``temperatures``
     (one positive, finite entry per sweep) to override.
 
-    Up to 20 variables, and within the statevector cap, each restart is a
-    plain-Python chain over a zero-copy view of the cached
-    :func:`~qopt.simulator.energy_table`. Each sweep draws its proposal order
-    and then an ``(n, restarts)`` block of uniforms; restart ``r`` reads
-    column ``r``, so the stream does not depend on how restarts are
-    scheduled. A downhill move is accepted without an exponential. An uphill
-    move compares its uniform ``u`` with ``math.exp(-delta / t)``, except when
+    Each restart is a plain-Python chain over a packed-int state. Each sweep
+    draws its proposal order and then an ``(n, restarts)`` block of uniforms;
+    restart ``r`` reads column ``r``, so the stream does not depend on how
+    restarts are scheduled. A move's energy change is read from a zero-copy
+    view of the cached :func:`~qopt.simulator.energy_table` up to 20
+    variables within the statevector cap; above that, from the restart's
+    local fields when the objective has a QUBO or Ising source (an accepted
+    flip updates its neighbours' fields), and otherwise from ``obj.value``.
+    A downhill move is accepted without an exponential. An uphill move
+    compares its uniform ``u`` with ``math.exp(-delta / t)``, except when
     ``u`` lies within a relative 2^-40 of that value or the value is below
     1e-300: there numpy's exp, which can differ from ``math.exp`` in the last
-    place, decides, as it does on the local-field path.
+    place, decides.
 
-    The chains cost O(restarts) interpreter steps per proposal, so many
-    restarts are slow: on Gaussian SK at n=20 with 1000 sweeps, 1, 8 and 32
-    restarts take about 0.02, 0.07 and 0.3 s, and 100 restarts over 2000
-    sweeps 1.6-2.2 s, twice what a numpy loop over all restarts at once
-    takes (2-vCPU Xeon VM). Larger QUBO/Ising objectives update local fields
-    for all restarts at once; other objectives re-evaluate each proposal.
+    A proposal costs O(restarts) interpreter steps, plus the variable's
+    degree when a local-field flip is accepted, so many restarts are slow:
+    with 1, 8, 32 and 100 restarts, 1000 sweeps of Gaussian SK take about
+    0.02, 0.1, 0.35 and 1.2 s at n=20 (table) and 0.04, 0.2, 0.7 and 2.1 s
+    at n=30 (local fields, where a numpy loop over all restarts at once took
+    0.9-1.4 s at each count) on a 2-vCPU Xeon VM.
     """
     obj = _objective_of(problem)
     if sweeps < 1:
@@ -309,69 +344,15 @@ def simulated_annealing(
     if temperatures is None:
         t_hot = _probe_temperature(obj, rng, table)
         temps = _geometric_temperatures(t_hot, max(t_hot * 1e-3, 1e-12), sweeps)
-    quad = None if table is not None else _coupling_matrix(obj)
-
-    if table is not None:
-        best_states, per_restart = _table_chains(table, n, temps, restarts, rng)
-        winner = per_restart.index(min(per_restart))
-        best_bits = index_to_bits(best_states[winner], n)
-        best_energy = per_restart[winner]
-    elif quad is not None:
-        lin, pairs, offset = quad
-        x = rng.integers(0, 2, size=(restarts, n)).astype(np.float64)
-        # Local fields g[r, i] give the energy change of flipping bit i as
-        # (1 - 2 x_i) g_i; they are updated incrementally on each accept.
-        g = x @ pairs + lin
-        energy = offset + x @ lin + 0.5 * np.einsum("ri,ri->r", x @ pairs, x)
-        best_e = energy.copy()
-        best_x = x.copy()
-        for t in temps:
-            for v in rng.permutation(n):
-                delta = (1.0 - 2.0 * x[:, v]) * g[:, v]
-                # Only uphill moves need the exponential; clamping the rest to
-                # exp(0) keeps cold downhill moves from overflowing, and a NaN
-                # delta still compares false on both sides.
-                uphill = np.exp(-np.maximum(delta, 0.0) / t)
-                accept = (delta <= 0) | (rng.random(restarts) < uphill)
-                sign = np.where(accept, 1.0 - 2.0 * x[:, v], 0.0)
-                x[accept, v] = 1.0 - x[accept, v]
-                g += np.outer(sign, pairs[v])
-                energy = energy + np.where(accept, delta, 0.0)
-                improved = energy < best_e
-                best_e = np.where(improved, energy, best_e)
-                best_x[improved] = x[improved]
-        winner = int(best_e.argmin())
-        best_bits = tuple(int(b) for b in best_x[winner])
-        # Recompute exactly: the incremental energies carry rounding.
-        best_energy = obj.value(best_bits)
-        per_restart = [float(e) for e in best_e]
-    else:
-        # Generic fallback for large non-quadratic objectives.
-        best_bits = None
-        best_energy = math.inf
-        per_restart = []
-        for _ in range(restarts):
-            bits = [int(b) for b in rng.integers(0, 2, size=n)]
-            current = obj.value(bits)
-            local_best, local_bits = current, tuple(bits)
-            for t in temps:
-                for v in rng.permutation(n):
-                    bits[v] ^= 1
-                    candidate = obj.value(bits)
-                    delta = candidate - current
-                    if delta <= 0 or rng.random() < math.exp(-delta / t):
-                        current = candidate
-                        if current < local_best:
-                            local_best, local_bits = current, tuple(bits)
-                    else:
-                        bits[v] ^= 1
-            per_restart.append(local_best)
-            if local_best < best_energy:
-                best_energy, best_bits = local_best, local_bits
+    best_states, per_restart = _chains(obj, table, temps, restarts, rng)
+    winner = per_restart.index(min(per_restart))
+    best_bits = index_to_bits(best_states[winner], n)
+    # Off the table, energies are re-priced: local-field sums carry rounding.
+    best_energy = per_restart[winner] if table is not None else obj.value(best_bits)
 
     return SolveResult(
-        best_assignment=tuple(int(b) for b in best_bits),
-        best_energy=float(best_energy),
+        best_assignment=best_bits,
+        best_energy=best_energy,
         timings={"total": time.perf_counter() - started},
         trace=tuple(per_restart),
         extras={"sweeps": sweeps, "restarts": restarts, "t_hot": float(temps[0]), "t_cold": float(temps[-1])},

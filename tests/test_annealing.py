@@ -1,4 +1,4 @@
-"""Simulated annealing on the table path: per-restart chains against a lockstep reference."""
+"""Simulated annealing: per-restart chains against the lockstep loops they replaced."""
 
 import math
 import warnings
@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qopt.model import DiagonalObjective, index_to_bits
+from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits, ising_to_qubo
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
-from qopt.solvers import _geometric_temperatures, simulated_annealing
+from qopt.solvers import _geometric_temperatures, _probe_temperature, simulated_annealing
 
 
 def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
@@ -48,6 +48,48 @@ def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     return (
         index_to_bits(int(best_s[winner]), n),
         float(best_e[winner]),
+        tuple(float(e) for e in best_e),
+        {"sweeps": sweeps, "restarts": restarts, "t_hot": float(temps[0]), "t_cold": float(temps[-1])},
+    )
+
+
+def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
+    """The restart-lockstep local-field loop the chains replaced above 20 variables.
+
+    Dense fields for all restarts are updated with the flipped variable's
+    full coupling row on every proposal, and numpy's exp decides every move.
+    """
+    rng = np.random.default_rng(seed)
+    if temperatures is None:
+        t_hot = _probe_temperature(obj, rng, None)
+        temps = _geometric_temperatures(t_hot, max(t_hot * 1e-3, 1e-12), sweeps)
+    else:
+        temps = np.asarray(temperatures, dtype=np.float64)
+    src = ising_to_qubo(obj.source) if isinstance(obj.source, IsingModel) else obj.source
+    lin, pairs, offset = src.linear_vector(), src.pair_matrix(), src.offset
+    n = obj.n
+    x = rng.integers(0, 2, size=(restarts, n)).astype(np.float64)
+    g = x @ pairs + lin
+    energy = offset + x @ lin + 0.5 * np.einsum("ri,ri->r", x @ pairs, x)
+    best_e = energy.copy()
+    best_x = x.copy()
+    for t in temps:
+        for v in rng.permutation(n):
+            delta = (1.0 - 2.0 * x[:, v]) * g[:, v]
+            uphill = np.exp(-np.maximum(delta, 0.0) / t)
+            accept = (delta <= 0) | (rng.random(restarts) < uphill)
+            sign = np.where(accept, 1.0 - 2.0 * x[:, v], 0.0)
+            x[accept, v] = 1.0 - x[accept, v]
+            g += np.outer(sign, pairs[v])
+            energy = energy + np.where(accept, delta, 0.0)
+            improved = energy < best_e
+            best_e = np.where(improved, energy, best_e)
+            best_x[improved] = x[improved]
+    winner = int(best_e.argmin())
+    best = tuple(int(b) for b in best_x[winner])
+    return (
+        best,
+        obj.value(best),
         tuple(float(e) for e in best_e),
         {"sweeps": sweeps, "restarts": restarts, "t_hot": float(temps[0]), "t_cold": float(temps[-1])},
     )
@@ -96,6 +138,52 @@ def assert_matches_reference(obj, sweeps, temps, restarts, seed):
     assert res.best_energy == energy
     assert res.trace == trace
     assert res.extras == extras
+
+
+FIELD_CASES = {
+    "maxcut-24": lambda: gen_maxcut_r3r(24, seed=3),
+    "maxcut-64": lambda: gen_maxcut_r3r(64, seed=4),
+    "maxcut-256": lambda: gen_maxcut_r3r(256, seed=5),
+    "sk-gauss-22": lambda: gen_spin_glass("complete", 22, dist="gaussian", seed=6),
+    "sk-gauss-30": lambda: gen_spin_glass("complete", 30, dist="gaussian", seed=7),
+    "sk-pm1-22": lambda: gen_spin_glass("complete", 22, dist="pm1", seed=8),
+    "sk-pm1-30": lambda: gen_spin_glass("complete", 30, dist="pm1", seed=9),
+    "portfolio-24": lambda: gen_portfolio(24, 8, seed=10),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FIELD_CASES))
+@pytest.mark.parametrize("restarts", [1, 3, 8])
+@pytest.mark.parametrize("schedule", ["default", "explicit"])
+def test_field_chains_match_lockstep_reference(family, restarts, schedule):
+    # Above 20 variables a QUBO or Ising source anneals on local fields.
+    obj = FIELD_CASES[family]().objective
+    sweeps = 6
+    temps = explicit_schedule(sweeps) if schedule == "explicit" else None
+    for seed in (0, 7):
+        res = simulated_annealing(obj, sweeps=sweeps, temperatures=temps, restarts=restarts, seed=seed)
+        best, energy, trace, extras = field_lockstep_reference(obj, sweeps, temps, restarts, seed)
+        assert res.best_assignment == best
+        assert res.best_energy == energy
+        assert res.trace == trace
+        assert res.extras == extras
+
+
+def test_field_path_equals_value_path_on_integer_weights():
+    # With integer weights the local-field sums are exact, so annealing the
+    # QUBO and the same energies behind a bare evaluator walk one trajectory.
+    rng = np.random.default_rng(11)
+    n = 24
+    terms = {(i, j): float(rng.integers(-4, 5)) for i in range(n) for j in range(i, n) if rng.random() < 0.3}
+    obj = QuboModel(n=n, terms=terms, offset=2.0).as_objective()
+    wrapped = DiagonalObjective(n=n, evaluator=obj.value)
+    for restarts, temps in ((1, None), (3, None), (2, explicit_schedule(5)), (4, explicit_schedule(5))):
+        sweeps = 5
+        a = simulated_annealing(obj, sweeps=sweeps, temperatures=temps, restarts=restarts, seed=restarts)
+        b = simulated_annealing(wrapped, sweeps=sweeps, temperatures=temps, restarts=restarts, seed=restarts)
+        assert (a.best_assignment, a.best_energy, a.trace, a.extras) == (
+            b.best_assignment, b.best_energy, b.trace, b.extras,
+        )
 
 
 @pytest.mark.parametrize("restarts", [1, 3, 8])

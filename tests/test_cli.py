@@ -371,6 +371,29 @@ class TestBench:
         assert run_cli(["bench", str(config)]) == 1
         assert capsys.readouterr().err == "error: a bench config must be a JSON object\n"
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"target": ["ar", 1.5]}, "target AR must lie in (0, 1], got 1.5"),
+            ({"target": ["ar", 0]}, "target AR must lie in (0, 1], got 0"),
+            ({"target": 5}, 'target must be "optimal" or ["ar", theta], got 5'),
+            ({"target": "best"}, 'target must be "optimal" or ["ar", theta], got \'best\''),
+            ({"target": ["ar"]}, 'target must be "optimal" or ["ar", theta], got [\'ar\']'),
+            ({"target": ["ar", "0.5"]}, 'target must be "optimal" or ["ar", theta], got [\'ar\', \'0.5\']'),
+            ({"repetitions": 2.7}, "repetitions must be an integer, got 2.7"),
+            ({"jobs": "2"}, "jobs must be an integer, got '2'"),
+            ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
+        ],
+    )
+    def test_invalid_config_value_exits_one_before_any_cell(self, tmp_path, capsys, change, message):
+        # Each of these once ran every cell into an error record, failed on a
+        # bare IndexError, or silently truncated to an integer.
+        config = write_config(tmp_path, {**SMALL_BENCH, **change})
+        out = tmp_path / "report.csv"
+        assert run_cli(["bench", str(config), "--csv", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, {"instances": [], "solvers": [], "repetitions": 0})
         assert run_cli(["bench", str(config)]) == 1

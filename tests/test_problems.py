@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ class TestLabs:
             assert gen_labs(k).objective.table().tolist() == want
         obj = gen_labs(16).objective
         assert np.array_equal(obj.table(), obj.energies_at(np.arange(1 << 16)))
+
+    def test_index_pricing_memory_is_bounded(self):
+        # Pricing 2^18 indices at k=21 once held (index, bit) temporaries for
+        # all of them at once, about 128 MiB; blocks keep the peak flat.
+        obj = gen_labs(21).objective
+        idx = np.random.default_rng(21).integers(0, 1 << 21, size=1 << 18)
+        table = obj.table()
+        tracemalloc.start()
+        try:
+            priced = obj.energies_at(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.array_equal(priced, table[idx])
 
     def test_instance_matches_energy_function(self):
         inst = gen_labs(6)

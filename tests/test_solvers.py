@@ -123,6 +123,19 @@ class TestBruteForce:
         assert (second.c_min, second.c_max, second.argmin) == (first.c_min, first.c_max, first.argmin)
         assert np.array_equal(energy_table(obj), obj.energies_at(np.arange(2**9)))
 
+    def test_cached_table_read_above_chunk_size(self, energies_at_calls):
+        # Above 20 variables enumeration streams unless a table is cached;
+        # a cached one is read as it is, with the streamed run's result.
+        obj = gen_maxcut_r3r(22, seed=5).objective
+        energy_table(obj)
+        cached = brute_force(obj)
+        assert energies_at_calls == []
+        streamed = brute_force(gen_maxcut_r3r(22, seed=5).objective)
+        assert energies_at_calls
+        assert (cached.c_min, cached.c_max, cached.argmin, cached.extras) == (
+            streamed.c_min, streamed.c_max, streamed.argmin, streamed.extras,
+        )
+
     def test_capped_enumeration_streams_beyond_cap(self, monkeypatch):
         # Under a lowered cap the table is only read up to the cap; above it,
         # enumeration streams (up to cap + 4) and caches nothing.
