@@ -159,7 +159,9 @@ class BenchmarkRecord:
 
     ``density`` is the fraction of present couplings; ``ar_mean`` judges
     each repetition's mean sampled energy and ``ar_best`` its best sample,
-    both None when the instance is too large to enumerate. The transpile
+    both None when the instance is too large to enumerate. ``success`` is
+    None without a target, and also for an AR target on such an instance,
+    which has no range to judge against. The transpile
     and embed fields exist for schema compatibility with hardware report
     rows and are always zero here; they appear in JSON but not CSV.
     """
@@ -318,7 +320,9 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
                 best_ars = [approximation_ratio(r.best_energy, c_min, c_max).ratio for r in results]
                 ar_mean = sum(mean_ars) / len(mean_ars)
                 ar_best = max(best_ars)
-        if config.target is not None:
+        # An AR target is judged against the enumerated range, so a cell above
+        # the cap keeps its results and leaves ``success`` unset.
+        if config.target == "optimal" or (config.target is not None and enumerable):
             metrics = success_metrics(results, config.target, config.time_limit, c_min, c_max)
             success = metrics["success_rate"] == 1.0
         t_post = clock() - t0

@@ -35,9 +35,18 @@ does the same floating-point operations as a plain 2x2 update. Samples
 (:class:`SampleSet`) keep the same packing: the distinct measured patterns
 are an ascending ``int64`` index array with aligned counts and energies,
 and bit tuples appear only in the derived ``counts``/``energies`` views
-and in JSON output. The state
-size is capped (default 24 qubits, about 256 MiB of amplitudes); the
-``QOPT_STATEVECTOR_CAP`` environment variable overrides the cap.
+and in JSON output. The state size is capped (default 24 qubits, about
+256 MiB of amplitudes); the ``QOPT_STATEVECTOR_CAP`` environment variable
+overrides the cap.
+
+Every reduction over the 2^n amplitudes (the expectation, the gradient's
+inner products, CVaR of a state, and in :mod:`qopt.solvers` the pair
+correlations) is an elementwise product followed by numpy's ``sum``, never
+a BLAS dot. numpy sums one array in a fixed pairwise order on one thread.
+OpenBLAS splits a long dot across its thread pool, so the rounding of the
+result would follow the host's CPU count (or ``OPENBLAS_NUM_THREADS``) and
+a replay from the same seed could end on different angles; waking the pool
+also costs more than the sum.
 """
 
 from __future__ import annotations
@@ -488,6 +497,14 @@ def _apply_generator(out: np.ndarray, amps: np.ndarray, n: int, thetas: Sequence
             dst[:, 1, :] -= ct * src[:, 1, :]
 
 
+def _imag_inner(a: np.ndarray, b: np.ndarray) -> float:
+    # Im <a|b> (``np.vdot(a, b).imag``) as an elementwise product and one
+    # fixed-order numpy sum, not a BLAS call (see the module docstring).
+    prod = np.conj(a)
+    prod *= b
+    return float(prod.imag.sum())
+
+
 def _initial_state(obj: DiagonalObjective, initial) -> tuple[Statevector, tuple[float, ...] | None]:
     if initial == "plus" or initial is None:
         return Statevector.plus(obj.n), None
@@ -543,7 +560,9 @@ def qaoa_value_and_gradient(
     the mixer ``exp(1j * beta * B)`` and the phase ``exp(-1j * gamma * E)``,
     ``d/d beta_j = 2 Re <lam|iB|psi>`` and ``d/d gamma_j = 2 Re <lam|-iE|psi>``.
     The value equals ``expectation(qaoa_state(obj, params, initial), obj)``
-    bit for bit.
+    bit for bit. Each inner product is an elementwise product and a
+    fixed-order numpy sum, never a BLAS call, so the result does not depend
+    on the BLAS thread count.
     """
     sv = qaoa_state(obj, params, initial)
     thetas = initial.thetas() if isinstance(initial, WarmStart) else None
@@ -557,11 +576,11 @@ def qaoa_value_and_gradient(
     for j in reversed(range(p)):
         # psi is the state after layer j, lam the co-state pulled back to it.
         _apply_generator(scratch, psi, n, thetas)
-        grad[p + j] = -2.0 * np.vdot(lam, scratch).imag
+        grad[p + j] = -2.0 * _imag_inner(lam, scratch)
         _apply_mixer(psi, scratch, n, -params.betas[j], thetas)
         _apply_mixer(lam, scratch, n, -params.betas[j], thetas)
         np.multiply(psi, table, out=scratch)
-        grad[j] = 2.0 * np.vdot(lam, scratch).imag
+        grad[j] = 2.0 * _imag_inner(lam, scratch)
         if j:
             _apply_phase(psi, levels, level_of, -params.gammas[j])
             _apply_phase(lam, levels, level_of, -params.gammas[j])
@@ -569,10 +588,16 @@ def qaoa_value_and_gradient(
 
 
 def expectation(sv: Statevector, obj: DiagonalObjective) -> float:
-    """Exact energy expectation ``sum |amp(x)|^2 E(x)``."""
+    """Exact energy expectation ``sum |amp(x)|^2 E(x)``.
+
+    The sum is numpy's fixed pairwise order over the elementwise products,
+    not a BLAS dot, whose rounding would change with the BLAS thread count.
+    """
     if sv.n != obj.n:
         raise ValueError(f"state has {sv.n} qubits, objective has {obj.n} variables")
-    return float(sv.probabilities() @ energy_table(obj))
+    weighted = sv.probabilities()
+    weighted *= energy_table(obj)
+    return float(weighted.sum())
 
 
 def sample(
@@ -640,7 +665,7 @@ def cvar(
         # Everything strictly below the alpha boundary is taken in full, the
         # boundary state contributes the leftover fraction.
         k = int(np.searchsorted(cum, alpha, side="left"))
-        full = sorted_p[:k] @ sorted_e[:k]
+        full = (sorted_p[:k] * sorted_e[:k]).sum()
         taken = float(cum[k - 1]) if k > 0 else 0.0
         if k < len(sorted_e):
             full += (alpha - taken) * sorted_e[k]

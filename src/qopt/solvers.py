@@ -652,9 +652,10 @@ def _pair_correlations(sv: Statevector, ising: IsingModel) -> dict[tuple[int, in
     idx = np.arange(probs.shape[0], dtype=np.int64)
     out = {}
     for (i, j) in ising.J:
-        zi = 1.0 - 2.0 * ((idx >> i) & 1)
-        zj = 1.0 - 2.0 * ((idx >> j) & 1)
-        out[(i, j)] = float(probs @ (zi * zj))
+        # z_i z_j is +1 where bits i and j agree and -1 where they differ.
+        zz = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
+        zz *= probs
+        out[(i, j)] = float(zz.sum())
     return out
 
 

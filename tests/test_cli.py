@@ -394,6 +394,31 @@ class TestBench:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_ar_target_above_cap_keeps_results_and_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Above the cap there is no range to judge an AR target against: the
+        # cell keeps its size and energies, and the command names it and fails.
+        monkeypatch.delenv("QOPT_STATEVECTOR_CAP", raising=False)
+        config = write_config(tmp_path, {
+            "instances": [{"family": "maxcut-r3r", "params": {"n": 26}}],
+            "solvers": [{"algorithm": "annealing", "params": {"sweeps": 5}}],
+            "target": ["ar", 0.9],
+        })
+        json_path = tmp_path / "report.json"
+        assert run_cli(["bench", str(config), "--json", str(json_path)]) == 1
+        captured = capsys.readouterr()
+        row = captured.out.splitlines()[1].split(",")
+        assert row[:3] == ["maxcut-r3r[n=26]", "annealing[sweeps=5]", "26"]
+        assert row[4:6] == ["n/a", "n/a"]
+        assert captured.err == (
+            "error: cell maxcut-r3r[n=26] x annealing[sweeps=5] has 26 variables, "
+            "above the statevector cap of 24, so its AR target cannot be judged\n"
+        )
+        (record,) = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert record["variables"] == 26 and record["success"] is None
+        assert "error" not in record["extras"]
+        assert len(record["extras"]["best_energies"]) == 1
+        assert len(record["extras"]["mean_energies"]) == 1
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, {"instances": [], "solvers": [], "repetitions": 0})
         assert run_cli(["bench", str(config)]) == 1

@@ -1,6 +1,11 @@
 """Simulator: matrix oracles, distribution contracts, invariances."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -15,6 +20,7 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     WarmStart,
+    _imag_inner,
     anneal_trotter,
     cvar,
     dump_statevector,
@@ -762,3 +768,52 @@ class TestDumpLoad:
         path.write_bytes(b"QS")
         with pytest.raises(ValueError):
             load_statevector(path)
+
+
+# Prints, as float.hex, everything a 2^14 reduction decides: a mean-mode
+# training (angles, mean energy, evaluation count), CVaR of a state at
+# several alphas, and the pair correlations recursive QAOA reads.
+REPLAY_SCRIPT = """
+import json
+from qopt.problems import gen_maxcut_r3r
+from qopt.simulator import QaoaParams, cvar, qaoa_state
+from qopt.solvers import _ising_of, _pair_correlations, qaoa_solve
+
+inst = gen_maxcut_r3r(14, seed=3)
+res = qaoa_solve(inst, p=2, seed=0)
+obj = inst.objective
+sv = qaoa_state(obj, QaoaParams(p=1, gammas=(0.4,), betas=(0.3,)))
+print(json.dumps({
+    "params": [g.hex() for g in res.params.gammas + res.params.betas],
+    "mean_energy": res.extras["mean_energy"].hex(),
+    "evaluations": res.extras["evaluations"],
+    "cvar": [cvar(sv, a, obj=obj).hex() for a in (0.3, 0.75, 0.9, 0.999, 1.0)],
+    "pairs": sorted([i, j, v.hex()] for (i, j), v in _pair_correlations(sv, _ising_of(obj)).items()),
+}))
+"""
+
+
+class TestFixedOrderReductions:
+    @pytest.mark.parametrize("n", [0, 3, 14])
+    def test_imag_inner_matches_vdot(self, n):
+        rng = np.random.default_rng(n)
+        a, b = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) for _ in range(2))
+        expected = np.vdot(a, b).imag
+        assert _imag_inner(a, b) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_replay_ignores_blas_thread_count(self):
+        # OpenBLAS splits a long dot across its threads, which changes the
+        # rounding; numpy's sums do not, so one and two threads must agree
+        # bit for bit.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-c", REPLAY_SCRIPT],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0] == outputs[1]
