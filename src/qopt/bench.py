@@ -49,6 +49,7 @@ __all__ = [
     "run_benchmark",
     "emit_report",
     "emit_junit",
+    "unjudged_reason",
     "CSV_HEADER",
 ]
 
@@ -464,17 +465,31 @@ def emit_report(records: Sequence[BenchmarkRecord], format: str = "csv", path=No
     return _write(text, path)
 
 
-def emit_junit(records: Sequence[BenchmarkRecord], path=None) -> str:
+def unjudged_reason(record: BenchmarkRecord) -> str:
+    """Why a cell's AR target was left unjudged: it lies above the cap."""
+    return (
+        f"cell {record.problem} x {record.algorithm} has {record.variables} variables, "
+        f"above the statevector cap of {statevector_cap()}, so its AR target cannot be judged"
+    )
+
+
+def emit_junit(records: Sequence[BenchmarkRecord], path=None, target=None) -> str:
     """JUnit-style XML summary: one testcase per record.
 
     A record fails its testcase when its success flag is False or its cell
-    recorded an error; records without a target count as passing.
+    recorded an error. Given the config's ``target``, a record the target
+    could not judge (``success`` None) fails too, with
+    :func:`unjudged_reason`; records without a target count as passing.
     """
     cases = []
     for record in records:
         attributes = {"classname": record.problem, "name": record.algorithm, "time": str(record.t_total)}
         error = record.extras.get("error")
-        failed = record.success is False or error is not None
-        failure = (str(error or "target missed"), str(error or f"ar_best={record.ar_best}"))
-        cases.append((attributes, failure if failed else None))
+        if record.success is False or error is not None:
+            failure = (str(error or "target missed"), str(error or f"ar_best={record.ar_best}"))
+        elif target is not None and record.success is None:
+            failure = (unjudged_reason(record),) * 2
+        else:
+            failure = None
+        cases.append((attributes, failure))
     return _write(_junit("qopt-bench", cases), path)

@@ -26,9 +26,9 @@ from qopt.bench import (
     emit_junit,
     emit_report,
     run_benchmark,
+    unjudged_reason,
 )
 from qopt.problems import FAMILIES, Flag, instance_from_json, instance_to_json
-from qopt.simulator import statevector_cap
 from qopt.solvers import solve_result_to_json
 
 __all__ = ["build_parser", "run_cli", "main", "run_verify_checks"]
@@ -190,18 +190,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if config.json_path:
         emit_report(records, "json", config.json_path)
     if args.junit:
-        emit_junit(records, args.junit)
+        emit_junit(records, args.junit, target=config.target)
     if config.csv_path is None:
         sys.stdout.write(csv_text)
     # With a target set, only a cell above the cap under an AR target is left
     # unjudged (an error record is judged a failure).
     unjudged = [r for r in records if config.target is not None and r.success is None]
     for record in unjudged:
-        print(
-            f"error: cell {record.problem} x {record.algorithm} has {record.variables} variables, "
-            f"above the statevector cap of {statevector_cap()}, so its AR target cannot be judged",
-            file=sys.stderr,
-        )
+        print(f"error: {unjudged_reason(record)}", file=sys.stderr)
     return 1 if unjudged else 0
 
 

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from qopt.model import DiagonalObjective, bits_to_index, index_to_bits
 
@@ -712,8 +711,9 @@ def gibbs_distribution(obj: DiagonalObjective, beta: float) -> GibbsTable:
     """Exact Gibbs weights ``exp(-beta E(x)) / Z`` over all assignments.
 
     Weights are computed against the shifted exponent ``-beta (E - E_min)``
-    so the largest weight is exactly 1 and nothing overflows; ``log_z`` is
-    exact, ``z`` may round to inf for extreme products.
+    so the largest weight is exactly 1 and nothing overflows. ``log_z`` is
+    the log-sum-exp of ``-beta E``, taken as scipy's ``logsumexp`` takes
+    it; ``z`` may round to inf for extreme products.
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
@@ -722,10 +722,26 @@ def gibbs_distribution(obj: DiagonalObjective, beta: float) -> GibbsTable:
     weights = np.exp(shifted)
     total = weights.sum()
     probs = weights / total
-    log_z = float(logsumexp(-beta * table))
+    log_z = _logsumexp(-beta * table)
     with np.errstate(over="ignore"):
         z = float(np.exp(np.float64(log_z)))
     return GibbsTable(beta=beta, probabilities=probs, z=z, log_z=log_z)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` by scipy's method: the ``m`` largest entries
+    (``a_max``) are set apart, the sum ``s`` of the others' ``exp(a - a_max)``
+    is divided by ``m``, and ``log1p(s) + log(m) + a_max`` is returned, or
+    the direct formula where that is not finite (infinite or NaN entries)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        m = float(top.sum())
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
 
 
 def ground_state_overlap(sv: Statevector, obj: DiagonalObjective, tol: float = 1e-9) -> float:

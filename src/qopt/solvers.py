@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
+from qopt._minimize import lbfgs, nelder_mead
 from qopt._rng import derive_seed
 from qopt.model import (
     DiagonalObjective,
@@ -473,10 +473,10 @@ def _distinct(optima: list) -> list:
     # values the one with the smallest angles stays, the small-angle schedule
     # that INTERP extends (Zhou et al.); the rest follow by value.
     kept = []
-    for res in sorted(optima, key=lambda r: float(np.abs(r.x).sum())):
-        if all(abs(res.fun - k.fun) > _SAME_OPTIMUM * max(1.0, abs(k.fun)) for k in kept):
-            kept.append(res)
-    return sorted(kept, key=lambda r: r.fun)
+    for x, fun in sorted(optima, key=lambda r: float(np.abs(r[0]).sum())):
+        if all(abs(fun - k_fun) > _SAME_OPTIMUM * max(1.0, abs(k_fun)) for _, k_fun in kept):
+            kept.append((x, fun))
+    return sorted(kept, key=lambda r: r[1])
 
 
 # Relative value gap below which two refined optima count as one.
@@ -486,7 +486,7 @@ _SAME_OPTIMUM = 1e-9
 # on the co-state, and one generator sweep) where a plain evaluation runs
 # one; tests/test_solvers.py counts them.
 _GRADIENT_COST = 4
-# L-BFGS-B stops once no gradient entry exceeds 1e-6 or a step gains less
+# L-BFGS stops once no gradient entry exceeds 1e-6 or a step gains less
 # than 1e-13 relative. Near an optimum the value then sits within rounding
 # of a run at gtol 1e-9: on criteria 01/02 the ratios agree to 5e-15.
 _LBFGS_OPTIONS = {"ftol": 1e-13, "gtol": 1e-6}
@@ -509,15 +509,18 @@ def qaoa_solve(
     * ``mean`` (exact expectation) trains with exact gradients
       (:func:`~qopt.simulator.qaoa_value_and_gradient`). At depth 1 an 8x8
       grid of plain evaluations picks the three best starts, each refined
-      by L-BFGS-B. Each further depth up to ``p`` maps the distinct refined
-      optima of the depth below by INTERP and refines them again. If the
-      budget runs out below depth ``p``, the best angles found get zero
-      angles for the missing layers, which leaves their state unchanged.
+      by L-BFGS with a Moré–Thuente line search, as L-BFGS-B runs when
+      there are no bounds (:func:`qopt._minimize.lbfgs`). Each further
+      depth up to ``p`` maps the distinct refined optima of the depth
+      below by INTERP and refines them again. If the budget runs out
+      below depth ``p``, the best angles found get zero angles for the
+      missing layers, which leaves their state unchanged.
     * ``cvar`` (tail mean of seeded samples; every evaluation reuses one
       derived seed so the optimizer sees a fixed landscape) is piecewise
       constant in the angles, so it searches a grid at 8 points per
       parameter for p=1, 4 for p=2 and 2 beyond, then refines the best grid
-      points with Nelder-Mead.
+      points with Nelder-Mead (:func:`qopt._minimize.nelder_mead`, an
+      in-tree port of scipy's).
 
     Evaluations stop at ``optimizer_budget``, counted in state preparations:
     a value-and-gradient call is charged as four plain evaluations, the
@@ -573,8 +576,8 @@ def qaoa_solve(
         keep(vec, value)
         return value, grad
 
-    def refine(start: np.ndarray):
-        return minimize(value_and_gradient, start, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
+    def refine(start: np.ndarray) -> tuple[np.ndarray, float]:
+        return lbfgs(value_and_gradient, start, **_LBFGS_OPTIONS)
 
     if p == 0:
         final_params = QaoaParams(p=0, gammas=(), betas=())
@@ -588,7 +591,7 @@ def qaoa_solve(
             if objective_mode == "mean":
                 optima = [refine(vec) for _, vec in scored[:3]]
                 for _ in range(1, p):
-                    optima = [refine(_interp(res.x)) for res in _distinct(optima)]
+                    optima = [refine(_interp(x)) for x, _ in _distinct(optima)]
             else:
                 # Refine from the best few grid points; spend what remains.
                 starts = min(3 if p == 1 else 2, len(scored))
@@ -596,15 +599,12 @@ def qaoa_solve(
                     left = optimizer_budget - evaluations
                     if left < 8:
                         break
-                    minimize(
+                    nelder_mead(
                         objective_value,
                         start_vec,
-                        method="Nelder-Mead",
-                        options={
-                            "maxfev": left if start_vec is scored[0][1] else max(left // 2, 8),
-                            "xatol": 1e-10,
-                            "fatol": 1e-12,
-                        },
+                        maxfev=left if start_vec is scored[0][1] else max(left // 2, 8),
+                        xatol=1e-10,
+                        fatol=1e-12,
                     )
         except _BudgetDone:
             budget_exhausted = True

@@ -419,6 +419,24 @@ class TestBench:
         assert len(record["extras"]["best_energies"]) == 1
         assert len(record["extras"]["mean_energies"]) == 1
 
+    def test_ar_target_above_cap_fails_its_junit_case(self, tmp_path, capsys, monkeypatch):
+        # The cell that makes the command exit 1 fails its JUnit case too,
+        # with the message of the stderr line.
+        monkeypatch.delenv("QOPT_STATEVECTOR_CAP", raising=False)
+        config = write_config(tmp_path, {
+            "instances": [{"family": "maxcut-r3r", "params": {"n": 26}}],
+            "solvers": [{"algorithm": "annealing", "params": {"sweeps": 5}}],
+            "target": ["ar", 0.9],
+        })
+        junit_path = tmp_path / "report.xml"
+        assert run_cli(["bench", str(config), "--junit", str(junit_path)]) == 1
+        message = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+        suite = ElementTree.parse(junit_path).getroot()
+        assert suite.get("tests") == "1" and suite.get("failures") == "1"
+        failure = suite.find("testcase/failure")
+        assert failure.get("message") == message and failure.text == message
+        assert message.startswith("cell maxcut-r3r[n=26] x annealing[sweeps=5] has 26 variables")
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, {"instances": [], "solvers": [], "repetitions": 0})
         assert run_cli(["bench", str(config)]) == 1
@@ -490,6 +508,43 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["family"] == "labs"
+
+
+# Imports qopt, trains QAOA in both modes, builds a Gibbs table and runs one
+# bench cell, then prints every scipy module that got loaded.
+NO_SCIPY_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+import qopt.cli
+from qopt.problems import gen_maxcut_r3r
+from qopt.simulator import gibbs_distribution
+from qopt.solvers import qaoa_solve
+inst = gen_maxcut_r3r(6, seed=0)
+assert qaoa_solve(inst, p=2, optimizer_budget=300).extras["evaluations"] > 64
+assert qaoa_solve(inst, p=1, objective_mode="cvar", shots=128, optimizer_budget=80).extras["evaluations"] > 64
+gibbs_distribution(inst.objective, 1.5)
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp, "config.json")
+    config.write_text(json.dumps({
+        "instances": [{"family": "maxcut-r3r", "params": {"n": 8}}],
+        "solvers": [{"algorithm": "qaoa", "params": {"p": 1, "optimizer_budget": 80}}],
+    }))
+    assert qopt.cli.run_cli(["bench", str(config), "--csv", str(Path(tmp, "report.csv"))]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestImports:
+    def test_qopt_runs_without_loading_scipy(self):
+        # scipy is a test dependency only: no qopt code path may import it.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 # A matrix whose report exercises every column kind: a QAOA cell (depth and
