@@ -240,6 +240,7 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         expectation,
         gibbs_distribution,
         ground_state_overlap,
+        qaoa_p1_energy,
         qaoa_state,
         sample,
     )
@@ -336,8 +337,9 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         for g in np.linspace(0, math.pi, 5):
             for b in np.linspace(0, math.pi / 2, 5):
                 got = expectation(qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,))), obj)
+                closed = qaoa_p1_energy(obj, np.array([g]), np.array([b]))[0]
                 want = -math.sin(2 * g) * math.sin(2 * b)
-                if abs(got - want) > 1e-9:
+                if abs(got - want) > 1e-9 or abs(closed - want) > 1e-9:
                     raise AssertionError(f"landscape mismatch at {(g, b)}")
         at_quarter = expectation(
             qaoa_state(obj, QaoaParams(p=1, gammas=(math.pi / 4,), betas=(math.pi / 4,))), obj

@@ -8,6 +8,10 @@ makes the following exact (up to double precision) on a desk-scale machine:
 * alternating-operator ansatz states (:func:`qaoa_state`), with plain or
   warm-started mixers, and the exact gradient of their energy
   (:func:`qaoa_value_and_gradient`),
+* the depth-1 plus-state energy of a QUBO or Ising source in closed form,
+  for many angle pairs at once and without a statevector
+  (:func:`qaoa_p1_energy`); mean-mode QAOA training scores its p=1 grid
+  and takes its p=1 gradients from it,
 * Trotterized annealing (:func:`anneal_trotter`),
 * Gibbs / imaginary-time distributions (:func:`gibbs_distribution`),
 * expectation, CVaR, exact sampling, and ground-state overlap.
@@ -59,7 +63,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from qopt.model import DiagonalObjective, bits_to_index, index_to_bits
+from qopt.model import (
+    DiagonalObjective,
+    IsingModel,
+    QuboModel,
+    bits_to_index,
+    index_to_bits,
+    qubo_to_ising,
+)
 
 __all__ = [
     "CapacityError",
@@ -72,6 +83,7 @@ __all__ = [
     "energy_table",
     "qaoa_state",
     "qaoa_value_and_gradient",
+    "qaoa_p1_energy",
     "expectation",
     "sample",
     "cvar",
@@ -584,6 +596,80 @@ def qaoa_value_and_gradient(
             _apply_phase(psi, levels, level_of, -params.gammas[j])
             _apply_phase(lam, levels, level_of, -params.gammas[j])
     return value, grad
+
+
+def _p1_couplings(obj: DiagonalObjective) -> tuple:
+    """Spin-form arrays of ``obj``'s quadratic source for :func:`qaoa_p1_energy`.
+
+    Returns the fields ``h``, the symmetric coupling matrix ``J`` (zero
+    diagonal), the coupled pairs ``u < v`` in row-major order with their
+    couplings, each pair's two coupling rows with the pair's own entry
+    zeroed, and the offset. All are cached on the objective next to its
+    energy table.
+    """
+    found = obj._cache.get("p1_couplings")
+    if found is None:
+        src = obj.source
+        if isinstance(src, QuboModel):
+            src = qubo_to_ising(src)
+        if not isinstance(src, IsingModel):
+            raise TypeError("the p=1 closed form needs a QUBO or Ising source behind the objective")
+        n = src.n
+        h = np.array(src.h, dtype=np.float64)
+        J = np.zeros((n, n))
+        for (u, v), c in src.J.items():
+            J[u, v] = J[v, u] = c
+        us, vs = np.nonzero(np.triu(J))
+        rows_u, rows_v = J[us], J[vs]
+        rows_u[np.arange(us.size), vs] = 0.0
+        rows_v[np.arange(us.size), us] = 0.0
+        found = obj._cache["p1_couplings"] = (h, J, us, vs, J[us, vs], rows_u, rows_v, src.offset)
+    return found
+
+
+def qaoa_p1_energy(obj: DiagonalObjective, gammas, betas) -> np.ndarray:
+    """Depth-1 plus-state energy of a quadratic objective at each angle pair.
+
+    ``gammas`` and ``betas`` are equal-length arrays; entry ``k`` of the
+    result is ``expectation(qaoa_state(obj, QaoaParams(1, (g_k,), (b_k,))),
+    obj)`` to rounding, with no statevector. ``obj.source`` must be a
+    :class:`~qopt.model.QuboModel` or :class:`~qopt.model.IsingModel`. In spin
+    form ``E = sum h_u Z_u + sum J_uv Z_u Z_v + offset``, and the exact p=1
+    expectations (Ozaeta, van Dam, McMahon, arXiv:2012.03421) are, with
+    products over ``w != u`` and over ``w`` not in ``{u, v}``::
+
+        <Z_u> = sin 2b' sin(2g h_u) prod cos(2g J_uw)
+        <Z_u Z_v> = 1/2 sin 4b' sin(2g J_uv) [cos(2g h_u) prod cos(2g J_uw)
+                                            + cos(2g h_v) prod cos(2g J_vw)]
+                  - 1/2 sin^2 2b' [cos(2g (h_u + h_v)) prod cos(2g (J_uw + J_vw))
+                                 - cos(2g (h_u - h_v)) prod cos(2g (J_uw - J_vw))]
+
+    where ``b' = -b``, since qopt's mixer is ``exp(+i b X)`` per qubit. The
+    angles may be complex, and the result is then complex: the imaginary
+    part of ``qaoa_p1_energy(obj, [g + 1e-30j], [b])`` over ``1e-30`` is the
+    exact ``g`` derivative (a complex step). Each pair costs ``O(n)``, so a
+    call costs ``O(len(gammas) * pairs * n)``; the sums are numpy's fixed
+    order, never BLAS.
+    """
+    h, J, us, vs, j_pair, rows_u, rows_v, offset = _p1_couplings(obj)
+    g2 = 2.0 * np.asarray(gammas)[:, None]
+    b2 = -2.0 * np.asarray(betas)[:, None]
+    sin2b = np.sin(b2)
+    g3 = g2[:, :, None]
+    # Each variable's <Z_u> over all w: the zero diagonal contributes cos 0 = 1.
+    field_prod = np.cos(g3 * J).prod(axis=-1)
+    energy = (h * (sin2b * np.sin(g2 * h) * field_prod)).sum(axis=-1)
+    h_u, h_v = h[us], h[vs]
+    first = np.sin(g2 * j_pair) * (
+        np.cos(g2 * h_u) * np.cos(g3 * rows_u).prod(axis=-1)
+        + np.cos(g2 * h_v) * np.cos(g3 * rows_v).prod(axis=-1)
+    )
+    second = (
+        np.cos(g2 * (h_u + h_v)) * np.cos(g3 * (rows_u + rows_v)).prod(axis=-1)
+        - np.cos(g2 * (h_u - h_v)) * np.cos(g3 * (rows_u - rows_v)).prod(axis=-1)
+    )
+    zz = 0.5 * np.sin(2.0 * b2) * first - 0.5 * sin2b**2 * second
+    return energy + (j_pair * zz).sum(axis=-1) + offset
 
 
 def expectation(sv: Statevector, obj: DiagonalObjective) -> float:

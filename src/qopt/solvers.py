@@ -34,10 +34,12 @@ from qopt.simulator import (
     Statevector,
     WarmStart,
     _cached_table,
+    _check_cap,
     _energy_order,
     cvar,
     energy_table,
     expectation,
+    qaoa_p1_energy,
     qaoa_state,
     qaoa_value_and_gradient,
     sample,
@@ -490,6 +492,9 @@ _GRADIENT_COST = 4
 # than 1e-13 relative. Near an optimum the value then sits within rounding
 # of a run at gtol 1e-9: on criteria 01/02 the ratios agree to 5e-15.
 _LBFGS_OPTIONS = {"ftol": 1e-13, "gtol": 1e-6}
+# Imaginary step of the closed form's complex-step gradient: Im f(x + ih) / h
+# subtracts nothing, so its error is O(h^2), far below rounding.
+_COMPLEX_STEP = 1e-30
 
 
 def qaoa_solve(
@@ -514,7 +519,12 @@ def qaoa_solve(
       depth up to ``p`` maps the distinct refined optima of the depth
       below by INTERP and refines them again. If the budget runs out
       below depth ``p``, the best angles found get zero angles for the
-      missing layers, which leaves their state unchanged.
+      missing layers, which leaves their state unchanged. From the plus
+      state, on an objective with a QUBO or Ising source, depth 1 runs on
+      :func:`~qopt.simulator.qaoa_p1_energy`: one call scores the whole
+      grid, and each p=1 gradient is a complex step through it. Depth 2
+      and up, warm starts and other objectives use the statevector.
+      ``extras["objective_value"]`` is the final state's mean energy.
     * ``cvar`` (tail mean of seeded samples; every evaluation reuses one
       derived seed so the optimizer sees a fixed landscape) is piecewise
       constant in the angles, so it searches a grid at 8 points per
@@ -524,8 +534,11 @@ def qaoa_solve(
 
     Evaluations stop at ``optimizer_budget``, counted in state preparations:
     a value-and-gradient call is charged as four plain evaluations, the
-    layer passes it runs. Exhausting the budget flags the result instead of
-    raising. ``p = 0`` just samples the initial state.
+    layer passes it runs. A closed-form grid point or gradient is charged as
+    the statevector call it replaces. Exhausting the budget flags the result
+    instead of raising. ``p = 0`` just samples the initial state. The
+    statevector cap is checked before any training, since the final state is
+    always prepared.
     """
     obj = _objective_of(problem)
     if p < 0:
@@ -539,6 +552,14 @@ def qaoa_solve(
     if objective_mode == "cvar" and not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
+    # The final state needs the full statevector. The closed form never
+    # builds one, so without this check it would train first and fail last.
+    _check_cap(obj.n)
+    closed_form = (
+        objective_mode == "mean"
+        and (initial == "plus" or initial is None)
+        and isinstance(obj.source, (QuboModel, IsingModel))
+    )
     started = time.perf_counter()
     eval_seed = derive_seed(seed, "cvar-eval")
     evaluations = 0
@@ -572,7 +593,12 @@ def qaoa_solve(
 
     def value_and_gradient(vec: np.ndarray) -> tuple[float, np.ndarray]:
         spend(_GRADIENT_COST)
-        value, grad = qaoa_value_and_gradient(obj, _params_of(vec), initial)
+        if closed_form and len(vec) == 2:  # depth 1
+            (g, b), h = vec, _COMPLEX_STEP
+            energy = qaoa_p1_energy(obj, np.array([g + 1j * h, g]), np.array([b, b + 1j * h]))
+            value, grad = float(energy[0].real), energy.imag / h
+        else:
+            value, grad = qaoa_value_and_gradient(obj, _params_of(vec), initial)
         keep(vec, value)
         return value, grad
 
@@ -584,9 +610,16 @@ def qaoa_solve(
         optimize_time = 0.0
     else:
         scored: list[tuple[float, np.ndarray]] = []
+        grid = _angle_grid(p if objective_mode == "cvar" else 1)
         try:
-            for vec in _angle_grid(p if objective_mode == "cvar" else 1):
-                scored.append((objective_value(vec), vec))
+            if closed_form:
+                for vec, value in zip(grid, qaoa_p1_energy(obj, grid[:, 0], grid[:, 1]).tolist()):
+                    spend(1)
+                    keep(vec, value)
+                    scored.append((value, vec))
+            else:
+                for vec in grid:
+                    scored.append((objective_value(vec), vec))
             scored.sort(key=lambda sv_: sv_[0])
             if objective_mode == "mean":
                 optima = [refine(vec) for _, vec in scored[:3]]
@@ -625,7 +658,7 @@ def qaoa_solve(
         extras={
             "mode": objective_mode,
             "alpha": alpha if objective_mode == "cvar" else None,
-            "objective_value": best_value if p > 0 else mean_energy,
+            "objective_value": best_value if objective_mode == "cvar" and p > 0 else mean_energy,
             "mean_energy": mean_energy,
             "evaluations": evaluations,
             "budget_exhausted": budget_exhausted,

@@ -29,6 +29,7 @@ from qopt.simulator import (
     gibbs_distribution,
     ground_state_overlap,
     load_statevector,
+    qaoa_p1_energy,
     qaoa_state,
     qaoa_value_and_gradient,
     sample,
@@ -378,6 +379,94 @@ class TestWeightedIsingP1ClosedForm:
             g, b = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
             _, grad = qaoa_value_and_gradient(inst.objective, QaoaParams(p=1, gammas=(g,), betas=(b,)))
             np.testing.assert_allclose(grad, complex_step_gradient(closed, g, b), rtol=0, atol=1e-9)
+
+
+def spin_glass_with_fields(n, seed):
+    # Gaussian SK couplings plus standard-normal fields and an offset.
+    src = gen_spin_glass("complete", n, dist="gaussian", seed=seed).objective.source
+    h = np.random.default_rng(seed).normal(size=n)
+    return IsingModel(n=n, h=tuple(h), J=src.J, offset=0.75).as_objective()
+
+
+def qubo_with_linear_terms(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = {(i, j): float(rng.normal()) for i in range(n) for j in range(i, n) if i == j or rng.random() < 0.6}
+    return QuboModel(n=n, terms=terms, offset=-1.25).as_objective()
+
+
+P1_CASES = {
+    "maxcut-r3r": lambda: gen_maxcut_r3r(12, seed=3).objective,
+    "qubo-linear": lambda: qubo_with_linear_terms(9, 11),
+    "sk-fields": lambda: spin_glass_with_fields(10, 12),
+    "portfolio": lambda: gen_portfolio(10, 3, seed=13).objective,
+    "n0": lambda: QuboModel(n=0, offset=2.5).as_objective(),
+    "n1": lambda: IsingModel(n=1, h=(0.7,), offset=-0.2).as_objective(),
+    "n2": lambda: qubo_with_linear_terms(2, 14),
+}
+
+
+def assert_p1_close(got, want, obj):
+    # 1e-12 relative to the objective's largest absolute energy.
+    scale = max(1.0, float(np.abs(energy_table(obj)).max()))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestP1ClosedForm:
+    """:func:`qaoa_p1_energy` against the statevector and the adjoint gradient."""
+
+    @pytest.mark.parametrize("case", sorted(P1_CASES))
+    def test_value_and_gradient_match_the_statevector(self, case):
+        obj = P1_CASES[case]()
+        rng = np.random.default_rng(sorted(P1_CASES).index(case))
+        h = 1e-30
+        for g, b in rng.uniform(-math.pi, math.pi, (4, 2)):
+            value, grad = qaoa_value_and_gradient(obj, QaoaParams(p=1, gammas=(g,), betas=(b,)))
+            real = qaoa_p1_energy(obj, np.array([g]), np.array([b]))
+            stepped = qaoa_p1_energy(obj, np.array([g + 1j * h, g]), np.array([b, b + 1j * h]))
+            assert real.dtype == np.float64 and real.shape == (1,)
+            assert_p1_close(real[0], value, obj)
+            assert_p1_close(stepped[0].real, value, obj)
+            assert_p1_close(stepped.imag / h, grad, obj)
+
+    def test_vectorised_call_equals_single_calls(self):
+        obj = P1_CASES["sk-fields"]()
+        gammas, betas = np.random.default_rng(5).uniform(-2.0, 2.0, (2, 7))
+        together = qaoa_p1_energy(obj, gammas, betas)
+        apart = [qaoa_p1_energy(obj, gammas[k : k + 1], betas[k : k + 1])[0] for k in range(7)]
+        np.testing.assert_allclose(together, apart, rtol=1e-15, atol=0)
+
+    def test_weighted_ising_n20_value(self):
+        obj = spin_glass_with_fields(20, 21)
+        for g, b in ((0.31, -0.47), (-1.2, 0.9)):
+            want = expectation(qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,))), obj)
+            assert_p1_close(qaoa_p1_energy(obj, np.array([g]), np.array([b]))[0], want, obj)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_zero_field_spin_glass_matches_the_oracle_copy(self, n):
+        # The test module's own zero-field formula, written independently.
+        inst = gen_spin_glass("complete", n, dist="gaussian", seed=40 + n)
+        obj, closed = inst.objective, ising_p1_energy(inst)
+        for g, b in np.random.default_rng(n).uniform(-math.pi, math.pi, (3, 2)):
+            assert_p1_close(qaoa_p1_energy(obj, np.array([g]), np.array([b]))[0], closed(g, b), obj)
+
+    def test_couplings_cached_on_the_objective(self):
+        obj = P1_CASES["qubo-linear"]()
+        qaoa_p1_energy(obj, np.array([0.1]), np.array([0.2]))
+        cached = obj._cache["p1_couplings"]
+        qaoa_p1_energy(obj, np.array([0.3]), np.array([0.4]))
+        assert obj._cache["p1_couplings"] is cached
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            IsingModel(n=3, J={(0, 1): 1.0, (1, 2): 1.0}).as_objective([(0, 1, 2, 0.5)]),
+            DiagonalObjective(n=2, evaluator=lambda bits: float(sum(bits))),
+        ],
+        ids=["pubo", "native"],
+    )
+    def test_needs_a_quadratic_source(self, obj):
+        with pytest.raises(TypeError, match="QUBO or Ising source"):
+            qaoa_p1_energy(obj, np.array([0.1]), np.array([0.2]))
 
 
 class TestAdjointGradient:

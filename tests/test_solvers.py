@@ -513,6 +513,74 @@ class TestQaoaSolve:
         assert (res.params.gammas[1], res.params.betas[1]) == (0.0, 0.0)
         assert res.extras["objective_value"] == res.extras["mean_energy"]
 
+    @staticmethod
+    def _depth1_calls(monkeypatch):
+        # Depth-1 statevector calls (gradients, states) and closed-form calls
+        # made by qaoa_solve, by name in the solvers module.
+        import qopt.solvers as solvers
+
+        calls = {"gradient": 0, "state": 0, "closed": 0}
+        for name, key in (("qaoa_value_and_gradient", "gradient"), ("qaoa_state", "state")):
+            def counted(obj, params, *args, _fn=getattr(solvers, name), _key=key, **kwargs):
+                calls[_key] += params.p == 1
+                return _fn(obj, params, *args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, counted)
+
+        def closed(*args, _fn=solvers.qaoa_p1_energy):
+            calls["closed"] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solvers, "qaoa_p1_energy", closed)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_qubo(7, 3).as_objective(), lambda: gen_spin_glass("complete", 7, dist="gaussian", seed=2)],
+        ids=["qubo", "ising-view"],
+    )
+    def test_plus_start_mean_mode_trains_depth_1_in_closed_form(self, make, monkeypatch):
+        calls = self._depth1_calls(monkeypatch)
+        res = qaoa_solve(make(), p=2, optimizer_budget=400, seed=0)
+        gradients = (res.extras["evaluations"] - 64) // 4
+        assert calls["gradient"] == 0
+        # The grid is one call; only the final state is prepared at depth 1,
+        # and here the final state has depth 2.
+        assert calls["state"] == 0
+        assert 1 < calls["closed"] <= 1 + gradients
+
+    @pytest.mark.parametrize(
+        "make, kwargs",
+        [
+            (lambda: random_qubo(6, 4).as_objective(), {"initial": WarmStart(c_star=(0.9, 0.1, 0.5, 0.8, 0.2, 0.6))}),
+            (lambda: IsingModel(n=6, J={(i, i + 1): 1.0 for i in range(5)}).as_objective([(0, 2, 4, 0.5)]), {}),
+            (lambda: gen_labs(6), {}),
+            (lambda: DiagonalObjective(n=5, evaluator=lambda bits: float(sum(bits) % 3)), {}),
+        ],
+        ids=["warm-start", "pubo", "labs", "native"],
+    )
+    def test_other_mean_mode_starts_keep_the_statevector(self, make, kwargs, monkeypatch):
+        calls = self._depth1_calls(monkeypatch)
+        res = qaoa_solve(make(), p=1, optimizer_budget=300, seed=0, **kwargs)
+        assert calls["closed"] == 0
+        assert calls["gradient"] == (res.extras["evaluations"] - 64) // 4 > 0
+        assert calls["state"] == 64 + 1
+
+    def test_cvar_mode_keeps_the_statevector(self, monkeypatch):
+        calls = self._depth1_calls(monkeypatch)
+        res = qaoa_solve(random_qubo(6, 5).as_objective(), p=1, objective_mode="cvar", optimizer_budget=100, seed=0)
+        assert calls["closed"] == calls["gradient"] == 0
+        assert calls["state"] == res.extras["evaluations"] + 1
+
+    def test_cap_checked_before_training(self, monkeypatch):
+        # Above the cap the final state cannot be prepared, so no training
+        # runs, not even in closed form.
+        calls = self._depth1_calls(monkeypatch)
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "6")
+        with pytest.raises(CapacityError, match="7 qubits exceed the simulator cap of 6"):
+            qaoa_solve(random_qubo(7, 6).as_objective(), p=1, seed=0)
+        assert calls == {"gradient": 0, "state": 0, "closed": 0}
+
     def test_deeper_mean_training_is_never_worse(self):
         # Depth p trains depth p - 1 first with the same budget accounting,
         # and a depth p - 1 optimum is a depth p point with a zero layer.
