@@ -38,7 +38,6 @@ from qopt.model import (
     bits_to_index,
     default_penalty,
     density,
-    evaluate,
     index_to_bits,
     ising_to_qubo,
     model_from_json,
@@ -134,7 +133,6 @@ __all__ = [
     "emit_junit",
     "emit_report",
     "energy_table",
-    "evaluate",
     "expectation",
     "fix_variables",
     "gen_ev_parking",

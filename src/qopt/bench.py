@@ -226,7 +226,7 @@ class BenchmarkConfig:
             object.__setattr__(self, "target", "optimal" if theta is None else ("ar", theta))
         if self.repetitions < 1:
             raise ValueError(f"need at least one repetition, got {self.repetitions}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if self.jobs < 1:
             raise ValueError(f"need at least one worker, got {self.jobs}")

@@ -224,7 +224,6 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """
     from qopt.model import (
         QuboModel,
-        evaluate,
         index_to_bits,
         ising_to_qubo,
         penalty_encode,

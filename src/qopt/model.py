@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "DiagonalObjective",
     "LinearConstraint",
     "ConstrainedModel",
-    "evaluate",
     "qubo_to_ising",
     "ising_to_qubo",
     "default_penalty",
@@ -280,10 +279,6 @@ class QuboModel:
             total += c * bits[i] * bits[j]
         return total
 
-    def energies_at(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized energies for an array of packed assignment indices."""
-        return self._program().at(indices)
-
     def _program(self) -> _Program:
         monomials = (((i,) if i == j else (i, j), c) for (i, j), c in self.terms.items())
         return _compile(self.n, False, self.offset, monomials)
@@ -365,10 +360,6 @@ class IsingModel:
             total += c * spins[i] * spins[j]
         return total
 
-    def energies_at(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized energies for packed bit indices (bit b maps to spin 1 - 2b)."""
-        return self._program().at(indices)
-
     def _program(self, cubic: Sequence[tuple[int, int, int, float]] = ()) -> _Program:
         monomials = [((i,), v) for i, v in enumerate(self.h)]
         monomials += [((i, j), c) for (i, j), c in self.J.items()]
@@ -396,15 +387,12 @@ class DiagonalObjective:
 
     This is the shared evaluation contract: QUBO, Ising-view, polynomial, and
     native objectives (for example sequence autocorrelation energies) all
-    reduce to it.  Exactly one of two backings is given:
-
-    * ``program``, an object with ``table()`` (all ``2^n`` energies in index
-      order), ``at(indices)`` and ``value(bits)``. The model views carry the
-      per-variable program described in the module notes, so the table, the
-      replay on packed indices and ``value()`` are one computation and agree
-      bit for bit.
-    * ``evaluator``, a deterministic, side-effect-free function of one bit
-      tuple; packed indices and the table are priced one index at a time.
+    reduce to it. ``program`` computes the energies: an object with
+    ``table()`` (all ``2^n`` energies in index order), ``at(indices)`` (the
+    energies of packed indices, equal to ``table()[indices]``) and
+    ``value(bits)`` (one assignment, at any width). The model views carry the
+    per-variable program described in the module notes, so the three are one
+    computation and agree bit for bit.
 
     ``source`` optionally points at the backing quadratic model so solvers
     can exploit structure.
@@ -413,10 +401,9 @@ class DiagonalObjective:
     KINDS: ClassVar[tuple[str, ...]] = ("qubo", "ising-view", "pubo", "native")
 
     n: int
-    evaluator: Callable[[tuple[int, ...]], float] | None = None
+    program: object = field(repr=False)
     kind: str = "native"
     source: object | None = field(default=None, repr=False)
-    program: object | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -424,38 +411,21 @@ class DiagonalObjective:
             raise ValueError(f"variable count must be a non-negative integer, got {self.n!r}")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}; expected one of {self.KINDS}")
-        if (self.evaluator is None) == (self.program is None):
-            raise ValueError("give exactly one of evaluator and program")
 
     def value(self, x: Sequence[int]) -> float:
         """Energy of one assignment; raises on length or bit-range mismatch."""
-        bits = _check_bits(x, self.n)
-        e = float(self.evaluator(bits) if self.program is None else self.program.value(bits))
+        e = float(self.program.value(_check_bits(x, self.n)))
         if not math.isfinite(e):
-            raise ValueError(f"evaluator returned non-finite energy {e!r}")
+            raise ValueError(f"objective returned non-finite energy {e!r}")
         return e
 
     def energies_at(self, indices: np.ndarray) -> np.ndarray:
         """Energies for an array of packed assignment indices."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if self.program is not None:
-            return self.program.at(idx)
-        flat = np.array(
-            [self.evaluator(index_to_bits(int(i), self.n)) for i in idx.ravel()],
-            dtype=np.float64,
-        )
-        return flat.reshape(idx.shape)
+        return self.program.at(indices)
 
     def table(self) -> np.ndarray:
         """Energies of all ``2^n`` assignments in index order (not cached)."""
-        if self.program is not None:
-            return self.program.table()
-        return self.energies_at(np.arange(1 << self.n, dtype=np.int64))
-
-
-def evaluate(obj: DiagonalObjective, x: Sequence[int]) -> float:
-    """Exact objective value of assignment ``x`` under ``obj`` (offset included)."""
-    return obj.value(x)
+        return self.program.table()
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ rotation by ``2*beta``) to every qubit; the warm-start variant tilts the
 rotation axis per qubit so its initial product state is fixed.
 
 Both layers are exact kernels over the energy table, which
-:func:`energy_table` builds once per objective and caches on it: a model
-view doubles its per-variable program into one array (see
-:mod:`qopt.model`), and an evaluator-only objective prices every index.
+:func:`energy_table` builds once per objective and caches on it from the
+objective's program (a model view doubles its per-variable program into
+one array; see :mod:`qopt.model`).
 The phase takes one complex ``exp`` per distinct energy and gathers it
 through each pattern's level index, which equals
 ``exp(-1j * g * table)`` element for element. The mixer updates each qubit
@@ -36,12 +36,12 @@ in place: the bit-flipped partners, scaled by the off-diagonal, go to one
 scratch buffer per call, the state is scaled by the diagonal, and the two
 are added, so the plus-state mixer
 does the same floating-point operations as a plain 2x2 update. Samples
-(:class:`SampleSet`) keep the same packing: the distinct measured patterns
-are an ascending ``int64`` index array with aligned counts and energies,
-and bit tuples appear only in the derived ``counts``/``energies`` views
-and in JSON output. The state size is capped (default 24 qubits, about
-256 MiB of amplitudes); the ``QOPT_STATEVECTOR_CAP`` environment variable
-overrides the cap.
+(:class:`SampleSet`) keep the same packing: a sample set is its arrays,
+the distinct measured patterns as a strictly ascending ``int64`` index
+array with aligned counts and energies; bit patterns appear only where a
+result is reported (:meth:`SampleSet.best` and JSON output). The state
+size is capped (default 24 qubits, about 256 MiB of amplitudes); the
+``QOPT_STATEVECTOR_CAP`` environment variable overrides the cap.
 
 Every reduction over the 2^n amplitudes (the expectation, the gradient's
 inner products, CVaR of a state, and in :mod:`qopt.solvers` the pair
@@ -58,8 +58,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -161,11 +161,7 @@ class Statevector:
         _check_cap(n)
         if len(bits) != n:
             raise ValueError(f"assignment has length {len(bits)}, expected {n}")
-        pattern = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"assignment entry {b!r} at position {i} is not a bit")
-            pattern |= int(b) << i
+        pattern = bits_to_index(bits)
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[pattern] = 1.0
         return cls(n=n, amplitudes=amps)
@@ -230,108 +226,64 @@ class WarmStart:
         return tuple(2.0 * math.asin(math.sqrt(min(max(c, lo), hi))) for c in self.c_star)
 
 
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Measurement outcomes of ``shots`` basis measurements on ``n`` qubits.
 
     The sampled patterns are stored as packed basis indices (variable ``i``
-    at bit ``i``): ``indices`` is the ascending ``int64`` array of distinct
-    patterns that were hit, ``index_counts`` how often each one was drawn,
-    and ``index_energies`` (``None`` until :meth:`with_energies`) the energy
-    of each. All three arrays are read-only and aligned, and CVaR, sorting
-    and best-pattern lookups work on them directly.
-
-    Bit tuples exist only at the edges: the constructor takes tuple-keyed
-    ``counts``/``energies`` mappings, and the :attr:`counts` and
-    :attr:`energies` properties rebuild such dicts on each access (in index
-    order), for output and inspection. Packing limits patterns to 62
-    variables.
+    at bit ``i``): ``indices`` is the strictly ascending ``int64`` array of
+    distinct patterns that were hit, ``index_counts`` how often each one was
+    drawn, and ``index_energies`` (``None`` until :meth:`with_energies`) the
+    energy of each. The constructor checks the arrays (indices in
+    ``[0, 2^n)``, aligned shapes, counts of at least 1 that sum to
+    ``shots``, finite energies) and keeps read-only copies, so CVaR, sorting
+    and best-pattern lookups work on them directly. Packing limits patterns
+    to 62 variables.
     """
 
-    __slots__ = ("n", "shots", "seed", "indices", "index_counts", "index_energies")
+    n: int
+    shots: int
+    seed: int
+    indices: np.ndarray
+    index_counts: np.ndarray
+    index_energies: np.ndarray | None = None
 
-    def __init__(
-        self,
-        counts: Mapping[tuple[int, ...], int],
-        shots: int,
-        seed: int,
-        energies: Mapping[tuple[int, ...], float] | None = None,
-    ) -> None:
-        counts = {tuple(int(b) for b in k): int(v) for k, v in dict(counts).items()}
-        if sum(counts.values()) != shots:
+    def __post_init__(self) -> None:
+        if not 0 <= self.n <= _PACKED_BITS:
+            raise ValueError(f"{self.n}-bit patterns do not fit the {_PACKED_BITS}-bit index packing limit")
+        indices = _frozen(self.indices, np.int64)
+        counts = _frozen(self.index_counts, np.int64)
+        if indices.ndim != 1 or counts.shape != indices.shape:
+            raise ValueError(f"indices {indices.shape} and counts {counts.shape} must be aligned 1-D arrays")
+        if indices.size and (indices[0] < 0 or indices[-1] >= 1 << self.n):
+            raise ValueError(f"pattern indices must lie in [0, 2^{self.n})")
+        if (indices[1:] <= indices[:-1]).any():
+            raise ValueError("pattern indices must be strictly ascending")
+        if (counts < 1).any():
+            raise ValueError("every sampled pattern needs a count of at least 1")
+        if counts.sum() != self.shots:
             raise ValueError("counts must sum to the shot total")
-        lengths = {len(k) for k in counts}
-        if len(lengths) > 1:
-            raise ValueError("all patterns must have the same length")
-        n = lengths.pop() if lengths else 0
-        if n > _PACKED_BITS:
-            raise ValueError(f"{n}-bit patterns exceed the {_PACKED_BITS}-bit index packing limit")
-        patterns = sorted(counts, key=bits_to_index)
-        cached = None
-        if energies is not None:
-            table = {tuple(int(b) for b in k): float(v) for k, v in dict(energies).items()}
-            if set(table) != set(counts):
-                raise ValueError("cached energies must cover exactly the sampled patterns")
-            cached = np.array([table[k] for k in patterns], dtype=np.float64)
-        self._fill(
-            n,
-            np.array([bits_to_index(k) for k in patterns], dtype=np.int64),
-            np.array([counts[k] for k in patterns], dtype=np.int64),
-            shots,
-            seed,
-            cached,
-        )
-
-    @classmethod
-    def _from_arrays(cls, n, indices, index_counts, shots, seed, index_energies=None):
-        # Trusted fast path: ``indices`` ascend and the arrays are aligned.
-        out = cls.__new__(cls)
-        out._fill(n, indices, index_counts, shots, seed, index_energies)
-        return out
-
-    def _fill(self, n, indices, index_counts, shots, seed, index_energies) -> None:
-        self.n = int(n)
-        self.shots = int(shots)
-        self.seed = seed
-        self.indices = _frozen(indices, np.int64)
-        self.index_counts = _frozen(index_counts, np.int64)
-        self.index_energies = (
-            None if index_energies is None else _frozen(index_energies, np.float64)
-        )
-
-    @property
-    def counts(self) -> dict[tuple[int, ...], int]:
-        """Shot count per sampled bit pattern, in ascending index order."""
-        return {
-            index_to_bits(i, self.n): c
-            for i, c in zip(self.indices.tolist(), self.index_counts.tolist())
-        }
-
-    @property
-    def energies(self) -> dict[tuple[int, ...], float] | None:
-        """Cached energy per sampled bit pattern, or ``None`` if not attached."""
-        if self.index_energies is None:
-            return None
-        return {
-            index_to_bits(i, self.n): e
-            for i, e in zip(self.indices.tolist(), self.index_energies.tolist())
-        }
-
-    def _key(self) -> tuple:
-        energies = None if self.index_energies is None else self.index_energies.tobytes()
-        return (
-            self.n, self.shots, self.seed,
-            self.indices.tobytes(), self.index_counts.tobytes(), energies,
-        )
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "index_counts", counts)
+        if self.index_energies is not None:
+            energies = _frozen(self.index_energies, np.float64)
+            if energies.shape != indices.shape:
+                raise ValueError(f"energies {energies.shape} must align with indices {indices.shape}")
+            bad = ~np.isfinite(energies)
+            if bad.any():
+                raise ValueError(f"sampled pattern {indices[bad][0]} has non-finite energy {energies[bad][0]!r}")
+            object.__setattr__(self, "index_energies", energies)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampleSet):
             return NotImplemented
         return self._key() == other._key()
 
-    def __repr__(self) -> str:
+    def _key(self) -> tuple:
+        energies = None if self.index_energies is None else self.index_energies.tobytes()
         return (
-            f"SampleSet(n={self.n}, shots={self.shots}, seed={self.seed}, "
-            f"patterns={self.indices.size}, energies={self.index_energies is not None})"
+            self.n, self.shots, self.seed,
+            self.indices.tobytes(), self.index_counts.tobytes(), energies,
         )
 
     def with_energies(self, obj: DiagonalObjective) -> "SampleSet":
@@ -341,17 +293,7 @@ class SampleSet:
         pattern has a non-finite energy.
         """
         _check_variables(self.n, obj)
-        return self._priced(obj.energies_at(self.indices))
-
-    def _priced(self, energies) -> "SampleSet":
-        # Attach one energy per hit index, refusing any that is not finite.
-        energies = np.asarray(energies, dtype=np.float64)
-        bad = ~np.isfinite(energies)
-        if bad.any():
-            raise ValueError(f"evaluator returned non-finite energy {energies[bad][0]!r}")
-        return SampleSet._from_arrays(
-            self.n, self.indices, self.index_counts, self.shots, self.seed, energies
-        )
+        return replace(self, index_energies=obj.energies_at(self.indices))
 
     def energy_values(self) -> np.ndarray:
         """All sampled energies, one entry per shot, ascending."""
@@ -410,8 +352,8 @@ def _cached_table(obj: DiagonalObjective) -> np.ndarray | None:
 def energy_table(obj: DiagonalObjective) -> np.ndarray:
     """Full 2^n energy table for ``obj``, cached on the objective.
 
-    The objective builds it: a model view doubles its per-variable program
-    into one array, and an evaluator-only objective prices every index.
+    The objective's program builds it; a model view doubles its
+    per-variable program into one array.
     """
     table = _cached_table(obj)
     if table is None:
@@ -707,11 +649,13 @@ def sample(
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     hit = np.flatnonzero(draws)
-    out = SampleSet._from_arrays(sv.n, hit, draws[hit], shots, seed)
-    if obj is None:
-        return out
-    _check_variables(sv.n, obj)
-    return out._priced(energy_table(obj)[hit])
+    energies = None
+    if obj is not None:
+        _check_variables(sv.n, obj)
+        energies = energy_table(obj)[hit]
+    return SampleSet(
+        n=sv.n, shots=shots, seed=seed, indices=hit, index_counts=draws[hit], index_energies=energies
+    )
 
 
 def cvar(
@@ -723,11 +667,11 @@ def cvar(
 
     For a :class:`SampleSet`, expands the cached per-index energies to one
     entry per shot, sorts them ascending and averages the lowest
-    ``ceil(alpha * shots)``, without building the bit-tuple views;
-    ``alpha = 1`` is the plain mean, and any alpha small enough to include
-    a single sample returns the best observed energy. For a :class:`Statevector` (with ``obj``), the
-    same tail average is taken over the exact distribution, splitting the
-    boundary pattern fractionally.
+    ``ceil(alpha * shots)``; ``alpha = 1`` is the plain mean, and any alpha
+    small enough to include a single sample returns the best observed
+    energy. For a :class:`Statevector` (with ``obj``), the same tail average
+    is taken over the exact distribution, splitting the boundary pattern
+    fractionally.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -855,6 +799,7 @@ def load_statevector(path) -> Statevector:
         magic, n = struct.unpack("<4sI", header)
         if magic != _MAGIC:
             raise ValueError(f"not a statevector file (magic {magic!r})")
+        _check_cap(n)
         data = fh.read()
     amps = np.frombuffer(data, dtype="<c16")
     if amps.shape != (1 << n,):

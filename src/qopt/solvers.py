@@ -108,11 +108,13 @@ def solve_result_to_json(result: SolveResult) -> dict:
         "trace": [list(t) if isinstance(t, tuple) else t for t in result.trace],
         "extras": {k: v for k, v in dict(result.extras).items()},
     }
-    if result.samples is not None:
+    samples = result.samples
+    if samples is not None:
+        patterns = (pattern_str(index_to_bits(i, samples.n)) for i in samples.indices.tolist())
         data["samples"] = {
-            "shots": result.samples.shots,
-            "seed": result.samples.seed,
-            "counts": {pattern_str(k): v for k, v in sorted(result.samples.counts.items())},
+            "shots": samples.shots,
+            "seed": samples.seed,
+            "counts": dict(sorted(zip(patterns, samples.index_counts.tolist()))),
         }
     return data
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qopt.model import DiagonalObjective
+from qopt.model import DiagonalObjective, bits_to_index
 
 
 @pytest.fixture
@@ -18,3 +18,30 @@ def energies_at_calls(monkeypatch):
 
     monkeypatch.setattr(DiagonalObjective, "energies_at", counted)
     return calls
+
+
+class _TableProgram:
+    """Objective program over a fixed energy table, infinite entries included."""
+
+    def __init__(self, energies):
+        self.energies = energies
+
+    def table(self):
+        return self.energies.copy()
+
+    def at(self, indices):
+        return self.energies[np.asarray(indices, dtype=np.int64)]
+
+    def value(self, bits):
+        return float(self.energies[bits_to_index(bits)])
+
+
+@pytest.fixture
+def table_objective():
+    """Build a native objective from its ``2^n`` energies in index order."""
+
+    def build(energies):
+        energies = np.asarray(energies, dtype=np.float64)
+        return DiagonalObjective(n=energies.size.bit_length() - 1, program=_TableProgram(energies))
+
+    return build

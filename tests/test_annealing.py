@@ -104,15 +104,11 @@ CASES = {
 }
 
 
-def infinite_walls():
+def infinite_walls(table_objective):
     # A third of the patterns are forbidden outright, in blocks closed under
     # flips of bits 0 and 1: such a move has a NaN delta, which numpy's
     # comparisons reject.
-    def energy(bits):
-        k = sum(b << i for i, b in enumerate(bits))
-        return math.inf if (k >> 2) % 3 == 0 else float((k * 7919) % 23)
-
-    return DiagonalObjective(n=8, evaluator=energy, kind="native")
+    return table_objective([math.inf if (k >> 2) % 3 == 0 else float((k * 7919) % 23) for k in range(1 << 8)])
 
 
 def explicit_schedule(sweeps):
@@ -171,12 +167,12 @@ def test_field_chains_match_lockstep_reference(family, restarts, schedule):
 
 def test_field_path_equals_value_path_on_integer_weights():
     # With integer weights the local-field sums are exact, so annealing the
-    # QUBO and the same energies behind a bare evaluator walk one trajectory.
+    # QUBO and the same program with no source behind it walk one trajectory.
     rng = np.random.default_rng(11)
     n = 24
     terms = {(i, j): float(rng.integers(-4, 5)) for i in range(n) for j in range(i, n) if rng.random() < 0.3}
     obj = QuboModel(n=n, terms=terms, offset=2.0).as_objective()
-    wrapped = DiagonalObjective(n=n, evaluator=obj.value)
+    wrapped = DiagonalObjective(n=n, program=obj.program)
     for restarts, temps in ((1, None), (3, None), (2, explicit_schedule(5)), (4, explicit_schedule(5))):
         sweeps = 5
         a = simulated_annealing(obj, sweeps=sweeps, temperatures=temps, restarts=restarts, seed=restarts)
@@ -187,9 +183,9 @@ def test_field_path_equals_value_path_on_integer_weights():
 
 
 @pytest.mark.parametrize("restarts", [1, 3, 8])
-def test_infinite_energies_match_lockstep_reference(restarts):
+def test_infinite_energies_match_lockstep_reference(restarts, table_objective):
     # Two sweeps, so that where a chain leaves the forbidden block shows.
-    obj = infinite_walls()
+    obj = infinite_walls(table_objective)
     for seed in range(20):
         assert_matches_reference(obj, 2, [1.0, 0.5], restarts, seed)
 

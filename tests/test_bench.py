@@ -171,6 +171,9 @@ class TestRecordAndConfig:
             BenchmarkConfig(repetitions=0)
         with pytest.raises(ValueError):
             BenchmarkConfig(time_limit=0.0)
+        # NaN would pass a `<= 0` check and then miss every target.
+        with pytest.raises(ValueError, match="time limit must be positive, got nan"):
+            BenchmarkConfig(time_limit=float("nan"))
         with pytest.raises(ValueError):
             BenchmarkConfig(jobs=0)
 

@@ -6,8 +6,10 @@ point works outside the test harness.
 """
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -383,6 +385,7 @@ class TestBench:
             ({"repetitions": 2.7}, "repetitions must be an integer, got 2.7"),
             ({"jobs": "2"}, "jobs must be an integer, got '2'"),
             ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
+            ({"time_limit": "nan"}, "time limit must be positive, got nan"),
         ],
     )
     def test_invalid_config_value_exits_one_before_any_cell(self, tmp_path, capsys, change, message):
@@ -545,6 +548,16 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
+
+    def test_every_exported_name_resolves(self):
+        # A name deleted from a module must not stay in its __all__.
+        import qopt
+
+        names = pkgutil.iter_modules(qopt.__path__)
+        modules = [qopt, *(importlib.import_module(f"qopt.{m.name}") for m in names if m.name != "__main__")]
+        assert {"qopt.model", "qopt.simulator", "qopt.solvers"} <= {mod.__name__ for mod in modules}
+        missing = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == []
 
 
 # A matrix whose report exercises every column kind: a QAOA cell (depth and

@@ -16,7 +16,6 @@ from qopt.model import (
     bits_to_index,
     default_penalty,
     density,
-    evaluate,
     index_to_bits,
     ising_to_qubo,
     model_from_json,
@@ -92,7 +91,7 @@ class TestQuboModel:
         rng = np.random.default_rng(12)
         q = random_qubo(rng, 6)
         idx = np.arange(64)
-        table = q.energies_at(idx)
+        table = q.as_objective().energies_at(idx)
         for i, bits in zip(idx, all_bits(6)):
             assert table[i] == pytest.approx(q.energy(bits), abs=1e-12)
 
@@ -144,7 +143,7 @@ class TestIsingModel:
         m = IsingModel(n=2, h=(1.0, 0.0), J={(0, 1): 1.0})
         # index 0 -> bits (0,0) -> spins (+1,+1): energy 1 + 1 = 2
         # index 1 -> bits (1,0) -> spins (-1,+1): energy -1 - 1 = -2
-        table = m.energies_at(np.arange(4))
+        table = m.as_objective().energies_at(np.arange(4))
         assert list(table) == [2.0, -2.0, 0.0, 0.0]
 
     def test_default_fields_are_zero(self):
@@ -213,27 +212,35 @@ class TestConversions:
         assert obj_q.kind == "qubo"
         assert obj_i.kind == "ising-view"
         for bits in all_bits(5):
-            assert evaluate(obj_i, bits) == pytest.approx(evaluate(obj_q, bits), abs=1e-9)
+            assert obj_i.value(bits) == pytest.approx(obj_q.value(bits), abs=1e-9)
 
 
 class TestDiagonalObjective:
-    def test_native_evaluator(self):
-        obj = DiagonalObjective(n=3, evaluator=lambda b: float(sum(b)), kind="native")
+    def test_native_program(self):
+        # A bare program backs an objective with no quadratic source.
+        program = QuboModel(n=3, terms={(i, i): 1.0 for i in range(3)}).as_objective().program
+        obj = DiagonalObjective(n=3, program=program)
+        assert (obj.kind, obj.source) == ("native", None)
         assert obj.value((1, 0, 1)) == 2.0
+        assert obj.table().tolist() == [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            DiagonalObjective(n=1, evaluator=lambda b: 0.0, kind="mystery")
+            DiagonalObjective(n=1, program=QuboModel(n=1).as_objective().program, kind="mystery")
 
     def test_rejects_non_finite_energy(self):
-        obj = DiagonalObjective(n=1, evaluator=lambda b: float("inf"))
-        with pytest.raises(ValueError):
-            obj.value((0,))
+        # 1e308 + 1e308 overflows to inf in the replay of the set bit.
+        obj = QuboModel(n=1, terms={(0, 0): 1e308}, offset=1e308).as_objective()
+        assert obj.value((0,)) == 1e308
+        with pytest.raises(ValueError, match="non-finite energy inf"):
+            obj.value((1,))
 
     def test_energies_at_without_table_fn(self):
-        obj = DiagonalObjective(n=3, evaluator=lambda b: float(b[0] + 2 * b[2]))
+        # Packed indices are priced by the replay; no table is built or cached.
+        obj = QuboModel(n=3, terms={(0, 0): 1.0, (2, 2): 2.0}).as_objective()
         table = obj.energies_at(np.arange(8))
         assert list(table) == [0.0, 1.0, 0.0, 1.0, 2.0, 3.0, 2.0, 3.0]
+        assert obj._cache == {}
 
 
 def brute_force_min(obj, feasible=None):

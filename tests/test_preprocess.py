@@ -13,7 +13,7 @@ def all_bits(n):
 
 
 def brute(q):
-    table = q.energies_at(np.arange(1 << q.n))
+    table = q.as_objective().energies_at(np.arange(1 << q.n))
     idx = int(table.argmin())
     return float(table[idx]), tuple((idx >> i) & 1 for i in range(q.n))
 

@@ -11,8 +11,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from qopt.model import DiagonalObjective, IsingModel, QuboModel
-from qopt.problems import gen_maxcut_r3r, gen_portfolio, gen_spin_glass
+from qopt.model import IsingModel, QuboModel
+from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
     CapacityError,
     GibbsTable,
@@ -35,6 +35,7 @@ from qopt.simulator import (
     sample,
     statevector_cap,
 )
+
 
 # Single spin with E(bit=0)=+1, E(bit=1)=-1.
 SINGLE_SPIN = IsingModel(n=1, h=(1.0,)).as_objective()
@@ -121,6 +122,10 @@ class TestStatevector:
         sv = Statevector.basis(3, (1, 0, 0))
         assert sv.amplitudes[1] == 1.0
         assert sv.probabilities().sum() == 1.0
+        with pytest.raises(ValueError, match="entry 2 at position 1 is not a bit"):
+            Statevector.basis(2, (0, 2))
+        with pytest.raises(ValueError, match="length 1, expected 2"):
+            Statevector.basis(2, (0,))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -460,7 +465,7 @@ class TestP1ClosedForm:
         "obj",
         [
             IsingModel(n=3, J={(0, 1): 1.0, (1, 2): 1.0}).as_objective([(0, 1, 2, 0.5)]),
-            DiagonalObjective(n=2, evaluator=lambda bits: float(sum(bits))),
+            gen_labs(3).objective,
         ],
         ids=["pubo", "native"],
     )
@@ -507,7 +512,7 @@ class TestWarmStart:
         ws = WarmStart(c_star=(1.0, 0.0, 1.0), epsilon=0.0)
         sv = qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), initial=ws)
         got = sample(sv, shots=100, seed=1)
-        assert got.counts == {(1, 0, 1): 100}
+        assert (got.indices.tolist(), got.index_counts.tolist()) == ([0b101], [100])
 
     def test_clamp_keeps_all_patterns_reachable(self):
         ws = WarmStart(c_star=(1.0, 0.0), epsilon=0.25)
@@ -569,15 +574,16 @@ class TestExpectation:
 class TestSample:
     def test_basis_state_single_pattern(self):
         got = sample(Statevector.basis(3, (0, 1, 0)), shots=57, seed=9)
-        assert got.counts == {(0, 1, 0): 57}
+        assert (got.indices.tolist(), got.index_counts.tolist()) == ([0b010], [57])
         assert got.shots == 57
 
     def test_uniform_frequencies_within_binomial_bound(self):
         shots = 1_000_000
         got = sample(Statevector.plus(2), shots=shots, seed=3)
         sigma = math.sqrt(shots * 0.25 * 0.75)
-        for pattern in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            assert abs(got.counts[pattern] - shots * 0.25) < 5 * sigma
+        assert got.indices.tolist() == [0, 1, 2, 3]
+        for count in got.index_counts.tolist():
+            assert abs(count - shots * 0.25) < 5 * sigma
 
     def test_same_seed_identical(self):
         sv = qaoa_state(SINGLE_SPIN, QaoaParams(p=1, gammas=(0.3,), betas=(0.5,)))
@@ -600,17 +606,26 @@ class TestSample:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample(Statevector.plus(1), shots=0)
-        with pytest.raises(ValueError):
-            SampleSet(counts={(0,): 3}, shots=4, seed=0)
-        with pytest.raises(ValueError):
-            SampleSet(counts={(0,): 1, (0, 1): 1}, shots=2, seed=0)
+        for fields, message in [
+            ({"indices": [0], "index_counts": [3]}, "sum to the shot total"),
+            ({"indices": [0, 1], "index_counts": [-1, 5]}, "at least 1"),
+            ({"indices": [0, 1], "index_counts": [0, 4]}, "at least 1"),
+            ({"indices": [2, 1], "index_counts": [2, 2]}, "strictly ascending"),
+            ({"indices": [1, 1], "index_counts": [2, 2]}, "strictly ascending"),
+            ({"indices": [1, 4], "index_counts": [2, 2]}, r"\[0, 2\^2\)"),
+            ({"indices": [-1, 1], "index_counts": [2, 2]}, r"\[0, 2\^2\)"),
+            ({"indices": [0, 1], "index_counts": [4]}, "aligned"),
+            ({"indices": [[0, 1]], "index_counts": [[2, 2]]}, "aligned"),
+            ({"indices": [0, 1], "index_counts": [2, 2], "index_energies": [0.0]}, "align"),
+            ({"indices": [0, 1], "index_counts": [2, 2], "index_energies": [0.0, math.nan]}, "non-finite"),
+            ({"indices": [0, 1], "index_counts": [2, 2], "index_energies": [-math.inf, 0.0]}, "non-finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SampleSet(**{"n": 2, "shots": 4, "seed": 0, **fields})
 
-    def test_non_finite_energy_rejected(self):
+    def test_non_finite_energy_rejected(self, table_objective):
         # Pricing is one batched call, but every sampled energy is still checked.
-        def _eval(bits):
-            return math.inf if bits == (1, 1) else float(sum(bits))
-
-        obj = DiagonalObjective(n=2, evaluator=_eval)
+        obj = table_objective([0.0, 1.0, 1.0, math.inf])
         with pytest.raises(ValueError, match="non-finite"):
             sample(Statevector.plus(2), shots=400, seed=0, obj=obj)
         clean = sample(Statevector.basis(2, (1, 0)), shots=5, seed=0, obj=obj)
@@ -630,40 +645,42 @@ class TestSample:
         obj = gen_spin_glass("complete", 5, seed=2).objective
         sv = qaoa_state(obj, QaoaParams(p=1, gammas=(0.4,), betas=(0.3,)))
         ss = sample(sv, shots=300, seed=4)
-        assert ss.indices.dtype == np.int64
-        assert list(ss.indices) == sorted(set(ss.indices.tolist()))
-        assert int(ss.index_counts.sum()) == 300
-        pairs = zip(ss.indices.tolist(), ss.index_counts.tolist())
-        assert ss.counts == {tuple((i >> b) & 1 for b in range(5)): c for i, c in pairs}
-        assert ss.energies is None and ss.index_energies is None
-        assert not ss.indices.flags.writeable
+        assert ss.indices.dtype == ss.index_counts.dtype == np.int64
+        # The same multinomial draw, read back as a count per hit index.
+        probs = sv.probabilities()
+        draws = np.random.default_rng(4).multinomial(300, probs / probs.sum())
+        assert dict(zip(ss.indices.tolist(), ss.index_counts.tolist())) == {
+            i: c for i, c in enumerate(draws.tolist()) if c
+        }
+        assert ss.index_energies is None
+        assert not ss.indices.flags.writeable and not ss.index_counts.flags.writeable
 
-    def test_tuple_constructor_round_trips(self):
-        counts = {(1, 1): 2, (0, 1): 3}
-        ss = SampleSet(counts=counts, shots=5, seed=1, energies={(0, 1): 0.5, (1, 1): -2.0})
+    def test_array_constructor_round_trips(self):
+        indices, counts = np.array([2, 3]), np.array([3, 2])
+        ss = SampleSet(n=2, shots=5, seed=1, indices=indices, index_counts=counts, index_energies=[0.5, -2.0])
         assert ss.indices.tolist() == [2, 3]
         assert ss.index_counts.tolist() == [3, 2]
         assert ss.index_energies.tolist() == [0.5, -2.0]
-        assert ss.counts == {(0, 1): 3, (1, 1): 2}
-        assert ss.energies == {(0, 1): 0.5, (1, 1): -2.0}
-        reordered = {(0, 1): 3, (1, 1): 2}
-        assert ss == SampleSet(reordered, shots=5, seed=1, energies={(1, 1): -2.0, (0, 1): 0.5})
-        assert ss != SampleSet(reordered, shots=5, seed=1)
+        assert not ss.index_energies.flags.writeable
+        # The set keeps its own copies: editing the inputs changes nothing.
+        indices[0] = 0
+        counts[0] = 1
+        assert (ss.indices.tolist(), ss.index_counts.tolist()) == ([2, 3], [3, 2])
+        same = SampleSet(n=2, shots=5, seed=1, indices=[2, 3], index_counts=[3, 2], index_energies=[0.5, -2.0])
+        assert ss == same
+        assert ss != SampleSet(n=2, shots=5, seed=1, indices=[2, 3], index_counts=[3, 2])
+        assert ss != SampleSet(n=2, shots=5, seed=2, indices=[2, 3], index_counts=[3, 2], index_energies=[0.5, -2.0])
 
     def test_packing_limit(self):
-        SampleSet(counts={(1,) * 62: 1}, shots=1, seed=0)
-        with pytest.raises(ValueError, match="62"):
-            SampleSet(counts={(1,) * 63: 1}, shots=1, seed=0)
+        SampleSet(n=62, shots=1, seed=0, indices=[(1 << 62) - 1], index_counts=[1])
+        for n in (63, -1):
+            with pytest.raises(ValueError, match="62"):
+                SampleSet(n=n, shots=1, seed=0, indices=[0], index_counts=[1])
 
 
 class TestCvar:
     def test_two_point_examples(self):
-        ss = SampleSet(
-            counts={(0,): 1, (1,): 1},
-            shots=2,
-            seed=0,
-            energies={(0,): 0.0, (1,): 2.0},
-        )
+        ss = SampleSet(n=1, shots=2, seed=0, indices=[0, 1], index_counts=[1, 1], index_energies=[0.0, 2.0])
         assert cvar(ss, 1.0) == 1.0
         assert cvar(ss, 0.5) == 0.0
 
@@ -676,7 +693,7 @@ class TestCvar:
         ss = sample(sv, shots=1000, seed=5, obj=obj)
         # Independent oracle: expand every shot, sort, average the head.
         flat = sorted(
-            e for pattern, count in ss.counts.items() for e in [ss.energies[pattern]] * count
+            e for count, e in zip(ss.index_counts.tolist(), ss.index_energies.tolist()) for _ in range(count)
         )
         for alpha in (1.0, 0.6, 0.25, 0.1, 1e-9):
             take = math.ceil(alpha * 1000)
@@ -684,21 +701,14 @@ class TestCvar:
             assert cvar(ss, alpha) == pytest.approx(oracle, abs=1e-12)
 
     def test_tiny_alpha_returns_best_sample(self):
-        ss = SampleSet(
-            counts={(0, 0): 10, (1, 0): 5},
-            shots=15,
-            seed=0,
-            energies={(0, 0): 3.0, (1, 0): -1.0},
-        )
+        ss = SampleSet(n=2, shots=15, seed=0, indices=[0, 1], index_counts=[10, 5], index_energies=[3.0, -1.0])
         assert cvar(ss, 1e-6) == -1.0
         best_pattern, best_e = ss.best()
         assert (best_pattern, best_e) == ((1, 0), -1.0)
 
     def test_best_ties_go_to_smallest_bit_tuple(self):
         # (1, 0) is index 1 and (0, 1) is index 2: tuple order wins, not index order.
-        ss = SampleSet(
-            counts={(1, 0): 4, (0, 1): 1}, shots=5, seed=0, energies={(1, 0): -1.0, (0, 1): -1.0}
-        )
+        ss = SampleSet(n=2, shots=5, seed=0, indices=[1, 2], index_counts=[4, 1], index_energies=[-1.0, -1.0])
         assert ss.best() == ((0, 1), -1.0)
         # Same rule on the sampling path: energies 0, -1, -1, 0 over indices 0..3.
         obj = QuboModel(n=2, terms={(0, 0): -1.0, (1, 1): -1.0, (0, 1): 2.0}).as_objective()
@@ -734,13 +744,13 @@ class TestCvar:
             cvar(Statevector.plus(2), 0.5, obj=obj)
 
     def test_alpha_validation(self):
-        ss = SampleSet(counts={(0,): 1}, shots=1, seed=0, energies={(0,): 0.0})
+        ss = SampleSet(n=1, shots=1, seed=0, indices=[0], index_counts=[1], index_energies=[0.0])
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 cvar(ss, bad)
 
     def test_requires_energies_or_objective(self):
-        ss = SampleSet(counts={(0,): 1}, shots=1, seed=0)
+        ss = SampleSet(n=1, shots=1, seed=0, indices=[0], index_counts=[1])
         with pytest.raises(ValueError):
             cvar(ss, 0.5)
         obj = QuboModel(n=1, terms={(0, 0): 1.0}).as_objective()
@@ -856,6 +866,15 @@ class TestDumpLoad:
             load_statevector(path)
         path.write_bytes(b"QS")
         with pytest.raises(ValueError):
+            load_statevector(path)
+
+    def test_header_above_cap_raises_before_sizing(self, tmp_path, monkeypatch):
+        # The qubit count comes from the file, so the cap is checked before
+        # 2^n is ever computed from it.
+        monkeypatch.delenv("QOPT_STATEVECTOR_CAP", raising=False)
+        path = tmp_path / "huge.qsv"
+        path.write_bytes(b"QSV1" + (1 << 28).to_bytes(4, "little"))
+        with pytest.raises(CapacityError, match="268435456 qubits exceed the simulator cap of 24"):
             load_statevector(path)
 
 

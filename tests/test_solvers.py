@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qopt.model import DiagonalObjective, IsingModel, QuboModel, evaluate, index_to_bits
+from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
 from qopt.simulator import CapacityError, QaoaParams, WarmStart, energy_table
 from qopt.solvers import (
@@ -59,7 +59,7 @@ def random_qubo(n, seed, fill=0.6):
 
 
 def assert_self_consistent(result, obj):
-    assert result.best_energy == pytest.approx(evaluate(obj, result.best_assignment), abs=1e-9)
+    assert result.best_energy == pytest.approx(obj.value(result.best_assignment), abs=1e-9)
     assert len(result.best_assignment) == obj.n
     assert all(b in (0, 1) for b in result.best_assignment)
 
@@ -156,7 +156,7 @@ class TestBruteForce:
         assert res.certificate
 
     def test_enumeration_limit(self):
-        obj = DiagonalObjective(n=29, evaluator=lambda bits: 0.0, kind="native")
+        obj = QuboModel(n=29).as_objective()
         with pytest.raises(CapacityError):
             brute_force(obj)
 
@@ -232,17 +232,15 @@ class TestSimulatedAnnealing:
             "sweeps": 3, "restarts": 1, "t_hot": 1.4609375, "t_cold": float.fromhex("0x1.7ef9db22d0e55p-10"),
         }
 
-    def test_generic_fallback_path_runs(self):
+    def test_generic_fallback_path_runs(self, monkeypatch):
+        # A cubic view has no quadratic source and, at n=21, no table.
         calls = []
-
-        def cubic(bits):
-            calls.append(1)
-            return float(sum(bits[:3]) - bits[0] * bits[1] * bits[2])
-
-        obj = DiagonalObjective(n=21, evaluator=cubic, kind="native")
+        value = DiagonalObjective.value
+        monkeypatch.setattr(DiagonalObjective, "value", lambda self, x: calls.append(1) or value(self, x))
+        obj = IsingModel(n=21).as_objective([(0, 1, 2, -1.0)])
         res = simulated_annealing(obj, sweeps=2, restarts=1, seed=0)
-        assert_self_consistent(res, obj)
         assert calls
+        assert_self_consistent(res, obj)
 
     def test_replay_deterministic(self):
         obj = random_qubo(8, 11).as_objective()
@@ -391,7 +389,7 @@ class TestQaoaSolve:
         # Sampled mean stays within a loose statistical band of the average.
         table = energy_table(obj)
         sd = float(table.std()) / math.sqrt(4000)
-        sampled = sum(res.samples.energies[k] * c for k, c in res.samples.counts.items()) / 4000
+        sampled = float((res.samples.index_energies * res.samples.index_counts).sum()) / 4000
         assert abs(sampled - table.mean()) < 6 * sd + 1e-12
 
     def test_budget_exhaustion_flags_instead_of_raising(self):
@@ -407,7 +405,7 @@ class TestQaoaSolve:
         a = qaoa_solve(obj, p=1, objective_mode="cvar", alpha=0.2, optimizer_budget=80, shots=256, seed=6)
         b = qaoa_solve(obj, p=1, objective_mode="cvar", alpha=0.2, optimizer_budget=80, shots=256, seed=6)
         assert a.params == b.params
-        assert a.samples.counts == b.samples.counts
+        assert a.samples == b.samples
         assert a.extras["alpha"] == 0.2
 
     def test_warm_start_initial_state(self):
@@ -555,7 +553,7 @@ class TestQaoaSolve:
             (lambda: random_qubo(6, 4).as_objective(), {"initial": WarmStart(c_star=(0.9, 0.1, 0.5, 0.8, 0.2, 0.6))}),
             (lambda: IsingModel(n=6, J={(i, i + 1): 1.0 for i in range(5)}).as_objective([(0, 2, 4, 0.5)]), {}),
             (lambda: gen_labs(6), {}),
-            (lambda: DiagonalObjective(n=5, evaluator=lambda bits: float(sum(bits) % 3)), {}),
+            (lambda: DiagonalObjective(n=5, program=random_qubo(5, 3).as_objective().program), {}),
         ],
         ids=["warm-start", "pubo", "labs", "native"],
     )
@@ -594,7 +592,7 @@ class TestQaoaSolve:
         b = qaoa_solve(obj, p=1, optimizer_budget=120, seed=13)
         assert a.params == b.params
         assert a.best_assignment == b.best_assignment
-        assert a.samples.counts == b.samples.counts
+        assert a.samples == b.samples
         assert a.trace == b.trace
 
 
