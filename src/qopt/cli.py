@@ -230,7 +230,7 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         qubo_to_ising,
     )
     from qopt.preprocess import decompose_components, fix_variables
-    from qopt.problems import gen_labs, gen_spin_glass, labs_energy
+    from qopt.problems import gen_labs, gen_maxcut_r3r, gen_spin_glass, labs_energy
     from qopt.simulator import (
         QaoaParams,
         anneal_trotter,
@@ -347,6 +347,28 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
             raise AssertionError(f"expected -1 at (pi/4, pi/4), got {at_quarter}")
 
     check("single-qubit ansatz matches closed form", single_spin)
+
+    def p1_closed_form():
+        from qopt.model import IsingModel
+
+        rng = np.random.default_rng(seed + 8)
+        n = 10
+        with_fields = IsingModel(
+            n=n,
+            h=tuple(float(v) for v in rng.normal(size=n)),
+            J={(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)},
+            offset=0.5,
+        )
+        for obj in (gen_maxcut_r3r(12, seed=seed).objective, with_fields.as_objective()):
+            scale = max(1.0, float(np.abs(energy_table(obj)).max()))
+            gammas, betas = rng.uniform(-math.pi, math.pi, (2, 5))
+            closed = qaoa_p1_energy(obj, gammas, betas)
+            for g, b, want in zip(gammas, betas, closed):
+                got = expectation(qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,))), obj)
+                if abs(got - want) > 1e-12 * scale:
+                    raise AssertionError(f"{obj.kind} closed form {want!r} vs statevector {got!r} at {(g, b)}")
+
+    check("p=1 closed form equals the statevector (maxcut, Ising with fields, 1e-12)", p1_closed_form)
 
     def gibbs():
         rng = np.random.default_rng(seed + 2)

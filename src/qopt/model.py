@@ -420,8 +420,15 @@ class DiagonalObjective:
         return e
 
     def energies_at(self, indices: np.ndarray) -> np.ndarray:
-        """Energies for an array of packed assignment indices."""
-        return self.program.at(indices)
+        """Energies for an array of packed assignment indices in ``[0, 2^n)``.
+
+        Raises ``ValueError`` naming the first index outside that range.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        outside = (idx < 0) | (idx >> min(self.n, 63) != 0)
+        if outside.any():
+            raise ValueError(f"pattern index {idx[outside][0]} is outside [0, 2^{self.n}) for {self.n} variables")
+        return self.program.at(idx)
 
     def table(self) -> np.ndarray:
         """Energies of all ``2^n`` assignments in index order (not cached)."""

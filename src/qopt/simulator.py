@@ -35,11 +35,31 @@ through each pattern's level index, which equals
 in place: the bit-flipped partners, scaled by the off-diagonal, go to one
 scratch buffer per call, the state is scaled by the diagonal, and the two
 are added, so the plus-state mixer
-does the same floating-point operations as a plain 2x2 update. Samples
-(:class:`SampleSet`) keep the same packing: a sample set is its arrays,
-the distinct measured patterns as a strictly ascending ``int64`` index
-array with aligned counts and energies; bit patterns appear only where a
-result is reported (:meth:`SampleSet.best` and JSON output). The state
+does the same floating-point operations as a plain 2x2 update.
+
+A plus-state run on an objective of two or more variables whose table
+equals its own reverse bit for bit, ``E(x) == E(not x)`` for every pattern
+(MaxCut, spin glasses without fields, LABS), runs *folded* on half the
+statevector (Shaydulin, Hadfield, Hogg and Safro, arXiv:2012.04713). The
+plus state, the phase and the X mixer all commute with flipping every bit,
+so amplitude ``2^n - 1 - x`` always equals amplitude ``x`` and only the
+lower half, ``x < 2^(n-1)``, is kept. Qubits ``0..n-2`` are updated exactly
+as in a full run; under qubit ``n-1`` the partner of ``x`` is the mirror of
+its upper partner, ``2^(n-1) - 1 - x``, so the update reads the half
+reversed. The kernels recognise a folded state from its size alone. Every
+sum over the 2^n patterns first rebuilds the full array of its terms as the
+half followed by its mirror, so it adds the same numbers in the same order
+as a full run. By induction over the layers each kept amplitude goes
+through the same floating-point operations as in the full run, and the
+dropped half stays its exact mirror, so states, values and gradients are
+bit-identical. :func:`qaoa_state` and :func:`anneal_trotter` still return
+the full state; warm starts and objectives that are not mirrors keep the
+full run.
+
+Samples (:class:`SampleSet`) keep the same packing: a sample set is its
+arrays, the distinct measured patterns as a strictly ascending ``int64``
+index array with aligned counts and energies; bit patterns appear only
+where a result is reported (:meth:`SampleSet.best` and JSON output). The state
 size is capped (default 24 qubits, about 256 MiB of amplitudes); the
 ``QOPT_STATEVECTOR_CAP`` environment variable overrides the cap.
 
@@ -395,10 +415,43 @@ def _energy_order(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
     return found
 
 
+def _flip_symmetric(obj: DiagonalObjective) -> bool:
+    """Whether :func:`energy_table` equals its own reverse bit for bit.
+
+    Reversing the table maps each pattern to its complement, so this is
+    ``E(x) == E(not x)`` exactly, for every ``x``. Below two variables the
+    answer is False: a folded run would hold one amplitude, numpy multiplies
+    a one-element array in place on another loop than longer arrays, and the
+    two can round a complex product differently, so the fold would not be
+    bit-identical (nor would it save anything). Cached on the objective next
+    to the table.
+    """
+    found = obj._cache.get("flip_symmetric")
+    if found is None:
+        found = obj.n >= 2
+        if found:
+            table = energy_table(obj)
+            found = bool(np.array_equal(table.view(np.int64), table[::-1].view(np.int64)))
+        obj._cache["flip_symmetric"] = found
+    return found
+
+
+def _folded(amps: np.ndarray, n: int) -> bool:
+    # A folded run holds the lower half of a mirror-symmetric 2^n array.
+    return n >= 2 and amps.size == 1 << (n - 1)
+
+
+def _whole(values: np.ndarray, n: int) -> np.ndarray:
+    # The 2^n array that ``values`` stands for: a folded half is followed by
+    # its mirror image, since pattern 2^n - 1 - x is the complement of x.
+    return np.concatenate([values, values[::-1]]) if _folded(values, n) else values
+
+
 def _apply_phase(amps: np.ndarray, levels: np.ndarray, level_of: np.ndarray, angle: float) -> None:
     # One complex exp per distinct energy, then a gather: element for element
-    # this is exp(-1j * angle * table), since levels[level_of] == table.
-    amps *= np.exp(-1j * angle * levels)[level_of]
+    # this is exp(-1j * angle * table), since levels[level_of] == table. A
+    # folded state gathers through the lower half of ``level_of``.
+    amps *= np.exp(-1j * angle * levels)[level_of[: amps.size]]
 
 
 def _apply_mixer(
@@ -413,11 +466,13 @@ def _apply_mixer(
     # pairs every amplitude with its bit-flipped partner. Per qubit: the
     # partner times the off-diagonal goes to ``scratch``, the state is scaled
     # by the diagonal, and the two are added; ``scratch`` is a caller-owned
-    # buffer of the state's size.
+    # buffer of the state's size. On a folded state the partner of x under
+    # qubit n-1 is 2^(n-1) - 1 - x, the reversed half.
     cb = math.cos(beta)
     isb = 1j * math.sin(beta)
-    for i in range(n):
-        shape = (1 << (n - 1 - i), 2, 1 << i)
+    folded = _folded(amps, n)
+    for i in range(n - 1 if folded else n):
+        shape = (amps.size >> (i + 1), 2, 1 << i)
         view = amps.reshape(shape)
         flipped = scratch.reshape(shape)
         if thetas is None:
@@ -429,16 +484,21 @@ def _apply_mixer(
             view[:, 0, :] *= cb + isb * ct
             view[:, 1, :] *= cb - isb * ct
         view += flipped
+    if folded:
+        np.multiply(amps[::-1], isb, out=scratch)
+        amps *= cb
+        amps += scratch
 
 
 def _apply_generator(out: np.ndarray, amps: np.ndarray, n: int, thetas: Sequence[float] | None) -> None:
     # ``out = B @ amps`` for the mixer's generator ``B = sum_i B_i``, so that
     # the mixing layer is ``exp(1j * beta * B)``: ``B_i = X_i``, or
     # ``cos(theta_i) Z_i + sin(theta_i) X_i`` under a warm start. Same
-    # (high, 2, low) views as :func:`_apply_mixer`.
+    # (high, 2, low) views and folding as :func:`_apply_mixer`.
     out[:] = 0.0
-    for i in range(n):
-        shape = (1 << (n - 1 - i), 2, 1 << i)
+    folded = _folded(amps, n)
+    for i in range(n - 1 if folded else n):
+        shape = (amps.size >> (i + 1), 2, 1 << i)
         src = amps.reshape(shape)
         dst = out.reshape(shape)
         if thetas is None:
@@ -448,14 +508,26 @@ def _apply_generator(out: np.ndarray, amps: np.ndarray, n: int, thetas: Sequence
             dst += st * src[:, ::-1, :]
             dst[:, 0, :] += ct * src[:, 0, :]
             dst[:, 1, :] -= ct * src[:, 1, :]
+    if folded:
+        out += amps[::-1]
 
 
-def _imag_inner(a: np.ndarray, b: np.ndarray) -> float:
-    # Im <a|b> (``np.vdot(a, b).imag``) as an elementwise product and one
-    # fixed-order numpy sum, not a BLAS call (see the module docstring).
+def _imag_inner(a: np.ndarray, b: np.ndarray, n: int) -> float:
+    # Im <a|b> (``np.vdot(a, b).imag``) over all 2^n patterns as an
+    # elementwise product and one fixed-order numpy sum, not a BLAS call
+    # (see the module docstring).
     prod = np.conj(a)
     prod *= b
-    return float(prod.imag.sum())
+    # numpy sums a 1-D array in the same pairwise order whatever its stride,
+    # so the strided ``imag`` view and its contiguous unfolded copy agree.
+    return float(_whole(prod.imag, n).sum())
+
+
+def _energy_sum(amps: np.ndarray, table: np.ndarray, n: int) -> float:
+    # sum |amp(x)|^2 E(x) over all 2^n patterns, in numpy's fixed order.
+    weighted = np.abs(amps) ** 2
+    weighted *= table[: amps.size]
+    return float(_whole(weighted, n).sum())
 
 
 def _initial_state(obj: DiagonalObjective, initial) -> tuple[Statevector, tuple[float, ...] | None]:
@@ -476,6 +548,27 @@ def _initial_state(obj: DiagonalObjective, initial) -> tuple[Statevector, tuple[
     raise ValueError(f"unknown initial state {initial!r}; use 'plus' or a WarmStart")
 
 
+def _evolve(obj: DiagonalObjective, initial, layers) -> tuple[np.ndarray, tuple[float, ...] | None]:
+    """Amplitudes after the ``(gamma, beta)`` layers, and the warm-start angles.
+
+    A plus start on a :func:`_flip_symmetric` objective runs folded: it keeps
+    only the lower half of the state, which the kernels and sums recognise
+    by its size (see the module docstring).
+    """
+    if (initial == "plus" or initial is None) and _flip_symmetric(obj):
+        amps = np.full(1 << (obj.n - 1), 2.0 ** (-obj.n / 2), dtype=np.complex128)
+        thetas = None
+    else:
+        sv, thetas = _initial_state(obj, initial)
+        amps = sv.amplitudes
+    levels, level_of = _energy_levels(obj)
+    scratch = np.empty_like(amps)
+    for gamma, beta in layers:
+        _apply_phase(amps, levels, level_of, gamma)
+        _apply_mixer(amps, scratch, obj.n, beta, thetas)
+    return amps, thetas
+
+
 def qaoa_state(
     obj: DiagonalObjective,
     params: QaoaParams,
@@ -487,15 +580,10 @@ def qaoa_state(
     then rotates every qubit by ``2 * beta_j`` about X (or about its tilted
     warm-start axis). ``p = 0`` returns the initial state unchanged.
     """
-    sv, thetas = _initial_state(obj, initial)
     if params.p == 0:
-        return sv
-    levels, level_of = _energy_levels(obj)
-    scratch = np.empty_like(sv.amplitudes)
-    for gamma, beta in zip(params.gammas, params.betas):
-        _apply_phase(sv.amplitudes, levels, level_of, gamma)
-        _apply_mixer(sv.amplitudes, scratch, sv.n, beta, thetas)
-    return sv
+        return _initial_state(obj, initial)[0]
+    amps, _ = _evolve(obj, initial, zip(params.gammas, params.betas))
+    return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 
 def qaoa_value_and_gradient(
@@ -517,23 +605,22 @@ def qaoa_value_and_gradient(
     fixed-order numpy sum, never a BLAS call, so the result does not depend
     on the BLAS thread count.
     """
-    sv = qaoa_state(obj, params, initial)
-    thetas = initial.thetas() if isinstance(initial, WarmStart) else None
-    p, n, psi = params.p, sv.n, sv.amplitudes
-    value = expectation(sv, obj)
-    table = energy_table(obj)
+    psi, thetas = _evolve(obj, initial, zip(params.gammas, params.betas))
+    p, n = params.p, obj.n
+    table = energy_table(obj)[: psi.size]
     levels, level_of = _energy_levels(obj)
+    value = _energy_sum(psi, table, n)
     lam = table * psi
     scratch = np.empty_like(psi)
     grad = np.zeros(2 * p)
     for j in reversed(range(p)):
         # psi is the state after layer j, lam the co-state pulled back to it.
         _apply_generator(scratch, psi, n, thetas)
-        grad[p + j] = -2.0 * _imag_inner(lam, scratch)
+        grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
         _apply_mixer(psi, scratch, n, -params.betas[j], thetas)
         _apply_mixer(lam, scratch, n, -params.betas[j], thetas)
         np.multiply(psi, table, out=scratch)
-        grad[j] = 2.0 * _imag_inner(lam, scratch)
+        grad[j] = 2.0 * _imag_inner(lam, scratch, n)
         if j:
             _apply_phase(psi, levels, level_of, -params.gammas[j])
             _apply_phase(lam, levels, level_of, -params.gammas[j])
@@ -622,9 +709,7 @@ def expectation(sv: Statevector, obj: DiagonalObjective) -> float:
     """
     if sv.n != obj.n:
         raise ValueError(f"state has {sv.n} qubits, objective has {obj.n} variables")
-    weighted = sv.probabilities()
-    weighted *= energy_table(obj)
-    return float(weighted.sum())
+    return _energy_sum(sv.amplitudes, energy_table(obj), sv.n)
 
 
 def sample(
@@ -726,15 +811,10 @@ def anneal_trotter(
     lam0, lam1 = float(schedule(0.0)), float(schedule(1.0))
     if abs(lam0) > 1e-12 or abs(lam1 - 1.0) > 1e-12:
         raise ValueError(f"schedule must run from 0 to 1, got lam(0)={lam0}, lam(1)={lam1}")
-    sv = Statevector.plus(obj.n)
-    levels, level_of = _energy_levels(obj)
-    scratch = np.empty_like(sv.amplitudes)
     dt = T / steps
-    for k in range(steps):
-        lam = float(schedule((k + 0.5) / steps))
-        _apply_phase(sv.amplitudes, levels, level_of, dt * lam)
-        _apply_mixer(sv.amplitudes, scratch, sv.n, dt * (1.0 - lam))
-    return sv
+    lams = (float(schedule((k + 0.5) / steps)) for k in range(steps))
+    amps, _ = _evolve(obj, "plus", ((dt * lam, dt * (1.0 - lam)) for lam in lams))
+    return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 
 def gibbs_distribution(obj: DiagonalObjective, beta: float) -> GibbsTable:

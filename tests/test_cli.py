@@ -492,12 +492,13 @@ class TestVerify:
         assert run_cli(["verify", "--junit", str(junit_path)]) == 0
         out = capsys.readouterr().out.splitlines()
         ok_lines = [line for line in out if line.startswith("ok   ")]
-        assert len(ok_lines) == 12
+        assert len(ok_lines) == 13
         assert "ok   energy tables equal their per-index replay" in ok_lines
+        assert "ok   p=1 closed form equals the statevector (maxcut, Ising with fields, 1e-12)" in ok_lines
         assert not any(line.startswith("FAIL") for line in out)
-        assert out[-1] == "12/12 checks passed"
+        assert out[-1] == "13/13 checks passed"
         suite = ElementTree.parse(junit_path).getroot()
-        assert suite.get("tests") == "12"
+        assert suite.get("tests") == "13"
         assert suite.get("failures") == "0"
 
 
@@ -584,7 +585,7 @@ PINNED_BENCH = {
 PINNED_HARNESS = {
     "report csv": "c8fcaf7edf8bfeb6863e7666453048a2e931bfc7814ee035c2b5a9de352ca9c3",
     "report json": "9e407df7df38b450d1164454bd706e9f70f49a5903abd006a9ec74885e09bd2c",
-    "verify": "2a8bcc34b856123d6a2f36d87d2dd0eeaaa04f95123a5c9e16bb1eefda2af634",
+    "verify": "15866913abf785786171e04b1c5120dbf47cf5d497795c3310b23bec99d3d50f",
     "--help": "c3f778091c1baf251b39949b82ad1ca4a17d8f1c8fb8be8c3f176b60bd27046e",
     "solve --help": "92e0f7b22f4845e249fadd0bdb026f90703f284c26e64cc169b18db2f394c7b4",
     "bench --help": "183a8bbf3ac26f8f75325df6523edd8a88d4ef1c90d2498c117413c99fd687ff",
@@ -594,7 +595,7 @@ PINNED_HARNESS = {
     "bench.json": "9e407df7df38b450d1164454bd706e9f70f49a5903abd006a9ec74885e09bd2c",
     "bench.xml": "1d57d6a3f52053f051fa8d4016012ab051e0f98ccd2daf42f7e0924fcdc638aa",
     "report.xml": "1d57d6a3f52053f051fa8d4016012ab051e0f98ccd2daf42f7e0924fcdc638aa",
-    "verify.xml": "84d2d012135e03b86e47c46b591a88be967e9f4e4e32e68e4f012f9e68996ccf",
+    "verify.xml": "bbe864cf5f621840504e2afc256773b9025ec0c60ebbde47d903c5dd6c2556d6",
     "verify-fail.xml": "faf06f2d576f5ceaf8726e12e143899a6f8f21c0a8d7525dce904ed550e9e4a1",
 }
 

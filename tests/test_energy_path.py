@@ -1,10 +1,12 @@
 """One energy path: table, per-index replay and value() of the model views."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qopt.model import IsingModel, QuboModel, index_to_bits
-from qopt.problems import gen_portfolio, gen_qap, gen_spin_glass
+from qopt.problems import gen_labs, gen_portfolio, gen_qap, gen_spin_glass
 from qopt.simulator import energy_table
 from qopt.solvers import brute_force
 
@@ -124,3 +126,19 @@ def test_streamed_enumeration_matches_table(name, n, monkeypatch):
     assert "energy_table" not in obj._cache
     assert (res.c_min, res.c_max) == (table.min(), table.max())
     assert res.argmin == tuple(index_to_bits(int(i), n) for i in np.flatnonzero(table == table.min()))
+
+
+@pytest.mark.parametrize(
+    "obj,indices,bad",
+    [
+        (QuboModel(n=2, terms={(0, 0): 1.0, (1, 1): 2.0}).as_objective(), [4, 5, -1], "4 is outside [0, 2^2)"),
+        (QuboModel(n=2, terms={(0, 0): 1.0}).as_objective(), [[0, 3], [-1, 2]], "-1 is outside [0, 2^2)"),
+        (gen_labs(3).objective, [8, -1], "8 is outside [0, 2^3)"),
+        (gen_labs(3).objective, [-1], "-1 is outside [0, 2^3)"),
+    ],
+)
+def test_out_of_range_indices_are_refused(obj, indices, bad):
+    # Both programs read only bits 0..n-1, so an unchecked index outside
+    # [0, 2^n) would be priced as some other pattern.
+    with pytest.raises(ValueError, match=re.escape(f"pattern index {bad} for {obj.n} variables")):
+        obj.energies_at(np.array(indices))

@@ -20,6 +20,11 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     WarmStart,
+    _apply_generator,
+    _apply_mixer,
+    _apply_phase,
+    _energy_levels,
+    _flip_symmetric,
     _imag_inner,
     anneal_trotter,
     cvar,
@@ -878,6 +883,117 @@ class TestDumpLoad:
             load_statevector(path)
 
 
+# E(x) == E(not x) exactly: cut values, couplings without fields, sidelobes.
+FOLD_CASES = {
+    "ising-n1": lambda: IsingModel(n=1, offset=-0.75).as_objective(),
+    "sk-gaussian-n2": lambda: gen_spin_glass("complete", 2, dist="gaussian", seed=1).objective,
+    "maxcut-r3r-n10": lambda: gen_maxcut_r3r(10, seed=4).objective,
+    "maxcut-r3r-n12": lambda: gen_maxcut_r3r(12, seed=2).objective,
+    "sk-pm1-n7": lambda: gen_spin_glass("complete", 7, dist="pm1", seed=3).objective,
+    "sk-pm1-n8": lambda: gen_spin_glass("complete", 8, dist="pm1", seed=4).objective,
+    "sk-gaussian-n9": lambda: gen_spin_glass("complete", 9, dist="gaussian", seed=5).objective,
+    "sk-gaussian-n10": lambda: gen_spin_glass("complete", 10, dist="gaussian", seed=6).objective,
+    "labs-k7": lambda: gen_labs(7).objective,
+    "labs-k8": lambda: gen_labs(8).objective,
+}
+
+
+def unfolded_run(obj, layers):
+    """The plus-state kernels on all 2^n amplitudes, none of them folded."""
+    levels, level_of = _energy_levels(obj)
+    amps = Statevector.plus(obj.n).amplitudes
+    scratch = np.empty_like(amps)
+    for gamma, beta in layers:
+        _apply_phase(amps, levels, level_of, gamma)
+        _apply_mixer(amps, scratch, obj.n, beta)
+    return amps
+
+
+def unfolded_value_and_gradient(obj, params):
+    """The adjoint value and gradient with every sum over all 2^n products."""
+    n, p = obj.n, params.p
+    table = energy_table(obj)
+    levels, level_of = _energy_levels(obj)
+    psi = unfolded_run(obj, zip(params.gammas, params.betas))
+    value = float((np.abs(psi) ** 2 * table).sum())
+    lam = table * psi
+    scratch = np.empty_like(psi)
+    grad = np.zeros(2 * p)
+    for j in reversed(range(p)):
+        _apply_generator(scratch, psi, n, None)
+        grad[p + j] = -2.0 * float((np.conj(lam) * scratch).imag.sum())
+        _apply_mixer(psi, scratch, n, -params.betas[j])
+        _apply_mixer(lam, scratch, n, -params.betas[j])
+        grad[j] = 2.0 * float((np.conj(lam) * (psi * table)).imag.sum())
+        if j:
+            _apply_phase(psi, levels, level_of, -params.gammas[j])
+            _apply_phase(lam, levels, level_of, -params.gammas[j])
+    return value, grad
+
+
+def hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFlipFold:
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_folded_runs_equal_unfolded_bit_for_bit(self, case):
+        obj = FOLD_CASES[case]()
+        rng = np.random.default_rng(sorted(FOLD_CASES).index(case))
+        for p in (0, 1, 2, 3):
+            params = QaoaParams(p=p, gammas=rng.uniform(-2.0, 2.0, p), betas=rng.uniform(-2.0, 2.0, p))
+            ref = unfolded_run(obj, zip(params.gammas, params.betas))
+            assert qaoa_state(obj, params).amplitudes.tobytes() == ref.tobytes()
+            value, grad = qaoa_value_and_gradient(obj, params)
+            ref_value, ref_grad = unfolded_value_and_gradient(obj, params)
+            assert hex_list([value, *grad]) == hex_list([ref_value, *ref_grad])
+        T, steps = 2.5, 7
+        dt = T / steps
+        lams = [(k + 0.5) / steps for k in range(steps)]
+        ref = unfolded_run(obj, [(dt * lam, dt * (1.0 - lam)) for lam in lams])
+        assert anneal_trotter(obj, T, steps).amplitudes.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_symmetric_families_fold(self, case):
+        # One variable never folds: its half would be a single amplitude.
+        obj = FOLD_CASES[case]()
+        assert _flip_symmetric(obj) is (obj.n >= 2)
+        assert obj._cache["flip_symmetric"] is (obj.n >= 2)
+
+    def test_tables_that_are_not_mirrors_do_not_fold(self, table_objective):
+        linear = QuboModel(n=3, terms={(0, 0): 1.0, (0, 1): -2.0, (1, 2): 0.5}).as_objective()
+        assert not _flip_symmetric(KERNEL_CASES["portfolio"]())
+        assert not _flip_symmetric(linear)
+        table = energy_table(FOLD_CASES["sk-gaussian-n9"]()).copy()
+        assert _flip_symmetric(table_objective(table))
+        table[5] = np.nextafter(table[5], np.inf)
+        assert not _flip_symmetric(table_objective(table))
+        assert not _flip_symmetric(table_objective([1.0]))
+
+    def test_only_plus_starts_on_mirrors_fold(self, monkeypatch):
+        import qopt.simulator as simulator
+
+        sizes = []
+        kernel = simulator._apply_mixer
+
+        def recording(amps, *args):
+            sizes.append(amps.size)
+            kernel(amps, *args)
+
+        monkeypatch.setattr(simulator, "_apply_mixer", recording)
+        params = QaoaParams(p=1, gammas=(0.3,), betas=(-0.4,))
+        mirror, other = FOLD_CASES["maxcut-r3r-n10"](), KERNEL_CASES["portfolio"]()
+        warm = WarmStart(tuple(np.linspace(0.1, 0.9, mirror.n)))
+        for obj, initial, size in ((mirror, "plus", 1 << 9), (mirror, warm, 1 << 10), (other, "plus", 1 << 8)):
+            sizes.clear()
+            qaoa_state(obj, params, initial)
+            qaoa_value_and_gradient(obj, params, initial)
+            assert sizes == [size] * 4
+        sizes.clear()
+        anneal_trotter(mirror, 1.0, 2)
+        assert sizes == [1 << 9] * 2
+
+
 # Prints, as float.hex, everything a 2^14 reduction decides: a mean-mode
 # training (angles, mean energy, evaluation count), CVaR of a state at
 # several alphas, and the pair correlations recursive QAOA reads.
@@ -900,6 +1016,27 @@ print(json.dumps({
 }))
 """
 
+# REPLAY_SCRIPT's output, recorded before the mean-mode kernels were folded
+# onto half the statevector; any drift in the last bit fails the replay.
+REPLAY_PINNED = {
+    "params": ["0x1.ec63dfcb24af4p-2", "0x1.b5e6369bfc795p-1", "0x1.22e35c3413965p-1", "0x1.541aef66220b6p-2"],
+    "mean_energy": "-0x1.fff3d44588456p+3",
+    "evaluations": 212,
+    "cvar": [
+        "-0x1.ffdcdd76486a1p+3", "-0x1.ccb645d363babp+3", "-0x1.bec5c9d4f9311p+3",
+        "-0x1.b3b6bea90c6e5p+3", "-0x1.b385624d3cb0ep+3",
+    ],
+    "pairs": [
+        [0, 3, "-0x1.3b4d69a4b58a0p-2"], [0, 7, "-0x1.3b4d69a4b58a0p-2"], [0, 9, "-0x1.3b4d69a4b58a0p-2"],
+        [1, 2, "-0x1.114d3b1c16dfcp-2"], [1, 6, "-0x1.3b4d69a4b58a0p-2"], [1, 13, "-0x1.114d3b1c16dfcp-2"],
+        [2, 8, "-0x1.3b4d69a4b58a0p-2"], [2, 13, "-0x1.114d3b1c16dfdp-2"], [3, 10, "-0x1.3b4d69a4b58a0p-2"],
+        [3, 12, "-0x1.3b4d69a4b58a0p-2"], [4, 5, "-0x1.114d3b1c16dfdp-2"], [4, 9, "-0x1.3b4d69a4b58a0p-2"],
+        [4, 11, "-0x1.114d3b1c16dfcp-2"], [5, 6, "-0x1.3b4d69a4b58a0p-2"], [5, 11, "-0x1.114d3b1c16dfcp-2"],
+        [6, 8, "-0x1.3b4d69a4b58a0p-2"], [7, 10, "-0x1.3b4d69a4b58a0p-2"], [7, 12, "-0x1.3b4d69a4b58a0p-2"],
+        [8, 12, "-0x1.3b4d69a4b58a0p-2"], [9, 10, "-0x1.3b4d69a4b589fp-2"], [11, 13, "-0x1.3b4d69a4b58a0p-2"],
+    ],
+}
+
 
 class TestFixedOrderReductions:
     @pytest.mark.parametrize("n", [0, 3, 14])
@@ -907,12 +1044,12 @@ class TestFixedOrderReductions:
         rng = np.random.default_rng(n)
         a, b = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) for _ in range(2))
         expected = np.vdot(a, b).imag
-        assert _imag_inner(a, b) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _imag_inner(a, b, n) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_replay_ignores_blas_thread_count(self):
         # OpenBLAS splits a long dot across its threads, which changes the
         # rounding; numpy's sums do not, so one and two threads must agree
-        # bit for bit.
+        # bit for bit, and both with the recorded output.
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = []
         for threads in ("1", "2"):
@@ -925,3 +1062,4 @@ class TestFixedOrderReductions:
             assert proc.returncode == 0, proc.stderr
             outputs.append(json.loads(proc.stdout))
         assert outputs[0] == outputs[1]
+        assert outputs[0] == REPLAY_PINNED
