@@ -25,7 +25,7 @@ from xml.etree import ElementTree
 import numpy as np
 
 from qopt._rng import derive_seed
-from qopt.model import DiagonalObjective, IsingModel, QuboModel, density, ising_to_qubo
+from qopt.model import ENERGY_TOL, DiagonalObjective, IsingModel, QuboModel, density
 from qopt.problems import FAMILIES, ProblemInstance
 from qopt.simulator import energy_table, statevector_cap
 from qopt.solvers import (
@@ -141,7 +141,7 @@ def success_metrics(
             if res.certificate:
                 hit = True
             elif c_min is not None:
-                hit = abs(res.best_energy - c_min) <= 1e-9
+                hit = abs(res.best_energy - c_min) <= ENERGY_TOL
             else:
                 hit = False
         else:
@@ -226,6 +226,7 @@ class BenchmarkConfig:
             object.__setattr__(self, "target", "optimal" if theta is None else ("ar", theta))
         if self.repetitions < 1:
             raise ValueError(f"need at least one repetition, got {self.repetitions}")
+        object.__setattr__(self, "time_limit", float(self.time_limit))
         if not self.time_limit > 0:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if self.jobs < 1:
@@ -245,7 +246,8 @@ class BenchmarkConfig:
 
 
 def _cell_label(kind: str, params: Mapping) -> str:
-    # Semicolon separator keeps labels comma-free so CSV rows stay unquoted.
+    # Semicolons separate parameters; a value with its own commas (a list)
+    # leaves the CSV writer to quote the cell.
     if not params:
         return kind
     inner = ";".join(f"{k}={params[k]}" for k in sorted(params))
@@ -254,9 +256,7 @@ def _cell_label(kind: str, params: Mapping) -> str:
 
 def _density_of(obj: DiagonalObjective) -> float | None:
     src = obj.source
-    if isinstance(src, IsingModel):
-        src = ising_to_qubo(src)
-    if isinstance(src, QuboModel) and src.n >= 2:
+    if isinstance(src, (QuboModel, IsingModel)) and src.n >= 2:
         return density(src)
     return None
 
@@ -448,16 +448,10 @@ def emit_report(records: Sequence[BenchmarkRecord], format: str = "csv", path=No
     Returns the rendered text either way.
     """
     if format == "csv":
-        lines = [CSV_HEADER]
-        for record in records:
-            row = _record_row(record)
-            if any("," in cell or '"' in cell or "\n" in cell for cell in row):
-                buf = io.StringIO()
-                csv.writer(buf, lineterminator="").writerow(row)
-                lines.append(buf.getvalue())
-            else:
-                lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.write(CSV_HEADER + "\n")
+        csv.writer(buf, lineterminator="\n").writerows(_record_row(r) for r in records)
+        text = buf.getvalue()
     elif format == "json":
         text = json.dumps({"records": [record_to_json(r) for r in records]}, indent=2) + "\n"
     else:

@@ -171,17 +171,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     unknown = sorted(set(raw) - {f.name for f in fields(BenchmarkConfig)})
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
-    config = BenchmarkConfig(
-        instances=raw.get("instances", ()),
-        solvers=raw.get("solvers", ()),
-        repetitions=raw.get("repetitions", 1),
-        time_limit=float(raw.get("time_limit", 60.0)),
-        target=raw.get("target"),
-        master_seed=args.seed if args.seed is not None else raw.get("master_seed", 0),
-        jobs=args.jobs if args.jobs is not None else raw.get("jobs", 1),
-        csv_path=args.csv if args.csv is not None else raw.get("csv_path"),
-        json_path=args.json_out if args.json_out is not None else raw.get("json_path"),
-    )
+    flags = {"master_seed": args.seed, "jobs": args.jobs, "csv_path": args.csv, "json_path": args.json_out}
+    config = BenchmarkConfig(**{**raw, **{k: v for k, v in flags.items() if v is not None}})
     if args.deterministic_clock:
         records = run_benchmark(config, clock=lambda: 0.0)
     else:
@@ -193,12 +184,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         emit_junit(records, args.junit, target=config.target)
     if config.csv_path is None:
         sys.stdout.write(csv_text)
-    # With a target set, only a cell above the cap under an AR target is left
-    # unjudged (an error record is judged a failure).
-    unjudged = [r for r in records if config.target is not None and r.success is None]
-    for record in unjudged:
-        print(f"error: {unjudged_reason(record)}", file=sys.stderr)
-    return 1 if unjudged else 0
+    # A cell fails the command when it errored, or when a target is set and
+    # left unjudged: only a cell above the cap under an AR target is.
+    failures = []
+    for record in records:
+        if "error" in record.extras:
+            failures.append(f"cell {record.problem} x {record.algorithm}: {record.extras['error']}")
+        elif config.target is not None and record.success is None:
+            failures.append(unjudged_reason(record))
+    for message in failures:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _records_from_json(payload: dict) -> list:

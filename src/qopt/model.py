@@ -207,17 +207,10 @@ class _Program:
             size *= 2
         return out
 
-    def at(self, indices: np.ndarray) -> np.ndarray:
-        """Replay on packed indices; equal to ``table()[indices]`` element for element."""
-        idx = np.asarray(indices, dtype=np.int64)
-        flat = idx.ravel()
-        out = np.empty(flat.shape, dtype=np.float64)
-        place = np.int64(1) << np.arange(self.n, dtype=np.int64)[:, None]
-        for start in range(0, flat.size, _REPLAY_BLOCK):
-            block = flat[start : start + _REPLAY_BLOCK]
-            ones = (block & place) != 0
-            out[start : start + block.size] = _replay(self.root, self.spin, ones, ~ones)
-        return out.reshape(idx.shape)
+    def at(self, block: np.ndarray) -> np.ndarray:
+        """Replay on a 1-D block of packed indices; equal to ``table()[block]``."""
+        ones = (block & (np.int64(1) << np.arange(self.n, dtype=np.int64)[:, None])) != 0
+        return _replay(self.root, self.spin, ones, ~ones)
 
     def value(self, bits: Sequence[int]) -> float:
         """Replay on one assignment's bits, at any width."""
@@ -388,11 +381,13 @@ class DiagonalObjective:
     This is the shared evaluation contract: QUBO, Ising-view, polynomial, and
     native objectives (for example sequence autocorrelation energies) all
     reduce to it. ``program`` computes the energies: an object with
-    ``table()`` (all ``2^n`` energies in index order), ``at(indices)`` (the
-    energies of packed indices, equal to ``table()[indices]``) and
-    ``value(bits)`` (one assignment, at any width). The model views carry the
-    per-variable program described in the module notes, so the three are one
-    computation and agree bit for bit.
+    ``table()`` (all ``2^n`` energies in index order), ``at(block)`` (the
+    energies of a 1-D int64 block of packed indices, equal to
+    ``table()[block]``) and ``value(bits)`` (one assignment, at any width).
+    :meth:`energies_at` is the only caller of ``at``: it checks the indices
+    and hands them over in blocks of at most ``2^16``. The model views carry
+    the per-variable program described in the module notes, so the three are
+    one computation and agree bit for bit.
 
     ``source`` optionally points at the backing quadratic model so solvers
     can exploit structure.
@@ -428,7 +423,12 @@ class DiagonalObjective:
         outside = (idx < 0) | (idx >> min(self.n, 63) != 0)
         if outside.any():
             raise ValueError(f"pattern index {idx[outside][0]} is outside [0, 2^{self.n}) for {self.n} variables")
-        return self.program.at(idx)
+        # Priced in blocks, so the program's (variable, index) temporaries stay bounded.
+        flat = idx.ravel()
+        out = np.empty(flat.shape, dtype=np.float64)
+        for start in range(0, flat.size, _REPLAY_BLOCK):
+            out[start : start + _REPLAY_BLOCK] = self.program.at(flat[start : start + _REPLAY_BLOCK])
+        return out.reshape(idx.shape)
 
     def table(self) -> np.ndarray:
         """Energies of all ``2^n`` assignments in index order (not cached)."""

@@ -64,7 +64,6 @@ from qopt.model import (
     IsingModel,
     LinearConstraint,
     QuboModel,
-    _REPLAY_BLOCK,
     ising_to_qubo,
     model_to_json,
     penalty_encode,
@@ -393,19 +392,13 @@ class _LabsProgram:
             energy += corr * corr
         return energy
 
-    def at(self, indices: np.ndarray) -> np.ndarray:
-        # Priced in blocks, so the (index, bit) temporaries stay bounded.
-        idx = np.asarray(indices, dtype=np.int64)
-        flat = idx.ravel()
-        energy = np.zeros(flat.shape[0], dtype=np.float64)
-        for start in range(0, flat.size, _REPLAY_BLOCK):
-            block = flat[start : start + _REPLAY_BLOCK]
-            spins = 1.0 - 2.0 * ((block[:, None] >> np.arange(self.k)) & 1)
-            out = energy[start : start + block.size]
-            for j in range(1, self.k):
-                a = np.einsum("mi,mi->m", spins[:, : self.k - j], spins[:, j:])
-                out += a * a
-        return energy.reshape(idx.shape)
+    def at(self, block: np.ndarray) -> np.ndarray:
+        spins = 1.0 - 2.0 * ((block[:, None] >> np.arange(self.k)) & 1)
+        energy = np.zeros(block.size, dtype=np.float64)
+        for j in range(1, self.k):
+            a = np.einsum("mi,mi->m", spins[:, : self.k - j], spins[:, j:])
+            energy += a * a
+        return energy
 
     def value(self, bits: Sequence[int]) -> float:
         return labs_energy(tuple(1 - 2 * b for b in bits))

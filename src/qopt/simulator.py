@@ -84,6 +84,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qopt.model import (
+    ENERGY_TOL,
     DiagonalObjective,
     IsingModel,
     QuboModel,
@@ -364,18 +365,13 @@ class GibbsTable:
     log_z: float
 
 
-def _cached_table(obj: DiagonalObjective) -> np.ndarray | None:
-    # The table energy_table cached on obj, without building one.
-    return obj._cache.get("energy_table")
-
-
 def energy_table(obj: DiagonalObjective) -> np.ndarray:
     """Full 2^n energy table for ``obj``, cached on the objective.
 
     The objective's program builds it; a model view doubles its
     per-variable program into one array.
     """
-    table = _cached_table(obj)
+    table = obj._cache.get("energy_table")
     if table is None:
         _check_cap(obj.n)
         table = obj.table()
@@ -854,7 +850,7 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(out)
 
 
-def ground_state_overlap(sv: Statevector, obj: DiagonalObjective, tol: float = 1e-9) -> float:
+def ground_state_overlap(sv: Statevector, obj: DiagonalObjective, tol: float = ENERGY_TOL) -> float:
     """Probability mass the state puts on the exact argmin set."""
     if sv.n != obj.n:
         raise ValueError(f"state has {sv.n} qubits, objective has {obj.n} variables")

@@ -9,10 +9,11 @@ the same result. ``certificate`` is set only by exhaustive enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     WarmStart,
-    _cached_table,
     _check_cap,
     _energy_order,
     cvar,
@@ -60,7 +60,7 @@ __all__ = [
 # Streaming enumeration tolerates a few qubits beyond the statevector cap
 # since it never materializes amplitudes, only fixed-size energy chunks.
 _STREAM_EXTRA = 4
-_CHUNK_BITS = 20
+_CHUNK_BITS = 20  # a streamed chunk prices 2^20 patterns
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,26 +130,25 @@ def _objective_of(problem) -> DiagonalObjective:
 def brute_force(problem) -> SolveResult:
     """Exact enumeration: spectrum edges and the complete argmin set.
 
-    Reads the :func:`~qopt.simulator.energy_table` whenever it is cached,
-    and builds it when it fits in one chunk under the statevector cap.
-    Otherwise it streams fixed-size chunks, up to a few qubits beyond the
-    cap; a model view prices each chunk by its replay, which equals the
-    table's slice bit for bit.
+    Up to the statevector cap it reads :func:`~qopt.simulator.energy_table`,
+    which builds and caches the table once. Above the cap, up to four qubits
+    further, it streams ``2^20``-pattern chunks priced by ``energies_at``,
+    which equal the table's slices bit for bit, and caches nothing.
     This is the reference oracle every other solver is tested against.
     """
     obj = _objective_of(problem)
-    limit = statevector_cap() + _STREAM_EXTRA
-    if obj.n > limit:
-        raise CapacityError(f"{obj.n} variables exceed the enumeration limit of {limit}")
+    cap = statevector_cap()
+    if obj.n > cap + _STREAM_EXTRA:
+        raise CapacityError(f"{obj.n} variables exceed the enumeration limit of {cap + _STREAM_EXTRA}")
     started = time.perf_counter()
     total = 1 << obj.n
-    chunk = 1 << min(obj.n, _CHUNK_BITS)
     c_min = math.inf
     c_max = -math.inf
     argmin_idx: list[int] = []
-    if _cached_table(obj) is not None or obj.n <= min(statevector_cap(), _CHUNK_BITS):
+    if obj.n <= cap:
         chunks = [(0, energy_table(obj))]
     else:
+        chunk = 1 << _CHUNK_BITS
         chunks = (
             (start, obj.energies_at(np.arange(start, min(start + chunk, total), dtype=np.int64)))
             for start in range(0, total, chunk)
@@ -426,24 +425,15 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     )
 
 
-def _grid_axis(points: int, upper: float) -> np.ndarray:
-    return np.linspace(0.0, upper, points, endpoint=False)
-
-
-def _grid_points(p: int) -> int:
-    if p <= 1:
-        return 8
-    if p == 2:
-        return 4
-    return 2
-
-
-def _angle_grid(p: int) -> np.ndarray:
-    # Rows of (gammas, betas) over [0, pi)^p x [0, pi/2)^p.
-    axis_g = _grid_axis(_grid_points(p), math.pi)
-    axis_b = _grid_axis(_grid_points(p), math.pi / 2)
-    grids = np.meshgrid(*([axis_g] * p + [axis_b] * p), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _angle_grid(p: int) -> Iterator[np.ndarray]:
+    # Rows of (gammas, betas) over [0, pi)^p x [0, pi/2)^p, last angle
+    # fastest, made one at a time: the budget ends the scan long before the
+    # 2^(2p) rows of a deep grid.
+    points = 8 if p <= 1 else 4 if p == 2 else 2
+    axis_g = np.linspace(0.0, math.pi, points, endpoint=False)
+    axis_b = np.linspace(0.0, math.pi / 2, points, endpoint=False)
+    for row in itertools.product(*([axis_g] * p + [axis_b] * p)):
+        yield np.array(row)
 
 
 def _params_of(vec: np.ndarray, p: int | None = None) -> QaoaParams:
@@ -615,6 +605,7 @@ def qaoa_solve(
         grid = _angle_grid(p if objective_mode == "cvar" else 1)
         try:
             if closed_form:
+                grid = np.array(list(grid))
                 for vec, value in zip(grid, qaoa_p1_energy(obj, grid[:, 0], grid[:, 1]).tolist()):
                     spend(1)
                     keep(vec, value)
@@ -762,14 +753,8 @@ def recursive_qaoa(
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     started = time.perf_counter()
     if obj.n <= cutoff:
-        inner = brute_force(obj)
-        return SolveResult(
-            best_assignment=inner.best_assignment,
-            best_energy=inner.best_energy,
-            certificate=True,
-            c_min=inner.c_min,
-            c_max=inner.c_max,
-            argmin=inner.argmin,
+        return replace(
+            brute_force(obj),
             timings={"total": time.perf_counter() - started},
             extras={"substitutions": (), "levels": 0},
         )

@@ -5,6 +5,8 @@ value, and replay determinism is checked on rendered bytes, not just on
 Python equality.
 """
 
+import csv
+import io
 import json
 import math
 from xml.etree import ElementTree
@@ -364,6 +366,20 @@ class TestEmitReport:
             assert data["t_transpile"] == 0.0
             assert data["t_embed"] == 0.0
         assert "t_transpile" not in CSV_HEADER
+
+    def test_labels_with_commas_quotes_and_newlines_read_back(self):
+        # Labels keep whatever a parameter value holds: commas and brackets
+        # from a list, quotes and line breaks from a string.
+        records = [
+            make_record(problem='udmis[points=[[0, 1], [2, 3]];tag="a,b"]', algorithm="annealing"),
+            make_record(algorithm="qaoa[note=two\nlines]"),
+            make_record(),
+        ]
+        rows = list(csv.reader(io.StringIO(emit_report(records, "csv"))))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert [row[:2] for row in rows[1:]] == [[r.problem, r.algorithm] for r in records]
+        plain = emit_report([records[2]], "csv").splitlines()[1].split(",")
+        assert rows[1][2:] == rows[2][2:] == rows[3][2:] == plain[2:]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

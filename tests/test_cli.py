@@ -440,6 +440,24 @@ class TestBench:
         assert failure.get("message") == message and failure.text == message
         assert message.startswith("cell maxcut-r3r[n=26] x annealing[sweeps=5] has 26 variables")
 
+    def test_errored_cells_are_named_and_exit_one(self, tmp_path, capsys):
+        # Misspelled names once reached only the JSON extras, with exit 0.
+        config = write_config(tmp_path, {
+            "instances": [{"family": "labs", "params": {"k": 5, "sed": 1}}],
+            "solvers": [{"algorithm": "anneal"}, {"algorithm": "annealing", "params": {"sweep": 5}}],
+        })
+        json_path = tmp_path / "report.json"
+        assert run_cli(["bench", str(config), "--json", str(json_path)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3  # the report is still written
+        records = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert captured.err.splitlines() == [
+            f"error: cell labs[k=5;sed=1] x {r['algorithm']}: {r['extras']['error']}" for r in records
+        ]
+        assert [r["algorithm"] for r in records] == ["anneal", "annealing[sweep=5]"]
+        assert records[0]["extras"]["error"] == "KeyError: 'anneal'"
+        assert "unexpected keyword argument 'sed'" in records[1]["extras"]["error"]
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, {"instances": [], "solvers": [], "repetitions": 0})
         assert run_cli(["bench", str(config)]) == 1
@@ -615,8 +633,9 @@ def harness_outputs(tmp_path, capsys, monkeypatch) -> dict[str, str]:
             out[name] = getattr(capsys.readouterr(), stream)
 
     config = str(write_config(tmp_path, PINNED_BENCH))
+    # The raising brute-force cells fail the command; its reports are still written.
     run(None, ["bench", config, "--deterministic-clock", "--csv", path("bench.csv"),
-               "--json", path("bench.json"), "--junit", path("bench.xml")])
+               "--json", path("bench.json"), "--junit", path("bench.xml")], 1)
     run("report csv", ["report", path("bench.json"), "--junit", path("report.xml")])
     run("report json", ["report", path("bench.json"), "--format", "json"])
     run("verify", ["verify", "--junit", path("verify.xml")])

@@ -11,6 +11,7 @@ Independent oracles used here:
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,9 +90,10 @@ class TestBruteForce:
             assert set(res.argmin) == set(argmin)
             assert_self_consistent(res, obj)
 
-    def test_streaming_chunks_match_chain_dynamic_program(self):
-        # n=21 forces two enumeration chunks; a DP over the chain is the
-        # independent optimum oracle.
+    def test_streaming_chunks_match_chain_dynamic_program(self, energies_at_calls, monkeypatch):
+        # n=21 above a cap of 20 forces two enumeration chunks; a DP over the
+        # chain is the independent optimum oracle.
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "20")
         n = 21
         rng = np.random.default_rng(5)
         lin = [float(v) for v in rng.normal(size=n)]
@@ -109,6 +111,7 @@ class TestBruteForce:
         dp_min = min(best.values())
 
         res = brute_force(obj)
+        assert energies_at_calls == [1 << 20, 1 << 20]
         assert res.best_energy == pytest.approx(dp_min, abs=1e-9)
         assert_self_consistent(res, obj)
 
@@ -123,18 +126,31 @@ class TestBruteForce:
         assert (second.c_min, second.c_max, second.argmin) == (first.c_min, first.c_max, first.argmin)
         assert np.array_equal(energy_table(obj), obj.energies_at(np.arange(2**9)))
 
-    def test_cached_table_read_above_chunk_size(self, energies_at_calls):
-        # Above 20 variables enumeration streams unless a table is cached;
-        # a cached one is read as it is, with the streamed run's result.
+    def test_cached_table_read_above_chunk_size(self, energies_at_calls, monkeypatch):
+        # Up to the cap a cached table is read as it is, beyond one 2^20
+        # chunk too, with the result of a run streamed under a lower cap.
         obj = gen_maxcut_r3r(22, seed=5).objective
         energy_table(obj)
         cached = brute_force(obj)
         assert energies_at_calls == []
-        streamed = brute_force(gen_maxcut_r3r(22, seed=5).objective)
-        assert energies_at_calls
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "20")
+        streamed_obj = gen_maxcut_r3r(22, seed=5).objective
+        streamed = brute_force(streamed_obj)
+        assert energies_at_calls == [1 << 20] * 4
+        assert "energy_table" not in streamed_obj._cache
         assert (cached.c_min, cached.c_max, cached.argmin, cached.extras) == (
             streamed.c_min, streamed.c_max, streamed.argmin, streamed.extras,
         )
+
+    def test_table_built_and_cached_up_to_default_cap(self, energies_at_calls, monkeypatch):
+        # 22 variables fit under the default cap, so enumeration builds the
+        # table once, caches it and never replays per index.
+        monkeypatch.delenv("QOPT_STATEVECTOR_CAP", raising=False)
+        obj = gen_maxcut_r3r(22, seed=5).objective
+        res = brute_force(obj)
+        assert energies_at_calls == []
+        table = obj._cache["energy_table"]
+        assert res.c_min == table.min() and res.c_max == table.max()
 
     def test_capped_enumeration_streams_beyond_cap(self, monkeypatch):
         # Under a lowered cap the table is only read up to the cap; above it,
@@ -569,6 +585,19 @@ class TestQaoaSolve:
         res = qaoa_solve(random_qubo(6, 5).as_objective(), p=1, objective_mode="cvar", optimizer_budget=100, seed=0)
         assert calls["closed"] == calls["gradient"] == 0
         assert calls["state"] == res.extras["evaluations"] + 1
+
+    def test_deep_cvar_grid_is_made_as_it_is_scored(self):
+        # The p=9 grid has 2^18 rows of 18 angles, about 72 MiB when built
+        # whole; a budget of 20 scores 20 rows, so only those are made.
+        obj = gen_maxcut_r3r(4, seed=0).objective
+        tracemalloc.start()
+        try:
+            res = qaoa_solve(obj, p=9, objective_mode="cvar", optimizer_budget=20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.extras["evaluations"] == 20 and res.extras["budget_exhausted"]
+        assert peak < 2**20
 
     def test_cap_checked_before_training(self, monkeypatch):
         # Above the cap the final state cannot be prepared, so no training
