@@ -25,7 +25,7 @@ from xml.etree import ElementTree
 import numpy as np
 
 from qopt._rng import derive_seed
-from qopt.model import ENERGY_TOL, DiagonalObjective, IsingModel, QuboModel, density
+from qopt.model import ENERGY_TOL, DiagonalObjective, density
 from qopt.problems import FAMILIES, ProblemInstance
 from qopt.simulator import energy_table, statevector_cap
 from qopt.solvers import (
@@ -255,10 +255,8 @@ def _cell_label(kind: str, params: Mapping) -> str:
 
 
 def _density_of(obj: DiagonalObjective) -> float | None:
-    src = obj.source
-    if isinstance(src, (QuboModel, IsingModel)) and src.n >= 2:
-        return density(src)
-    return None
+    spin = obj.spin_model()
+    return density(spin) if spin is not None and spin.n >= 2 else None
 
 
 def _accepts(fn: Callable, name: str) -> bool:
@@ -450,7 +448,12 @@ def emit_report(records: Sequence[BenchmarkRecord], format: str = "csv", path=No
     if format == "csv":
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
-        csv.writer(buf, lineterminator="\n").writerows(_record_row(r) for r in records)
+        # The writer quotes a line feed but not a carriage return, on which
+        # csv.reader also ends a row; a row holding one is quoted whole.
+        minimal = csv.writer(buf, lineterminator="\n")
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in map(_record_row, records):
+            (quoted if any("\r" in cell for cell in row) else minimal).writerow(row)
         text = buf.getvalue()
     elif format == "json":
         text = json.dumps({"records": [record_to_json(r) for r in records]}, indent=2) + "\n"

@@ -434,6 +434,18 @@ class DiagonalObjective:
         """Energies of all ``2^n`` assignments in index order (not cached)."""
         return self.program.table()
 
+    def spin_model(self) -> IsingModel | None:
+        """Spin form of the quadratic source, or None when there is none.
+
+        An Ising view returns its source itself, a QUBO view
+        ``qubo_to_ising(source)``; computed once and cached in ``_cache``.
+        """
+        if "spin_model" not in self._cache:
+            src = self.source
+            spin = qubo_to_ising(src) if isinstance(src, QuboModel) else src
+            self._cache["spin_model"] = spin if isinstance(spin, IsingModel) else None
+        return self._cache["spin_model"]
+
 
 @dataclass(frozen=True)
 class LinearConstraint:
@@ -506,26 +518,19 @@ def qubo_to_ising(q: QuboModel) -> IsingModel:
 
 def ising_to_qubo(m: IsingModel) -> QuboModel:
     """Exact QUBO form of a spin model under ``z = 1 - 2x``."""
-    terms: dict[tuple[int, int], float] = {}
+    entries = []
     offset = m.offset
-
-    def _add(i: int, j: int, c: float) -> None:
-        key = (min(i, j), max(i, j))
-        terms[key] = terms.get(key, 0.0) + c
-
     for i, v in enumerate(m.h):
         if v != 0.0:
             # v*z = v - 2v*x
             offset += v
-            _add(i, i, -2.0 * v)
+            entries.append((i, i, -2.0 * v))
     for (i, j), c in m.J.items():
         # c*z_i*z_j = c (1 - 2x_i - 2x_j + 4 x_i x_j)
         offset += c
-        _add(i, i, -2.0 * c)
-        _add(j, j, -2.0 * c)
-        _add(i, j, 4.0 * c)
-    terms = {k: v for k, v in terms.items() if v != 0.0}
-    return QuboModel(n=m.n, terms=terms, offset=offset)
+        entries += [(i, i, -2.0 * c), (j, j, -2.0 * c), (i, j, 4.0 * c)]
+    terms = QuboModel.from_entries(m.n, entries).terms
+    return QuboModel(n=m.n, terms={k: v for k, v in terms.items() if v != 0.0}, offset=offset)
 
 
 def default_penalty(q: QuboModel) -> float:
@@ -593,24 +598,18 @@ def penalty_encode(cm: ConstrainedModel, penalty: float | None = None) -> QuboMo
             next_var += 1
         rows.append((coeffs, con.bound))
 
-    terms: dict[tuple[int, int], float] = dict(q.terms)
+    entries = [(i, j, c) for (i, j), c in q.terms.items()]
     offset = q.offset
-
-    def _add(i: int, j: int, c: float) -> None:
-        key = (min(i, j), max(i, j))
-        terms[key] = terms.get(key, 0.0) + c
-
     for coeffs, bound in rows:
         # P * (sum_i a_i x_i - b)^2, expanded with x_i^2 = x_i.
         offset += p * bound * bound
         items = sorted(coeffs.items())
         for k, (i, a) in enumerate(items):
-            _add(i, i, p * (a * a - 2.0 * bound * a))
-            for jj, b2 in items[k + 1 :]:
-                _add(i, jj, p * 2.0 * a * b2)
+            entries.append((i, i, p * (a * a - 2.0 * bound * a)))
+            entries += [(i, jj, p * 2.0 * a * b2) for jj, b2 in items[k + 1 :]]
 
-    terms = {k: v for k, v in terms.items() if v != 0.0}
-    return QuboModel(n=next_var, terms=terms, offset=offset)
+    terms = QuboModel.from_entries(next_var, entries).terms
+    return QuboModel(n=next_var, terms={k: v for k, v in terms.items() if v != 0.0}, offset=offset)
 
 
 def density(model: QuboModel | IsingModel) -> float:

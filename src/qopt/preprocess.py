@@ -109,32 +109,27 @@ def fix_variables(q: QuboModel, assignment: Mapping[int, int]) -> QuboModel:
 
     keep = [v for v in range(q.n) if v not in fixed]
     local = {orig: k for k, orig in enumerate(keep)}
-    terms: dict[tuple[int, int], float] = {}
+    entries = []
     offset = q.offset
-
-    def _add(i: int, j: int, c: float) -> None:
-        key = (min(i, j), max(i, j))
-        terms[key] = terms.get(key, 0.0) + c
-
     for (i, j), c in q.terms.items():
         fi, fj = i in fixed, j in fixed
         if i == j:
             if fi:
                 offset += c * fixed[i]
             else:
-                _add(local[i], local[i], c)
+                entries.append((local[i], local[i], c))
         elif fi and fj:
             offset += c * fixed[i] * fixed[j]
         elif fi:
             if fixed[i]:
-                _add(local[j], local[j], c)
+                entries.append((local[j], local[j], c))
         elif fj:
             if fixed[j]:
-                _add(local[i], local[i], c)
+                entries.append((local[i], local[i], c))
         else:
-            _add(local[i], local[j], c)
-    terms = {k: v for k, v in terms.items() if v != 0.0}
-    return QuboModel(n=len(keep), terms=terms, offset=offset)
+            entries.append((local[i], local[j], c))
+    terms = QuboModel.from_entries(len(keep), entries).terms
+    return QuboModel(n=len(keep), terms={k: v for k, v in terms.items() if v != 0.0}, offset=offset)
 
 
 def persistency_pass(q: QuboModel) -> tuple[QuboModel, dict[int, int]]:

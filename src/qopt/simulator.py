@@ -86,11 +86,8 @@ import numpy as np
 from qopt.model import (
     ENERGY_TOL,
     DiagonalObjective,
-    IsingModel,
-    QuboModel,
     bits_to_index,
     index_to_bits,
-    qubo_to_ising,
 )
 
 __all__ = [
@@ -624,7 +621,7 @@ def qaoa_value_and_gradient(
 
 
 def _p1_couplings(obj: DiagonalObjective) -> tuple:
-    """Spin-form arrays of ``obj``'s quadratic source for :func:`qaoa_p1_energy`.
+    """Arrays of ``obj.spin_model()`` for :func:`qaoa_p1_energy`.
 
     Returns the fields ``h``, the symmetric coupling matrix ``J`` (zero
     diagonal), the coupled pairs ``u < v`` in row-major order with their
@@ -634,10 +631,8 @@ def _p1_couplings(obj: DiagonalObjective) -> tuple:
     """
     found = obj._cache.get("p1_couplings")
     if found is None:
-        src = obj.source
-        if isinstance(src, QuboModel):
-            src = qubo_to_ising(src)
-        if not isinstance(src, IsingModel):
+        src = obj.spin_model()
+        if src is None:
             raise TypeError("the p=1 closed form needs a QUBO or Ising source behind the objective")
         n = src.n
         h = np.array(src.h, dtype=np.float64)
@@ -657,11 +652,11 @@ def qaoa_p1_energy(obj: DiagonalObjective, gammas, betas) -> np.ndarray:
 
     ``gammas`` and ``betas`` are equal-length arrays; entry ``k`` of the
     result is ``expectation(qaoa_state(obj, QaoaParams(1, (g_k,), (b_k,))),
-    obj)`` to rounding, with no statevector. ``obj.source`` must be a
-    :class:`~qopt.model.QuboModel` or :class:`~qopt.model.IsingModel`. In spin
-    form ``E = sum h_u Z_u + sum J_uv Z_u Z_v + offset``, and the exact p=1
-    expectations (Ozaeta, van Dam, McMahon, arXiv:2012.03421) are, with
-    products over ``w != u`` and over ``w`` not in ``{u, v}``::
+    obj)`` to rounding, with no statevector. ``obj`` needs a spin form
+    (:meth:`~qopt.model.DiagonalObjective.spin_model`, which QUBO and Ising
+    views have). In it ``E = sum h_u Z_u + sum J_uv Z_u Z_v + offset``, and
+    the exact p=1 expectations (Ozaeta, van Dam, McMahon, arXiv:2012.03421)
+    are, with products over ``w != u`` and over ``w`` not in ``{u, v}``::
 
         <Z_u> = sin 2b' sin(2g h_u) prod cos(2g J_uw)
         <Z_u Z_v> = 1/2 sin 4b' sin(2g J_uv) [cos(2g h_u) prod cos(2g J_uw)

@@ -19,14 +19,7 @@ import numpy as np
 
 from qopt._minimize import lbfgs, nelder_mead
 from qopt._rng import derive_seed
-from qopt.model import (
-    DiagonalObjective,
-    IsingModel,
-    QuboModel,
-    index_to_bits,
-    ising_to_qubo,
-    qubo_to_ising,
-)
+from qopt.model import DiagonalObjective, IsingModel, index_to_bits
 from qopt.problems import ProblemInstance
 from qopt.simulator import (
     CapacityError,
@@ -232,12 +225,12 @@ def _chains(
     """Anneal ``restarts`` independent chains over packed-int states.
 
     A move's energy change is read from ``table``, from the restart's local
-    fields when a QUBO or Ising source is behind ``obj``, or else from
-    ``obj.value``. Returns each chain's best state and its energy (the first
-    reached, on ties).
+    fields when ``obj`` has a spin form, or else from ``obj.value``. Start
+    energies come from ``table`` or ``obj.value``. Returns each chain's best
+    state and its energy (the first reached, on ties).
     """
     n = obj.n
-    fields = neighbours = None
+    fields = None
     if table is not None:
         energy_of = memoryview(table)
         states = rng.integers(0, 1 << n, size=restarts, dtype=np.int64).tolist()
@@ -245,18 +238,27 @@ def _chains(
         energy_of = _ValueByIndex(obj)
         bits = rng.integers(0, 2, size=(restarts, n))
         states = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in bits]
-        src = ising_to_qubo(obj.source) if isinstance(obj.source, IsingModel) else obj.source
-        if isinstance(src, QuboModel):
-            # Local field g_i gives the energy change of flipping bit i as
-            # (1 - 2 x_i) g_i; an accepted flip updates its neighbours' fields.
-            lin, pairs = src.linear_vector(), src.pair_matrix()
-            x = bits.astype(np.float64)
-            xp = x @ pairs
-            fields = (xp + lin).tolist()
-            energies = (src.offset + x @ lin + 0.5 * np.einsum("ri,ri->r", xp, x)).tolist()
-            neighbours = [list(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in pairs]
-    if fields is None:
-        energies = [energy_of[s] for s in states]
+        spin = obj.spin_model()
+        if spin is not None:
+            # With spins z = 1 - 2x, flipping bit v changes the energy by
+            # z_v g_v, where g_v = -2 (h_v + sum_u J_vu z_u) is summed in
+            # adjacency order; the flip then adds 4 J_uv z_v to each g_u.
+            adjacency = [[] for _ in range(n)]
+            for (u, v), c in spin.J.items():
+                if c != 0.0:
+                    adjacency[u].append((v, c))
+                    adjacency[v].append((u, c))
+            fields = []
+            for row in bits.tolist():
+                g = []
+                for h_v, adj in zip(spin.h, adjacency):
+                    acc = h_v
+                    for u, c in adj:
+                        acc = acc - c if row[u] else acc + c
+                    g.append(-2.0 * acc)
+                fields.append(g)
+            neighbours = [[(u, 4.0 * c) for u, c in adj] for adj in adjacency]
+    energies = [energy_of[s] for s in states]
     exp, floor, lo, hi = math.exp, _EXP_FLOOR, _EXP_BAND_LO, _EXP_BAND_HI
     best_states = states[:]
     best_energies = energies[:]
@@ -314,13 +316,16 @@ def simulated_annealing(
     restarts are scheduled. A move's energy change is read from a zero-copy
     view of the cached :func:`~qopt.simulator.energy_table` up to 20
     variables within the statevector cap; above that, from the restart's
-    local fields when the objective has a QUBO or Ising source (an accepted
-    flip updates its neighbours' fields), and otherwise from ``obj.value``.
-    A downhill move is accepted without an exponential. An uphill move
-    compares its uniform ``u`` with ``math.exp(-delta / t)``, except when
-    ``u`` lies within a relative 2^-40 of that value or the value is below
-    1e-300: there numpy's exp, which can differ from ``math.exp`` in the last
-    place, decides.
+    local fields when the objective has a spin form
+    (:meth:`~qopt.model.DiagonalObjective.spin_model`), and otherwise from
+    ``obj.value``. The fields are built from the spin form's coupling
+    lists, so they take O(n + couplings) memory per restart and no BLAS
+    call; an accepted flip updates its neighbours' fields. Off the table,
+    start energies come from ``obj.value``. A downhill move is accepted
+    without an exponential. An uphill move compares its uniform ``u`` with
+    ``math.exp(-delta / t)``, except when ``u`` lies within a relative
+    2^-40 of that value or the value is below 1e-300: there numpy's exp,
+    which can differ from ``math.exp`` in the last place, decides.
 
     A proposal costs O(restarts) interpreter steps, plus the variable's
     degree when a local-field flip is accepted, so many restarts are slow:
@@ -512,10 +517,11 @@ def qaoa_solve(
       below by INTERP and refines them again. If the budget runs out
       below depth ``p``, the best angles found get zero angles for the
       missing layers, which leaves their state unchanged. From the plus
-      state, on an objective with a QUBO or Ising source, depth 1 runs on
-      :func:`~qopt.simulator.qaoa_p1_energy`: one call scores the whole
-      grid, and each p=1 gradient is a complex step through it. Depth 2
-      and up, warm starts and other objectives use the statevector.
+      state, on an objective with a spin form (a QUBO or Ising source),
+      depth 1 runs on :func:`~qopt.simulator.qaoa_p1_energy`: one call
+      scores the whole grid, and each p=1 gradient is a complex step
+      through it. Depth 2 and up, warm starts and other objectives use the
+      statevector.
       ``extras["objective_value"]`` is the final state's mean energy.
     * ``cvar`` (tail mean of seeded samples; every evaluation reuses one
       derived seed so the optimizer sees a fixed landscape) is piecewise
@@ -550,7 +556,7 @@ def qaoa_solve(
     closed_form = (
         objective_mode == "mean"
         and (initial == "plus" or initial is None)
-        and isinstance(obj.source, (QuboModel, IsingModel))
+        and obj.spin_model() is not None
     )
     started = time.perf_counter()
     eval_seed = derive_seed(seed, "cvar-eval")
@@ -664,15 +670,6 @@ class _BudgetDone(Exception):
     """Internal: the evaluation budget ran out mid-optimization."""
 
 
-def _ising_of(obj: DiagonalObjective) -> IsingModel:
-    src = obj.source
-    if isinstance(src, IsingModel):
-        return src
-    if isinstance(src, QuboModel):
-        return qubo_to_ising(src)
-    raise TypeError("recursive reduction needs a quadratic model behind the objective")
-
-
 def _pair_correlations(sv: Statevector, ising: IsingModel) -> dict[tuple[int, int], float]:
     probs = sv.probabilities()
     idx = np.arange(probs.shape[0], dtype=np.int64)
@@ -759,7 +756,9 @@ def recursive_qaoa(
             extras={"substitutions": (), "levels": 0},
         )
 
-    ising = _ising_of(obj)
+    ising = obj.spin_model()
+    if ising is None:
+        raise TypeError("recursive reduction needs a quadratic model behind the objective")
     # original_of[v] maps a current variable index back to the input index.
     original_of = list(range(obj.n))
     substitutions: list[tuple[int, int, int]] = []
@@ -816,9 +815,10 @@ def transfer_parameters(
     """Re-use trained angles on another instance without re-optimizing.
 
     Prepares the target's ansatz state at the source's parameters (plain
-    mixer) and samples it. When the target is small enough to enumerate,
-    the extras report the transferred approximation ratio next to a freshly
-    optimized baseline and their gap; these are reported metrics only.
+    mixer) and samples it. The target fits the statevector, so it can also
+    be enumerated: the extras report the transferred approximation ratio
+    next to a freshly optimized baseline and their gap; these are reported
+    metrics only.
     """
     if source.params is None:
         raise ValueError("source result carries no trained parameters")
@@ -830,24 +830,21 @@ def transfer_parameters(
     best_pattern, best_energy = samples.best()
     extras = {"mean_energy": mean_energy, "source_params": True}
 
-    if obj.n <= statevector_cap():
-        from qopt.bench import approximation_ratio
+    from qopt.bench import approximation_ratio
 
-        exact = brute_force(obj)
-        baseline = qaoa_solve(
-            obj,
-            p=source.params.p,
-            objective_mode="mean",
-            optimizer_budget=400,
-            shots=shots,
-            seed=derive_seed(seed, "transfer-baseline"),
-        )
-        if exact.c_max > exact.c_min:
-            ar_t = approximation_ratio(mean_energy, exact.c_min, exact.c_max).ratio
-            ar_o = approximation_ratio(
-                baseline.extras["mean_energy"], exact.c_min, exact.c_max
-            ).ratio
-            extras.update(ar_transferred=ar_t, ar_optimized=ar_o, ar_gap=ar_o - ar_t)
+    exact = brute_force(obj)
+    baseline = qaoa_solve(
+        obj,
+        p=source.params.p,
+        objective_mode="mean",
+        optimizer_budget=400,
+        shots=shots,
+        seed=derive_seed(seed, "transfer-baseline"),
+    )
+    if exact.c_max > exact.c_min:
+        ar_t = approximation_ratio(mean_energy, exact.c_min, exact.c_max).ratio
+        ar_o = approximation_ratio(baseline.extras["mean_energy"], exact.c_min, exact.c_max).ratio
+        extras.update(ar_transferred=ar_t, ar_optimized=ar_o, ar_gap=ar_o - ar_t)
 
     return SolveResult(
         best_assignment=best_pattern,

@@ -1,12 +1,13 @@
 """Simulated annealing: per-restart chains against the lockstep loops they replaced."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits, ising_to_qubo
+from qopt.model import DiagonalObjective, QuboModel, index_to_bits, ising_to_qubo
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
 from qopt.solvers import _geometric_temperatures, _probe_temperature, simulated_annealing
 
@@ -56,8 +57,11 @@ def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
 def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     """The restart-lockstep local-field loop the chains replaced above 20 variables.
 
-    Dense fields for all restarts are updated with the flipped variable's
-    full coupling row on every proposal, and numpy's exp decides every move.
+    Each start field is -2 (h_v + sum J_vu z_u) of the spin form, its terms
+    added in the order the couplings are listed, and each start energy is
+    ``obj.value``. Dense fields for all restarts are updated with the
+    flipped variable's full QUBO coupling row on every proposal, and numpy's
+    exp decides every move.
     """
     rng = np.random.default_rng(seed)
     if temperatures is None:
@@ -65,12 +69,20 @@ def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
         temps = _geometric_temperatures(t_hot, max(t_hot * 1e-3, 1e-12), sweeps)
     else:
         temps = np.asarray(temperatures, dtype=np.float64)
-    src = ising_to_qubo(obj.source) if isinstance(obj.source, IsingModel) else obj.source
-    lin, pairs, offset = src.linear_vector(), src.pair_matrix(), src.offset
+    spin = obj.spin_model()
+    pairs = ising_to_qubo(spin).pair_matrix()
     n = obj.n
-    x = rng.integers(0, 2, size=(restarts, n)).astype(np.float64)
-    g = x @ pairs + lin
-    energy = offset + x @ lin + 0.5 * np.einsum("ri,ri->r", x @ pairs, x)
+    bits = rng.integers(0, 2, size=(restarts, n))
+    g = np.empty((restarts, n))
+    for r, row in enumerate(bits.tolist()):
+        for v in range(n):
+            acc = spin.h[v]
+            for (a, b), c in spin.J.items():
+                if c != 0.0 and v in (a, b):
+                    acc += c * (1 - 2 * row[a + b - v])
+            g[r, v] = -2.0 * acc
+    energy = np.array([obj.value(row) for row in bits])
+    x = bits.astype(np.float64)
     best_e = energy.copy()
     best_x = x.copy()
     for t in temps:
@@ -163,6 +175,31 @@ def test_field_chains_match_lockstep_reference(family, restarts, schedule):
         assert res.best_energy == energy
         assert res.trace == trace
         assert res.extras == extras
+
+
+@pytest.mark.parametrize("family", ["maxcut-64", "sk-gauss-30"])
+def test_local_fields_build_no_dense_arrays(family, monkeypatch):
+    def refuse(self):
+        raise AssertionError("annealing asked for a dense QUBO array")
+
+    monkeypatch.setattr(QuboModel, "pair_matrix", refuse)
+    monkeypatch.setattr(QuboModel, "linear_vector", refuse)
+    obj = FIELD_CASES[family]().objective
+    res = simulated_annealing(obj, sweeps=5, restarts=3, seed=1)
+    assert res.best_energy == obj.value(res.best_assignment)
+
+
+def test_local_field_memory_is_linear_in_n():
+    # The fields come from coupling lists: an n x n float matrix alone would
+    # take 8 MiB at n=1024.
+    obj = gen_maxcut_r3r(1024, seed=0).objective
+    tracemalloc.start()
+    try:
+        simulated_annealing(obj, sweeps=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_field_path_equals_value_path_on_integer_weights():

@@ -369,17 +369,19 @@ class TestEmitReport:
 
     def test_labels_with_commas_quotes_and_newlines_read_back(self):
         # Labels keep whatever a parameter value holds: commas and brackets
-        # from a list, quotes and line breaks from a string.
+        # from a list, quotes and line breaks (a carriage return too) from a
+        # string.
         records = [
             make_record(problem='udmis[points=[[0, 1], [2, 3]];tag="a,b"]', algorithm="annealing"),
             make_record(algorithm="qaoa[note=two\nlines]"),
+            make_record(algorithm="qaoa[note=a\rb]", problem="mis[tag=c\r\nd]"),
             make_record(),
         ]
         rows = list(csv.reader(io.StringIO(emit_report(records, "csv"))))
         assert rows[0] == CSV_HEADER.split(",")
         assert [row[:2] for row in rows[1:]] == [[r.problem, r.algorithm] for r in records]
-        plain = emit_report([records[2]], "csv").splitlines()[1].split(",")
-        assert rows[1][2:] == rows[2][2:] == rows[3][2:] == plain[2:]
+        plain = emit_report([records[3]], "csv").splitlines()[1].split(",")
+        assert rows[1][2:] == rows[2][2:] == rows[3][2:] == rows[4][2:] == plain[2:]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

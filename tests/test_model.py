@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qopt import model as model_module
 from qopt.model import (
     ConstrainedModel,
     DiagonalObjective,
@@ -23,6 +24,7 @@ from qopt.model import (
     penalty_encode,
     qubo_to_ising,
 )
+from qopt.problems import gen_labs
 
 
 def naive_qubo_energy(n, terms, offset, bits):
@@ -241,6 +243,29 @@ class TestDiagonalObjective:
         table = obj.energies_at(np.arange(8))
         assert list(table) == [0.0, 1.0, 0.0, 1.0, 2.0, 3.0, 2.0, 3.0]
         assert obj._cache == {}
+
+    def test_spin_model_of_each_view(self, monkeypatch):
+        # An Ising view hands back its source; a QUBO view converts once, and
+        # the result equals qubo_to_ising's bit for bit.
+        ising = IsingModel(n=3, h=(0.5, 0.0, -1.0), J={(0, 1): 2.0, (1, 2): -0.25}, offset=1.0)
+        assert ising.as_objective().spin_model() is ising
+        q = random_qubo(np.random.default_rng(16), 6)
+        obj = q.as_objective()
+        calls = []
+        monkeypatch.setattr(model_module, "qubo_to_ising", lambda m: calls.append(m) or qubo_to_ising(m))
+        spin = obj.spin_model()
+        assert obj.spin_model() is spin
+        assert calls == [q]
+
+        def hexed(m):
+            return m.n, [v.hex() for v in m.h], [(k, v.hex()) for k, v in m.J.items()], m.offset.hex()
+
+        assert hexed(spin) == hexed(qubo_to_ising(q))
+
+    def test_spin_model_is_none_without_quadratic_source(self):
+        cubic = IsingModel(n=3, J={(0, 1): 1.0}).as_objective(cubic=[(0, 1, 2, 0.5)])
+        for obj in (gen_labs(5).objective, cubic):
+            assert obj.spin_model() is None
 
 
 def brute_force_min(obj, feasible=None):

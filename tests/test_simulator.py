@@ -996,28 +996,35 @@ class TestFlipFold:
 
 # Prints, as float.hex, everything a 2^14 reduction decides: a mean-mode
 # training (angles, mean energy, evaluation count), CVaR of a state at
-# several alphas, and the pair correlations recursive QAOA reads.
+# several alphas, the pair correlations recursive QAOA reads, and a
+# local-field anneal's best energy and per-restart trace.
 REPLAY_SCRIPT = """
 import json
-from qopt.problems import gen_maxcut_r3r
+from qopt.problems import gen_maxcut_r3r, gen_spin_glass
 from qopt.simulator import QaoaParams, cvar, qaoa_state
-from qopt.solvers import _ising_of, _pair_correlations, qaoa_solve
+from qopt.solvers import _pair_correlations, qaoa_solve, simulated_annealing
 
 inst = gen_maxcut_r3r(14, seed=3)
 res = qaoa_solve(inst, p=2, seed=0)
 obj = inst.objective
 sv = qaoa_state(obj, QaoaParams(p=1, gammas=(0.4,), betas=(0.3,)))
+sk = gen_spin_glass("complete", 30, dist="gaussian", seed=7)
+sa = simulated_annealing(sk, sweeps=6, restarts=3, seed=0)
 print(json.dumps({
     "params": [g.hex() for g in res.params.gammas + res.params.betas],
     "mean_energy": res.extras["mean_energy"].hex(),
     "evaluations": res.extras["evaluations"],
     "cvar": [cvar(sv, a, obj=obj).hex() for a in (0.3, 0.75, 0.9, 0.999, 1.0)],
-    "pairs": sorted([i, j, v.hex()] for (i, j), v in _pair_correlations(sv, _ising_of(obj)).items()),
+    "pairs": sorted([i, j, v.hex()] for (i, j), v in _pair_correlations(sv, obj.spin_model()).items()),
+    "anneal_energy": sa.best_energy.hex(),
+    "anneal_trace": [e.hex() for e in sa.trace],
 }))
 """
 
 # REPLAY_SCRIPT's output, recorded before the mean-mode kernels were folded
-# onto half the statevector; any drift in the last bit fails the replay.
+# onto half the statevector; the anneal entries were recorded once its local
+# fields came from the spin form's coupling lists. Any drift in the last bit
+# fails the replay.
 REPLAY_PINNED = {
     "params": ["0x1.ec63dfcb24af4p-2", "0x1.b5e6369bfc795p-1", "0x1.22e35c3413965p-1", "0x1.541aef66220b6p-2"],
     "mean_energy": "-0x1.fff3d44588456p+3",
@@ -1035,6 +1042,8 @@ REPLAY_PINNED = {
         [6, 8, "-0x1.3b4d69a4b58a0p-2"], [7, 10, "-0x1.3b4d69a4b58a0p-2"], [7, 12, "-0x1.3b4d69a4b58a0p-2"],
         [8, 12, "-0x1.3b4d69a4b58a0p-2"], [9, 10, "-0x1.3b4d69a4b589fp-2"], [11, 13, "-0x1.3b4d69a4b58a0p-2"],
     ],
+    "anneal_energy": "-0x1.8431e5ca26059p+6",
+    "anneal_trace": ["-0x1.5b81dd30ec256p+6", "-0x1.8431e5ca26059p+6", "-0x1.5b81dd30ec256p+6"],
 }
 
 
