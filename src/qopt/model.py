@@ -288,19 +288,6 @@ class QuboModel:
                 lin[i] = c
         return lin
 
-    def pair_matrix(self) -> np.ndarray:
-        """Dense symmetric matrix of pair coefficients with a zero diagonal.
-
-        Entry ``(i, j)`` holds the full coefficient of ``x_i x_j``, so the
-        energy is ``lin . x + (x^T M x) / 2 + offset``.
-        """
-        mat = np.zeros((self.n, self.n), dtype=np.float64)
-        for (i, j), c in self.terms.items():
-            if i != j:
-                mat[i, j] += c
-                mat[j, i] += c
-        return mat
-
     def as_objective(self) -> "DiagonalObjective":
         """Diagonal-objective view of this model (kind ``qubo``)."""
         return DiagonalObjective(n=self.n, kind="qubo", source=self, program=self._program())

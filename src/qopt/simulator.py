@@ -392,22 +392,6 @@ def _energy_levels(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
     return found
 
 
-def _energy_order(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
-    """A stable ascending order of :func:`energy_table` and the table in it.
-
-    Both arrays are cached on the objective next to the table.
-    """
-    found = obj._cache.get("energy_order")
-    if found is None:
-        table = energy_table(obj)
-        order = np.argsort(table, kind="stable")
-        ordered = table[order]
-        order.setflags(write=False)
-        ordered.setflags(write=False)
-        found = obj._cache["energy_order"] = (order, ordered)
-    return found
-
-
 def _flip_symmetric(obj: DiagonalObjective) -> bool:
     """Whether :func:`energy_table` equals its own reverse bit for bit.
 
@@ -747,7 +731,8 @@ def cvar(
     small enough to include a single sample returns the best observed
     energy. For a :class:`Statevector` (with ``obj``), the same tail average
     is taken over the exact distribution, splitting the boundary pattern
-    fractionally.
+    fractionally; each call sorts the cached energy table stably (ties in
+    index order) and caches nothing beside the table.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -764,7 +749,9 @@ def cvar(
             raise ValueError("computing CVaR from a state requires the objective")
         if values.n != obj.n:
             raise ValueError(f"state has {values.n} qubits, objective has {obj.n} variables")
-        order, sorted_e = _energy_order(obj)
+        table = energy_table(obj)
+        order = np.argsort(table, kind="stable")
+        sorted_e = table[order]
         sorted_p = values.probabilities()[order]
         cum = np.cumsum(sorted_p)
         # Everything strictly below the alpha boundary is taken in full, the

@@ -28,7 +28,6 @@ from qopt.simulator import (
     Statevector,
     WarmStart,
     _check_cap,
-    _energy_order,
     cvar,
     energy_table,
     expectation,
@@ -227,7 +226,8 @@ def _chains(
     A move's energy change is read from ``table``, from the restart's local
     fields when ``obj`` has a spin form, or else from ``obj.value``. Start
     energies come from ``table`` or ``obj.value``. Returns each chain's best
-    state and its energy (the first reached, on ties).
+    state (the first reached, on ties) and its energy, read from ``table``
+    or re-priced by ``obj.value``: local-field sums carry rounding.
     """
     n = obj.n
     fields = None
@@ -293,7 +293,7 @@ def _chains(
                 if e < best_e:
                     best_s, best_e = s, e
             states[r], energies[r], best_states[r], best_energies[r] = s, e, best_s, best_e
-    return best_states, best_energies
+    return best_states, [energy_of[s] for s in best_states]
 
 
 def simulated_annealing(
@@ -321,11 +321,13 @@ def simulated_annealing(
     ``obj.value``. The fields are built from the spin form's coupling
     lists, so they take O(n + couplings) memory per restart and no BLAS
     call; an accepted flip updates its neighbours' fields. Off the table,
-    start energies come from ``obj.value``. A downhill move is accepted
-    without an exponential. An uphill move compares its uniform ``u`` with
-    ``math.exp(-delta / t)``, except when ``u`` lies within a relative
-    2^-40 of that value or the value is below 1e-300: there numpy's exp,
-    which can differ from ``math.exp`` in the last place, decides.
+    start energies and each restart's best energy in ``trace`` come from
+    ``obj.value``, so ``min(trace)`` is ``best_energy`` exactly. A downhill
+    move is accepted without an exponential. An uphill move compares its
+    uniform ``u`` with ``math.exp(-delta / t)``, except when ``u`` lies
+    within a relative 2^-40 of that value or the value is below 1e-300:
+    there numpy's exp, which can differ from ``math.exp`` in the last place,
+    decides.
 
     A proposal costs O(restarts) interpreter steps, plus the variable's
     degree when a local-field flip is accepted, so many restarts are slow:
@@ -354,13 +356,10 @@ def simulated_annealing(
         temps = _geometric_temperatures(t_hot, max(t_hot * 1e-3, 1e-12), sweeps)
     best_states, per_restart = _chains(obj, table, temps, restarts, rng)
     winner = per_restart.index(min(per_restart))
-    best_bits = index_to_bits(best_states[winner], n)
-    # Off the table, energies are re-priced: local-field sums carry rounding.
-    best_energy = per_restart[winner] if table is not None else obj.value(best_bits)
 
     return SolveResult(
-        best_assignment=best_bits,
-        best_energy=best_energy,
+        best_assignment=index_to_bits(best_states[winner], n),
+        best_energy=per_restart[winner],
         timings={"total": time.perf_counter() - started},
         trace=tuple(per_restart),
         extras={"sweeps": sweeps, "restarts": restarts, "t_hot": float(temps[0]), "t_cold": float(temps[-1])},
@@ -377,6 +376,13 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     threshold and m resets. Stops when the marked set is empty (the
     threshold then certifiably equals the minimum) or the round budget runs
     out. The threshold trace is strictly decreasing.
+
+    The simulation needs only the marked count and one marked pattern drawn
+    uniformly (Durr & Hoyer, arXiv:quant-ph/9607014). Both are read from the
+    cached :func:`~qopt.simulator.energy_table` and nothing else is cached:
+    the count is recounted after each success, and the pick-th marked
+    pattern in (energy, index) order is found by a partition of the marked
+    energies and a scan of the table for its level, with no sort.
     """
     obj = _objective_of(problem)
     if max_rounds < 1:
@@ -384,7 +390,6 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     started = time.perf_counter()
     table = energy_table(obj)
     n_states = table.shape[0]
-    order, sorted_e = _energy_order(obj)
     rng = np.random.default_rng(seed)
 
     first = int(rng.integers(0, n_states))
@@ -396,10 +401,10 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     marked_empty = False
     rounds_used = 0
     iterations_total = 0
+    count = int(np.count_nonzero(table < threshold))
 
     for _ in range(max_rounds):
         rounds_used += 1
-        count = int(np.searchsorted(sorted_e, threshold, side="left"))
         if count == 0:
             marked_empty = True
             break
@@ -409,8 +414,16 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
         p_success = math.sin((2 * r + 1) * theta) ** 2
         if rng.random() < p_success:
             pick = int(rng.integers(0, count))
-            best_idx = int(order[pick])
+            # The pick-th marked pattern in (energy, index) order: its level
+            # is the pick-th smallest marked energy, and it is the
+            # (pick - below)-th pattern at that level.
+            marked = table[table < threshold]
+            marked.partition(pick)
+            level = marked[pick]
+            below = int(np.count_nonzero(table < level))
+            best_idx = int(np.flatnonzero(table == level)[pick - below])
             threshold = float(table[best_idx])
+            count = below
             thresholds.append(threshold)
             m = 1.0
         else:

@@ -58,10 +58,10 @@ def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     """The restart-lockstep local-field loop the chains replaced above 20 variables.
 
     Each start field is -2 (h_v + sum J_vu z_u) of the spin form, its terms
-    added in the order the couplings are listed, and each start energy is
-    ``obj.value``. Dense fields for all restarts are updated with the
-    flipped variable's full QUBO coupling row on every proposal, and numpy's
-    exp decides every move.
+    added in the order the couplings are listed, and each start energy and
+    each restart's best energy is ``obj.value``. Dense fields for all
+    restarts are updated with the flipped variable's full QUBO coupling row
+    on every proposal, and numpy's exp decides every move.
     """
     rng = np.random.default_rng(seed)
     if temperatures is None:
@@ -70,8 +70,14 @@ def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     else:
         temps = np.asarray(temperatures, dtype=np.float64)
     spin = obj.spin_model()
-    pairs = ising_to_qubo(spin).pair_matrix()
     n = obj.n
+    # Entry (i, j) of the symmetric, zero-diagonal matrix holds the QUBO's
+    # full x_i x_j coefficient: a flip of x_v moves g by row v.
+    pairs = np.zeros((n, n))
+    for (i, j), c in ising_to_qubo(spin).terms.items():
+        if i != j:
+            pairs[i, j] += c
+            pairs[j, i] += c
     bits = rng.integers(0, 2, size=(restarts, n))
     g = np.empty((restarts, n))
     for r, row in enumerate(bits.tolist()):
@@ -97,11 +103,12 @@ def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
             improved = energy < best_e
             best_e = np.where(improved, energy, best_e)
             best_x[improved] = x[improved]
+    # Each restart's best state is re-priced: the summed deltas carry rounding.
+    best_e = np.array([obj.value(tuple(int(b) for b in row)) for row in best_x])
     winner = int(best_e.argmin())
-    best = tuple(int(b) for b in best_x[winner])
     return (
-        best,
-        obj.value(best),
+        tuple(int(b) for b in best_x[winner]),
+        float(best_e[winner]),
         tuple(float(e) for e in best_e),
         {"sweeps": sweeps, "restarts": restarts, "t_hot": float(temps[0]), "t_cold": float(temps[-1])},
     )
@@ -175,6 +182,7 @@ def test_field_chains_match_lockstep_reference(family, restarts, schedule):
         assert res.best_energy == energy
         assert res.trace == trace
         assert res.extras == extras
+        assert min(res.trace) == res.best_energy
 
 
 @pytest.mark.parametrize("family", ["maxcut-64", "sk-gauss-30"])
@@ -182,7 +190,6 @@ def test_local_fields_build_no_dense_arrays(family, monkeypatch):
     def refuse(self):
         raise AssertionError("annealing asked for a dense QUBO array")
 
-    monkeypatch.setattr(QuboModel, "pair_matrix", refuse)
     monkeypatch.setattr(QuboModel, "linear_vector", refuse)
     obj = FIELD_CASES[family]().objective
     res = simulated_annealing(obj, sweeps=5, restarts=3, seed=1)

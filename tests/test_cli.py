@@ -5,6 +5,7 @@ written files; one subprocess case proves the ``python -m qopt`` entry
 point works outside the test harness.
 """
 
+import ast
 import hashlib
 import importlib
 import json
@@ -577,6 +578,33 @@ class TestImports:
         assert {"qopt.model", "qopt.simulator", "qopt.solvers"} <= {mod.__name__ for mod in modules}
         missing = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if not hasattr(mod, name)]
         assert missing == []
+
+    def test_every_private_name_is_used(self):
+        # A module-level private function, class or constant that no other
+        # top-level statement of the package reads (as a name or an
+        # attribute; an import alone does not count) is dead code. Names are
+        # matched by spelling, across modules.
+        paths = sorted((Path(__file__).resolve().parents[1] / "src" / "qopt").glob("*.py"))
+        statements = [(path.stem, stmt) for path in paths for stmt in ast.parse(path.read_text()).body]
+        reads = [
+            {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            for _, stmt in statements
+        ]
+        unused = []
+        for k, (module, stmt) in enumerate(statements):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and not any(name in read for j, read in enumerate(reads) if j != k):
+                    unused.append(f"qopt.{module}.{name}")
+        assert unused == []
 
 
 # A matrix whose report exercises every column kind: a QAOA cell (depth and

@@ -124,9 +124,6 @@ class TestQuboModel:
         q = QuboModel(n=3, terms={(0, 0): 2.0, (0, 1): -1.0, (1, 2): 0.0})
         assert q.quadratic_pairs() == {(0, 1)}
         assert list(q.linear_vector()) == [2.0, 0.0, 0.0]
-        mat = q.pair_matrix()
-        assert mat[0, 1] == mat[1, 0] == -1.0
-        assert mat[0, 0] == 0.0
 
 
 class TestIsingModel:

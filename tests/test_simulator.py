@@ -1023,8 +1023,9 @@ print(json.dumps({
 
 # REPLAY_SCRIPT's output, recorded before the mean-mode kernels were folded
 # onto half the statevector; the anneal entries were recorded once its local
-# fields came from the spin form's coupling lists. Any drift in the last bit
-# fails the replay.
+# fields came from the spin form's coupling lists, and the trace again once
+# each restart's best state was re-priced. Any drift in the last bit fails
+# the replay.
 REPLAY_PINNED = {
     "params": ["0x1.ec63dfcb24af4p-2", "0x1.b5e6369bfc795p-1", "0x1.22e35c3413965p-1", "0x1.541aef66220b6p-2"],
     "mean_energy": "-0x1.fff3d44588456p+3",
@@ -1043,7 +1044,7 @@ REPLAY_PINNED = {
         [8, 12, "-0x1.3b4d69a4b58a0p-2"], [9, 10, "-0x1.3b4d69a4b589fp-2"], [11, 13, "-0x1.3b4d69a4b58a0p-2"],
     ],
     "anneal_energy": "-0x1.8431e5ca26059p+6",
-    "anneal_trace": ["-0x1.5b81dd30ec256p+6", "-0x1.8431e5ca26059p+6", "-0x1.5b81dd30ec256p+6"],
+    "anneal_trace": ["-0x1.5b81dd30ec254p+6", "-0x1.8431e5ca26059p+6", "-0x1.5b81dd30ec254p+6"],
 }
 
 

@@ -279,8 +279,9 @@ def grover_probability_oracle(n, marked, r):
 
 
 def grover_reference(obj, max_rounds=128, seed=0):
-    """The search with the stable sort it ran on every call before the order
-    was cached; returns (best index, best energy, trace, extras)."""
+    """The search on a stable sort of the table, as it ran before the marked
+    pattern was found without one; returns (best index, best energy, trace,
+    extras)."""
     table = energy_table(obj)
     n_states = table.shape[0]
     order = np.argsort(table, kind="stable")
@@ -313,6 +314,18 @@ def grover_reference(obj, max_rounds=128, seed=0):
             m = min(m * 8.0 / 7.0, m_cap)
     extras = {"rounds_used": rounds_used, "marked_set_empty": marked_empty, "grover_iterations": iterations_total}
     return best_idx, float(table[best_idx]), tuple(thresholds), extras
+
+
+def signed_zero_qubo():
+    """Small integer weights on 6 of 10 variables and a -0.0 offset: the
+    minimum is zero, 32 patterns price to -0.0 and 16 to 0.0, so searches
+    end on ties of both signs."""
+    rng = np.random.default_rng(21)
+    terms = {(i, j): float(rng.integers(-2, 3)) for i in range(6) for j in range(i, 6) if rng.random() < 0.5}
+    obj = QuboModel(n=10, terms=terms, offset=-0.0).as_objective()
+    table = energy_table(obj)
+    assert table.min() == 0.0 and set(np.signbit(table[table == 0.0]).tolist()) == {False, True}
+    return obj
 
 
 class TestGroverAdaptiveSearch:
@@ -359,23 +372,30 @@ class TestGroverAdaptiveSearch:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: gen_maxcut_r3r(12, seed=3),
-            lambda: gen_spin_glass("complete", 10, dist="gaussian", seed=2),
-            lambda: gen_labs(11),
-            lambda: gen_portfolio(9, 3, seed=1),
+            lambda: gen_maxcut_r3r(12, seed=3).objective,
+            lambda: gen_spin_glass("complete", 10, dist="gaussian", seed=2).objective,
+            lambda: gen_spin_glass("complete", 11, dist="pm1", seed=2).objective,
+            lambda: gen_labs(10).objective,
+            lambda: gen_labs(11).objective,
+            lambda: gen_labs(12).objective,
+            lambda: gen_portfolio(9, 3, seed=1).objective,
+            signed_zero_qubo,
         ],
-        ids=["maxcut", "sk-gauss", "labs", "portfolio"],
+        ids=["maxcut", "sk-gauss", "sk-pm1", "labs-10", "labs", "labs-12", "portfolio", "signed-zero"],
     )
-    def test_cached_order_matches_per_call_sort(self, make):
-        obj = make().objective
-        for seed in range(4):
-            for max_rounds in (1, 5, 128):
-                want_idx, want_e, want_trace, want_extras = grover_reference(obj, max_rounds, seed)
+    def test_matches_stable_sort_reference(self, make):
+        # Energies are compared as float.hex, so that a -0.0 and a 0.0
+        # threshold differ; the table is the only array left cached.
+        obj = make()
+        for seed in range(10):
+            for max_rounds in (1, 6, 128):
                 res = grover_adaptive_search(obj, max_rounds=max_rounds, seed=seed)
+                want_idx, want_e, want_trace, want_extras = grover_reference(obj, max_rounds, seed)
                 assert res.best_assignment == index_to_bits(want_idx, obj.n)
-                assert res.best_energy == want_e
-                assert res.trace == want_trace
+                assert res.best_energy.hex() == want_e.hex()
+                assert [e.hex() for e in res.trace] == [e.hex() for e in want_trace]
                 assert res.extras == want_extras
+                assert list(obj._cache) == ["energy_table"]
 
     def test_replay_deterministic(self):
         obj = random_qubo(8, 77).as_objective()
