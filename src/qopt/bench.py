@@ -49,7 +49,6 @@ __all__ = [
     "run_benchmark",
     "emit_report",
     "emit_junit",
-    "unjudged_reason",
     "CSV_HEADER",
 ]
 
@@ -154,7 +153,7 @@ def success_metrics(
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BenchmarkRecord:
     """One benchmark cell: an instance/solver pair aggregated over reps.
 
@@ -162,25 +161,28 @@ class BenchmarkRecord:
     each repetition's mean sampled energy and ``ar_best`` its best sample,
     both None when the instance is too large to enumerate. ``success`` is
     None without a target, and also for an AR target on such an instance,
-    which has no range to judge against. The transpile
+    which has no range to judge against; that cell's one-line reason is
+    ``extras["unjudged"]``. A cell whose generator or solver raised keeps
+    the message as ``extras["error"]``, and its measured fields keep their
+    defaults (0 variables, no metrics, zero stage timings). The transpile
     and embed fields exist for schema compatibility with hardware report
     rows and are always zero here; they appear in JSON but not CSV.
     """
 
     problem: str
     algorithm: str
-    variables: int
-    density: float | None
-    ar_mean: float | None
-    ar_best: float | None
-    depth: int | None
-    shots: int | None
+    variables: int = 0
+    density: float | None = None
+    ar_mean: float | None = None
+    ar_best: float | None = None
+    depth: int | None = None
+    shots: int | None = None
     seed: int
-    t_generate: float
-    t_preprocess: float
-    t_compile: float
-    t_execute: float
-    t_post: float
+    t_generate: float = 0.0
+    t_preprocess: float = 0.0
+    t_compile: float = 0.0
+    t_execute: float = 0.0
+    t_post: float = 0.0
     t_total: float
     t_transpile: float = 0.0
     t_embed: float = 0.0
@@ -259,10 +261,6 @@ def _density_of(obj: DiagonalObjective) -> float | None:
     return density(spin) if spin is not None and spin.n >= 2 else None
 
 
-def _accepts(fn: Callable, name: str) -> bool:
-    return name in inspect.signature(fn).parameters
-
-
 def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mapping, clock) -> BenchmarkRecord:
     family = inst_entry.get("family", "?")
     inst_params = dict(inst_entry.get("params", {}))
@@ -276,8 +274,9 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
     try:
         generator = GENERATORS[family]
         solver = SOLVERS[algorithm]
-        if _accepts(generator, "seed"):
+        if "seed" in inspect.signature(generator).parameters:
             inst_params.setdefault("seed", derive_seed(config.master_seed, problem_label) % (1 << 32))
+        accepted = inspect.signature(solver).parameters
 
         t0 = clock()
         instance = generator(**inst_params)
@@ -290,16 +289,11 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
             energy_table(obj)
         t_compile = clock() - t0
 
-        effective = dict(solver_params)
-        for pname, p in inspect.signature(solver).parameters.items():
-            if pname not in effective and p.default is not inspect.Parameter.empty:
-                effective[pname] = p.default
-
         t0 = clock()
         results = []
         for rep in range(config.repetitions):
             run_params = dict(solver_params)
-            if _accepts(solver, "seed"):
+            if "seed" in accepted:
                 run_params.setdefault(
                     "seed", derive_seed(config.master_seed, problem_label, algorithm_label, rep)
                 )
@@ -307,9 +301,7 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
         t_execute = clock() - t0
 
         t0 = clock()
-        ar_mean = ar_best = None
-        success = None
-        c_min = c_max = None
+        ar_mean = ar_best = success = c_min = c_max = None
         mean_energies = [float(r.extras.get("mean_energy", r.best_energy)) for r in results]
         if enumerable:
             reference = brute_force(obj)
@@ -319,58 +311,55 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
                 best_ars = [approximation_ratio(r.best_energy, c_min, c_max).ratio for r in results]
                 ar_mean = sum(mean_ars) / len(mean_ars)
                 ar_best = max(best_ars)
+        extras = {
+            "repetitions": config.repetitions,
+            "best_energies": [r.best_energy for r in results],
+            "mean_energies": mean_energies,
+            "c_min": c_min,
+            "c_max": c_max,
+        }
         # An AR target is judged against the enumerated range, so a cell above
-        # the cap keeps its results and leaves ``success`` unset.
+        # the cap keeps its results, leaves ``success`` unset and says why.
         if config.target == "optimal" or (config.target is not None and enumerable):
             metrics = success_metrics(results, config.target, config.time_limit, c_min, c_max)
             success = metrics["success_rate"] == 1.0
+        elif config.target is not None:
+            extras["unjudged"] = (
+                f"cell {problem_label} x {algorithm_label} has {obj.n} variables, "
+                f"above the statevector cap of {statevector_cap()}, so its AR target cannot be judged"
+            )
         t_post = clock() - t0
 
-        return BenchmarkRecord(
-            problem=problem_label,
-            algorithm=algorithm_label,
+        # The solver ran, so a parameter it takes without a default was given.
+        depth, shots = (
+            solver_params.get(name, accepted[name].default) if name in accepted else None
+            for name in ("p", "shots")
+        )
+        measured = dict(
             variables=obj.n,
             density=_density_of(obj),
             ar_mean=ar_mean,
             ar_best=ar_best,
-            depth=effective.get("p") if _accepts(solver, "p") else None,
-            shots=effective.get("shots") if _accepts(solver, "shots") else None,
-            seed=cell_seed,
+            depth=depth,
+            shots=shots,
             t_generate=t_generate,
-            t_preprocess=0.0,
             t_compile=t_compile,
             t_execute=t_execute,
             t_post=t_post,
-            t_total=clock() - cell_start,
-            success=success,
-            extras={
-                "repetitions": config.repetitions,
-                "best_energies": [r.best_energy for r in results],
-                "mean_energies": mean_energies,
-                "c_min": c_min,
-                "c_max": c_max,
-            },
         )
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the matrix
-        return BenchmarkRecord(
-            problem=problem_label,
-            algorithm=algorithm_label,
-            variables=0,
-            density=None,
-            ar_mean=None,
-            ar_best=None,
-            depth=None,
-            shots=None,
-            seed=cell_seed,
-            t_generate=0.0,
-            t_preprocess=0.0,
-            t_compile=0.0,
-            t_execute=0.0,
-            t_post=0.0,
-            t_total=clock() - cell_start,
-            success=False if config.target is not None else None,
-            extras={"error": f"{type(exc).__name__}: {exc}"},
-        )
+        measured = {}
+        success = False if config.target is not None else None
+        extras = {"error": f"{type(exc).__name__}: {exc}"}
+    return BenchmarkRecord(
+        problem=problem_label,
+        algorithm=algorithm_label,
+        seed=cell_seed,
+        t_total=clock() - cell_start,
+        success=success,
+        extras=extras,
+        **measured,
+    )
 
 
 def run_benchmark(config: BenchmarkConfig, clock: Callable[[], float] = time.perf_counter) -> list[BenchmarkRecord]:
@@ -462,30 +451,24 @@ def emit_report(records: Sequence[BenchmarkRecord], format: str = "csv", path=No
     return _write(text, path)
 
 
-def unjudged_reason(record: BenchmarkRecord) -> str:
-    """Why a cell's AR target was left unjudged: it lies above the cap."""
-    return (
-        f"cell {record.problem} x {record.algorithm} has {record.variables} variables, "
-        f"above the statevector cap of {statevector_cap()}, so its AR target cannot be judged"
-    )
-
-
-def emit_junit(records: Sequence[BenchmarkRecord], path=None, target=None) -> str:
+def emit_junit(records: Sequence[BenchmarkRecord], path=None) -> str:
     """JUnit-style XML summary: one testcase per record.
 
-    A record fails its testcase when its success flag is False or its cell
-    recorded an error. Given the config's ``target``, a record the target
-    could not judge (``success`` None) fails too, with
-    :func:`unjudged_reason`; records without a target count as passing.
+    A record fails its testcase when its cell recorded an error, missed its
+    target (``success`` False), or left its target unjudged
+    (``extras["unjudged"]``, whose reason is the failure message). The
+    record alone decides, so a report re-rendered from JSON fails the same
+    cases as the run that wrote it.
     """
     cases = []
     for record in records:
         attributes = {"classname": record.problem, "name": record.algorithm, "time": str(record.t_total)}
         error = record.extras.get("error")
+        unjudged = record.extras.get("unjudged")
         if record.success is False or error is not None:
             failure = (str(error or "target missed"), str(error or f"ar_best={record.ar_best}"))
-        elif target is not None and record.success is None:
-            failure = (unjudged_reason(record),) * 2
+        elif unjudged is not None:
+            failure = (unjudged, unjudged)
         else:
             failure = None
         cases.append((attributes, failure))

@@ -26,7 +26,6 @@ from qopt.bench import (
     emit_junit,
     emit_report,
     run_benchmark,
-    unjudged_reason,
 )
 from qopt.problems import FAMILIES, Flag, instance_from_json, instance_to_json
 from qopt.solvers import solve_result_to_json
@@ -181,24 +180,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if config.json_path:
         emit_report(records, "json", config.json_path)
     if args.junit:
-        emit_junit(records, args.junit, target=config.target)
+        emit_junit(records, args.junit)
     if config.csv_path is None:
         sys.stdout.write(csv_text)
-    # A cell fails the command when it errored, or when a target is set and
-    # left unjudged: only a cell above the cap under an AR target is.
+    # A cell fails the command when it errored or left its target unjudged.
     failures = []
     for record in records:
         if "error" in record.extras:
             failures.append(f"cell {record.problem} x {record.algorithm}: {record.extras['error']}")
-        elif config.target is not None and record.success is None:
-            failures.append(unjudged_reason(record))
+        elif "unjudged" in record.extras:
+            failures.append(record.extras["unjudged"])
     for message in failures:
         print(f"error: {message}", file=sys.stderr)
     return 1 if failures else 0
 
 
 def _records_from_json(payload: dict) -> list:
-    return [BenchmarkRecord(**data) for data in payload["records"]]
+    # Most record fields have defaults, so a key left out would otherwise
+    # read back silently as a failed cell's value.
+    names = [f.name for f in fields(BenchmarkRecord)]
+    records = []
+    for k, data in enumerate(payload["records"]):
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ValueError(f"record {k} lacks key {missing[0]!r}")
+        unknown = [key for key in data if key not in names]
+        if unknown:
+            raise ValueError(f"record {k} has unknown key {unknown[0]!r}")
+        records.append(BenchmarkRecord(**data))
+    return records
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -282,18 +292,18 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
             for _ in range(5)
         ]
         fields = tuple(float(v) for v in rng.normal(size=n))
-        objectives = (
-            random_qubo(n, rng).as_objective(),
-            IsingModel(n=n, h=fields, J=pairs, offset=0.5).as_objective(),
-            IsingModel(n=n, J=pairs).as_objective(cubic),
-        )
-        for obj in objectives:
+        objectives = {
+            "QUBO": random_qubo(n, rng).as_objective(),
+            "Ising with fields": IsingModel(n=n, h=fields, J=pairs, offset=0.5).as_objective(),
+            "cubic Ising": IsingModel(n=n, J=pairs).as_objective(cubic),
+        }
+        for name, obj in objectives.items():
             table = energy_table(obj)
             idx = rng.integers(0, 1 << n, size=200)
             if not np.array_equal(obj.energies_at(idx), table[idx]):
-                raise AssertionError(f"{obj.kind} replay differs from its table")
+                raise AssertionError(f"{name} replay differs from its table")
             if any(obj.value(index_to_bits(int(i), n)) != table[i] for i in idx):
-                raise AssertionError(f"{obj.kind} value() differs from its table")
+                raise AssertionError(f"{name} value() differs from its table")
 
     check("energy tables equal their per-index replay", replay_equals_table)
 
@@ -355,14 +365,18 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
             J={(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)},
             offset=0.5,
         )
-        for obj in (gen_maxcut_r3r(12, seed=seed).objective, with_fields.as_objective()):
+        objectives = {
+            "maxcut": gen_maxcut_r3r(12, seed=seed).objective,
+            "Ising with fields": with_fields.as_objective(),
+        }
+        for name, obj in objectives.items():
             scale = max(1.0, float(np.abs(energy_table(obj)).max()))
             gammas, betas = rng.uniform(-math.pi, math.pi, (2, 5))
             closed = qaoa_p1_energy(obj, gammas, betas)
             for g, b, want in zip(gammas, betas, closed):
                 got = expectation(qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,))), obj)
                 if abs(got - want) > 1e-12 * scale:
-                    raise AssertionError(f"{obj.kind} closed form {want!r} vs statevector {got!r} at {(g, b)}")
+                    raise AssertionError(f"{name} closed form {want!r} vs statevector {got!r} at {(g, b)}")
 
     check("p=1 closed form equals the statevector (maxcut, Ising with fields, 1e-12)", p1_closed_form)
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -289,8 +289,8 @@ class QuboModel:
         return lin
 
     def as_objective(self) -> "DiagonalObjective":
-        """Diagonal-objective view of this model (kind ``qubo``)."""
-        return DiagonalObjective(n=self.n, kind="qubo", source=self, program=self._program())
+        """Diagonal-objective view of this model, with itself as ``source``."""
+        return DiagonalObjective(n=self.n, source=self, program=self._program())
 
 
 @dataclass(frozen=True)
@@ -351,14 +351,14 @@ class IsingModel:
         return _compile(self.n, True, self.offset, monomials)
 
     def as_objective(self, cubic: Sequence[tuple[int, int, int, float]] = ()) -> "DiagonalObjective":
-        """Diagonal-objective view over bits via ``z = 1 - 2x`` (kind ``ising-view``).
+        """Diagonal-objective view over bits via ``z = 1 - 2x``, with itself as ``source``.
 
         ``cubic`` adds ``w z_a z_b z_c`` for each ``(a, b, c, w)``; the view
-        is then a polynomial (kind ``pubo``) with no quadratic source.
+        is then a polynomial with no quadratic source.
         """
         if cubic:
-            return DiagonalObjective(n=self.n, kind="pubo", program=self._program(cubic))
-        return DiagonalObjective(n=self.n, kind="ising-view", source=self, program=self._program())
+            return DiagonalObjective(n=self.n, program=self._program(cubic))
+        return DiagonalObjective(n=self.n, source=self, program=self._program())
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,19 +380,14 @@ class DiagonalObjective:
     can exploit structure.
     """
 
-    KINDS: ClassVar[tuple[str, ...]] = ("qubo", "ising-view", "pubo", "native")
-
     n: int
     program: object = field(repr=False)
-    kind: str = "native"
     source: object | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"variable count must be a non-negative integer, got {self.n!r}")
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}; expected one of {self.KINDS}")
 
     def value(self, x: Sequence[int]) -> float:
         """Energy of one assignment; raises on length or bit-range mismatch."""

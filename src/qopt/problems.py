@@ -408,7 +408,7 @@ def _build_labs(raw: Mapping, meta: Mapping) -> _Built:
     k = int(raw["k"])
     if k < 2:
         raise ValueError(f"sequence length must be at least 2, got {k}")
-    return DiagonalObjective(n=k, kind="native", program=_LabsProgram(k)), None
+    return DiagonalObjective(n=k, program=_LabsProgram(k)), None
 
 
 def gen_labs(k: int) -> ProblemInstance:
@@ -809,7 +809,7 @@ def instance_from_json(data: Mapping) -> ProblemInstance:
     """Rebuild an instance from its envelope via the family's ``build``.
 
     The raw payload is compiled by the same code the generators use, so
-    objective kind, constrained form, and energies all round-trip exactly.
+    objective source, constrained form, and energies all round-trip exactly.
     A stored ``model`` or ``constrained`` block must equal the rebuilt one;
     an edited or stale envelope raises ``ValueError``.
     """

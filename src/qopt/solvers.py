@@ -698,40 +698,27 @@ def _pair_correlations(sv: Statevector, ising: IsingModel) -> dict[tuple[int, in
 def _substitute_spin(ising: IsingModel, i: int, j: int, sign: int) -> IsingModel:
     """Eliminate spin j by the relation z_j = sign * z_i, reindexing above j."""
 
-    def remap(v: int) -> int:
-        return v - 1 if v > j else v
+    def image(v: int) -> tuple[int, int]:
+        # The new index of spin v and the sign its value carries there.
+        return (i - (i > j), sign) if v == j else (v - (v > j), 1)
 
-    h = list(ising.h)
     offset = ising.offset
     new_h = [0.0] * (ising.n - 1)
     couplings: dict[tuple[int, int], float] = {}
-
-    def add_pair(a: int, b: int, c: float) -> None:
-        if a == b:
-            nonlocal offset
-            offset += c
-            return
-        key = (min(a, b), max(a, b))
-        couplings[key] = couplings.get(key, 0.0) + c
-
-    for v, hv in enumerate(h):
-        if hv == 0.0:
-            continue
-        if v == j:
-            new_h[remap(i)] += sign * hv
-        else:
-            new_h[remap(v)] += hv
+    for v, hv in enumerate(ising.h):
+        if hv != 0.0:
+            k, s = image(v)
+            new_h[k] += s * hv
     for (a, b), c in ising.J.items():
         if c == 0.0:
             continue
-        if a == j and b == j:
-            offset += c
-        elif a == j:
-            add_pair(remap(i), remap(b), sign * c)
-        elif b == j:
-            add_pair(remap(a), remap(i), sign * c)
+        (a, sa), (b, sb) = image(a), image(b)
+        # Keys have a < b, so at most one end is j; z_i z_i = 1 folds into the offset.
+        if a == b:
+            offset += sa * sb * c
         else:
-            add_pair(remap(a), remap(b), c)
+            key = (min(a, b), max(a, b))
+            couplings[key] = couplings.get(key, 0.0) + sa * sb * c
     couplings = {k: v for k, v in couplings.items() if v != 0.0}
     return IsingModel(n=ising.n - 1, h=tuple(new_h), J=couplings, offset=offset)
 

@@ -124,6 +124,11 @@ class TestSuccessMetrics:
         assert out["success_rate"] == 0.0
         assert out["time_to_target"] is None
 
+    def test_optimal_target_without_certificate_or_reference(self):
+        results = [timed_result(0.0, 0.1) for _ in range(2)]
+        out = success_metrics(results, "optimal", time_limit=60.0)
+        assert out == {"success_rate": 0.0, "time_to_target": None}
+
     def test_sa_repetitions_match_hand_recount(self):
         inst = gen_spin_glass("complete", 16, dist="gaussian", seed=2)
         ref = brute_force(inst)
@@ -412,6 +417,14 @@ class TestEmitJunit:
         assert cases[0].find("failure") is None
         assert cases[1].find("failure") is not None
         assert "boom" in cases[2].find("failure").get("message")
+
+    def test_unjudged_record_fails_with_its_reason(self):
+        reason = "cell p x a has 30 variables, above the statevector cap of 24, so its AR target cannot be judged"
+        unjudged = make_record(variables=30, ar_mean=None, ar_best=None, extras={"unjudged": reason})
+        root = ElementTree.fromstring(emit_junit([make_record(), unjudged]))
+        assert root.get("failures") == "1"
+        failure = root.findall("testcase")[1].find("failure")
+        assert failure.get("message") == failure.text == reason
 
     def test_writes_to_path(self, tmp_path):
         out = tmp_path / "junit.xml"

@@ -441,6 +441,25 @@ class TestBench:
         assert failure.get("message") == message and failure.text == message
         assert message.startswith("cell maxcut-r3r[n=26] x annealing[sweeps=5] has 26 variables")
 
+    def test_unjudged_verdict_travels_with_the_record(self, tmp_path, capsys, monkeypatch):
+        # ``report`` has no target to go by, yet fails the same JUnit case as
+        # ``bench``: the reason is stored on the record when the cell runs.
+        monkeypatch.delenv("QOPT_STATEVECTOR_CAP", raising=False)
+        config = write_config(tmp_path, {
+            "instances": [{"family": "maxcut-r3r", "params": {"n": 26}}],
+            "solvers": [{"algorithm": "annealing", "params": {"sweeps": 5}}],
+            "target": ["ar", 0.9],
+        })
+        json_path, bench_xml, report_xml = (tmp_path / name for name in ("r.json", "bench.xml", "report.xml"))
+        assert run_cli(["bench", str(config), "--json", str(json_path), "--junit", str(bench_xml)]) == 1
+        stderr = capsys.readouterr().err
+        (record,) = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert stderr == f"error: {record['extras']['unjudged']}\n"
+        assert run_cli(["report", str(json_path), "--junit", str(report_xml)]) == 0
+        capsys.readouterr()
+        assert report_xml.read_bytes() == bench_xml.read_bytes()
+        assert ElementTree.parse(report_xml).getroot().get("failures") == "1"
+
     def test_errored_cells_are_named_and_exit_one(self, tmp_path, capsys):
         # Misspelled names once reached only the JSON extras, with exit 0.
         config = write_config(tmp_path, {
@@ -495,6 +514,28 @@ class TestReport:
         assert json.loads(capsys.readouterr().out) == json.loads(
             json_path.read_text(encoding="utf-8")
         )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda record: record.pop("success"), "record 1 lacks key 'success'"),
+            (lambda record: record.pop("variables"), "record 1 lacks key 'variables'"),
+            (lambda record: record.update(colour="red"), "record 1 has unknown key 'colour'"),
+        ],
+        ids=["no-success", "no-variables", "extra-key"],
+    )
+    def test_record_keys_are_checked(self, tmp_path, capsys, edit, message):
+        # A left-out key once read back silently as its default, or failed
+        # on a raw TypeError.
+        _, json_path = self.run_small_bench(tmp_path)
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+        edit(payload["records"][1])
+        json_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["report", str(json_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_junit_flag_writes_xml(self, tmp_path, capsys):
         _, json_path = self.run_small_bench(tmp_path)

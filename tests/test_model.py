@@ -208,8 +208,8 @@ class TestConversions:
         q = random_qubo(rng, 5)
         obj_q = q.as_objective()
         obj_i = qubo_to_ising(q).as_objective()
-        assert obj_q.kind == "qubo"
-        assert obj_i.kind == "ising-view"
+        assert isinstance(obj_q.source, QuboModel)
+        assert isinstance(obj_i.source, IsingModel)
         for bits in all_bits(5):
             assert obj_i.value(bits) == pytest.approx(obj_q.value(bits), abs=1e-9)
 
@@ -219,13 +219,9 @@ class TestDiagonalObjective:
         # A bare program backs an objective with no quadratic source.
         program = QuboModel(n=3, terms={(i, i): 1.0 for i in range(3)}).as_objective().program
         obj = DiagonalObjective(n=3, program=program)
-        assert (obj.kind, obj.source) == ("native", None)
+        assert obj.source is None
         assert obj.value((1, 0, 1)) == 2.0
         assert obj.table().tolist() == [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            DiagonalObjective(n=1, program=QuboModel(n=1).as_objective().program, kind="mystery")
 
     def test_rejects_non_finite_energy(self):
         # 1e308 + 1e308 overflows to inf in the replay of the set bit.

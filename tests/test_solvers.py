@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
-from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
+from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import CapacityError, QaoaParams, WarmStart, energy_table
 from qopt.solvers import (
     SolveResult,
@@ -30,6 +30,7 @@ from qopt.solvers import (
     solve_result_to_json,
     transfer_parameters,
 )
+from qopt.solvers import _substitute_spin
 
 
 def naive_enumerate(obj):
@@ -195,6 +196,12 @@ class TestSimulatedAnnealing:
             simulated_annealing(obj, sweeps=3, temperatures=[1.0, 2.0])
         with pytest.raises(ValueError):
             simulated_annealing(obj, sweeps=2, temperatures=[1.0, -1.0])
+
+    def test_single_sweep_runs_at_the_hot_end(self):
+        obj = random_qubo(6, 3).as_objective()
+        res = simulated_annealing(obj, sweeps=1, seed=0)
+        assert res.extras["t_hot"] == res.extras["t_cold"]
+        assert res.best_energy == obj.value(res.best_assignment)
 
     def test_sk_n20_reaches_ar_095(self):
         # Seed vetted once: seeds 0..5 all reach the exact optimum here.
@@ -707,6 +714,31 @@ class TestRecursiveQaoa:
         res = recursive_qaoa(obj, cutoff=4, seed=0)
         assert res.best_assignment == brute_force(obj).best_assignment
         assert_self_consistent(res, obj)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_substitution_keeps_energies_with_fields(self, n):
+        # The reduced model at any assignment prices the original one with
+        # z_j = sign * z_i, so fields, merged pairs and the pair (i, j)
+        # itself, which folds into the offset, all carry over.
+        rng = np.random.default_rng(40 + n)
+        couplings = {(a, b): float(rng.normal()) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7}
+        couplings[min(couplings)] = 0.0  # present but zero: skipped
+        ising = IsingModel(
+            n=n, h=tuple(float(v) for v in rng.normal(size=n)), J=couplings, offset=float(rng.normal())
+        )
+        for i, j in ising.J:
+            for sign in (1, -1):
+                reduced = _substitute_spin(ising, i, j, sign)
+                for idx in range(1 << (n - 1)):
+                    z = [1 - 2 * ((idx >> k) & 1) for k in range(n - 1)]
+                    full = z[:j] + [sign * z[i]] + z[j:]
+                    assert reduced.energy(z) == pytest.approx(ising.energy(full), abs=1e-9)
+
+    @pytest.mark.parametrize("inst", [gen_portfolio(8, 3, seed=1), gen_mis(8, seed=2)], ids=["portfolio", "mis"])
+    def test_eliminates_spins_with_fields(self, inst):
+        res = recursive_qaoa(inst, cutoff=4)
+        assert res.extras["levels"] == 4
+        assert res.best_energy == inst.objective.value(res.best_assignment)
 
     def test_needs_quadratic_model(self):
         with pytest.raises(TypeError):
