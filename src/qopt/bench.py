@@ -17,10 +17,8 @@ import json
 import numbers
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, NamedTuple, Sequence
-from xml.etree import ElementTree
 
 import numpy as np
 
@@ -375,6 +373,8 @@ def run_benchmark(config: BenchmarkConfig, clock: Callable[[], float] = time.per
         return []
     if config.jobs == 1:
         return [_run_cell(config, inst, solver, clock) for inst, solver in cells]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
         futures = [pool.submit(_run_cell, config, inst, solver, clock) for inst, solver in cells]
         return [f.result() for f in futures]
@@ -417,6 +417,8 @@ def _write(text: str, path) -> str:
 def _junit(suite: str, cases: Sequence[tuple[Mapping, tuple[str, str | None] | None]]) -> str:
     """One ``testsuite`` document; each case is its ``testcase`` attributes
     and, when it failed, the failure's message and text (None for none)."""
+    from xml.etree import ElementTree
+
     failures = sum(failure is not None for _, failure in cases)
     root = ElementTree.Element("testsuite", name=suite, tests=str(len(cases)), failures=str(failures))
     for attributes, failure in cases:

@@ -41,21 +41,23 @@ payload and compiles it with the family's ``build``, which is also what
 re-reads an envelope, so generation and ingestion run the same code.
 
 All generators draw exclusively from ``numpy.random.default_rng(seed)`` in a
-fixed order, so identical (family, params, seed) reproduce bit-identical raw
-payloads. Distribution choices not pinned down by the problem definitions
-(weight ranges, covariance synthesis, demand ranges) are fixed here and
-recorded in instance metadata.
+fixed order (``maxcut-r3r`` from ``random.Random(seed)``, as networkx's
+``random_regular_graph`` does), so identical (family, params, seed)
+reproduce bit-identical raw payloads. Distribution choices not pinned down
+by the problem definitions (weight ranges, covariance synthesis, demand
+ranges) are fixed here and recorded in instance metadata.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 from qopt.model import (
@@ -124,7 +126,7 @@ _Built = tuple[DiagonalObjective, ConstrainedModel | None]
 
 def _meta(seed, params: dict, **extra) -> dict:
     out = {
-        "seed": seed,
+        "seed": None if seed is None else operator.index(seed),
         "params": params,
         "created": datetime.now(timezone.utc).isoformat(),
     }
@@ -153,6 +155,48 @@ def _build_maxcut(raw: Mapping, meta: Mapping) -> _Built:
     return QuboModel.from_entries(int(raw["n"]), entries).as_objective(), None
 
 
+def _random_regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
+    """Edges ``(u, v)``, ``u < v``, of a random ``d``-regular graph on ``n``
+    vertices: networkx 3.6.1's ``random_regular_graph(d, n, seed)`` pairing
+    (Steger & Wormald), draw for draw, so both give the same edge set."""
+    rng = random.Random(operator.index(seed))
+
+    def suitable(edges, potential):
+        # Whether some pair of the leftover stubs' vertices is still joinable.
+        if not potential:
+            return True
+        for s1 in potential:
+            for s2 in potential:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1  # rebinds the outer s1 too; networkx's later s1 == s2 tests depend on it
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    while True:
+        edges: set[tuple[int, int]] = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential: dict[int, int] = {}  # leftover stubs per vertex, in first-seen order
+            rng.shuffle(stubs)
+            pairs = iter(stubs)
+            for s1, s2 in zip(pairs, pairs):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential[s1] = potential.get(s1, 0) + 1
+                    potential[s2] = potential.get(s2, 0) + 1
+            if not suitable(edges, potential):
+                break  # a dead end: start over from all stubs
+            stubs = [v for v, count in potential.items() for _ in range(count)]
+        else:
+            return edges
+
+
 def gen_maxcut_r3r(n: int, seed: int = 0) -> ProblemInstance:
     """Max-cut on a uniform random 3-regular graph with ``n`` vertices.
 
@@ -163,8 +207,7 @@ def gen_maxcut_r3r(n: int, seed: int = 0) -> ProblemInstance:
     """
     if n < 4 or n % 2 != 0:
         raise ValueError(f"3-regular graphs need an even vertex count >= 4, got {n}")
-    graph = nx.random_regular_graph(3, n, seed=seed)
-    edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+    edges = sorted(_random_regular_edges(3, n, seed))
     raw = {"n": n, "edges": [[u, v] for u, v in edges]}
     return _instance("maxcut-r3r", raw, _meta(seed, {"n": n}, cut_min=0))
 

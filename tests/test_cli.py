@@ -575,8 +575,8 @@ class TestModuleEntryPoint:
 
 
 # Imports qopt, trains QAOA in both modes, builds a Gibbs table and runs one
-# bench cell, then prints every scipy module that got loaded.
-NO_SCIPY_SCRIPT = """
+# bench cell, then prints every scipy or networkx module that got loaded.
+NO_REFERENCES_SCRIPT = """
 import json, sys, tempfile
 from pathlib import Path
 import qopt.cli
@@ -594,18 +594,19 @@ with tempfile.TemporaryDirectory() as tmp:
         "solvers": [{"algorithm": "qaoa", "params": {"p": 1, "optimizer_budget": 80}}],
     }))
     assert qopt.cli.run_cli(["bench", str(config), "--csv", str(Path(tmp, "report.csv"))]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx"))))
 """
 
 
 class TestImports:
-    def test_qopt_runs_without_loading_scipy(self):
-        # scipy is a test dependency only: no qopt code path may import it.
+    def test_qopt_runs_without_loading_scipy_or_networkx(self):
+        # scipy and networkx are test dependencies only: no qopt code path
+        # may import them.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True, env=env, timeout=300
+            [sys.executable, "-c", NO_REFERENCES_SCRIPT], capture_output=True, text=True, env=env, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []

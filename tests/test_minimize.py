@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qopt._minimize import lbfgs, nelder_mead
+from qopt._minimize import _MAX_TRIALS, lbfgs, nelder_mead
 from qopt.problems import gen_maxcut_r3r
 from qopt.simulator import QaoaParams, _logsumexp, energy_table, gibbs_distribution, qaoa_value_and_gradient
 
@@ -101,6 +101,17 @@ class TestNelderMeadMatchesScipy:
             lbfgs(fun, np.zeros(2), **LBFGS_OPTIONS)
 
 
+def double_well(a, b, s, k):
+    """t^4 - a t^2 + b t + s sin(k t) with its derivative: a non-convex 1-D
+    slice whose line searches reach the rarer Moré–Thuente branches."""
+
+    def value_and_gradient(x):
+        t = x[0]
+        return float(t**4 - a * t**2 + b * t + s * math.sin(k * t)), np.array([4 * t**3 - 2 * a * t + b + s * k * math.cos(k * t)])
+
+    return value_and_gradient
+
+
 def qaoa_p2_objective():
     obj = gen_maxcut_r3r(10, seed=1).objective
 
@@ -123,8 +134,19 @@ class TestLbfgsMatchesScipy:
             (lambda: rosenbrock_and_gradient, np.array([-1.2, 1.0]), 1e-13, 1e-15),
             (lambda: rosenbrock_and_gradient, np.array([-1.2, 1.0, 0.5, 0.3]), 1e-13, 1e-13),
             (qaoa_p2_objective, np.array([0.3, 0.6, 0.5, 0.2]), 1e-11, 1e-13),
+            # A trial below f(0) without sufficient decrease: the step on psi.
+            (lambda: double_well(1.0, -3.0, 0.0, 0.0), np.array([0.5]), 1e-13, 1e-13),
+            # _dcstep with the derivative's magnitude decreasing: the step
+            # clamped to stpmax, the bracketed choice above stx, and the
+            # cubic through stp and sty (plus a bisection).
+            (lambda: double_well(1.0, 3.0, 0.5, 5.0), np.array([1.5]), 1e-13, 1e-13),
+            # The same case with stp below stx: stpmin, and the bracketed
+            # choice below stx.
+            (lambda: double_well(1.0, 3.0, 1.0, 10.0), np.array([1.5]), 1e-13, 1e-13),
+            # The cubic through stp and sty with stp above sty.
+            (lambda: double_well(1.0, -1.0, 1.0, 5.0), np.array([-2.5]), 1e-13, 1e-13),
         ],
-        ids=["rosenbrock-2d", "rosenbrock-4d", "qaoa-p2-n10"],
+        ids=["rosenbrock-2d", "rosenbrock-4d", "qaoa-p2-n10", "psi-step", "decreasing-slope-up", "decreasing-slope-down", "cubic-above-sty"],
     )
     def test_same_calls(self, minimize, make, x0, x_tol, fun_tol):
         fun = make()
@@ -135,6 +157,28 @@ class TestLbfgsMatchesScipy:
         assert len(our_points) == len(their_points)
         assert np.abs(x - ref.x).max() <= x_tol
         assert abs(value - ref.fun) <= fun_tol
+
+    def test_failed_search_clears_memory_then_ends(self):
+        # From the fourth call on the gradient points uphill. The search
+        # from the last accepted point then fails with the memory in use;
+        # the memory is cleared, the retry along -g (unit step) fails too,
+        # and with empty memory that ends the run at the accepted point.
+        weights = np.array([1.0, 10.0])
+        calls, grads = [], []
+
+        def fun(x):
+            calls.append(x.copy())
+            grads.append(2.0 * weights * x * (1.0 if len(calls) <= 3 else -1.0))
+            return float((weights * x * x).sum()), grads[-1]
+
+        x, value = lbfgs(fun, np.ones(2), **LBFGS_OPTIONS)
+        accepted = len(calls) - 1 - 2 * _MAX_TRIALS
+        assert accepted >= 3
+        assert x.tobytes() == calls[accepted].tobytes()
+        assert value == float((weights * x * x).sum())
+        steepest = x - grads[accepted]
+        assert calls[accepted + 1].tobytes() != steepest.tobytes()
+        assert calls[accepted + 1 + _MAX_TRIALS].tobytes() == steepest.tobytes()
 
     def test_stops_at_small_gradient_without_a_step(self):
         fun, points = recorded(lambda x: (float((x * x).sum()), 2.0 * x))

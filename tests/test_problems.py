@@ -89,6 +89,28 @@ class TestMaxcut:
         with pytest.raises(ValueError):
             gen_maxcut_r3r(2)
 
+    def test_graphs_match_networkx(self):
+        # The in-tree pairing draws as networkx 3.6.1's random_regular_graph
+        # does. (52, 15) needs five attempts; a port that orders the pair in
+        # _suitable without rebinding its outer s1 gets it wrong.
+        nx = pytest.importorskip("networkx")
+        cases = [(n, s) for n in range(4, 200, 2) for s in range(5)] + [(512, 0), (512, 1), (1000, 0), (1000, 1), (52, 15)]
+        for n, seed in cases:
+            want = sorted((min(u, v), max(u, v)) for u, v in nx.random_regular_graph(3, n, seed=seed).edges())
+            assert gen_maxcut_r3r(n, seed=seed).raw["edges"] == [list(e) for e in want], (n, seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        inst = gen_maxcut_r3r(8, seed=np.int64(3))
+        assert inst.raw == gen_maxcut_r3r(8, seed=3).raw
+        assert type(inst.meta["seed"]) is int and inst.meta["seed"] == 3
+
+    def test_float_seed_refused(self):
+        # As numpy's default_rng refuses it for the other families.
+        with pytest.raises(TypeError):
+            gen_maxcut_r3r(8, seed=1.5)
+        with pytest.raises(TypeError):
+            gen_spin_glass("complete", 4, seed=1.5)
+
 
 class TestMis:
     def test_single_edge_optimum(self):
@@ -562,6 +584,12 @@ class TestReproducibility:
             if make(1).raw != make(2).raw:
                 changed += 1
         assert changed == len(self.CASES)
+
+    def test_numpy_integer_seed_envelope_is_json(self):
+        for make in self.CASES:
+            inst = make(np.int64(42))
+            assert inst.raw == make(42).raw
+            assert json.loads(json.dumps(instance_to_json(inst)))["meta"]["seed"] == 42
 
     def test_labs_seedless(self):
         assert gen_labs(7).raw == gen_labs(7).raw
