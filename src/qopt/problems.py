@@ -45,7 +45,10 @@ fixed order (``maxcut-r3r`` from ``random.Random(seed)``, as networkx's
 ``random_regular_graph`` does), so identical (family, params, seed)
 reproduce bit-identical raw payloads. Distribution choices not pinned down
 by the problem definitions (weight ranges, covariance synthesis, demand
-ranges) are fixed here and recorded in instance metadata.
+ranges) are fixed here and recorded in instance metadata. Seeds and every
+size or count parameter pass through ``operator.index``, so a numpy integer
+gives the same instance as the int and an envelope that ``json.dumps``
+takes, while a float raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -205,6 +208,7 @@ def gen_maxcut_r3r(n: int, seed: int = 0) -> ProblemInstance:
     ``cut_min = 0`` for ratio normalization. ``n`` must be even and at least
     4, otherwise no 3-regular graph exists.
     """
+    n = operator.index(n)
     if n < 4 or n % 2 != 0:
         raise ValueError(f"3-regular graphs need an even vertex count >= 4, got {n}")
     edges = sorted(_random_regular_edges(3, n, seed))
@@ -258,6 +262,7 @@ def gen_mis(
     G(n, p)) with it. The pre-penalty form keeps one ``x_u + x_v <= 1`` row
     per edge.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     rng = np.random.default_rng(seed)
@@ -340,6 +345,7 @@ def gen_market_share(m: int, seed: int = 0) -> ProblemInstance:
     ``sum |s_j|`` is not linear-quadratic, so only the compiled quadratic is
     carried.
     """
+    m = operator.index(m)
     if m < 2:
         raise ValueError(f"need at least two rows, got m={m}")
     n = 10 * (m - 1)
@@ -461,6 +467,7 @@ def gen_labs(k: int) -> ProblemInstance:
     only ever need assignment energies, and quadratization would inflate the
     variable count. Bit ``i`` maps to spin ``1 - 2 x_i``.
     """
+    k = operator.index(k)
     return _instance("labs", {"k": k}, _meta(0, {"k": k}))
 
 
@@ -529,6 +536,7 @@ def qap_from_data(a, b, penalty: float | None = None) -> ProblemInstance:
 
 def gen_qap(n: int, seed: int = 0, penalty: float | None = None) -> ProblemInstance:
     """Random assignment instance: integer matrices uniform in {0..9}."""
+    n = operator.index(n)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 10, size=(n, n))
     b = rng.integers(0, 10, size=(n, n))
@@ -617,6 +625,7 @@ def gen_spin_glass(
     is experimental (the objective becomes a polynomial with no quadratic
     model attached).
     """
+    n, cubic_terms = operator.index(n), operator.index(cubic_terms)
     if n < 2:
         raise ValueError(f"need at least two spins, got n={n}")
     if topology == "complete":
@@ -735,6 +744,7 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
     demands uniform in {1..10} inside the window, and a value equal to its
     total demand times a uniform markup in [1.0, 1.5].
     """
+    N, K, M, E = (operator.index(v) for v in (N, K, M, E))
     if N < 1 or K < 1:
         raise ValueError(f"need N, K >= 1, got N={N} K={K}")
     rng = np.random.default_rng(seed)
@@ -809,6 +819,7 @@ def gen_portfolio(N: int, B: int, seed: int = 0, lam: float = 1.0) -> ProblemIns
     diagonal noise uniform in [0.001, 0.01], guaranteeing positive
     definiteness.
     """
+    N, B = operator.index(N), operator.index(B)
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.0, 0.1, size=N)
     factors = rng.normal(0.0, 0.1, size=(N, max(1, N // 4)))

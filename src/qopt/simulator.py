@@ -525,25 +525,29 @@ def _initial_state(obj: DiagonalObjective, initial) -> tuple[Statevector, tuple[
     raise ValueError(f"unknown initial state {initial!r}; use 'plus' or a WarmStart")
 
 
-def _evolve(obj: DiagonalObjective, initial, layers) -> tuple[np.ndarray, tuple[float, ...] | None]:
-    """Amplitudes after the ``(gamma, beta)`` layers, and the warm-start angles.
+def _start(obj: DiagonalObjective, initial) -> tuple[np.ndarray, tuple[float, ...] | None]:
+    """Initial amplitudes of a layered run, and the warm-start angles.
 
     A plus start on a :func:`_flip_symmetric` objective runs folded: it keeps
     only the lower half of the state, which the kernels and sums recognise
     by its size (see the module docstring).
     """
     if (initial == "plus" or initial is None) and _flip_symmetric(obj):
-        amps = np.full(1 << (obj.n - 1), 2.0 ** (-obj.n / 2), dtype=np.complex128)
-        thetas = None
-    else:
-        sv, thetas = _initial_state(obj, initial)
-        amps = sv.amplitudes
+        _check_cap(obj.n)
+        return np.full(1 << (obj.n - 1), 2.0 ** (-obj.n / 2), dtype=np.complex128), None
+    sv, thetas = _initial_state(obj, initial)
+    return sv.amplitudes, thetas
+
+
+def _evolve(obj: DiagonalObjective, initial, layers) -> np.ndarray:
+    """Amplitudes after the ``(gamma, beta)`` layers, folded when :func:`_start` is."""
+    amps, thetas = _start(obj, initial)
     levels, level_of = _energy_levels(obj)
     scratch = np.empty_like(amps)
     for gamma, beta in layers:
         _apply_phase(amps, levels, level_of, gamma)
         _apply_mixer(amps, scratch, obj.n, beta, thetas)
-    return amps, thetas
+    return amps
 
 
 def qaoa_state(
@@ -559,7 +563,7 @@ def qaoa_state(
     """
     if params.p == 0:
         return _initial_state(obj, initial)[0]
-    amps, _ = _evolve(obj, initial, zip(params.gammas, params.betas))
+    amps = _evolve(obj, initial, zip(params.gammas, params.betas))
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 
@@ -572,34 +576,57 @@ def qaoa_value_and_gradient(
 
     The gradient is ordered like the angles: ``p`` entries for the gammas,
     then ``p`` for the betas. It comes from the adjoint method (Jones and
-    Gacon, arXiv:2009.02823): one forward pass, the co-state ``lam = E psi``,
-    and a backward walk that un-applies each layer (negated angle) on both
-    ``psi`` and ``lam``, so memory stays at a few states for any ``p``. With
-    the mixer ``exp(1j * beta * B)`` and the phase ``exp(-1j * gamma * E)``,
-    ``d/d beta_j = 2 Re <lam|iB|psi>`` and ``d/d gamma_j = 2 Re <lam|-iE|psi>``.
+    Gacon, arXiv:2009.02823). With the phase ``P_j = exp(-1j * gamma_j * E)``
+    and the mixer ``M_j = exp(1j * beta_j * B)``, the forward pass keeps
+    each layer's pre-mixer state ``phi_j = P_j psi_j``. The co-state starts
+    as ``lam = E psi`` in the final state's buffer, and the backward loop
+    un-applies only it: ``lam'_j = M_j^dagger lam_j``. Since ``B`` commutes
+    with its own mixer, ``d/d beta_j = -2 Im <lam'_j|B phi_j>`` and
+    ``d/d gamma_j = 2 Im <lam'_j|E phi_j>``, so a layer costs one mixer pass
+    forward, one back and one generator sweep.
+
+    The loop keeps the last ``k = min(p, 2^(cap - m))`` pre-mixer states,
+    where ``2^m`` is the length of the run's array (``m = n - 1`` folded)
+    and ``cap`` is :func:`statevector_cap`, so the kept states never hold
+    more than one ``2^cap`` state. Below them it rebuilds ``phi_j`` from
+    ``phi_(j+1)`` by un-applying the phase and the mixer (negated angles),
+    one more mixer pass per such layer.
+
     The value equals ``expectation(qaoa_state(obj, params, initial), obj)``
     bit for bit. Each inner product is an elementwise product and a
     fixed-order numpy sum, never a BLAS call, so the result does not depend
     on the BLAS thread count.
     """
-    psi, thetas = _evolve(obj, initial, zip(params.gammas, params.betas))
+    psi, thetas = _start(obj, initial)
     p, n = params.p, obj.n
     table = energy_table(obj)[: psi.size]
     levels, level_of = _energy_levels(obj)
-    value = _energy_sum(psi, table, n)
-    lam = table * psi
+    m = psi.size.bit_length() - 1
+    kept = min(p, 1 << (statevector_cap() - m))
+    phis = []
     scratch = np.empty_like(psi)
+    for j, (gamma, beta) in enumerate(zip(params.gammas, params.betas)):
+        _apply_phase(psi, levels, level_of, gamma)
+        if j >= p - kept:
+            phis.append(psi.copy())
+        _apply_mixer(psi, scratch, n, beta, thetas)
+    value = _energy_sum(psi, table, n)
+    lam = psi  # the final state's buffer becomes the co-state E psi
+    lam *= table
     grad = np.zeros(2 * p)
     for j in reversed(range(p)):
-        # psi is the state after layer j, lam the co-state pulled back to it.
-        _apply_generator(scratch, psi, n, thetas)
-        grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
-        _apply_mixer(psi, scratch, n, -params.betas[j], thetas)
+        if phis:
+            phi = phis.pop()
+        else:
+            # No copy was kept of phi_j: step phi_(j+1) down to it.
+            _apply_phase(phi, levels, level_of, -params.gammas[j + 1])
+            _apply_mixer(phi, scratch, n, -params.betas[j], thetas)
         _apply_mixer(lam, scratch, n, -params.betas[j], thetas)
-        np.multiply(psi, table, out=scratch)
+        _apply_generator(scratch, phi, n, thetas)
+        grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
+        np.multiply(phi, table, out=scratch)
         grad[j] = 2.0 * _imag_inner(lam, scratch, n)
         if j:
-            _apply_phase(psi, levels, level_of, -params.gammas[j])
             _apply_phase(lam, levels, level_of, -params.gammas[j])
     return value, grad
 
@@ -791,7 +818,7 @@ def anneal_trotter(
         raise ValueError(f"schedule must run from 0 to 1, got lam(0)={lam0}, lam(1)={lam1}")
     dt = T / steps
     lams = (float(schedule((k + 0.5) / steps)) for k in range(steps))
-    amps, _ = _evolve(obj, "plus", ((dt * lam, dt * (1.0 - lam)) for lam in lams))
+    amps = _evolve(obj, "plus", ((dt * lam, dt * (1.0 - lam)) for lam in lams))
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 

@@ -494,9 +494,11 @@ def _distinct(optima: list) -> list:
 # Relative value gap below which two refined optima count as one.
 _SAME_OPTIMUM = 1e-9
 # Evaluations charged for one value-and-gradient call. Per layer it runs
-# four mixer-sized passes (the forward layer, un-applying it on the state and
-# on the co-state, and one generator sweep) where a plain evaluation runs
-# one; tests/test_solvers.py counts them.
+# three mixer-sized passes (the forward layer, un-applying it on the
+# co-state, and one generator sweep) where a plain evaluation runs one, plus
+# one more per layer whose pre-mixer state the cap left unkept. It is
+# charged four, the count before those states were kept, so budgets and
+# evaluation counts replay unchanged; tests/test_solvers.py counts them.
 _GRADIENT_COST = 4
 # L-BFGS stops once no gradient entry exceeds 1e-6 or a step gains less
 # than 1e-13 relative. Near an optimum the value then sits within rounding
@@ -544,8 +546,8 @@ def qaoa_solve(
       in-tree port of scipy's).
 
     Evaluations stop at ``optimizer_budget``, counted in state preparations:
-    a value-and-gradient call is charged as four plain evaluations, the
-    layer passes it runs. A closed-form grid point or gradient is charged as
+    a value-and-gradient call is charged as four plain evaluations, at least
+    the layer passes it runs. A closed-form grid point or gradient is charged as
     the statevector call it replaces. Exhausting the budget flags the result
     instead of raising. ``p = 0`` just samples the initial state. The
     statevector cap is checked before any training, since the final state is

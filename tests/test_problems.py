@@ -9,6 +9,7 @@ import pytest
 
 from qopt.model import ConstrainedModel, QuboModel, density
 from qopt.problems import (
+    FAMILIES,
     LabsSequence,
     ev_parking_from_data,
     gen_ev_parking,
@@ -590,6 +591,31 @@ class TestReproducibility:
             inst = make(np.int64(42))
             assert inst.raw == make(42).raw
             assert json.loads(json.dumps(instance_to_json(inst)))["meta"]["seed"] == 42
+
+    # Every family, with each size or count parameter passed through ``t``.
+    SIZED = [
+        lambda t: gen_maxcut_r3r(t(8), seed=1),
+        lambda t: gen_mis(t(6), seed=1),
+        lambda t: gen_mis(t(6), unit_disc=True, seed=1),
+        lambda t: gen_market_share(t(2), seed=1),
+        lambda t: gen_labs(t(5)),
+        lambda t: gen_qap(t(3), seed=1),
+        lambda t: gen_spin_glass("complete", t(5), seed=1, cubic_terms=t(1)),
+        lambda t: gen_spin_glass("grid", t(4), seed=1),
+        lambda t: gen_spin_glass("heavy-hex-like", t(5), seed=1),
+        lambda t: gen_ev_parking(t(3), t(2), t(2), t(10), seed=1),
+        lambda t: gen_portfolio(t(5), t(2), seed=1),
+    ]
+
+    def test_numpy_integer_sizes_give_the_int_instance(self):
+        assert {make(int).family for make in self.SIZED} == set(FAMILIES)
+        for make in self.SIZED:
+            inst, ref = make(np.int64), make(int)
+            envelope = json.loads(json.dumps(instance_to_json(inst)))
+            assert envelope["raw"] == inst.raw == ref.raw
+            assert envelope["meta"]["params"] == inst.meta["params"] == ref.meta["params"]
+            with pytest.raises(TypeError):
+                make(float)
 
     def test_labs_seedless(self):
         assert gen_labs(7).raw == gen_labs(7).raw

@@ -24,8 +24,10 @@ from qopt.simulator import (
     _apply_mixer,
     _apply_phase,
     _energy_levels,
+    _energy_sum,
     _flip_symmetric,
     _imag_inner,
+    _start,
     anneal_trotter,
     cvar,
     dump_statevector,
@@ -479,6 +481,41 @@ class TestP1ClosedForm:
             qaoa_p1_energy(obj, np.array([0.1]), np.array([0.2]))
 
 
+def backward_walk_value_and_gradient(obj, params, initial="plus"):
+    """The adjoint value and gradient with no state kept from the forward pass.
+
+    The backward walk un-applies each layer (negated angle) on both ``psi``
+    and the co-state ``lam``, reading ``d/d beta_j = -2 Im <lam|B psi>``
+    after layer j and ``d/d gamma_j = 2 Im <lam|E psi>`` before its mixer.
+    """
+    psi, thetas = _start(obj, initial)
+    n, p = obj.n, params.p
+    table = energy_table(obj)[: psi.size]
+    levels, level_of = _energy_levels(obj)
+    scratch = np.empty_like(psi)
+    for gamma, beta in zip(params.gammas, params.betas):
+        _apply_phase(psi, levels, level_of, gamma)
+        _apply_mixer(psi, scratch, n, beta, thetas)
+    value = _energy_sum(psi, table, n)
+    lam = table * psi
+    grad = np.zeros(2 * p)
+    for j in reversed(range(p)):
+        _apply_generator(scratch, psi, n, thetas)
+        grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
+        _apply_mixer(psi, scratch, n, -params.betas[j], thetas)
+        _apply_mixer(lam, scratch, n, -params.betas[j], thetas)
+        np.multiply(psi, table, out=scratch)
+        grad[j] = 2.0 * _imag_inner(lam, scratch, n)
+        if j:
+            _apply_phase(psi, levels, level_of, -params.gammas[j])
+            _apply_phase(lam, levels, level_of, -params.gammas[j])
+    return value, grad
+
+
+def warm_or_plus(obj, rng, warm):
+    return WarmStart(c_star=tuple(rng.random(obj.n)), epsilon=0.1) if warm else "plus"
+
+
 class TestAdjointGradient:
     @pytest.mark.parametrize("warm", [False, True], ids=["plus", "warm"])
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -503,6 +540,91 @@ class TestAdjointGradient:
                 for e in np.eye(2 * p)
             ]
             np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["plus", "warm"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_the_backward_walk(self, case, warm):
+        obj = KERNEL_CASES[case]()
+        rng = np.random.default_rng(100 + sorted(KERNEL_CASES).index(case) + 10 * warm)
+        initial = warm_or_plus(obj, rng, warm)
+        for p in (1, 2, 3, 4):
+            params = QaoaParams(p=p, gammas=rng.uniform(-1.5, 1.5, p), betas=rng.uniform(-1.5, 1.5, p))
+            value, grad = qaoa_value_and_gradient(obj, params, initial)
+            ref_value, ref_grad = backward_walk_value_and_gradient(obj, params, initial)
+            assert value.hex() == ref_value.hex()
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["plus", "warm"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_cap_bounds_the_kept_states(self, case, warm, monkeypatch):
+        # At cap = n a full run keeps one pre-mixer state and a folded run two
+        # halves; the layers below them are stepped down from the lowest kept
+        # state, one more mixer pass each, to the same value and gradient.
+        import qopt.simulator as simulator
+
+        obj = KERNEL_CASES[case]()
+        rng = np.random.default_rng(200 + sorted(KERNEL_CASES).index(case) + 10 * warm)
+        initial = warm_or_plus(obj, rng, warm)
+        p = 3
+        params = QaoaParams(p=p, gammas=rng.uniform(-1.5, 1.5, p), betas=rng.uniform(-1.5, 1.5, p))
+        value, grad = qaoa_value_and_gradient(obj, params, initial)
+        passes = []
+        kernel = simulator._apply_mixer
+
+        def counted(*args):
+            passes.append(1)
+            kernel(*args)
+
+        monkeypatch.setattr(simulator, "_apply_mixer", counted)
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n))
+        low_value, low_grad = qaoa_value_and_gradient(obj, params, initial)
+        kept = 2 if not warm and _flip_symmetric(obj) else 1
+        assert len(passes) == 2 * p + (p - kept)
+        assert low_value.hex() == value.hex()
+        np.testing.assert_allclose(low_grad, grad, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_maxcut_r3r(14, seed=1).objective, lambda: gen_portfolio(12, 4, seed=1).objective],
+        ids=["folded", "full"],
+    )
+    def test_kept_states_fit_one_capped_state(self, make, monkeypatch):
+        # A p=4 call runs the same passes as a p=2 call with more layers, so
+        # its peak differs by the pre-mixer states it keeps beyond those of
+        # the p=2 call. All kept states together never exceed one 2^cap
+        # state; at a cap far above n every layer's is kept, which shows the
+        # measurement sees them.
+        import tracemalloc
+
+        obj = make()
+        energy_table(obj)
+        _energy_levels(obj)
+        size = 16 << (obj.n - _flip_symmetric(obj))  # bytes of the run's array
+
+        def peak(p):
+            params = QaoaParams(p=p, gammas=(0.3,) * p, betas=(0.2,) * p)
+            tracemalloc.start()
+            try:
+                qaoa_value_and_gradient(obj, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for cap in (obj.n, obj.n + 1, 30):
+            monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(cap))
+            kept2, kept4 = (min(p, (16 << cap) // size) for p in (2, 4))
+            extra = peak(4) - peak(2)
+            assert kept2 * size + extra <= (16 << cap) + size // 4
+            assert extra >= (kept4 - kept2) * size - size // 4
+
+    def test_folded_gradient_checks_the_cap(self, monkeypatch):
+        # A folded run builds no Statevector, so its start checks the cap,
+        # also when the table was built under a higher one.
+        obj = KERNEL_CASES["maxcut-r3r"]()
+        energy_table(obj)
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n - 1))
+        with pytest.raises(CapacityError, match="10 qubits exceed the simulator cap of 9"):
+            qaoa_value_and_gradient(obj, QaoaParams(p=1, gammas=(0.3,), betas=(0.2,)))
 
     def test_zero_layers(self):
         obj = KERNEL_CASES["portfolio"]()
@@ -910,23 +1032,30 @@ def unfolded_run(obj, layers):
 
 
 def unfolded_value_and_gradient(obj, params):
-    """The adjoint value and gradient with every sum over all 2^n products."""
+    """The adjoint value and gradient with every sum over all 2^n products.
+
+    Same order as the simulator: the forward pass keeps each pre-mixer state
+    and the backward loop un-applies only the co-state.
+    """
     n, p = obj.n, params.p
     table = energy_table(obj)
     levels, level_of = _energy_levels(obj)
-    psi = unfolded_run(obj, zip(params.gammas, params.betas))
+    psi = Statevector.plus(n).amplitudes
+    scratch = np.empty_like(psi)
+    phis = []
+    for gamma, beta in zip(params.gammas, params.betas):
+        _apply_phase(psi, levels, level_of, gamma)
+        phis.append(psi.copy())
+        _apply_mixer(psi, scratch, n, beta)
     value = float((np.abs(psi) ** 2 * table).sum())
     lam = table * psi
-    scratch = np.empty_like(psi)
     grad = np.zeros(2 * p)
     for j in reversed(range(p)):
-        _apply_generator(scratch, psi, n, None)
-        grad[p + j] = -2.0 * float((np.conj(lam) * scratch).imag.sum())
-        _apply_mixer(psi, scratch, n, -params.betas[j])
         _apply_mixer(lam, scratch, n, -params.betas[j])
-        grad[j] = 2.0 * float((np.conj(lam) * (psi * table)).imag.sum())
+        _apply_generator(scratch, phis[j], n, None)
+        grad[p + j] = -2.0 * float((np.conj(lam) * scratch).imag.sum())
+        grad[j] = 2.0 * float((np.conj(lam) * (phis[j] * table)).imag.sum())
         if j:
-            _apply_phase(psi, levels, level_of, -params.gammas[j])
             _apply_phase(lam, levels, level_of, -params.gammas[j])
     return value, grad
 
@@ -988,7 +1117,7 @@ class TestFlipFold:
             sizes.clear()
             qaoa_state(obj, params, initial)
             qaoa_value_and_gradient(obj, params, initial)
-            assert sizes == [size] * 4
+            assert sizes == [size] * 3
         sizes.clear()
         anneal_trotter(mirror, 1.0, 2)
         assert sizes == [1 << 9] * 2
@@ -1024,11 +1153,12 @@ print(json.dumps({
 # REPLAY_SCRIPT's output, recorded before the mean-mode kernels were folded
 # onto half the statevector; the anneal entries were recorded once its local
 # fields came from the spin form's coupling lists, and the trace again once
-# each restart's best state was re-priced. Any drift in the last bit fails
-# the replay.
+# each restart's best state was re-priced; the angles and mean energy were
+# recorded again once the adjoint gradient read kept pre-mixer states. Any
+# drift in the last bit fails the replay.
 REPLAY_PINNED = {
-    "params": ["0x1.ec63dfcb24af4p-2", "0x1.b5e6369bfc795p-1", "0x1.22e35c3413965p-1", "0x1.541aef66220b6p-2"],
-    "mean_energy": "-0x1.fff3d44588456p+3",
+    "params": ["0x1.ec63dfcb24ae6p-2", "0x1.b5e6369bfc78ep-1", "0x1.22e35c3413963p-1", "0x1.541aef66220b5p-2"],
+    "mean_energy": "-0x1.fff3d44588466p+3",
     "evaluations": 212,
     "cvar": [
         "-0x1.ffdcdd76486a1p+3", "-0x1.ccb645d363babp+3", "-0x1.bec5c9d4f9311p+3",

@@ -513,9 +513,10 @@ class TestQaoaSolve:
         assert hashlib.sha256(packed).hexdigest() == samples_digest
 
     def test_gradient_charge_is_its_layer_pass_count(self, monkeypatch):
-        # One value-and-gradient call is charged as many plain evaluations as
-        # it runs layer-sized passes (mixers and generator sweeps; the phase
-        # passes are fewer) for each one a plain evaluation runs.
+        # One value-and-gradient call runs three layer-sized passes (mixers and
+        # generator sweeps; the phase passes are fewer) for each one a plain
+        # evaluation runs, when every pre-mixer state is kept. It is charged
+        # as at least that many plain evaluations.
         import qopt.simulator as simulator
         from qopt.solvers import _GRADIENT_COST
 
@@ -534,7 +535,7 @@ class TestQaoaSolve:
             plain = dict(passes)
             passes.update(mixer=0, phase=0)
             simulator.qaoa_value_and_gradient(obj, params)
-            assert passes["mixer"] == _GRADIENT_COST * plain["mixer"]
+            assert passes["mixer"] == 3 * plain["mixer"] <= _GRADIENT_COST * plain["mixer"]
             assert passes["phase"] <= _GRADIENT_COST * plain["phase"]
 
     def test_mean_mode_charges_grid_then_gradient_calls(self):
