@@ -76,6 +76,7 @@ also costs more than the sum.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -135,6 +136,17 @@ def statevector_cap() -> int:
     if cap < 1:
         raise ValueError(f"{_CAP_ENV} must be positive, got {cap}")
     return cap
+
+
+def _as_count(name: str, value, least: int = 1) -> int:
+    """``value`` through ``operator.index``, which a float fails, and at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _check_cap(n: int) -> None:
@@ -729,8 +741,7 @@ def sample(
     since the state does) and cached on the result, which CVaR and the
     solvers need.
     """
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots}")
+    shots = _as_count("shots", shots)
     probs = sv.probabilities()
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
@@ -807,8 +818,7 @@ def anneal_trotter(
     ``t_k = (k + 1/2) dt``. The schedule must satisfy ``lam(0) = 0`` and
     ``lam(1) = 1``; it defaults to linear.
     """
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
+    steps = _as_count("steps", steps)
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"total time must be positive and finite, got {T}")
     if schedule is None:

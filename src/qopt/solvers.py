@@ -19,7 +19,7 @@ import numpy as np
 
 from qopt._minimize import lbfgs, nelder_mead
 from qopt._rng import derive_seed
-from qopt.model import DiagonalObjective, IsingModel, index_to_bits
+from qopt.model import DiagonalObjective, IsingModel, bits_to_index, index_to_bits
 from qopt.problems import ProblemInstance
 from qopt.simulator import (
     CapacityError,
@@ -27,6 +27,7 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     WarmStart,
+    _as_count,
     _check_cap,
     cvar,
     energy_table,
@@ -175,29 +176,6 @@ def _geometric_temperatures(t_hot: float, t_cold: float, sweeps: int) -> np.ndar
     return t_hot * ratio ** np.arange(sweeps)
 
 
-def _probe_temperature(obj: DiagonalObjective, rng: np.random.Generator, table: np.ndarray | None) -> float:
-    # Hot end sized from observed flip magnitudes on random states, read from
-    # the cached table when there is one (it equals the per-index replay).
-    probes = min(256, 1 << min(obj.n, 16))
-    if obj.n < 64:
-        idx = rng.integers(0, 1 << obj.n, size=probes, dtype=np.int64)
-        flips = rng.integers(0, obj.n, size=probes)
-        energies_at = obj.energies_at if table is None else table.take
-        deltas = np.abs(energies_at(idx ^ (np.int64(1) << flips)) - energies_at(idx))
-    else:
-        # Wider states have no int64 index, so draw their bits and price
-        # each state and its flip one by one.
-        rows = rng.integers(0, 2, size=(probes, obj.n))
-        flips = rng.integers(0, obj.n, size=probes)
-        deltas = np.empty(probes)
-        for k, (row, v) in enumerate(zip(rows, flips)):
-            before = obj.value(row)
-            row[v] ^= 1
-            deltas[k] = abs(obj.value(row) - before)
-    scale = float(deltas.mean())
-    return scale if scale > 0 else 1.0
-
-
 # An uphill move's uniform is compared with math.exp unless it lies inside
 # this relative band around it, or the value is below the floor, where
 # relative error bounds give out near the subnormals; numpy's exp decides
@@ -218,46 +196,66 @@ class _ValueByIndex:
         return self.obj.value(index_to_bits(index, self.obj.n))
 
 
+def _field(h_v: float, adj: list, row) -> float:
+    # With spins z = 1 - 2x, flipping bit v changes the energy by z_v g_v,
+    # where g_v = -2 (h_v + sum_u J_vu z_u) is summed in adjacency order.
+    acc = h_v
+    for u, c in adj:
+        acc = acc - c if row[u] else acc + c
+    return -2.0 * acc
+
+
 def _chains(
-    obj: DiagonalObjective, table: np.ndarray | None, temps: np.ndarray, restarts: int, rng: np.random.Generator
-) -> tuple[list[int], list[float]]:
+    obj: DiagonalObjective, table: np.ndarray | None, sweeps: int, temps: np.ndarray | None, restarts: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, list[int], list[float]]:
     """Anneal ``restarts`` independent chains over packed-int states.
 
-    A move's energy change is read from ``table``, from the restart's local
-    fields when ``obj`` has a spin form, or else from ``obj.value``. Start
-    energies come from ``table`` or ``obj.value``. Returns each chain's best
-    state (the first reached, on ties) and its energy, read from ``table``
-    or re-priced by ``obj.value``: local-field sums carry rounding.
+    Every energy comes from one source: ``table``, else the local fields of
+    ``obj``'s spin form, else ``obj.value``. States are drawn as packed ints
+    on the table (at most 20 variables) and as bit rows off it. With
+    ``temps`` None the schedule is probed first, from states drawn and
+    priced the same way. Returns the schedule, each chain's best state (the
+    first reached, on ties) and its energy, read from ``table`` or re-priced
+    by ``obj.value``: local-field sums carry rounding.
     """
     n = obj.n
+    high, row_shape = (1 << n, ()) if table is not None else (2, (n,))
+
+    def draw(count: int) -> np.ndarray:
+        return rng.integers(0, high, size=(count, *row_shape), dtype=np.int64)
+
+    energy_of = _ValueByIndex(obj) if table is None else memoryview(table)
+    spin = None if table is not None else obj.spin_model()
+    if spin is not None:
+        adjacency = [[] for _ in range(n)]
+        for (u, v), c in spin.J.items():
+            if c != 0.0:
+                adjacency[u].append((v, c))
+                adjacency[v].append((u, c))
+    if temps is None:
+        probes = min(256, 1 << min(n, 16))
+        starts, flips = draw(probes), rng.integers(0, n, size=probes)
+        if table is not None:
+            deltas = np.abs(table[starts ^ (np.int64(1) << flips)] - table[starts])
+        else:
+            # Priced on row views: a list copy of the whole block would take
+            # 256 n Python ints.
+            deltas = np.array([
+                abs(_field(spin.h[v], adjacency[v], row)) if spin is not None
+                else abs(obj.value(row) - obj.value(row ^ (np.arange(n) == v)))
+                for row, v in zip(starts, flips.tolist())
+            ])
+        scale = float(deltas.mean())
+        t_hot = scale if scale > 0 else 1.0
+        temps = _geometric_temperatures(t_hot, max(t_hot * 1e-3, 1e-12), sweeps)
+    starts = draw(restarts).tolist()
+    states = starts if table is not None else [bits_to_index(row) for row in starts]
     fields = None
-    if table is not None:
-        energy_of = memoryview(table)
-        states = rng.integers(0, 1 << n, size=restarts, dtype=np.int64).tolist()
-    else:
-        energy_of = _ValueByIndex(obj)
-        bits = rng.integers(0, 2, size=(restarts, n))
-        states = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in bits]
-        spin = obj.spin_model()
-        if spin is not None:
-            # With spins z = 1 - 2x, flipping bit v changes the energy by
-            # z_v g_v, where g_v = -2 (h_v + sum_u J_vu z_u) is summed in
-            # adjacency order; the flip then adds 4 J_uv z_v to each g_u.
-            adjacency = [[] for _ in range(n)]
-            for (u, v), c in spin.J.items():
-                if c != 0.0:
-                    adjacency[u].append((v, c))
-                    adjacency[v].append((u, c))
-            fields = []
-            for row in bits.tolist():
-                g = []
-                for h_v, adj in zip(spin.h, adjacency):
-                    acc = h_v
-                    for u, c in adj:
-                        acc = acc - c if row[u] else acc + c
-                    g.append(-2.0 * acc)
-                fields.append(g)
-            neighbours = [[(u, 4.0 * c) for u, c in adj] for adj in adjacency]
+    if spin is not None:
+        fields = [[_field(h_v, adj, row) for h_v, adj in zip(spin.h, adjacency)] for row in starts]
+        # An accepted flip of v adds 4 J_uv z_v to each neighbour's g_u.
+        neighbours = [[(u, 4.0 * c) for u, c in adj] for adj in adjacency]
     energies = [energy_of[s] for s in states]
     exp, floor, lo, hi = math.exp, _EXP_FLOOR, _EXP_BAND_LO, _EXP_BAND_HI
     best_states = states[:]
@@ -293,7 +291,7 @@ def _chains(
                 if e < best_e:
                     best_s, best_e = s, e
             states[r], energies[r], best_states[r], best_energies[r] = s, e, best_s, best_e
-    return best_states, [energy_of[s] for s in best_states]
+    return temps, best_states, [energy_of[s] for s in best_states]
 
 
 def simulated_annealing(
@@ -307,27 +305,30 @@ def simulated_annealing(
 
     One sweep proposes one flip per variable, in an order drawn per sweep and
     shared by all restarts. The default schedule runs geometrically from a
-    probed hot temperature down to a thousandth of it; pass ``temperatures``
+    hot temperature, the mean |delta| of one random flip on each of up to
+    256 random states, down to a thousandth of it; pass ``temperatures``
     (one positive, finite entry per sweep) to override.
 
     Each restart is a plain-Python chain over a packed-int state. Each sweep
     draws its proposal order and then an ``(n, restarts)`` block of uniforms;
     restart ``r`` reads column ``r``, so the stream does not depend on how
-    restarts are scheduled. A move's energy change is read from a zero-copy
-    view of the cached :func:`~qopt.simulator.energy_table` up to 20
-    variables within the statevector cap; above that, from the restart's
-    local fields when the objective has a spin form
-    (:meth:`~qopt.model.DiagonalObjective.spin_model`), and otherwise from
-    ``obj.value``. The fields are built from the spin form's coupling
-    lists, so they take O(n + couplings) memory per restart and no BLAS
-    call; an accepted flip updates its neighbours' fields. Off the table,
-    start energies and each restart's best energy in ``trace`` come from
-    ``obj.value``, so ``min(trace)`` is ``best_energy`` exactly. A downhill
-    move is accepted without an exponential. An uphill move compares its
-    uniform ``u`` with ``math.exp(-delta / t)``, except when ``u`` lies
-    within a relative 2^-40 of that value or the value is below 1e-300:
-    there numpy's exp, which can differ from ``math.exp`` in the last place,
-    decides.
+    restarts are scheduled. A run draws its probe and start states, and
+    prices every flip, from one source. Up to 20 variables within the
+    statevector cap, it draws packed ints and reads a zero-copy view of the
+    cached :func:`~qopt.simulator.energy_table`. Above that, it draws bit
+    rows and reads local fields when the objective has a spin form
+    (:meth:`~qopt.model.DiagonalObjective.spin_model`), and otherwise
+    ``obj.value``. A probe flip of v costs two table reads, |g_v| summed
+    over v's couplings, or two ``obj.value`` calls. The fields come from the
+    spin form's coupling lists, in O(n + couplings) memory per restart and
+    with no BLAS call; an accepted flip updates its neighbours' fields. Off
+    the table, start energies and each restart's best energy in ``trace``
+    come from ``obj.value``, so ``min(trace)`` is ``best_energy`` exactly. A
+    downhill move is accepted without an exponential. An uphill move
+    compares its uniform ``u`` with ``math.exp(-delta / t)``, except when
+    ``u`` lies within a relative 2^-40 of that value or the value is below
+    1e-300: there numpy's exp, which can differ from ``math.exp`` in the
+    last place, decides.
 
     A proposal costs O(restarts) interpreter steps, plus the variable's
     degree when a local-field flip is accepted, so many restarts are slow:
@@ -337,28 +338,22 @@ def simulated_annealing(
     0.9-1.4 s at each count) on a 2-vCPU Xeon VM.
     """
     obj = _objective_of(problem)
-    if sweeps < 1:
-        raise ValueError(f"need at least one sweep, got {sweeps}")
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
+    sweeps, restarts = _as_count("sweeps", sweeps), _as_count("restarts", restarts)
     if obj.n == 0:
         return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
+    temps = None
     if temperatures is not None:
         temps = np.asarray([float(t) for t in temperatures], dtype=np.float64)
         if temps.shape != (sweeps,) or not (np.isfinite(temps) & (temps > 0)).all():
             raise ValueError("temperature schedule needs one positive, finite entry per sweep")
     started = time.perf_counter()
-    n = obj.n
-    table = energy_table(obj) if n <= min(statevector_cap(), _CHUNK_BITS) else None
+    table = energy_table(obj) if obj.n <= min(statevector_cap(), _CHUNK_BITS) else None
     rng = np.random.default_rng(seed)
-    if temperatures is None:
-        t_hot = _probe_temperature(obj, rng, table)
-        temps = _geometric_temperatures(t_hot, max(t_hot * 1e-3, 1e-12), sweeps)
-    best_states, per_restart = _chains(obj, table, temps, restarts, rng)
+    temps, best_states, per_restart = _chains(obj, table, sweeps, temps, restarts, rng)
     winner = per_restart.index(min(per_restart))
 
     return SolveResult(
-        best_assignment=index_to_bits(best_states[winner], n),
+        best_assignment=index_to_bits(best_states[winner], obj.n),
         best_energy=per_restart[winner],
         timings={"total": time.perf_counter() - started},
         trace=tuple(per_restart),
@@ -385,8 +380,7 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     energies and a scan of the table for its level, with no sort.
     """
     obj = _objective_of(problem)
-    if max_rounds < 1:
-        raise ValueError(f"need at least one round, got {max_rounds}")
+    max_rounds = _as_count("max_rounds", max_rounds)
     started = time.perf_counter()
     table = energy_table(obj)
     n_states = table.shape[0]
@@ -554,12 +548,8 @@ def qaoa_solve(
     always prepared.
     """
     obj = _objective_of(problem)
-    if p < 0:
-        raise ValueError(f"layer count must be non-negative, got {p}")
-    if optimizer_budget < 1:
-        raise ValueError(f"optimizer budget must be positive, got {optimizer_budget}")
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots}")
+    p, optimizer_budget = _as_count("p", p, least=0), _as_count("optimizer_budget", optimizer_budget)
+    shots = _as_count("shots", shots)
     if objective_mode not in ("mean", "cvar"):
         raise ValueError(f"unknown objective mode {objective_mode!r}")
     if objective_mode == "cvar" and not 0.0 < alpha <= 1.0:
@@ -748,8 +738,7 @@ def recursive_qaoa(
     certificate.
     """
     obj = _objective_of(problem)
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+    cutoff = _as_count("cutoff", cutoff)
     started = time.perf_counter()
     if obj.n <= cutoff:
         return replace(

@@ -9,7 +9,7 @@ import pytest
 
 from qopt.model import DiagonalObjective, QuboModel, index_to_bits, ising_to_qubo
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
-from qopt.solvers import _geometric_temperatures, _probe_temperature, simulated_annealing
+from qopt.solvers import _geometric_temperatures, simulated_annealing
 
 
 def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
@@ -54,23 +54,35 @@ def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     )
 
 
+def spin_field(spin, row, v):
+    # -2 (h_v + sum J_vu z_u), its terms added in the order the couplings are listed.
+    acc = spin.h[v]
+    for (a, b), c in spin.J.items():
+        if c != 0.0 and v in (a, b):
+            acc += c * (1 - 2 * row[a + b - v])
+    return -2.0 * acc
+
+
 def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     """The restart-lockstep local-field loop the chains replaced above 20 variables.
 
-    Each start field is -2 (h_v + sum J_vu z_u) of the spin form, its terms
-    added in the order the couplings are listed, and each start energy and
-    each restart's best energy is ``obj.value``. Dense fields for all
-    restarts are updated with the flipped variable's full QUBO coupling row
-    on every proposal, and numpy's exp decides every move.
+    The probe draws bit rows and prices each flip of v by |g_v|. Start
+    fields come from the spin form, and each start energy and each
+    restart's best energy is ``obj.value``. Dense fields for all restarts
+    are updated with the flipped variable's full QUBO coupling row on every
+    proposal, and numpy's exp decides every move.
     """
     rng = np.random.default_rng(seed)
+    spin = obj.spin_model()
+    n = obj.n
     if temperatures is None:
-        t_hot = _probe_temperature(obj, rng, None)
+        probes = min(256, 1 << min(n, 16))
+        rows = rng.integers(0, 2, size=(probes, n))
+        flips = rng.integers(0, n, size=probes)
+        t_hot = float(np.mean([abs(spin_field(spin, row, v)) for row, v in zip(rows, flips)])) or 1.0
         temps = _geometric_temperatures(t_hot, max(t_hot * 1e-3, 1e-12), sweeps)
     else:
         temps = np.asarray(temperatures, dtype=np.float64)
-    spin = obj.spin_model()
-    n = obj.n
     # Entry (i, j) of the symmetric, zero-diagonal matrix holds the QUBO's
     # full x_i x_j coefficient: a flip of x_v moves g by row v.
     pairs = np.zeros((n, n))
@@ -82,11 +94,7 @@ def field_lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     g = np.empty((restarts, n))
     for r, row in enumerate(bits.tolist()):
         for v in range(n):
-            acc = spin.h[v]
-            for (a, b), c in spin.J.items():
-                if c != 0.0 and v in (a, b):
-                    acc += c * (1 - 2 * row[a + b - v])
-            g[r, v] = -2.0 * acc
+            g[r, v] = spin_field(spin, row, v)
     energy = np.array([obj.value(row) for row in bits])
     x = bits.astype(np.float64)
     best_e = energy.copy()
@@ -240,6 +248,23 @@ def test_table_path_reads_no_energies_at(energies_at_calls):
     obj = gen_spin_glass("complete", 10, dist="gaussian", seed=1).objective
     simulated_annealing(obj, sweeps=20, restarts=2, seed=3)
     simulated_annealing(obj, sweeps=3, temperatures=[2.0, 1.0, 0.5], seed=3)
+    assert energies_at_calls == []
+
+
+def test_field_path_probe_prices_no_energies(energies_at_calls, monkeypatch):
+    # Off the table the probe prices its flips by local fields, so obj.value
+    # runs only for each restart's start and best state.
+    obj = gen_maxcut_r3r(256, seed=5).objective
+    calls = []
+    original = DiagonalObjective.value
+
+    def counted(self, bits):
+        calls.append(len(bits))
+        return original(self, bits)
+
+    monkeypatch.setattr(DiagonalObjective, "value", counted)
+    simulated_annealing(obj, sweeps=3, restarts=4, seed=0)
+    assert calls == [256] * 8
     assert energies_at_calls == []
 
 

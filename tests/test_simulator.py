@@ -1153,9 +1153,10 @@ print(json.dumps({
 # REPLAY_SCRIPT's output, recorded before the mean-mode kernels were folded
 # onto half the statevector; the anneal entries were recorded once its local
 # fields came from the spin form's coupling lists, and the trace again once
-# each restart's best state was re-priced; the angles and mean energy were
-# recorded again once the adjoint gradient read kept pre-mixer states. Any
-# drift in the last bit fails the replay.
+# each restart's best state was re-priced, and the anneal entries again once
+# the temperature probe drew bit rows and priced flips by local fields; the
+# angles and mean energy were recorded again once the adjoint gradient read
+# kept pre-mixer states. Any drift in the last bit fails the replay.
 REPLAY_PINNED = {
     "params": ["0x1.ec63dfcb24ae6p-2", "0x1.b5e6369bfc78ep-1", "0x1.22e35c3413963p-1", "0x1.541aef66220b5p-2"],
     "mean_energy": "-0x1.fff3d44588466p+3",
@@ -1173,8 +1174,8 @@ REPLAY_PINNED = {
         [6, 8, "-0x1.3b4d69a4b58a0p-2"], [7, 10, "-0x1.3b4d69a4b58a0p-2"], [7, 12, "-0x1.3b4d69a4b58a0p-2"],
         [8, 12, "-0x1.3b4d69a4b58a0p-2"], [9, 10, "-0x1.3b4d69a4b589fp-2"], [11, 13, "-0x1.3b4d69a4b58a0p-2"],
     ],
-    "anneal_energy": "-0x1.8431e5ca26059p+6",
-    "anneal_trace": ["-0x1.5b81dd30ec254p+6", "-0x1.8431e5ca26059p+6", "-0x1.5b81dd30ec254p+6"],
+    "anneal_energy": "-0x1.b3bbaa0395fb1p+6",
+    "anneal_trace": ["-0x1.87a1acdb713c5p+6", "-0x1.8c7242e5411e1p+6", "-0x1.b3bbaa0395fb1p+6"],
 }
 
 

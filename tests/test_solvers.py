@@ -19,7 +19,7 @@ import pytest
 
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
-from qopt.simulator import CapacityError, QaoaParams, WarmStart, energy_table
+from qopt.simulator import CapacityError, QaoaParams, WarmStart, anneal_trotter, energy_table, qaoa_state, sample
 from qopt.solvers import (
     SolveResult,
     brute_force,
@@ -793,6 +793,32 @@ class TestTransferParameters:
         bare = brute_force(SINGLE_SPIN)
         with pytest.raises(ValueError):
             transfer_parameters(bare, SINGLE_SPIN)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("sweeps", lambda obj: simulated_annealing(obj, sweeps=2.5), id="anneal-sweeps"),
+        pytest.param("restarts", lambda obj: simulated_annealing(obj, sweeps=3, restarts=1.5), id="anneal-restarts"),
+        pytest.param("max_rounds", lambda obj: grover_adaptive_search(obj, max_rounds=2.5), id="grover-max_rounds"),
+        pytest.param("p", lambda obj: qaoa_solve(obj, p=1.5), id="qaoa-p"),
+        pytest.param("optimizer_budget", lambda obj: qaoa_solve(obj, optimizer_budget=10.5), id="qaoa-budget"),
+        pytest.param("shots", lambda obj: qaoa_solve(obj, shots=2.5), id="qaoa-shots"),
+        pytest.param("cutoff", lambda obj: recursive_qaoa(obj, cutoff=2.5), id="rqaoa-cutoff"),
+        pytest.param(
+            "shots",
+            lambda obj: sample(qaoa_state(obj, QaoaParams(p=1, gammas=(0.3,), betas=(0.2,))), 2.5),
+            id="sample-shots",
+        ),
+        pytest.param("steps", lambda obj: anneal_trotter(obj, 1.0, 2.5), id="trotter-steps"),
+    ],
+)
+def test_float_counts_raise_naming_the_parameter(name, call):
+    # A count passes through operator.index: 2.5 sweeps used to run three
+    # and report 2.5, and a bench config passes JSON numbers straight in.
+    obj = gen_maxcut_r3r(6, seed=0).objective
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call(obj)
 
 
 class TestSolveResultJson:
