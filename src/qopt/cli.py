@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from qopt.bench import (
     SOLVERS,
     BenchmarkConfig,
@@ -223,296 +221,67 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Fast self-contained invariant checks; returns (name, ok, detail) rows.
+    """Fast invariant checks; returns (name, ok, detail) rows.
 
-    These re-derive expected values on the spot (closed forms, second
-    formulas, replay comparisons) rather than trusting cached constants.
+    Each check measures through :mod:`qopt._checks`, mostly on a short
+    prefix of the suite of the acceptance criterion named beside it, and
+    holds the measurement to verify's own threshold. A check fails when its
+    measurement raises or misses the threshold; the detail then gives the
+    error or the measured value.
     """
-    from qopt.model import (
-        QuboModel,
-        index_to_bits,
-        ising_to_qubo,
-        penalty_encode,
-        qubo_to_ising,
-    )
-    from qopt.preprocess import decompose_components, fix_variables
-    from qopt.problems import gen_labs, gen_maxcut_r3r, gen_spin_glass, labs_energy
-    from qopt.simulator import (
-        QaoaParams,
-        anneal_trotter,
-        cvar,
-        energy_table,
-        expectation,
-        gibbs_distribution,
-        ground_state_overlap,
-        qaoa_p1_energy,
-        qaoa_state,
-        sample,
-    )
-    from qopt.solvers import brute_force, grover_adaptive_search
-    from qopt.bench import approximation_ratio
+    from qopt import _checks as c
 
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, fn) -> None:
+    table = (
+        ("qubo-ising round trip (20 models, 1e-9)",  # criterion 03
+         lambda: c.round_trip_drift(seed, models=20, sizes=range(1, 13)), lambda drift: drift <= 1e-9),
+        ("energy tables equal their per-index replay",
+         lambda: c.table_replay_drift(seed, n=10, states=200), lambda drift: drift == 0.0),
+        ("penalty compilation vs constrained enumeration",  # criterion 03
+         lambda: c.penalty_gap(seed, models=10, n=5), lambda gap: gap <= 1e-9),
+        ("single-qubit ansatz matches closed form",  # criterion 04
+         lambda: c.single_qubit_drift(points=5, reference=lambda g, b: -math.sin(2 * g) * math.sin(2 * b)),
+         lambda drift: drift <= 1e-9),
+        ("p=1 closed form equals the statevector (maxcut, Ising with fields, 1e-12)",
+         lambda: c.p1_closed_form_drift(seed, n=10, angles=5), lambda drift: drift <= 1e-12),
+        ("Gibbs reweighting exact (beta 0 and 2, 1e-12)",  # criterion 05
+         lambda: c.gibbs_drift(seed, models=2, sizes=range(2, 13), betas=(0.0, 2.0), reference=c.gibbs_by_value),
+         lambda drift: drift <= 1e-12),
+        ("CVaR mean/monotone/best-sample contract",  # criterion 09
+         lambda: c.cvar_contract(seed, trials=10, sizes=range(3, 7), shots=range(50, 300)),
+         lambda m: m.mean_gap <= 1e-12 and m.rise <= 1e-12 and m.best_gap == 0.0),
+        ("Grover threshold descent",  # criterion 06
+         lambda: c.grover_runs(seed, instances=2, sizes=range(6, 11), solver_seeds=5, max_rounds=128),
+         lambda m: m.rises == 0 and m.empty_misses == 0),
+        # Criterion 07's suite is a frozen list. The seed picks a +-1 glass:
+        # seeds 0-199 all reach >= 0.9995, while Gaussian glasses do not all pass.
+        ("Trotterized anneal reaches the ground state",
+         lambda: c.anneal_min_overlap([("pm1", seed % (1 << 32))], n=6, T=50.0, steps=500),
+         lambda overlap: overlap >= 0.9),
+        ("LABS enumerator agreement (k=10)",  # criterion 08
+         lambda: (
+             c.labs_optimum_gap([10], reference=c.labs_by_sequence),
+             c.labs_symmetry_breaks(seed, sequences=100, lengths=range(2, 33)),
+         ),
+         lambda m: m == (0.0, 0)),
+        ("decomposition and variable fixing soundness",  # criterion 11
+         lambda: (
+             c.decomposition_gap(seed, models=5, block_sizes=range(2, 5)),
+             c.fixing_drift(seed, models=2, sizes=range(5, 11)),
+         ),
+         lambda gaps: all(gap <= 1e-9 for gap in gaps)),
+        ("approximation ratio invariances",  # criterion 10
+         lambda: c.ratio_drift(seed, draws=50), lambda drift: drift <= 1e-12),
+        ("benchmark replay is byte-identical",  # criterion 10
+         lambda: len(set(c.replay_reports(seed, maxcut_n=8, spin_glass_n=6, sweeps=20))), lambda k: k == 1),
+    )
+    checks = []
+    for name, measure, holds in table:
         try:
-            fn()
-            checks.append((name, True, ""))
+            value = measure()
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    def random_qubo(n, rng):
-        terms = {}
-        for i in range(n):
-            for j in range(i, n):
-                if rng.random() < 0.6:
-                    terms[(i, j)] = float(rng.normal())
-        return QuboModel(n=n, terms=terms)
-
-    def conversions():
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            q = random_qubo(7, rng)
-            back = ising_to_qubo(qubo_to_ising(q))
-            for idx in range(1 << q.n):
-                bits = tuple((idx >> i) & 1 for i in range(q.n))
-                if abs(q.energy(bits) - back.energy(bits)) > 1e-9:
-                    raise AssertionError(f"round trip drift at {bits}")
-
-    check("qubo-ising round trip (20 models, 1e-9)", conversions)
-
-    def replay_equals_table():
-        from qopt.model import IsingModel
-
-        rng = np.random.default_rng(seed + 7)
-        n = 10
-        pairs = {(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)}
-        cubic = [
-            (*sorted(int(v) for v in rng.choice(n, size=3, replace=False)), float(rng.normal()))
-            for _ in range(5)
-        ]
-        fields = tuple(float(v) for v in rng.normal(size=n))
-        objectives = {
-            "QUBO": random_qubo(n, rng).as_objective(),
-            "Ising with fields": IsingModel(n=n, h=fields, J=pairs, offset=0.5).as_objective(),
-            "cubic Ising": IsingModel(n=n, J=pairs).as_objective(cubic),
-        }
-        for name, obj in objectives.items():
-            table = energy_table(obj)
-            idx = rng.integers(0, 1 << n, size=200)
-            if not np.array_equal(obj.energies_at(idx), table[idx]):
-                raise AssertionError(f"{name} replay differs from its table")
-            if any(obj.value(index_to_bits(int(i), n)) != table[i] for i in idx):
-                raise AssertionError(f"{name} value() differs from its table")
-
-    check("energy tables equal their per-index replay", replay_equals_table)
-
-    def penalty():
-        from qopt.model import ConstrainedModel, LinearConstraint
-
-        rng = np.random.default_rng(seed + 1)
-        for _ in range(10):
-            q = random_qubo(4, rng)
-            cm = ConstrainedModel(
-                objective=q,
-                equalities=(LinearConstraint(coeffs=(1.0, 1.0, 0.0, 0.0), bound=1.0),),
-                inequalities=(LinearConstraint(coeffs=(0.0, 0.0, 1.0, 1.0), bound=1.0),),
-            )
-            compiled = penalty_encode(cm)
-            best = brute_force(compiled.as_objective()).c_min
-            feasible = [
-                q.energy(b)
-                for b in (
-                    (a, 1 - a, c, d)
-                    for a in (0, 1)
-                    for c in (0, 1)
-                    for d in (0, 1)
-                    if c + d <= 1
-                )
-            ]
-            if abs(best - min(feasible)) > 1e-9:
-                raise AssertionError("penalty optimum drifted from constrained optimum")
-
-    check("penalty compilation vs constrained enumeration", penalty)
-
-    def single_spin():
-        from qopt.model import IsingModel
-
-        obj = IsingModel(n=1, h=(1.0,)).as_objective()
-        for g in np.linspace(0, math.pi, 5):
-            for b in np.linspace(0, math.pi / 2, 5):
-                got = expectation(qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,))), obj)
-                closed = qaoa_p1_energy(obj, np.array([g]), np.array([b]))[0]
-                want = -math.sin(2 * g) * math.sin(2 * b)
-                if abs(got - want) > 1e-9 or abs(closed - want) > 1e-9:
-                    raise AssertionError(f"landscape mismatch at {(g, b)}")
-        at_quarter = expectation(
-            qaoa_state(obj, QaoaParams(p=1, gammas=(math.pi / 4,), betas=(math.pi / 4,))), obj
-        )
-        if abs(at_quarter + 1.0) > 1e-9:
-            raise AssertionError(f"expected -1 at (pi/4, pi/4), got {at_quarter}")
-
-    check("single-qubit ansatz matches closed form", single_spin)
-
-    def p1_closed_form():
-        from qopt.model import IsingModel
-
-        rng = np.random.default_rng(seed + 8)
-        n = 10
-        with_fields = IsingModel(
-            n=n,
-            h=tuple(float(v) for v in rng.normal(size=n)),
-            J={(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)},
-            offset=0.5,
-        )
-        objectives = {
-            "maxcut": gen_maxcut_r3r(12, seed=seed).objective,
-            "Ising with fields": with_fields.as_objective(),
-        }
-        for name, obj in objectives.items():
-            scale = max(1.0, float(np.abs(energy_table(obj)).max()))
-            gammas, betas = rng.uniform(-math.pi, math.pi, (2, 5))
-            closed = qaoa_p1_energy(obj, gammas, betas)
-            for g, b, want in zip(gammas, betas, closed):
-                got = expectation(qaoa_state(obj, QaoaParams(p=1, gammas=(g,), betas=(b,))), obj)
-                if abs(got - want) > 1e-12 * scale:
-                    raise AssertionError(f"{name} closed form {want!r} vs statevector {got!r} at {(g, b)}")
-
-    check("p=1 closed form equals the statevector (maxcut, Ising with fields, 1e-12)", p1_closed_form)
-
-    def gibbs():
-        rng = np.random.default_rng(seed + 2)
-        q = random_qubo(6, rng)
-        obj = q.as_objective()
-        table = np.array([obj.value(tuple((i >> k) & 1 for k in range(6))) for i in range(64)])
-        for beta in (0.0, 2.0):
-            dist = gibbs_distribution(obj, beta)
-            weights = np.exp(-beta * (table - table.min()))
-            direct = weights / weights.sum()
-            if np.max(np.abs(dist.probabilities - direct)) > 1e-12:
-                raise AssertionError(f"Gibbs drift at beta={beta}")
-
-    check("Gibbs reweighting exact (beta 0 and 2, 1e-12)", gibbs)
-
-    def cvar_contract():
-        from qopt.simulator import Statevector
-
-        rng = np.random.default_rng(seed + 3)
-        q = random_qubo(5, rng)
-        obj = q.as_objective()
-        sv = Statevector.plus(5)
-        shots = 300
-        samples = sample(sv, shots=shots, seed=seed, obj=obj)
-        mean = float(np.mean(samples.energy_values()))
-        if abs(cvar(samples, 1.0) - mean) > 1e-12:
-            raise AssertionError("cvar(1) differs from sample mean")
-        last = np.inf
-        for alpha in (1.0, 0.7, 0.4, 0.1, 1.0 / shots):
-            value = cvar(samples, alpha)
-            if value > last + 1e-12:
-                raise AssertionError("cvar not monotone under shrinking alpha")
-            last = value
-        if cvar(samples, 1e-9) != samples.best()[1]:
-            raise AssertionError("single-sample limit is not the best energy")
-
-    check("CVaR mean/monotone/best-sample contract", cvar_contract)
-
-    def grover():
-        rng = np.random.default_rng(seed + 4)
-        for trial in range(5):
-            obj = random_qubo(6, rng).as_objective()
-            ref = brute_force(obj)
-            res = grover_adaptive_search(obj, seed=seed + trial)
-            tr = res.trace
-            if not all(tr[k + 1] < tr[k] for k in range(len(tr) - 1)):
-                raise AssertionError("thresholds not strictly decreasing")
-            if res.extras["marked_set_empty"] and res.best_energy != ref.c_min:
-                raise AssertionError("certified-empty search missed the optimum")
-
-    check("Grover threshold descent", grover)
-
-    def anneal():
-        inst = gen_spin_glass("complete", 6, dist="pm1", seed=seed)
-        sv = anneal_trotter(inst.objective, T=50.0, steps=500)
-        overlap = ground_state_overlap(sv, inst.objective)
-        if overlap < 0.9:
-            raise AssertionError(f"slow-anneal overlap {overlap:.4f} < 0.9")
-
-    check("Trotterized anneal reaches the ground state", anneal)
-
-    def labs():
-        inst = gen_labs(10)
-        res = brute_force(inst)
-        best = math.inf
-        for idx in range(1 << 10):
-            s = [1 - 2 * ((idx >> i) & 1) for i in range(10)]
-            corr = np.correlate(s, s, mode="full")[10:]
-            best = min(best, float(np.sum(corr.astype(float) ** 2)))
-        if res.c_min != best:
-            raise AssertionError(f"sidelobe enumerators disagree: {res.c_min} vs {best}")
-        if labs_energy([1] * 10) != float(sum(k * k for k in range(1, 10))):
-            raise AssertionError("constant sequence energy wrong")
-
-    check("LABS enumerator agreement (k=10)", labs)
-
-    def preprocess():
-        rng = np.random.default_rng(seed + 5)
-        q = random_qubo(5, rng)
-        shifted = QuboModel(
-            n=10, terms={(i + 5, j + 5): c for (i, j), c in q.terms.items()}, offset=q.offset
-        )
-        joined = QuboModel(
-            n=10, terms={**{k: v for k, v in random_qubo(5, rng).terms.items()}, **shifted.terms}
-        )
-        dec = decompose_components(joined)
-        merged_best = 0.0
-        assignment: dict[int, int] = {}
-        for comp, index_map in dec.components:
-            res = brute_force(comp.as_objective())
-            merged_best += res.c_min
-            assignment.update(dict(zip(index_map, res.best_assignment)))
-        bits = tuple(assignment[i] for i in range(10))
-        if abs(joined.energy(bits) - merged_best) > 1e-9:
-            raise AssertionError("component optima do not concatenate")
-        fixed = fix_variables(joined, {0: 1, 3: 0})
-        for idx in range(1 << 8):
-            free = [(idx >> k) & 1 for k in range(8)]
-            full = [1, free[0], free[1], 0, *free[2:]]
-            sub = free
-            if abs(joined.energy(full) - fixed.energy(sub)) > 1e-9:
-                raise AssertionError("fix_variables energy inconsistency")
-
-    check("decomposition and variable fixing soundness", preprocess)
-
-    def metrics():
-        rng = np.random.default_rng(seed + 6)
-        for _ in range(50):
-            c_min = rng.normal()
-            c_max = c_min + abs(rng.normal()) + 0.1
-            v = rng.uniform(c_min, c_max)
-            base = approximation_ratio(v, c_min, c_max).ratio
-            off, scale = rng.normal(), rng.uniform(0.5, 3.0)
-            if abs(approximation_ratio(v + off, c_min + off, c_max + off).ratio - base) > 1e-12:
-                raise AssertionError("AR not offset invariant")
-            if abs(approximation_ratio(v * scale, c_min * scale, c_max * scale).ratio - base) > 1e-12:
-                raise AssertionError("AR not scale invariant")
-
-    check("approximation ratio invariances", metrics)
-
-    def replay():
-        config = BenchmarkConfig(
-            instances=({"family": "maxcut-r3r", "params": {"n": 8, "seed": 1}},),
-            solvers=({"algorithm": "annealing", "params": {"sweeps": 30}},),
-            repetitions=2,
-            master_seed=seed,
-        )
-        first = emit_report(run_benchmark(config, clock=lambda: 0.0), "csv")
-        second = emit_report(run_benchmark(config, clock=lambda: 0.0), "csv")
-        if first != second:
-            raise AssertionError("replayed report differs")
-
-    check("benchmark replay is byte-identical", replay)
-
+            continue
+        checks.append((name, True, "") if holds(value) else (name, False, f"measured {value!r}"))
     return checks
 
 

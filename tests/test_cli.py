@@ -561,6 +561,23 @@ class TestVerify:
         assert suite.get("tests") == "13"
         assert suite.get("failures") == "0"
 
+    def test_any_integer_is_a_seed(self, capsys):
+        assert run_cli(["verify", "--seed", "-1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "13/13 checks passed"
+
+    @pytest.mark.parametrize(
+        "measured, detail",
+        [(lambda *a, **k: 1e-6, "measured 1e-06"), (lambda *a, **k: 1 / 0, "ZeroDivisionError: division by zero")],
+        ids=["over threshold", "raises"],
+    )
+    def test_one_failing_measurement_fails_its_check(self, capsys, monkeypatch, measured, detail):
+        monkeypatch.setattr("qopt._checks.penalty_gap", measured)
+        assert run_cli(["verify"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"FAIL penalty compilation vs constrained enumeration: {detail}" in out
+        assert sum(line.startswith("FAIL") for line in out) == 1
+        assert out[-1] == "12/13 checks passed"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):

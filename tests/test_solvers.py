@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qopt import _checks
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import CapacityError, QaoaParams, WarmStart, anneal_trotter, energy_table, qaoa_state, sample
@@ -51,13 +52,7 @@ def naive_enumerate(obj):
 
 
 def random_qubo(n, seed, fill=0.6):
-    rng = np.random.default_rng(seed)
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            if rng.random() < fill:
-                terms[(i, j)] = float(rng.normal())
-    return QuboModel(n=n, terms=terms)
+    return _checks.random_qubo(n, np.random.default_rng(seed), fill)
 
 
 def assert_self_consistent(result, obj):
