@@ -16,6 +16,7 @@ import io
 import json
 import numbers
 import statistics
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -162,7 +163,10 @@ class BenchmarkRecord:
     which has no range to judge against; that cell's one-line reason is
     ``extras["unjudged"]``. A cell whose generator or solver raised keeps
     the message as ``extras["error"]``, and its measured fields keep their
-    defaults (0 variables, no metrics, zero stage timings). The transpile
+    defaults (0 variables, no metrics, zero stage timings). An instance
+    entry is built once for all of its cells, and only the cell that built
+    it carries its ``t_generate``, ``t_compile`` and, within ``t_post``,
+    its reference enumeration; its other cells read 0.0 there. The transpile
     and embed fields exist for schema compatibility with hardware report
     rows and are always zero here; they appear in JSON but not CSV.
     """
@@ -198,12 +202,13 @@ class BenchmarkRecord:
 class BenchmarkConfig:
     """Declarative run matrix.
 
-    ``instances`` and ``solvers`` are mappings like
+    ``instances`` and ``solvers`` are lists of mappings like
     ``{"family": "maxcut-r3r", "params": {"n": 16}}`` and
-    ``{"algorithm": "qaoa", "params": {"p": 1}}``; any other key is an
-    error. Instance seeds default to values derived from the master seed
-    when the generator takes one and the params leave it out; solver seeds
-    are always derived per repetition.
+    ``{"algorithm": "qaoa", "params": {"p": 1}}``; any other key, params
+    that are not a mapping, and a report path that is not a non-empty
+    string are errors. Instance seeds default to values derived from the
+    master seed when the generator takes one and the params leave it out;
+    solver seeds are always derived per repetition.
     """
 
     instances: tuple[Mapping, ...] = ()
@@ -226,23 +231,36 @@ class BenchmarkConfig:
             object.__setattr__(self, "target", "optimal" if theta is None else ("ar", theta))
         if self.repetitions < 1:
             raise ValueError(f"need at least one repetition, got {self.repetitions}")
-        object.__setattr__(self, "time_limit", float(self.time_limit))
+        try:
+            object.__setattr__(self, "time_limit", float(self.time_limit))
+        except (TypeError, ValueError):
+            raise ValueError(f"time_limit must be a number, got {self.time_limit!r}") from None
         if not self.time_limit > 0:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if self.jobs < 1:
             raise ValueError(f"need at least one worker, got {self.jobs}")
-        object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "solvers", tuple(self.solvers))
-        for kind, entries, keys in (
-            ("instance", self.instances, {"family", "params"}),
-            ("solver", self.solvers, {"algorithm", "params"}),
+        # A path that is not a non-empty string would reach ``open`` as a
+        # file descriptor (2 is stderr, True stdout) or fail after the run.
+        for name in ("csv_path", "json_path"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, str) and value):
+                raise ValueError(f"{name} must be a non-empty string or null, got {value!r}")
+        for kind, name, keys in (
+            ("instance", "instances", {"family", "params"}),
+            ("solver", "solvers", {"algorithm", "params"}),
         ):
+            entries = getattr(self, name)
+            if not isinstance(entries, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {entries!r}")
+            object.__setattr__(self, name, tuple(entries))
             for entry in entries:
                 if not isinstance(entry, Mapping):
                     raise ValueError(f"{kind} entry must be an object, got {entry!r}")
                 unknown = sorted(set(entry) - keys)
                 if unknown:
                     raise ValueError(f"unknown {kind} key {unknown[0]!r}")
+                if not isinstance(entry.get("params", {}), Mapping):
+                    raise ValueError(f"{kind} params must be an object, got {entry['params']!r}")
 
 
 def _cell_label(kind: str, params: Mapping) -> str:
@@ -259,25 +277,66 @@ def _density_of(obj: DiagonalObjective) -> float | None:
     return density(spin) if spin is not None and spin.n >= 2 else None
 
 
-def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mapping, clock) -> BenchmarkRecord:
-    family = inst_entry.get("family", "?")
-    inst_params = dict(inst_entry.get("params", {}))
-    algorithm = solver_entry.get("algorithm", "?")
-    solver_params = dict(solver_entry.get("params", {}))
-    problem_label = _cell_label(family, inst_params)
-    algorithm_label = _cell_label(algorithm, solver_params)
-    cell_seed = derive_seed(config.master_seed, problem_label, algorithm_label)
+class _EntryBuild(NamedTuple):
+    """An instance entry's shared build and the seconds each part took."""
 
-    cell_start = clock()
-    try:
-        generator = GENERATORS[family]
-        solver = SOLVERS[algorithm]
+    instance: ProblemInstance
+    c_min: float | None  # exact range; None above the statevector cap
+    c_max: float | None
+    t_generate: float
+    t_compile: float
+    t_reference: float
+
+
+class _BuildFailed(Exception):
+    """Raised in each cell of an entry whose build raised; the message is
+    that error's ``<Type>: <message>`` line."""
+
+
+class _SharedInstance:
+    """One instance entry of the matrix, built once for all its solver cells.
+
+    The first cell to need it generates the instance, compiles its energy
+    table and enumerates its exact range (both only up to the statevector
+    cap) while holding ``lock``; a cell that arrives meanwhile waits, then
+    reuses the build or its error. Each cell releases the entry when it is
+    done, and the last release drops the instance.
+    """
+
+    def __init__(self, config: BenchmarkConfig, entry: Mapping) -> None:
+        self.family = entry.get("family", "?")
+        self.params = dict(entry.get("params", {}))
+        self.label = _cell_label(self.family, self.params)
+        self.master_seed = config.master_seed
+        self.lock = threading.Lock()
+        self.pending = len(config.solvers)
+        self.built: _EntryBuild | str | None = None
+
+    def acquire(self, generator: Callable[..., ProblemInstance], clock) -> tuple[_EntryBuild, bool]:
+        """The build, and whether this call made it (and so is charged for it)."""
+        with self.lock:
+            made = self.built is None
+            if made:
+                try:
+                    self.built = self._build(generator, clock)
+                except Exception as exc:  # noqa: BLE001 - every cell of the entry reports it
+                    self.built = f"{type(exc).__name__}: {exc}"
+            if isinstance(self.built, str):
+                raise _BuildFailed(self.built)
+            return self.built, made
+
+    def release(self) -> None:
+        with self.lock:
+            self.pending -= 1
+            if self.pending == 0:
+                self.built = None
+
+    def _build(self, generator: Callable[..., ProblemInstance], clock) -> _EntryBuild:
+        params = dict(self.params)
         if "seed" in inspect.signature(generator).parameters:
-            inst_params.setdefault("seed", derive_seed(config.master_seed, problem_label) % (1 << 32))
-        accepted = inspect.signature(solver).parameters
-
+            params.setdefault("seed", derive_seed(self.master_seed, self.label) % (1 << 32))
         t0 = clock()
-        instance = generator(**inst_params)
+        instance = generator(**params)
         t_generate = clock() - t0
         obj = instance.objective
         enumerable = obj.n <= statevector_cap()
@@ -288,6 +347,32 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
         t_compile = clock() - t0
 
         t0 = clock()
+        c_min = c_max = None
+        if enumerable:
+            reference = brute_force(obj)
+            c_min, c_max = reference.c_min, reference.c_max
+        t_reference = clock() - t0
+        return _EntryBuild(instance, c_min, c_max, t_generate, t_compile, t_reference)
+
+
+def _run_cell(config: BenchmarkConfig, shared: _SharedInstance, solver_entry: Mapping, clock) -> BenchmarkRecord:
+    algorithm = solver_entry.get("algorithm", "?")
+    solver_params = dict(solver_entry.get("params", {}))
+    problem_label = shared.label
+    algorithm_label = _cell_label(algorithm, solver_params)
+    cell_seed = derive_seed(config.master_seed, problem_label, algorithm_label)
+
+    cell_start = clock()
+    try:
+        generator = GENERATORS[shared.family]
+        solver = SOLVERS[algorithm]
+        built, charged = shared.acquire(generator, clock)
+        obj = built.instance.objective
+        c_min, c_max = built.c_min, built.c_max
+        enumerable = c_min is not None
+        accepted = inspect.signature(solver).parameters
+
+        t0 = clock()
         results = []
         for rep in range(config.repetitions):
             run_params = dict(solver_params)
@@ -295,20 +380,17 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
                 run_params.setdefault(
                     "seed", derive_seed(config.master_seed, problem_label, algorithm_label, rep)
                 )
-            results.append(solver(instance, **run_params))
+            results.append(solver(built.instance, **run_params))
         t_execute = clock() - t0
 
         t0 = clock()
-        ar_mean = ar_best = success = c_min = c_max = None
+        ar_mean = ar_best = success = None
         mean_energies = [float(r.extras.get("mean_energy", r.best_energy)) for r in results]
-        if enumerable:
-            reference = brute_force(obj)
-            c_min, c_max = reference.c_min, reference.c_max
-            if c_max > c_min:
-                mean_ars = [approximation_ratio(e, c_min, c_max).ratio for e in mean_energies]
-                best_ars = [approximation_ratio(r.best_energy, c_min, c_max).ratio for r in results]
-                ar_mean = sum(mean_ars) / len(mean_ars)
-                ar_best = max(best_ars)
+        if enumerable and c_max > c_min:
+            mean_ars = [approximation_ratio(e, c_min, c_max).ratio for e in mean_energies]
+            best_ars = [approximation_ratio(r.best_energy, c_min, c_max).ratio for r in results]
+            ar_mean = sum(mean_ars) / len(mean_ars)
+            ar_best = max(best_ars)
         extras = {
             "repetitions": config.repetitions,
             "best_energies": [r.best_energy for r in results],
@@ -333,6 +415,8 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
             solver_params.get(name, accepted[name].default) if name in accepted else None
             for name in ("p", "shots")
         )
+        # The build's seconds go to the one cell that made it; the reference
+        # enumeration belongs to post-processing.
         measured = dict(
             variables=obj.n,
             density=_density_of(obj),
@@ -340,15 +424,17 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
             ar_best=ar_best,
             depth=depth,
             shots=shots,
-            t_generate=t_generate,
-            t_compile=t_compile,
+            t_generate=built.t_generate if charged else 0.0,
+            t_compile=built.t_compile if charged else 0.0,
             t_execute=t_execute,
-            t_post=t_post,
+            t_post=(t_post + built.t_reference) if charged else t_post,
         )
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the matrix
         measured = {}
         success = False if config.target is not None else None
-        extras = {"error": f"{type(exc).__name__}: {exc}"}
+        extras = {"error": str(exc) if isinstance(exc, _BuildFailed) else f"{type(exc).__name__}: {exc}"}
+    finally:
+        shared.release()
     return BenchmarkRecord(
         problem=problem_label,
         algorithm=algorithm_label,
@@ -363,20 +449,33 @@ def _run_cell(config: BenchmarkConfig, inst_entry: Mapping, solver_entry: Mappin
 def run_benchmark(config: BenchmarkConfig, clock: Callable[[], float] = time.perf_counter) -> list[BenchmarkRecord]:
     """Execute the full matrix; one record per (instance, solver) cell.
 
+    The matrix runs instance-major. Each instance entry is generated, its
+    energy table compiled and its exact range enumerated once, by the first
+    of its cells to run, which is charged those seconds (``t_generate``,
+    ``t_compile``, and the reference within ``t_post``); its other cells
+    reuse that instance and report 0.0 for the shared work. The instance is
+    dropped after its last cell, so with one job it is gone before the next
+    entry is generated.
+
     Cells run in a thread pool of ``config.jobs`` workers but records come
     back in config order regardless of completion order. Failures are
-    captured inside their cell's record. Deterministic given the master
+    captured inside their cell's record; a failed build fails every cell
+    of its entry with the same message. Deterministic given the master
     seed (and byte-identical in reports under an injected constant clock).
     """
-    cells = [(inst, solver) for inst in config.instances for solver in config.solvers]
+    cells = [
+        (shared, solver)
+        for shared in (_SharedInstance(config, entry) for entry in config.instances)
+        for solver in config.solvers
+    ]
     if not cells:
         return []
     if config.jobs == 1:
-        return [_run_cell(config, inst, solver, clock) for inst, solver in cells]
+        return [_run_cell(config, shared, solver, clock) for shared, solver in cells]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        futures = [pool.submit(_run_cell, config, inst, solver, clock) for inst, solver in cells]
+        futures = [pool.submit(_run_cell, config, shared, solver, clock) for shared, solver in cells]
         return [f.result() for f in futures]
 
 

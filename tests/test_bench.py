@@ -7,8 +7,13 @@ Python equality.
 
 import csv
 import io
+import itertools
 import json
 import math
+import os
+import sys
+import time
+import weakref
 from xml.etree import ElementTree
 
 import numpy as np
@@ -27,7 +32,7 @@ from qopt.bench import (
     run_benchmark,
     success_metrics,
 )
-from qopt.model import QuboModel
+from qopt.model import DiagonalObjective, QuboModel
 from qopt.problems import gen_maxcut_r3r, gen_spin_glass
 from qopt.solvers import SolveResult, brute_force, simulated_annealing
 
@@ -192,6 +197,15 @@ class TestRecordAndConfig:
         with pytest.raises(ValueError, match="instance entry must be an object, got 'labs'"):
             BenchmarkConfig(instances=("labs",))
 
+    @pytest.mark.parametrize("name", ["csv_path", "json_path"])
+    @pytest.mark.parametrize("value", [2, True, "", 1.5])
+    def test_report_path_must_be_a_nonempty_string(self, name, value):
+        # An integer (or a bool) once reached ``open`` as a file descriptor:
+        # 2 wrote the report to stderr and then closed it for the process.
+        with pytest.raises(ValueError, match=f"{name} must be a non-empty string or null, got {value!r}"):
+            BenchmarkConfig(**{name: value})
+        assert getattr(BenchmarkConfig(**{name: "report.out"}), name) == "report.out"
+
     def test_ladder_values(self):
         assert TIME_LIMIT_LADDER == (1.0, 10.0, 60.0, 600.0, 3600.0, 10000.0)
         assert BenchmarkConfig().time_limit in TIME_LIMIT_LADDER
@@ -210,6 +224,129 @@ SMALL_CONFIG = BenchmarkConfig(
     master_seed=11,
     target=("ar", 0.5),
 )
+
+
+# Two instance entries (one with a derived seed) against every solver that
+# reads the shared table: brute force, annealing, Grover and QAOA.
+SHARED_MATRIX = dict(
+    instances=(
+        {"family": "maxcut-r3r", "params": {"n": 8, "seed": 1}},
+        {"family": "spin-glass", "params": {"topology": "complete", "n": 6}},
+    ),
+    solvers=(
+        {"algorithm": "brute-force"},
+        {"algorithm": "annealing", "params": {"sweeps": 30}},
+        {"algorithm": "grover", "params": {"max_rounds": 4}},
+        {"algorithm": "qaoa", "params": {"p": 1, "optimizer_budget": 20, "shots": 64}},
+    ),
+    repetitions=2,
+    master_seed=4,
+    target=("ar", 0.9),
+)
+
+
+def count_calls(monkeypatch, owner, key, counts):
+    """Rebind ``owner[key]`` (or the attribute) to a wrapper that tallies
+    each call under ``key`` in ``counts``."""
+    original = owner[key] if isinstance(owner, dict) else getattr(owner, key)
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return original(*args, **kwargs)
+
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, key, counted)
+    else:
+        monkeypatch.setattr(owner, key, counted)
+
+
+class TestSharedInstances:
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_sharing_changes_no_result(self, jobs):
+        records = run_benchmark(BenchmarkConfig(**SHARED_MATRIX, jobs=jobs), clock=lambda: 0.0)
+        cells = [(i, s) for i in SHARED_MATRIX["instances"] for s in SHARED_MATRIX["solvers"]]
+        assert len(records) == len(cells)
+        for record, (inst, solver) in zip(records, cells):
+            alone = BenchmarkConfig(**{**SHARED_MATRIX, "instances": (inst,), "solvers": (solver,)})
+            assert record == run_benchmark(alone, clock=lambda: 0.0)[0]
+            assert "error" not in record.extras
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_one_generation_and_one_table_per_instance(self, monkeypatch, jobs):
+        counts = {}
+        for family in ("maxcut-r3r", "spin-glass"):
+            count_calls(monkeypatch, bench_module.GENERATORS, family, counts)
+        count_calls(monkeypatch, DiagonalObjective, "table", counts)
+        run_benchmark(BenchmarkConfig(**SHARED_MATRIX, jobs=jobs), clock=lambda: 0.0)
+        assert counts == {"maxcut-r3r": 1, "spin-glass": 1, "table": 2}
+
+    def test_instance_dropped_before_the_next_is_generated(self, monkeypatch):
+        alive = []
+
+        def tracked(family):
+            original = bench_module.GENERATORS[family]
+
+            def generate(**params):
+                assert [ref() for ref in alive] == [None] * len(alive)
+                instance = original(**params)
+                alive.append(weakref.ref(instance))
+                return instance
+
+            monkeypatch.setitem(bench_module.GENERATORS, family, generate)
+
+        for family in ("maxcut-r3r", "spin-glass"):
+            tracked(family)
+        records = run_benchmark(BenchmarkConfig(**SHARED_MATRIX), clock=lambda: 0.0)
+        assert len(alive) == 2
+        assert [ref() for ref in alive] == [None, None]
+        assert all("error" not in r.extras for r in records)
+
+    def test_threads_build_each_instance_once(self, monkeypatch):
+        # More workers than cores, a short switch interval and a generator
+        # that sleeps, so that cells of one entry race for its build; a second
+        # build would show in ``built``, a cell run on another entry's
+        # instance in the records.
+        original = bench_module.GENERATORS["spin-glass"]
+        built = []
+
+        def slow(**params):
+            built.append(params["seed"])
+            time.sleep(0.005)
+            return original(**params)
+
+        cfg = dict(
+            instances=tuple({"family": "spin-glass", "params": {"topology": "complete", "n": 4, "seed": s}}
+                            for s in range(6)),
+            solvers=tuple({"algorithm": "brute-force"} for _ in range(6)),
+            master_seed=2,
+        )
+        serial = run_benchmark(BenchmarkConfig(**cfg), clock=lambda: 0.0)
+        monkeypatch.setitem(bench_module.GENERATORS, "spin-glass", slow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_benchmark(BenchmarkConfig(**cfg, jobs=(os.cpu_count() or 1) + 2), clock=lambda: 0.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(built) == list(range(6))
+        assert threaded == serial
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_failed_build_fails_every_cell_of_its_entry(self, monkeypatch, jobs):
+        counts = {}
+        count_calls(monkeypatch, bench_module.GENERATORS, "labs", counts)
+        cfg = BenchmarkConfig(
+            instances=({"family": "labs", "params": {"k": 5, "sed": 1}}, SHARED_MATRIX["instances"][0]),
+            solvers=SHARED_MATRIX["solvers"][:3],
+            jobs=jobs,
+        )
+        records = run_benchmark(cfg, clock=lambda: 0.0)
+        assert counts == {"labs": 1}
+        errors = [r.extras.get("error") for r in records]
+        assert len(set(errors[:3])) == 1
+        assert errors[0].startswith("TypeError: ") and "unexpected keyword argument 'sed'" in errors[0]
+        assert all(r.variables == 0 and r.t_generate == 0.0 for r in records[:3])
+        assert errors[3:] == [None, None, None]
 
 
 class TestRunBenchmark:
@@ -297,14 +434,25 @@ class TestRunBenchmark:
         assert row[4] == "n/a" and row[5] == "n/a"
 
     def test_total_time_covers_parts(self):
-        cfg = BenchmarkConfig(
-            instances=({"family": "maxcut-r3r", "params": {"n": 8, "seed": 1}},),
-            solvers=({"algorithm": "annealing", "params": {"sweeps": 20}},),
-            master_seed=0,
-        )
-        rec = run_benchmark(cfg)[0]
-        parts = rec.t_generate + rec.t_preprocess + rec.t_compile + rec.t_execute + rec.t_post
-        assert rec.t_total >= parts - 1e-3
+        # Every clock reading is one tick later than the last, so each stage
+        # that ran reads at least 1. An instance's build is charged to the
+        # one cell that made it; with one job that is its first cell.
+        for jobs in (1, 3):
+            ticks = itertools.count()
+            records = run_benchmark(
+                BenchmarkConfig(**SHARED_MATRIX, jobs=jobs), clock=lambda: float(next(ticks))
+            )
+            for rec in records:
+                parts = rec.t_generate + rec.t_preprocess + rec.t_compile + rec.t_execute + rec.t_post
+                assert rec.t_total >= parts
+                assert rec.t_execute >= 1.0 and rec.t_post >= 1.0
+            for k in range(len(SHARED_MATRIX["instances"])):
+                cells = records[k * 4 : (k + 1) * 4]
+                assert sum(rec.t_generate > 0 for rec in cells) == 1
+                assert [rec.t_generate > 0 for rec in cells] == [rec.t_compile > 0 for rec in cells]
+                if jobs == 1:
+                    assert [rec.t_generate for rec in cells] == [1.0, 0.0, 0.0, 0.0]
+                    assert [rec.t_compile for rec in cells] == [1.0, 0.0, 0.0, 0.0]
 
     def test_instance_seed_derived_when_omitted(self):
         cfg = BenchmarkConfig(

@@ -387,11 +387,24 @@ class TestBench:
             ({"jobs": "2"}, "jobs must be an integer, got '2'"),
             ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
             ({"time_limit": "nan"}, "time limit must be positive, got nan"),
+            ({"time_limit": "x"}, "time_limit must be a number, got 'x'"),
+            ({"instances": "abc"}, "instances must be a list, got 'abc'"),
+            ({"json_path": ""}, "json_path must be a non-empty string or null, got ''"),
+            (
+                {"instances": [*SMALL_BENCH["instances"], {"family": "labs", "params": None}]},
+                "instance params must be an object, got None",
+            ),
+            (
+                {"solvers": [*SMALL_BENCH["solvers"], {"algorithm": "grover", "params": [1]}]},
+                "solver params must be an object, got [1]",
+            ),
         ],
     )
     def test_invalid_config_value_exits_one_before_any_cell(self, tmp_path, capsys, change, message):
         # Each of these once ran every cell into an error record, failed on a
-        # bare IndexError, or silently truncated to an integer.
+        # bare IndexError or an unnamed conversion, iterated a string, skipped
+        # a report, or raised after the earlier cells ran with no report
+        # written, or silently truncated to an integer.
         config = write_config(tmp_path, {**SMALL_BENCH, **change})
         out = tmp_path / "report.csv"
         assert run_cli(["bench", str(config), "--csv", str(out)]) == 1
