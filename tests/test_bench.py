@@ -446,8 +446,9 @@ class TestRunBenchmark:
                 parts = rec.t_generate + rec.t_preprocess + rec.t_compile + rec.t_execute + rec.t_post
                 assert rec.t_total >= parts
                 assert rec.t_execute >= 1.0 and rec.t_post >= 1.0
+            width = len(SHARED_MATRIX["solvers"])
             for k in range(len(SHARED_MATRIX["instances"])):
-                cells = records[k * 4 : (k + 1) * 4]
+                cells = records[k * width : (k + 1) * width]
                 assert sum(rec.t_generate > 0 for rec in cells) == 1
                 assert [rec.t_generate > 0 for rec in cells] == [rec.t_compile > 0 for rec in cells]
                 if jobs == 1:
