@@ -16,7 +16,6 @@ import io
 import json
 import numbers
 import statistics
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -164,9 +163,10 @@ class BenchmarkRecord:
     ``extras["unjudged"]``. A cell whose generator or solver raised keeps
     the message as ``extras["error"]``, and its measured fields keep their
     defaults (0 variables, no metrics, zero stage timings). An instance
-    entry is built once for all of its cells, and only the cell that built
-    it carries its ``t_generate``, ``t_compile`` and, within ``t_post``,
-    its reference enumeration; its other cells read 0.0 there. The transpile
+    entry is built once for all of its cells, by the first of them whose
+    family and solver names resolve; only that cell carries the build's
+    ``t_generate``, ``t_compile`` and, within ``t_post``, its reference
+    enumeration, and its other cells read 0.0 there. The transpile
     and embed fields exist for schema compatibility with hardware report
     rows and are always zero here; they appear in JSON but not CSV.
     """
@@ -206,9 +206,12 @@ class BenchmarkConfig:
     ``{"family": "maxcut-r3r", "params": {"n": 16}}`` and
     ``{"algorithm": "qaoa", "params": {"p": 1}}``; any other key, params
     that are not a mapping, and a report path that is not a non-empty
-    string are errors. Instance seeds default to values derived from the
-    master seed when the generator takes one and the params leave it out;
-    solver seeds are always derived per repetition.
+    string are errors, as is a ``time_limit`` that is a bool or not a
+    number. ``jobs`` must be 1, since cells run one at a time; the key is
+    kept so that configs and command lines that set it to 1 still run.
+    Instance seeds default to values derived from the master seed when the
+    generator takes one and the params leave it out; solver seeds are
+    always derived per repetition.
     """
 
     instances: tuple[Mapping, ...] = ()
@@ -232,13 +235,16 @@ class BenchmarkConfig:
         if self.repetitions < 1:
             raise ValueError(f"need at least one repetition, got {self.repetitions}")
         try:
+            # float() would read True as a 1-second budget.
+            if isinstance(self.time_limit, bool):
+                raise TypeError
             object.__setattr__(self, "time_limit", float(self.time_limit))
         except (TypeError, ValueError):
             raise ValueError(f"time_limit must be a number, got {self.time_limit!r}") from None
         if not self.time_limit > 0:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
-        if self.jobs < 1:
-            raise ValueError(f"need at least one worker, got {self.jobs}")
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1, got {self.jobs}: qopt bench runs its cells one at a time")
         # A path that is not a non-empty string would reach ``open`` as a
         # file descriptor (2 is stderr, True stdout) or fail after the run.
         for name in ("csv_path", "json_path"):
@@ -288,19 +294,15 @@ class _EntryBuild(NamedTuple):
     t_reference: float
 
 
-class _BuildFailed(Exception):
-    """Raised in each cell of an entry whose build raised; the message is
-    that error's ``<Type>: <message>`` line."""
-
-
 class _SharedInstance:
-    """One instance entry of the matrix, built once for all its solver cells.
+    """One instance entry of the matrix, built at most once for all its solver cells.
 
-    The first cell to need it generates the instance, compiles its energy
-    table and enumerates its exact range (both only up to the statevector
-    cap) while holding ``lock``; a cell that arrives meanwhile waits, then
-    reuses the build or its error. Each cell releases the entry when it is
-    done, and the last release drops the instance.
+    ``built`` stays None until the first cell whose family and solver names
+    resolve calls :meth:`build`, which generates the instance, compiles its
+    energy table and enumerates its exact range (both only up to the
+    statevector cap). It then holds that build, or the ``<Type>: <message>``
+    line of the error the build raised, which every cell of the entry
+    reports.
     """
 
     def __init__(self, config: BenchmarkConfig, entry: Mapping) -> None:
@@ -308,30 +310,9 @@ class _SharedInstance:
         self.params = dict(entry.get("params", {}))
         self.label = _cell_label(self.family, self.params)
         self.master_seed = config.master_seed
-        self.lock = threading.Lock()
-        self.pending = len(config.solvers)
         self.built: _EntryBuild | str | None = None
 
-    def acquire(self, generator: Callable[..., ProblemInstance], clock) -> tuple[_EntryBuild, bool]:
-        """The build, and whether this call made it (and so is charged for it)."""
-        with self.lock:
-            made = self.built is None
-            if made:
-                try:
-                    self.built = self._build(generator, clock)
-                except Exception as exc:  # noqa: BLE001 - every cell of the entry reports it
-                    self.built = f"{type(exc).__name__}: {exc}"
-            if isinstance(self.built, str):
-                raise _BuildFailed(self.built)
-            return self.built, made
-
-    def release(self) -> None:
-        with self.lock:
-            self.pending -= 1
-            if self.pending == 0:
-                self.built = None
-
-    def _build(self, generator: Callable[..., ProblemInstance], clock) -> _EntryBuild:
+    def build(self, generator: Callable[..., ProblemInstance], clock) -> _EntryBuild:
         params = dict(self.params)
         if "seed" in inspect.signature(generator).parameters:
             params.setdefault("seed", derive_seed(self.master_seed, self.label) % (1 << 32))
@@ -363,78 +344,87 @@ def _run_cell(config: BenchmarkConfig, shared: _SharedInstance, solver_entry: Ma
     cell_seed = derive_seed(config.master_seed, problem_label, algorithm_label)
 
     cell_start = clock()
+    error = None
     try:
         generator = GENERATORS[shared.family]
         solver = SOLVERS[algorithm]
-        built, charged = shared.acquire(generator, clock)
-        obj = built.instance.objective
-        c_min, c_max = built.c_min, built.c_max
-        enumerable = c_min is not None
-        accepted = inspect.signature(solver).parameters
+        charged = shared.built is None
+        if charged:
+            try:
+                shared.built = shared.build(generator, clock)
+            except Exception as exc:  # noqa: BLE001 - every cell of the entry reports it
+                shared.built = f"{type(exc).__name__}: {exc}"
+        built = shared.built
+        if isinstance(built, str):
+            error = built
+        else:
+            obj = built.instance.objective
+            c_min, c_max = built.c_min, built.c_max
+            enumerable = c_min is not None
+            accepted = inspect.signature(solver).parameters
 
-        t0 = clock()
-        results = []
-        for rep in range(config.repetitions):
-            run_params = dict(solver_params)
-            if "seed" in accepted:
-                run_params.setdefault(
-                    "seed", derive_seed(config.master_seed, problem_label, algorithm_label, rep)
+            t0 = clock()
+            results = []
+            for rep in range(config.repetitions):
+                run_params = dict(solver_params)
+                if "seed" in accepted:
+                    run_params.setdefault(
+                        "seed", derive_seed(config.master_seed, problem_label, algorithm_label, rep)
+                    )
+                results.append(solver(built.instance, **run_params))
+            t_execute = clock() - t0
+
+            t0 = clock()
+            ar_mean = ar_best = success = None
+            mean_energies = [float(r.extras.get("mean_energy", r.best_energy)) for r in results]
+            if enumerable and c_max > c_min:
+                mean_ars = [approximation_ratio(e, c_min, c_max).ratio for e in mean_energies]
+                best_ars = [approximation_ratio(r.best_energy, c_min, c_max).ratio for r in results]
+                ar_mean = sum(mean_ars) / len(mean_ars)
+                ar_best = max(best_ars)
+            extras = {
+                "repetitions": config.repetitions,
+                "best_energies": [r.best_energy for r in results],
+                "mean_energies": mean_energies,
+                "c_min": c_min,
+                "c_max": c_max,
+            }
+            # An AR target is judged against the enumerated range, so a cell above
+            # the cap keeps its results, leaves ``success`` unset and says why.
+            if config.target == "optimal" or (config.target is not None and enumerable):
+                metrics = success_metrics(results, config.target, config.time_limit, c_min, c_max)
+                success = metrics["success_rate"] == 1.0
+            elif config.target is not None:
+                extras["unjudged"] = (
+                    f"cell {problem_label} x {algorithm_label} has {obj.n} variables, "
+                    f"above the statevector cap of {statevector_cap()}, so its AR target cannot be judged"
                 )
-            results.append(solver(built.instance, **run_params))
-        t_execute = clock() - t0
+            t_post = clock() - t0
 
-        t0 = clock()
-        ar_mean = ar_best = success = None
-        mean_energies = [float(r.extras.get("mean_energy", r.best_energy)) for r in results]
-        if enumerable and c_max > c_min:
-            mean_ars = [approximation_ratio(e, c_min, c_max).ratio for e in mean_energies]
-            best_ars = [approximation_ratio(r.best_energy, c_min, c_max).ratio for r in results]
-            ar_mean = sum(mean_ars) / len(mean_ars)
-            ar_best = max(best_ars)
-        extras = {
-            "repetitions": config.repetitions,
-            "best_energies": [r.best_energy for r in results],
-            "mean_energies": mean_energies,
-            "c_min": c_min,
-            "c_max": c_max,
-        }
-        # An AR target is judged against the enumerated range, so a cell above
-        # the cap keeps its results, leaves ``success`` unset and says why.
-        if config.target == "optimal" or (config.target is not None and enumerable):
-            metrics = success_metrics(results, config.target, config.time_limit, c_min, c_max)
-            success = metrics["success_rate"] == 1.0
-        elif config.target is not None:
-            extras["unjudged"] = (
-                f"cell {problem_label} x {algorithm_label} has {obj.n} variables, "
-                f"above the statevector cap of {statevector_cap()}, so its AR target cannot be judged"
+            # The solver ran, so a parameter it takes without a default was given.
+            depth, shots = (
+                solver_params.get(name, accepted[name].default) if name in accepted else None
+                for name in ("p", "shots")
             )
-        t_post = clock() - t0
-
-        # The solver ran, so a parameter it takes without a default was given.
-        depth, shots = (
-            solver_params.get(name, accepted[name].default) if name in accepted else None
-            for name in ("p", "shots")
-        )
-        # The build's seconds go to the one cell that made it; the reference
-        # enumeration belongs to post-processing.
-        measured = dict(
-            variables=obj.n,
-            density=_density_of(obj),
-            ar_mean=ar_mean,
-            ar_best=ar_best,
-            depth=depth,
-            shots=shots,
-            t_generate=built.t_generate if charged else 0.0,
-            t_compile=built.t_compile if charged else 0.0,
-            t_execute=t_execute,
-            t_post=(t_post + built.t_reference) if charged else t_post,
-        )
+            # The build's seconds go to the one cell that made it; the reference
+            # enumeration belongs to post-processing.
+            measured = dict(
+                variables=obj.n,
+                density=_density_of(obj),
+                ar_mean=ar_mean,
+                ar_best=ar_best,
+                depth=depth,
+                shots=shots,
+                t_generate=built.t_generate if charged else 0.0,
+                t_compile=built.t_compile if charged else 0.0,
+                t_execute=t_execute,
+                t_post=(t_post + built.t_reference) if charged else t_post,
+            )
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the matrix
-        measured = {}
+        error = f"{type(exc).__name__}: {exc}"
+    if error is not None:
+        measured, extras = {}, {"error": error}
         success = False if config.target is not None else None
-        extras = {"error": str(exc) if isinstance(exc, _BuildFailed) else f"{type(exc).__name__}: {exc}"}
-    finally:
-        shared.release()
     return BenchmarkRecord(
         problem=problem_label,
         algorithm=algorithm_label,
@@ -449,34 +439,25 @@ def _run_cell(config: BenchmarkConfig, shared: _SharedInstance, solver_entry: Ma
 def run_benchmark(config: BenchmarkConfig, clock: Callable[[], float] = time.perf_counter) -> list[BenchmarkRecord]:
     """Execute the full matrix; one record per (instance, solver) cell.
 
-    The matrix runs instance-major. Each instance entry is generated, its
-    energy table compiled and its exact range enumerated once, by the first
-    of its cells to run, which is charged those seconds (``t_generate``,
-    ``t_compile``, and the reference within ``t_post``); its other cells
-    reuse that instance and report 0.0 for the shared work. The instance is
-    dropped after its last cell, so with one job it is gone before the next
-    entry is generated.
+    Cells run one at a time, instance-major, so records come in config
+    order. Each instance entry is generated, its energy table compiled and
+    its exact range enumerated once, by the first of its cells whose family
+    and solver names resolve, which is charged those seconds
+    (``t_generate``, ``t_compile``, and the reference within ``t_post``);
+    its other cells reuse that instance and report 0.0 for the shared work.
+    The instance is dropped before the next entry is generated.
 
-    Cells run in a thread pool of ``config.jobs`` workers but records come
-    back in config order regardless of completion order. Failures are
-    captured inside their cell's record; a failed build fails every cell
-    of its entry with the same message. Deterministic given the master
-    seed (and byte-identical in reports under an injected constant clock).
+    Failures are captured inside their cell's record; a failed build fails
+    every cell of its entry with the same message. Deterministic given the
+    master seed (and byte-identical in reports under an injected constant
+    clock).
     """
-    cells = [
-        (shared, solver)
-        for shared in (_SharedInstance(config, entry) for entry in config.instances)
-        for solver in config.solvers
-    ]
-    if not cells:
-        return []
-    if config.jobs == 1:
-        return [_run_cell(config, shared, solver, clock) for shared, solver in cells]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        futures = [pool.submit(_run_cell, config, shared, solver, clock) for shared, solver in cells]
-        return [f.result() for f in futures]
+    records = []
+    for entry in config.instances:
+        # Rebinding ``shared`` drops the previous entry's build.
+        shared = _SharedInstance(config, entry)
+        records += [_run_cell(config, shared, solver, clock) for solver in config.solvers]
+    return records
 
 
 def _format_percent(value: float) -> str:

@@ -193,12 +193,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _records_from_json(payload: dict) -> list:
+def _records_from_json(payload) -> list:
+    entries = payload.get("records") if isinstance(payload, dict) else None
+    if not (isinstance(entries, list) and all(isinstance(data, dict) for data in entries)):
+        raise ValueError('a report must be a JSON object whose "records" is a list of objects')
     # Most record fields have defaults, so a key left out would otherwise
     # read back silently as a failed cell's value.
     names = [f.name for f in fields(BenchmarkRecord)]
     records = []
-    for k, data in enumerate(payload["records"]):
+    for k, data in enumerate(entries):
         missing = [name for name in names if name not in data]
         if missing:
             raise ValueError(f"record {k} lacks key {missing[0]!r}")

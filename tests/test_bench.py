@@ -10,9 +10,6 @@ import io
 import itertools
 import json
 import math
-import os
-import sys
-import time
 import weakref
 from xml.etree import ElementTree
 
@@ -261,9 +258,8 @@ def count_calls(monkeypatch, owner, key, counts):
 
 
 class TestSharedInstances:
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_sharing_changes_no_result(self, jobs):
-        records = run_benchmark(BenchmarkConfig(**SHARED_MATRIX, jobs=jobs), clock=lambda: 0.0)
+    def test_sharing_changes_no_result(self):
+        records = run_benchmark(BenchmarkConfig(**SHARED_MATRIX), clock=lambda: 0.0)
         cells = [(i, s) for i in SHARED_MATRIX["instances"] for s in SHARED_MATRIX["solvers"]]
         assert len(records) == len(cells)
         for record, (inst, solver) in zip(records, cells):
@@ -271,13 +267,12 @@ class TestSharedInstances:
             assert record == run_benchmark(alone, clock=lambda: 0.0)[0]
             assert "error" not in record.extras
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_one_generation_and_one_table_per_instance(self, monkeypatch, jobs):
+    def test_one_generation_and_one_table_per_instance(self, monkeypatch):
         counts = {}
         for family in ("maxcut-r3r", "spin-glass"):
             count_calls(monkeypatch, bench_module.GENERATORS, family, counts)
         count_calls(monkeypatch, DiagonalObjective, "table", counts)
-        run_benchmark(BenchmarkConfig(**SHARED_MATRIX, jobs=jobs), clock=lambda: 0.0)
+        run_benchmark(BenchmarkConfig(**SHARED_MATRIX), clock=lambda: 0.0)
         assert counts == {"maxcut-r3r": 1, "spin-glass": 1, "table": 2}
 
     def test_instance_dropped_before_the_next_is_generated(self, monkeypatch):
@@ -301,44 +296,12 @@ class TestSharedInstances:
         assert [ref() for ref in alive] == [None, None]
         assert all("error" not in r.extras for r in records)
 
-    def test_threads_build_each_instance_once(self, monkeypatch):
-        # More workers than cores, a short switch interval and a generator
-        # that sleeps, so that cells of one entry race for its build; a second
-        # build would show in ``built``, a cell run on another entry's
-        # instance in the records.
-        original = bench_module.GENERATORS["spin-glass"]
-        built = []
-
-        def slow(**params):
-            built.append(params["seed"])
-            time.sleep(0.005)
-            return original(**params)
-
-        cfg = dict(
-            instances=tuple({"family": "spin-glass", "params": {"topology": "complete", "n": 4, "seed": s}}
-                            for s in range(6)),
-            solvers=tuple({"algorithm": "brute-force"} for _ in range(6)),
-            master_seed=2,
-        )
-        serial = run_benchmark(BenchmarkConfig(**cfg), clock=lambda: 0.0)
-        monkeypatch.setitem(bench_module.GENERATORS, "spin-glass", slow)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = run_benchmark(BenchmarkConfig(**cfg, jobs=(os.cpu_count() or 1) + 2), clock=lambda: 0.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(built) == list(range(6))
-        assert threaded == serial
-
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_failed_build_fails_every_cell_of_its_entry(self, monkeypatch, jobs):
+    def test_failed_build_fails_every_cell_of_its_entry(self, monkeypatch):
         counts = {}
         count_calls(monkeypatch, bench_module.GENERATORS, "labs", counts)
         cfg = BenchmarkConfig(
             instances=({"family": "labs", "params": {"k": 5, "sed": 1}}, SHARED_MATRIX["instances"][0]),
             solvers=SHARED_MATRIX["solvers"][:3],
-            jobs=jobs,
         )
         records = run_benchmark(cfg, clock=lambda: 0.0)
         assert counts == {"labs": 1}
@@ -383,19 +346,6 @@ class TestRunBenchmark:
         second = emit_report(run_benchmark(SMALL_CONFIG, clock=lambda: 0.0), "csv")
         assert first == second
 
-    def test_parallel_matches_serial(self):
-        serial = run_benchmark(SMALL_CONFIG, clock=lambda: 0.0)
-        cfg = BenchmarkConfig(
-            instances=SMALL_CONFIG.instances,
-            solvers=SMALL_CONFIG.solvers,
-            repetitions=SMALL_CONFIG.repetitions,
-            master_seed=SMALL_CONFIG.master_seed,
-            target=SMALL_CONFIG.target,
-            jobs=3,
-        )
-        parallel = run_benchmark(cfg, clock=lambda: 0.0)
-        assert emit_report(serial, "csv") == emit_report(parallel, "csv")
-
     def test_cell_failure_does_not_abort_matrix(self):
         cfg = BenchmarkConfig(
             instances=(
@@ -436,24 +386,32 @@ class TestRunBenchmark:
     def test_total_time_covers_parts(self):
         # Every clock reading is one tick later than the last, so each stage
         # that ran reads at least 1. An instance's build is charged to the
-        # one cell that made it; with one job that is its first cell.
-        for jobs in (1, 3):
-            ticks = itertools.count()
-            records = run_benchmark(
-                BenchmarkConfig(**SHARED_MATRIX, jobs=jobs), clock=lambda: float(next(ticks))
-            )
-            for rec in records:
-                parts = rec.t_generate + rec.t_preprocess + rec.t_compile + rec.t_execute + rec.t_post
-                assert rec.t_total >= parts
-                assert rec.t_execute >= 1.0 and rec.t_post >= 1.0
-            width = len(SHARED_MATRIX["solvers"])
-            for k in range(len(SHARED_MATRIX["instances"])):
-                cells = records[k * width : (k + 1) * width]
-                assert sum(rec.t_generate > 0 for rec in cells) == 1
-                assert [rec.t_generate > 0 for rec in cells] == [rec.t_compile > 0 for rec in cells]
-                if jobs == 1:
-                    assert [rec.t_generate for rec in cells] == [1.0, 0.0, 0.0, 0.0]
-                    assert [rec.t_compile for rec in cells] == [1.0, 0.0, 0.0, 0.0]
+        # one cell that made it, its first.
+        ticks = itertools.count()
+        records = run_benchmark(BenchmarkConfig(**SHARED_MATRIX), clock=lambda: float(next(ticks)))
+        for rec in records:
+            parts = rec.t_generate + rec.t_preprocess + rec.t_compile + rec.t_execute + rec.t_post
+            assert rec.t_total >= parts
+            assert rec.t_execute >= 1.0 and rec.t_post >= 1.0
+        width = len(SHARED_MATRIX["solvers"])
+        for k in range(len(SHARED_MATRIX["instances"])):
+            cells = records[k * width : (k + 1) * width]
+            assert [rec.t_generate for rec in cells] == [1.0, 0.0, 0.0, 0.0]
+            assert [rec.t_compile for rec in cells] == [1.0, 0.0, 0.0, 0.0]
+
+    def test_build_charged_to_first_cell_whose_names_resolve(self):
+        # A cell with an unknown solver fails before it touches the build,
+        # so the entry's next cell makes it and is charged for it.
+        ticks = itertools.count()
+        cfg = BenchmarkConfig(**{**SHARED_MATRIX, "solvers": ({"algorithm": "nope"}, *SHARED_MATRIX["solvers"])})
+        records = run_benchmark(cfg, clock=lambda: float(next(ticks)))
+        width = len(cfg.solvers)
+        for k in range(len(cfg.instances)):
+            cells = records[k * width : (k + 1) * width]
+            assert cells[0].extras["error"] == "KeyError: 'nope'"
+            assert [rec.t_generate for rec in cells] == [0.0, 1.0, 0.0, 0.0, 0.0]
+            assert [rec.t_compile for rec in cells] == [0.0, 1.0, 0.0, 0.0, 0.0]
+            assert all("error" not in rec.extras for rec in cells[1:])
 
     def test_instance_seed_derived_when_omitted(self):
         cfg = BenchmarkConfig(

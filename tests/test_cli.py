@@ -398,17 +398,31 @@ class TestBench:
                 {"solvers": [*SMALL_BENCH["solvers"], {"algorithm": "grover", "params": [1]}]},
                 "solver params must be an object, got [1]",
             ),
+            ({"jobs": 2}, "jobs must be 1, got 2: qopt bench runs its cells one at a time"),
+            ({"jobs": 0}, "jobs must be 1, got 0: qopt bench runs its cells one at a time"),
+            ({"time_limit": True}, "time_limit must be a number, got True"),
         ],
     )
     def test_invalid_config_value_exits_one_before_any_cell(self, tmp_path, capsys, change, message):
         # Each of these once ran every cell into an error record, failed on a
         # bare IndexError or an unnamed conversion, iterated a string, skipped
         # a report, or raised after the earlier cells ran with no report
-        # written, or silently truncated to an integer.
+        # written, or silently truncated to an integer; a bool time limit
+        # read as 1 second, and jobs above 1 ran cells in threads whose
+        # clocks counted each other's work.
         config = write_config(tmp_path, {**SMALL_BENCH, **change})
         out = tmp_path / "report.csv"
         assert run_cli(["bench", str(config), "--csv", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_jobs_flag_other_than_one_exits_one_before_any_cell(self, tmp_path, capsys):
+        # Cells run one at a time; ``--jobs 1`` is accepted, any other count
+        # is refused rather than ignored.
+        config = write_config(tmp_path, SMALL_BENCH)
+        out = tmp_path / "report.csv"
+        assert run_cli(["bench", str(config), "--jobs", "3", "--csv", str(out)]) == 1
+        assert capsys.readouterr().err == "error: jobs must be 1, got 3: qopt bench runs its cells one at a time\n"
         assert not out.exists()
 
     def test_ar_target_above_cap_keeps_results_and_exits_one(self, tmp_path, capsys, monkeypatch):
@@ -548,6 +562,21 @@ class TestReport:
         assert run_cli(["report", str(json_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"recs": []}, [1], {"records": [1]}, {"records": {"a": 1}}],
+        ids=["no-records", "top-level-list", "record-not-object", "records-not-list"],
+    )
+    def test_malformed_report_is_named(self, tmp_path, capsys, payload):
+        # Each of these once failed on its first lookup with a bare KeyError
+        # or TypeError, or iterated a dict's keys as records.
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == 'error: a report must be a JSON object whose "records" is a list of objects\n'
         assert captured.out == ""
 
     def test_junit_flag_writes_xml(self, tmp_path, capsys):
