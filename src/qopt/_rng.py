@@ -3,13 +3,14 @@
 Benchmark cells, repetition loops, and solver internals each need their own
 reproducible generator. Deriving child seeds by hashing the master seed with
 a path of string parts keeps streams independent of execution order and of
-each other, so adding a cell or running cells in parallel never perturbs the
-randomness of existing ones.
+each other, so adding a cell never perturbs the randomness of existing ones.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+from qopt.model import as_count
 
 __all__ = ["derive_seed"]
 
@@ -24,7 +25,7 @@ def derive_seed(master: int, *parts: object) -> int:
     pass stable labels (family names, indices), not repr-unstable objects.
     """
     h = hashlib.sha256()
-    h.update(str(int(master)).encode("utf-8"))
+    h.update(str(as_count("seed", master, least=None)).encode("utf-8"))
     for part in parts:
         h.update(b"\x1f")
         h.update(str(part).encode("utf-8"))

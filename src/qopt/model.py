@@ -46,6 +46,7 @@ their variables in descending order. Three readers share it:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -53,6 +54,7 @@ import numpy as np
 
 __all__ = [
     "InfeasibleConstraintError",
+    "as_count",
     "QuboModel",
     "IsingModel",
     "DiagonalObjective",
@@ -72,9 +74,27 @@ __all__ = [
 #: Energies are compared in double precision with this tolerance.
 ENERGY_TOL = 1e-9
 
+_BITS, _SPINS = frozenset((0, 1)), frozenset((-1, 1))
+
 
 class InfeasibleConstraintError(ValueError):
     """Raised when a constraint can never be satisfied by any assignment."""
+
+
+def as_count(name: str, value, least: int | None = 1) -> int:
+    """``value`` as an int: the one check for every size, count, index and seed.
+
+    A float or a bool raises ``TypeError`` naming ``name``, a value below
+    ``least`` (None for seeds) ``ValueError``; numpy integers pass."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:
@@ -95,12 +115,13 @@ def bits_to_index(bits: Sequence[int]) -> int:
 
 
 def _check_bits(x: Sequence[int], n: int) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in x)
+    # Entries are checked before ``int`` sees them, so 0.9 is not read as 0.
+    bits = tuple(x)
     if len(bits) != n:
         raise ValueError(f"assignment has length {len(bits)}, model has {n} variables")
-    if any(b not in (0, 1) for b in bits):
+    if not _BITS.issuperset(bits):
         raise ValueError("assignment entries must be 0 or 1")
-    return bits
+    return tuple(map(int, bits))
 
 
 # A program node is ``(const, ((k, child), ...))`` with ascending ``k``: its
@@ -230,12 +251,11 @@ class QuboModel:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"variable count must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", as_count("variable count", self.n, least=0))
         normalized: dict[tuple[int, int], float] = {}
         for key, coeff in dict(self.terms).items():
-            i, j = int(key[0]), int(key[1])
-            if not (0 <= i <= j < self.n):
+            i, j = as_count("term index", key[0], least=0), as_count("term index", key[1], least=0)
+            if not (i <= j < self.n):
                 raise ValueError(f"term index pair {key} invalid for n={self.n} (need 0 <= i <= j < n)")
             c = float(coeff)
             if not math.isfinite(c):
@@ -303,8 +323,7 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"spin count must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", as_count("spin count", self.n, least=0))
         h = tuple(float(v) for v in self.h) if self.h else tuple(0.0 for _ in range(self.n))
         if len(h) != self.n:
             raise ValueError(f"field vector has length {len(h)}, model has {self.n} spins")
@@ -312,8 +331,8 @@ class IsingModel:
             raise ValueError("field entries must be finite")
         couplings: dict[tuple[int, int], float] = {}
         for key, coeff in dict(self.J).items():
-            i, j = int(key[0]), int(key[1])
-            if not (0 <= i < j < self.n):
+            i, j = as_count("coupling index", key[0], least=0), as_count("coupling index", key[1], least=0)
+            if not (i < j < self.n):
                 raise ValueError(f"coupling pair {key} invalid for n={self.n} (need 0 <= i < j < n)")
             c = float(coeff)
             if not math.isfinite(c):
@@ -328,11 +347,12 @@ class IsingModel:
 
     def energy(self, z: Sequence[int]) -> float:
         """Exact spin energy; entries of ``z`` must be -1 or +1."""
-        spins = tuple(int(v) for v in z)
+        spins = tuple(z)
         if len(spins) != self.n:
             raise ValueError(f"spin vector has length {len(spins)}, model has {self.n} spins")
-        if any(v not in (-1, 1) for v in spins):
+        if not _SPINS.issuperset(spins):
             raise ValueError("spin entries must be -1 or +1")
+        spins = tuple(map(int, spins))
         total = self.offset
         for i, v in enumerate(spins):
             total += self.h[i] * v
@@ -344,8 +364,8 @@ class IsingModel:
         monomials = [((i,), v) for i, v in enumerate(self.h)]
         monomials += [((i, j), c) for (i, j), c in self.J.items()]
         for a, b, c, w in cubic:
-            triple = (int(a), int(b), int(c))
-            if len(set(triple)) != 3 or not all(0 <= v < self.n for v in triple):
+            triple = tuple(as_count("cubic term index", v, least=0) for v in (a, b, c))
+            if len(set(triple)) != 3 or not all(v < self.n for v in triple):
                 raise ValueError(f"cubic term {triple} needs three distinct spins in 0..{self.n - 1}")
             monomials.append((triple, float(w)))
         return _compile(self.n, True, self.offset, monomials)
@@ -386,8 +406,7 @@ class DiagonalObjective:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"variable count must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", as_count("variable count", self.n, least=0))
 
     def value(self, x: Sequence[int]) -> float:
         """Energy of one assignment; raises on length or bit-range mismatch."""
@@ -631,14 +650,12 @@ def model_to_json(model: QuboModel | ConstrainedModel) -> dict:
 
 def model_from_json(data: Mapping) -> QuboModel | ConstrainedModel:
     """Inverse of :func:`model_to_json`; rejects duplicate term pairs."""
-    n = int(data["n"])
     terms: dict[tuple[int, int], float] = {}
     for i, j, c in data.get("terms", []):
-        key = (int(i), int(j))
-        if key in terms:
-            raise ValueError(f"duplicate term pair {key} in model data")
-        terms[key] = float(c)
-    qubo = QuboModel(n=n, terms=terms, offset=float(data.get("offset", 0.0)))
+        if (i, j) in terms:
+            raise ValueError(f"duplicate term pair {(i, j)} in model data")
+        terms[(i, j)] = float(c)
+    qubo = QuboModel(n=data["n"], terms=terms, offset=float(data.get("offset", 0.0)))
     cons = data.get("constraints")
     if cons is None:
         return qubo

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from qopt.model import QuboModel
+from qopt.model import QuboModel, as_count
 
 __all__ = [
     "Decomposition",
@@ -98,8 +98,8 @@ def fix_variables(q: QuboModel, assignment: Mapping[int, int]) -> QuboModel:
     """
     fixed: dict[int, int] = {}
     for var, bit in assignment.items():
-        v = int(var)
-        if not 0 <= v < q.n:
+        v = as_count("variable index", var, least=0)
+        if v >= q.n:
             raise ValueError(f"variable index {var} out of range for n={q.n}")
         if bit not in (0, 1):
             raise ValueError(f"fixed value for variable {var} must be 0 or 1, got {bit!r}")

@@ -45,17 +45,18 @@ fixed order (``maxcut-r3r`` from ``random.Random(seed)``, as networkx's
 ``random_regular_graph`` does), so identical (family, params, seed)
 reproduce bit-identical raw payloads. Distribution choices not pinned down
 by the problem definitions (weight ranges, covariance synthesis, demand
-ranges) are fixed here and recorded in instance metadata. Seeds and every
-size or count parameter pass through ``operator.index``, so a numpy integer
-gives the same instance as the int and an envelope that ``json.dumps``
-takes, while a float raises ``TypeError``.
+ranges) are fixed here and recorded in instance metadata. Seeds, every
+size or count parameter, and every integer field of a raw payload (edge
+endpoints, windows, demands, weights) pass through
+:func:`~qopt.model.as_count`: a numpy integer gives the same instance as the
+int and an envelope that ``json.dumps`` takes, while a float or a bool
+raises ``TypeError`` naming the parameter or field.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -69,6 +70,7 @@ from qopt.model import (
     IsingModel,
     LinearConstraint,
     QuboModel,
+    as_count,
     ising_to_qubo,
     model_to_json,
     penalty_encode,
@@ -129,7 +131,7 @@ _Built = tuple[DiagonalObjective, ConstrainedModel | None]
 
 def _meta(seed, params: dict, **extra) -> dict:
     out = {
-        "seed": None if seed is None else operator.index(seed),
+        "seed": None if seed is None else as_count("seed", seed, least=None),
         "params": params,
         "created": datetime.now(timezone.utc).isoformat(),
     }
@@ -143,6 +145,11 @@ def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:
     return ProblemInstance(family, raw, objective, constrained, meta)
 
 
+def _counts(name: str, values) -> list[int]:
+    """Each of ``values`` as a non-negative int, named ``name`` by :func:`~qopt.model.as_count`."""
+    return [as_count(name, v, least=0) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # Max-cut on random 3-regular graphs
 
@@ -150,19 +157,16 @@ def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:
 def _build_maxcut(raw: Mapping, meta: Mapping) -> _Built:
     # Cut value of edge (u, v) is x_u + x_v - 2 x_u x_v; minimize its negation.
     entries = []
-    for u, v in raw["edges"]:
-        u, v = int(u), int(v)
-        entries.append((u, u, -1.0))
-        entries.append((v, v, -1.0))
-        entries.append((u, v, 2.0))
-    return QuboModel.from_entries(int(raw["n"]), entries).as_objective(), None
+    for u, v in (_counts("edges", edge) for edge in raw["edges"]):
+        entries += [(u, u, -1.0), (v, v, -1.0), (u, v, 2.0)]
+    return QuboModel.from_entries(as_count("n", raw["n"]), entries).as_objective(), None
 
 
 def _random_regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
     """Edges ``(u, v)``, ``u < v``, of a random ``d``-regular graph on ``n``
     vertices: networkx 3.6.1's ``random_regular_graph(d, n, seed)`` pairing
     (Steger & Wormald), draw for draw, so both give the same edge set."""
-    rng = random.Random(operator.index(seed))
+    rng = random.Random(as_count("seed", seed, least=None))
 
     def suitable(edges, potential):
         # Whether some pair of the leftover stubs' vertices is still joinable.
@@ -208,7 +212,7 @@ def gen_maxcut_r3r(n: int, seed: int = 0) -> ProblemInstance:
     ``cut_min = 0`` for ratio normalization. ``n`` must be even and at least
     4, otherwise no 3-regular graph exists.
     """
-    n = operator.index(n)
+    n = as_count("n", n)
     if n < 4 or n % 2 != 0:
         raise ValueError(f"3-regular graphs need an even vertex count >= 4, got {n}")
     edges = sorted(_random_regular_edges(3, n, seed))
@@ -225,21 +229,21 @@ def _mis_penalty(weights: Sequence[float]) -> float:
 
 
 def _build_mis(raw: Mapping, meta: Mapping) -> _Built:
-    n = int(raw["n"])
-    edges = [(int(u), int(v)) for u, v in raw["edges"]]
+    n = as_count("n", raw["n"])
+    edges = [_counts("edges", edge) for edge in raw["edges"]]
     weights = [float(w) for w in raw["weights"]]
     penalty = _mis_penalty(weights)
     base = QuboModel(n=n, terms={(v, v): -w for v, w in enumerate(weights) if w != 0.0})
     entries = [(v, v, -w) for v, w in enumerate(weights)]
     entries += [(u, v, penalty) for u, v in edges]
+    objective = QuboModel.from_entries(n, entries).as_objective()  # rejects endpoints >= n by name
     rows = []
     for u, v in edges:
         coeffs = [0.0] * n
-        coeffs[u] = 1.0
-        coeffs[v] = 1.0
+        coeffs[u] = coeffs[v] = 1.0
         rows.append(LinearConstraint(tuple(coeffs), 1.0))
     constrained = ConstrainedModel(objective=base, inequalities=tuple(rows))
-    return QuboModel.from_entries(n, entries).as_objective(), constrained
+    return objective, constrained
 
 
 def gen_mis(
@@ -262,10 +266,8 @@ def gen_mis(
     G(n, p)) with it. The pre-penalty form keeps one ``x_u + x_v <= 1`` row
     per edge.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    rng = np.random.default_rng(seed)
+    n = as_count("n", n)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
     params: dict = {"n": n, "unit_disc": unit_disc}
     if unit_disc:
         if edge_prob is not None:
@@ -317,9 +319,11 @@ def gen_mis(
 
 def _build_market_share(raw: Mapping, meta: Mapping) -> _Built:
     # sum_j (w_j . x - C_j)^2, expanded with x_i^2 = x_i.
-    weights = np.asarray(raw["weights"])
-    targets = np.asarray(raw["targets"])
-    m, n = weights.shape
+    m, n = as_count("m", raw["m"], least=2), as_count("n", raw["n"])
+    weights = np.array([_counts("weights", row) for row in raw["weights"]], dtype=np.int64)
+    targets = _counts("targets", raw["targets"])
+    if weights.shape != (m, n) or len(targets) != m:
+        raise ValueError(f"need {m} x {n} weights and {m} targets, got {weights.shape} and {len(targets)}")
     entries = []
     offset = 0.0
     for j in range(m):
@@ -345,11 +349,9 @@ def gen_market_share(m: int, seed: int = 0) -> ProblemInstance:
     ``sum |s_j|`` is not linear-quadratic, so only the compiled quadratic is
     carried.
     """
-    m = operator.index(m)
-    if m < 2:
-        raise ValueError(f"need at least two rows, got m={m}")
+    m = as_count("m", m, least=2)
     n = 10 * (m - 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
     weights = rng.integers(0, 100, size=(m, n))
     targets = weights.sum(axis=1) // 2
     raw = {"m": m, "n": n, "weights": weights.tolist(), "targets": targets.tolist()}
@@ -368,22 +370,32 @@ class LabsSequence:
     s: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        s = tuple(int(v) for v in self.s)
-        if len(s) != self.k:
-            raise ValueError(f"sequence has length {len(s)}, declared k={self.k}")
-        if any(v not in (-1, 1) for v in s):
-            raise ValueError("sequence entries must be -1 or +1")
+        k, s = as_count("k", self.k, least=0), _spins(self.s)
+        if len(s) != k:
+            raise ValueError(f"sequence has length {len(s)}, declared k={k}")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "s", s)
+
+
+_SPINS = frozenset((-1, 1))
+
+
+def _spins(s: LabsSequence | Sequence[int]) -> tuple[int, ...]:
+    # Entries are checked before ``int`` sees them, so 1.3 is not read as +1.
+    if isinstance(s, LabsSequence):
+        return s.s
+    seq = tuple(s)
+    if not _SPINS.issuperset(seq):
+        raise ValueError("sequence entries must be -1 or +1")
+    return tuple(map(int, seq))
 
 
 def labs_energy(s: LabsSequence | Sequence[int]) -> float:
     """Sidelobe energy ``sum_{j=1}^{k-1} A_j^2`` with ``A_j = sum_i s_i s_{i+j}``."""
-    seq = s.s if isinstance(s, LabsSequence) else tuple(int(v) for v in s)
+    seq = _spins(s)
     k = len(seq)
     if k < 2:
         raise ValueError(f"sequence length must be at least 2, got {k}")
-    if any(v not in (-1, 1) for v in seq):
-        raise ValueError("sequence entries must be -1 or +1")
     total = 0.0
     for j in range(1, k):
         a = sum(seq[i] * seq[i + j] for i in range(k - j))
@@ -393,10 +405,7 @@ def labs_energy(s: LabsSequence | Sequence[int]) -> float:
 
 def labs_to_string(s: LabsSequence | Sequence[int]) -> str:
     """Render a sequence in the plain-text sign format, e.g. ``++-+-``."""
-    seq = s.s if isinstance(s, LabsSequence) else tuple(int(v) for v in s)
-    if any(v not in (-1, 1) for v in seq):
-        raise ValueError("sequence entries must be -1 or +1")
-    return "".join("+" if v == 1 else "-" for v in seq)
+    return "".join("+" if v == 1 else "-" for v in _spins(s))
 
 
 def labs_from_string(text: str) -> LabsSequence:
@@ -454,9 +463,7 @@ class _LabsProgram:
 
 
 def _build_labs(raw: Mapping, meta: Mapping) -> _Built:
-    k = int(raw["k"])
-    if k < 2:
-        raise ValueError(f"sequence length must be at least 2, got {k}")
+    k = as_count("k", raw["k"], least=2)
     return DiagonalObjective(n=k, program=_LabsProgram(k)), None
 
 
@@ -467,7 +474,7 @@ def gen_labs(k: int) -> ProblemInstance:
     only ever need assignment energies, and quadratization would inflate the
     variable count. Bit ``i`` maps to spin ``1 - 2 x_i``.
     """
-    k = operator.index(k)
+    k = as_count("k", k, least=2)
     return _instance("labs", {"k": k}, _meta(0, {"k": k}))
 
 
@@ -482,11 +489,9 @@ def _qap_raw(a, b) -> dict:
 
 
 def _build_qap(raw: Mapping, meta: Mapping) -> _Built:
-    n = int(raw["n"])
+    n = as_count("n", raw["n"], least=2)
     a = np.asarray(raw["a"], dtype=np.float64)
     b = np.asarray(raw["b"], dtype=np.float64)
-    if n < 2:
-        raise ValueError(f"need at least two facilities, got n={n}")
     if a.shape != (n, n) or b.shape != (n, n):
         raise ValueError(f"flow and distance matrices must both be {n} x {n}, got {a.shape} and {b.shape}")
 
@@ -536,8 +541,8 @@ def qap_from_data(a, b, penalty: float | None = None) -> ProblemInstance:
 
 def gen_qap(n: int, seed: int = 0, penalty: float | None = None) -> ProblemInstance:
     """Random assignment instance: integer matrices uniform in {0..9}."""
-    n = operator.index(n)
-    rng = np.random.default_rng(seed)
+    n = as_count("n", n, least=2)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
     a = rng.integers(0, 10, size=(n, n))
     b = rng.integers(0, 10, size=(n, n))
     return _instance("qap", _qap_raw(a, b), _meta(seed, {"n": n, "penalty": penalty}))
@@ -602,8 +607,8 @@ def _heavy_hex_edges(n: int) -> list[tuple[int, int]]:
 
 
 def _build_spin_glass(raw: Mapping, meta: Mapping) -> _Built:
-    n = int(raw["n"])
-    couplings = {(int(u), int(v)): float(c) for (u, v), c in zip(raw["edges"], raw["couplings"])}
+    n = as_count("n", raw["n"], least=2)
+    couplings = {tuple(_counts("edges", e)): float(c) for e, c in zip(raw["edges"], raw["couplings"], strict=True)}
     return IsingModel(n=n, J=couplings).as_objective(raw.get("cubic", ())), None
 
 
@@ -625,9 +630,7 @@ def gen_spin_glass(
     is experimental (the objective becomes a polynomial with no quadratic
     model attached).
     """
-    n, cubic_terms = operator.index(n), operator.index(cubic_terms)
-    if n < 2:
-        raise ValueError(f"need at least two spins, got n={n}")
+    n, cubic_terms = as_count("n", n, least=2), as_count("cubic_terms", cubic_terms, least=0)
     if topology == "complete":
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     elif topology == "grid":
@@ -638,10 +641,8 @@ def gen_spin_glass(
         raise ValueError(f"unknown topology {topology!r}")
     if dist not in ("pm1", "gaussian"):
         raise ValueError(f"unknown coupling distribution {dist!r}")
-    if cubic_terms < 0:
-        raise ValueError(f"cubic term count must be non-negative, got {cubic_terms}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
 
     def draw() -> float:
         if dist == "pm1":
@@ -660,7 +661,7 @@ def gen_spin_glass(
             raise ValueError("cubic terms need at least three spins")
         cubic = []
         for _ in range(cubic_terms):
-            a, b, c = sorted(int(v) for v in rng.choice(n, size=3, replace=False))
+            a, b, c = sorted(rng.choice(n, size=3, replace=False).tolist())
             cubic.append([a, b, c, draw()])
         raw["cubic"] = cubic
     params = {"topology": topology, "n": n, "dist": dist, "cubic_terms": cubic_terms}
@@ -671,32 +672,26 @@ def gen_spin_glass(
 # EV charging-station admission
 
 
-def _positive_int(value, what: str) -> int:
-    if int(value) != value or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value}")
-    return int(value)
-
-
 def _ev_parking_raw(u, d, values, M, E) -> dict:
-    u = np.asarray(u, dtype=np.int64)
-    if u.ndim != 2:
-        raise ValueError(f"presence must be a vehicle x interval matrix, got shape {u.shape}")
-    n_ev, k_slots = u.shape
+    if np.ndim(u) != 2:
+        raise ValueError(f"presence must be a vehicle x interval matrix, got shape {np.shape(u)}")
+    n_ev, k_slots = np.shape(u)
     return {
         "N": n_ev,
         "K": k_slots,
-        "M": _positive_int(M, "space capacity"),
-        "E": _positive_int(E, "power cap"),
-        "windows": u.tolist(),
-        "demand": np.asarray(d, dtype=np.int64).tolist(),
+        "M": as_count("M", M),
+        "E": as_count("E", E),
+        "windows": [_counts("windows", row) for row in u],
+        "demand": [_counts("demand", row) for row in d],
         "values": [float(v) for v in values],
     }
 
 
 def _build_ev_parking(raw: Mapping, meta: Mapping) -> _Built:
-    n_ev, k_slots = int(raw["N"]), int(raw["K"])
-    u = np.asarray(raw["windows"], dtype=np.int64)
-    d = np.asarray(raw["demand"], dtype=np.int64)
+    n_ev, k_slots = as_count("N", raw["N"]), as_count("K", raw["K"])
+    M, E = as_count("M", raw["M"]), as_count("E", raw["E"])
+    u = np.array([_counts("windows", row) for row in raw["windows"]], dtype=np.int64)
+    d = np.array([_counts("demand", row) for row in raw["demand"]], dtype=np.int64)
     vals = [float(v) for v in raw["values"]]
     if u.shape != (n_ev, k_slots) or d.shape != u.shape:
         raise ValueError(
@@ -706,10 +701,8 @@ def _build_ev_parking(raw: Mapping, meta: Mapping) -> _Built:
         raise ValueError(f"got {len(vals)} values for {n_ev} vehicles")
     if not np.isin(u, (0, 1)).all():
         raise ValueError("presence entries must be 0 or 1")
-    if (d < 0).any() or ((u == 0) & (d != 0)).any():
-        raise ValueError("demand must be non-negative and zero outside the presence window")
-    M = _positive_int(raw["M"], "space capacity")
-    E = _positive_int(raw["E"], "power cap")
+    if ((u == 0) & (d != 0)).any():
+        raise ValueError("demand must be zero outside the presence window")
 
     base = QuboModel(n=n_ev, terms={(i, i): -v for i, v in enumerate(vals) if v != 0.0})
     rows = []
@@ -744,10 +737,8 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
     demands uniform in {1..10} inside the window, and a value equal to its
     total demand times a uniform markup in [1.0, 1.5].
     """
-    N, K, M, E = (operator.index(v) for v in (N, K, M, E))
-    if N < 1 or K < 1:
-        raise ValueError(f"need N, K >= 1, got N={N} K={K}")
-    rng = np.random.default_rng(seed)
+    N, K = as_count("N", N), as_count("K", K)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
     u = np.zeros((N, K), dtype=np.int64)
     d = np.zeros((N, K), dtype=np.int64)
     markups = []
@@ -762,7 +753,7 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
         values.append(float(d[i].sum()) * markup)
     raw = _ev_parking_raw(u, d, values, M, E)
     raw["markups"] = markups
-    return _instance("ev-parking", raw, _meta(seed, {"N": N, "K": K, "M": M, "E": E}))
+    return _instance("ev-parking", raw, _meta(seed, {key: raw[key] for key in ("N", "K", "M", "E")}))
 
 
 # ---------------------------------------------------------------------------
@@ -772,14 +763,14 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
 def _portfolio_raw(mu, sigma, B, lam) -> dict:
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    return {"N": mu.shape[0], "B": int(B), "lam": float(lam), "mu": mu.tolist(), "sigma": sigma.tolist()}
+    return {"N": mu.shape[0], "B": as_count("B", B), "lam": float(lam), "mu": mu.tolist(), "sigma": sigma.tolist()}
 
 
 def _build_portfolio(raw: Mapping, meta: Mapping) -> _Built:
-    n, B, lam = int(raw["N"]), int(raw["B"]), float(raw["lam"])
+    n, B, lam = as_count("N", raw["N"]), as_count("B", raw["B"]), float(raw["lam"])
     mu = np.asarray(raw["mu"], dtype=np.float64)
     sigma = np.asarray(raw["sigma"], dtype=np.float64)
-    if not 1 <= B <= n:
+    if B > n:
         raise ValueError(f"cardinality must satisfy 1 <= B <= {n}, got {B}")
     if mu.shape != (n,) or sigma.shape != (n, n):
         raise ValueError(f"returns {mu.shape} and covariance {sigma.shape} do not match {n} assets")
@@ -819,14 +810,14 @@ def gen_portfolio(N: int, B: int, seed: int = 0, lam: float = 1.0) -> ProblemIns
     diagonal noise uniform in [0.001, 0.01], guaranteeing positive
     definiteness.
     """
-    N, B = operator.index(N), operator.index(B)
-    rng = np.random.default_rng(seed)
+    N = as_count("N", N)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
     mu = rng.uniform(0.0, 0.1, size=N)
     factors = rng.normal(0.0, 0.1, size=(N, max(1, N // 4)))
     noise = rng.uniform(0.001, 0.01, size=N)
     sigma = factors @ factors.T + np.diag(noise)
     raw = _portfolio_raw(mu, sigma, B, lam)
-    return _instance("portfolio", raw, _meta(seed, {"N": N, "B": B, "lam": lam}))
+    return _instance("portfolio", raw, _meta(seed, {"N": N, "B": raw["B"], "lam": lam}))
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +858,13 @@ def instance_from_json(data: Mapping) -> ProblemInstance:
     A stored ``model`` or ``constrained`` block must equal the rebuilt one;
     an edited or stale envelope raises ``ValueError``.
     """
+    raw, meta = (data.get("raw"), data.get("meta", {})) if isinstance(data, Mapping) else (None, None)
+    if not (isinstance(raw, Mapping) and isinstance(meta, Mapping) and isinstance(data.get("family"), str)):
+        raise ValueError('an instance must be a JSON object with a "family" string and "raw" and "meta" objects')
     family = data["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown problem family {family!r}")
-    inst = _instance(family, dict(data["raw"]), dict(data.get("meta", {})))
+    inst = _instance(family, dict(raw), dict(meta))
     rebuilt = instance_to_json(inst)
     for block in ("model", "constrained"):
         if block in data and data[block] != rebuilt.get(block):

@@ -76,7 +76,6 @@ also costs more than the sum.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -87,6 +86,7 @@ import numpy as np
 from qopt.model import (
     ENERGY_TOL,
     DiagonalObjective,
+    as_count,
     bits_to_index,
     index_to_bits,
 )
@@ -138,20 +138,9 @@ def statevector_cap() -> int:
     return cap
 
 
-def _as_count(name: str, value, least: int = 1) -> int:
-    """``value`` through ``operator.index``, which a float fails, and at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 def _check_cap(n: int) -> None:
     cap = statevector_cap()
-    if n > cap:
+    if as_count("qubit count", n, least=0) > cap:
         raise CapacityError(f"{n} qubits exceed the simulator cap of {cap}")
 
 
@@ -167,8 +156,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"qubit count must be non-negative, got {self.n}")
+        self.n = as_count("qubit count", self.n, least=0)
         _check_cap(self.n)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
@@ -212,8 +200,7 @@ class QaoaParams:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"layer count must be non-negative, got {self.p}")
+        object.__setattr__(self, "p", as_count("layer count", self.p, least=0))
         gammas = tuple(float(g) for g in self.gammas)
         betas = tuple(float(b) for b in self.betas)
         if len(gammas) != self.p or len(betas) != self.p:
@@ -279,6 +266,8 @@ class SampleSet:
     index_energies: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for name, least in (("n", None), ("shots", 0), ("seed", None)):
+            object.__setattr__(self, name, as_count(name, getattr(self, name), least))
         if not 0 <= self.n <= _PACKED_BITS:
             raise ValueError(f"{self.n}-bit patterns do not fit the {_PACKED_BITS}-bit index packing limit")
         indices = _frozen(self.indices, np.int64)
@@ -741,7 +730,7 @@ def sample(
     since the state does) and cached on the result, which CVaR and the
     solvers need.
     """
-    shots = _as_count("shots", shots)
+    shots, seed = as_count("shots", shots), as_count("seed", seed, least=None)
     probs = sv.probabilities()
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
@@ -818,7 +807,7 @@ def anneal_trotter(
     ``t_k = (k + 1/2) dt``. The schedule must satisfy ``lam(0) = 0`` and
     ``lam(1) = 1``; it defaults to linear.
     """
-    steps = _as_count("steps", steps)
+    steps = as_count("steps", steps)
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"total time must be positive and finite, got {T}")
     if schedule is None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from qopt._minimize import lbfgs, nelder_mead
 from qopt._rng import derive_seed
-from qopt.model import DiagonalObjective, IsingModel, bits_to_index, index_to_bits
+from qopt.model import DiagonalObjective, IsingModel, as_count, bits_to_index, index_to_bits
 from qopt.problems import ProblemInstance
 from qopt.simulator import (
     CapacityError,
@@ -27,7 +27,6 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     WarmStart,
-    _as_count,
     _check_cap,
     cvar,
     energy_table,
@@ -338,7 +337,7 @@ def simulated_annealing(
     0.9-1.4 s at each count) on a 2-vCPU Xeon VM.
     """
     obj = _objective_of(problem)
-    sweeps, restarts = _as_count("sweeps", sweeps), _as_count("restarts", restarts)
+    sweeps, restarts = as_count("sweeps", sweeps), as_count("restarts", restarts)
     if obj.n == 0:
         return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
     temps = None
@@ -348,7 +347,7 @@ def simulated_annealing(
             raise ValueError("temperature schedule needs one positive, finite entry per sweep")
     started = time.perf_counter()
     table = energy_table(obj) if obj.n <= min(statevector_cap(), _CHUNK_BITS) else None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
     temps, best_states, per_restart = _chains(obj, table, sweeps, temps, restarts, rng)
     winner = per_restart.index(min(per_restart))
 
@@ -380,11 +379,11 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     energies and a scan of the table for its level, with no sort.
     """
     obj = _objective_of(problem)
-    max_rounds = _as_count("max_rounds", max_rounds)
+    max_rounds = as_count("max_rounds", max_rounds)
     started = time.perf_counter()
     table = energy_table(obj)
     n_states = table.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count("seed", seed, least=None))
 
     first = int(rng.integers(0, n_states))
     threshold = float(table[first])
@@ -548,8 +547,8 @@ def qaoa_solve(
     always prepared.
     """
     obj = _objective_of(problem)
-    p, optimizer_budget = _as_count("p", p, least=0), _as_count("optimizer_budget", optimizer_budget)
-    shots = _as_count("shots", shots)
+    p, optimizer_budget = as_count("p", p, least=0), as_count("optimizer_budget", optimizer_budget)
+    shots = as_count("shots", shots)
     if objective_mode not in ("mean", "cvar"):
         raise ValueError(f"unknown objective mode {objective_mode!r}")
     if objective_mode == "cvar" and not 0.0 < alpha <= 1.0:
@@ -738,7 +737,7 @@ def recursive_qaoa(
     certificate.
     """
     obj = _objective_of(problem)
-    cutoff = _as_count("cutoff", cutoff)
+    cutoff = as_count("cutoff", cutoff)
     started = time.perf_counter()
     if obj.n <= cutoff:
         return replace(

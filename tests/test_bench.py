@@ -6,6 +6,7 @@ Python equality.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -330,6 +331,25 @@ class TestRunBenchmark:
         assert len(rec.extras["best_energies"]) == 3
         assert rec.variables == 8
         assert rec.depth is None and rec.shots is None
+
+    def test_time_limit_judged_on_the_run_clock(self):
+        # Under a constant clock every stage reads 0 s, yet the time limit was
+        # once judged on each solver's own wall time, so host speed decided
+        # success.
+        cfg = BenchmarkConfig(
+            instances=({"family": "maxcut-r3r", "params": {"n": 8, "seed": 1}},),
+            solvers=({"algorithm": "brute-force"},),
+            repetitions=2,
+            target="optimal",
+            time_limit=1e-9,
+        )
+        rec = run_benchmark(cfg, clock=lambda: 0.0)[0]
+        assert rec.t_execute == 0.0 and rec.success is True
+        # Each repetition is judged on the seconds the clock read around it:
+        # one tick here, over a limit of half a tick.
+        ticks = itertools.count()
+        rec = run_benchmark(dataclasses.replace(cfg, time_limit=0.5), clock=lambda: float(next(ticks)))[0]
+        assert rec.t_execute == 2.0 and rec.success is False
 
     def test_records_in_config_order(self):
         records = run_benchmark(SMALL_CONFIG, clock=lambda: 0.0)

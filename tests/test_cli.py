@@ -263,6 +263,25 @@ class TestSolve:
         assert "error:" in err
         assert "--p" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [[1], {"family": "labs"}, {"raw": {"k": 5}}, {"family": "labs", "raw": [5]},
+         {"family": "labs", "raw": {"k": 5}, "meta": [1]}, "x", {"family": ["labs"], "raw": {"k": 5}}],
+        ids=["top-level-list", "no-raw", "no-family", "raw-list", "meta-list", "string", "family-list"],
+    )
+    def test_malformed_envelope_is_named(self, tmp_path, capsys, payload):
+        # Each of these once failed on its first lookup with a bare KeyError
+        # ('raw'), a TypeError about list or string indices, or a dict()
+        # conversion error.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--solver", "brute-force"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            'error: an instance must be a JSON object with a "family" string and "raw" and "meta" objects\n'
+        )
+        assert captured.out == ""
+
     def test_missing_instance_file_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         code = run_cli(["solve", str(missing), "--solver", "brute-force"])
@@ -504,6 +523,20 @@ class TestBench:
         assert [r["algorithm"] for r in records] == ["anneal", "annealing[sweep=5]"]
         assert records[0]["extras"]["error"] == "KeyError: 'anneal'"
         assert "unexpected keyword argument 'sed'" in records[1]["extras"]["error"]
+
+    def test_bool_solver_count_fails_its_cell(self, tmp_path, capsys):
+        # True once ran one sweep under the label sweeps=True.
+        config = write_config(tmp_path, {
+            "instances": [{"family": "labs", "params": {"k": 5}}],
+            "solvers": [{"algorithm": "annealing", "params": {"sweeps": True}}],
+        })
+        json_path = tmp_path / "report.json"
+        assert run_cli(["bench", str(config), "--json", str(json_path)]) == 1
+        record, = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert record["extras"]["error"] == "TypeError: sweeps must be an integer, got True"
+        assert capsys.readouterr().err == (
+            "error: cell labs[k=5] x annealing[sweeps=True]: TypeError: sweeps must be an integer, got True\n"
+        )
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, {"instances": [], "solvers": [], "repetitions": 0})

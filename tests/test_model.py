@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qopt.model import (
     IsingModel,
     LinearConstraint,
     QuboModel,
+    as_count,
     bits_to_index,
     default_penalty,
     density,
@@ -24,6 +26,7 @@ from qopt.model import (
     penalty_encode,
     qubo_to_ising,
 )
+from qopt.preprocess import fix_variables
 from qopt.problems import gen_labs
 
 
@@ -79,6 +82,53 @@ class TestIndexing:
             bits_to_index((0, 2))
 
 
+class TestAsCount:
+    def test_ints_and_numpy_integers_give_ints(self):
+        assert type(as_count("n", np.int64(3))) is int and as_count("n", np.int64(3)) == 3
+        assert as_count("seed", -7, least=None) == -7
+        assert as_count("p", 0, least=0) == 0
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, False, np.True_, np.float64(2.0), "2", None])
+    def test_non_integers_raise_type_error_naming_the_value(self, value):
+        with pytest.raises(TypeError, match=rf"^sweeps must be an integer, got {re.escape(repr(value))}$"):
+            as_count("sweeps", value)
+
+    def test_value_below_least_raises_value_error(self):
+        with pytest.raises(ValueError, match=r"^n must be at least 2, got 1$"):
+            as_count("n", 1, least=2)
+
+
+class TestIntegerIndices:
+    # Each of these was once read through int(), so 0.5 named variable 0
+    # and True named variable 1.
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True])
+    def test_term_and_coupling_indices(self, bad):
+        with pytest.raises(TypeError, match="term index must be an integer"):
+            QuboModel(n=2, terms={(0, bad): 1.0})
+        with pytest.raises(TypeError, match="coupling index must be an integer"):
+            IsingModel(n=2, J={(bad, 1): 1.0})
+        with pytest.raises(TypeError, match="cubic term index must be an integer"):
+            IsingModel(n=3).as_objective(cubic=[(0, bad, 2, 1.0)])
+        with pytest.raises(TypeError, match="term index must be an integer"):
+            model_from_json({"n": 2, "terms": [[0, bad, 1.0]], "offset": 0.0})
+        with pytest.raises(TypeError, match="variable index must be an integer"):
+            fix_variables(QuboModel(n=2, terms={(0, 1): 1.0}), {bad: 1})
+
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_variable_counts(self, bad):
+        for make in (QuboModel, IsingModel, lambda n: DiagonalObjective(n=n, program=None)):
+            with pytest.raises(TypeError, match="count must be an integer"):
+                make(n=bad)
+        with pytest.raises(TypeError, match="variable count must be an integer"):
+            model_from_json({"n": bad, "terms": [], "offset": 0.0})
+
+    def test_numpy_integer_count_and_indices_give_the_int_model(self):
+        q = QuboModel(n=np.int64(2), terms={(np.int64(0), np.int64(1)): 1.0})
+        assert type(q.n) is int and q == QuboModel(n=2, terms={(0, 1): 1.0})
+        assert all(type(i) is int for key in q.terms for i in key)
+        assert type(IsingModel(n=np.int64(2)).n) is int
+
+
 class TestQuboModel:
     def test_energy_matches_naive(self):
         rng = np.random.default_rng(11)
@@ -115,6 +165,23 @@ class TestQuboModel:
             q.energy((0,))
         with pytest.raises(ValueError):
             q.energy((0, 2))
+
+    def test_fractional_entries_are_not_truncated(self):
+        # Entries were once converted by int() before the bit check, so
+        # (0.7, 0) read as (0, 0) and (0.9, 0.2, 1) as (0, 0, 1).
+        q = QuboModel(n=3, terms={(0, 0): 1.0, (0, 1): 2.0, (2, 2): -1.0})
+        obj = q.as_objective()
+        for bad in [(0.7, 0, 0), (0.9, 0.2, 1), (1, 0, 1.3), (np.float64(0.5), 0, 0)]:
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                q.energy(bad)
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                obj.value(bad)
+
+    def test_exact_bit_values_of_any_type_are_accepted(self):
+        q = QuboModel(n=3, terms={(0, 0): 1.0, (0, 1): 2.0, (2, 2): -1.0})
+        obj = q.as_objective()
+        for bits in [(1.0, np.int64(1), True), np.array([1, 1, 1]), [1, 1.0, np.True_]]:
+            assert q.energy(bits) == obj.value(bits) == obj.value((1, 1, 1)) == 2.0
 
     def test_zero_variable_model(self):
         q = QuboModel(n=0, terms={}, offset=3.5)
@@ -162,6 +229,14 @@ class TestIsingModel:
         m = IsingModel(n=2, h=(1.0, 1.0))
         with pytest.raises(ValueError):
             m.energy((0, 1))
+
+    def test_fractional_spins_are_not_rounded(self):
+        # 1.3 once read as +1 and -1.9 as -1.
+        m = IsingModel(n=2, h=(1.0, 2.0), J={(0, 1): 0.5})
+        for bad in [(1.3, 1), (1, -1.9), (0.5, -1)]:
+            with pytest.raises(ValueError, match="spin entries must be -1 or \\+1"):
+                m.energy(bad)
+        assert m.energy((1.0, np.int64(-1))) == m.energy((1, -1)) == -1.5
 
 
 class TestConversions:

@@ -1,7 +1,9 @@
 """Problem generators: hand oracles, reproducibility, feasibility soundness."""
 
+import copy
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -181,6 +183,14 @@ class TestMis:
         inst = gen_mis(5, edge_prob=0.5, seed=2)
         assert len(inst.constrained.inequalities) == len(inst.raw["edges"])
 
+    def test_endpoint_outside_the_graph_is_named(self):
+        # The constraint rows once indexed a list with it first and raised
+        # a bare IndexError.
+        envelope = json.loads(json.dumps(instance_to_json(gen_mis(4, edge_prob=0.9, seed=1))))
+        envelope["raw"]["edges"][0] = [0, 7]
+        with pytest.raises(ValueError, match=r"term index pair \(0, 7\) invalid for n=4"):
+            instance_from_json(envelope)
+
 
 class TestMarketShare:
     def test_objective_matches_raw_formula(self):
@@ -193,6 +203,14 @@ class TestMarketShare:
             x = np.array(bits)
             expect = float(((w @ x - targets) ** 2).sum())
             assert inst.objective.value(bits) == pytest.approx(expect)
+
+    def test_payload_sizes_must_match_the_data(self):
+        # The build once took its sizes from the weights alone and ignored
+        # the payload's m and n.
+        envelope = json.loads(json.dumps(instance_to_json(gen_market_share(2, seed=5))))
+        for edit in ({"m": 3}, {"n": 9}, {"targets": [1]}):
+            with pytest.raises(ValueError, match=r"^need \d+ x \d+ weights and \d+ targets, got \(2, 10\) and \d"):
+                instance_from_json({**envelope, "raw": {**envelope["raw"], **edit}})
 
     def test_zero_iff_perfect_split(self):
         inst = gen_market_share(2, seed=5)
@@ -231,6 +249,20 @@ class TestLabs:
         assert labs_energy((1, 1)) == 1.0
         assert labs_energy((1, -1)) == 1.0
         assert labs_energy((1, 1, -1)) == 1.0
+
+    def test_fractional_entries_are_not_rounded(self):
+        # Entries were once converted by int() before the sign check, so
+        # 1.3 read as +1 and -0.5 as 0 (then rejected, but only by luck).
+        for bad in [(1, 1.3), (1.9, -1, 1), (np.float64(-1.5), 1)]:
+            with pytest.raises(ValueError, match="entries must be -1 or \\+1"):
+                labs_energy(bad)
+            with pytest.raises(ValueError, match="entries must be -1 or \\+1"):
+                LabsSequence(k=len(bad), s=bad)
+            with pytest.raises(ValueError, match="entries must be -1 or \\+1"):
+                labs_to_string(bad)
+        assert labs_energy((1.0, np.int64(-1), 1)) == labs_energy((1, -1, 1))
+        with pytest.raises(TypeError, match="k must be an integer"):
+            LabsSequence(k=2.0, s=(1, 1))
 
     def test_both_enumerators_agree(self):
         rng = np.random.default_rng(21)
@@ -429,6 +461,28 @@ class TestSpinGlass:
         with pytest.raises(ValueError):
             gen_spin_glass("complete", 8, dist="cauchy")
 
+    def test_couplings_must_pair_with_edges(self):
+        # Without a stored model to compare, a short couplings list once
+        # dropped the unpaired edges silently.
+        envelope = json.loads(json.dumps(instance_to_json(gen_spin_glass("complete", 4, seed=1))))
+        del envelope["model"]
+        envelope["raw"]["couplings"].pop()
+        with pytest.raises(ValueError, match="shorter"):
+            instance_from_json(envelope)
+
+
+def integer_paths(value, path):
+    """Paths to every int in ``value``, itself or a nested list entry; bools excluded."""
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in integer_paths(item, (*path, i))]
+    return [path] if isinstance(value, int) and not isinstance(value, bool) else []
+
+
+def lookup(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
 
 def ev_feasible(raw, x):
     u = np.array(raw["windows"])
@@ -508,10 +562,22 @@ class TestEvParking:
             assert ((row_d >= 1) & (row_d <= 10))[on].all()
             assert (row_d[row_u == 0] == 0).all()
 
+    def test_fractional_or_bool_presence_and_demand_rejected(self):
+        # A numpy int64 conversion once truncated presence 0.9 to 0 and
+        # demand 2.5 to 2, and read True as 1.
+        for u, d, field in [
+            ([[0.9, 1]], [[0, 2]], "windows"),
+            ([[True, 1]], [[2, 2]], "windows"),
+            ([[1, 1]], [[2.5, 2]], "demand"),
+            ([[1, 1]], [[2, True]], "demand"),
+        ]:
+            with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+                ev_parking_from_data(u, d, [1.0], M=1, E=4)
+
     def test_rejects_bad_caps(self):
         with pytest.raises(ValueError):
             gen_ev_parking(2, 2, 0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="E must be an integer"):
             ev_parking_from_data([[1]], [[2]], [1.0], M=1, E=2.5)
         with pytest.raises(ValueError):
             ev_parking_from_data([[1]], [[2]], [1.0], M=1, E=0)
@@ -552,6 +618,14 @@ class TestPortfolio:
         inst = gen_portfolio(8, 2, seed=5)
         eigs = np.linalg.eigvalsh(np.array(inst.raw["sigma"]))
         assert eigs.min() > 0
+
+    def test_fractional_or_bool_cardinality_rejected(self):
+        # int() once read B=2.9 as 2 and True as 1.
+        for B in (2.9, 2.0, True):
+            with pytest.raises(TypeError, match="^B must be an integer"):
+                portfolio_from_data([0.1, 0.0, 0.05], np.eye(3), B=B)
+            with pytest.raises(TypeError, match="^B must be an integer"):
+                gen_portfolio(5, B)
 
     def test_rejects_bad_cardinality(self):
         with pytest.raises(ValueError):
@@ -616,6 +690,8 @@ class TestReproducibility:
             assert envelope["meta"]["params"] == inst.meta["params"] == ref.meta["params"]
             with pytest.raises(TypeError):
                 make(float)
+            with pytest.raises(TypeError):
+                make(bool)
 
     def test_labs_seedless(self):
         assert gen_labs(7).raw == gen_labs(7).raw
@@ -714,6 +790,30 @@ class TestSerialization:
         del data["meta"]
         with pytest.raises(ValueError):
             instance_from_json(data)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_integer_payload_field_rejects_floats_and_bools(self, family):
+        # Every integer field of every family's raw payload, scalar or list
+        # entry, was once read through int() or an int64 array, so 3.7 was
+        # solved as 3 and True as 1. Each field's first and last integer
+        # entry is replaced. Every integer flag is set to 4, which gives a
+        # valid instance in every family, and every other flag to its default.
+        entry = FAMILIES[family]
+        params = {flag.kwarg: 4 if flag.type is int else flag.default for flag in entry.flags}
+        envelope = json.loads(json.dumps(instance_to_json(entry.generate(**params))))
+        assert instance_from_json(envelope).raw == envelope["raw"]
+        checked = 0
+        for field, value in envelope["raw"].items():
+            found = integer_paths(value, (field,))
+            for path in {found[0], found[-1]} if found else ():
+                for bad in (float(lookup(envelope["raw"], path)), True):
+                    edited = copy.deepcopy(envelope)
+                    *parents, last = path
+                    lookup(edited["raw"], parents)[last] = bad
+                    with pytest.raises(TypeError, match=rf"^{re.escape(field)}\b.*must be an integer, got "):
+                        instance_from_json(edited)
+                    checked += 1
+        assert checked, f"{family} has no integer payload field"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

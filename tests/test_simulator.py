@@ -142,6 +142,16 @@ class TestStatevector:
         with pytest.raises(ValueError):
             Statevector(n=2, amplitudes=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_qubit_count_must_be_an_integer(self, n):
+        # The constructors shifted by n before any check, so 2.0 failed on
+        # an unnamed shift and True built a one-qubit state.
+        for make in (Statevector.plus, lambda n: Statevector.basis(n, (0,) * int(n))):
+            with pytest.raises(TypeError, match="^qubit count must be an integer"):
+                make(n)
+        with pytest.raises(ValueError, match="^qubit count must be at least 0"):
+            Statevector.plus(-1)
+
     def test_copy_is_independent(self):
         sv = Statevector.plus(2)
         other = sv.copy()
