@@ -60,7 +60,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,9 +145,29 @@ def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:
     return ProblemInstance(family, raw, objective, constrained, meta)
 
 
+class _ShapeError(ValueError):
+    """A raw payload field of the right type in the wrong shape, named first."""
+
+
+def _entries(name: str, values) -> list:
+    """The entries of array field ``name``; a scalar in its place raises."""
+    if not isinstance(values, Iterable):
+        raise _ShapeError(f"{name} must be a list, got {values!r}")
+    return list(values)
+
+
 def _counts(name: str, values) -> list[int]:
     """Each of ``values`` as a non-negative int, named ``name`` by :func:`~qopt.model.as_count`."""
-    return [as_count(name, v, least=0) for v in values]
+    return [as_count(name, v, least=0) for v in _entries(name, values)]
+
+
+def _pairs(name: str, values) -> list[list[int]]:
+    """Array field ``name`` of ``[u, v]`` index pairs."""
+    pairs = [_counts(name, pair) for pair in _entries(name, values)]
+    for pair in pairs:
+        if len(pair) != 2:
+            raise _ShapeError(f"{name} entries must be pairs, got {pair}")
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +177,7 @@ def _counts(name: str, values) -> list[int]:
 def _build_maxcut(raw: Mapping, meta: Mapping) -> _Built:
     # Cut value of edge (u, v) is x_u + x_v - 2 x_u x_v; minimize its negation.
     entries = []
-    for u, v in (_counts("edges", edge) for edge in raw["edges"]):
+    for u, v in _pairs("edges", raw["edges"]):
         entries += [(u, u, -1.0), (v, v, -1.0), (u, v, 2.0)]
     return QuboModel.from_entries(as_count("n", raw["n"]), entries).as_objective(), None
 
@@ -230,8 +250,8 @@ def _mis_penalty(weights: Sequence[float]) -> float:
 
 def _build_mis(raw: Mapping, meta: Mapping) -> _Built:
     n = as_count("n", raw["n"])
-    edges = [_counts("edges", edge) for edge in raw["edges"]]
-    weights = [float(w) for w in raw["weights"]]
+    edges = _pairs("edges", raw["edges"])
+    weights = [float(w) for w in _entries("weights", raw["weights"])]
     penalty = _mis_penalty(weights)
     base = QuboModel(n=n, terms={(v, v): -w for v, w in enumerate(weights) if w != 0.0})
     entries = [(v, v, -w) for v, w in enumerate(weights)]
@@ -320,7 +340,7 @@ def gen_mis(
 def _build_market_share(raw: Mapping, meta: Mapping) -> _Built:
     # sum_j (w_j . x - C_j)^2, expanded with x_i^2 = x_i.
     m, n = as_count("m", raw["m"], least=2), as_count("n", raw["n"])
-    weights = np.array([_counts("weights", row) for row in raw["weights"]], dtype=np.int64)
+    weights = np.array([_counts("weights", row) for row in _entries("weights", raw["weights"])], dtype=np.int64)
     targets = _counts("targets", raw["targets"])
     if weights.shape != (m, n) or len(targets) != m:
         raise ValueError(f"need {m} x {n} weights and {m} targets, got {weights.shape} and {len(targets)}")
@@ -608,7 +628,11 @@ def _heavy_hex_edges(n: int) -> list[tuple[int, int]]:
 
 def _build_spin_glass(raw: Mapping, meta: Mapping) -> _Built:
     n = as_count("n", raw["n"], least=2)
-    couplings = {tuple(_counts("edges", e)): float(c) for e, c in zip(raw["edges"], raw["couplings"], strict=True)}
+    edges, values = _pairs("edges", raw["edges"]), _entries("couplings", raw["couplings"])
+    if len(values) != len(edges):
+        side = "shorter" if len(values) < len(edges) else "longer"
+        raise _ShapeError(f"couplings is {side} than edges: {len(values)} for {len(edges)}")
+    couplings = {tuple(e): float(c) for e, c in zip(edges, values)}
     return IsingModel(n=n, J=couplings).as_objective(raw.get("cubic", ())), None
 
 
@@ -690,9 +714,9 @@ def _ev_parking_raw(u, d, values, M, E) -> dict:
 def _build_ev_parking(raw: Mapping, meta: Mapping) -> _Built:
     n_ev, k_slots = as_count("N", raw["N"]), as_count("K", raw["K"])
     M, E = as_count("M", raw["M"]), as_count("E", raw["E"])
-    u = np.array([_counts("windows", row) for row in raw["windows"]], dtype=np.int64)
-    d = np.array([_counts("demand", row) for row in raw["demand"]], dtype=np.int64)
-    vals = [float(v) for v in raw["values"]]
+    u = np.array([_counts("windows", row) for row in _entries("windows", raw["windows"])], dtype=np.int64)
+    d = np.array([_counts("demand", row) for row in _entries("demand", raw["demand"])], dtype=np.int64)
+    vals = [float(v) for v in _entries("values", raw["values"])]
     if u.shape != (n_ev, k_slots) or d.shape != u.shape:
         raise ValueError(
             f"presence and demand must both be {n_ev} x {k_slots} matrices, got {u.shape} and {d.shape}"
@@ -856,7 +880,9 @@ def instance_from_json(data: Mapping) -> ProblemInstance:
     The raw payload is compiled by the same code the generators use, so
     objective source, constrained form, and energies all round-trip exactly.
     A stored ``model`` or ``constrained`` block must equal the rebuilt one;
-    an edited or stale envelope raises ``ValueError``.
+    an edited or stale envelope raises ``ValueError``, as does a payload
+    field that is missing or misshapen (a scalar for a list, an edge that
+    is not a pair, couplings not one per edge), naming family and field.
     """
     raw, meta = (data.get("raw"), data.get("meta", {})) if isinstance(data, Mapping) else (None, None)
     if not (isinstance(raw, Mapping) and isinstance(meta, Mapping) and isinstance(data.get("family"), str)):
@@ -864,7 +890,12 @@ def instance_from_json(data: Mapping) -> ProblemInstance:
     family = data["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown problem family {family!r}")
-    inst = _instance(family, dict(raw), dict(meta))
+    try:
+        inst = _instance(family, dict(raw), dict(meta))
+    except _ShapeError as exc:
+        raise ValueError(f"{family} payload: {exc}") from None
+    except KeyError as exc:  # the builds subscript nothing but payload fields
+        raise ValueError(f"{family} payload has no {exc.args[0]!r} field") from None
     rebuilt = instance_to_json(inst)
     for block in ("model", "constrained"):
         if block in data and data[block] != rebuilt.get(block):

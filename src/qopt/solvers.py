@@ -259,13 +259,37 @@ def _chains(
     exp, floor, lo, hi = math.exp, _EXP_FLOOR, _EXP_BAND_LO, _EXP_BAND_HI
     best_states = states[:]
     best_energies = energies[:]
+    # A sweep that accepts nothing keeps its state and has priced every flip
+    # from it, so the least delta it rejected, lowest[r], bounds each later
+    # delta_v until restart r moves (lowest[r] is None until such a sweep and
+    # after any that moves). With P = math.exp(-lowest[r] / t),
+    # x_v = -delta_v / t <= -lowest[r] / t, so each p_v the loop compares
+    # with, math.exp or np.exp (within 2^-52 of each other), lies below
+    # P * hi <= u_min <= u_v. Where P is below the 1e-300 floor, u_min > 0
+    # means u_min >= 2^-53, above any such p_v. `delta < low` ignores a NaN
+    # delta, which the loop rejects anyway. Such a sweep rejects every
+    # proposal, with no side effect, and is skipped; its order and uniforms
+    # are still drawn, so every stream stays the same.
+    lowest = [None] * restarts
     for t in temps.tolist():
-        order = rng.permutation(n).tolist()
-        flips = [1 << v for v in order]
-        uniforms = rng.random((n, restarts)).T.tolist()
+        perm = rng.permutation(n)
+        block = rng.random((n, restarts))
+        if lowest.count(None) < restarts:
+            u_mins = block.min(axis=0).tolist()
+        order = None
         for r in range(restarts):
+            low = lowest[r]
+            if low is not None:
+                u_min = u_mins[r]
+                if 0.0 < u_min and exp(-low / t) * hi <= u_min:
+                    continue
+            if order is None:
+                order = perm.tolist()
+                flips = [1 << v for v in order]
+                uniforms = block.T.tolist()
             s, e, best_s, best_e = states[r], energies[r], best_states[r], best_energies[r]
             g = None if fields is None else fields[r]
+            low = math.inf
             for v, flip, u in zip(order, flips, uniforms[r]):
                 proposal = s ^ flip
                 if g is None:
@@ -282,6 +306,8 @@ def _chains(
                     if p < floor or p * lo <= u <= p * hi:
                         p = float(np.exp(x))
                     if not u < p:
+                        if delta < low:
+                            low = delta
                         continue
                 if g is not None:
                     for j, w in neighbours[v]:
@@ -289,7 +315,9 @@ def _chains(
                 s, e = proposal, e_new
                 if e < best_e:
                     best_s, best_e = s, e
-            states[r], energies[r], best_states[r], best_energies[r] = s, e, best_s, best_e
+            if s != states[r]:
+                low = None  # a sweep flips each variable at most once, so it moved
+            states[r], energies[r], best_states[r], best_energies[r], lowest[r] = s, e, best_s, best_e, low
     return temps, best_states, [energy_of[s] for s in best_states]
 
 
@@ -329,12 +357,18 @@ def simulated_annealing(
     1e-300: there numpy's exp, which can differ from ``math.exp`` in the
     last place, decides.
 
+    A restart whose sweep accepts nothing keeps the least delta it rejected.
+    A later sweep is skipped, its order and uniforms still drawn, while its
+    least uniform lies at or above the acceptance probability of that delta
+    (widened by the 2^-40 band), so a frozen chain costs only those draws.
+
     A proposal costs O(restarts) interpreter steps, plus the variable's
     degree when a local-field flip is accepted, so many restarts are slow:
     with 1, 8, 32 and 100 restarts, 1000 sweeps of Gaussian SK take about
-    0.02, 0.1, 0.35 and 1.2 s at n=20 (table) and 0.04, 0.2, 0.7 and 2.1 s
-    at n=30 (local fields, where a numpy loop over all restarts at once took
-    0.9-1.4 s at each count) on a 2-vCPU Xeon VM.
+    0.012, 0.037, 0.12 and 0.36 s at n=20 (table) and 0.019, 0.065, 0.22 and
+    0.84 s at n=30 (local fields, where a numpy loop over all restarts at
+    once took 0.9-1.4 s at each count) on a 2-vCPU Xeon VM; about two
+    thirds of those sweeps are skipped.
     """
     obj = _objective_of(problem)
     sweeps, restarts = as_count("sweeps", sweeps), as_count("restarts", restarts)

@@ -9,7 +9,34 @@ import pytest
 
 from qopt.model import DiagonalObjective, QuboModel, index_to_bits, ising_to_qubo
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
-from qopt.solvers import _geometric_temperatures, simulated_annealing
+from qopt.solvers import _EXP_BAND_HI, _chains, _geometric_temperatures, simulated_annealing
+
+
+class ScriptedRng:
+    """A generator stand-in that hands out fixed starts, orders and uniforms.
+
+    ``random`` returns the next uniforms in the shape asked for, so one
+    ``(n, restarts)`` block and ``n`` draws of ``restarts`` read the same
+    values in the same order.
+    """
+
+    def __init__(self, starts, orders, uniforms):
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.orders = iter(orders)
+        self.uniforms = np.asarray(uniforms, dtype=np.float64).ravel()
+        self.used = 0
+
+    def integers(self, low, high, size, dtype):
+        return self.starts.copy()
+
+    def permutation(self, n):
+        return np.asarray(next(self.orders))
+
+    def random(self, shape):
+        count = int(np.prod(shape))
+        block = self.uniforms[self.used:self.used + count]
+        self.used += count
+        return block.reshape(shape)
 
 
 def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
@@ -18,7 +45,7 @@ def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     All restarts advance together on one proposal order, drawing one uniform
     per restart per proposal and deciding with numpy's exp on every move.
     """
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, ScriptedRng) else np.random.default_rng(seed)
     if temperatures is None:
         probes = min(256, 1 << min(obj.n, 16))
         idx = rng.integers(0, 1 << obj.n, size=probes, dtype=np.int64)
@@ -143,13 +170,23 @@ def explicit_schedule(sweeps):
     return list(np.geomspace(3.0, 0.05, sweeps))
 
 
+def cold_schedule(sweeps):
+    # Cold enough that chains freeze early, most within 7 sweeps and the
+    # restarts of one run at different sweeps, so most later sweeps reject
+    # every proposal and are skipped.
+    return list(np.geomspace(0.3, 0.02, sweeps))
+
+
+SCHEDULES = {"default": lambda sweeps: None, "explicit": explicit_schedule, "cold": cold_schedule}
+
+
 @pytest.mark.parametrize("family", sorted(CASES))
-@pytest.mark.parametrize("restarts", [1, 3, 8])
-@pytest.mark.parametrize("schedule", ["default", "explicit"])
+@pytest.mark.parametrize("restarts", [1, 3, 8, 4])
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
 def test_chains_match_lockstep_reference(family, restarts, schedule):
     obj = CASES[family]().objective
     sweeps = 40
-    temps = explicit_schedule(sweeps) if schedule == "explicit" else None
+    temps = SCHEDULES[schedule](sweeps)
     for seed in (0, 7):
         assert_matches_reference(obj, sweeps, temps, restarts, seed)
 
@@ -161,6 +198,96 @@ def assert_matches_reference(obj, sweeps, temps, restarts, seed):
     assert res.best_energy == energy
     assert res.trace == trace
     assert res.extras == extras
+
+
+def value_lockstep_reference(obj, temperatures, restarts, seed):
+    """The restart-lockstep loop on bit rows priced by ``obj.value`` alone.
+
+    This is the source above 20 variables when the objective has no spin
+    form; the schedule is explicit, so nothing is probed.
+    """
+    rng = np.random.default_rng(seed)
+    n = obj.n
+    bits = rng.integers(0, 2, size=(restarts, n))
+    energy = np.array([obj.value(row) for row in bits])
+    best_e = energy.copy()
+    best_x = bits.copy()
+    with np.errstate(over="ignore"):
+        for t in temperatures:
+            for v in rng.permutation(n):
+                proposal = bits.copy()
+                proposal[:, v] ^= 1
+                priced = np.array([obj.value(row) for row in proposal])
+                delta = priced - energy
+                accept = (delta <= 0) | (rng.random(restarts) < np.exp(-delta / t))
+                bits = np.where(accept[:, None], proposal, bits)
+                energy = np.where(accept, priced, energy)
+                improved = energy < best_e
+                best_e = np.where(improved, energy, best_e)
+                best_x[improved] = bits[improved]
+    winner = int(best_e.argmin())
+    return (
+        tuple(int(b) for b in best_x[winner]),
+        float(best_e[winner]),
+        tuple(float(e) for e in best_e),
+        {"sweeps": len(temperatures), "restarts": restarts, "t_hot": temperatures[0], "t_cold": temperatures[-1]},
+    )
+
+
+def test_frozen_value_path_chain_skips_its_sweeps(monkeypatch):
+    # LABS has no spin form, so above 20 variables every proposal costs one
+    # obj.value call. On a cold schedule the chain freezes within a few
+    # sweeps; a sweep that can accept nothing is skipped, not priced.
+    obj = gen_labs(21).objective
+    sweeps = 200
+    temps = cold_schedule(sweeps)
+    expected = value_lockstep_reference(obj, temps, 1, seed=2)
+    calls = []
+    original = DiagonalObjective.value
+
+    def counted(self, bits):
+        calls.append(len(bits))
+        return original(self, bits)
+
+    monkeypatch.setattr(DiagonalObjective, "value", counted)
+    res = simulated_annealing(obj, sweeps=sweeps, temperatures=temps, seed=2)
+    assert (res.best_assignment, res.best_energy, res.trace, res.extras) == expected
+    assert len(calls) < obj.n * sweeps / 2
+
+
+def test_skip_bound_edges_on_a_frozen_state(table_objective):
+    # State 0 is a local minimum whose cheapest flip, of bit 0, costs 1. The
+    # first sweep rejects all three flips. The second one's least uniform
+    # sits exactly at P * hi, P = exp(-1 / t): the sweep is skipped, and the
+    # loop would have rejected it too. The third holds an exact 0.0, which
+    # still accepts the uphill flip and opens the way down to state 3.
+    energies = [0.0, 1.0, 2.0, -5.0, 3.0, 4.0, 5.0, 6.0]
+    obj = table_objective(energies)
+    t = 0.5
+    at_bound = math.exp(-1.0 / t) * _EXP_BAND_HI
+    uniforms = [[0.9, 0.9, 0.9], [at_bound, 0.9, 0.9], [0.0, 0.9, 0.9]]
+    temps = [t] * len(uniforms)
+
+    def script(starts):
+        return ScriptedRng(starts, [[0, 1, 2]] * len(uniforms), uniforms)
+
+    best, energy, trace, _ = lockstep_reference(obj, len(temps), temps, 1, script([0]))
+    assert energy == -5.0
+    calls = []
+    original = DiagonalObjective.value
+
+    def counted(self, bits):
+        calls.append(tuple(bits))
+        return original(self, bits)
+
+    # With no table the chain prices by obj.value, so a skipped sweep shows.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DiagonalObjective, "value", counted)
+        _, best_states, per_restart = _chains(obj, None, len(temps), np.array(temps), 1, script([[0, 0, 0]]))
+    assert (index_to_bits(best_states[0], obj.n), per_restart[0]) == (best, energy)
+    assert tuple(per_restart) == trace
+    # The start, three flips in each of two sweeps, and the best state.
+    assert len(calls) == 1 + 3 + 3 + 1
 
 
 FIELD_CASES = {
@@ -176,13 +303,13 @@ FIELD_CASES = {
 
 
 @pytest.mark.parametrize("family", sorted(FIELD_CASES))
-@pytest.mark.parametrize("restarts", [1, 3, 8])
-@pytest.mark.parametrize("schedule", ["default", "explicit"])
+@pytest.mark.parametrize("restarts", [1, 3, 8, 4])
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
 def test_field_chains_match_lockstep_reference(family, restarts, schedule):
     # Above 20 variables a QUBO or Ising source anneals on local fields.
     obj = FIELD_CASES[family]().objective
     sweeps = 6
-    temps = explicit_schedule(sweeps) if schedule == "explicit" else None
+    temps = SCHEDULES[schedule](sweeps)
     for seed in (0, 7):
         res = simulated_annealing(obj, sweeps=sweeps, temperatures=temps, restarts=restarts, seed=seed)
         best, energy, trace, extras = field_lockstep_reference(obj, sweeps, temps, restarts, seed)

@@ -282,6 +282,18 @@ class TestSolve:
         )
         assert captured.out == ""
 
+    def test_misshapen_payload_is_named(self, tmp_path, capsys):
+        # An edge with three endpoints once printed "too many values to
+        # unpack (expected 2)".
+        path = generate(tmp_path, "maxcut-r3r", "--n", "6")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["raw"]["edges"][0] = [0, 1, 2]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--solver", "brute-force"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: maxcut-r3r payload: edges entries must be pairs, got [0, 1, 2]\n"
+        assert captured.out == ""
+
     def test_missing_instance_file_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         code = run_cli(["solve", str(missing), "--solver", "brute-force"])

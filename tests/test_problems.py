@@ -478,6 +478,9 @@ def integer_paths(value, path):
     return [path] if isinstance(value, int) and not isinstance(value, bool) else []
 
 
+DROP = object()  # a payload edit that deletes the entry
+
+
 def lookup(raw, path):
     for key in path:
         raw = raw[key]
@@ -818,3 +821,36 @@ class TestSerialization:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             instance_from_json({"family": "sudoku", "raw": {}})
+
+    @pytest.mark.parametrize(
+        "make, path, value, message",
+        [
+            (lambda: gen_maxcut_r3r(6, seed=0), ("edges", 0), [0, 1, 2],
+             "maxcut-r3r payload: edges entries must be pairs, got [0, 1, 2]"),
+            (lambda: gen_maxcut_r3r(6, seed=0), ("edges",), 5, "maxcut-r3r payload: edges must be a list, got 5"),
+            (lambda: gen_maxcut_r3r(6, seed=0), ("edges", 0), 7, "maxcut-r3r payload: edges must be a list, got 7"),
+            (lambda: gen_portfolio(5, 2, seed=0), ("lam",), DROP, "portfolio payload has no 'lam' field"),
+            (lambda: gen_labs(5), ("k",), DROP, "labs payload has no 'k' field"),
+            (lambda: gen_spin_glass("complete", 4, seed=1), ("couplings", -1), DROP,
+             "spin-glass payload: couplings is shorter than edges: 5 for 6"),
+            (lambda: gen_mis(4, edge_prob=0.9, seed=1), ("weights",), 1.0,
+             "mis payload: weights must be a list, got 1.0"),
+            (lambda: gen_ev_parking(3, 2, 2, 4, seed=0), ("windows", 0), 1,
+             "ev-parking payload: windows must be a list, got 1"),
+        ],
+        ids=["edge-triple", "edges-int", "edge-int", "portfolio-no-lam", "labs-no-k", "couplings-short",
+             "mis-weights-float", "ev-window-int"],
+    )
+    def test_misshapen_payload_names_family_and_field(self, make, path, value, message):
+        # Each of these once raised an unnamed error: an unpacking count,
+        # "'int' object is not iterable", a bare KeyError or a zip() length.
+        envelope = json.loads(json.dumps(instance_to_json(make())))
+        envelope.pop("model", None)
+        *parents, last = path
+        if value is DROP:
+            del lookup(envelope["raw"], parents)[last]
+        else:
+            lookup(envelope["raw"], parents)[last] = value
+        with pytest.raises(ValueError) as caught:
+            instance_from_json(envelope)
+        assert str(caught.value) == message
