@@ -272,19 +272,22 @@ def _chains(
     # are still drawn, so every stream stays the same.
     lowest = [None] * restarts
     for t in temps.tolist():
-        perm = rng.permutation(n)
+        # Generator.shuffle makes the same draws on a list as on the arange
+        # that permutation(n) shuffles, and leaves the same generator state
+        # (tests/test_annealing.py checks the premise), with no array made.
+        order = list(range(n))
+        rng.shuffle(order)
         block = rng.random((n, restarts))
         if lowest.count(None) < restarts:
             u_mins = block.min(axis=0).tolist()
-        order = None
+        flips = None
         for r in range(restarts):
             low = lowest[r]
             if low is not None:
                 u_min = u_mins[r]
                 if 0.0 < u_min and exp(-low / t) * hi <= u_min:
                     continue
-            if order is None:
-                order = perm.tolist()
+            if flips is None:
                 flips = [1 << v for v in order]
                 uniforms = block.T.tolist()
             s, e, best_s, best_e = states[r], energies[r], best_states[r], best_energies[r]
@@ -337,13 +340,15 @@ def simulated_annealing(
     (one positive, finite entry per sweep) to override.
 
     Each restart is a plain-Python chain over a packed-int state. Each sweep
-    draws its proposal order and then an ``(n, restarts)`` block of uniforms;
-    restart ``r`` reads column ``r``, so the stream does not depend on how
-    restarts are scheduled. A run draws its probe and start states, and
-    prices every flip, from one source. Up to 20 variables within the
-    statevector cap, it draws packed ints and reads a zero-copy view of the
-    cached :func:`~qopt.simulator.energy_table`. Above that, it draws bit
-    rows and reads local fields when the objective has a spin form
+    draws its proposal order, as a shuffle of the list ``[0, n)`` that
+    consumes the stream exactly as ``permutation(n)`` does, and then an
+    ``(n, restarts)`` block of uniforms; restart ``r`` reads column ``r``,
+    so the stream does not depend on how restarts are scheduled. A run draws
+    its probe and start states, and prices every flip, from one source. Up
+    to 20 variables within the statevector cap, it draws packed ints and
+    reads a zero-copy view of the cached
+    :func:`~qopt.simulator.energy_table`. Above that, it draws bit rows and
+    reads local fields when the objective has a spin form
     (:meth:`~qopt.model.DiagonalObjective.spin_model`), and otherwise
     ``obj.value``. A probe flip of v costs two table reads, |g_v| summed
     over v's couplings, or two ``obj.value`` calls. The fields come from the
@@ -365,9 +370,9 @@ def simulated_annealing(
     A proposal costs O(restarts) interpreter steps, plus the variable's
     degree when a local-field flip is accepted, so many restarts are slow:
     with 1, 8, 32 and 100 restarts, 1000 sweeps of Gaussian SK take about
-    0.012, 0.037, 0.12 and 0.36 s at n=20 (table) and 0.019, 0.065, 0.22 and
-    0.84 s at n=30 (local fields, where a numpy loop over all restarts at
-    once took 0.9-1.4 s at each count) on a 2-vCPU Xeon VM; about two
+    0.007, 0.025, 0.086 and 0.24 s at n=20 (table) and 0.011, 0.056, 0.24
+    and 0.74 s at n=30 (local fields, where a numpy loop over all restarts
+    at once took 0.9-1.4 s at each count) on a 2-vCPU Xeon VM; about two
     thirds of those sweeps are skipped.
     """
     obj = _objective_of(problem)
@@ -407,10 +412,13 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
 
     The simulation needs only the marked count and one marked pattern drawn
     uniformly (Durr & Hoyer, arXiv:quant-ph/9607014). Both are read from the
-    cached :func:`~qopt.simulator.energy_table` and nothing else is cached:
-    the count is recounted after each success, and the pick-th marked
-    pattern in (energy, index) order is found by a partition of the marked
-    energies and a scan of the table for its level, with no sort.
+    cached :func:`~qopt.simulator.energy_table` and nothing else is cached.
+    The first success gathers the marked energies. Each success finds the
+    pick-th marked pattern in (energy, index) order by a partition of them
+    and a scan of the table for its level, with no sort, and keeps the
+    energies below that level as the next marked set instead of recounting
+    the table, so a run with s successes reads the whole table at most
+    2 + s times.
     """
     obj = _objective_of(problem)
     max_rounds = as_count("max_rounds", max_rounds)
@@ -429,6 +437,7 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     rounds_used = 0
     iterations_total = 0
     count = int(np.count_nonzero(table < threshold))
+    marked = None
 
     for _ in range(max_rounds):
         rounds_used += 1
@@ -443,11 +452,22 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
             pick = int(rng.integers(0, count))
             # The pick-th marked pattern in (energy, index) order: its level
             # is the pick-th smallest marked energy, and it is the
-            # (pick - below)-th pattern at that level.
-            marked = table[table < threshold]
+            # (pick - below)-th pattern at that level. `marked` holds the
+            # energies below the threshold in no particular order, which the
+            # partition does not need: its pick-th value depends on the
+            # values alone. After it, every energy below `level` lies in
+            # marked[:pick], and `level` equals the next threshold, so
+            # filtering that head gives the next marked energies and their
+            # count without a pass over the table. Only the first success
+            # gathers from the table; the level scan is the one full pass
+            # per success.
+            if marked is None:
+                marked = table[table < threshold]
             marked.partition(pick)
             level = marked[pick]
-            below = int(np.count_nonzero(table < level))
+            head = marked[:pick]
+            marked = head[head < level]
+            below = marked.size
             best_idx = int(np.flatnonzero(table == level)[pick - below])
             threshold = float(table[best_idx])
             count = below

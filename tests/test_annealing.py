@@ -15,6 +15,9 @@ from qopt.solvers import _EXP_BAND_HI, _chains, _geometric_temperatures, simulat
 class ScriptedRng:
     """A generator stand-in that hands out fixed starts, orders and uniforms.
 
+    ``shuffle`` writes the next order into its argument in place. There is
+    no ``permutation``, so a chain that draws its order with one fails
+    loudly.
     ``random`` returns the next uniforms in the shape asked for, so one
     ``(n, restarts)`` block and ``n`` draws of ``restarts`` read the same
     values in the same order.
@@ -29,8 +32,8 @@ class ScriptedRng:
     def integers(self, low, high, size, dtype):
         return self.starts.copy()
 
-    def permutation(self, n):
-        return np.asarray(next(self.orders))
+    def shuffle(self, x):
+        x[:] = next(self.orders)
 
     def random(self, shape):
         count = int(np.prod(shape))
@@ -63,7 +66,11 @@ def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
     best_s = state.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in temps:
-            for v in rng.permutation(n):
+            # numpy's own permutation(n), spelled out so that a ScriptedRng
+            # can supply the order.
+            order = np.arange(n)
+            rng.shuffle(order)
+            for v in order:
                 proposal = state ^ (np.int64(1) << int(v))
                 delta = table[proposal] - energy
                 accept = (delta <= 0) | (rng.random(restarts) < np.exp(-delta / t))
@@ -420,6 +427,19 @@ def test_lowered_cap_falls_back_to_local_fields(monkeypatch):
     res = simulated_annealing(inst, sweeps=200, restarts=2, seed=0)
     assert "energy_table" not in inst.objective._cache
     assert res.best_energy == inst.objective.value(res.best_assignment)
+
+
+def test_list_shuffle_draws_as_permutation():
+    # The chains draw each sweep's order by shuffling a list; that must
+    # equal permutation(n), the draw the lockstep loops make, and leave the
+    # generator in the same state, buffered 32-bit word included.
+    for seed in range(3):
+        for n in range(70):
+            drawn, shuffled = np.random.default_rng(seed), np.random.default_rng(seed)
+            order = list(range(n))
+            shuffled.shuffle(order)
+            assert order == drawn.permutation(n).tolist()
+            assert shuffled.bit_generator.state == drawn.bit_generator.state
 
 
 def test_guard_band_covers_exp_disagreement():

@@ -330,6 +330,27 @@ def signed_zero_qubo():
     return obj
 
 
+def table_only(energies):
+    """An objective known only by its cached energy table, which is all the
+    search reads."""
+    table = np.asarray(energies, dtype=np.float64)
+    table.setflags(write=False)
+    return DiagonalObjective(n=table.size.bit_length() - 1, program=None, _cache={"energy_table": table})
+
+
+def infinite_walls():
+    # A third of the patterns are forbidden outright, as in the annealing tests.
+    return table_only([math.inf if (k >> 2) % 3 == 0 else float((k * 7919) % 23) for k in range(1 << 8)])
+
+
+def scattered_minus_infinity():
+    # Ten patterns at -inf among integer energies: searches end on a tie of them.
+    energies = [float((k * 7919) % 23) - 11.0 for k in range(1 << 8)]
+    for k in np.random.default_rng(5).choice(1 << 8, size=10, replace=False).tolist():
+        energies[k] = -math.inf
+    return table_only(energies)
+
+
 class TestGroverAdaptiveSearch:
     def test_success_probability_formula_matches_statevector(self):
         # The solver scores each round as sin^2((2r+1) asin(sqrt(count/N)));
@@ -382,8 +403,13 @@ class TestGroverAdaptiveSearch:
             lambda: gen_labs(12).objective,
             lambda: gen_portfolio(9, 3, seed=1).objective,
             signed_zero_qubo,
+            infinite_walls,
+            scattered_minus_infinity,
         ],
-        ids=["maxcut", "sk-gauss", "sk-pm1", "labs-10", "labs", "labs-12", "portfolio", "signed-zero"],
+        ids=[
+            "maxcut", "sk-gauss", "sk-pm1", "labs-10", "labs", "labs-12", "portfolio", "signed-zero",
+            "infinite-walls", "minus-infinity",
+        ],
     )
     def test_matches_stable_sort_reference(self, make):
         # Energies are compared as float.hex, so that a -0.0 and a 0.0
@@ -398,6 +424,37 @@ class TestGroverAdaptiveSearch:
                 assert [e.hex() for e in res.trace] == [e.hex() for e in want_trace]
                 assert res.extras == want_extras
                 assert list(obj._cache) == ["energy_table"]
+
+    def test_one_table_pass_per_success(self):
+        # Beyond the first count and the first success's gather of the
+        # marked energies, each success scans the table once, for its level.
+        class Counted(np.ndarray):
+            entries = 0
+            passes = 0
+
+            def _count(self):
+                if self.shape == (Counted.entries,):
+                    Counted.passes += 1
+
+            def __lt__(self, other):
+                self._count()
+                return super().__lt__(other)
+
+            def __eq__(self, other):
+                self._count()
+                return super().__eq__(other)
+
+        for seed in range(5):
+            obj = gen_maxcut_r3r(12, seed=seed).objective
+            plain = grover_adaptive_search(obj, seed=seed)
+            table = energy_table(obj)
+            obj._cache["energy_table"] = table.view(Counted)
+            Counted.entries, Counted.passes = table.size, 0
+            res = grover_adaptive_search(obj, seed=seed)
+            successes = len(res.trace) - 1
+            assert successes > 0
+            assert Counted.passes <= 2 + successes
+            assert (res.best_assignment, res.trace, res.extras) == (plain.best_assignment, plain.trace, plain.extras)
 
     def test_replay_deterministic(self):
         obj = random_qubo(8, 77).as_objective()
