@@ -451,23 +451,33 @@ class _LabsProgram:
     def table(self) -> np.ndarray:
         # Each lag's correlation A_j grows by doubling in int16 over bits
         # j..k-1: bit m adds s_(m-j) s_m, so the half with s_m = -1 is the
-        # other half minus s_(m-j). Every value is an integer below 2^53, so
-        # the sum of squares equals the direct formula exactly.
+        # other half minus s_(m-j). Negating every spin keeps each product,
+        # so pattern 2^k - 1 - x has x's energy: only the half with bit k-1
+        # clear is built (the last doubling updates it in place) and the
+        # upper half is its mirror. Energies are summed in int16, which holds
+        # the largest, (k-1)k(2k-1)/6, up to k = 46, so each equals the
+        # direct formula exactly.
         k = self.k
-        energy = np.zeros(1 << k, dtype=np.float64)
-        corr = np.empty(1 << k, dtype=np.int16)
+        half = 1 << (k - 1)
+        corr = np.empty(half, dtype=np.int16)
+        total = np.zeros(half, dtype=np.int16)
         for j in range(1, k):
             size = 1 << j
             corr[:size] = 0
             for m in range(j, k):
                 lo = corr[:size].reshape(-1, 2, 1 << (m - j))
-                hi = corr[size : 2 * size].reshape(-1, 2, 1 << (m - j))
-                np.subtract(lo[:, 0], 1, out=hi[:, 0])
-                np.add(lo[:, 1], 1, out=hi[:, 1])
+                if m < k - 1:
+                    hi = corr[size : 2 * size].reshape(-1, 2, 1 << (m - j))
+                    np.subtract(lo[:, 0], 1, out=hi[:, 0])
+                    np.add(lo[:, 1], 1, out=hi[:, 1])
                 lo[:, 0] += 1
                 lo[:, 1] -= 1
                 size *= 2
-            energy += corr * corr
+            corr *= corr
+            total += corr
+        energy = np.empty(1 << k, dtype=np.float64)
+        energy[:half] = total
+        energy[half:] = total[::-1]
         return energy
 
     def at(self, block: np.ndarray) -> np.ndarray:

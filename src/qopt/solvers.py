@@ -28,6 +28,7 @@ from qopt.simulator import (
     Statevector,
     WarmStart,
     _check_cap,
+    _flip_symmetric,
     cvar,
     energy_table,
     expectation,
@@ -123,7 +124,10 @@ def brute_force(problem) -> SolveResult:
     """Exact enumeration: spectrum edges and the complete argmin set.
 
     Up to the statevector cap it reads :func:`~qopt.simulator.energy_table`,
-    which builds and caches the table once. Above the cap, up to four qubits
+    which builds and caches the table once; on a
+    :func:`~qopt.simulator._flip_symmetric` table it reads the lower half and
+    appends the complements ``2^n - 1 - x`` of its minimizers in reverse,
+    which keeps the argmin ascending. Above the cap, up to four qubits
     further, it streams ``2^20``-pattern chunks priced by ``energies_at``,
     which equal the table's slices bit for bit, and caches nothing.
     This is the reference oracle every other solver is tested against.
@@ -137,8 +141,9 @@ def brute_force(problem) -> SolveResult:
     c_min = math.inf
     c_max = -math.inf
     argmin_idx: list[int] = []
+    fold = 2 if obj.n <= cap and _flip_symmetric(obj) else 1
     if obj.n <= cap:
-        chunks = [(0, energy_table(obj))]
+        chunks = [(0, energy_table(obj)[: total // fold])]
     else:
         chunk = 1 << _CHUNK_BITS
         chunks = (
@@ -155,6 +160,8 @@ def brute_force(problem) -> SolveResult:
             argmin_idx = []
         if lo == c_min:
             argmin_idx.extend(int(start + k) for k in np.flatnonzero(table == c_min))
+    if fold == 2:
+        argmin_idx.extend([total - 1 - idx for idx in reversed(argmin_idx)])
     argmin = tuple(index_to_bits(idx, obj.n) for idx in argmin_idx)
     return SolveResult(
         best_assignment=argmin[0],
@@ -412,19 +419,22 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
 
     The simulation needs only the marked count and one marked pattern drawn
     uniformly (Durr & Hoyer, arXiv:quant-ph/9607014). Both are read from the
-    cached :func:`~qopt.simulator.energy_table` and nothing else is cached.
-    The first success gathers the marked energies. Each success finds the
-    pick-th marked pattern in (energy, index) order by a partition of them
-    and a scan of the table for its level, with no sort, and keeps the
-    energies below that level as the next marked set instead of recounting
-    the table, so a run with s successes reads the whole table at most
-    2 + s times.
+    cached :func:`~qopt.simulator.energy_table`; the only other cache entry
+    read is :func:`~qopt.simulator._flip_symmetric`. The first success
+    gathers the marked energies. Each success finds the pick-th marked
+    pattern in (energy, index) order by a partition of them and a scan of
+    the table for its level, with no sort, and keeps the energies below
+    that level as the next marked set instead of recounting the table, so a
+    run with s successes makes at most 2 + s passes over the table, over
+    half the table when it is flip-symmetric.
     """
     obj = _objective_of(problem)
     max_rounds = as_count("max_rounds", max_rounds)
     started = time.perf_counter()
     table = energy_table(obj)
     n_states = table.shape[0]
+    fold = 2 if _flip_symmetric(obj) else 1
+    scan = table[: n_states // fold]
     rng = np.random.default_rng(as_count("seed", seed, least=None))
 
     first = int(rng.integers(0, n_states))
@@ -436,7 +446,7 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     marked_empty = False
     rounds_used = 0
     iterations_total = 0
-    count = int(np.count_nonzero(table < threshold))
+    count = fold * int(np.count_nonzero(scan < threshold))
     marked = None
 
     for _ in range(max_rounds):
@@ -453,22 +463,29 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
             # The pick-th marked pattern in (energy, index) order: its level
             # is the pick-th smallest marked energy, and it is the
             # (pick - below)-th pattern at that level. `marked` holds the
-            # energies below the threshold in no particular order, which the
-            # partition does not need: its pick-th value depends on the
-            # values alone. After it, every energy below `level` lies in
-            # marked[:pick], and `level` equals the next threshold, so
+            # scanned energies below the threshold in no particular order,
+            # which the partition does not need: its k-th value depends on
+            # the values alone. Folded, each scanned energy stands for a
+            # pattern and its mirror, so the pick-th marked energy is the
+            # (pick // 2)-th of them, and the level's positions in index
+            # order are the scanned ones, then their mirrors 2^n - 1 - x in
+            # reverse. After the partition, every energy below `level` lies
+            # in marked[:k], and `level` equals the next threshold, so
             # filtering that head gives the next marked energies and their
             # count without a pass over the table. Only the first success
-            # gathers from the table; the level scan is the one full pass
-            # per success.
+            # gathers from the table; the level scan is the one pass per
+            # success.
             if marked is None:
-                marked = table[table < threshold]
-            marked.partition(pick)
-            level = marked[pick]
-            head = marked[:pick]
+                marked = scan[scan < threshold]
+            k = pick // fold
+            marked.partition(k)
+            level = marked[k]
+            head = marked[:k]
             marked = head[head < level]
-            below = marked.size
-            best_idx = int(np.flatnonzero(table == level)[pick - below])
+            below = fold * marked.size
+            at = np.flatnonzero(scan == level)
+            i = pick - below
+            best_idx = int(at[i]) if i < at.size else n_states - 1 - int(at[2 * at.size - 1 - i])
             threshold = float(table[best_idx])
             count = below
             thresholds.append(threshold)

@@ -303,6 +303,22 @@ class TestLabs:
         obj = gen_labs(16).objective
         assert np.array_equal(obj.table(), obj.energies_at(np.arange(1 << 16)))
 
+    def test_table_builds_half_and_mirrors_it(self):
+        # Only the lower half is built, with half-size correlations, and the
+        # upper half is its mirror: the peak is the output's 8 bytes per
+        # pattern plus 2 for the half-size int16 arrays, where a full build
+        # held 12.
+        k = 18
+        program = gen_labs(k).objective.program
+        tracemalloc.start()
+        try:
+            table = program.table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 << k
+        assert np.array_equal(table[: 1 << (k - 1)], table[: (1 << (k - 1)) - 1 : -1])
+
     def test_index_pricing_memory_is_bounded(self):
         # Pricing 2^18 indices at k=21 once held (index, bit) temporaries for
         # all of them at once, about 128 MiB; blocks keep the peak flat.

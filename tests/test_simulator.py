@@ -1098,6 +1098,8 @@ class TestFlipFold:
         obj = FOLD_CASES[case]()
         assert _flip_symmetric(obj) is (obj.n >= 2)
         assert obj._cache["flip_symmetric"] is (obj.n >= 2)
+        table = energy_table(obj)
+        assert np.array_equal(table.view(np.int64), table[::-1].view(np.int64))
 
     def test_tables_that_are_not_mirrors_do_not_fold(self, table_objective):
         linear = QuboModel(n=3, terms={(0, 0): 1.0, (0, 1): -2.0, (1, 2): 0.5}).as_objective()
@@ -1108,6 +1110,19 @@ class TestFlipFold:
         table[5] = np.nextafter(table[5], np.inf)
         assert not _flip_symmetric(table_objective(table))
         assert not _flip_symmetric(table_objective([1.0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_each_mirror_pair_is_compared(self, n, table_objective):
+        # Pair i is (i, 2^n - 1 - i). The last pair, at the half boundary, is
+        # compared after the first 64; a -0.0 facing a 0.0 is no mirror.
+        lower = np.arange(1 << (n - 1), dtype=np.float64) % 5
+        table = np.concatenate([lower, lower[::-1]])
+        assert _flip_symmetric(table_objective(table))
+        half = table.size // 2
+        for i, left, right in [(half - 1, 1.0, 2.0), (0, 3.0, 4.0), (half - 1, -0.0, 0.0), (0, 0.0, -0.0)]:
+            broken = table.copy()
+            broken[i], broken[table.size - 1 - i] = left, right
+            assert not _flip_symmetric(table_objective(broken))
 
     def test_only_plus_starts_on_mirrors_fold(self, monkeypatch):
         import qopt.simulator as simulator

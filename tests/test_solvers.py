@@ -20,7 +20,9 @@ import pytest
 from qopt import _checks
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
-from qopt.simulator import CapacityError, QaoaParams, WarmStart, anneal_trotter, energy_table, qaoa_state, sample
+from qopt.simulator import (
+    CapacityError, QaoaParams, WarmStart, _flip_symmetric, anneal_trotter, energy_table, qaoa_state, sample,
+)
 from qopt.solvers import (
     SolveResult,
     brute_force,
@@ -161,6 +163,31 @@ class TestBruteForce:
             assert ("energy_table" in obj._cache) == (n <= 6)
         with pytest.raises(CapacityError):
             brute_force(random_qubo(11, 0).as_objective())
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n=n: gen_maxcut_r3r(n, seed=n).objective for n in (4, 8, 12)]
+        + [lambda n=n: gen_spin_glass("complete", n, dist="gaussian", seed=n).objective for n in (2, 3, 8, 12)]
+        + [lambda k=k: gen_labs(k).objective for k in (2, 3, 8, 12)],
+        ids=[f"maxcut-{n}" for n in (4, 8, 12)] + [f"sk-{n}" for n in (2, 3, 8, 12)] + [f"labs-{k}" for k in (2, 3, 8, 12)],
+    )
+    def test_folded_scan_matches_full_table_and_stream(self, make, monkeypatch):
+        # A flip-symmetric table is read by its lower half; the result
+        # equals one read off the whole table, and the streamed path's.
+        obj = make()
+        table = energy_table(obj)
+        assert _flip_symmetric(obj)
+        res = brute_force(obj)
+        c_min = float(table.min())
+        want = tuple(index_to_bits(int(i), obj.n) for i in np.flatnonzero(table == c_min))
+        assert res.argmin == want and res.best_assignment == want[0]
+        assert (res.c_min.hex(), res.c_max.hex()) == (c_min.hex(), float(table.max()).hex())
+        assert res.certificate
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n - 1))
+        streamed = brute_force(make())
+        assert (streamed.c_min.hex(), streamed.c_max.hex(), streamed.argmin, streamed.extras) == (
+            res.c_min.hex(), res.c_max.hex(), res.argmin, res.extras,
+        )
 
     def test_labs_k13_optimum(self):
         res = brute_force(gen_labs(13))
@@ -351,6 +378,37 @@ def scattered_minus_infinity():
     return table_only(energies)
 
 
+def mirrored(lower):
+    """A flip-symmetric table: ``lower`` followed by its own reverse, so
+    pattern 2^n - 1 - x has x's energy bit for bit."""
+    lower = list(lower)
+    obj = table_only(lower + lower[::-1])
+    assert _flip_symmetric(obj)
+    return obj
+
+
+def mirrored_walls():
+    # +inf walls on a third of the half and -inf walls on a few more.
+    return mirrored(
+        math.inf if (k >> 2) % 3 == 0 else -math.inf if k % 29 == 3 else float((k * 7919) % 23)
+        for k in range(1 << 7)
+    )
+
+
+def mirrored_minus_infinity():
+    # Five -inf patterns in the lower half and their five mirrors.
+    lower = [float((k * 7919) % 23) - 11.0 for k in range(1 << 7)]
+    for k in np.random.default_rng(5).choice(1 << 7, size=5, replace=False).tolist():
+        lower[k] = -math.inf
+    return mirrored(lower)
+
+
+def mirrored_few_levels():
+    # Five levels, each met on both sides of the half boundary, so a drawn
+    # pattern lies in the upper half about as often as in the lower.
+    return mirrored(float((k * 7919) % 5) for k in range(1 << 7))
+
+
 class TestGroverAdaptiveSearch:
     def test_success_probability_formula_matches_statevector(self):
         # The solver scores each round as sin^2((2r+1) asin(sqrt(count/N)));
@@ -405,15 +463,20 @@ class TestGroverAdaptiveSearch:
             signed_zero_qubo,
             infinite_walls,
             scattered_minus_infinity,
+            mirrored_walls,
+            mirrored_minus_infinity,
+            mirrored_few_levels,
         ],
         ids=[
             "maxcut", "sk-gauss", "sk-pm1", "labs-10", "labs", "labs-12", "portfolio", "signed-zero",
-            "infinite-walls", "minus-infinity",
+            "infinite-walls", "minus-infinity", "mirrored-walls", "mirrored-minus-infinity",
+            "mirrored-few-levels",
         ],
     )
     def test_matches_stable_sort_reference(self, make):
         # Energies are compared as float.hex, so that a -0.0 and a 0.0
-        # threshold differ; the table is the only array left cached.
+        # threshold differ; the table is the only array left cached, next
+        # to its symmetry flag.
         obj = make()
         for seed in range(10):
             for max_rounds in (1, 6, 128):
@@ -423,18 +486,29 @@ class TestGroverAdaptiveSearch:
                 assert res.best_energy.hex() == want_e.hex()
                 assert [e.hex() for e in res.trace] == [e.hex() for e in want_trace]
                 assert res.extras == want_extras
-                assert list(obj._cache) == ["energy_table"]
+                assert list(obj._cache) == ["energy_table", "flip_symmetric"]
 
-    def test_one_table_pass_per_success(self):
+    @pytest.mark.parametrize(
+        "make, fold",
+        [
+            (lambda seed: gen_maxcut_r3r(12, seed=seed).objective, 2),
+            (lambda seed: gen_portfolio(12, 4, seed=seed).objective, 1),
+        ],
+        ids=["maxcut", "portfolio"],
+    )
+    def test_one_table_pass_per_success(self, make, fold):
         # Beyond the first count and the first success's gather of the
-        # marked energies, each success scans the table once, for its level.
+        # marked energies, each success scans the table once, for its level;
+        # on a flip-symmetric table every scan reads the lower half only.
+        # Entries are counted on comparisons of arrays that share the
+        # table's memory, so copies of the marked energies do not count.
         class Counted(np.ndarray):
-            entries = 0
-            passes = 0
+            table = None
+            scanned = 0
 
             def _count(self):
-                if self.shape == (Counted.entries,):
-                    Counted.passes += 1
+                if np.shares_memory(self, Counted.table):
+                    Counted.scanned += self.size
 
             def __lt__(self, other):
                 self._count()
@@ -445,15 +519,16 @@ class TestGroverAdaptiveSearch:
                 return super().__eq__(other)
 
         for seed in range(5):
-            obj = gen_maxcut_r3r(12, seed=seed).objective
+            obj = make(seed)
             plain = grover_adaptive_search(obj, seed=seed)
+            assert _flip_symmetric(obj) is (fold == 2)
             table = energy_table(obj)
             obj._cache["energy_table"] = table.view(Counted)
-            Counted.entries, Counted.passes = table.size, 0
+            Counted.table, Counted.scanned = table, 0
             res = grover_adaptive_search(obj, seed=seed)
             successes = len(res.trace) - 1
             assert successes > 0
-            assert Counted.passes <= 2 + successes
+            assert Counted.scanned <= (2 + successes) * (table.size // fold)
             assert (res.best_assignment, res.trace, res.extras) == (plain.best_assignment, plain.trace, plain.extras)
 
     def test_replay_deterministic(self):
