@@ -9,6 +9,7 @@ Independent oracles used here:
 """
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -488,15 +489,7 @@ class TestGroverAdaptiveSearch:
                 assert res.extras == want_extras
                 assert list(obj._cache) == ["energy_table", "flip_symmetric"]
 
-    @pytest.mark.parametrize(
-        "make, fold",
-        [
-            (lambda seed: gen_maxcut_r3r(12, seed=seed).objective, 2),
-            (lambda seed: gen_portfolio(12, 4, seed=seed).objective, 1),
-        ],
-        ids=["maxcut", "portfolio"],
-    )
-    def test_one_table_pass_per_success(self, make, fold):
+    def test_one_table_pass_per_success(self):
         # Beyond the first count and the first success's gather of the
         # marked energies, each success scans the table once, for its level;
         # on a flip-symmetric table every scan reads the lower half only.
@@ -518,7 +511,11 @@ class TestGroverAdaptiveSearch:
                 self._count()
                 return super().__eq__(other)
 
-        for seed in range(5):
+        cases = [
+            (lambda seed: gen_maxcut_r3r(12, seed=seed).objective, 2),
+            (lambda seed: gen_portfolio(12, 4, seed=seed).objective, 1),
+        ]
+        for (make, fold), seed in itertools.product(cases, range(5)):
             obj = make(seed)
             plain = grover_adaptive_search(obj, seed=seed)
             assert _flip_symmetric(obj) is (fold == 2)
