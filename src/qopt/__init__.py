@@ -5,13 +5,12 @@ The package is organized around a small set of layers:
 * :mod:`qopt.model` - QUBO/Ising/polynomial objectives, constraints, and
   penalty compilation.
 * :mod:`qopt.problems` - seeded generators for the benchmark problem families.
-* :mod:`qopt.preprocess` - component decomposition, variable fixing, and
-  persistency reduction.
+* :mod:`qopt.preprocess` - component decomposition and variable fixing.
 * :mod:`qopt.simulator` - exact statevector simulation of diagonal-phase
   circuits (alternating-operator ansatz, trotterized annealing, Gibbs states).
 * :mod:`qopt.solvers` - brute force, simulated annealing, amplitude-threshold
-  adaptive search, the alternating-operator solver, its recursive variant,
-  and parameter transfer.
+  adaptive search, the alternating-operator solver, and its recursive
+  variant.
 * :mod:`qopt.bench` - benchmark execution, metrics, and report emission.
 * :mod:`qopt.cli` - the ``qopt`` command-line interface.
 """
@@ -49,7 +48,6 @@ from qopt.preprocess import (
     Decomposition,
     decompose_components,
     fix_variables,
-    persistency_pass,
 )
 from qopt.problems import (
     LabsSequence,
@@ -72,15 +70,12 @@ from qopt.simulator import (
     QaoaParams,
     SampleSet,
     Statevector,
-    WarmStart,
     anneal_trotter,
     cvar,
-    dump_statevector,
     energy_table,
     expectation,
     gibbs_distribution,
     ground_state_overlap,
-    load_statevector,
     qaoa_state,
     sample,
     statevector_cap,
@@ -93,7 +88,6 @@ from qopt.solvers import (
     recursive_qaoa,
     simulated_annealing,
     solve_result_to_json,
-    transfer_parameters,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +114,6 @@ __all__ = [
     "SolveResult",
     "Statevector",
     "TIME_LIMIT_LADDER",
-    "WarmStart",
     "anneal_trotter",
     "approximation_ratio",
     "bits_to_index",
@@ -129,7 +122,6 @@ __all__ = [
     "decompose_components",
     "default_penalty",
     "density",
-    "dump_statevector",
     "emit_junit",
     "emit_report",
     "energy_table",
@@ -151,11 +143,9 @@ __all__ = [
     "instance_to_json",
     "ising_to_qubo",
     "labs_energy",
-    "load_statevector",
     "model_from_json",
     "model_to_json",
     "penalty_encode",
-    "persistency_pass",
     "qaoa_solve",
     "qaoa_state",
     "qubo_to_ising",
@@ -166,5 +156,4 @@ __all__ = [
     "solve_result_to_json",
     "statevector_cap",
     "success_metrics",
-    "transfer_parameters",
 ]

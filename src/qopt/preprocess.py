@@ -15,7 +15,6 @@ __all__ = [
     "Decomposition",
     "decompose_components",
     "fix_variables",
-    "persistency_pass",
 ]
 
 
@@ -131,48 +130,3 @@ def fix_variables(q: QuboModel, assignment: Mapping[int, int]) -> QuboModel:
     terms = QuboModel.from_entries(len(keep), entries).terms
     return QuboModel(n=len(keep), terms={k: v for k, v in terms.items() if v != 0.0}, offset=offset)
 
-
-def persistency_pass(q: QuboModel) -> tuple[QuboModel, dict[int, int]]:
-    """Fix variables whose optimal value is decided by a one-variable bound.
-
-    For variable ``i`` with linear coefficient ``l_i`` and couplings
-    ``c_ij``, flipping ``x_i`` from 0 to 1 changes the energy by
-    ``l_i + sum(c_ij x_j)``, which lies between ``l_i + sum(min(c_ij, 0))``
-    and ``l_i + sum(max(c_ij, 0))`` over all completions. If the upper bound
-    is <= 0 some optimum has ``x_i = 1``; if the lower bound is >= 0 some
-    optimum has ``x_i = 0``. One variable is fixed per round (the lowest
-    index), the model refolds, and the scan repeats until nothing qualifies.
-
-    Returns the reduced model and the map of fixed original variables. The
-    rule is deliberately conservative: it only fixes when optimality
-    preservation follows from the bound, so the reduced optimum always
-    extends to a global one through the returned map.
-    """
-    fixed_total: dict[int, int] = {}
-    current = q
-    remaining = list(range(q.n))
-    while True:
-        choice = None
-        lin = current.linear_vector()
-        lo = lin.copy()
-        hi = lin.copy()
-        for (i, j), c in current.terms.items():
-            if i != j:
-                for v in (i, j):
-                    if c > 0:
-                        hi[v] += c
-                    else:
-                        lo[v] += c
-        for v in range(current.n):
-            if hi[v] <= 0.0:
-                choice = (v, 1)
-                break
-            if lo[v] >= 0.0:
-                choice = (v, 0)
-                break
-        if choice is None:
-            return current, fixed_total
-        v, bit = choice
-        fixed_total[remaining[v]] = bit
-        del remaining[v]
-        current = fix_variables(current, {v: bit})

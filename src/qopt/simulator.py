@@ -5,8 +5,8 @@ is fully described by its assignment-to-energy map and the simulator only
 ever needs the 2^n energy table plus single-qubit mixing rotations. That
 makes the following exact (up to double precision) on a desk-scale machine:
 
-* alternating-operator ansatz states (:func:`qaoa_state`), with plain or
-  warm-started mixers, and the exact gradient of their energy
+* alternating-operator ansatz states (:func:`qaoa_state`) from the plus
+  state, and the exact gradient of their energy
   (:func:`qaoa_value_and_gradient`),
 * the depth-1 plus-state energy of a QUBO or Ising source in closed form,
   for many angle pairs at once and without a statevector
@@ -22,8 +22,7 @@ Amplitudes are indexed by bit pattern with variable ``i`` at bit ``i`` of
 the index. A phase layer with angle ``g`` multiplies each amplitude by
 ``exp(-1j * g * E(x))``. A mixing layer with angle ``beta`` applies the
 single-qubit rotation ``[[cos b, i sin b], [i sin b, cos b]]`` (an X-axis
-rotation by ``2*beta``) to every qubit; the warm-start variant tilts the
-rotation axis per qubit so its initial product state is fixed.
+rotation by ``2*beta``) to every qubit.
 
 Both layers are exact kernels over the energy table, which
 :func:`energy_table` builds once per objective and caches on it from the
@@ -34,10 +33,10 @@ through each pattern's level index, which equals
 ``exp(-1j * g * table)`` element for element. The mixer updates each qubit
 in place: the bit-flipped partners, scaled by the off-diagonal, go to one
 scratch buffer per call, the state is scaled by the diagonal, and the two
-are added, so the plus-state mixer
-does the same floating-point operations as a plain 2x2 update.
+are added, so the mixer does the same floating-point operations as a plain
+2x2 update.
 
-A plus-state run on an objective of two or more variables whose table
+A layered run on an objective of two or more variables whose table
 equals its own reverse bit for bit, ``E(x) == E(not x)`` for every pattern
 (MaxCut, spin glasses without fields, LABS), runs *folded* on half the
 statevector (Shaydulin, Hadfield, Hogg and Safro, arXiv:2012.04713). The
@@ -53,8 +52,7 @@ as a full run. By induction over the layers each kept amplitude goes
 through the same floating-point operations as in the full run, and the
 dropped half stays its exact mirror, so states, values and gradients are
 bit-identical. :func:`qaoa_state` and :func:`anneal_trotter` still return
-the full state; warm starts and objectives that are not mirrors keep the
-full run.
+the full state; objectives that are not mirrors keep the full run.
 
 Samples (:class:`SampleSet`) keep the same packing: a sample set is its
 arrays, the distinct measured patterns as a strictly ascending ``int64``
@@ -77,7 +75,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -96,7 +93,6 @@ __all__ = [
     "statevector_cap",
     "Statevector",
     "QaoaParams",
-    "WarmStart",
     "SampleSet",
     "GibbsTable",
     "energy_table",
@@ -109,14 +105,11 @@ __all__ = [
     "anneal_trotter",
     "gibbs_distribution",
     "ground_state_overlap",
-    "dump_statevector",
-    "load_statevector",
 ]
 
 DEFAULT_CAP = 24
 _CAP_ENV = "QOPT_STATEVECTOR_CAP"
 _NORM_TOL = 1e-10
-_MAGIC = b"QSV1"
 _PACKED_BITS = 62  # widest pattern a SampleSet packs into an int64 index
 
 
@@ -211,36 +204,6 @@ class QaoaParams:
             raise ValueError("angles must be finite")
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "betas", betas)
-
-
-@dataclass(frozen=True)
-class WarmStart:
-    """Warm-started initial state and tilted mixer configuration.
-
-    ``c_star`` holds per-variable relaxed solution values in [0, 1]; each is
-    clamped into ``[epsilon, 1 - epsilon]`` before the per-qubit angle
-    ``theta_i = 2 asin(sqrt(c_i))`` is taken, so no qubit starts exactly at
-    a pole and every basis state keeps nonzero amplitude for epsilon > 0.
-    The matching mixer rotates each qubit about its own initial-state axis
-    (eigenaxis ``cos(theta) Z + sin(theta) X``), which keeps the initial
-    product state stationary under mixing; this is one construction among
-    the several the literature sketches.
-    """
-
-    c_star: tuple[float, ...]
-    epsilon: float = 0.25
-
-    def __post_init__(self) -> None:
-        cs = tuple(float(c) for c in self.c_star)
-        if any(not 0.0 <= c <= 1.0 for c in cs):
-            raise ValueError("relaxed solution values must lie in [0, 1]")
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise ValueError(f"clamp width must lie in [0, 0.5], got {self.epsilon}")
-        object.__setattr__(self, "c_star", cs)
-
-    def thetas(self) -> tuple[float, ...]:
-        lo, hi = self.epsilon, 1.0 - self.epsilon
-        return tuple(2.0 * math.asin(math.sqrt(min(max(c, lo), hi))) for c in self.c_star)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,13 +404,7 @@ def _apply_phase(amps: np.ndarray, levels: np.ndarray, level_of: np.ndarray, ang
     amps *= np.exp(-1j * angle * levels)[level_of[: amps.size]]
 
 
-def _apply_mixer(
-    amps: np.ndarray,
-    scratch: np.ndarray,
-    n: int,
-    beta: float,
-    thetas: Sequence[float] | None = None,
-) -> None:
+def _apply_mixer(amps: np.ndarray, scratch: np.ndarray, n: int, beta: float) -> None:
     # One 2x2 rotation per qubit, in place. Bit i has stride 2^i, so axis 1 of
     # the (high, 2, low) reshape addresses exactly that qubit and reversing it
     # pairs every amplitude with its bit-flipped partner. Per qubit: the
@@ -462,14 +419,8 @@ def _apply_mixer(
         shape = (amps.size >> (i + 1), 2, 1 << i)
         view = amps.reshape(shape)
         flipped = scratch.reshape(shape)
-        if thetas is None:
-            np.multiply(view[:, ::-1, :], isb, out=flipped)
-            view *= cb
-        else:
-            ct, st = math.cos(thetas[i]), math.sin(thetas[i])
-            np.multiply(view[:, ::-1, :], isb * st, out=flipped)
-            view[:, 0, :] *= cb + isb * ct
-            view[:, 1, :] *= cb - isb * ct
+        np.multiply(view[:, ::-1, :], isb, out=flipped)
+        view *= cb
         view += flipped
     if folded:
         np.multiply(amps[::-1], isb, out=scratch)
@@ -477,24 +428,17 @@ def _apply_mixer(
         amps += scratch
 
 
-def _apply_generator(out: np.ndarray, amps: np.ndarray, n: int, thetas: Sequence[float] | None) -> None:
-    # ``out = B @ amps`` for the mixer's generator ``B = sum_i B_i``, so that
-    # the mixing layer is ``exp(1j * beta * B)``: ``B_i = X_i``, or
-    # ``cos(theta_i) Z_i + sin(theta_i) X_i`` under a warm start. Same
-    # (high, 2, low) views and folding as :func:`_apply_mixer`.
+def _apply_generator(out: np.ndarray, amps: np.ndarray, n: int) -> None:
+    # ``out = B @ amps`` for the mixer's generator ``B = sum_i X_i``, so that
+    # the mixing layer is ``exp(1j * beta * B)``. Same (high, 2, low) views
+    # and folding as :func:`_apply_mixer`.
     out[:] = 0.0
     folded = _folded(amps, n)
     for i in range(n - 1 if folded else n):
         shape = (amps.size >> (i + 1), 2, 1 << i)
         src = amps.reshape(shape)
         dst = out.reshape(shape)
-        if thetas is None:
-            dst += src[:, ::-1, :]
-        else:
-            ct, st = math.cos(thetas[i]), math.sin(thetas[i])
-            dst += st * src[:, ::-1, :]
-            dst[:, 0, :] += ct * src[:, 0, :]
-            dst[:, 1, :] -= ct * src[:, 1, :]
+        dst += src[:, ::-1, :]
     if folded:
         out += amps[::-1]
 
@@ -517,71 +461,44 @@ def _energy_sum(amps: np.ndarray, table: np.ndarray, n: int) -> float:
     return float(_whole(weighted, n).sum())
 
 
-def _initial_state(obj: DiagonalObjective, initial) -> tuple[Statevector, tuple[float, ...] | None]:
-    if initial == "plus" or initial is None:
-        return Statevector.plus(obj.n), None
-    if isinstance(initial, WarmStart):
-        if len(initial.c_star) != obj.n:
-            raise ValueError(
-                f"warm start has {len(initial.c_star)} entries for {obj.n} variables"
-            )
-        thetas = initial.thetas()
-        amps = np.ones(1, dtype=np.complex128)
-        for theta in thetas:
-            qubit = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)], dtype=np.complex128)
-            # Later qubits vary slower, matching bit i at stride 2^i.
-            amps = np.kron(qubit, amps)
-        return Statevector(n=obj.n, amplitudes=amps), thetas
-    raise ValueError(f"unknown initial state {initial!r}; use 'plus' or a WarmStart")
+def _start(obj: DiagonalObjective) -> np.ndarray:
+    """Initial amplitudes of a layered run: the plus state.
 
-
-def _start(obj: DiagonalObjective, initial) -> tuple[np.ndarray, tuple[float, ...] | None]:
-    """Initial amplitudes of a layered run, and the warm-start angles.
-
-    A plus start on a :func:`_flip_symmetric` objective runs folded: it keeps
-    only the lower half of the state, which the kernels and sums recognise
-    by its size (see the module docstring).
+    On a :func:`_flip_symmetric` objective the run is folded: it keeps only
+    the lower half of the state, which the kernels and sums recognise by its
+    size (see the module docstring).
     """
-    if (initial == "plus" or initial is None) and _flip_symmetric(obj):
+    if _flip_symmetric(obj):
         _check_cap(obj.n)
-        return np.full(1 << (obj.n - 1), 2.0 ** (-obj.n / 2), dtype=np.complex128), None
-    sv, thetas = _initial_state(obj, initial)
-    return sv.amplitudes, thetas
+        return np.full(1 << (obj.n - 1), 2.0 ** (-obj.n / 2), dtype=np.complex128)
+    return Statevector.plus(obj.n).amplitudes
 
 
-def _evolve(obj: DiagonalObjective, initial, layers) -> np.ndarray:
+def _evolve(obj: DiagonalObjective, layers) -> np.ndarray:
     """Amplitudes after the ``(gamma, beta)`` layers, folded when :func:`_start` is."""
-    amps, thetas = _start(obj, initial)
+    amps = _start(obj)
     levels, level_of = _energy_levels(obj)
     scratch = np.empty_like(amps)
     for gamma, beta in layers:
         _apply_phase(amps, levels, level_of, gamma)
-        _apply_mixer(amps, scratch, obj.n, beta, thetas)
+        _apply_mixer(amps, scratch, obj.n, beta)
     return amps
 
 
-def qaoa_state(
-    obj: DiagonalObjective,
-    params: QaoaParams,
-    initial: str | WarmStart = "plus",
-) -> Statevector:
-    """State after ``p`` alternating phase/mixing layers.
+def qaoa_state(obj: DiagonalObjective, params: QaoaParams) -> Statevector:
+    """State after ``p`` alternating phase/mixing layers from the plus state.
 
     Layer ``j`` multiplies amplitudes by ``exp(-1j * gamma_j * E(x))`` and
-    then rotates every qubit by ``2 * beta_j`` about X (or about its tilted
-    warm-start axis). ``p = 0`` returns the initial state unchanged.
+    then rotates every qubit by ``2 * beta_j`` about X. ``p = 0`` returns
+    the plus state.
     """
     if params.p == 0:
-        return _initial_state(obj, initial)[0]
-    amps = _evolve(obj, initial, zip(params.gammas, params.betas))
+        return Statevector.plus(obj.n)
+    amps = _evolve(obj, zip(params.gammas, params.betas))
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 
-def qaoa_value_and_gradient(
-    obj: DiagonalObjective,
-    params: QaoaParams,
-    initial: str | WarmStart = "plus",
-) -> tuple[float, np.ndarray]:
+def qaoa_value_and_gradient(obj: DiagonalObjective, params: QaoaParams) -> tuple[float, np.ndarray]:
     """Energy expectation of :func:`qaoa_state` and its exact gradient.
 
     The gradient is ordered like the angles: ``p`` entries for the gammas,
@@ -602,12 +519,12 @@ def qaoa_value_and_gradient(
     ``phi_(j+1)`` by un-applying the phase and the mixer (negated angles),
     one more mixer pass per such layer.
 
-    The value equals ``expectation(qaoa_state(obj, params, initial), obj)``
+    The value equals ``expectation(qaoa_state(obj, params), obj)``
     bit for bit. Each inner product is an elementwise product and a
     fixed-order numpy sum, never a BLAS call, so the result does not depend
     on the BLAS thread count.
     """
-    psi, thetas = _start(obj, initial)
+    psi = _start(obj)
     p, n = params.p, obj.n
     table = energy_table(obj)[: psi.size]
     levels, level_of = _energy_levels(obj)
@@ -619,7 +536,7 @@ def qaoa_value_and_gradient(
         _apply_phase(psi, levels, level_of, gamma)
         if j >= p - kept:
             phis.append(psi.copy())
-        _apply_mixer(psi, scratch, n, beta, thetas)
+        _apply_mixer(psi, scratch, n, beta)
     value = _energy_sum(psi, table, n)
     lam = psi  # the final state's buffer becomes the co-state E psi
     lam *= table
@@ -630,9 +547,9 @@ def qaoa_value_and_gradient(
         else:
             # No copy was kept of phi_j: step phi_(j+1) down to it.
             _apply_phase(phi, levels, level_of, -params.gammas[j + 1])
-            _apply_mixer(phi, scratch, n, -params.betas[j], thetas)
-        _apply_mixer(lam, scratch, n, -params.betas[j], thetas)
-        _apply_generator(scratch, phi, n, thetas)
+            _apply_mixer(phi, scratch, n, -params.betas[j])
+        _apply_mixer(lam, scratch, n, -params.betas[j])
+        _apply_generator(scratch, phi, n)
         grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
         np.multiply(phi, table, out=scratch)
         grad[j] = 2.0 * _imag_inner(lam, scratch, n)
@@ -826,7 +743,7 @@ def anneal_trotter(
         raise ValueError(f"schedule must run from 0 to 1, got lam(0)={lam0}, lam(1)={lam1}")
     dt = T / steps
     lams = (float(schedule((k + 0.5) / steps)) for k in range(steps))
-    amps = _evolve(obj, "plus", ((dt * lam, dt * (1.0 - lam)) for lam in lams))
+    amps = _evolve(obj, ((dt * lam, dt * (1.0 - lam)) for lam in lams))
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 
@@ -875,26 +792,3 @@ def ground_state_overlap(sv: Statevector, obj: DiagonalObjective, tol: float = E
     mask = table <= table.min() + tol
     return float(sv.probabilities()[mask].sum())
 
-
-def dump_statevector(sv: Statevector, path) -> None:
-    """Debug dump: magic, qubit count, then little-endian amplitude pairs."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _MAGIC, sv.n))
-        fh.write(sv.amplitudes.astype("<c16").tobytes())
-
-
-def load_statevector(path) -> Statevector:
-    """Inverse of :func:`dump_statevector`."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError("truncated statevector file")
-        magic, n = struct.unpack("<4sI", header)
-        if magic != _MAGIC:
-            raise ValueError(f"not a statevector file (magic {magic!r})")
-        _check_cap(n)
-        data = fh.read()
-    amps = np.frombuffer(data, dtype="<c16")
-    if amps.shape != (1 << n,):
-        raise ValueError(f"expected {1 << n} amplitudes, found {amps.shape[0]}")
-    return Statevector(n=n, amplitudes=amps.astype(np.complex128))

@@ -26,7 +26,6 @@ from qopt.simulator import (
     QaoaParams,
     SampleSet,
     Statevector,
-    WarmStart,
     _check_cap,
     _flip_symmetric,
     cvar,
@@ -47,7 +46,6 @@ __all__ = [
     "grover_adaptive_search",
     "qaoa_solve",
     "recursive_qaoa",
-    "transfer_parameters",
 ]
 
 # Streaming enumeration tolerates a few qubits beyond the statevector cap
@@ -578,7 +576,6 @@ def qaoa_solve(
     p: int = 1,
     objective_mode: str = "mean",
     alpha: float = 0.25,
-    initial: str | WarmStart = "plus",
     optimizer_budget: int = 1000,
     shots: int = 2048,
     seed: int = 0,
@@ -595,12 +592,11 @@ def qaoa_solve(
       depth up to ``p`` maps the distinct refined optima of the depth
       below by INTERP and refines them again. If the budget runs out
       below depth ``p``, the best angles found get zero angles for the
-      missing layers, which leaves their state unchanged. From the plus
-      state, on an objective with a spin form (a QUBO or Ising source),
-      depth 1 runs on :func:`~qopt.simulator.qaoa_p1_energy`: one call
-      scores the whole grid, and each p=1 gradient is a complex step
-      through it. Depth 2 and up, warm starts and other objectives use the
-      statevector.
+      missing layers, which leaves their state unchanged. On an objective
+      with a spin form (a QUBO or Ising source), depth 1 runs on
+      :func:`~qopt.simulator.qaoa_p1_energy`: one call scores the whole
+      grid, and each p=1 gradient is a complex step through it. Depth 2
+      and up and other objectives use the statevector.
       ``extras["objective_value"]`` is the final state's mean energy.
     * ``cvar`` (tail mean of seeded samples; every evaluation reuses one
       derived seed so the optimizer sees a fixed landscape) is piecewise
@@ -613,7 +609,7 @@ def qaoa_solve(
     a value-and-gradient call is charged as four plain evaluations, at least
     the layer passes it runs. A closed-form grid point or gradient is charged as
     the statevector call it replaces. Exhausting the budget flags the result
-    instead of raising. ``p = 0`` just samples the initial state. The
+    instead of raising. ``p = 0`` just samples the plus state. The
     statevector cap is checked before any training, since the final state is
     always prepared.
     """
@@ -628,11 +624,7 @@ def qaoa_solve(
     # The final state needs the full statevector. The closed form never
     # builds one, so without this check it would train first and fail last.
     _check_cap(obj.n)
-    closed_form = (
-        objective_mode == "mean"
-        and (initial == "plus" or initial is None)
-        and obj.spin_model() is not None
-    )
+    closed_form = objective_mode == "mean" and obj.spin_model() is not None
     started = time.perf_counter()
     eval_seed = derive_seed(seed, "cvar-eval")
     evaluations = 0
@@ -656,7 +648,7 @@ def qaoa_solve(
 
     def objective_value(vec: np.ndarray) -> float:
         spend(1)
-        sv = qaoa_state(obj, _params_of(vec), initial=initial)
+        sv = qaoa_state(obj, _params_of(vec))
         if objective_mode == "mean":
             value = expectation(sv, obj)
         else:
@@ -671,7 +663,7 @@ def qaoa_solve(
             energy = qaoa_p1_energy(obj, np.array([g + 1j * h, g]), np.array([b, b + 1j * h]))
             value, grad = float(energy[0].real), energy.imag / h
         else:
-            value, grad = qaoa_value_and_gradient(obj, _params_of(vec), initial)
+            value, grad = qaoa_value_and_gradient(obj, _params_of(vec))
         keep(vec, value)
         return value, grad
 
@@ -718,7 +710,7 @@ def qaoa_solve(
         final_params = _params_of(best_vec, p)
         optimize_time = time.perf_counter() - started
 
-    sv = qaoa_state(obj, final_params, initial=initial)
+    sv = qaoa_state(obj, final_params)
     mean_energy = expectation(sv, obj)
     samples = sample(sv, shots=shots, seed=derive_seed(seed, "final-sample"), obj=obj)
     best_pattern, best_energy = samples.best()
@@ -736,7 +728,6 @@ def qaoa_solve(
             "mean_energy": mean_energy,
             "evaluations": evaluations,
             "budget_exhausted": budget_exhausted,
-            "warm_start": isinstance(initial, WarmStart),
         },
     )
 
@@ -866,52 +857,3 @@ def recursive_qaoa(
         extras={"substitutions": tuple(substitutions), "levels": level, "cutoff": cutoff},
     )
 
-
-def transfer_parameters(
-    source: SolveResult,
-    target,
-    shots: int = 2048,
-    seed: int = 0,
-) -> SolveResult:
-    """Re-use trained angles on another instance without re-optimizing.
-
-    Prepares the target's ansatz state at the source's parameters (plain
-    mixer) and samples it. The target fits the statevector, so it can also
-    be enumerated: the extras report the transferred approximation ratio
-    next to a freshly optimized baseline and their gap; these are reported
-    metrics only.
-    """
-    if source.params is None:
-        raise ValueError("source result carries no trained parameters")
-    obj = _objective_of(target)
-    started = time.perf_counter()
-    sv = qaoa_state(obj, source.params)
-    mean_energy = expectation(sv, obj)
-    samples = sample(sv, shots=shots, seed=derive_seed(seed, "transfer-sample"), obj=obj)
-    best_pattern, best_energy = samples.best()
-    extras = {"mean_energy": mean_energy, "source_params": True}
-
-    from qopt.bench import approximation_ratio
-
-    exact = brute_force(obj)
-    baseline = qaoa_solve(
-        obj,
-        p=source.params.p,
-        objective_mode="mean",
-        optimizer_budget=400,
-        shots=shots,
-        seed=derive_seed(seed, "transfer-baseline"),
-    )
-    if exact.c_max > exact.c_min:
-        ar_t = approximation_ratio(mean_energy, exact.c_min, exact.c_max).ratio
-        ar_o = approximation_ratio(baseline.extras["mean_energy"], exact.c_min, exact.c_max).ratio
-        extras.update(ar_transferred=ar_t, ar_optimized=ar_o, ar_gap=ar_o - ar_t)
-
-    return SolveResult(
-        best_assignment=best_pattern,
-        best_energy=best_energy,
-        samples=samples,
-        params=source.params,
-        timings={"total": time.perf_counter() - started},
-        extras=extras,
-    )

@@ -254,6 +254,9 @@ class TestSolve:
         result = json.loads(out_path.read_text(encoding="utf-8"))
         assert result["params"]["p"] == 1
         assert result["samples"]["shots"] == 256
+        assert set(result["extras"]) == {
+            "mode", "alpha", "objective_value", "mean_energy", "evaluations", "budget_exhausted",
+        }
 
     def test_flag_unsupported_by_solver_exits_one(self, tmp_path, capsys):
         inst_path = generate(tmp_path, "labs", "--k", "6")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qopt.model import QuboModel
-from qopt.preprocess import Decomposition, decompose_components, fix_variables, persistency_pass
+from qopt.preprocess import Decomposition, decompose_components, fix_variables
 
 
 def all_bits(n):
@@ -142,52 +142,6 @@ class TestFixVariables:
             fix_variables(q, {2: 1})
         with pytest.raises(ValueError):
             fix_variables(q, {0: 2})
-
-
-class TestPersistency:
-    def test_fixes_obvious_signs(self):
-        # x0 has a negative linear term and only negative couplings: fix to 1.
-        # x1 then keeps +3 linear with no couplings left: fix to 0.
-        q = QuboModel(n=2, terms={(0, 0): -2.0, (1, 1): 3.0, (0, 1): -1.0})
-        reduced, fixed = persistency_pass(q)
-        assert fixed == {0: 1, 1: 0}
-        assert reduced.n == 0
-        assert reduced.offset == q.energy((1, 0))
-
-    def test_never_fixes_ambiguous_variable(self):
-        # Flip delta for x0 spans [-1, +1] depending on x1: must stay free.
-        q = QuboModel(n=2, terms={(0, 0): -1.0, (0, 1): 2.0, (1, 1): -1.0})
-        reduced, fixed = persistency_pass(q)
-        assert 0 not in fixed or reduced.n > 0
-
-    def test_preserves_optimum(self):
-        rng = np.random.default_rng(44)
-        for _ in range(40):
-            n = int(rng.integers(2, 11))
-            q = random_sparse(rng, n, pair_prob=0.3)
-            reduced, fixed = persistency_pass(q)
-            assert set(fixed) <= set(range(n))
-            best_orig, _ = brute(q)
-            if reduced.n == 0:
-                assert reduced.offset == pytest.approx(best_orig, abs=1e-12)
-                continue
-            best_red, bits_red = brute(reduced)
-            assert best_red == pytest.approx(best_orig, abs=1e-12)
-            # The fixed map plus the reduced argmin really is a global argmin.
-            merged = [0] * n
-            for v, b in fixed.items():
-                merged[v] = b
-            free = [v for v in range(n) if v not in fixed]
-            for pos, v in enumerate(free):
-                merged[v] = bits_red[pos]
-            assert q.energy(merged) == pytest.approx(best_orig, abs=1e-12)
-
-    def test_cascades_through_refolds(self):
-        # Fixing x0=1 folds -4 into x1's linear term, which then qualifies.
-        q = QuboModel(n=2, terms={(0, 0): -5.0, (0, 1): -4.0, (1, 1): 3.0})
-        reduced, fixed = persistency_pass(q)
-        assert fixed == {0: 1, 1: 1}
-        assert reduced.offset == q.energy((1, 1))
 
 
 class TestDecompositionType:

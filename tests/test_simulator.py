@@ -19,7 +19,6 @@ from qopt.simulator import (
     QaoaParams,
     SampleSet,
     Statevector,
-    WarmStart,
     _apply_generator,
     _apply_mixer,
     _apply_phase,
@@ -30,12 +29,10 @@ from qopt.simulator import (
     _start,
     anneal_trotter,
     cvar,
-    dump_statevector,
     energy_table,
     expectation,
     gibbs_distribution,
     ground_state_overlap,
-    load_statevector,
     qaoa_p1_energy,
     qaoa_state,
     qaoa_value_and_gradient,
@@ -59,7 +56,7 @@ def single_spin_oracle(gamma, beta):
     return state, float((np.abs(state) ** 2 @ np.array([1.0, -1.0])).real)
 
 
-def reference_layers(amps, table, layers, thetas=None):
+def reference_layers(amps, table, layers):
     """Loop reference for the kernels: full-table phase, per-qubit 2x2 mixer.
 
     Each layer multiplies by ``exp(-1j * g * table)`` and then rotates every
@@ -76,16 +73,8 @@ def reference_layers(amps, table, layers, thetas=None):
             view = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
             a0 = view[:, 0, :].copy()
             a1 = view[:, 1, :]
-            if thetas is None:
-                d0 = d1 = cb
-                off = isb
-            else:
-                ct, st = math.cos(thetas[i]), math.sin(thetas[i])
-                d0 = cb + isb * ct
-                d1 = cb - isb * ct
-                off = isb * st
-            view[:, 0, :] = d0 * a0 + off * a1
-            view[:, 1, :] = off * a0 + d1 * a1
+            view[:, 0, :] = cb * a0 + isb * a1
+            view[:, 1, :] = isb * a0 + cb * a1
     return amps
 
 
@@ -95,6 +84,8 @@ KERNEL_CASES = {
     "sk-gaussian": lambda: gen_spin_glass("complete", 9, dist="gaussian", seed=5).objective,
     "portfolio": lambda: gen_portfolio(8, 3, seed=6).objective,
 }
+# The adjoint-gradient test ids name each case and its start state, the plus state.
+PLUS_IDS = [f"{case}-plus" for case in sorted(KERNEL_CASES)]
 
 
 def maxcut_p1_edge(gamma, beta, du, dv, tri):
@@ -261,20 +252,6 @@ class TestKernels:
             got = qaoa_state(obj, QaoaParams(p=p, gammas=gammas, betas=betas)).amplitudes
             ref = reference_layers(Statevector.plus(obj.n).amplitudes, table, zip(gammas, betas))
             assert np.array_equal(got, ref)
-
-    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_warm_start_matches_loop_reference(self, case):
-        # Complex diagonals on strided halves round differently, so 1e-14.
-        obj = KERNEL_CASES[case]()
-        rng = np.random.default_rng(62)
-        warm = WarmStart(tuple(rng.uniform(0.0, 1.0, obj.n)))
-        start = qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), warm).amplitudes
-        for p in (1, 2, 3):
-            gammas = tuple(rng.uniform(-2.0, 2.0, p))
-            betas = tuple(rng.uniform(-2.0, 2.0, p))
-            got = qaoa_state(obj, QaoaParams(p=p, gammas=gammas, betas=betas), warm).amplitudes
-            ref = reference_layers(start, energy_table(obj), zip(gammas, betas), warm.thetas())
-            assert np.max(np.abs(got - ref)) <= 1e-14
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_anneal_matches_loop_reference_exactly(self, case):
@@ -491,29 +468,29 @@ class TestP1ClosedForm:
             qaoa_p1_energy(obj, np.array([0.1]), np.array([0.2]))
 
 
-def backward_walk_value_and_gradient(obj, params, initial="plus"):
+def backward_walk_value_and_gradient(obj, params):
     """The adjoint value and gradient with no state kept from the forward pass.
 
     The backward walk un-applies each layer (negated angle) on both ``psi``
     and the co-state ``lam``, reading ``d/d beta_j = -2 Im <lam|B psi>``
     after layer j and ``d/d gamma_j = 2 Im <lam|E psi>`` before its mixer.
     """
-    psi, thetas = _start(obj, initial)
+    psi = _start(obj)
     n, p = obj.n, params.p
     table = energy_table(obj)[: psi.size]
     levels, level_of = _energy_levels(obj)
     scratch = np.empty_like(psi)
     for gamma, beta in zip(params.gammas, params.betas):
         _apply_phase(psi, levels, level_of, gamma)
-        _apply_mixer(psi, scratch, n, beta, thetas)
+        _apply_mixer(psi, scratch, n, beta)
     value = _energy_sum(psi, table, n)
     lam = table * psi
     grad = np.zeros(2 * p)
     for j in reversed(range(p)):
-        _apply_generator(scratch, psi, n, thetas)
+        _apply_generator(scratch, psi, n)
         grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
-        _apply_mixer(psi, scratch, n, -params.betas[j], thetas)
-        _apply_mixer(lam, scratch, n, -params.betas[j], thetas)
+        _apply_mixer(psi, scratch, n, -params.betas[j])
+        _apply_mixer(lam, scratch, n, -params.betas[j])
         np.multiply(psi, table, out=scratch)
         grad[j] = 2.0 * _imag_inner(lam, scratch, n)
         if j:
@@ -522,26 +499,20 @@ def backward_walk_value_and_gradient(obj, params, initial="plus"):
     return value, grad
 
 
-def warm_or_plus(obj, rng, warm):
-    return WarmStart(c_star=tuple(rng.random(obj.n)), epsilon=0.1) if warm else "plus"
-
-
 class TestAdjointGradient:
-    @pytest.mark.parametrize("warm", [False, True], ids=["plus", "warm"])
-    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_matches_central_differences(self, case, warm):
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES), ids=PLUS_IDS)
+    def test_matches_central_differences(self, case):
         obj = KERNEL_CASES[case]()
-        rng = np.random.default_rng(sorted(KERNEL_CASES).index(case) + 10 * warm)
-        initial = WarmStart(c_star=tuple(rng.random(obj.n)), epsilon=0.1) if warm else "plus"
+        rng = np.random.default_rng(sorted(KERNEL_CASES).index(case))
 
         def energy(vec, p):
             params = QaoaParams(p=p, gammas=vec[:p], betas=vec[p:])
-            return expectation(qaoa_state(obj, params, initial), obj)
+            return expectation(qaoa_state(obj, params), obj)
 
         h = 1e-3
         for p in (1, 2, 3):
             x = rng.uniform(-1.5, 1.5, 2 * p)
-            value, grad = qaoa_value_and_gradient(obj, QaoaParams(p=p, gammas=x[:p], betas=x[p:]), initial)
+            value, grad = qaoa_value_and_gradient(obj, QaoaParams(p=p, gammas=x[:p], betas=x[p:]))
             assert value == energy(x, p)
             # Fourth-order central differences, one axis at a time.
             fd = [
@@ -551,33 +522,29 @@ class TestAdjointGradient:
             ]
             np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["plus", "warm"])
-    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_matches_the_backward_walk(self, case, warm):
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES), ids=PLUS_IDS)
+    def test_matches_the_backward_walk(self, case):
         obj = KERNEL_CASES[case]()
-        rng = np.random.default_rng(100 + sorted(KERNEL_CASES).index(case) + 10 * warm)
-        initial = warm_or_plus(obj, rng, warm)
+        rng = np.random.default_rng(100 + sorted(KERNEL_CASES).index(case))
         for p in (1, 2, 3, 4):
             params = QaoaParams(p=p, gammas=rng.uniform(-1.5, 1.5, p), betas=rng.uniform(-1.5, 1.5, p))
-            value, grad = qaoa_value_and_gradient(obj, params, initial)
-            ref_value, ref_grad = backward_walk_value_and_gradient(obj, params, initial)
+            value, grad = qaoa_value_and_gradient(obj, params)
+            ref_value, ref_grad = backward_walk_value_and_gradient(obj, params)
             assert value.hex() == ref_value.hex()
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["plus", "warm"])
-    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_cap_bounds_the_kept_states(self, case, warm, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES), ids=PLUS_IDS)
+    def test_cap_bounds_the_kept_states(self, case, monkeypatch):
         # At cap = n a full run keeps one pre-mixer state and a folded run two
         # halves; the layers below them are stepped down from the lowest kept
         # state, one more mixer pass each, to the same value and gradient.
         import qopt.simulator as simulator
 
         obj = KERNEL_CASES[case]()
-        rng = np.random.default_rng(200 + sorted(KERNEL_CASES).index(case) + 10 * warm)
-        initial = warm_or_plus(obj, rng, warm)
+        rng = np.random.default_rng(200 + sorted(KERNEL_CASES).index(case))
         p = 3
         params = QaoaParams(p=p, gammas=rng.uniform(-1.5, 1.5, p), betas=rng.uniform(-1.5, 1.5, p))
-        value, grad = qaoa_value_and_gradient(obj, params, initial)
+        value, grad = qaoa_value_and_gradient(obj, params)
         passes = []
         kernel = simulator._apply_mixer
 
@@ -587,8 +554,8 @@ class TestAdjointGradient:
 
         monkeypatch.setattr(simulator, "_apply_mixer", counted)
         monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n))
-        low_value, low_grad = qaoa_value_and_gradient(obj, params, initial)
-        kept = 2 if not warm and _flip_symmetric(obj) else 1
+        low_value, low_grad = qaoa_value_and_gradient(obj, params)
+        kept = 2 if _flip_symmetric(obj) else 1
         assert len(passes) == 2 * p + (p - kept)
         assert low_value.hex() == value.hex()
         np.testing.assert_allclose(low_grad, grad, rtol=0, atol=1e-13)
@@ -641,49 +608,6 @@ class TestAdjointGradient:
         value, grad = qaoa_value_and_gradient(obj, QaoaParams(p=0, gammas=(), betas=()))
         assert value == pytest.approx(float(energy_table(obj).mean()), abs=1e-9)
         assert grad.shape == (0,)
-
-
-class TestWarmStart:
-    def test_binary_optimum_with_zero_clamp_is_basis_state(self):
-        obj = QuboModel(n=3, terms={(0, 0): -1.0, (1, 1): 2.0, (2, 2): -3.0}).as_objective()
-        ws = WarmStart(c_star=(1.0, 0.0, 1.0), epsilon=0.0)
-        sv = qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), initial=ws)
-        got = sample(sv, shots=100, seed=1)
-        assert (got.indices.tolist(), got.index_counts.tolist()) == ([0b101], [100])
-
-    def test_clamp_keeps_all_patterns_reachable(self):
-        ws = WarmStart(c_star=(1.0, 0.0), epsilon=0.25)
-        obj = QuboModel(n=2, terms={}).as_objective()
-        sv = qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), initial=ws)
-        assert (sv.probabilities() > 0.01).all()
-
-    def test_mixer_fixes_initial_state(self):
-        # With gamma=0 the layer reduces to the tilted mixer, whose axis is
-        # the initial state's own: the state must come back up to phase.
-        ws = WarmStart(c_star=(0.8, 0.3, 0.5), epsilon=0.1)
-        obj = QuboModel(n=3, terms={}).as_objective()
-        start = qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), initial=ws)
-        moved = qaoa_state(obj, QaoaParams(p=1, gammas=(0.0,), betas=(0.9,)), initial=ws)
-        overlap = abs(np.vdot(start.amplitudes, moved.amplitudes))
-        assert overlap == pytest.approx(1.0, abs=1e-10)
-
-    def test_half_relaxation_equals_plain(self):
-        obj = QuboModel(n=2, terms={(0, 1): 1.0, (0, 0): -1.0}).as_objective()
-        params = QaoaParams(p=1, gammas=(0.6,), betas=(0.8,))
-        plain = qaoa_state(obj, params, initial="plus")
-        warm = qaoa_state(obj, params, initial=WarmStart(c_star=(0.5, 0.5), epsilon=0.0))
-        assert np.allclose(plain.amplitudes, warm.amplitudes, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmStart(c_star=(1.2,))
-        with pytest.raises(ValueError):
-            WarmStart(c_star=(0.5,), epsilon=0.7)
-        obj = QuboModel(n=2, terms={}).as_objective()
-        with pytest.raises(ValueError):
-            qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), initial=WarmStart(c_star=(0.5,)))
-        with pytest.raises(ValueError):
-            qaoa_state(obj, QaoaParams(p=0, gammas=(), betas=()), initial="minус")
 
 
 class TestExpectation:
@@ -987,34 +911,6 @@ class TestGroundStateOverlap:
         assert ground_state_overlap(Statevector.basis(2, (1, 0)), obj) == 1.0
 
 
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        sv = qaoa_state(SINGLE_SPIN, QaoaParams(p=1, gammas=(0.3,), betas=(0.4,)))
-        path = tmp_path / "state.qsv"
-        dump_statevector(sv, path)
-        back = load_statevector(path)
-        assert back.n == sv.n
-        assert np.array_equal(back.amplitudes, sv.amplitudes)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.qsv"
-        path.write_bytes(b"NOPE" + b"\x01\x00\x00\x00" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_statevector(path)
-        path.write_bytes(b"QS")
-        with pytest.raises(ValueError):
-            load_statevector(path)
-
-    def test_header_above_cap_raises_before_sizing(self, tmp_path, monkeypatch):
-        # The qubit count comes from the file, so the cap is checked before
-        # 2^n is ever computed from it.
-        monkeypatch.delenv("QOPT_STATEVECTOR_CAP", raising=False)
-        path = tmp_path / "huge.qsv"
-        path.write_bytes(b"QSV1" + (1 << 28).to_bytes(4, "little"))
-        with pytest.raises(CapacityError, match="268435456 qubits exceed the simulator cap of 24"):
-            load_statevector(path)
-
-
 # E(x) == E(not x) exactly: cut values, couplings without fields, sidelobes.
 FOLD_CASES = {
     "ising-n1": lambda: IsingModel(n=1, offset=-0.75).as_objective(),
@@ -1062,7 +958,7 @@ def unfolded_value_and_gradient(obj, params):
     grad = np.zeros(2 * p)
     for j in reversed(range(p)):
         _apply_mixer(lam, scratch, n, -params.betas[j])
-        _apply_generator(scratch, phis[j], n, None)
+        _apply_generator(scratch, phis[j], n)
         grad[p + j] = -2.0 * float((np.conj(lam) * scratch).imag.sum())
         grad[j] = 2.0 * float((np.conj(lam) * (phis[j] * table)).imag.sum())
         if j:
@@ -1137,11 +1033,10 @@ class TestFlipFold:
         monkeypatch.setattr(simulator, "_apply_mixer", recording)
         params = QaoaParams(p=1, gammas=(0.3,), betas=(-0.4,))
         mirror, other = FOLD_CASES["maxcut-r3r-n10"](), KERNEL_CASES["portfolio"]()
-        warm = WarmStart(tuple(np.linspace(0.1, 0.9, mirror.n)))
-        for obj, initial, size in ((mirror, "plus", 1 << 9), (mirror, warm, 1 << 10), (other, "plus", 1 << 8)):
+        for obj, size in ((mirror, 1 << 9), (other, 1 << 8)):
             sizes.clear()
-            qaoa_state(obj, params, initial)
-            qaoa_value_and_gradient(obj, params, initial)
+            qaoa_state(obj, params)
+            qaoa_value_and_gradient(obj, params)
             assert sizes == [size] * 3
         sizes.clear()
         anneal_trotter(mirror, 1.0, 2)

@@ -22,17 +22,15 @@ from qopt import _checks
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
-    CapacityError, QaoaParams, WarmStart, _flip_symmetric, anneal_trotter, energy_table, qaoa_state, sample,
+    CapacityError, QaoaParams, _flip_symmetric, anneal_trotter, energy_table, qaoa_state, sample,
 )
 from qopt.solvers import (
-    SolveResult,
     brute_force,
     grover_adaptive_search,
     qaoa_solve,
     recursive_qaoa,
     simulated_annealing,
     solve_result_to_json,
-    transfer_parameters,
 )
 from qopt.solvers import _substitute_spin
 
@@ -575,13 +573,6 @@ class TestQaoaSolve:
         assert a.samples == b.samples
         assert a.extras["alpha"] == 0.2
 
-    def test_warm_start_initial_state(self):
-        obj = random_qubo(5, 44).as_objective()
-        ws = WarmStart(c_star=(0.9, 0.1, 0.5, 0.8, 0.2), epsilon=0.1)
-        res = qaoa_solve(obj, p=1, initial=ws, optimizer_budget=100, seed=1)
-        assert res.extras["warm_start"]
-        assert_self_consistent(res, obj)
-
     def test_maxcut_p1_bound_single_instance(self):
         inst = gen_maxcut_r3r(10, seed=1)
         ref = brute_force(inst)
@@ -716,18 +707,17 @@ class TestQaoaSolve:
         assert 1 < calls["closed"] <= 1 + gradients
 
     @pytest.mark.parametrize(
-        "make, kwargs",
+        "make",
         [
-            (lambda: random_qubo(6, 4).as_objective(), {"initial": WarmStart(c_star=(0.9, 0.1, 0.5, 0.8, 0.2, 0.6))}),
-            (lambda: IsingModel(n=6, J={(i, i + 1): 1.0 for i in range(5)}).as_objective([(0, 2, 4, 0.5)]), {}),
-            (lambda: gen_labs(6), {}),
-            (lambda: DiagonalObjective(n=5, program=random_qubo(5, 3).as_objective().program), {}),
+            lambda: IsingModel(n=6, J={(i, i + 1): 1.0 for i in range(5)}).as_objective([(0, 2, 4, 0.5)]),
+            lambda: gen_labs(6),
+            lambda: DiagonalObjective(n=5, program=random_qubo(5, 3).as_objective().program),
         ],
-        ids=["warm-start", "pubo", "labs", "native"],
+        ids=["pubo", "labs", "native"],
     )
-    def test_other_mean_mode_starts_keep_the_statevector(self, make, kwargs, monkeypatch):
+    def test_other_mean_mode_starts_keep_the_statevector(self, make, monkeypatch):
         calls = self._depth1_calls(monkeypatch)
-        res = qaoa_solve(make(), p=1, optimizer_budget=300, seed=0, **kwargs)
+        res = qaoa_solve(make(), p=1, optimizer_budget=300, seed=0)
         assert calls["closed"] == 0
         assert calls["gradient"] == (res.extras["evaluations"] - 64) // 4 > 0
         assert calls["state"] == 64 + 1
@@ -879,44 +869,6 @@ class TestRecursiveQaoa:
         b = recursive_qaoa(inst, cutoff=4, optimizer_budget=100, seed=21)
         assert a.best_assignment == b.best_assignment
         assert a.extras["substitutions"] == b.extras["substitutions"]
-
-
-class TestTransferParameters:
-    def test_identity_transfer_matches_source_ar(self):
-        inst = gen_maxcut_r3r(8, seed=1)
-        src = qaoa_solve(inst, p=1, optimizer_budget=150, seed=0)
-        ref = brute_force(inst)
-        moved = transfer_parameters(src, inst, seed=0)
-        source_ar = (ref.c_max - src.extras["mean_energy"]) / (ref.c_max - ref.c_min)
-        assert moved.extras["ar_transferred"] == pytest.approx(source_ar, abs=1e-12)
-
-    def test_single_spin_quarter_pi_params_transfer_perfectly(self):
-        src = SolveResult(
-            best_assignment=(1,),
-            best_energy=-1.0,
-            params=QaoaParams(p=1, gammas=(math.pi / 4,), betas=(math.pi / 4,)),
-        )
-        same_sign = IsingModel(n=1, h=(1.0,)).as_objective()
-        moved = transfer_parameters(src, same_sign, seed=0)
-        assert moved.extras["ar_transferred"] == pytest.approx(1.0, abs=1e-9)
-        # Rescaling the field changes the phase period, so the transferred
-        # angles stop being optimal: gamma = pi/4 on h=2 lands at mean 0.
-        rescaled = IsingModel(n=1, h=(2.0,)).as_objective()
-        moved = transfer_parameters(src, rescaled, seed=0)
-        assert moved.extras["ar_transferred"] == pytest.approx(0.5, abs=1e-9)
-        assert moved.extras["ar_gap"] > 0.4
-
-    def test_gap_fields_reported(self):
-        src = qaoa_solve(gen_maxcut_r3r(10, seed=0), p=1, optimizer_budget=150, seed=0)
-        moved = transfer_parameters(src, gen_maxcut_r3r(12, seed=3), seed=0)
-        ex = moved.extras
-        assert {"ar_transferred", "ar_optimized", "ar_gap"} <= set(ex)
-        assert ex["ar_gap"] == pytest.approx(ex["ar_optimized"] - ex["ar_transferred"], abs=1e-12)
-
-    def test_requires_trained_params(self):
-        bare = brute_force(SINGLE_SPIN)
-        with pytest.raises(ValueError):
-            transfer_parameters(bare, SINGLE_SPIN)
 
 
 @pytest.mark.parametrize(
