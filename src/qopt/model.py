@@ -300,14 +300,6 @@ class QuboModel:
         """Distinct ``i < j`` pairs with a nonzero coupling coefficient."""
         return {(i, j) for (i, j), c in self.terms.items() if i < j and c != 0.0}
 
-    def linear_vector(self) -> np.ndarray:
-        """Dense vector of diagonal (linear) coefficients."""
-        lin = np.zeros(self.n, dtype=np.float64)
-        for (i, j), c in self.terms.items():
-            if i == j:
-                lin[i] = c
-        return lin
-
     def as_objective(self) -> "DiagonalObjective":
         """Diagonal-objective view of this model, with itself as ``source``."""
         return DiagonalObjective(n=self.n, source=self, program=self._program())

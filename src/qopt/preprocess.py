@@ -7,7 +7,7 @@ reconstructing a global optimum from the reduced problems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from qopt.model import QuboModel, as_count
 
@@ -24,26 +24,11 @@ class Decomposition:
 
     ``components`` pairs each sub-model with the tuple of original variable
     indices its variables map back to; the maps partition ``range(n)``.
-    Solving every sub-model independently and merging the argmins through the
-    index maps yields a global optimum, since components share no terms.
+    Solving every sub-model independently and placing each argmin through its
+    index map yields a global optimum, since components share no terms.
     """
 
     components: tuple[tuple[QuboModel, tuple[int, ...]], ...]
-
-    def merge(self, assignments: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        """Stitch per-component assignments back into a full assignment."""
-        if len(assignments) != len(self.components):
-            raise ValueError(
-                f"got {len(assignments)} assignments for {len(self.components)} components"
-            )
-        n = sum(len(index_map) for _, index_map in self.components)
-        merged = [0] * n
-        for (sub, index_map), bits in zip(self.components, assignments):
-            if len(bits) != sub.n:
-                raise ValueError(f"assignment length {len(bits)} does not match component size {sub.n}")
-            for local, original in enumerate(index_map):
-                merged[original] = int(bits[local])
-        return tuple(merged)
 
 
 def decompose_components(q: QuboModel) -> Decomposition:

