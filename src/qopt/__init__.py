@@ -17,7 +17,6 @@ The package is organized around a small set of layers:
 
 from qopt.bench import (
     CSV_HEADER,
-    TIME_LIMIT_LADDER,
     ApproximationRatio,
     BenchmarkConfig,
     BenchmarkRecord,
@@ -39,7 +38,6 @@ from qopt.model import (
     density,
     index_to_bits,
     ising_to_qubo,
-    model_from_json,
     model_to_json,
     penalty_encode,
     qubo_to_ising,
@@ -50,7 +48,6 @@ from qopt.preprocess import (
     fix_variables,
 )
 from qopt.problems import (
-    LabsSequence,
     ProblemInstance,
     gen_ev_parking,
     gen_labs,
@@ -105,7 +102,6 @@ __all__ = [
     "GibbsTable",
     "InfeasibleConstraintError",
     "IsingModel",
-    "LabsSequence",
     "LinearConstraint",
     "ProblemInstance",
     "QaoaParams",
@@ -113,7 +109,6 @@ __all__ = [
     "SampleSet",
     "SolveResult",
     "Statevector",
-    "TIME_LIMIT_LADDER",
     "anneal_trotter",
     "approximation_ratio",
     "bits_to_index",
@@ -143,7 +138,6 @@ __all__ = [
     "instance_to_json",
     "ising_to_qubo",
     "labs_energy",
-    "model_from_json",
     "model_to_json",
     "penalty_encode",
     "qaoa_solve",

@@ -41,7 +41,6 @@ __all__ = [
     "success_metrics",
     "BenchmarkRecord",
     "BenchmarkConfig",
-    "TIME_LIMIT_LADDER",
     "GENERATORS",
     "SOLVERS",
     "run_benchmark",
@@ -49,10 +48,6 @@ __all__ = [
     "emit_junit",
     "CSV_HEADER",
 ]
-
-# Per-cell wall-clock budgets offered by the harness; explicit limits are
-# also accepted.
-TIME_LIMIT_LADDER = (1.0, 10.0, 60.0, 600.0, 3600.0, 10000.0)
 
 CSV_HEADER = (
     "problem,algorithm,variables,density,ar_mean,ar_best,depth,shots,seed,"

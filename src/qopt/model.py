@@ -68,7 +68,6 @@ __all__ = [
     "index_to_bits",
     "bits_to_index",
     "model_to_json",
-    "model_from_json",
 ]
 
 #: Energies are compared in double precision with this tolerance.
@@ -384,9 +383,11 @@ class DiagonalObjective:
     energies of a 1-D int64 block of packed indices, equal to
     ``table()[block]``) and ``value(bits)`` (one assignment, at any width).
     :meth:`energies_at` is the only caller of ``at``: it checks the indices
-    and hands them over in blocks of at most ``2^16``. The model views carry
-    the per-variable program described in the module notes, so the three are
-    one computation and agree bit for bit.
+    and hands them over in blocks of at most ``2^16``.
+    :func:`qopt.simulator.energy_table` is the only caller of ``table``: it
+    checks the qubit cap before the ``2^n`` build and caches the result. The
+    model views carry the per-variable program described in the module
+    notes, so the three are one computation and agree bit for bit.
 
     ``source`` optionally points at the backing quadratic model so solvers
     can exploit structure.
@@ -422,10 +423,6 @@ class DiagonalObjective:
         for start in range(0, flat.size, _REPLAY_BLOCK):
             out[start : start + _REPLAY_BLOCK] = self.program.at(flat[start : start + _REPLAY_BLOCK])
         return out.reshape(idx.shape)
-
-    def table(self) -> np.ndarray:
-        """Energies of all ``2^n`` assignments in index order (not cached)."""
-        return self.program.table()
 
     def spin_model(self) -> IsingModel | None:
         """Spin form of the quadratic source, or None when there is none.
@@ -639,24 +636,3 @@ def model_to_json(model: QuboModel | ConstrainedModel) -> dict:
         "offset": model.offset,
     }
 
-
-def model_from_json(data: Mapping) -> QuboModel | ConstrainedModel:
-    """Inverse of :func:`model_to_json`; rejects duplicate term pairs."""
-    terms: dict[tuple[int, int], float] = {}
-    for i, j, c in data.get("terms", []):
-        if (i, j) in terms:
-            raise ValueError(f"duplicate term pair {(i, j)} in model data")
-        terms[(i, j)] = float(c)
-    qubo = QuboModel(n=data["n"], terms=terms, offset=float(data.get("offset", 0.0)))
-    cons = data.get("constraints")
-    if cons is None:
-        return qubo
-    return ConstrainedModel(
-        objective=qubo,
-        equalities=tuple(
-            LinearConstraint(tuple(c["coeffs"]), c["bound"]) for c in cons.get("equalities", [])
-        ),
-        inequalities=tuple(
-            LinearConstraint(tuple(c["coeffs"]), c["bound"]) for c in cons.get("inequalities", [])
-        ),
-    )

@@ -81,7 +81,6 @@ from qopt.model import (
 
 __all__ = [
     "ProblemInstance",
-    "LabsSequence",
     "Flag",
     "Family",
     "FAMILIES",
@@ -97,8 +96,6 @@ __all__ = [
     "ev_parking_from_data",
     "gen_portfolio",
     "portfolio_from_data",
-    "labs_to_string",
-    "labs_from_string",
     "instance_to_json",
     "instance_from_json",
 ]
@@ -164,9 +161,10 @@ def _json(value, real: bool = False):
 # Payload schema
 #
 # Each family declares its raw fields as {name: spec}. "count" is an int of
-# at least 1 ("count>=2" sets the least value), "real" a finite real that is
-# not a bool ("real>0" a positive one), "a|b" one of those words, "pairs"
-# [u, v] lists of two distinct indices below n, and "triples" [a, b, c, w]
+# at least 1 ("count>=2" sets the least value) and below 2^63, "real" a
+# finite real that is not a bool ("real>0" a positive one), "a|b" one of
+# those words, "pairs" [u, v] lists of two distinct indices below n (a pair
+# may repeat; the builds sum its terms), and "triples" [a, b, c, w]
 # lists of three distinct indices below n and a real weight. A shape makes
 # nested lists, one level per size, as in "count[m,n]"; a size is a count
 # field, a literal, or a list field's length, and counts in lists may be 0.
@@ -232,10 +230,13 @@ def _check_field(where: str, name: str, spec: str, value, n: int | None) -> None
 
 
 def _check_count(where: str, name: str, value, least: int) -> None:
+    # Counts stay in the int64 range, which numpy and float() both take.
     try:
-        as_count(name, value, least)
+        value = as_count(name, value, least)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{exc} ({where})") from None
+    if value >= 1 << 63:
+        raise ValueError(f"{name} must be below 2^63, got a {value.bit_length()}-bit integer ({where})")
 
 
 def _check_real(where: str, name: str, value, positive: bool = False) -> None:
@@ -464,37 +465,16 @@ def gen_market_share(m: int, seed: int = 0) -> ProblemInstance:
 # Low-autocorrelation binary sequences
 
 
-@dataclass(frozen=True)
-class LabsSequence:
-    """A +/-1 sequence of length ``k``."""
-
-    k: int
-    s: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        k, s = as_count("k", self.k, least=0), _spins(self.s)
-        if len(s) != k:
-            raise ValueError(f"sequence has length {len(s)}, declared k={k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "s", s)
-
-
 _SPINS = frozenset((-1, 1))
 
 
-def _spins(s: LabsSequence | Sequence[int]) -> tuple[int, ...]:
+def labs_energy(s: Sequence[int]) -> float:
+    """Sidelobe energy ``sum_{j=1}^{k-1} A_j^2`` with ``A_j = sum_i s_i s_{i+j}``."""
     # Entries are checked before ``int`` sees them, so 1.3 is not read as +1.
-    if isinstance(s, LabsSequence):
-        return s.s
     seq = tuple(s)
     if not _SPINS.issuperset(seq):
         raise ValueError("sequence entries must be -1 or +1")
-    return tuple(map(int, seq))
-
-
-def labs_energy(s: LabsSequence | Sequence[int]) -> float:
-    """Sidelobe energy ``sum_{j=1}^{k-1} A_j^2`` with ``A_j = sum_i s_i s_{i+j}``."""
-    seq = _spins(s)
+    seq = tuple(map(int, seq))
     k = len(seq)
     if k < 2:
         raise ValueError(f"sequence length must be at least 2, got {k}")
@@ -503,20 +483,6 @@ def labs_energy(s: LabsSequence | Sequence[int]) -> float:
         a = sum(seq[i] * seq[i + j] for i in range(k - j))
         total += float(a * a)
     return total
-
-
-def labs_to_string(s: LabsSequence | Sequence[int]) -> str:
-    """Render a sequence in the plain-text sign format, e.g. ``++-+-``."""
-    return "".join("+" if v == 1 else "-" for v in _spins(s))
-
-
-def labs_from_string(text: str) -> LabsSequence:
-    """Parse the plain-text sign format; whitespace is ignored."""
-    chars = [c for c in text if not c.isspace()]
-    for c in chars:
-        if c not in ("+", "-"):
-            raise ValueError(f"unexpected character {c!r} in sequence text")
-    return LabsSequence(k=len(chars), s=tuple(1 if c == "+" else -1 for c in chars))
 
 
 _LABS_BLOCK = 1 << 14  # lower-half patterns priced per table pass
@@ -667,7 +633,11 @@ def _heavy_hex_edges(n: int) -> list[tuple[int, int]]:
 
 
 def _build_spin_glass(raw: Mapping, meta: Mapping) -> _Built:
-    couplings = {tuple(sorted(e)): float(c) for e, c in zip(raw["edges"], raw["couplings"])}
+    # A pair listed twice carries the sum of its couplings.
+    couplings: dict[tuple[int, int], float] = {}
+    for edge, c in zip(raw["edges"], raw["couplings"]):
+        key = tuple(sorted(edge))
+        couplings[key] = couplings.get(key, 0.0) + float(c)
     return IsingModel(n=raw["n"], J=couplings).as_objective(raw.get("cubic") or ()), None
 
 

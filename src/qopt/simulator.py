@@ -56,8 +56,10 @@ the full state; objectives that are not mirrors keep the full run.
 
 Samples (:class:`SampleSet`) keep the same packing: a sample set is its
 arrays, the distinct measured patterns as a strictly ascending ``int64``
-index array with aligned counts and energies; bit patterns appear only
-where a result is reported (:meth:`SampleSet.best` and JSON output). The state
+index array with aligned counts and energies. :func:`sample` always takes
+the objective and prices the hit patterns from its cached table, so no set
+exists without energies; bit patterns appear only where a result is
+reported (:meth:`SampleSet.best` and JSON output). The state
 size is capped (default 24 qubits, about 256 MiB of amplitudes); the
 ``QOPT_STATEVECTOR_CAP`` environment variable overrides the cap.
 
@@ -75,8 +77,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -213,12 +215,11 @@ class SampleSet:
     The sampled patterns are stored as packed basis indices (variable ``i``
     at bit ``i``): ``indices`` is the strictly ascending ``int64`` array of
     distinct patterns that were hit, ``index_counts`` how often each one was
-    drawn, and ``index_energies`` (``None`` until :meth:`with_energies`) the
-    energy of each. The constructor checks the arrays (indices in
-    ``[0, 2^n)``, aligned shapes, counts of at least 1 that sum to
-    ``shots``, finite energies) and keeps read-only copies, so CVaR, sorting
-    and best-pattern lookups work on them directly. Packing limits patterns
-    to 62 variables.
+    drawn, and ``index_energies`` the energy of each; every set carries its
+    energies. The constructor checks the arrays (indices in ``[0, 2^n)``,
+    aligned shapes, counts of at least 1 that sum to ``shots``, finite
+    energies) and keeps read-only copies, so CVaR, sorting and best-pattern
+    lookups work on them directly. Packing limits patterns to 62 variables.
     """
 
     n: int
@@ -226,7 +227,7 @@ class SampleSet:
     seed: int
     indices: np.ndarray
     index_counts: np.ndarray
-    index_energies: np.ndarray | None = None
+    index_energies: np.ndarray
 
     def __post_init__(self) -> None:
         for name, least in (("n", None), ("shots", 0), ("seed", None)):
@@ -245,16 +246,15 @@ class SampleSet:
             raise ValueError("every sampled pattern needs a count of at least 1")
         if counts.sum() != self.shots:
             raise ValueError("counts must sum to the shot total")
+        energies = _frozen(self.index_energies, np.float64)
+        if energies.shape != indices.shape:
+            raise ValueError(f"energies {energies.shape} must align with indices {indices.shape}")
+        bad = ~np.isfinite(energies)
+        if bad.any():
+            raise ValueError(f"sampled pattern {indices[bad][0]} has non-finite energy {energies[bad][0]!r}")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "index_counts", counts)
-        if self.index_energies is not None:
-            energies = _frozen(self.index_energies, np.float64)
-            if energies.shape != indices.shape:
-                raise ValueError(f"energies {energies.shape} must align with indices {indices.shape}")
-            bad = ~np.isfinite(energies)
-            if bad.any():
-                raise ValueError(f"sampled pattern {indices[bad][0]} has non-finite energy {energies[bad][0]!r}")
-            object.__setattr__(self, "index_energies", energies)
+        object.__setattr__(self, "index_energies", energies)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampleSet):
@@ -262,25 +262,13 @@ class SampleSet:
         return self._key() == other._key()
 
     def _key(self) -> tuple:
-        energies = None if self.index_energies is None else self.index_energies.tobytes()
         return (
             self.n, self.shots, self.seed,
-            self.indices.tobytes(), self.index_counts.tobytes(), energies,
+            self.indices.tobytes(), self.index_counts.tobytes(), self.index_energies.tobytes(),
         )
-
-    def with_energies(self, obj: DiagonalObjective) -> "SampleSet":
-        """Attach energies under ``obj``, priced in one batched evaluation.
-
-        Raises ``ValueError`` on a variable-count mismatch or if any sampled
-        pattern has a non-finite energy.
-        """
-        _check_variables(self.n, obj)
-        return replace(self, index_energies=obj.energies_at(self.indices))
 
     def energy_values(self) -> np.ndarray:
         """All sampled energies, one entry per shot, ascending."""
-        if self.index_energies is None:
-            raise ValueError("no energies cached; attach them with with_energies()")
         out = np.repeat(self.index_energies, self.index_counts)
         out.sort()
         return out
@@ -291,16 +279,14 @@ class SampleSet:
         Ties go to the lexicographically smallest bit tuple, which is not
         the smallest index: ``(0, 1)`` (index 2) beats ``(1, 0)`` (index 1).
         """
-        if self.index_energies is None:
-            raise ValueError("no energies cached; attach them with with_energies()")
         low = self.index_energies.min()
         ties = self.indices[self.index_energies == low]
         return min(index_to_bits(i, self.n) for i in ties.tolist()), float(low)
 
 
-def _check_variables(n: int, obj: DiagonalObjective) -> None:
-    if obj.n != n:
-        raise ValueError(f"samples have {n} variables, objective has {obj.n}")
+def _check_state(sv: Statevector, obj: DiagonalObjective) -> None:
+    if sv.n != obj.n:
+        raise ValueError(f"state has {sv.n} qubits, objective has {obj.n} variables")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -314,28 +300,28 @@ def _frozen(values, dtype) -> np.ndarray:
 class GibbsTable:
     """Exact Gibbs distribution of a diagonal objective.
 
-    ``z`` may overflow to inf for extreme ``beta * energy`` products;
-    ``log_z`` is always finite and exact. With imaginary-time evolution for
-    time ``tau``, amplitudes are suppressed by ``exp(-tau E)``, so the
-    resulting measurement distribution equals this table at ``beta = 2 tau``.
+    ``log_z`` is the log of the partition function, finite and exact. With
+    imaginary-time evolution for time ``tau``, amplitudes are suppressed by
+    ``exp(-tau E)``, so the resulting measurement distribution equals this
+    table at ``beta = 2 tau``.
     """
 
     beta: float
     probabilities: np.ndarray
-    z: float
     log_z: float
 
 
 def energy_table(obj: DiagonalObjective) -> np.ndarray:
     """Full 2^n energy table for ``obj``, cached on the objective.
 
-    The objective's program builds it; a model view doubles its
-    per-variable program into one array.
+    The only public way to a table: the qubit cap is checked before the
+    objective's program builds it (a model view doubles its per-variable
+    program into one array).
     """
     table = obj._cache.get("energy_table")
     if table is None:
         _check_cap(obj.n)
-        table = obj.table()
+        table = obj.program.table()
         table.setflags(write=False)
         obj._cache["energy_table"] = table
     return table
@@ -636,38 +622,28 @@ def expectation(sv: Statevector, obj: DiagonalObjective) -> float:
     The sum is numpy's fixed pairwise order over the elementwise products,
     not a BLAS dot, whose rounding would change with the BLAS thread count.
     """
-    if sv.n != obj.n:
-        raise ValueError(f"state has {sv.n} qubits, objective has {obj.n} variables")
+    _check_state(sv, obj)
     return _energy_sum(sv.amplitudes, energy_table(obj), sv.n)
 
 
-def sample(
-    sv: Statevector,
-    shots: int,
-    seed: int = 0,
-    obj: DiagonalObjective | None = None,
-) -> SampleSet:
-    """Aggregate ``shots`` i.i.d. basis measurements of the state.
+def sample(sv: Statevector, shots: int, seed: int = 0, *, obj: DiagonalObjective) -> SampleSet:
+    """Aggregate ``shots`` i.i.d. basis measurements of the state, priced under ``obj``.
 
     Deterministic given the seed: one multinomial draw over the basis
     probabilities, whose nonzero entries become the result's ascending
-    ``indices`` and ``index_counts``. When ``obj`` is passed, the hit
-    patterns are priced by one gather from ``energy_table(obj)`` (which fits,
-    since the state does) and cached on the result, which CVaR and the
-    solvers need.
+    ``indices`` and ``index_counts``. The hit patterns are priced by one
+    gather from ``energy_table(obj)`` (which fits, since the state does)
+    into ``index_energies``, which CVaR and the solvers read.
     """
     shots, seed = as_count("shots", shots), as_count("seed", seed, least=None)
+    _check_state(sv, obj)
     probs = sv.probabilities()
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     hit = np.flatnonzero(draws)
-    energies = None
-    if obj is not None:
-        _check_variables(sv.n, obj)
-        energies = energy_table(obj)[hit]
     return SampleSet(
-        n=sv.n, shots=shots, seed=seed, indices=hit, index_counts=draws[hit], index_energies=energies
+        n=sv.n, shots=shots, seed=seed, indices=hit, index_counts=draws[hit], index_energies=energy_table(obj)[hit]
     )
 
 
@@ -678,30 +654,26 @@ def cvar(
 ) -> float:
     """Average of the best (lowest-energy) alpha-fraction.
 
-    For a :class:`SampleSet`, expands the cached per-index energies to one
-    entry per shot, sorts them ascending and averages the lowest
+    For a :class:`SampleSet`, expands its per-index energies to one entry
+    per shot, sorts them ascending and averages the lowest
     ``ceil(alpha * shots)``; ``alpha = 1`` is the plain mean, and any alpha
     small enough to include a single sample returns the best observed
-    energy. For a :class:`Statevector` (with ``obj``), the same tail average
-    is taken over the exact distribution, splitting the boundary pattern
-    fractionally; each call sorts the cached energy table stably (ties in
-    index order) and caches nothing beside the table.
+    energy. ``obj`` is not read for a sample set. For a :class:`Statevector`
+    (with ``obj``), the same tail average is taken over the exact
+    distribution, splitting the boundary pattern fractionally; each call
+    sorts the cached energy table stably (ties in index order) and caches
+    nothing beside the table.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if isinstance(values, SampleSet):
-        if values.index_energies is None:
-            if obj is None:
-                raise ValueError("sample set has no cached energies; pass obj")
-            values = values.with_energies(obj)
         energies = values.energy_values()
         take = math.ceil(alpha * values.shots)
         return float(energies[:take].mean())
     if isinstance(values, Statevector):
         if obj is None:
             raise ValueError("computing CVaR from a state requires the objective")
-        if values.n != obj.n:
-            raise ValueError(f"state has {values.n} qubits, objective has {obj.n} variables")
+        _check_state(values, obj)
         table = energy_table(obj)
         order = np.argsort(table, kind="stable")
         sorted_e = table[order]
@@ -718,31 +690,21 @@ def cvar(
     raise TypeError(f"cannot compute CVaR of {type(values).__name__}")
 
 
-def anneal_trotter(
-    obj: DiagonalObjective,
-    T: float,
-    steps: int,
-    schedule: Callable[[float], float] | None = None,
-) -> Statevector:
-    """First-order Trotterized anneal from the uniform state.
+def anneal_trotter(obj: DiagonalObjective, T: float, steps: int) -> Statevector:
+    """First-order Trotterized anneal from the uniform state on the linear ramp.
 
     The interpolating generator is ``lam * H_problem`` against the standard
-    transverse mixer weighted by ``1 - lam``, discretized at step midpoints:
-    step ``k`` applies a phase layer with angle ``dt * lam(t_k / T)`` and a
-    mixing layer with X-rotation angle ``2 * dt * (1 - lam(t_k / T))`` where
-    ``t_k = (k + 1/2) dt``. The schedule must satisfy ``lam(0) = 0`` and
-    ``lam(1) = 1``; it defaults to linear.
+    transverse mixer weighted by ``1 - lam``, with ``lam = t / T`` rising
+    linearly from 0 to 1 and discretized at step midpoints: step ``k``
+    applies a phase layer with angle ``dt * lam_k`` and a mixing layer with
+    X-rotation angle ``2 * dt * (1 - lam_k)``, where ``lam_k = (k + 1/2) /
+    steps``.
     """
     steps = as_count("steps", steps)
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"total time must be positive and finite, got {T}")
-    if schedule is None:
-        schedule = lambda s: s  # noqa: E731 - the linear ramp
-    lam0, lam1 = float(schedule(0.0)), float(schedule(1.0))
-    if abs(lam0) > 1e-12 or abs(lam1 - 1.0) > 1e-12:
-        raise ValueError(f"schedule must run from 0 to 1, got lam(0)={lam0}, lam(1)={lam1}")
     dt = T / steps
-    lams = (float(schedule((k + 0.5) / steps)) for k in range(steps))
+    lams = ((k + 0.5) / steps for k in range(steps))
     amps = _evolve(obj, ((dt * lam, dt * (1.0 - lam)) for lam in lams))
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
@@ -753,7 +715,7 @@ def gibbs_distribution(obj: DiagonalObjective, beta: float) -> GibbsTable:
     Weights are computed against the shifted exponent ``-beta (E - E_min)``
     so the largest weight is exactly 1 and nothing overflows. ``log_z`` is
     the log-sum-exp of ``-beta E``, taken as scipy's ``logsumexp`` takes
-    it; ``z`` may round to inf for extreme products.
+    it, so it stays finite where ``Z`` itself would overflow.
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
@@ -762,10 +724,7 @@ def gibbs_distribution(obj: DiagonalObjective, beta: float) -> GibbsTable:
     weights = np.exp(shifted)
     total = weights.sum()
     probs = weights / total
-    log_z = _logsumexp(-beta * table)
-    with np.errstate(over="ignore"):
-        z = float(np.exp(np.float64(log_z)))
-    return GibbsTable(beta=beta, probabilities=probs, z=z, log_z=log_z)
+    return GibbsTable(beta=beta, probabilities=probs, log_z=_logsumexp(-beta * table))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -784,11 +743,10 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(out)
 
 
-def ground_state_overlap(sv: Statevector, obj: DiagonalObjective, tol: float = ENERGY_TOL) -> float:
-    """Probability mass the state puts on the exact argmin set."""
-    if sv.n != obj.n:
-        raise ValueError(f"state has {sv.n} qubits, objective has {obj.n} variables")
+def ground_state_overlap(sv: Statevector, obj: DiagonalObjective) -> float:
+    """Probability mass the state puts on the argmin set, to ``ENERGY_TOL``."""
+    _check_state(sv, obj)
     table = energy_table(obj)
-    mask = table <= table.min() + tol
+    mask = table <= table.min() + ENERGY_TOL
     return float(sv.probabilities()[mask].sum())
 

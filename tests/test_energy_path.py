@@ -120,7 +120,7 @@ def test_table_is_built_without_pricing_indices(name, energies_at_calls):
 @pytest.mark.parametrize("name,n", [("gaussian-qubo", 10), ("sk-fields", 10), ("cubic-spin-glass", 21)])
 def test_streamed_enumeration_matches_table(name, n, monkeypatch):
     obj, _, _ = build(name, n)
-    table = obj.table()
+    table = obj.program.table()
     monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(n - 4))
     res = brute_force(obj)
     assert "energy_table" not in obj._cache

@@ -21,7 +21,6 @@ from qopt.model import (
     density,
     index_to_bits,
     ising_to_qubo,
-    model_from_json,
     model_to_json,
     penalty_encode,
     qubo_to_ising,
@@ -109,8 +108,6 @@ class TestIntegerIndices:
             IsingModel(n=2, J={(bad, 1): 1.0})
         with pytest.raises(TypeError, match="cubic term index must be an integer"):
             IsingModel(n=3).as_objective(cubic=[(0, bad, 2, 1.0)])
-        with pytest.raises(TypeError, match="term index must be an integer"):
-            model_from_json({"n": 2, "terms": [[0, bad, 1.0]], "offset": 0.0})
         with pytest.raises(TypeError, match="variable index must be an integer"):
             fix_variables(QuboModel(n=2, terms={(0, 1): 1.0}), {bad: 1})
 
@@ -119,8 +116,6 @@ class TestIntegerIndices:
         for make in (QuboModel, IsingModel, lambda n: DiagonalObjective(n=n, program=None)):
             with pytest.raises(TypeError, match="count must be an integer"):
                 make(n=bad)
-        with pytest.raises(TypeError, match="variable count must be an integer"):
-            model_from_json({"n": bad, "terms": [], "offset": 0.0})
 
     def test_numpy_integer_count_and_indices_give_the_int_model(self):
         q = QuboModel(n=np.int64(2), terms={(np.int64(0), np.int64(1)): 1.0})
@@ -301,7 +296,7 @@ class TestDiagonalObjective:
         obj = DiagonalObjective(n=3, program=program)
         assert obj.source is None
         assert obj.value((1, 0, 1)) == 2.0
-        assert obj.table().tolist() == [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]
+        assert obj.program.table().tolist() == [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]
 
     def test_rejects_non_finite_energy(self):
         # 1e308 + 1e308 overflows to inf in the replay of the set bit.
@@ -516,9 +511,7 @@ class TestJson:
         q = QuboModel(n=3, terms={(0, 1): -1.5, (2, 2): 2.0}, offset=0.25)
         data = model_to_json(q)
         assert data == {"n": 3, "terms": [[0, 1, -1.5], [2, 2, 2.0]], "offset": 0.25}
-        text = json.dumps(data)
-        back = model_from_json(json.loads(text))
-        assert back == q
+        assert json.loads(json.dumps(data)) == data
 
     def test_constrained_round_trip(self):
         cm = ConstrainedModel(
@@ -526,10 +519,14 @@ class TestJson:
             equalities=(LinearConstraint((1.0, 1.0), 1.0),),
             inequalities=(LinearConstraint((1.0, 0.0), 1.0),),
         )
-        back = model_from_json(json.loads(json.dumps(model_to_json(cm))))
-        assert isinstance(back, ConstrainedModel)
-        assert back == cm
-
-    def test_duplicate_terms_rejected(self):
-        with pytest.raises(ValueError):
-            model_from_json({"n": 2, "terms": [[0, 1, 1.0], [0, 1, 2.0]], "offset": 0.0})
+        data = model_to_json(cm)
+        assert data == {
+            "n": 2,
+            "terms": [[0, 1, 1.0]],
+            "offset": 0.0,
+            "constraints": {
+                "equalities": [{"coeffs": [1.0, 1.0], "bound": 1.0}],
+                "inequalities": [{"coeffs": [1.0, 0.0], "bound": 1.0}],
+            },
+        }
+        assert json.loads(json.dumps(data)) == data

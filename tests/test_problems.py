@@ -14,7 +14,6 @@ import pytest
 from qopt.model import ConstrainedModel, QuboModel, density
 from qopt.problems import (
     FAMILIES,
-    LabsSequence,
     ev_parking_from_data,
     gen_ev_parking,
     gen_labs,
@@ -27,8 +26,6 @@ from qopt.problems import (
     instance_from_json,
     instance_to_json,
     labs_energy,
-    labs_from_string,
-    labs_to_string,
     portfolio_from_data,
     qap_from_data,
 )
@@ -258,13 +255,7 @@ class TestLabs:
         for bad in [(1, 1.3), (1.9, -1, 1), (np.float64(-1.5), 1)]:
             with pytest.raises(ValueError, match="entries must be -1 or \\+1"):
                 labs_energy(bad)
-            with pytest.raises(ValueError, match="entries must be -1 or \\+1"):
-                LabsSequence(k=len(bad), s=bad)
-            with pytest.raises(ValueError, match="entries must be -1 or \\+1"):
-                labs_to_string(bad)
         assert labs_energy((1.0, np.int64(-1), 1)) == labs_energy((1, -1, 1))
-        with pytest.raises(TypeError, match="k must be an integer"):
-            LabsSequence(k=2.0, s=(1, 1))
 
     def test_both_enumerators_agree(self):
         rng = np.random.default_rng(21)
@@ -301,9 +292,9 @@ class TestLabs:
     def test_table_by_lag_doubling(self):
         for k in range(2, 13):
             want = [labs_energy([1 - 2 * b for b in bits]) for bits in all_bits(k)]
-            assert gen_labs(k).objective.table().tolist() == want
+            assert gen_labs(k).objective.program.table().tolist() == want
         obj = gen_labs(16).objective
-        assert np.array_equal(obj.table(), obj.energies_at(np.arange(1 << 16)))
+        assert np.array_equal(obj.program.table(), obj.energies_at(np.arange(1 << 16)))
 
     def test_table_builds_half_and_mirrors_it(self):
         # Only the lower half is built, in blocks, and the upper half is its
@@ -325,7 +316,7 @@ class TestLabs:
         # all of them at once, about 128 MiB; blocks keep the peak flat.
         obj = gen_labs(21).objective
         idx = np.random.default_rng(21).integers(0, 1 << 21, size=1 << 18)
-        table = obj.table()
+        table = obj.program.table()
         tracemalloc.start()
         try:
             priced = obj.energies_at(idx)
@@ -348,21 +339,6 @@ class TestLabs:
             labs_energy((1, 0))
         with pytest.raises(ValueError):
             gen_labs(1)
-
-    def test_sequence_type_validation(self):
-        with pytest.raises(ValueError):
-            LabsSequence(k=2, s=(1, 2))
-        with pytest.raises(ValueError):
-            LabsSequence(k=3, s=(1, 1))
-
-    def test_sign_text_round_trip(self):
-        seq = LabsSequence(k=5, s=(1, -1, -1, 1, -1))
-        text = labs_to_string(seq)
-        assert text == "+--+-"
-        assert labs_from_string(text) == seq
-        assert labs_from_string(" +- \n-+ ") == LabsSequence(k=4, s=(1, -1, -1, 1))
-        with pytest.raises(ValueError):
-            labs_from_string("+x-")
 
 
 class TestQap:
@@ -477,6 +453,8 @@ class TestSpinGlass:
             gen_spin_glass("ring", 8)
         with pytest.raises(ValueError):
             gen_spin_glass("complete", 8, dist="cauchy")
+        with pytest.raises(ValueError, match="three spins"):
+            gen_spin_glass("complete", 2, cubic_terms=1)
 
     def test_couplings_must_pair_with_edges(self):
         # Without a stored model to compare, a short couplings list once
@@ -486,6 +464,21 @@ class TestSpinGlass:
         envelope["raw"]["couplings"].pop()
         with pytest.raises(ValueError, match="shorter"):
             instance_from_json(envelope)
+
+    def test_repeated_pair_couplings_sum(self):
+        # A pair listed twice once kept only its last coupling, and the term
+        # whose edge was overwritten vanished without a word.
+        envelope = bare_envelope(gen_spin_glass("complete", 4, dist="gaussian", seed=1))
+        raw = envelope["raw"]
+        raw["edges"][1] = [1, 0]
+        inst = instance_from_json(envelope)
+        first, second = raw["couplings"][:2]
+        assert inst.objective.source.J[(0, 1)] == first + second
+        assert (0, 2) not in inst.objective.source.J
+        for bits in all_bits(4):
+            spins = [1 - 2 * b for b in bits]
+            expect = sum(c * spins[u] * spins[v] for (u, v), c in zip(raw["edges"], raw["couplings"]))
+            assert inst.objective.value(bits) == pytest.approx(expect, abs=1e-12)
 
 
 def integer_paths(value, path):
@@ -854,13 +847,16 @@ class TestSerialization:
              "mis payload: weights must be a list, got 1.0"),
             (lambda: gen_ev_parking(3, 2, 2, 4, seed=0), ("windows", 0), 1,
              "ev-parking payload: windows must be a list, got 1"),
+            (lambda: gen_market_share(2, seed=0), ("weights", 0, 0), 10**400,
+             "weights must be below 2^63, got a 1329-bit integer (market-share payload)"),
         ],
         ids=["edge-triple", "edges-int", "edge-int", "portfolio-no-lam", "labs-no-k", "couplings-short",
-             "mis-weights-float", "ev-window-int"],
+             "mis-weights-float", "ev-window-int", "weights-beyond-int64"],
     )
     def test_misshapen_payload_names_family_and_field(self, make, path, value, message):
         # Each of these once raised an unnamed error: an unpacking count,
-        # "'int' object is not iterable", a bare KeyError or a zip() length.
+        # "'int' object is not iterable", a bare KeyError, a zip() length or
+        # an OverflowError from float().
         envelope = json.loads(json.dumps(instance_to_json(make())))
         envelope.pop("model", None)
         *parents, last = path

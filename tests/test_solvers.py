@@ -591,6 +591,8 @@ class TestQaoaSolve:
             qaoa_solve(SINGLE_SPIN, objective_mode="median")
         with pytest.raises(ValueError):
             qaoa_solve(SINGLE_SPIN, objective_mode="cvar", alpha=0.0)
+        with pytest.raises(TypeError, match="expected a problem instance or diagonal objective, got QuboModel"):
+            qaoa_solve(QuboModel(n=1))
 
     # CVaR-mode results recorded before mean mode moved to gradients: the
     # sampled objective keeps its grid and Nelder-Mead search bit for bit.
@@ -883,7 +885,7 @@ class TestRecursiveQaoa:
         pytest.param("cutoff", lambda obj: recursive_qaoa(obj, cutoff=2.5), id="rqaoa-cutoff"),
         pytest.param(
             "shots",
-            lambda obj: sample(qaoa_state(obj, QaoaParams(p=1, gammas=(0.3,), betas=(0.2,))), 2.5),
+            lambda obj: sample(qaoa_state(obj, QaoaParams(p=1, gammas=(0.3,), betas=(0.2,))), 2.5, obj=obj),
             id="sample-shots",
         ),
         pytest.param("steps", lambda obj: anneal_trotter(obj, 1.0, 2.5), id="trotter-steps"),
