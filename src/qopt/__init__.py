@@ -17,7 +17,6 @@ The package is organized around a small set of layers:
 
 from qopt.bench import (
     CSV_HEADER,
-    ApproximationRatio,
     BenchmarkConfig,
     BenchmarkRecord,
     approximation_ratio,
@@ -43,7 +42,6 @@ from qopt.model import (
     qubo_to_ising,
 )
 from qopt.preprocess import (
-    Decomposition,
     decompose_components,
     fix_variables,
 )
@@ -63,7 +61,6 @@ from qopt.problems import (
 )
 from qopt.simulator import (
     CapacityError,
-    GibbsTable,
     QaoaParams,
     SampleSet,
     Statevector,
@@ -91,15 +88,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ApproximationRatio",
     "BenchmarkConfig",
     "BenchmarkRecord",
     "CSV_HEADER",
     "CapacityError",
     "ConstrainedModel",
-    "Decomposition",
     "DiagonalObjective",
-    "GibbsTable",
     "InfeasibleConstraintError",
     "IsingModel",
     "LinearConstraint",

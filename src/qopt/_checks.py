@@ -216,8 +216,8 @@ def gibbs_drift(seed: int, models: int, sizes: range, betas: tuple[float, ...], 
         n = int(rng.integers(sizes.start, sizes.stop))
         obj = random_qubo(n, rng, 0.6).as_objective()
         for beta in betas:
-            gaps.append(_gap(gibbs_distribution(obj, beta).probabilities, reference(obj, beta)))
-        gaps.append(_gap(gibbs_distribution(obj, 0.0).probabilities, 1.0 / (1 << n)))
+            gaps.append(_gap(gibbs_distribution(obj, beta), reference(obj, beta)))
+        gaps.append(_gap(gibbs_distribution(obj, 0.0), 1.0 / (1 << n)))
     return _worst(gaps)
 
 
@@ -319,7 +319,7 @@ def decomposition_gap(seed: int, models: int, block_sizes: range) -> float:
         c_min = brute_force(joined.as_objective()).c_min
         assignment = {}
         component_total = 0.0
-        for comp, index_map in decompose_components(joined).components:
+        for comp, index_map in decompose_components(joined):
             comp_res = brute_force(comp.as_objective())
             component_total += comp_res.c_min
             assignment.update(dict(zip(index_map, comp_res.best_assignment)))
@@ -360,12 +360,12 @@ def ratio_drift(seed: int, draws: int) -> float:
         c_min = float(rng.normal())
         c_max = c_min + float(abs(rng.normal())) + 0.1
         value = float(rng.uniform(c_min, c_max))
-        base = approximation_ratio(value, c_min, c_max).ratio
+        base = approximation_ratio(value, c_min, c_max)
         offset = float(rng.normal())
         scale = float(rng.uniform(0.5, 3.0))
         shifted = approximation_ratio(value + offset, c_min + offset, c_max + offset)
         scaled = approximation_ratio(value * scale, c_min * scale, c_max * scale)
-        gaps += [abs(base - (c_max - value) / (c_max - c_min)), abs(shifted.ratio - base), abs(scaled.ratio - base)]
+        gaps += [abs(base - (c_max - value) / (c_max - c_min)), abs(shifted - base), abs(scaled - base)]
     return _worst(gaps)
 
 

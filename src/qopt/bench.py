@@ -36,7 +36,6 @@ from qopt.solvers import (
 )
 
 __all__ = [
-    "ApproximationRatio",
     "approximation_ratio",
     "success_metrics",
     "BenchmarkRecord",
@@ -67,29 +66,15 @@ SOLVERS: dict[str, Callable[..., SolveResult]] = {
 }
 
 
-class ApproximationRatio(NamedTuple):
-    """Range-normalized solution quality plus an out-of-range warning flag."""
-
-    ratio: float
-    clamped: bool
-
-
-def approximation_ratio(value: float, c_min: float, c_max: float) -> ApproximationRatio:
+def approximation_ratio(value: float, c_min: float, c_max: float) -> float:
     """(c_max - value) / (c_max - c_min), clamped into [0, 1].
 
     The problem must already be oriented as minimization; the optimum maps
-    to 1 and the worst state to 0. ``clamped`` flags values outside the
-    [c_min, c_max] range (possible for mean energies of weighted mixtures
-    only through rounding, but common for misreported references).
+    to 1 and the worst state to 0.
     """
     if not c_max > c_min:
         raise ValueError(f"degenerate range: c_max={c_max} must exceed c_min={c_min}")
-    raw = (c_max - value) / (c_max - c_min)
-    if raw < 0.0:
-        return ApproximationRatio(0.0, True)
-    if raw > 1.0:
-        return ApproximationRatio(1.0, True)
-    return ApproximationRatio(float(raw), False)
+    return min(max(float((c_max - value) / (c_max - c_min)), 0.0), 1.0)
 
 
 def _ar_theta(target) -> float | None:
@@ -137,7 +122,7 @@ def success_metrics(
             else:
                 hit = False
         else:
-            hit = approximation_ratio(res.best_energy, c_min, c_max).ratio >= theta
+            hit = approximation_ratio(res.best_energy, c_min, c_max) >= theta
         if hit and res.timings["total"] <= time_limit:
             hits.append(res.timings["total"])
     return {
@@ -285,67 +270,58 @@ class _EntryBuild(NamedTuple):
     t_reference: float
 
 
-class _SharedInstance:
-    """One instance entry of the matrix, built at most once for all its solver cells.
+def _build(generator: Callable[..., ProblemInstance], params: dict, seed: int, clock) -> _EntryBuild:
+    """Generate an instance entry (``seed`` fills in a seed its params leave
+    out), compile its energy table and enumerate its exact range, both only
+    up to the statevector cap."""
+    if "seed" in inspect.signature(generator).parameters:
+        params.setdefault("seed", seed)
+    t0 = clock()
+    instance = generator(**params)
+    t_generate = clock() - t0
+    obj = instance.objective
+    enumerable = obj.n <= statevector_cap()
 
-    ``built`` stays None until the first cell whose family and solver names
-    resolve calls :meth:`build`, which generates the instance, compiles its
-    energy table and enumerates its exact range (both only up to the
-    statevector cap). It then holds that build, or the ``<Type>: <message>``
-    line of the error the build raised, which every cell of the entry
-    reports.
-    """
+    t0 = clock()
+    if enumerable:
+        energy_table(obj)
+    t_compile = clock() - t0
 
-    def __init__(self, config: BenchmarkConfig, entry: Mapping) -> None:
-        self.family = entry.get("family", "?")
-        self.params = dict(entry.get("params", {}))
-        self.label = _cell_label(self.family, self.params)
-        self.master_seed = config.master_seed
-        self.built: _EntryBuild | str | None = None
-
-    def build(self, generator: Callable[..., ProblemInstance], clock) -> _EntryBuild:
-        params = dict(self.params)
-        if "seed" in inspect.signature(generator).parameters:
-            params.setdefault("seed", derive_seed(self.master_seed, self.label) % (1 << 32))
-        t0 = clock()
-        instance = generator(**params)
-        t_generate = clock() - t0
-        obj = instance.objective
-        enumerable = obj.n <= statevector_cap()
-
-        t0 = clock()
-        if enumerable:
-            energy_table(obj)
-        t_compile = clock() - t0
-
-        t0 = clock()
-        c_min = c_max = None
-        if enumerable:
-            reference = brute_force(obj)
-            c_min, c_max = reference.c_min, reference.c_max
-        t_reference = clock() - t0
-        return _EntryBuild(instance, c_min, c_max, t_generate, t_compile, t_reference)
+    t0 = clock()
+    c_min = c_max = None
+    if enumerable:
+        reference = brute_force(obj)
+        c_min, c_max = reference.c_min, reference.c_max
+    t_reference = clock() - t0
+    return _EntryBuild(instance, c_min, c_max, t_generate, t_compile, t_reference)
 
 
-def _run_cell(config: BenchmarkConfig, shared: _SharedInstance, solver_entry: Mapping, clock) -> BenchmarkRecord:
+def _run_cell(
+    config: BenchmarkConfig, entry: Mapping, built: _EntryBuild | str | None, solver_entry: Mapping, clock
+) -> tuple[BenchmarkRecord, _EntryBuild | str | None]:
+    """Run one cell. ``built`` is its instance entry's build: None until the
+    first cell whose family and solver names resolve makes it, then that
+    build or the ``<Type>: <message>`` line of the error it raised, which
+    every cell of the entry reports. Returns the record and ``built``."""
+    family = entry.get("family", "?")
+    params = dict(entry.get("params", {}))
     algorithm = solver_entry.get("algorithm", "?")
     solver_params = dict(solver_entry.get("params", {}))
-    problem_label = shared.label
+    problem_label = _cell_label(family, params)
     algorithm_label = _cell_label(algorithm, solver_params)
     cell_seed = derive_seed(config.master_seed, problem_label, algorithm_label)
 
     cell_start = clock()
     error = None
     try:
-        generator = GENERATORS[shared.family]
+        generator = GENERATORS[family]
         solver = SOLVERS[algorithm]
-        charged = shared.built is None
+        charged = built is None
         if charged:
             try:
-                shared.built = shared.build(generator, clock)
+                built = _build(generator, params, derive_seed(config.master_seed, problem_label) % (1 << 32), clock)
             except Exception as exc:  # noqa: BLE001 - every cell of the entry reports it
-                shared.built = f"{type(exc).__name__}: {exc}"
-        built = shared.built
+                built = f"{type(exc).__name__}: {exc}"
         if isinstance(built, str):
             error = built
         else:
@@ -372,8 +348,8 @@ def _run_cell(config: BenchmarkConfig, shared: _SharedInstance, solver_entry: Ma
             ar_mean = ar_best = success = None
             mean_energies = [float(r.extras.get("mean_energy", r.best_energy)) for r in results]
             if enumerable and c_max > c_min:
-                mean_ars = [approximation_ratio(e, c_min, c_max).ratio for e in mean_energies]
-                best_ars = [approximation_ratio(r.best_energy, c_min, c_max).ratio for r in results]
+                mean_ars = [approximation_ratio(e, c_min, c_max) for e in mean_energies]
+                best_ars = [approximation_ratio(r.best_energy, c_min, c_max) for r in results]
                 ar_mean = sum(mean_ars) / len(mean_ars)
                 ar_best = max(best_ars)
             extras = {
@@ -419,7 +395,7 @@ def _run_cell(config: BenchmarkConfig, shared: _SharedInstance, solver_entry: Ma
     if error is not None:
         measured, extras = {}, {"error": error}
         success = False if config.target is not None else None
-    return BenchmarkRecord(
+    record = BenchmarkRecord(
         problem=problem_label,
         algorithm=algorithm_label,
         seed=cell_seed,
@@ -428,6 +404,7 @@ def _run_cell(config: BenchmarkConfig, shared: _SharedInstance, solver_entry: Ma
         extras=extras,
         **measured,
     )
+    return record, built
 
 
 def run_benchmark(config: BenchmarkConfig, clock: Callable[[], float] = time.perf_counter) -> list[BenchmarkRecord]:
@@ -448,9 +425,11 @@ def run_benchmark(config: BenchmarkConfig, clock: Callable[[], float] = time.per
     """
     records = []
     for entry in config.instances:
-        # Rebinding ``shared`` drops the previous entry's build.
-        shared = _SharedInstance(config, entry)
-        records += [_run_cell(config, shared, solver, clock) for solver in config.solvers]
+        # Rebinding ``built`` drops the previous entry's build.
+        built = None
+        for solver in config.solvers:
+            record, built = _run_cell(config, entry, built, solver, clock)
+            records.append(record)
     return records
 
 

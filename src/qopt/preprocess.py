@@ -6,37 +6,26 @@ reconstructing a global optimum from the reduced problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from qopt.model import QuboModel, as_count
 
 __all__ = [
-    "Decomposition",
     "decompose_components",
     "fix_variables",
 ]
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Connected components of a model's coupling graph.
-
-    ``components`` pairs each sub-model with the tuple of original variable
-    indices its variables map back to; the maps partition ``range(n)``.
-    Solving every sub-model independently and placing each argmin through its
-    index map yields a global optimum, since components share no terms.
-    """
-
-    components: tuple[tuple[QuboModel, tuple[int, ...]], ...]
-
-
-def decompose_components(q: QuboModel) -> Decomposition:
+def decompose_components(q: QuboModel) -> tuple[tuple[QuboModel, tuple[int, ...]], ...]:
     """Split a model into independent sub-models along coupling components.
 
-    Components are ordered by their smallest original variable index; the
-    constant offset rides on the first component (an empty model keeps it on
-    a single empty component).
+    Each sub-model is paired with the tuple of original variable indices its
+    variables map back to; the maps partition ``range(n)``. Solving every
+    sub-model independently and placing each argmin through its index map
+    yields a global optimum, since components share no terms. Components are
+    ordered by their smallest original variable index; the constant offset
+    rides on the first component (an empty model keeps it on a single empty
+    component).
     """
     # Union-find over the coupling graph; isolated variables form singletons.
     parent = list(range(q.n))
@@ -57,7 +46,7 @@ def decompose_components(q: QuboModel) -> Decomposition:
         groups.setdefault(find(v), []).append(v)
     ordered = [tuple(groups[root]) for root in sorted(groups)]
     if not ordered:
-        return Decomposition(components=((QuboModel(n=0, terms={}, offset=q.offset), ()),))
+        return ((QuboModel(n=0, terms={}, offset=q.offset), ()),)
 
     components = []
     for pos, index_map in enumerate(ordered):
@@ -69,7 +58,7 @@ def decompose_components(q: QuboModel) -> Decomposition:
         }
         offset = q.offset if pos == 0 else 0.0
         components.append((QuboModel(n=len(index_map), terms=terms, offset=offset), index_map))
-    return Decomposition(components=tuple(components))
+    return tuple(components)
 
 
 def fix_variables(q: QuboModel, assignment: Mapping[int, int]) -> QuboModel:

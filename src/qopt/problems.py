@@ -62,7 +62,6 @@ import numbers
 import random
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -107,8 +106,8 @@ class ProblemInstance:
 
     ``raw`` holds JSON-native family data (the payload compared for
     bit-identical regeneration). ``constrained`` is the pre-penalty form for
-    families that have one. ``meta`` records the seed, generator parameters,
-    and creation timestamp.
+    families that have one. ``meta`` records the seed and generator
+    parameters, plus a few family notes (a penalty, a crafted flag).
     """
 
     family: str
@@ -130,13 +129,7 @@ _Built = tuple[DiagonalObjective, ConstrainedModel | None]
 
 
 def _meta(seed, params: dict, **extra) -> dict:
-    out = {
-        "seed": None if seed is None else as_count("seed", seed, least=None),
-        "params": params,
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    out.update(extra)
-    return out
+    return {"seed": None if seed is None else as_count("seed", seed, least=None), "params": params, **extra}
 
 
 def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:

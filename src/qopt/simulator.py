@@ -96,7 +96,6 @@ __all__ = [
     "Statevector",
     "QaoaParams",
     "SampleSet",
-    "GibbsTable",
     "energy_table",
     "qaoa_state",
     "qaoa_value_and_gradient",
@@ -216,10 +215,11 @@ class SampleSet:
     at bit ``i``): ``indices`` is the strictly ascending ``int64`` array of
     distinct patterns that were hit, ``index_counts`` how often each one was
     drawn, and ``index_energies`` the energy of each; every set carries its
-    energies. The constructor checks the arrays (indices in ``[0, 2^n)``,
-    aligned shapes, counts of at least 1 that sum to ``shots``, finite
-    energies) and keeps read-only copies, so CVaR, sorting and best-pattern
-    lookups work on them directly. Packing limits patterns to 62 variables.
+    energies. The constructor checks the arrays (at least one shot, indices
+    in ``[0, 2^n)``, aligned shapes, counts of at least 1 that sum to
+    ``shots``, finite energies) and keeps read-only copies, so CVaR, sorting
+    and best-pattern lookups work on them directly. Packing limits patterns
+    to 62 variables.
     """
 
     n: int
@@ -230,7 +230,7 @@ class SampleSet:
     index_energies: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, least in (("n", None), ("shots", 0), ("seed", None)):
+        for name, least in (("n", None), ("shots", 1), ("seed", None)):
             object.__setattr__(self, name, as_count(name, getattr(self, name), least))
         if not 0 <= self.n <= _PACKED_BITS:
             raise ValueError(f"{self.n}-bit patterns do not fit the {_PACKED_BITS}-bit index packing limit")
@@ -294,21 +294,6 @@ def _frozen(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class GibbsTable:
-    """Exact Gibbs distribution of a diagonal objective.
-
-    ``log_z`` is the log of the partition function, finite and exact. With
-    imaginary-time evolution for time ``tau``, amplitudes are suppressed by
-    ``exp(-tau E)``, so the resulting measurement distribution equals this
-    table at ``beta = 2 tau``.
-    """
-
-    beta: float
-    probabilities: np.ndarray
-    log_z: float
 
 
 def energy_table(obj: DiagonalObjective) -> np.ndarray:
@@ -709,38 +694,19 @@ def anneal_trotter(obj: DiagonalObjective, T: float, steps: int) -> Statevector:
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 
-def gibbs_distribution(obj: DiagonalObjective, beta: float) -> GibbsTable:
-    """Exact Gibbs weights ``exp(-beta E(x)) / Z`` over all assignments.
+def gibbs_distribution(obj: DiagonalObjective, beta: float) -> np.ndarray:
+    """Exact Gibbs probabilities ``exp(-beta E(x)) / Z`` over all assignments.
 
     Weights are computed against the shifted exponent ``-beta (E - E_min)``
-    so the largest weight is exactly 1 and nothing overflows. ``log_z`` is
-    the log-sum-exp of ``-beta E``, taken as scipy's ``logsumexp`` takes
-    it, so it stays finite where ``Z`` itself would overflow.
+    so the largest weight is exactly 1 and nothing overflows. Imaginary-time
+    evolution for time ``tau`` suppresses amplitudes by ``exp(-tau E)``, so
+    its measurement distribution equals this one at ``beta = 2 tau``.
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
     table = energy_table(obj)
-    shifted = -beta * (table - table.min())
-    weights = np.exp(shifted)
-    total = weights.sum()
-    probs = weights / total
-    return GibbsTable(beta=beta, probabilities=probs, log_z=_logsumexp(-beta * table))
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """``log(sum(exp(a)))`` by scipy's method: the ``m`` largest entries
-    (``a_max``) are set apart, the sum ``s`` of the others' ``exp(a - a_max)``
-    is divided by ``m``, and ``log1p(s) + log(m) + a_max`` is returned, or
-    the direct formula where that is not finite (infinite or NaN entries)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        top = a == a_max
-        m = float(top.sum())
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+    weights = np.exp(-beta * (table - table.min()))
+    return weights / weights.sum()
 
 
 def ground_state_overlap(sv: Statevector, obj: DiagonalObjective) -> float:

@@ -8,7 +8,9 @@ While the session runs, ``sys.settrace`` and ``threading.settrace`` record
 each line that executes in a ``src/qopt`` file. At the end, the terminal
 summary lists every statement inside a function (or method) that never
 ran, as ``path:line: source``. Module-level statements are left out: they
-run on import. Tracing slows the suite several times over.
+run on import. A second section gives each module's line count and
+``ast.stmt`` count, and their totals. Tracing slows the suite several times
+over.
 """
 
 from __future__ import annotations
@@ -69,6 +71,16 @@ def _function_statements(tree: ast.Module):
                     stack.extend(child.body)
 
 
+def module_sizes() -> list[tuple[str, int, int]]:
+    """(module, lines, ``ast.stmt`` nodes) of each ``src/qopt`` module."""
+    sizes = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        stmts = sum(isinstance(node, ast.stmt) for node in ast.walk(ast.parse(text)))
+        sizes.append((path.name, len(text.splitlines()), stmts))
+    return sizes
+
+
 def never_ran() -> list[tuple[str, int, str]]:
     """(path, line, source) of each function statement with no traced line."""
     missed = []
@@ -98,3 +110,7 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section(f"linecov: {len(missed)} function statements in src/qopt never ran")
     for path, line, text in missed:
         terminalreporter.write_line(f"{path}:{line}: {text}")
+    sizes = module_sizes()
+    terminalreporter.section("linecov: src/qopt size (lines, statements)")
+    for name, lines, stmts in [*sizes, ("total", sum(s[1] for s in sizes), sum(s[2] for s in sizes))]:
+        terminalreporter.write_line(f"{name:<16}{lines:>6}{stmts:>6}")

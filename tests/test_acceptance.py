@@ -52,7 +52,7 @@ def qaoa_suite_ratios(p):
         ref = brute_force(inst)
         res = qaoa_solve(inst, p=p, optimizer_budget=1000, seed=0)
         ar = approximation_ratio(res.extras["mean_energy"], ref.c_min, ref.c_max)
-        ratios.append((n, graph_seed, ar.ratio))
+        ratios.append((n, graph_seed, ar))
     return ratios
 
 

@@ -20,7 +20,6 @@ import pytest
 from qopt.bench import (
     CSV_HEADER,
     SOLVERS,
-    ApproximationRatio,
     BenchmarkConfig,
     BenchmarkRecord,
     approximation_ratio,
@@ -60,16 +59,17 @@ def make_record(**overrides):
 
 class TestApproximationRatio:
     def test_endpoints(self):
-        assert approximation_ratio(-10.0, -10.0, 0.0) == ApproximationRatio(1.0, False)
-        assert approximation_ratio(0.0, -10.0, 0.0) == ApproximationRatio(0.0, False)
+        assert approximation_ratio(-10.0, -10.0, 0.0) == 1.0
+        assert approximation_ratio(0.0, -10.0, 0.0) == 0.0
 
     def test_two_sample_mean(self):
         # Energies {0, 2} with equal weight: mean 1 on range [0, 2].
-        assert approximation_ratio(1.0, 0.0, 2.0).ratio == 0.5
+        assert approximation_ratio(1.0, 0.0, 2.0) == 0.5
 
     def test_clamping_flags(self):
-        assert approximation_ratio(-12.0, -10.0, 0.0) == ApproximationRatio(1.0, True)
-        assert approximation_ratio(3.0, -10.0, 0.0) == ApproximationRatio(0.0, True)
+        assert approximation_ratio(-12.0, -10.0, 0.0) == 1.0
+        assert approximation_ratio(3.0, -10.0, 0.0) == 0.0
+        assert math.isnan(approximation_ratio(math.nan, -10.0, 0.0))
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
@@ -81,15 +81,11 @@ class TestApproximationRatio:
             c_min, spread = rng.normal(), abs(rng.normal()) + 0.1
             c_max = c_min + spread
             v = rng.uniform(c_min, c_max)
-            base = approximation_ratio(v, c_min, c_max).ratio
+            base = approximation_ratio(v, c_min, c_max)
             off = rng.normal() * 10
             scale = rng.uniform(0.1, 50)
-            assert approximation_ratio(v + off, c_min + off, c_max + off).ratio == pytest.approx(
-                base, abs=1e-12
-            )
-            assert approximation_ratio(v * scale, c_min * scale, c_max * scale).ratio == pytest.approx(
-                base, abs=1e-12
-            )
+            assert approximation_ratio(v + off, c_min + off, c_max + off) == pytest.approx(base, abs=1e-12)
+            assert approximation_ratio(v * scale, c_min * scale, c_max * scale) == pytest.approx(base, abs=1e-12)
 
 
 def timed_result(energy, seconds, certificate=False):
@@ -474,7 +470,7 @@ class TestEmitReport:
         for rec in records:
             c_min, c_max = rec.extras["c_min"], rec.extras["c_max"]
             recomputed = [
-                approximation_ratio(e, c_min, c_max).ratio for e in rec.extras["mean_energies"]
+                approximation_ratio(e, c_min, c_max) for e in rec.extras["mean_energies"]
             ]
             assert rec.ar_mean == pytest.approx(sum(recomputed) / len(recomputed), abs=1e-12)
             emitted = float(emit_report([rec], "csv").splitlines()[1].split(",")[4])

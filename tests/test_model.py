@@ -153,6 +153,8 @@ class TestQuboModel:
             QuboModel(n=2, terms={(0, 2): 1.0})
         with pytest.raises(ValueError):
             QuboModel(n=2, terms={(0, 1): float("nan")})
+        with pytest.raises(ValueError, match="offset is not finite"):
+            QuboModel(n=2, offset=math.inf)
 
     def test_rejects_bad_assignment(self):
         q = QuboModel(n=2, terms={(0, 1): 1.0})
@@ -218,6 +220,12 @@ class TestIsingModel:
             IsingModel(n=2, J={(1, 0): 1.0})
         with pytest.raises(ValueError):
             IsingModel(n=2, h=(1.0,))
+        with pytest.raises(ValueError, match="field entries must be finite"):
+            IsingModel(n=2, h=(1.0, math.nan))
+        with pytest.raises(ValueError, match=r"coupling for pair \(0, 1\) is not finite"):
+            IsingModel(n=2, J={(0, 1): math.inf})
+        with pytest.raises(ValueError, match="offset is not finite"):
+            IsingModel(n=2, offset=-math.inf)
 
     def test_rejects_bad_cubic_terms(self):
         # Family payloads are refused before they get here; the model keeps its own check.
@@ -229,6 +237,8 @@ class TestIsingModel:
         m = IsingModel(n=2, h=(1.0, 1.0))
         with pytest.raises(ValueError):
             m.energy((0, 1))
+        with pytest.raises(ValueError, match="spin vector has length 1, model has 2 spins"):
+            m.energy((1,))
 
     def test_fractional_spins_are_not_rounded(self):
         # 1.3 once read as +1 and -1.9 as -1.
@@ -415,6 +425,14 @@ class TestPenaltyEncode:
             penalty_encode(
                 ConstrainedModel(objective=q, inequalities=(LinearConstraint((0.5, 1.0), 1.0),))
             )
+        # Constraint data that is not finite, or that does not match the
+        # objective, is refused before any encoding.
+        with pytest.raises(ValueError, match="constraint coefficients must be finite"):
+            LinearConstraint((1.0, math.nan), 1.0)
+        with pytest.raises(ValueError, match="constraint bound must be finite"):
+            LinearConstraint((1.0, 1.0), math.inf)
+        with pytest.raises(ValueError, match="constraint has 3 coefficients, objective has 2 variables"):
+            ConstrainedModel(objective=q, equalities=(LinearConstraint((1.0, 1.0, 1.0), 1.0),))
 
     def test_redundant_zero_equality_dropped(self):
         q = QuboModel(n=2, terms={(0, 1): 1.0})
@@ -504,6 +522,8 @@ class TestDensity:
     def test_rejects_tiny_models(self):
         with pytest.raises(ValueError):
             density(QuboModel(n=1, terms={}))
+        with pytest.raises(TypeError, match="density needs a quadratic model, got DiagonalObjective"):
+            density(QuboModel(n=2).as_objective())
 
 
 class TestJson:
@@ -512,6 +532,8 @@ class TestJson:
         data = model_to_json(q)
         assert data == {"n": 3, "terms": [[0, 1, -1.5], [2, 2, 2.0]], "offset": 0.25}
         assert json.loads(json.dumps(data)) == data
+        with pytest.raises(TypeError, match="cannot serialize IsingModel"):
+            model_to_json(IsingModel(n=1))
 
     def test_constrained_round_trip(self):
         cm = ConstrainedModel(

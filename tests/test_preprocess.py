@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qopt.model import QuboModel
-from qopt.preprocess import Decomposition, decompose_components, fix_variables
+from qopt.preprocess import decompose_components, fix_variables
 
 
 def all_bits(n):
@@ -33,37 +33,37 @@ class TestDecompose:
     def test_two_disjoint_edges(self):
         q = QuboModel(n=4, terms={(0, 1): 1.0, (2, 3): -2.0})
         dec = decompose_components(q)
-        assert len(dec.components) == 2
-        sizes = [sub.n for sub, _ in dec.components]
+        assert len(dec) == 2
+        sizes = [sub.n for sub, _ in dec]
         assert sizes == [2, 2]
-        maps = [m for _, m in dec.components]
+        maps = [m for _, m in dec]
         assert maps == [(0, 1), (2, 3)]
 
     def test_complete_graph_single_component(self):
         q = QuboModel(n=5, terms={(i, j): 1.0 for i in range(5) for j in range(i + 1, 5)})
         dec = decompose_components(q)
-        assert len(dec.components) == 1
-        assert dec.components[0][1] == (0, 1, 2, 3, 4)
+        assert len(dec) == 1
+        assert dec[0][1] == (0, 1, 2, 3, 4)
 
     def test_isolated_variables_are_singletons(self):
         q = QuboModel(n=3, terms={(1, 1): 2.0})
         dec = decompose_components(q)
-        assert [m for _, m in dec.components] == [(0,), (1,), (2,)]
+        assert [m for _, m in dec] == [(0,), (1,), (2,)]
 
     def test_offset_on_first_component_only(self):
         q = QuboModel(n=4, terms={(0, 1): 1.0, (2, 3): 1.0}, offset=7.0)
         dec = decompose_components(q)
-        assert dec.components[0][0].offset == 7.0
-        assert dec.components[1][0].offset == 0.0
+        assert dec[0][0].offset == 7.0
+        assert dec[1][0].offset == 0.0
 
     def test_index_maps_partition_range(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             q = random_sparse(rng, int(rng.integers(1, 13)))
             dec = decompose_components(q)
-            seen = sorted(v for _, m in dec.components for v in m)
+            seen = sorted(v for _, m in dec for v in m)
             assert seen == list(range(q.n))
-            for sub, index_map in dec.components:
+            for sub, index_map in dec:
                 assert all(0 <= i <= j < sub.n for i, j in sub.terms)
 
     def test_component_optima_concatenate_to_global(self):
@@ -71,9 +71,9 @@ class TestDecompose:
         for _ in range(15):
             q = random_sparse(rng, 12)
             dec = decompose_components(q)
-            parts = [brute(sub) for sub, _ in dec.components]
+            parts = [brute(sub) for sub, _ in dec]
             merged = [0] * q.n
-            for (_, index_map), (_, bits) in zip(dec.components, parts):
+            for (_, index_map), (_, bits) in zip(dec, parts):
                 for local, original in enumerate(index_map):
                     merged[original] = bits[local]
             total = sum(value for value, _ in parts)
@@ -83,8 +83,8 @@ class TestDecompose:
 
     def test_empty_model(self):
         dec = decompose_components(QuboModel(n=0, terms={}, offset=1.5))
-        assert len(dec.components) == 1
-        assert dec.components[0][0].offset == 1.5
+        assert len(dec) == 1
+        assert dec[0][0].offset == 1.5
 
 
 class TestFixVariables:
@@ -143,7 +143,7 @@ class TestFixVariables:
 class TestDecompositionType:
     def test_components_are_models_with_maps(self):
         dec = decompose_components(QuboModel(n=2, terms={(0, 1): 1.0}))
-        assert isinstance(dec, Decomposition)
-        sub, index_map = dec.components[0]
+        assert isinstance(dec, tuple)
+        sub, index_map = dec[0]
         assert isinstance(sub, QuboModel)
         assert index_map == (0, 1)

@@ -155,6 +155,8 @@ class TestMis:
         inst = gen_mis(3, points=pts, unit_disc=True, seed=0)
         assert inst.family == "udmis"
         assert inst.raw["edges"] == [[0, 1]]
+        with pytest.raises(ValueError, match="got 3 points for n=4 vertices"):
+            gen_mis(4, points=pts, unit_disc=True, seed=0)
 
     def test_unit_disc_sampled_points_stay_in_square(self):
         inst = gen_mis(9, unit_disc=True, seed=4)
@@ -165,12 +167,18 @@ class TestMis:
         # A G(n, p) draw would otherwise ignore the side it was asked for.
         with pytest.raises(ValueError):
             gen_mis(6, side=2.0, seed=1)
+        for side in (0.0, -1.0):
+            with pytest.raises(ValueError, match="square side must be positive"):
+                gen_mis(6, unit_disc=True, side=side, seed=1)
 
     def test_edge_prob_with_unit_disc_rejected(self):
         # A unit-disc draw would otherwise ignore the edge probability.
         with pytest.raises(ValueError):
             gen_mis(6, unit_disc=True, edge_prob=0.9, seed=1)
         assert gen_mis(6, seed=1).meta["params"]["edge_prob"] == 0.3
+        for edge_prob in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\]"):
+                gen_mis(6, edge_prob=edge_prob, seed=1)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):

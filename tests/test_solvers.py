@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from qopt import _checks
+from qopt.bench import SOLVERS
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
@@ -897,6 +898,48 @@ def test_float_counts_raise_naming_the_parameter(name, call):
     obj = gen_maxcut_r3r(6, seed=0).objective
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
         call(obj)
+
+
+# Each family from its least size: a cubic term needs three spins, a LABS
+# sequence two symbols.
+BOUNDARY_FAMILIES = {
+    "quadratic": (0, lambda n: QuboModel(
+        n=n, terms={**{(i, i): 1.0 - i % 3 for i in range(n)}, **{(i, i + 1): 2.0 for i in range(n - 1)}},
+    ).as_objective()),
+    "cubic": (3, lambda n: IsingModel(
+        n=n, h={i: 0.5 for i in range(n)}, J={(i, i + 1): -1.0 for i in range(n - 1)},
+    ).as_objective(cubic=[(i, i + 1, i + 2, 1.0) for i in range(n - 2)])),
+    "labs": (2, lambda n: gen_labs(n).objective),
+}
+BOUNDARY_BUDGETS = {
+    "brute-force": {},
+    "annealing": {"sweeps": 5},
+    "grover": {"max_rounds": 4},
+    "qaoa": {"optimizer_budget": 8},
+    "rqaoa": {"optimizer_budget": 8},
+}
+
+
+@pytest.mark.parametrize("solver", list(BOUNDARY_BUDGETS))
+def test_boundary_sizes_solve_or_refuse_in_one_line(solver, monkeypatch):
+    # Every bench solver at the sizes around the statevector cap, the
+    # streaming limit (cap + 4) and the 62-bit packing limit, on a quadratic,
+    # a cubic and a LABS objective: each run succeeds or refuses in one line.
+    cap = 6
+    monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(cap))
+    assert list(BOUNDARY_BUDGETS) == list(SOLVERS)
+    for family, (least, make) in BOUNDARY_FAMILIES.items():
+        for n in (0, 1, 2, cap, cap + 1, cap + 4, cap + 5, 62, 63, 64):
+            if n < least:
+                continue
+            obj = make(n)
+            try:
+                result = SOLVERS[solver](obj, **BOUNDARY_BUDGETS[solver])
+            except (CapacityError, ValueError, TypeError) as exc:
+                # Up to the cap every run succeeds.
+                assert n > cap and str(exc) and "\n" not in str(exc), (family, n, exc)
+            else:
+                assert_self_consistent(result, obj)
 
 
 class TestSolveResultJson:
