@@ -29,12 +29,21 @@ Both layers are exact kernels over the energy table, which
 objective's program (a model view doubles its per-variable program into
 one array; see :mod:`qopt.model`).
 The phase takes one complex ``exp`` per distinct energy and gathers it
-through each pattern's level index, which equals
-``exp(-1j * g * table)`` element for element. The mixer updates each qubit
-in place: the bit-flipped partners, scaled by the off-diagonal, go to one
-scratch buffer per call, the state is scaled by the diagonal, and the two
-are added, so the mixer does the same floating-point operations as a plain
-2x2 update.
+through each pattern's level index into the run's scratch buffer, which
+equals ``exp(-1j * g * table)`` element for element. The mixer and its
+generator ``B = sum_i X_i`` share one layer kernel, which applies the
+qubits in order, a group at a time. A state below 2^12 amplitudes is one
+group, updated in place. A larger one is cut into groups of at most 9
+qubits, each applied to cache-sized tiles of at most 2^15 amplitudes
+(512 KiB), gathered into a contiguous buffer so that every qubit of the
+group has a contiguous run of at least 64 amplitudes; the lowest group's
+tiles are transposed, and the top group of a state of at most two tiles
+stays in place. Per qubit, the bit-flipped partners, scaled by the
+off-diagonal, go to a buffer, the state is scaled by the diagonal, and the
+two are added, so however it is tiled, each amplitude goes through the
+same floating-point operations as in a plain 2x2 update, qubit by qubit.
+The mixer's tiles live in the caller's scratch buffer; the generator
+gathers into at most two tiles of its own.
 
 A layered run on an objective of two or more variables whose table
 equals its own reverse bit for bit, ``E(x) == E(not x)`` for every pattern
@@ -75,6 +84,7 @@ also costs more than the sum.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -112,6 +122,8 @@ DEFAULT_CAP = 24
 _CAP_ENV = "QOPT_STATEVECTOR_CAP"
 _NORM_TOL = 1e-10
 _PACKED_BITS = 62  # widest pattern a SampleSet packs into an int64 index
+_TILE_BITS = 15  # a layer-kernel tile holds at most 2^15 amplitudes (512 KiB)
+_RUN_BITS = 6  # shortest contiguous run a tile leaves any qubit: 2^6 amplitudes
 
 
 class CapacityError(RuntimeError):
@@ -315,14 +327,21 @@ def energy_table(obj: DiagonalObjective) -> np.ndarray:
 def _energy_levels(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
     """Distinct energies of ``obj`` and each pattern's position among them.
 
-    ``levels[level_of]`` reproduces :func:`energy_table` exactly; both arrays
-    are cached on the objective next to the table.
+    ``levels[level_of]`` reproduces :func:`energy_table`, or on a
+    :func:`_flip_symmetric` objective its lower half: every layered run on
+    such an objective is folded and reads only that half (see the module
+    docstring), and the half holds every distinct energy, since the upper
+    half is its mirror. Both arrays are cached on the objective next to the
+    table.
     """
     found = obj._cache.get("energy_levels")
     if found is None:
-        levels, level_of = np.unique(energy_table(obj), return_inverse=True)
+        table = energy_table(obj)
+        if _flip_symmetric(obj):
+            table = table[: table.size // 2]
+        levels, level_of = np.unique(table, return_inverse=True)
+        # ``level_of`` stays writeable: np.take copies read-only indices.
         levels.setflags(write=False)
-        level_of.setflags(write=False)
         found = obj._cache["energy_levels"] = (levels, level_of)
     return found
 
@@ -368,50 +387,149 @@ def _whole(values: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([values, values[::-1]]) if _folded(values, n) else values
 
 
-def _apply_phase(amps: np.ndarray, levels: np.ndarray, level_of: np.ndarray, angle: float) -> None:
-    # One complex exp per distinct energy, then a gather: element for element
-    # this is exp(-1j * angle * table), since levels[level_of] == table. A
-    # folded state gathers through the lower half of ``level_of``.
-    amps *= np.exp(-1j * angle * levels)[level_of[: amps.size]]
+def _apply_phase(amps: np.ndarray, scratch: np.ndarray, levels: np.ndarray, level_of: np.ndarray, angle: float) -> None:
+    # One complex exp per distinct energy, gathered into ``scratch`` (a
+    # caller-owned buffer of the state's size) and multiplied in: element for
+    # element this is exp(-1j * angle * table), since levels[level_of] ==
+    # table. A folded state gathers through the lower half of ``level_of``.
+    # Nothing else of the state's size is allocated: the levels are made
+    # complex before the product, so numpy casts no buffer for it; the exp
+    # is taken in place; and the indices are in range, so mode "wrap"
+    # gathers the same values, where the default "raise" would gather into
+    # a temporary first.
+    phases = levels.astype(np.complex128)
+    phases *= -1j * angle
+    np.exp(phases, out=phases)
+    np.take(phases, level_of[: amps.size], out=scratch, mode="wrap")
+    amps *= scratch
 
 
-def _apply_mixer(amps: np.ndarray, scratch: np.ndarray, n: int, beta: float) -> None:
-    # One 2x2 rotation per qubit, in place. Bit i has stride 2^i, so axis 1 of
-    # the (high, 2, low) reshape addresses exactly that qubit and reversing it
-    # pairs every amplitude with its bit-flipped partner. Per qubit: the
-    # partner times the off-diagonal goes to ``scratch``, the state is scaled
-    # by the diagonal, and the two are added; ``scratch`` is a caller-owned
-    # buffer of the state's size. On a folded state the partner of x under
-    # qubit n-1 is 2^(n-1) - 1 - x, the reversed half.
-    cb = math.cos(beta)
-    isb = 1j * math.sin(beta)
-    folded = _folded(amps, n)
-    for i in range(n - 1 if folded else n):
-        shape = (amps.size >> (i + 1), 2, 1 << i)
-        view = amps.reshape(shape)
-        flipped = scratch.reshape(shape)
-        np.multiply(view[:, ::-1, :], isb, out=flipped)
-        view *= cb
-        view += flipped
-    if folded:
-        np.multiply(amps[::-1], isb, out=scratch)
-        amps *= cb
-        amps += scratch
+@functools.cache
+def _groups(m: int) -> tuple[tuple[int, int], ...]:
+    """The qubit ranges ``[s, e)`` the layer kernel applies one group at a time.
+
+    Each group is small enough that a tile of ``2^_TILE_BITS`` amplitudes
+    (or the whole state, if smaller) leaves every qubit of the group a
+    contiguous run of at least ``2^_RUN_BITS`` amplitudes.
+    """
+    count = -(-m // (min(m, _TILE_BITS) - _RUN_BITS))
+    bounds = [m * i // count for i in range(count + 1)]
+    return tuple(zip(bounds, bounds[1:]))
 
 
-def _apply_generator(out: np.ndarray, amps: np.ndarray, n: int) -> None:
-    # ``out = B @ amps`` for the mixer's generator ``B = sum_i X_i``, so that
-    # the mixing layer is ``exp(1j * beta * B)``. Same (high, 2, low) views
-    # and folding as :func:`_apply_mixer`.
-    out[:] = 0.0
-    folded = _folded(amps, n)
-    for i in range(n - 1 if folded else n):
-        shape = (amps.size >> (i + 1), 2, 1 << i)
-        src = amps.reshape(shape)
-        dst = out.reshape(shape)
-        dst += src[:, ::-1, :]
-    if folded:
-        out += amps[::-1]
+@functools.cache
+def _block_shapes(size: int, g: int) -> tuple[tuple[int, int, int], ...]:
+    # The (blocks, 2, half) view of a ``size``-long array for each of its top
+    # ``g`` bits, lowest first.
+    return tuple((1 << (g - 1 - i), 2, size >> (g - i)) for i in range(g))
+
+
+def _apply_x(src: np.ndarray, dst: np.ndarray, n: int, beta: float | None = None) -> None:
+    """The layer kernel: the mixer on ``src`` in place, or the generator into ``dst``.
+
+    With an angle, ``src`` becomes ``exp(1j * beta * B) src`` and ``dst``,
+    the caller's buffer of the state's size, is scratch. With ``beta`` None,
+    ``dst`` becomes ``B src`` for ``B = sum_i X_i`` and ``src`` is left as
+    it is. A folded state (see the module docstring) takes qubit ``n-1``
+    last, against its mirror.
+
+    The qubits go in order, one group of :func:`_groups` at a time (below
+    ``2^(2 * _RUN_BITS)`` amplitudes, one group in place). Each tile, the
+    group's ``2^g`` patterns by a block of the other bits, is gathered into
+    a contiguous buffer whose top bits are the group's, updated there and
+    written back; the lowest group's tiles are transposed blocks, and the
+    top group of a state of at most two tiles needs no gather. The mixer's
+    buffers are two tiles of ``dst`` (or ``dst`` and ``src`` itself when
+    one tile is the whole state); the generator's are one or two tiles of
+    its own.
+
+    Per qubit, bit i of the group splits the tile into blocks of two halves,
+    and reversing the halves pairs every amplitude with its bit-flipped
+    partner. The mixer puts the partners times ``i sin beta`` in a buffer,
+    scales the tile by ``cos beta`` and adds the two: the same operations as
+    a plain 2x2 update. The generator adds the partners to a sum that starts
+    at zero.
+    """
+    size = src.size
+    m = size.bit_length() - 1
+    mix = beta is not None
+    cb = isb = None
+    if mix:
+        # numpy scalars of the values a Python float and complex would be
+        # converted to, which saves that conversion on every call.
+        cb = np.complex128(math.cos(beta))
+        isb = np.complex128(1j * math.sin(beta))
+    if m < 2 * _RUN_BITS:
+        groups, tile = ((0, m),), size
+        if not mix:
+            dst.fill(0.0)
+    else:
+        groups, tile = _groups(m), min(size, 1 << _TILE_BITS)
+        if mix:
+            buf, sums = (dst, src) if tile == size else (dst[:tile], dst[tile : 2 * tile])
+        else:
+            buf = dst if tile == size else np.empty(tile, dtype=np.complex128)
+            sums = np.empty(tile, dtype=np.complex128)
+    for s, e in groups:
+        g = e - s
+        if e == m and size <= 2 * tile:
+            # The top group of a state that fits two tiles is updated in
+            # place: its runs are long, and the state with its partners
+            # stays in cache, so a gather would only add passes.
+            corners = (None,)
+        else:
+            width = min(1 << s, tile >> g)
+            rows = (tile >> g) // width
+            shape = (1 << g, rows, width)
+            src3 = src.reshape(-1, 1 << g, 1 << s)
+            dst3 = dst.reshape(-1, 1 << g, 1 << s)
+            corners = [(h, c) for h in range(0, src3.shape[0], rows) for c in range(0, 1 << s, width)]
+        for corner in corners:
+            if corner is None:
+                tile_src, tile_dst, partner = src, src if mix else dst, dst if mix else None
+            else:
+                h, c = corner
+                view = src3[h : h + rows, :, c : c + width].transpose(1, 0, 2)
+                np.copyto(buf.reshape(shape), view)
+                tile_src, tile_dst, partner = buf, buf if mix else sums, sums if mix else None
+                if not mix:
+                    out = dst3[h : h + rows, :, c : c + width].transpose(1, 0, 2)
+                    if s:
+                        np.copyto(sums.reshape(shape), out)
+                    else:
+                        sums.fill(0.0)
+            for blocks in _block_shapes(tile_src.size, g):
+                if not mix:
+                    view3 = tile_dst.reshape(blocks)
+                    view3 += tile_src.reshape(blocks)[:, ::-1, :]
+                    continue
+                if blocks[0] == 1:
+                    # One block: its halves are contiguous, and so are their
+                    # partners, so the products need no copy.
+                    half = blocks[2]
+                    np.multiply(tile_src[half:], isb, partner[:half])
+                    np.multiply(tile_src[:half], isb, partner[half:])
+                else:
+                    partner.reshape(blocks)[...] = tile_src.reshape(blocks)[:, ::-1, :]
+                    partner *= isb
+                tile_src *= cb
+                tile_src += partner
+            if corner is not None:
+                np.copyto(view if mix else out, tile_dst.reshape(shape))
+    if _folded(src, n):
+        # Qubit n-1 of a folded state: the partner of x is 2^(n-1) - 1 - x.
+        if mix:
+            np.multiply(src[::-1], isb, out=dst)
+            src *= cb
+            src += dst
+        else:
+            dst += src[::-1]
+
+
+# The kernel under the names its two uses are called, and counted, by:
+# ``_apply_mixer(amps, scratch, n, beta)`` sets ``amps = exp(1j * beta * B)
+# amps``, and ``_apply_generator(amps, out, n)`` sets ``out = B @ amps``.
+_apply_mixer = _apply_generator = _apply_x
 
 
 def _imag_inner(a: np.ndarray, b: np.ndarray, n: int) -> float:
@@ -451,7 +569,7 @@ def _evolve(obj: DiagonalObjective, layers) -> np.ndarray:
     levels, level_of = _energy_levels(obj)
     scratch = np.empty_like(amps)
     for gamma, beta in layers:
-        _apply_phase(amps, levels, level_of, gamma)
+        _apply_phase(amps, scratch, levels, level_of, gamma)
         _apply_mixer(amps, scratch, obj.n, beta)
     return amps
 
@@ -504,7 +622,7 @@ def qaoa_value_and_gradient(obj: DiagonalObjective, params: QaoaParams) -> tuple
     phis = []
     scratch = np.empty_like(psi)
     for j, (gamma, beta) in enumerate(zip(params.gammas, params.betas)):
-        _apply_phase(psi, levels, level_of, gamma)
+        _apply_phase(psi, scratch, levels, level_of, gamma)
         if j >= p - kept:
             phis.append(psi.copy())
         _apply_mixer(psi, scratch, n, beta)
@@ -517,26 +635,29 @@ def qaoa_value_and_gradient(obj: DiagonalObjective, params: QaoaParams) -> tuple
             phi = phis.pop()
         else:
             # No copy was kept of phi_j: step phi_(j+1) down to it.
-            _apply_phase(phi, levels, level_of, -params.gammas[j + 1])
+            _apply_phase(phi, scratch, levels, level_of, -params.gammas[j + 1])
             _apply_mixer(phi, scratch, n, -params.betas[j])
         _apply_mixer(lam, scratch, n, -params.betas[j])
-        _apply_generator(scratch, phi, n)
+        _apply_generator(phi, scratch, n)
         grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
         np.multiply(phi, table, out=scratch)
         grad[j] = 2.0 * _imag_inner(lam, scratch, n)
         if j:
-            _apply_phase(lam, levels, level_of, -params.gammas[j])
+            _apply_phase(lam, scratch, levels, level_of, -params.gammas[j])
     return value, grad
 
 
 def _p1_couplings(obj: DiagonalObjective) -> tuple:
     """Arrays of ``obj.spin_model()`` for :func:`qaoa_p1_energy`.
 
-    Returns the fields ``h``, the symmetric coupling matrix ``J`` (zero
-    diagonal), the coupled pairs ``u < v`` in row-major order with their
-    couplings, each pair's two coupling rows with the pair's own entry
-    zeroed, and the offset. All are cached on the objective next to its
-    energy table.
+    Returns the fields ``h``; each variable's couplings; the coupled pairs
+    ``u < v`` in row-major order with their couplings; for each pair, the
+    couplings of ``u`` and of ``v`` to every other variable coupled to
+    either; and the offset. Each row lists its nonzero columns in ascending
+    order and is zero-padded to the longest, so a product of cosines over
+    it equals the product over the whole row of the coupling matrix: a
+    zero contributes ``cos 0 = 1``, and numpy multiplies along a row in
+    index order. All are cached on the objective next to its energy table.
     """
     found = obj._cache.get("p1_couplings")
     if found is None:
@@ -552,8 +673,20 @@ def _p1_couplings(obj: DiagonalObjective) -> tuple:
         rows_u, rows_v = J[us], J[vs]
         rows_u[np.arange(us.size), vs] = 0.0
         rows_v[np.arange(us.size), us] = 0.0
-        found = obj._cache["p1_couplings"] = (h, J, us, vs, J[us, vs], rows_u, rows_v, src.offset)
+        either = (rows_u != 0.0) | (rows_v != 0.0)
+        found = obj._cache["p1_couplings"] = (
+            h, _packed(J, J != 0.0), us, vs, J[us, vs],
+            _packed(rows_u, either), _packed(rows_v, either), src.offset,
+        )
     return found
+
+
+def _packed(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    # Each row's entries where ``keep`` holds, in column order, zero-padded
+    # to the longest; ``rows`` is zero wherever ``keep`` does not hold.
+    width = int(keep.sum(axis=1).max(initial=0))
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(rows, order, axis=1)
 
 
 def qaoa_p1_energy(obj: DiagonalObjective, gammas, betas) -> np.ndarray:
@@ -576,17 +709,17 @@ def qaoa_p1_energy(obj: DiagonalObjective, gammas, betas) -> np.ndarray:
     where ``b' = -b``, since qopt's mixer is ``exp(+i b X)`` per qubit. The
     angles may be complex, and the result is then complex: the imaginary
     part of ``qaoa_p1_energy(obj, [g + 1e-30j], [b])`` over ``1e-30`` is the
-    exact ``g`` derivative (a complex step). Each pair costs ``O(n)``, so a
-    call costs ``O(len(gammas) * pairs * n)``; the sums are numpy's fixed
-    order, never BLAS.
+    exact ``g`` derivative (a complex step). The products run over the
+    nonzero couplings only (``cos 0 = 1``), so a pair costs the degrees of
+    its two variables and a call ``O(len(gammas) * pairs * degree)``; the
+    sums are numpy's fixed order, never BLAS.
     """
-    h, J, us, vs, j_pair, rows_u, rows_v, offset = _p1_couplings(obj)
+    h, fields, us, vs, j_pair, rows_u, rows_v, offset = _p1_couplings(obj)
     g2 = 2.0 * np.asarray(gammas)[:, None]
     b2 = -2.0 * np.asarray(betas)[:, None]
     sin2b = np.sin(b2)
     g3 = g2[:, :, None]
-    # Each variable's <Z_u> over all w: the zero diagonal contributes cos 0 = 1.
-    field_prod = np.cos(g3 * J).prod(axis=-1)
+    field_prod = np.cos(g3 * fields).prod(axis=-1)
     energy = (h * (sin2b * np.sin(g2 * h) * field_prod)).sum(axis=-1)
     h_u, h_v = h[us], h[vs]
     first = np.sin(g2 * j_pair) * (

@@ -55,25 +55,49 @@ def single_spin_oracle(gamma, beta):
     return state, float((np.abs(state) ** 2 @ np.array([1.0, -1.0])).real)
 
 
+def reference_mixer(amps, beta):
+    """Loop reference for the mixer: a plain 2x2 update per qubit, in qubit
+    order, each from a contiguous copy of the qubit's bit-0 half."""
+    amps = np.array(amps, dtype=np.complex128)
+    n = amps.size.bit_length() - 1
+    cb = math.cos(beta)
+    isb = 1j * math.sin(beta)
+    for i in range(n):
+        view = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
+        a0 = view[:, 0, :].copy()
+        a1 = view[:, 1, :]
+        view[:, 0, :] = cb * a0 + isb * a1
+        view[:, 1, :] = isb * a0 + cb * a1
+    return amps
+
+
+def reference_generator(amps):
+    """Loop reference for the generator ``B = sum_i X_i``: each qubit's
+    bit-flipped partners, gathered into a contiguous copy, added to a zeroed
+    sum in qubit order."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    n = amps.size.bit_length() - 1
+    out = np.zeros_like(amps)
+    for i in range(n):
+        view = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
+        partners = np.empty_like(view)
+        partners[:, 0, :] = view[:, 1, :]
+        partners[:, 1, :] = view[:, 0, :]
+        out += partners.reshape(-1)
+    return out
+
+
 def reference_layers(amps, table, layers):
     """Loop reference for the kernels: full-table phase, per-qubit 2x2 mixer.
 
-    Each layer multiplies by ``exp(-1j * g * table)`` and then rotates every
-    qubit from a contiguous copy of its bit-0 half. The simulator's level
-    lookup and in-place flip update must reproduce this arithmetic.
+    Each layer multiplies by ``exp(-1j * g * table)`` and then applies
+    :func:`reference_mixer`. The simulator's level lookup and tiled layer
+    kernel must reproduce this arithmetic.
     """
     amps = np.array(amps, dtype=np.complex128)
-    n = amps.size.bit_length() - 1
     for gamma, beta in layers:
         amps *= np.exp(-1j * gamma * table)
-        cb = math.cos(beta)
-        isb = 1j * math.sin(beta)
-        for i in range(n):
-            view = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
-            a0 = view[:, 0, :].copy()
-            a1 = view[:, 1, :]
-            view[:, 0, :] = cb * a0 + isb * a1
-            view[:, 1, :] = isb * a0 + cb * a1
+        amps = reference_mixer(amps, beta)
     return amps
 
 
@@ -266,14 +290,38 @@ class TestKernels:
         assert np.array_equal(anneal_trotter(obj, T, steps).amplitudes, ref)
 
     def test_energy_levels_rebuild_the_table(self):
-        from qopt.simulator import _energy_levels
+        # On a flip-symmetric objective the levels index only the lower half
+        # of the table: every layered run there is folded and reads no more.
+        folded, full = KERNEL_CASES["maxcut-r3r"](), KERNEL_CASES["portfolio"]()
+        for obj, size in ((folded, 2 ** (folded.n - 1)), (full, 2**full.n)):
+            levels, level_of = _energy_levels(obj)
+            assert np.array_equal(levels[level_of], energy_table(obj)[:size])
+            assert np.array_equal(levels, np.unique(energy_table(obj)))
+            assert level_of.dtype == np.intp and level_of.size == size
+            assert _energy_levels(obj)[1] is level_of
+        assert _energy_levels(folded)[0].size < 2 ** (folded.n - 1)
 
-        obj = KERNEL_CASES["maxcut-r3r"]()
-        levels, level_of = _energy_levels(obj)
-        assert np.array_equal(levels[level_of], energy_table(obj))
-        assert level_of.dtype == np.intp
-        assert levels.size < 2**obj.n
-        assert _energy_levels(obj)[1] is level_of
+    def test_phase_allocates_only_the_distinct_exps(self):
+        # Every energy of this portfolio is distinct, so its exps are as
+        # large as the state. The gather goes into the run's scratch buffer:
+        # a run holds the state, the scratch and the exps (3x the state, on
+        # top of the cached table and levels), not a gathered copy as well
+        # (4x). The quarter state of slack covers Python objects, and a line
+        # tracer's own, at this small size.
+        import tracemalloc
+
+        obj = gen_portfolio(12, 4, seed=1).objective
+        assert _energy_levels(obj)[0].size == 2**obj.n
+        params = QaoaParams(p=2, gammas=(0.3, 0.2), betas=(0.2, 0.1))
+        qaoa_state(obj, params)
+        tracemalloc.start()
+        try:
+            qaoa_state(obj, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = 16 << obj.n
+        assert peak <= 3 * size + size // 4
 
 
 def complex_step_gradient(closed, g, b, h=1e-30):
@@ -409,6 +457,49 @@ def assert_p1_close(got, want, obj):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
+def dense_p1_energy(obj, gammas, betas):
+    """The p=1 closed form with each product over a whole row of the n x n
+    coupling matrix, zeros included: the reference for the packed rows
+    :func:`qaoa_p1_energy` multiplies over."""
+    src = obj.spin_model()
+    n = src.n
+    h = np.array(src.h, dtype=np.float64)
+    J = np.zeros((n, n))
+    for (u, v), c in src.J.items():
+        J[u, v] = J[v, u] = c
+    us, vs = np.nonzero(np.triu(J))
+    rows_u, rows_v = J[us], J[vs]
+    rows_u[np.arange(us.size), vs] = 0.0
+    rows_v[np.arange(us.size), us] = 0.0
+    j_pair = J[us, vs]
+    g2 = 2.0 * np.asarray(gammas)[:, None]
+    b2 = -2.0 * np.asarray(betas)[:, None]
+    sin2b = np.sin(b2)
+    g3 = g2[:, :, None]
+    field_prod = np.cos(g3 * J).prod(axis=-1)
+    energy = (h * (sin2b * np.sin(g2 * h) * field_prod)).sum(axis=-1)
+    h_u, h_v = h[us], h[vs]
+    first = np.sin(g2 * j_pair) * (
+        np.cos(g2 * h_u) * np.cos(g3 * rows_u).prod(axis=-1)
+        + np.cos(g2 * h_v) * np.cos(g3 * rows_v).prod(axis=-1)
+    )
+    second = (
+        np.cos(g2 * (h_u + h_v)) * np.cos(g3 * (rows_u + rows_v)).prod(axis=-1)
+        - np.cos(g2 * (h_u - h_v)) * np.cos(g3 * (rows_u - rows_v)).prod(axis=-1)
+    )
+    zz = 0.5 * np.sin(2.0 * b2) * first - 0.5 * sin2b**2 * second
+    return energy + (j_pair * zz).sum(axis=-1) + src.offset
+
+
+# Sparse and dense couplings, fields or none, and no couplings at all.
+PACKED_CASES = {
+    "maxcut-r3r-n14": lambda: gen_maxcut_r3r(14, seed=1).objective,
+    "sk-gaussian-n11": lambda: gen_spin_glass("complete", 11, dist="gaussian", seed=2).objective,
+    "portfolio": lambda: gen_portfolio(10, 3, seed=13).objective,
+    "no-couplings": lambda: IsingModel(n=4, h=(0.7, -0.2, 0.0, 1.5), offset=0.3).as_objective(),
+}
+
+
 class TestP1ClosedForm:
     """:func:`qaoa_p1_energy` against the statevector and the adjoint gradient."""
 
@@ -425,6 +516,22 @@ class TestP1ClosedForm:
             assert_p1_close(real[0], value, obj)
             assert_p1_close(stepped[0].real, value, obj)
             assert_p1_close(stepped.imag / h, grad, obj)
+
+    @pytest.mark.parametrize("case", sorted(PACKED_CASES))
+    def test_packed_rows_equal_the_dense_form_bit_for_bit(self, case):
+        # Real angles (a grid), the complex steps training takes, and steps
+        # in both angles at once.
+        obj = PACKED_CASES[case]()
+        rng = np.random.default_rng(sorted(PACKED_CASES).index(case))
+        grid = rng.uniform(-math.pi, math.pi, (2, 64))
+        calls = [(grid[0], grid[1])]
+        for g, b in rng.uniform(-math.pi, math.pi, (6, 2)):
+            calls.append((np.array([g + 1e-30j, g]), np.array([b, b + 1e-30j])))
+            calls.append((np.array([g + 1e-30j]), np.array([b + 1e-30j])))
+        for gammas, betas in calls:
+            got, want = qaoa_p1_energy(obj, gammas, betas), dense_p1_energy(obj, gammas, betas)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_vectorised_call_equals_single_calls(self):
         obj = P1_CASES["sk-fields"]()
@@ -480,21 +587,21 @@ def backward_walk_value_and_gradient(obj, params):
     levels, level_of = _energy_levels(obj)
     scratch = np.empty_like(psi)
     for gamma, beta in zip(params.gammas, params.betas):
-        _apply_phase(psi, levels, level_of, gamma)
+        _apply_phase(psi, scratch, levels, level_of, gamma)
         _apply_mixer(psi, scratch, n, beta)
     value = _energy_sum(psi, table, n)
     lam = table * psi
     grad = np.zeros(2 * p)
     for j in reversed(range(p)):
-        _apply_generator(scratch, psi, n)
+        _apply_generator(psi, scratch, n)
         grad[p + j] = -2.0 * _imag_inner(lam, scratch, n)
         _apply_mixer(psi, scratch, n, -params.betas[j])
         _apply_mixer(lam, scratch, n, -params.betas[j])
         np.multiply(psi, table, out=scratch)
         grad[j] = 2.0 * _imag_inner(lam, scratch, n)
         if j:
-            _apply_phase(psi, levels, level_of, -params.gammas[j])
-            _apply_phase(lam, levels, level_of, -params.gammas[j])
+            _apply_phase(psi, scratch, levels, level_of, -params.gammas[j])
+            _apply_phase(lam, scratch, levels, level_of, -params.gammas[j])
     return value, grad
 
 
@@ -923,13 +1030,19 @@ FOLD_CASES = {
 }
 
 
+def full_levels(obj):
+    # Levels over the whole table: the cache keeps only the lower half on a
+    # flip-symmetric objective.
+    return np.unique(energy_table(obj), return_inverse=True)
+
+
 def unfolded_run(obj, layers):
     """The plus-state kernels on all 2^n amplitudes, none of them folded."""
-    levels, level_of = _energy_levels(obj)
+    levels, level_of = full_levels(obj)
     amps = Statevector.plus(obj.n).amplitudes
     scratch = np.empty_like(amps)
     for gamma, beta in layers:
-        _apply_phase(amps, levels, level_of, gamma)
+        _apply_phase(amps, scratch, levels, level_of, gamma)
         _apply_mixer(amps, scratch, obj.n, beta)
     return amps
 
@@ -942,12 +1055,12 @@ def unfolded_value_and_gradient(obj, params):
     """
     n, p = obj.n, params.p
     table = energy_table(obj)
-    levels, level_of = _energy_levels(obj)
+    levels, level_of = full_levels(obj)
     psi = Statevector.plus(n).amplitudes
     scratch = np.empty_like(psi)
     phis = []
     for gamma, beta in zip(params.gammas, params.betas):
-        _apply_phase(psi, levels, level_of, gamma)
+        _apply_phase(psi, scratch, levels, level_of, gamma)
         phis.append(psi.copy())
         _apply_mixer(psi, scratch, n, beta)
     value = float((np.abs(psi) ** 2 * table).sum())
@@ -955,11 +1068,11 @@ def unfolded_value_and_gradient(obj, params):
     grad = np.zeros(2 * p)
     for j in reversed(range(p)):
         _apply_mixer(lam, scratch, n, -params.betas[j])
-        _apply_generator(scratch, phis[j], n)
+        _apply_generator(phis[j], scratch, n)
         grad[p + j] = -2.0 * float((np.conj(lam) * scratch).imag.sum())
         grad[j] = 2.0 * float((np.conj(lam) * (phis[j] * table)).imag.sum())
         if j:
-            _apply_phase(lam, levels, level_of, -params.gammas[j])
+            _apply_phase(lam, scratch, levels, level_of, -params.gammas[j])
     return value, grad
 
 
@@ -1038,6 +1151,69 @@ class TestFlipFold:
         sizes.clear()
         anneal_trotter(mirror, 1.0, 2)
         assert sizes == [1 << 9] * 2
+
+
+# Sizes on both sides of each boundary of the layer kernel: in place below
+# 2^12 amplitudes, one whole-state tile up to 2^15, gathered tiles above. A
+# folded run holds 2^(n-1) of them.
+TILE_SIZES = [1, 2, 3, 7, 8, 9, 13, 14, 15, 16, 17]
+TILE_CASES = [(n, folded) for n in TILE_SIZES for folded in (False, True) if n >= 2 or not folded]
+TILE_IDS = [f"n{n}-{'folded' if folded else 'full'}" for n, folded in TILE_CASES]
+
+
+def tile_objective(n, folded):
+    # A Gaussian SK glass is flip-symmetric; fields break the mirror.
+    if folded:
+        return gen_spin_glass("complete", n, dist="gaussian", seed=n).objective
+    if n == 1:
+        return IsingModel(n=1, h=(0.7,), offset=-0.2).as_objective()
+    return spin_glass_with_fields(n, n)
+
+
+def random_run_array(n, folded, seed):
+    # A random complex array as a run holds it, and the 2^n state it stands for.
+    rng = np.random.default_rng(seed)
+    size = 1 << (n - 1 if folded else n)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return amps, (np.concatenate([amps, amps[::-1]]) if folded else amps)
+
+
+class TestTiledKernel:
+    """The layer kernel against the loop references, byte for byte."""
+
+    @pytest.mark.parametrize("n, folded", TILE_CASES, ids=TILE_IDS)
+    def test_mixer_and_generator_match_the_loop_references(self, n, folded):
+        amps, whole = random_run_array(n, folded, seed=n + 40 * folded)
+        for beta in (0.83, -2.1):
+            got = amps.copy()
+            _apply_mixer(got, np.empty_like(got), n, beta)
+            assert got.tobytes() == reference_mixer(whole, beta)[: amps.size].tobytes()
+        out = np.full_like(amps, np.nan)
+        _apply_generator(amps, out, n)
+        assert out.tobytes() == reference_generator(whole)[: amps.size].tobytes()
+
+    def test_folded_n20_mixer_matches_the_loop_reference(self):
+        amps, whole = random_run_array(20, True, seed=20)
+        got = amps.copy()
+        _apply_mixer(got, np.empty_like(got), 20, 0.41)
+        assert got.tobytes() == reference_mixer(whole, 0.41)[: amps.size].tobytes()
+
+    @pytest.mark.parametrize("n, folded", TILE_CASES, ids=TILE_IDS)
+    def test_runs_match_the_references(self, n, folded):
+        obj = tile_objective(n, folded)
+        assert _flip_symmetric(obj) is folded
+        table = energy_table(obj)
+        plus = Statevector.plus(n).amplitudes
+        params = QaoaParams(p=2, gammas=(0.37, -0.81), betas=(1.13, 0.29))
+        layers = list(zip(params.gammas, params.betas))
+        assert qaoa_state(obj, params).amplitudes.tobytes() == reference_layers(plus, table, layers).tobytes()
+        value, grad = qaoa_value_and_gradient(obj, params)
+        ref_value, ref_grad = unfolded_value_and_gradient(obj, params)
+        assert hex_list([value, *grad]) == hex_list([ref_value, *ref_grad])
+        T, steps = 1.7, 3
+        dt = T / steps
+        ramp = [(dt * lam, dt * (1.0 - lam)) for lam in ((k + 0.5) / steps for k in range(steps))]
+        assert anneal_trotter(obj, T, steps).amplitudes.tobytes() == reference_layers(plus, table, ramp).tobytes()
 
 
 # Prints, as float.hex, everything a 2^14 reduction decides: a mean-mode
