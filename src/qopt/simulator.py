@@ -68,9 +68,16 @@ arrays, the distinct measured patterns as a strictly ascending ``int64``
 index array with aligned counts and energies. :func:`sample` always takes
 the objective and prices the hit patterns from its cached table, so no set
 exists without energies; bit patterns appear only where a result is
-reported (:meth:`SampleSet.best` and JSON output). The state
-size is capped (default 24 qubits, about 256 MiB of amplitudes); the
-``QOPT_STATEVECTOR_CAP`` environment variable overrides the cap.
+reported (:meth:`SampleSet.best` and JSON output). :func:`sample`,
+:func:`cvar` of a sample set and the sampled CVaR evaluations of
+:func:`qopt.solvers.qaoa_solve` share three steps: the probabilities
+``|amp|^2`` of a full or folded run, mirrored to 2^n and divided by their
+sum once that norm^2 is checked; one seeded multinomial draw; and the mean
+of the lowest shots' energies. A training evaluation runs them on its
+run's amplitudes and builds no :class:`Statevector` or :class:`SampleSet`.
+The state size is capped (default 24 qubits, about 256 MiB of
+amplitudes); the ``QOPT_STATEVECTOR_CAP`` environment variable overrides
+the cap.
 
 Every reduction over the 2^n amplitudes (the expectation, the gradient's
 inner products, CVaR of a state, and in :mod:`qopt.solvers` the pair
@@ -167,9 +174,7 @@ class Statevector:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes, got shape {amps.shape}")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm^2 is {norm}, not 1")
+        _probabilities(amps, self.n)  # checks the norm
         self.amplitudes = amps
 
     @classmethod
@@ -557,18 +562,17 @@ def _start(obj: DiagonalObjective) -> np.ndarray:
     the lower half of the state, which the kernels and sums recognise by its
     size (see the module docstring).
     """
-    if _flip_symmetric(obj):
-        _check_cap(obj.n)
-        return np.full(1 << (obj.n - 1), 2.0 ** (-obj.n / 2), dtype=np.complex128)
-    return Statevector.plus(obj.n).amplitudes
+    _check_cap(obj.n)
+    m = obj.n - 1 if _flip_symmetric(obj) else obj.n
+    return np.full(1 << m, 2.0 ** (-obj.n / 2), dtype=np.complex128)
 
 
-def _evolve(obj: DiagonalObjective, layers) -> np.ndarray:
-    """Amplitudes after the ``(gamma, beta)`` layers, folded when :func:`_start` is."""
+def _evolve(obj: DiagonalObjective, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+    """Amplitudes after the phase and mixing layers, folded when :func:`_start` is."""
     amps = _start(obj)
     levels, level_of = _energy_levels(obj)
     scratch = np.empty_like(amps)
-    for gamma, beta in layers:
+    for gamma, beta in zip(gammas, betas):
         _apply_phase(amps, scratch, levels, level_of, gamma)
         _apply_mixer(amps, scratch, obj.n, beta)
     return amps
@@ -583,7 +587,7 @@ def qaoa_state(obj: DiagonalObjective, params: QaoaParams) -> Statevector:
     """
     if params.p == 0:
         return Statevector.plus(obj.n)
-    amps = _evolve(obj, zip(params.gammas, params.betas))
+    amps = _evolve(obj, params.gammas, params.betas)
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 
@@ -744,24 +748,50 @@ def expectation(sv: Statevector, obj: DiagonalObjective) -> float:
     return _energy_sum(sv.amplitudes, energy_table(obj), sv.n)
 
 
+def _probabilities(amps: np.ndarray, n: int) -> np.ndarray:
+    # The measurement probabilities of a full or folded run over all 2^n
+    # patterns: |amp|^2, mirrored when folded, over its sum, the norm^2,
+    # which every Statevector, sample and sampled evaluation checks here.
+    probs = _whole(np.abs(amps) ** 2, n)
+    norm = float(probs.sum())
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state norm^2 is {norm}, not 1")
+    probs /= norm
+    return probs
+
+
+def _draw(probs: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # One seeded multinomial draw of ``shots`` over ``probs``: the ascending
+    # indices of the patterns hit and how often each was drawn.
+    draws = np.random.default_rng(seed).multinomial(shots, probs)
+    hit = (draws != 0).nonzero()[0]
+    return hit, draws[hit]
+
+
+def _tail_mean(energies: np.ndarray, counts: np.ndarray, alpha: float) -> float:
+    # The mean of the lowest ceil(alpha * shots) of the shots' energies, with
+    # ``energies[k]`` drawn ``counts[k]`` times.
+    values = np.repeat(energies, counts)
+    values.sort()
+    return float(values[: math.ceil(alpha * values.size)].mean())
+
+
 def sample(sv: Statevector, shots: int, seed: int = 0, *, obj: DiagonalObjective) -> SampleSet:
     """Aggregate ``shots`` i.i.d. basis measurements of the state, priced under ``obj``.
 
     Deterministic given the seed: one multinomial draw over the basis
-    probabilities, whose nonzero entries become the result's ascending
+    probabilities ``|amp|^2``, divided by their sum once the norm is
+    checked, whose nonzero entries become the result's ascending
     ``indices`` and ``index_counts``. The hit patterns are priced by one
     gather from ``energy_table(obj)`` (which fits, since the state does)
-    into ``index_energies``, which CVaR and the solvers read.
+    into ``index_energies``, which CVaR and the solvers read. A sampled
+    CVaR training evaluation makes the same draw from its run's amplitudes.
     """
     shots, seed = as_count("shots", shots), as_count("seed", seed, least=None)
     _check_state(sv, obj)
-    probs = sv.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    hit = np.flatnonzero(draws)
+    hit, counts = _draw(_probabilities(sv.amplitudes, sv.n), shots, seed)
     return SampleSet(
-        n=sv.n, shots=shots, seed=seed, indices=hit, index_counts=draws[hit], index_energies=energy_table(obj)[hit]
+        n=sv.n, shots=shots, seed=seed, indices=hit, index_counts=counts, index_energies=energy_table(obj)[hit]
     )
 
 
@@ -772,22 +802,21 @@ def cvar(
 ) -> float:
     """Average of the best (lowest-energy) alpha-fraction.
 
-    For a :class:`SampleSet`, expands its per-index energies to one entry
-    per shot, sorts them ascending and averages the lowest
+    For a :class:`SampleSet`, repeats each distinct pattern's energy by its
+    count, sorts the shots' energies ascending and averages the lowest
     ``ceil(alpha * shots)``; ``alpha = 1`` is the plain mean, and any alpha
     small enough to include a single sample returns the best observed
-    energy. ``obj`` is not read for a sample set. For a :class:`Statevector`
-    (with ``obj``), the same tail average is taken over the exact
-    distribution, splitting the boundary pattern fractionally; each call
-    sorts the cached energy table stably (ties in index order) and caches
-    nothing beside the table.
+    energy. ``obj`` is not read for a sample set. Sampled CVaR training
+    takes the same tail mean straight from the draw. For a
+    :class:`Statevector` (with ``obj``), the same tail average is taken
+    over the exact distribution, splitting the boundary pattern
+    fractionally; each call sorts the cached energy table stably (ties in
+    index order) and caches nothing beside the table.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if isinstance(values, SampleSet):
-        energies = values.energy_values()
-        take = math.ceil(alpha * values.shots)
-        return float(energies[:take].mean())
+        return _tail_mean(values.index_energies, values.index_counts, alpha)
     if isinstance(values, Statevector):
         if obj is None:
             raise ValueError("computing CVaR from a state requires the objective")
@@ -822,8 +851,8 @@ def anneal_trotter(obj: DiagonalObjective, T: float, steps: int) -> Statevector:
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"total time must be positive and finite, got {T}")
     dt = T / steps
-    lams = ((k + 0.5) / steps for k in range(steps))
-    amps = _evolve(obj, ((dt * lam, dt * (1.0 - lam)) for lam in lams))
+    lams = [(k + 0.5) / steps for k in range(steps)]
+    amps = _evolve(obj, [dt * lam for lam in lams], [dt * (1.0 - lam) for lam in lams])
     return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
 
 

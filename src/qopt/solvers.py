@@ -27,8 +27,13 @@ from qopt.simulator import (
     SampleSet,
     Statevector,
     _check_cap,
+    _draw,
+    _energy_sum,
+    _evolve,
     _flip_symmetric,
-    cvar,
+    _probabilities,
+    _tail_mean,
+    cvar,  # not called here: perfbench's traced runs wrap solvers.cvar by name
     energy_table,
     expectation,
     qaoa_p1_energy,
@@ -217,7 +222,7 @@ def _chains(
 
     Every energy comes from one source: ``table``, else the local fields of
     ``obj``'s spin form, else ``obj.value``. States are drawn as packed ints
-    on the table (at most 20 variables) and as bit rows off it. With
+    on the table and as bit rows off it. With
     ``temps`` None the schedule is probed first, from states drawn and
     priced the same way. Returns the schedule, each chain's best state (the
     first reached, on ties) and its energy, read from ``table`` or re-priced
@@ -350,10 +355,10 @@ def simulated_annealing(
     ``(n, restarts)`` block of uniforms; restart ``r`` reads column ``r``,
     so the stream does not depend on how restarts are scheduled. A run draws
     its probe and start states, and prices every flip, from one source. Up
-    to 20 variables within the statevector cap, it draws packed ints and
-    reads a zero-copy view of the cached
-    :func:`~qopt.simulator.energy_table`. Above that, it draws bit rows and
-    reads local fields when the objective has a spin form
+    to 20 variables within the statevector cap, or up to the cap when the
+    table is already cached, it draws packed ints and reads a zero-copy
+    view of the cached :func:`~qopt.simulator.energy_table`. Otherwise, it
+    draws bit rows and reads local fields when the objective has a spin form
     (:meth:`~qopt.model.DiagonalObjective.spin_model`), and otherwise
     ``obj.value``. A probe flip of v costs two table reads, |g_v| summed
     over v's couplings, or two ``obj.value`` calls. The fields come from the
@@ -390,7 +395,13 @@ def simulated_annealing(
         if temps.shape != (sweeps,) or not (np.isfinite(temps) & (temps > 0)).all():
             raise ValueError("temperature schedule needs one positive, finite entry per sweep")
     started = time.perf_counter()
-    table = energy_table(obj) if obj.n <= min(statevector_cap(), _CHUNK_BITS) else None
+    cap = statevector_cap()
+    if obj.n <= min(cap, _CHUNK_BITS):
+        table = energy_table(obj)
+    else:
+        # A table a caller has already built, as `qopt bench` does, is read
+        # up to the cap; none is built above 20 variables.
+        table = obj._cache.get("energy_table") if obj.n <= cap else None
     rng = np.random.default_rng(as_count("seed", seed, least=None))
     temps, best_states, per_restart = _chains(obj, table, sweeps, temps, restarts, rng)
     winner = per_restart.index(min(per_restart))
@@ -647,12 +658,16 @@ def qaoa_solve(
             trace.append((evaluations, value))
 
     def objective_value(vec: np.ndarray) -> float:
+        # expectation(qaoa_state(...)) or cvar(sample(qaoa_state(...))) bit
+        # for bit, taken from the run's (folded) amplitudes.
         spend(1)
-        sv = qaoa_state(obj, _params_of(vec))
+        params = _params_of(vec)
+        amps = _evolve(obj, params.gammas, params.betas)
         if objective_mode == "mean":
-            value = expectation(sv, obj)
+            value = _energy_sum(amps, energy_table(obj), obj.n)
         else:
-            value = cvar(sample(sv, shots=shots, seed=eval_seed, obj=obj), alpha)
+            hit, counts = _draw(_probabilities(amps, obj.n), shots, eval_seed)
+            value = _tail_mean(energy_table(obj)[hit], counts, alpha)
         keep(vec, value)
         return value
 

@@ -9,6 +9,7 @@ import pytest
 
 from qopt.model import DiagonalObjective, QuboModel, index_to_bits, ising_to_qubo
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
+from qopt.simulator import energy_table
 from qopt.solvers import _EXP_BAND_HI, _chains, _geometric_temperatures, simulated_annealing
 
 
@@ -424,6 +425,30 @@ def test_lowered_cap_falls_back_to_local_fields(monkeypatch):
     res = simulated_annealing(inst, sweeps=200, restarts=2, seed=0)
     assert "energy_table" not in inst.objective._cache
     assert res.best_energy == inst.objective.value(res.best_assignment)
+
+
+def test_cached_table_read_up_to_the_cap(monkeypatch):
+    # Above 20 variables annealing builds no table, but it reads one already
+    # cached on the objective (as `qopt bench` compiles one) up to the
+    # statevector cap, so no move is priced by obj.value; above the cap it
+    # leaves the table alone.
+    obj = gen_labs(21).objective
+    energy_table(obj)
+    expected = lockstep_reference(obj, 5, None, 2, 4)
+    calls = []
+    original = DiagonalObjective.value
+
+    def counted(self, bits):
+        calls.append(len(bits))
+        return original(self, bits)
+
+    monkeypatch.setattr(DiagonalObjective, "value", counted)
+    res = simulated_annealing(obj, sweeps=5, restarts=2, seed=4)
+    assert calls == []
+    assert (res.best_assignment, res.best_energy, res.trace, res.extras) == expected
+    monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "20")
+    simulated_annealing(obj, sweeps=5, restarts=2, seed=4)
+    assert len(calls) > obj.n
 
 
 def test_list_shuffle_draws_as_permutation():

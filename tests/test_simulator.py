@@ -800,6 +800,14 @@ class TestSample:
             with pytest.raises(ValueError, match=message):
                 SampleSet(**{"n": 2, "shots": 4, "seed": 0, "index_energies": [0.0, 0.0], **fields})
 
+    def test_state_norm_checked_when_sampled(self):
+        # A state edited in place after construction is checked again: its
+        # probabilities are divided by their sum only when that is 1.
+        sv = Statevector.plus(2)
+        sv.amplitudes *= 2.0
+        with pytest.raises(ValueError, match=r"^state norm\^2 is 4.0, not 1$"):
+            sample(sv, shots=4, obj=QuboModel(n=2).as_objective())
+
     def test_non_finite_energy_rejected(self, table_objective):
         # Pricing is one batched call, but every sampled energy is still checked.
         obj = table_objective([0.0, 1.0, 1.0, math.inf])

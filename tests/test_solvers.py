@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 
 from qopt import _checks
+from qopt._rng import derive_seed
 from qopt.bench import SOLVERS
 from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
-    CapacityError, QaoaParams, _flip_symmetric, anneal_trotter, energy_table, qaoa_state, sample,
+    CapacityError, QaoaParams, SampleSet, Statevector, _flip_symmetric, anneal_trotter, cvar, energy_table,
+    qaoa_state, sample,
 )
 from qopt.solvers import (
     brute_force,
@@ -675,8 +677,10 @@ class TestQaoaSolve:
 
     @staticmethod
     def _depth1_calls(monkeypatch):
-        # Depth-1 statevector calls (gradients, states) and closed-form calls
-        # made by qaoa_solve, by name in the solvers module.
+        # Depth-1 statevector calls (gradients, state preparations) and
+        # closed-form calls made by qaoa_solve, by name in the solvers module.
+        # A state is prepared by qaoa_state (the final state) or, for a plain
+        # evaluation, by _evolve.
         import qopt.solvers as solvers
 
         calls = {"gradient": 0, "state": 0, "closed": 0}
@@ -686,6 +690,12 @@ class TestQaoaSolve:
                 return _fn(obj, params, *args, **kwargs)
 
             monkeypatch.setattr(solvers, name, counted)
+
+        def evolved(obj, gammas, betas, _fn=solvers._evolve):
+            calls["state"] += len(gammas) == 1
+            return _fn(obj, gammas, betas)
+
+        monkeypatch.setattr(solvers, "_evolve", evolved)
 
         def closed(*args, _fn=solvers.qaoa_p1_energy):
             calls["closed"] += 1
@@ -730,6 +740,69 @@ class TestQaoaSolve:
         res = qaoa_solve(random_qubo(6, 5).as_objective(), p=1, objective_mode="cvar", optimizer_budget=100, seed=0)
         assert calls["closed"] == calls["gradient"] == 0
         assert calls["state"] == res.extras["evaluations"] + 1
+
+    @pytest.mark.parametrize(
+        "make, folded",
+        [
+            (lambda: gen_maxcut_r3r(8, seed=1).objective, True),
+            (lambda: random_qubo(6, 11).as_objective(), False),
+            (lambda: gen_labs(7).objective, True),
+            (lambda: IsingModel(n=1, h=(1.0,)).as_objective(), False),
+        ],
+        ids=["maxcut", "qubo-fields", "labs", "n1"],
+    )
+    def test_cvar_evaluation_is_the_sampled_cvar_of_its_state(self, make, folded, monkeypatch):
+        # A training evaluation goes from the run's amplitudes to the tail
+        # mean; every improving value and the final objective value equal
+        # cvar(sample(qaoa_state(...))) at the same angles, bit for bit.
+        import qopt.solvers as solvers
+
+        obj = make()
+        assert _flip_symmetric(obj) == folded
+        prepared = []
+
+        def evolved(obj_, gammas, betas, _fn=solvers._evolve):
+            prepared.append(QaoaParams(p=len(gammas), gammas=gammas, betas=betas))
+            return _fn(obj_, gammas, betas)
+
+        monkeypatch.setattr(solvers, "_evolve", evolved)
+        shots, seed = 64, 5
+        eval_seed = derive_seed(seed, "cvar-eval")
+        for p in (1, 2, 3):
+            for alpha in (1 / shots, 0.25, 1.0):
+                prepared.clear()
+                res = qaoa_solve(
+                    obj, p=p, objective_mode="cvar", alpha=alpha, shots=shots, optimizer_budget=80, seed=seed
+                )
+                assert len(prepared) == res.extras["evaluations"]
+                points = [(value, prepared[k - 1]) for k, value in res.trace]
+                points.append((res.extras["objective_value"], res.params))
+                for value, params in points:
+                    state = qaoa_state(obj, params)
+                    assert value == cvar(sample(state, shots, eval_seed, obj=obj), alpha), (p, alpha, params)
+
+    def test_cvar_evaluation_builds_no_state_or_sample_set(self, monkeypatch):
+        # Only the final state and its samples are objects; each evaluation
+        # still checks the norm of the state it samples.
+        import qopt.solvers as solvers
+
+        built = {}
+        for cls in (Statevector, SampleSet):
+            def counted(self, _fn=cls.__post_init__, _key=cls.__name__):
+                built[_key] += 1
+                _fn(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def probabilities(amps, n, _fn=solvers._probabilities):
+            built["norm checks"] += 1
+            return _fn(amps, n)
+
+        monkeypatch.setattr(solvers, "_probabilities", probabilities)
+        for obj in (gen_maxcut_r3r(8, seed=0).objective, random_qubo(6, 5).as_objective()):
+            built.update({"Statevector": 0, "SampleSet": 0, "norm checks": 0})
+            res = qaoa_solve(obj, p=1, objective_mode="cvar", optimizer_budget=100, seed=0)
+            assert built == {"Statevector": 1, "SampleSet": 1, "norm checks": res.extras["evaluations"]}
 
     def test_deep_cvar_grid_is_made_as_it_is_scored(self):
         # The p=9 grid has 2^18 rows of 18 angles, about 72 MiB when built
@@ -940,6 +1013,20 @@ def test_boundary_sizes_solve_or_refuse_in_one_line(solver, monkeypatch):
                 assert n > cap and str(exc) and "\n" not in str(exc), (family, n, exc)
             else:
                 assert_self_consistent(result, obj)
+    # The table-policy edge: annealing builds a table up to 20 variables and
+    # above that reads one only when it is already cached. Under a cap of 21,
+    # with the table cached as `qopt bench` compiles it, every solver solves
+    # LABS at 20 and 21 variables, except that the recursive reduction
+    # refuses it in one line: it needs a quadratic model.
+    monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "21")
+    for n in (20, 21):
+        obj = BOUNDARY_FAMILIES["labs"][1](n)
+        energy_table(obj)
+        if solver == "rqaoa":
+            with pytest.raises(TypeError, match="^recursive reduction needs a quadratic model behind the objective$"):
+                SOLVERS[solver](obj, **BOUNDARY_BUDGETS[solver])
+        else:
+            assert_self_consistent(SOLVERS[solver](obj, **BOUNDARY_BUDGETS[solver]), obj)
 
 
 class TestSolveResultJson:
