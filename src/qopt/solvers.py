@@ -193,6 +193,11 @@ def _geometric_temperatures(t_hot: float, t_cold: float, sweeps: int) -> np.ndar
 _EXP_BAND_LO = 1.0 - 2.0**-40
 _EXP_BAND_HI = 1.0 + 2.0**-40
 _EXP_FLOOR = 1e-300
+# Up to this many uniforms per sweep, a frozen restart's least uniform is a
+# Python min over its column; above it, one numpy min over the whole block
+# costs less. Both took the same time at 60-90 uniforms (n = 20-64) on a
+# 2-vCPU Xeon VM.
+_LIST_MIN_SIZE = 64
 
 
 class _ValueByIndex:
@@ -281,29 +286,38 @@ def _chains(
     # proposal, with no side effect, and is skipped; its order and uniforms
     # are still drawn, so every stream stays the same.
     lowest = [None] * restarts
+    base = list(range(n))
+    masks = [1 << v for v in base]
+    # Every sweep draws its uniforms into this one block, and restart r reads
+    # column r as Python floats through a fixed strided view, so a sweep
+    # makes no array and no list of uniforms.
+    block = np.empty((n, restarts))
+    flat = memoryview(block.reshape(-1))
+    columns = [flat[r::restarts] for r in range(restarts)]
+    vector_min = block.size > _LIST_MIN_SIZE
     for t in temps.tolist():
         # Generator.shuffle makes the same draws on a list as on the arange
-        # that permutation(n) shuffles, and leaves the same generator state
-        # (tests/test_annealing.py checks the premise), with no array made.
-        order = list(range(n))
+        # that permutation(n) shuffles, and leaves the same generator state;
+        # random(out=block) draws what random((n, restarts)) would
+        # (tests/test_annealing.py checks both premises).
+        order = base[:]
         rng.shuffle(order)
-        block = rng.random((n, restarts))
-        if lowest.count(None) < restarts:
+        rng.random(out=block)
+        if vector_min and lowest.count(None) < restarts:
             u_mins = block.min(axis=0).tolist()
         flips = None
         for r in range(restarts):
             low = lowest[r]
             if low is not None:
-                u_min = u_mins[r]
+                u_min = u_mins[r] if vector_min else min(columns[r])
                 if 0.0 < u_min and exp(-low / t) * hi <= u_min:
                     continue
             if flips is None:
-                flips = [1 << v for v in order]
-                uniforms = block.T.tolist()
+                flips = list(map(masks.__getitem__, order))
             s, e, best_s, best_e = states[r], energies[r], best_states[r], best_energies[r]
             g = None if fields is None else fields[r]
             low = math.inf
-            for v, flip, u in zip(order, flips, uniforms[r]):
+            for v, flip, u in zip(order, flips, columns[r]):
                 proposal = s ^ flip
                 if g is None:
                     e_new = energy_of[proposal]
@@ -312,12 +326,14 @@ def _chains(
                     sign = -1.0 if s & flip else 1.0
                     delta = sign * g[v]
                     e_new = e + delta
-                # Negated tests, so that a NaN delta is rejected.
+                # Negated tests, so that a NaN delta is rejected. A uniform
+                # above the band is rejected by math.exp's value alone.
                 if not delta <= 0:
                     x = -delta / t
                     p = exp(x)
-                    if p < floor or p * lo <= u <= p * hi:
-                        p = float(np.exp(x))
+                    if u <= p * hi or p < floor:
+                        if p < floor or p * lo <= u:
+                            p = float(np.exp(x))
                     if not u < p:
                         if delta < low:
                             low = delta
@@ -352,8 +368,11 @@ def simulated_annealing(
     Each restart is a plain-Python chain over a packed-int state. Each sweep
     draws its proposal order, as a shuffle of the list ``[0, n)`` that
     consumes the stream exactly as ``permutation(n)`` does, and then an
-    ``(n, restarts)`` block of uniforms; restart ``r`` reads column ``r``,
-    so the stream does not depend on how restarts are scheduled. A run draws
+    ``(n, restarts)`` block of uniforms into one array the run reuses;
+    restart ``r`` reads column ``r`` through a fixed view of it, so the
+    stream does not depend on how restarts are scheduled and a sweep builds
+    no array and no list of uniforms. Flip masks come from a table built
+    once per run. A run draws
     its probe and start states, and prices every flip, from one source. Up
     to 20 variables within the statevector cap, or up to the cap when the
     table is already cached, it draws packed ints and reads a zero-copy
@@ -375,13 +394,15 @@ def simulated_annealing(
     A restart whose sweep accepts nothing keeps the least delta it rejected.
     A later sweep is skipped, its order and uniforms still drawn, while its
     least uniform lies at or above the acceptance probability of that delta
-    (widened by the 2^-40 band), so a frozen chain costs only those draws.
+    (widened by the 2^-40 band), so a frozen chain costs only those draws
+    and that minimum: a Python ``min`` over its column, or one numpy min
+    over the block when a sweep draws more than 64 uniforms.
 
     A proposal costs O(restarts) interpreter steps, plus the variable's
     degree when a local-field flip is accepted, so many restarts are slow:
     with 1, 8, 32 and 100 restarts, 1000 sweeps of Gaussian SK take about
-    0.007, 0.025, 0.086 and 0.24 s at n=20 (table) and 0.011, 0.056, 0.24
-    and 0.74 s at n=30 (local fields, where a numpy loop over all restarts
+    0.005, 0.020, 0.064 and 0.21 s at n=20 (table) and 0.009, 0.049, 0.21
+    and 0.64 s at n=30 (local fields, where a numpy loop over all restarts
     at once took 0.9-1.4 s at each count) on a 2-vCPU Xeon VM; about two
     thirds of those sweeps are skipped.
     """

@@ -23,20 +23,29 @@ from pathlib import Path
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qopt"
 _PREFIX = str(_PACKAGE) + "/"
 _hits: dict[str, set[int]] = {}
+# One line tracer per file, made on the file's first call and returned for
+# every later one: a closure made per call would leave a reference cycle
+# (it names itself) for the collector after each traced frame.
+_tracers: dict = {}
 
 
-def _trace_calls(frame, event, arg):
-    filename = frame.f_code.co_filename
-    if not filename.startswith(_PREFIX):
-        return None
-    lines = _hits.setdefault(filename, set())
-
+def _line_tracer(lines: set[int]):
     def trace_lines(frame, event, arg):
         if event == "line":
             lines.add(frame.f_lineno)
         return trace_lines
 
     return trace_lines
+
+
+def _trace_calls(frame, event, arg):
+    filename = frame.f_code.co_filename
+    if not filename.startswith(_PREFIX):
+        return None
+    tracer = _tracers.get(filename)
+    if tracer is None:
+        tracer = _tracers[filename] = _line_tracer(_hits.setdefault(filename, set()))
+    return tracer
 
 
 def _own_lines(stmt: ast.stmt) -> range | None:

@@ -1,5 +1,6 @@
 """Simulated annealing: per-restart chains against the lockstep loops they replaced."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -19,9 +20,9 @@ class ScriptedRng:
     ``shuffle`` writes the next order into its argument in place. There is
     no ``permutation``, so a chain that draws its order with one fails
     loudly.
-    ``random`` returns the next uniforms in the shape asked for, so one
-    ``(n, restarts)`` block and ``n`` draws of ``restarts`` read the same
-    values in the same order.
+    ``random`` returns the next uniforms in the shape asked for, or writes
+    them into ``out``, so one ``(n, restarts)`` block and ``n`` draws of
+    ``restarts`` read the same values in the same order.
     """
 
     def __init__(self, starts, orders, uniforms):
@@ -36,11 +37,14 @@ class ScriptedRng:
     def shuffle(self, x):
         x[:] = next(self.orders)
 
-    def random(self, shape):
-        count = int(np.prod(shape))
+    def random(self, shape=None, out=None):
+        count = int(np.prod(shape if out is None else out.shape))
         block = self.uniforms[self.used:self.used + count]
         self.used += count
-        return block.reshape(shape)
+        if out is None:
+            return block.reshape(shape)
+        out[...] = block.reshape(out.shape)
+        return out
 
 
 def lockstep_reference(obj, sweeps, temperatures, restarts, seed):
@@ -462,6 +466,72 @@ def test_list_shuffle_draws_as_permutation():
             shuffled.shuffle(order)
             assert order == drawn.permutation(n).tolist()
             assert shuffled.bit_generator.state == drawn.bit_generator.state
+
+
+def test_uniform_in_the_band_is_decided_by_numpys_exp(table_objective):
+    # From state 0, an uphill flip of bit 0 (delta 1) whose uniform sits at
+    # or next to math.exp's and numpy's value of exp(-1 / t), then a flip of
+    # bit 1 that leads down to -5 only if the first was accepted. Where the
+    # two exps differ (temperatures that show it come first), numpy's
+    # decides, as in the lockstep loop.
+    energies = [0.0, 1.0, 2.0, -5.0]
+    obj = table_objective(energies)
+    temps = sorted((0.05 + k * 1e-5 for k in range(2000)), key=lambda t: math.exp(-1 / t) == np.exp(-1 / t))
+    for t in temps[:10]:
+        for p in {math.exp(-1 / t), float(np.exp(-1 / t))}:
+            for u in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+                def script():
+                    return ScriptedRng([0], [[0, 1]], [[u], [0.9]])
+
+                _, energy, _, _ = lockstep_reference(obj, 1, [t], 1, script())
+                assert energy == (-5.0 if u < np.exp(-1 / t) else 0.0)
+                _, _, per_restart = _chains(obj, np.array(energies), 1, np.array([t]), 1, script())
+                assert per_restart == [energy]
+
+
+def test_random_into_block_draws_as_a_fresh_array():
+    # Each sweep draws its uniforms into one reused block; that must give
+    # the bytes random((n, restarts)) returns and leave the same generator
+    # state, between shuffles as the chains make them.
+    for seed in range(3):
+        for n, restarts in ((1, 1), (3, 1), (18, 1), (20, 3), (7, 8), (20, 100), (30, 8)):
+            fresh, reused = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = np.empty((n, restarts))
+            for _ in range(3):
+                fresh.shuffle(list(range(n)))
+                reused.shuffle(list(range(n)))
+                expected = fresh.random((n, restarts))
+                assert reused.random(out=block) is block
+                assert block.tobytes() == expected.tobytes()
+                assert reused.bit_generator.state == fresh.bit_generator.state
+
+
+# sha256 of the results below, recorded before the sweep loop drew into a
+# reused block and read its columns through memoryviews.
+REPLAY_DIGEST = "146ee2a634acd435f92085517ed1f7ebe6c9b95edf5db18104a6f4e0c5913664"
+
+
+def test_replay_digest_is_pinned():
+    # The four bench families at n=18 anneal on the table, the n=24 cases on
+    # local fields; every field of each result is hashed.
+    cases = {
+        "maxcut-r3r": lambda: gen_maxcut_r3r(18, seed=1),
+        "spin-glass": lambda: gen_spin_glass("complete", 18, seed=2),
+        "portfolio": lambda: gen_portfolio(18, 6, seed=3),
+        "labs": lambda: gen_labs(18),
+        "maxcut-r3r-24": lambda: gen_maxcut_r3r(24, seed=4),
+        "spin-glass-24": lambda: gen_spin_glass("complete", 24, seed=5),
+    }
+    lines = []
+    for name, make in cases.items():
+        obj = make().objective
+        for restarts in (1, 3):
+            for seed in range(4):
+                res = simulated_annealing(obj, restarts=restarts, seed=seed)
+                lines.append(repr((
+                    name, restarts, seed, res.best_assignment, res.best_energy, res.trace, sorted(res.extras.items()),
+                )))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REPLAY_DIGEST
 
 
 def test_guard_band_covers_exp_disagreement():

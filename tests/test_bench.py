@@ -11,7 +11,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -305,6 +309,26 @@ class TestSharedInstances:
         assert errors[3:] == [None, None, None]
 
 
+# Imports qopt, runs one annealing cell on a clock that records whether
+# numpy.random is loaded at each reading, and prints what it saw.
+RANDOM_LOAD_SCRIPT = """
+import json, sys
+import qopt.cli
+from qopt.bench import BenchmarkConfig, run_benchmark
+at_import = "numpy.random" in sys.modules
+readings = []
+def clock():
+    readings.append("numpy.random" in sys.modules)
+    return 0.0
+config = BenchmarkConfig(
+    instances=({"family": "maxcut-r3r", "params": {"n": 6, "seed": 1}},),
+    solvers=({"algorithm": "annealing", "params": {"sweeps": 5}},),
+)
+assert "error" not in run_benchmark(config, clock=clock)[0].extras
+print(json.dumps([at_import, readings]))
+"""
+
+
 class TestRunBenchmark:
     def test_empty_matrix(self):
         assert run_benchmark(BenchmarkConfig()) == []
@@ -410,6 +434,22 @@ class TestRunBenchmark:
             cells = records[k * width : (k + 1) * width]
             assert [rec.t_generate for rec in cells] == [1.0, 0.0, 0.0, 0.0]
             assert [rec.t_compile for rec in cells] == [1.0, 0.0, 0.0, 0.0]
+
+    def test_numpy_random_loaded_before_the_first_clock_reading(self):
+        # numpy loads numpy.random on first use, in several milliseconds;
+        # that must not be charged to the first cell that draws, and
+        # importing qopt must not pay it either. Only a fresh process shows
+        # what has been loaded.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", RANDOM_LOAD_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        at_import, readings = json.loads(proc.stdout)
+        assert at_import is False
+        assert readings[0] is True
 
     def test_build_charged_to_first_cell_whose_names_resolve(self):
         # A cell with an unknown solver fails before it touches the build,
