@@ -184,11 +184,11 @@ class BenchmarkConfig:
 
     ``instances`` and ``solvers`` are lists of mappings like
     ``{"family": "maxcut-r3r", "params": {"n": 16}}`` and
-    ``{"algorithm": "qaoa", "params": {"p": 1}}``; any other key, params
-    that are not a mapping, and a report path that is not a non-empty
-    string are errors, as is a ``time_limit`` that is a bool or not a
-    number. ``jobs`` must be 1, since cells run one at a time; the key is
-    kept so that configs and command lines that set it to 1 still run.
+    ``{"algorithm": "qaoa", "params": {"p": 1}}``; any other key and
+    params that are not a mapping are errors, as is a ``time_limit`` that
+    is a bool or not a number. ``jobs`` must be 1, since cells run one at a
+    time; the key is kept so that configs and command lines that set it to
+    1 still run.
     Instance seeds default to values derived from the master seed when the
     generator takes one and the params leave it out; solver seeds are
     always derived per repetition.
@@ -201,8 +201,6 @@ class BenchmarkConfig:
     target: object = None
     master_seed: int = 0
     jobs: int = 1
-    csv_path: str | None = None
-    json_path: str | None = None
 
     def __post_init__(self) -> None:
         for name, least in (("repetitions", 1), ("jobs", None), ("master_seed", None)):
@@ -221,12 +219,6 @@ class BenchmarkConfig:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1, got {self.jobs}: qopt bench runs its cells one at a time")
-        # A path that is not a non-empty string would reach ``open`` as a
-        # file descriptor (2 is stderr, True stdout) or fail after the run.
-        for name in ("csv_path", "json_path"):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, str) and value):
-                raise ValueError(f"{name} must be a non-empty string or null, got {value!r}")
         for kind, name, keys in (
             ("instance", "instances", {"family", "params"}),
             ("solver", "solvers", {"algorithm", "params"}),

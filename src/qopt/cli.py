@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--csv", default=None, help="CSV report path")
     ben.add_argument("--json", dest="json_out", default=None, help="JSON report path")
     ben.add_argument("--junit", default=None, help="JUnit XML summary path")
-    ben.add_argument("--jobs", type=int, default=None, help="parallel worker count")
+    ben.add_argument("--jobs", type=int, default=None, help="must be 1: cells run one at a time")
     ben.add_argument(
         "--deterministic-clock",
         action="store_true",
@@ -168,18 +168,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     unknown = sorted(set(raw) - {f.name for f in fields(BenchmarkConfig)})
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
-    flags = {"master_seed": args.seed, "jobs": args.jobs, "csv_path": args.csv, "json_path": args.json_out}
+    # open("") would fail only after every cell had run.
+    for flag, path in (("--csv", args.csv), ("--json", args.json_out), ("--junit", args.junit)):
+        if path == "":
+            raise ValueError(f"{flag} needs a non-empty path")
+    flags = {"master_seed": args.seed, "jobs": args.jobs}
     config = BenchmarkConfig(**{**raw, **{k: v for k, v in flags.items() if v is not None}})
     if args.deterministic_clock:
         records = run_benchmark(config, clock=lambda: 0.0)
     else:
         records = run_benchmark(config)
-    csv_text = emit_report(records, "csv", config.csv_path)
-    if config.json_path:
-        emit_report(records, "json", config.json_path)
+    csv_text = emit_report(records, "csv", args.csv)
+    if args.json_out:
+        emit_report(records, "json", args.json_out)
     if args.junit:
         emit_junit(records, args.junit)
-    if config.csv_path is None:
+    if args.csv is None:
         sys.stdout.write(csv_text)
     # A cell fails the command when it errored or left its target unjudged.
     failures = []

@@ -46,7 +46,9 @@ their variables in descending order. Three readers share it:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -55,6 +57,7 @@ import numpy as np
 __all__ = [
     "InfeasibleConstraintError",
     "as_count",
+    "check_real",
     "QuboModel",
     "IsingModel",
     "DiagonalObjective",
@@ -94,6 +97,22 @@ def as_count(name: str, value, least: int | None = 1) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Refuse a ``value`` that is not a finite real. Every real in a raw
+    payload passes through it, as do ``alpha`` and ``gen_mis``'s
+    ``edge_prob`` and ``side``.
+
+    A bool or anything that is not a real number, such as a string, raises
+    ``TypeError`` naming ``name``; NaN, an infinity, an int beyond the float
+    range, and with ``positive`` a value at or below 0, ``ValueError``."""
+    # abs() bounds ints too, which float() would overflow on; NaN fails it.
+    what = "positive finite real" if positive else "finite real"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a {what}, got {value!r}")
+    if not abs(value) <= sys.float_info.max or positive and value <= 0:
+        raise ValueError(f"{name} must be a {what}, got {value!r}")
 
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:

@@ -36,9 +36,10 @@ Registry
 --------
 :data:`FAMILIES` is the only list of family names: one :class:`Family` entry
 each, read by ``qopt bench``, ``qopt generate`` and :func:`instance_from_json`.
-Every ``gen_*`` and ``*_from_data`` function only draws or normalises the raw
-payload and compiles it with the family's ``build``, which is also what
-re-reads an envelope, so generation and ingestion run the same code.
+Every ``gen_*`` function only draws the raw payload and compiles it with the
+family's ``build``, which is also what re-reads an envelope, so generation and
+ingestion run the same code. Data of one's own enters as an envelope, through
+:func:`instance_from_json` or ``qopt solve FILE``.
 
 All generators draw exclusively from ``numpy.random.default_rng(seed)`` in a
 fixed order (``maxcut-r3r`` from ``random.Random(seed)``, as networkx's
@@ -48,9 +49,9 @@ by the problem definitions (weight ranges, covariance synthesis, demand
 ranges) are fixed here and recorded in instance metadata. Seeds and every
 size or count parameter pass through :func:`~qopt.model.as_count`: a numpy
 integer gives the same instance as the int, while a float or a bool raises
-``TypeError`` naming the parameter. Every raw payload, generated, from a
-``*_from_data`` function or re-read, is held to its family's declared fields
-before ``build`` runs; a bad field raises one line naming family and field.
+``TypeError`` naming the parameter. Every raw payload, generated or read, is
+held to its family's declared fields before ``build`` runs; a bad field raises
+one line naming family and field.
 ``meta`` is descriptive, except QAP's ``params.penalty``, which its build reads.
 """
 
@@ -58,9 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import random
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -73,6 +72,7 @@ from qopt.model import (
     LinearConstraint,
     QuboModel,
     as_count,
+    check_real,
     ising_to_qubo,
     model_to_json,
     penalty_encode,
@@ -89,12 +89,9 @@ __all__ = [
     "labs_energy",
     "gen_labs",
     "gen_qap",
-    "qap_from_data",
     "gen_spin_glass",
     "gen_ev_parking",
-    "ev_parking_from_data",
     "gen_portfolio",
-    "portfolio_from_data",
     "instance_to_json",
     "instance_from_json",
 ]
@@ -107,7 +104,7 @@ class ProblemInstance:
     ``raw`` holds JSON-native family data (the payload compared for
     bit-identical regeneration). ``constrained`` is the pre-penalty form for
     families that have one. ``meta`` records the seed and generator
-    parameters, plus a few family notes (a penalty, a crafted flag).
+    parameters, plus a family note (MIS's penalty).
     """
 
     family: str
@@ -141,12 +138,10 @@ def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:
 
 
 def _json(value, real: bool = False):
-    """``value`` with numpy arrays, tuples and numpy scalars as JSON lists and
-    numbers, unchecked; with ``real``, ints that are not bools become floats."""
+    """A generator argument with numpy values as their JSON number or list,
+    unchecked; with ``real``, an int that is not a bool becomes a float."""
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_json(v, real) for v in value]
     return float(value) if real and type(value) is int else value
 
 
@@ -233,12 +228,10 @@ def _check_count(where: str, name: str, value, least: int) -> None:
 
 
 def _check_real(where: str, name: str, value, positive: bool = False) -> None:
-    # abs() bounds ints too, which float() would overflow on; NaN fails it.
-    what = "positive finite real" if positive else "finite real"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{where}: {name} must be a {what}, got {value!r}")
-    if not abs(value) <= sys.float_info.max or positive and value <= 0:
-        raise ValueError(f"{where}: {name} must be a {what}, got {value!r}")
+    try:
+        check_real(name, value, positive)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _leaves(where: str, name: str, value, depth: int) -> list:
@@ -375,6 +368,8 @@ def gen_mis(
     if unit_disc:
         if edge_prob is not None:
             raise ValueError("edge_prob is only meaningful without unit_disc")
+        if side is not None:
+            check_real("side", side)
         box = math.sqrt(n) if side is None else float(side)
         if box <= 0:
             raise ValueError(f"square side must be positive, got {side}")
@@ -396,6 +391,7 @@ def gen_mis(
             raise ValueError("points and side are only meaningful with unit_disc=True")
         if edge_prob is None:
             edge_prob = 0.3
+        check_real("edge_prob", edge_prob)
         if not 0.0 <= edge_prob <= 1.0:
             raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
         draws = rng.random(size=(n, n))
@@ -537,11 +533,6 @@ def gen_labs(k: int) -> ProblemInstance:
 # Quadratic assignment
 
 
-def _qap_raw(a, b) -> dict:
-    a = _json(a, real=True)
-    return {"n": len(a) if isinstance(a, list) else 0, "a": a, "b": _json(b, real=True)}
-
-
 def _build_qap(raw: Mapping, meta: Mapping) -> _Built:
     n = raw["n"]
     # Variable x = i * n + k places facility i at location k, and
@@ -563,25 +554,20 @@ def _build_qap(raw: Mapping, meta: Mapping) -> _Built:
     return penalty_encode(constrained, penalty).as_objective(), constrained
 
 
-def qap_from_data(a, b, penalty: float | None = None) -> ProblemInstance:
-    """Assignment instance from explicit flow/distance matrices.
+def gen_qap(n: int, seed: int = 0, penalty: float | None = None) -> ProblemInstance:
+    """Random assignment instance: integer matrices uniform in {0..9}.
 
     Variables are ``x[i, k] = 1`` iff facility ``i`` sits at location ``k``
     (flattened as ``i * n + k``); the cost sums ``a[i, j] b[k, l]`` over
     placed pairs, and the one-facility-per-location equalities are
     penalty-encoded.
     """
-    raw = _qap_raw(a, b)
-    return _instance("qap", raw, _meta(None, {"n": raw["n"], "penalty": penalty}, crafted=True))
-
-
-def gen_qap(n: int, seed: int = 0, penalty: float | None = None) -> ProblemInstance:
-    """Random assignment instance: integer matrices uniform in {0..9}."""
     n = as_count("n", n, least=2)
     rng = np.random.default_rng(as_count("seed", seed, least=None))
-    a = rng.integers(0, 10, size=(n, n))
-    b = rng.integers(0, 10, size=(n, n))
-    return _instance("qap", _qap_raw(a, b), _meta(seed, {"n": n, "penalty": penalty}))
+    a = rng.integers(0, 10, size=(n, n)).astype(np.float64)
+    b = rng.integers(0, 10, size=(n, n)).astype(np.float64)
+    raw = {"n": n, "a": a.tolist(), "b": b.tolist()}
+    return _instance("qap", raw, _meta(seed, {"n": n, "penalty": penalty}))
 
 
 # ---------------------------------------------------------------------------
@@ -694,14 +680,6 @@ def gen_spin_glass(
 # EV charging-station admission
 
 
-def _ev_parking_raw(u, d, values, M, E) -> dict:
-    u = _json(u)
-    n_ev = len(u) if isinstance(u, list) else 0
-    k_slots = len(u[0]) if n_ev and isinstance(u[0], list) else 0
-    return {"N": n_ev, "K": k_slots, "M": _json(M), "E": _json(E), "windows": u, "demand": _json(d),
-            "values": _json(values, real=True)}
-
-
 def _build_ev_parking(raw: Mapping, meta: Mapping) -> _Built:
     n_ev, k_slots, M, E = raw["N"], raw["K"], raw["M"], raw["E"]
     u, d = raw["windows"], raw["demand"]
@@ -718,28 +696,15 @@ def _build_ev_parking(raw: Mapping, meta: Mapping) -> _Built:
     return penalty_encode(constrained).as_objective(), constrained
 
 
-def ev_parking_from_data(u, d, values, M: int, E: int) -> ProblemInstance:
-    """Admission instance from explicit windows, demands, and values.
-
-    ``u`` is the 0/1 presence matrix (vehicle x interval), ``d`` the integer
-    per-interval demand (zero outside the window), ``values`` the per-vehicle
-    admission value. Maximizing total admitted value becomes minimizing its
-    negation, subject to at most ``M`` present vehicles and at most ``E``
-    delivered power per interval; both cap rows are kept for every interval
-    and compiled with binary slacks, so ``M``, ``E``, and demands must be
-    integers.
-    """
-    raw = _ev_parking_raw(u, d, values, M, E)
-    params = {key: raw[key] for key in ("N", "K", "M", "E")}
-    return _instance("ev-parking", raw, _meta(None, params, crafted=True))
-
-
 def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInstance:
     """Random admission instance: contiguous windows, integer demands 1..10.
 
     Each vehicle draws an arrival and departure interval, per-interval
     demands uniform in {1..10} inside the window, and a value equal to its
-    total demand times a uniform markup in [1.0, 1.5].
+    total demand times a uniform markup in [1.0, 1.5]. ``windows`` is the
+    0/1 presence matrix (vehicle x interval). Both caps, at most ``M``
+    vehicles present and ``E`` power delivered, are kept for every interval
+    and compiled with binary slacks, so ``M``, ``E`` and demands are integers.
     """
     N, K = as_count("N", N), as_count("K", K)
     rng = np.random.default_rng(as_count("seed", seed, least=None))
@@ -755,19 +720,13 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
         markup = float(rng.uniform(1.0, 1.5))
         markups.append(markup)
         values.append(float(d[i].sum()) * markup)
-    raw = _ev_parking_raw(u, d, values, M, E)
-    raw["markups"] = markups
+    raw = {"N": N, "K": K, "M": _json(M), "E": _json(E), "windows": u.tolist(), "demand": d.tolist(),
+           "values": values, "markups": markups}
     return _instance("ev-parking", raw, _meta(seed, {key: raw[key] for key in ("N", "K", "M", "E")}))
 
 
 # ---------------------------------------------------------------------------
 # Mean-variance portfolio selection
-
-
-def _portfolio_raw(mu, sigma, B, lam) -> dict:
-    mu = _json(mu, real=True)
-    n = len(mu) if isinstance(mu, list) else 0
-    return {"N": n, "B": _json(B), "lam": _json(lam, real=True), "mu": mu, "sigma": _json(sigma, real=True)}
 
 
 def _build_portfolio(raw: Mapping, meta: Mapping) -> _Built:
@@ -790,25 +749,15 @@ def _build_portfolio(raw: Mapping, meta: Mapping) -> _Built:
     return penalty_encode(constrained).as_objective(), constrained
 
 
-def portfolio_from_data(mu, sigma, B: int, lam: float = 1.0) -> ProblemInstance:
-    """Selection instance from explicit returns and covariance.
-
-    Picks exactly ``B`` of the assets at equal weight ``1/B``, minimizing
-    ``(lam / 2B^2) x' Sigma x - (1/B) mu . x`` under the cardinality
-    equality ``sum x = B``.
-    """
-    raw = _portfolio_raw(mu, sigma, B, lam)
-    params = {key: raw[key] for key in ("N", "B", "lam")}
-    return _instance("portfolio", raw, _meta(None, params, crafted=True))
-
-
 def gen_portfolio(N: int, B: int, seed: int = 0, lam: float = 1.0) -> ProblemInstance:
     """Random selection instance with a factor-model covariance.
 
-    Returns are uniform in [0, 0.1]; the covariance is ``F F' + diag(noise)``
-    with factor loadings N(0, 0.1^2) over ``max(1, N // 4)`` factors and
-    diagonal noise uniform in [0.001, 0.01], guaranteeing positive
-    definiteness.
+    Picks exactly ``B`` of the assets at equal weight ``1/B``, minimizing
+    ``(lam / 2B^2) x' Sigma x - (1/B) mu . x`` under the cardinality
+    equality ``sum x = B``. Returns are uniform in [0, 0.1]; the covariance
+    is ``F F' + diag(noise)`` with factor loadings N(0, 0.1^2) over
+    ``max(1, N // 4)`` factors and diagonal noise uniform in [0.001, 0.01],
+    guaranteeing positive definiteness.
     """
     N = as_count("N", N)
     rng = np.random.default_rng(as_count("seed", seed, least=None))
@@ -816,7 +765,7 @@ def gen_portfolio(N: int, B: int, seed: int = 0, lam: float = 1.0) -> ProblemIns
     factors = rng.normal(0.0, 0.1, size=(N, max(1, N // 4)))
     noise = rng.uniform(0.001, 0.01, size=N)
     sigma = factors @ factors.T + np.diag(noise)
-    raw = _portfolio_raw(mu, sigma, B, lam)
+    raw = {"N": N, "B": _json(B), "lam": _json(lam, real=True), "mu": mu.tolist(), "sigma": sigma.tolist()}
     return _instance("portfolio", raw, _meta(seed, {"N": N, "B": raw["B"], "lam": lam}))
 
 
@@ -894,8 +843,7 @@ class Family(NamedTuple):
     constrained)``. ``help`` and ``flags`` describe ``qopt generate``.
     ``fields`` declares every raw payload field and ``params`` those of
     ``meta["params"]`` that ``build`` reads, in the spec syntax of ``_check``;
-    ``build`` reads them unchecked, and keeps only rules across fields. A size
-    that ``*_from_data`` derives from an array is declared after the array.
+    ``build`` reads them unchecked, and keeps only rules across fields.
     """
 
     generate: Callable[..., ProblemInstance]

@@ -161,8 +161,8 @@ def _check_cap(n: int) -> None:
 class Statevector:
     """Dense complex state over ``2^n`` basis patterns (variable i at bit i).
 
-    Operations mutate amplitudes in place for speed; take :meth:`copy` when
-    a snapshot is needed. The norm is validated on construction.
+    No qopt function writes into a state's amplitudes: each operation
+    returns a new state or a number. The norm is validated on construction.
     """
 
     n: int

@@ -19,7 +19,7 @@ import numpy as np
 
 from qopt._minimize import lbfgs, nelder_mead
 from qopt._rng import derive_seed
-from qopt.model import DiagonalObjective, IsingModel, as_count, bits_to_index, index_to_bits
+from qopt.model import DiagonalObjective, IsingModel, as_count, bits_to_index, check_real, index_to_bits
 from qopt.problems import ProblemInstance
 from qopt.simulator import (
     CapacityError,
@@ -57,6 +57,10 @@ __all__ = [
 # since it never materializes amplitudes, only fixed-size energy chunks.
 _STREAM_EXTRA = 4
 _CHUNK_BITS = 20  # a streamed chunk prices 2^20 patterns
+# Annealing builds the energy table and draws packed ints up to this many
+# variables; above, it draws bit rows unless a table is cached, so moving
+# this bound moves results at the sizes it crosses.
+_ANNEAL_TABLE_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,22 +412,23 @@ def simulated_annealing(
     """
     obj = _objective_of(problem)
     sweeps, restarts = as_count("sweeps", sweeps), as_count("restarts", restarts)
-    if obj.n == 0:
-        return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
     temps = None
     if temperatures is not None:
         temps = np.asarray([float(t) for t in temperatures], dtype=np.float64)
         if temps.shape != (sweeps,) or not (np.isfinite(temps) & (temps > 0)).all():
             raise ValueError("temperature schedule needs one positive, finite entry per sweep")
+    seed = as_count("seed", seed, least=None)
+    if obj.n == 0:
+        return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
     started = time.perf_counter()
     cap = statevector_cap()
-    if obj.n <= min(cap, _CHUNK_BITS):
+    if obj.n <= min(cap, _ANNEAL_TABLE_BITS):
         table = energy_table(obj)
     else:
         # A table a caller has already built, as `qopt bench` does, is read
         # up to the cap; none is built above 20 variables.
         table = obj._cache.get("energy_table") if obj.n <= cap else None
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    rng = np.random.default_rng(seed)
     temps, best_states, per_restart = _chains(obj, table, sweeps, temps, restarts, rng)
     winner = per_restart.index(min(per_restart))
 
@@ -648,10 +653,7 @@ def qaoa_solve(
     obj = _objective_of(problem)
     p, optimizer_budget = as_count("p", p, least=0), as_count("optimizer_budget", optimizer_budget)
     shots = as_count("shots", shots)
-    if objective_mode not in ("mean", "cvar"):
-        raise ValueError(f"unknown objective mode {objective_mode!r}")
-    if objective_mode == "cvar" and not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_objective_mode(objective_mode, alpha)
 
     # The final state needs the full statevector. The closed form never
     # builds one, so without this check it would train first and fail last.
@@ -768,6 +770,14 @@ def qaoa_solve(
     )
 
 
+def _check_objective_mode(objective_mode: str, alpha: float) -> None:
+    if objective_mode not in ("mean", "cvar"):
+        raise ValueError(f"unknown objective mode {objective_mode!r}")
+    check_real("alpha", alpha)
+    if objective_mode == "cvar" and not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 class _BudgetDone(Exception):
     """Internal: the evaluation budget ran out mid-optimization."""
 
@@ -836,12 +846,13 @@ def recursive_qaoa(
     """
     obj = _objective_of(problem)
     cutoff = as_count("cutoff", cutoff)
+    _check_objective_mode(objective_mode, alpha)
     started = time.perf_counter()
     if obj.n <= cutoff:
         return replace(
             brute_force(obj),
             timings={"total": time.perf_counter() - started},
-            extras={"substitutions": (), "levels": 0},
+            extras={"substitutions": (), "levels": 0, "cutoff": cutoff},
         )
 
     ising = obj.spin_model()

@@ -21,7 +21,7 @@ from xml.etree import ElementTree
 import pytest
 
 from qopt.bench import CSV_HEADER, GENERATORS
-from qopt.cli import build_parser, run_cli
+from qopt.cli import build_parser, main, run_cli
 from qopt.model import QuboModel
 from qopt.problems import FAMILIES, ProblemInstance, instance_from_json
 from qopt.simulator import statevector_cap
@@ -137,6 +137,17 @@ class TestGenerate:
                 parser.parse_args(shlex.split(line)[3:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+    def test_readme_envelope_solves(self, tmp_path, capsys):
+        # The README's hand-written envelope goes in the way `qopt solve` reads any file.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = [block for block in re.findall(r"```json\n(.*?)```", readme, flags=re.S) if '"raw"' in block]
+        path = tmp_path / "portfolio.json"
+        path.write_text(block, encoding="utf-8")
+        assert run_cli(["solve", str(path), "--solver", "brute-force"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["best_assignment"] == "101"
+        assert result["best_energy"] == pytest.approx(-0.07875)
 
 
 FAMILY_NAMES = (
@@ -391,6 +402,8 @@ class TestBench:
             ({"repetition": 5}, "unknown config key 'repetition'"),
             ({"solvers": [{"algorithm": "annealing", "param": {"sweeps": 5}}]}, "unknown solver key 'param'"),
             ({"instances": [{"family": "labs", "params": {"k": 5}, "seed": 3}]}, "unknown instance key 'seed'"),
+            # Report paths come from --csv and --json alone.
+            ({"csv_path": "report.csv"}, "unknown config key 'csv_path'"),
         ],
     )
     def test_unknown_config_key_exits_one(self, tmp_path, capsys, change, message):
@@ -418,7 +431,7 @@ class TestBench:
             ({"time_limit": "nan"}, "time limit must be positive, got nan"),
             ({"time_limit": "x"}, "time_limit must be a number, got 'x'"),
             ({"instances": "abc"}, "instances must be a list, got 'abc'"),
-            ({"json_path": ""}, "json_path must be a non-empty string or null, got ''"),
+            ({"json_path": ""}, "unknown config key 'json_path'"),
             (
                 {"instances": [*SMALL_BENCH["instances"], {"family": "labs", "params": None}]},
                 "instance params must be an object, got None",
@@ -443,6 +456,16 @@ class TestBench:
         out = tmp_path / "report.csv"
         assert run_cli(["bench", str(config), "--csv", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json", "--junit"])
+    def test_empty_report_path_exits_one_before_any_cell(self, tmp_path, capsys, flag):
+        # An empty --junit path once failed only after every cell had run.
+        config = write_config(tmp_path, SMALL_BENCH)
+        out = tmp_path / ("report.csv" if flag == "--json" else "report.json")
+        other = "--csv" if flag == "--json" else "--json"
+        assert run_cli(["bench", str(config), other, str(out), flag, ""]) == 1
+        assert capsys.readouterr().err == f"error: {flag} needs a non-empty path\n"
         assert not out.exists()
 
     def test_jobs_flag_other_than_one_exits_one_before_any_cell(self, tmp_path, capsys):
@@ -665,6 +688,13 @@ class TestVerify:
 
 
 class TestModuleEntryPoint:
+    def test_main_exits_with_the_command_status(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["qopt", "--help"])
+        with pytest.raises(SystemExit) as caught:
+            main()
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qopt ")
+
     def test_python_dash_m_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qopt", "generate", "labs", "--k", "5"],
@@ -778,7 +808,7 @@ PINNED_HARNESS = {
     "verify": "15866913abf785786171e04b1c5120dbf47cf5d497795c3310b23bec99d3d50f",
     "--help": "c3f778091c1baf251b39949b82ad1ca4a17d8f1c8fb8be8c3f176b60bd27046e",
     "solve --help": "92e0f7b22f4845e249fadd0bdb026f90703f284c26e64cc169b18db2f394c7b4",
-    "bench --help": "183a8bbf3ac26f8f75325df6523edd8a88d4ef1c90d2498c117413c99fd687ff",
+    "bench --help": "f41add74ea9950316d03fb151415da8a97640f05c95788bf4a9b613ed66dab4c",
     "unsupported flag": "c8b0df5334b07c0a10e200ffa5b77b2753ed5e5f89d2789e32acceec1f006ff9",
     "verify fail": "20f33b892866ae43e451f975806bbf9185c1bb36ba550382f28faae98165be85",
     "bench.csv": "c8fcaf7edf8bfeb6863e7666453048a2e931bfc7814ee035c2b5a9de352ca9c3",

@@ -14,7 +14,6 @@ import pytest
 from qopt.model import ConstrainedModel, QuboModel, density
 from qopt.problems import (
     FAMILIES,
-    ev_parking_from_data,
     gen_ev_parking,
     gen_labs,
     gen_market_share,
@@ -26,8 +25,6 @@ from qopt.problems import (
     instance_from_json,
     instance_to_json,
     labs_energy,
-    portfolio_from_data,
-    qap_from_data,
 )
 
 
@@ -47,6 +44,20 @@ def brute_min(obj):
     table = obj.energies_at(np.arange(1 << obj.n))
     idx = int(table.argmin())
     return float(table[idx]), tuple((idx >> i) & 1 for i in range(obj.n))
+
+
+def hand_made(family, raw, **params):
+    """``raw`` as a hand-written envelope, read the way ``qopt solve FILE`` reads it."""
+    return instance_from_json({"family": family, "meta": {"params": params} if params else {}, "raw": raw})
+
+
+# Hand-written payloads, one per family whose generator draws its data.
+HAND_QAP = {"n": 2, "a": [[0.0, 3.0], [1.0, 0.0]], "b": [[0.0, 2.0], [5.0, 0.0]]}
+HAND_EV_PARKING = {
+    "N": 3, "K": 2, "M": 2, "E": 4, "windows": [[1, 1], [1, 0], [0, 1]], "demand": [[2, 1], [3, 0], [0, 2]],
+    "values": [2.0, 3.0, 2.5],
+}
+HAND_PORTFOLIO = {"N": 3, "B": 1, "lam": 1.0, "mu": [0.1, 0.0, 0.05], "sigma": np.eye(3).tolist()}
 
 
 def satisfies(cm: ConstrainedModel, bits):
@@ -350,8 +361,10 @@ class TestLabs:
 
 
 class TestQap:
+    SWAP = {"n": 2, "a": [[0.0, 1.0], [1.0, 0.0]], "b": [[0.0, 2.0], [2.0, 0.0]]}
+
     def test_all_ones_has_two_equal_optima(self):
-        inst = qap_from_data(np.ones((2, 2)), np.ones((2, 2)))
+        inst = hand_made("qap", {"n": 2, "a": np.ones((2, 2)).tolist(), "b": np.ones((2, 2)).tolist()})
         assert inst.objective.n == 4
         energies = {bits: inst.objective.value(bits) for bits in all_bits(4)}
         best = min(energies.values())
@@ -361,13 +374,13 @@ class TestQap:
         assert best == pytest.approx(4.0)
 
     def test_hand_cost_example(self):
-        inst = qap_from_data([[0, 1], [1, 0]], [[0, 2], [2, 0]])
+        inst = hand_made("qap", self.SWAP)
         best, bits = brute_min(inst.objective)
         assert best == pytest.approx(4.0)
         assert bits in ((1, 0, 0, 1), (0, 1, 1, 0))
 
     def test_infeasible_assignments_cost_more(self):
-        inst = qap_from_data([[0, 1], [1, 0]], [[0, 2], [2, 0]])
+        inst = hand_made("qap", self.SWAP)
         feasible_cost = inst.objective.value((1, 0, 0, 1))
         for bits in all_bits(4):
             if bits not in ((1, 0, 0, 1), (0, 1, 1, 0)):
@@ -533,7 +546,8 @@ class TestEvParking:
     def test_overlapping_evs_pick_higher_value(self):
         u = [[1, 1], [1, 1]]
         d = [[2, 2], [3, 3]]
-        inst = ev_parking_from_data(u, d, values=[4.0, 9.0], M=1, E=20)
+        raw = {"N": 2, "K": 2, "M": 1, "E": 20, "windows": u, "demand": d, "values": [4.0, 9.0]}
+        inst = hand_made("ev-parking", raw)
         best, bits = brute_min(inst.objective)
         assert bits[:2] == (0, 1)
         assert best == pytest.approx(-9.0)
@@ -542,7 +556,8 @@ class TestEvParking:
         # Full enumeration of the compiled model on a small crafted instance.
         u = [[1, 0], [1, 1], [0, 1]]
         d = [[3, 0], [2, 4], [0, 5]]
-        inst = ev_parking_from_data(u, d, values=[3.5, 6.0, 5.25], M=2, E=7)
+        raw = {"N": 3, "K": 2, "M": 2, "E": 7, "windows": u, "demand": d, "values": [3.5, 6.0, 5.25]}
+        inst = hand_made("ev-parking", raw)
         assert inst.objective.n <= 16
         best, bits = brute_min(inst.objective)
         assert ev_feasible(inst.raw, bits[:3])
@@ -593,20 +608,21 @@ class TestEvParking:
             ([[1, 1]], [[2, True]], "demand"),
         ]:
             with pytest.raises(TypeError, match=f"^{field} must be an integer"):
-                ev_parking_from_data(u, d, [1.0], M=1, E=4)
+                hand_made("ev-parking", {"N": 1, "K": 2, "M": 1, "E": 4, "windows": u, "demand": d, "values": [1.0]})
 
     def test_rejects_bad_caps(self):
         with pytest.raises(ValueError):
             gen_ev_parking(2, 2, 0, 5)
+        raw = {"N": 1, "K": 1, "M": 1, "windows": [[1]], "demand": [[2]], "values": [1.0]}
         with pytest.raises(TypeError, match="E must be an integer"):
-            ev_parking_from_data([[1]], [[2]], [1.0], M=1, E=2.5)
+            hand_made("ev-parking", {**raw, "E": 2.5})
         with pytest.raises(ValueError):
-            ev_parking_from_data([[1]], [[2]], [1.0], M=1, E=0)
+            hand_made("ev-parking", {**raw, "E": 0})
 
 
 class TestPortfolio:
     def test_hand_example_selects_better_asset(self):
-        inst = portfolio_from_data([0.1, 0.0], np.eye(2), B=1)
+        inst = hand_made("portfolio", {"N": 2, "B": 1, "lam": 1.0, "mu": [0.1, 0.0], "sigma": np.eye(2).tolist()})
         e0 = inst.objective.value((1, 0))
         e1 = inst.objective.value((0, 1))
         assert e0 == pytest.approx(0.4)
@@ -644,7 +660,7 @@ class TestPortfolio:
         # int() once read B=2.9 as 2 and True as 1.
         for B in (2.9, 2.0, True):
             with pytest.raises(TypeError, match="^B must be an integer"):
-                portfolio_from_data([0.1, 0.0, 0.05], np.eye(3), B=B)
+                hand_made("portfolio", {**HAND_PORTFOLIO, "B": B})
             with pytest.raises(TypeError, match="^B must be an integer"):
                 gen_portfolio(5, B)
 
@@ -725,9 +741,7 @@ class TestFeasibilitySoundness:
             gen_mis(9, edge_prob=0.35, seed=2),
             gen_qap(3, seed=5),
             gen_portfolio(7, 3, seed=4),
-            ev_parking_from_data(
-                [[1, 1], [1, 0], [0, 1]], [[2, 1], [3, 0], [0, 2]], [2.0, 3.0, 2.5], M=2, E=4
-            ),
+            hand_made("ev-parking", HAND_EV_PARKING),
         ]
         for inst in instances:
             assert inst.constrained is not None
@@ -753,11 +767,9 @@ class TestSerialization:
             gen_portfolio(5, 2, seed=9),
             gen_qap(2, seed=5, penalty=40.0),
             gen_mis(3, points=[(0.0, 0.0), (0.5, 0.0), (3.0, 3.0)], unit_disc=True, seed=0),
-            qap_from_data([[0, 3], [1, 0]], [[0, 2], [5, 0]], penalty=7.0),
-            ev_parking_from_data(
-                [[1, 1], [1, 0], [0, 1]], [[2, 1], [3, 0], [0, 2]], [2.0, 3.0, 2.5], M=2, E=4
-            ),
-            portfolio_from_data([0.1, 0.0, 0.05], np.eye(3), B=1),
+            hand_made("qap", HAND_QAP, penalty=7.0),
+            hand_made("ev-parking", HAND_EV_PARKING),
+            hand_made("portfolio", HAND_PORTFOLIO),
         ]
 
     def test_round_trip_preserves_energies(self):
@@ -919,16 +931,20 @@ class TestPayloadSchema:
         "udmis": [lambda: gen_mis(5, unit_disc=True, seed=3)],
         "market-share": [lambda: gen_market_share(2, seed=4)],
         "labs": [lambda: gen_labs(6)],
-        "qap": [lambda: gen_qap(2, seed=5, penalty=40.0), lambda: qap_from_data([[0, 3], [1, 0]], [[0, 2], [5, 0]])],
+        "qap": [lambda: gen_qap(2, seed=5, penalty=40.0), lambda: hand_made("qap", HAND_QAP, penalty=None)],
         "spin-glass": [
             lambda: gen_spin_glass("complete", 5, seed=7, cubic_terms=2),
             lambda: gen_spin_glass("grid", 4, dist="gaussian", seed=6),
         ],
         "ev-parking": [
             lambda: gen_ev_parking(3, 2, 2, 9, seed=8),
-            lambda: ev_parking_from_data([[1, 1], [1, 0]], [[2, 1], [3, 0]], [2.0, 3.0], M=2, E=4),
+            lambda: hand_made("ev-parking", {"N": 2, "K": 2, "M": 2, "E": 4, "windows": [[1, 1], [1, 0]],
+                                             "demand": [[2, 1], [3, 0]], "values": [2.0, 3.0]}),
         ],
-        "portfolio": [lambda: gen_portfolio(4, 2, seed=9), lambda: portfolio_from_data([0.1, 0.0], np.eye(2), B=1)],
+        "portfolio": [
+            lambda: gen_portfolio(4, 2, seed=9),
+            lambda: hand_made("portfolio", {"N": 2, "B": 1, "lam": 1.0, "mu": [0.1, 0.0], "sigma": np.eye(2).tolist()}),
+        ],
     }
 
     def test_seeded_mutants_build_or_name_family_and_field(self):
@@ -994,8 +1010,9 @@ class TestPayloadSchema:
         "make, path, value, fields",
         [
             (lambda: gen_ev_parking(3, 2, 2, 9, seed=8), ("raw", "windows", 0, 0), 2, {"windows"}),
-            (lambda: ev_parking_from_data([[1, 0]], [[2, 0]], [1.0], M=1, E=4), ("raw", "demand", 0, 1), 3,
-             {"demand", "windows"}),
+            (lambda: hand_made("ev-parking", {"N": 1, "K": 2, "M": 1, "E": 4, "windows": [[1, 0]], "demand": [[2, 0]],
+                                              "values": [1.0]}),
+             ("raw", "demand", 0, 1), 3, {"demand", "windows"}),
             (lambda: gen_portfolio(4, 2, seed=9), ("raw", "B"), 5, {"B"}),
             (lambda: gen_qap(2, seed=5), ("meta", "params"), 5, {"params"}),
         ],

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -220,6 +221,15 @@ class TestSimulatedAnnealing:
             simulated_annealing(obj, sweeps=3, temperatures=[1.0, 2.0])
         with pytest.raises(ValueError):
             simulated_annealing(obj, sweeps=2, temperatures=[1.0, -1.0])
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_bad_seed_and_schedule_refused_at_every_size(self, n):
+        # At n=0 both once returned energy 0.0, while n=2 raised.
+        obj = IsingModel(n=n).as_objective()
+        with pytest.raises(ValueError, match="^temperature schedule needs"):
+            simulated_annealing(obj, sweeps=2, temperatures=[-1.0, math.nan], seed=1.5)
+        with pytest.raises(TypeError, match="^seed must be an integer, got 1.5$"):
+            simulated_annealing(obj, sweeps=2, seed=1.5)
 
     def test_single_sweep_runs_at_the_hot_end(self):
         obj = random_qubo(6, 3).as_objective()
@@ -939,6 +949,13 @@ class TestRecursiveQaoa:
         with pytest.raises(ValueError):
             recursive_qaoa(SINGLE_SPIN, cutoff=0)
 
+    @pytest.mark.parametrize("cutoff", [1, 2], ids=["reduced", "enumerated"])
+    def test_extras_keys_match_on_both_paths(self, cutoff):
+        obj = IsingModel(n=2, J={(0, 1): -1.0}).as_objective()
+        res = recursive_qaoa(obj, cutoff=cutoff, optimizer_budget=120, seed=0)
+        assert res.extras.keys() == {"cutoff", "levels", "substitutions"}
+        assert res.extras["cutoff"] == cutoff
+
     def test_replay_deterministic(self):
         inst = gen_maxcut_r3r(10, seed=5)
         a = recursive_qaoa(inst, cutoff=4, optimizer_budget=100, seed=21)
@@ -971,6 +988,25 @@ def test_float_counts_raise_naming_the_parameter(name, call):
     obj = gen_maxcut_r3r(6, seed=0).objective
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
         call(obj)
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("alpha", lambda obj, v: qaoa_solve(obj, objective_mode="cvar", alpha=v), id="qaoa-alpha"),
+        pytest.param("alpha", lambda obj, v: recursive_qaoa(obj, cutoff=2, alpha=v), id="rqaoa-alpha"),
+        pytest.param("alpha", lambda obj, v: recursive_qaoa(obj, alpha=v), id="rqaoa-alpha-enumerated"),
+        pytest.param("edge_prob", lambda obj, v: gen_mis(5, edge_prob=v), id="mis-edge_prob"),
+        pytest.param("side", lambda obj, v: gen_mis(5, unit_disc=True, side=v), id="udmis-side"),
+    ],
+)
+def test_non_real_parameters_raise_naming_the_parameter(name, call, value):
+    # True once trained at alpha 1.0 and built the complete graph, and "0.5"
+    # failed on an unnamed comparison or was read as a number.
+    obj = gen_maxcut_r3r(6, seed=0).objective
+    with pytest.raises(TypeError, match=f"^{name} must be a finite real, got {re.escape(repr(value))}$"):
+        call(obj, value)
 
 
 # Each family from its least size: a cubic term needs three spins, a LABS
