@@ -14,7 +14,6 @@ import csv
 import inspect
 import io
 import json
-import numbers
 import statistics
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -23,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from qopt._rng import derive_seed
-from qopt.model import ENERGY_TOL, DiagonalObjective, as_count, density
+from qopt.model import ENERGY_TOL, DiagonalObjective, _as_real, as_count, check_real, density
 from qopt.problems import FAMILIES, ProblemInstance
 from qopt.simulator import energy_table, statevector_cap
 from qopt.solvers import (
@@ -82,8 +81,9 @@ def _ar_theta(target) -> float | None:
     if target == "optimal":
         return None
     kind, theta = target if isinstance(target, (list, tuple)) and len(target) == 2 else (None, None)
-    if kind != "ar" or not isinstance(theta, numbers.Real) or isinstance(theta, bool):
+    if kind != "ar":
         raise ValueError(f'target must be "optimal" or ["ar", theta], got {target!r}')
+    check_real("target AR", theta)
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"target AR must lie in (0, 1], got {theta}")
     return float(theta)
@@ -186,7 +186,7 @@ class BenchmarkConfig:
     ``{"family": "maxcut-r3r", "params": {"n": 16}}`` and
     ``{"algorithm": "qaoa", "params": {"p": 1}}``; any other key and
     params that are not a mapping are errors, as is a ``time_limit`` that
-    is a bool or not a number. ``jobs`` must be 1, since cells run one at a
+    is not a positive finite real. ``jobs`` must be 1, since cells run one at a
     time; the key is kept so that configs and command lines that set it to
     1 still run.
     Instance seeds default to values derived from the master seed when the
@@ -208,15 +208,7 @@ class BenchmarkConfig:
         if self.target is not None:
             theta = _ar_theta(self.target)
             object.__setattr__(self, "target", "optimal" if theta is None else ("ar", theta))
-        try:
-            # float() would read True as a 1-second budget.
-            if isinstance(self.time_limit, bool):
-                raise TypeError
-            object.__setattr__(self, "time_limit", float(self.time_limit))
-        except (TypeError, ValueError):
-            raise ValueError(f"time_limit must be a number, got {self.time_limit!r}") from None
-        if not self.time_limit > 0:
-            raise ValueError(f"time limit must be positive, got {self.time_limit}")
+        object.__setattr__(self, "time_limit", _as_real("time_limit", self.time_limit, positive=True))
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1, got {self.jobs}: qopt bench runs its cells one at a time")
         for kind, name, keys in (

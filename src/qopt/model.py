@@ -100,19 +100,26 @@ def as_count(name: str, value, least: int | None = 1) -> int:
 
 
 def check_real(name: str, value, positive: bool = False) -> None:
-    """Refuse a ``value`` that is not a finite real. Every real in a raw
-    payload passes through it, as do ``alpha`` and ``gen_mis``'s
-    ``edge_prob`` and ``side``.
+    """Refuse a ``value`` that is not a finite real: the one check for every
+    real that qopt is handed.
 
     A bool or anything that is not a real number, such as a string, raises
     ``TypeError`` naming ``name``; NaN, an infinity, an int beyond the float
     range, and with ``positive`` a value at or below 0, ``ValueError``."""
-    # abs() bounds ints too, which float() would overflow on; NaN fails it.
-    what = "positive finite real" if positive else "finite real"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a {what}, got {value!r}")
-    if not abs(value) <= sys.float_info.max or positive and value <= 0:
-        raise ValueError(f"{name} must be a {what}, got {value!r}")
+    # A float skips the ABC test, which costs more than the rest. abs()
+    # bounds ints too, which float() would overflow on; NaN fails it.
+    error = TypeError
+    if isinstance(value, float) or not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if abs(value) <= sys.float_info.max and not (positive and value <= 0):
+            return
+        error = ValueError
+    raise error(f"{name} must be a {'positive finite real' if positive else 'finite real'}, got {value!r}")
+
+
+def _as_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float, once :func:`check_real` has passed it."""
+    check_real(name, value, positive)
+    return float(value)
 
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:
@@ -275,15 +282,9 @@ class QuboModel:
             i, j = as_count("term index", key[0], least=0), as_count("term index", key[1], least=0)
             if not (i <= j < self.n):
                 raise ValueError(f"term index pair {key} invalid for n={self.n} (need 0 <= i <= j < n)")
-            c = float(coeff)
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient for term {key} is not finite")
-            normalized[(i, j)] = c
-        off = float(self.offset)
-        if not math.isfinite(off):
-            raise ValueError("offset is not finite")
+            normalized[(i, j)] = _as_real(f"terms[{i}, {j}]", coeff)
         object.__setattr__(self, "terms", normalized)
-        object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "offset", _as_real("offset", self.offset))
 
     @classmethod
     def from_entries(
@@ -299,7 +300,7 @@ class QuboModel:
         acc: dict[tuple[int, int], float] = {}
         for i, j, c in entries:
             key = (min(i, j), max(i, j))
-            acc[key] = acc.get(key, 0.0) + float(c)
+            acc[key] = acc.get(key, 0.0) + _as_real(f"entry ({i}, {j}) coefficient", c)
         return cls(n=n, terms=acc, offset=offset)
 
     def energy(self, x: Sequence[int]) -> float:
@@ -334,26 +335,20 @@ class IsingModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", as_count("spin count", self.n, least=0))
-        h = tuple(float(v) for v in self.h) if self.h else tuple(0.0 for _ in range(self.n))
+        if isinstance(self.h, Mapping):
+            raise TypeError(f"h must be a sequence of {self.n} fields, got a mapping")
+        h = tuple(_as_real("h", v) for v in self.h) if self.h else (0.0,) * self.n
         if len(h) != self.n:
             raise ValueError(f"field vector has length {len(h)}, model has {self.n} spins")
-        if any(not math.isfinite(v) for v in h):
-            raise ValueError("field entries must be finite")
         couplings: dict[tuple[int, int], float] = {}
         for key, coeff in dict(self.J).items():
             i, j = as_count("coupling index", key[0], least=0), as_count("coupling index", key[1], least=0)
             if not (i < j < self.n):
                 raise ValueError(f"coupling pair {key} invalid for n={self.n} (need 0 <= i < j < n)")
-            c = float(coeff)
-            if not math.isfinite(c):
-                raise ValueError(f"coupling for pair {key} is not finite")
-            couplings[(i, j)] = c
-        off = float(self.offset)
-        if not math.isfinite(off):
-            raise ValueError("offset is not finite")
+            couplings[(i, j)] = _as_real(f"J[{i}, {j}]", coeff)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "J", couplings)
-        object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "offset", _as_real("offset", self.offset))
 
     def energy(self, z: Sequence[int]) -> float:
         """Exact spin energy; entries of ``z`` must be -1 or +1."""
@@ -377,7 +372,7 @@ class IsingModel:
             triple = tuple(as_count("cubic term index", v, least=0) for v in (a, b, c))
             if len(set(triple)) != 3 or not all(v < self.n for v in triple):
                 raise ValueError(f"cubic term {triple} needs three distinct spins in 0..{self.n - 1}")
-            monomials.append((triple, float(w)))
+            monomials.append((triple, _as_real(f"cubic term {triple} weight", w)))
         return _compile(self.n, True, self.offset, monomials)
 
     def as_objective(self, cubic: Sequence[tuple[int, int, int, float]] = ()) -> "DiagonalObjective":
@@ -464,14 +459,8 @@ class LinearConstraint:
     bound: float
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if any(not math.isfinite(c) for c in coeffs):
-            raise ValueError("constraint coefficients must be finite")
-        b = float(self.bound)
-        if not math.isfinite(b):
-            raise ValueError("constraint bound must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "bound", b)
+        object.__setattr__(self, "coeffs", tuple(_as_real("coeffs", c) for c in self.coeffs))
+        object.__setattr__(self, "bound", _as_real("bound", self.bound))
 
     def is_integral(self) -> bool:
         return all(c.is_integer() for c in self.coeffs) and float(self.bound).is_integer()
@@ -576,9 +565,7 @@ def penalty_encode(cm: ConstrainedModel, penalty: float | None = None) -> QuboMo
     if not cm.equalities and not cm.inequalities:
         return cm.objective
     q = cm.objective
-    p = default_penalty(q) if penalty is None else float(penalty)
-    if not (p > 0.0) or not math.isfinite(p):
-        raise ValueError(f"penalty must be a positive finite number, got {penalty!r}")
+    p = _as_real("penalty", default_penalty(q) if penalty is None else penalty, positive=True)
 
     # Every constraint is normalized into (sparse coefficients, bound) over the
     # extended variable set; inequalities gain slack columns first.

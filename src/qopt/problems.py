@@ -71,6 +71,7 @@ from qopt.model import (
     IsingModel,
     LinearConstraint,
     QuboModel,
+    _as_real,
     as_count,
     check_real,
     ising_to_qubo,
@@ -368,15 +369,11 @@ def gen_mis(
     if unit_disc:
         if edge_prob is not None:
             raise ValueError("edge_prob is only meaningful without unit_disc")
-        if side is not None:
-            check_real("side", side)
-        box = math.sqrt(n) if side is None else float(side)
-        if box <= 0:
-            raise ValueError(f"square side must be positive, got {side}")
+        box = math.sqrt(n) if side is None else _as_real("side", side, positive=True)
         if points is None:
             pts = [(float(x), float(y)) for x, y in rng.uniform(0.0, box, size=(n, 2))]
         else:
-            pts = [(float(x), float(y)) for x, y in points]
+            pts = [(_as_real("points", x), _as_real("points", y)) for x, y in points]
             if len(pts) != n:
                 raise ValueError(f"got {len(pts)} points for n={n} vertices")
         edges = [
@@ -400,9 +397,7 @@ def gen_mis(
     if weights is None:
         w = [1.0] * n
     else:
-        w = [float(c) for c in weights]
-        if any(c <= 0.0 for c in w):
-            raise ValueError("vertex weights must be positive")
+        w = [_as_real("weights", c) for c in weights]  # the payload check refuses w <= 0
     raw: dict = {"n": n, "edges": [[u, v] for u, v in edges], "weights": w}
     if unit_disc:
         raw["points"] = [[x, y] for x, y in pts]
@@ -856,7 +851,7 @@ class Family(NamedTuple):
 
 _N = Flag("--n", "n")
 _SEED = Flag("--seed", "seed", default=0, help="master seed (default 0)")
-_MIS_FIELDS = {"n": "count", "edges": "pairs", "weights": "real[n]", "points": "real[n,2]?"}
+_MIS_FIELDS = {"n": "count", "edges": "pairs", "weights": "real>0[n]", "points": "real[n,2]?"}
 
 FAMILIES: dict[str, Family] = {
     "maxcut-r3r": Family(

@@ -102,8 +102,10 @@ import numpy as np
 from qopt.model import (
     ENERGY_TOL,
     DiagonalObjective,
+    _as_real,
     as_count,
     bits_to_index,
+    check_real,
     index_to_bits,
 )
 
@@ -195,9 +197,6 @@ class Statevector:
         amps[pattern] = 1.0
         return cls(n=n, amplitudes=amps)
 
-    def copy(self) -> "Statevector":
-        return Statevector(n=self.n, amplitudes=self.amplitudes.copy())
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -212,14 +211,12 @@ class QaoaParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_count("layer count", self.p, least=0))
-        gammas = tuple(float(g) for g in self.gammas)
-        betas = tuple(float(b) for b in self.betas)
+        gammas = tuple(_as_real("gammas", g) for g in self.gammas)
+        betas = tuple(_as_real("betas", b) for b in self.betas)
         if len(gammas) != self.p or len(betas) != self.p:
             raise ValueError(
                 f"need exactly p={self.p} angles per list, got {len(gammas)} and {len(betas)}"
             )
-        if any(not math.isfinite(v) for v in (*gammas, *betas)):
-            raise ValueError("angles must be finite")
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "betas", betas)
 
@@ -813,8 +810,7 @@ def cvar(
     fractionally; each call sorts the cached energy table stably (ties in
     index order) and caches nothing beside the table.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if isinstance(values, SampleSet):
         return _tail_mean(values.index_energies, values.index_counts, alpha)
     if isinstance(values, Statevector):
@@ -837,6 +833,13 @@ def cvar(
     raise TypeError(f"cannot compute CVaR of {type(values).__name__}")
 
 
+def _check_alpha(alpha) -> None:
+    # CVaR's tail fraction, for cvar() and CVaR training alike.
+    check_real("alpha", alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def anneal_trotter(obj: DiagonalObjective, T: float, steps: int) -> Statevector:
     """First-order Trotterized anneal from the uniform state on the linear ramp.
 
@@ -848,8 +851,7 @@ def anneal_trotter(obj: DiagonalObjective, T: float, steps: int) -> Statevector:
     steps``.
     """
     steps = as_count("steps", steps)
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"total time must be positive and finite, got {T}")
+    check_real("T", T, positive=True)
     dt = T / steps
     lams = [(k + 0.5) / steps for k in range(steps)]
     amps = _evolve(obj, [dt * lam for lam in lams], [dt * (1.0 - lam) for lam in lams])
@@ -864,8 +866,9 @@ def gibbs_distribution(obj: DiagonalObjective, beta: float) -> np.ndarray:
     evolution for time ``tau`` suppresses amplitudes by ``exp(-tau E)``, so
     its measurement distribution equals this one at ``beta = 2 tau``.
     """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
+    check_real("beta", beta)
+    if not beta >= 0.0:
+        raise ValueError(f"beta must be at least 0, got {beta}")
     table = energy_table(obj)
     weights = np.exp(-beta * (table - table.min()))
     return weights / weights.sum()

@@ -19,13 +19,14 @@ import numpy as np
 
 from qopt._minimize import lbfgs, nelder_mead
 from qopt._rng import derive_seed
-from qopt.model import DiagonalObjective, IsingModel, as_count, bits_to_index, check_real, index_to_bits
+from qopt.model import DiagonalObjective, IsingModel, _as_real, as_count, bits_to_index, check_real, index_to_bits
 from qopt.problems import ProblemInstance
 from qopt.simulator import (
     CapacityError,
     QaoaParams,
     SampleSet,
     Statevector,
+    _check_alpha,
     _check_cap,
     _draw,
     _energy_sum,
@@ -414,9 +415,9 @@ def simulated_annealing(
     sweeps, restarts = as_count("sweeps", sweeps), as_count("restarts", restarts)
     temps = None
     if temperatures is not None:
-        temps = np.asarray([float(t) for t in temperatures], dtype=np.float64)
-        if temps.shape != (sweeps,) or not (np.isfinite(temps) & (temps > 0)).all():
-            raise ValueError("temperature schedule needs one positive, finite entry per sweep")
+        temps = np.asarray([_as_real("temperatures", t, positive=True) for t in temperatures], dtype=np.float64)
+        if len(temps) != sweeps:
+            raise ValueError(f"temperature schedule needs one entry per sweep, got {len(temps)} for {sweeps} sweeps")
     seed = as_count("seed", seed, least=None)
     if obj.n == 0:
         return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
@@ -651,9 +652,7 @@ def qaoa_solve(
     always prepared.
     """
     obj = _objective_of(problem)
-    p, optimizer_budget = as_count("p", p, least=0), as_count("optimizer_budget", optimizer_budget)
-    shots = as_count("shots", shots)
-    _check_objective_mode(objective_mode, alpha)
+    p, optimizer_budget, shots, seed = _check_qaoa_args(p, objective_mode, alpha, optimizer_budget, shots, seed)
 
     # The final state needs the full statevector. The closed form never
     # builds one, so without this check it would train first and fail last.
@@ -770,12 +769,19 @@ def qaoa_solve(
     )
 
 
-def _check_objective_mode(objective_mode: str, alpha: float) -> None:
+def _check_qaoa_args(p, objective_mode, alpha, optimizer_budget, shots, seed) -> tuple[int, int, int, int]:
+    # qaoa_solve's and recursive_qaoa's argument checks, made before either
+    # does any work; alpha must lie in (0, 1] only where CVaR reads it.
     if objective_mode not in ("mean", "cvar"):
         raise ValueError(f"unknown objective mode {objective_mode!r}")
-    check_real("alpha", alpha)
-    if objective_mode == "cvar" and not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if objective_mode == "cvar":
+        _check_alpha(alpha)
+    else:
+        check_real("alpha", alpha)
+    return (
+        as_count("p", p, least=0), as_count("optimizer_budget", optimizer_budget),
+        as_count("shots", shots), as_count("seed", seed, least=None),
+    )
 
 
 class _BudgetDone(Exception):
@@ -846,7 +852,7 @@ def recursive_qaoa(
     """
     obj = _objective_of(problem)
     cutoff = as_count("cutoff", cutoff)
-    _check_objective_mode(objective_mode, alpha)
+    p, optimizer_budget, shots, seed = _check_qaoa_args(p, objective_mode, alpha, optimizer_budget, shots, seed)
     started = time.perf_counter()
     if obj.n <= cutoff:
         return replace(

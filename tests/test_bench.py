@@ -181,8 +181,10 @@ class TestRecordAndConfig:
         with pytest.raises(ValueError):
             BenchmarkConfig(time_limit=0.0)
         # NaN would pass a `<= 0` check and then miss every target.
-        with pytest.raises(ValueError, match="time limit must be positive, got nan"):
+        with pytest.raises(ValueError, match="^time_limit must be a positive finite real, got nan$"):
             BenchmarkConfig(time_limit=float("nan"))
+        with pytest.raises(ValueError, match="^time_limit must be a positive finite real, got inf$"):
+            BenchmarkConfig(time_limit=float("inf"))
         with pytest.raises(ValueError):
             BenchmarkConfig(jobs=0)
 

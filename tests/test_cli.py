@@ -9,6 +9,7 @@ import ast
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -424,12 +425,12 @@ class TestBench:
             ({"target": 5}, 'target must be "optimal" or ["ar", theta], got 5'),
             ({"target": "best"}, 'target must be "optimal" or ["ar", theta], got \'best\''),
             ({"target": ["ar"]}, 'target must be "optimal" or ["ar", theta], got [\'ar\']'),
-            ({"target": ["ar", "0.5"]}, 'target must be "optimal" or ["ar", theta], got [\'ar\', \'0.5\']'),
+            ({"target": ["ar", "0.5"]}, "target AR must be a finite real, got '0.5'"),
             ({"repetitions": 2.7}, "repetitions must be an integer, got 2.7"),
             ({"jobs": "2"}, "jobs must be an integer, got '2'"),
             ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
-            ({"time_limit": "nan"}, "time limit must be positive, got nan"),
-            ({"time_limit": "x"}, "time_limit must be a number, got 'x'"),
+            ({"time_limit": "nan"}, "time_limit must be a positive finite real, got 'nan'"),
+            ({"time_limit": "x"}, "time_limit must be a positive finite real, got 'x'"),
             ({"instances": "abc"}, "instances must be a list, got 'abc'"),
             ({"json_path": ""}, "unknown config key 'json_path'"),
             (
@@ -442,7 +443,8 @@ class TestBench:
             ),
             ({"jobs": 2}, "jobs must be 1, got 2: qopt bench runs its cells one at a time"),
             ({"jobs": 0}, "jobs must be 1, got 0: qopt bench runs its cells one at a time"),
-            ({"time_limit": True}, "time_limit must be a number, got True"),
+            ({"time_limit": True}, "time_limit must be a positive finite real, got True"),
+            ({"time_limit": math.inf}, "time_limit must be a positive finite real, got inf"),
         ],
     )
     def test_invalid_config_value_exits_one_before_any_cell(self, tmp_path, capsys, change, message):

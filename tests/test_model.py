@@ -153,7 +153,7 @@ class TestQuboModel:
             QuboModel(n=2, terms={(0, 2): 1.0})
         with pytest.raises(ValueError):
             QuboModel(n=2, terms={(0, 1): float("nan")})
-        with pytest.raises(ValueError, match="offset is not finite"):
+        with pytest.raises(ValueError, match="^offset must be a finite real, got inf$"):
             QuboModel(n=2, offset=math.inf)
 
     def test_rejects_bad_assignment(self):
@@ -220,11 +220,14 @@ class TestIsingModel:
             IsingModel(n=2, J={(1, 0): 1.0})
         with pytest.raises(ValueError):
             IsingModel(n=2, h=(1.0,))
-        with pytest.raises(ValueError, match="field entries must be finite"):
+        with pytest.raises(ValueError, match="^h must be a finite real, got nan$"):
             IsingModel(n=2, h=(1.0, math.nan))
-        with pytest.raises(ValueError, match=r"coupling for pair \(0, 1\) is not finite"):
+        # The keys of a mapping were once read as the fields: {0: 0.5, 1: 0.5} gave h = (0.0, 1.0).
+        with pytest.raises(TypeError, match="^h must be a sequence of 2 fields, got a mapping$"):
+            IsingModel(n=2, h={0: 0.5, 1: 0.5})
+        with pytest.raises(ValueError, match=r"^J\[0, 1\] must be a finite real, got inf$"):
             IsingModel(n=2, J={(0, 1): math.inf})
-        with pytest.raises(ValueError, match="offset is not finite"):
+        with pytest.raises(ValueError, match="^offset must be a finite real, got -inf$"):
             IsingModel(n=2, offset=-math.inf)
 
     def test_rejects_bad_cubic_terms(self):
@@ -427,9 +430,9 @@ class TestPenaltyEncode:
             )
         # Constraint data that is not finite, or that does not match the
         # objective, is refused before any encoding.
-        with pytest.raises(ValueError, match="constraint coefficients must be finite"):
+        with pytest.raises(ValueError, match="^coeffs must be a finite real, got nan$"):
             LinearConstraint((1.0, math.nan), 1.0)
-        with pytest.raises(ValueError, match="constraint bound must be finite"):
+        with pytest.raises(ValueError, match="^bound must be a finite real, got inf$"):
             LinearConstraint((1.0, 1.0), math.inf)
         with pytest.raises(ValueError, match="constraint has 3 coefficients, objective has 2 variables"):
             ConstrainedModel(objective=q, equalities=(LinearConstraint((1.0, 1.0, 1.0), 1.0),))
@@ -498,7 +501,7 @@ class TestPenaltyEncode:
             objective=QuboModel(n=1, terms={}),
             equalities=(LinearConstraint((1.0,), 1.0),),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^penalty must be a positive finite real, got 0.0$"):
             penalty_encode(cm, penalty=0.0)
 
     def test_default_penalty_value(self):

@@ -179,7 +179,7 @@ class TestMis:
         with pytest.raises(ValueError):
             gen_mis(6, side=2.0, seed=1)
         for side in (0.0, -1.0):
-            with pytest.raises(ValueError, match="square side must be positive"):
+            with pytest.raises(ValueError, match=f"^side must be a positive finite real, got {side}$"):
                 gen_mis(6, unit_disc=True, side=side, seed=1)
 
     def test_edge_prob_with_unit_disc_rejected(self):
@@ -192,10 +192,19 @@ class TestMis:
                 gen_mis(6, edge_prob=edge_prob, seed=1)
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mis payload: weights must be a positive finite real, got -1\.0$"):
             gen_mis(3, weights=(1.0, -1.0, 2.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mis payload: weights must be a positive finite real, got 0\.0$"):
             gen_mis(3, weights=(0.0, 1.0, 1.0))
+
+    def test_hand_made_weights_must_be_positive(self):
+        # A negative weight made the penalty 1 + sum(weights) too small: this
+        # envelope once built with penalty 1.5, and brute force certified
+        # (1, 1, 0) at -4.5, which takes both ends of edge 0-1.
+        raw = {"n": 3, "edges": [[0, 1], [1, 2]], "weights": [3, 3, -5.5]}
+        with pytest.raises(ValueError, match=r"^mis payload: weights must be a positive finite real, got -5\.5$"):
+            hand_made("mis", raw)
+        assert brute_min(hand_made("mis", {**raw, "weights": [3, 3, 5.5]}).objective) == (-8.5, (1, 0, 1))
 
     def test_constrained_rows_cover_edges(self):
         inst = gen_mis(5, edge_prob=0.5, seed=2)

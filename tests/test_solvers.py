@@ -21,12 +21,14 @@ import pytest
 
 from qopt import _checks
 from qopt._rng import derive_seed
-from qopt.bench import SOLVERS
-from qopt.model import DiagonalObjective, IsingModel, QuboModel, index_to_bits
+from qopt.bench import SOLVERS, BenchmarkConfig
+from qopt.model import (
+    ConstrainedModel, DiagonalObjective, IsingModel, LinearConstraint, QuboModel, index_to_bits, penalty_encode,
+)
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
     CapacityError, QaoaParams, SampleSet, Statevector, _flip_symmetric, anneal_trotter, cvar, energy_table,
-    qaoa_state, sample,
+    gibbs_distribution, qaoa_state, sample,
 )
 from qopt.solvers import (
     brute_force,
@@ -226,7 +228,7 @@ class TestSimulatedAnnealing:
     def test_bad_seed_and_schedule_refused_at_every_size(self, n):
         # At n=0 both once returned energy 0.0, while n=2 raised.
         obj = IsingModel(n=n).as_objective()
-        with pytest.raises(ValueError, match="^temperature schedule needs"):
+        with pytest.raises(ValueError, match="^temperatures must be a positive finite real, got -1.0$"):
             simulated_annealing(obj, sweeps=2, temperatures=[-1.0, math.nan], seed=1.5)
         with pytest.raises(TypeError, match="^seed must be an integer, got 1.5$"):
             simulated_annealing(obj, sweeps=2, seed=1.5)
@@ -973,7 +975,15 @@ class TestRecursiveQaoa:
         pytest.param("p", lambda obj: qaoa_solve(obj, p=1.5), id="qaoa-p"),
         pytest.param("optimizer_budget", lambda obj: qaoa_solve(obj, optimizer_budget=10.5), id="qaoa-budget"),
         pytest.param("shots", lambda obj: qaoa_solve(obj, shots=2.5), id="qaoa-shots"),
+        pytest.param("seed", lambda obj: qaoa_solve(obj, seed=1.5), id="qaoa-seed"),
         pytest.param("cutoff", lambda obj: recursive_qaoa(obj, cutoff=2.5), id="rqaoa-cutoff"),
+        # At n <= cutoff the reduction enumerates, and checks the same arguments first.
+        pytest.param("p", lambda obj: recursive_qaoa(obj, p=1.5), id="rqaoa-p-enumerated"),
+        pytest.param(
+            "optimizer_budget", lambda obj: recursive_qaoa(obj, optimizer_budget=10.5), id="rqaoa-budget-enumerated",
+        ),
+        pytest.param("shots", lambda obj: recursive_qaoa(obj, shots=2.5), id="rqaoa-shots-enumerated"),
+        pytest.param("seed", lambda obj: recursive_qaoa(obj, seed=1.5), id="rqaoa-seed-enumerated"),
         pytest.param(
             "shots",
             lambda obj: sample(qaoa_state(obj, QaoaParams(p=1, gammas=(0.3,), betas=(0.2,))), 2.5, obj=obj),
@@ -990,6 +1000,17 @@ def test_float_counts_raise_naming_the_parameter(name, call):
         call(obj)
 
 
+def test_recursive_qaoa_checks_its_mode_at_every_size():
+    obj = gen_maxcut_r3r(6, seed=0).objective
+    for cutoff in (2, 8):
+        with pytest.raises(ValueError, match="^unknown objective mode 'max'$"):
+            recursive_qaoa(obj, cutoff=cutoff, objective_mode="max")
+
+
+ONE_EQUALITY = ConstrainedModel(objective=QuboModel(n=1), equalities=(LinearConstraint((1.0,), 1.0),))
+POSITIVE = "positive finite real"
+
+
 @pytest.mark.parametrize("value", [True, "0.5"])
 @pytest.mark.parametrize(
     "name, call",
@@ -998,14 +1019,50 @@ def test_float_counts_raise_naming_the_parameter(name, call):
         pytest.param("alpha", lambda obj, v: recursive_qaoa(obj, cutoff=2, alpha=v), id="rqaoa-alpha"),
         pytest.param("alpha", lambda obj, v: recursive_qaoa(obj, alpha=v), id="rqaoa-alpha-enumerated"),
         pytest.param("edge_prob", lambda obj, v: gen_mis(5, edge_prob=v), id="mis-edge_prob"),
-        pytest.param("side", lambda obj, v: gen_mis(5, unit_disc=True, side=v), id="udmis-side"),
+        pytest.param(("side", POSITIVE), lambda obj, v: gen_mis(5, unit_disc=True, side=v), id="udmis-side"),
+        pytest.param("weights", lambda obj, v: gen_mis(3, weights=[1.0, v, 1.0]), id="mis-weights"),
+        pytest.param(
+            "points", lambda obj, v: gen_mis(2, unit_disc=True, points=[(0.0, v), (0.5, 0)]), id="udmis-points",
+        ),
+        pytest.param("terms[0, 1]", lambda obj, v: QuboModel(2, {(0, 1): v}), id="qubo-terms"),
+        pytest.param("offset", lambda obj, v: QuboModel(2, offset=v), id="qubo-offset"),
+        pytest.param(
+            "entry (1, 0) coefficient", lambda obj, v: QuboModel.from_entries(2, [(1, 0, v)]), id="qubo-entries",
+        ),
+        pytest.param("h", lambda obj, v: IsingModel(2, h=(0.5, v)), id="ising-h"),
+        pytest.param("J[0, 1]", lambda obj, v: IsingModel(2, J={(0, 1): v}), id="ising-J"),
+        pytest.param("offset", lambda obj, v: IsingModel(2, offset=v), id="ising-offset"),
+        pytest.param(
+            "cubic term (0, 1, 2) weight",
+            lambda obj, v: IsingModel(3).as_objective(cubic=[(0, 1, 2, v)]),
+            id="ising-cubic",
+        ),
+        pytest.param("coeffs", lambda obj, v: LinearConstraint((1.0, v), 1.0), id="constraint-coeffs"),
+        pytest.param("bound", lambda obj, v: LinearConstraint((1.0, 1.0), v), id="constraint-bound"),
+        pytest.param(("penalty", POSITIVE), lambda obj, v: penalty_encode(ONE_EQUALITY, penalty=v), id="penalty"),
+        pytest.param("gammas", lambda obj, v: QaoaParams(1, (v,), (0.5,)), id="qaoa-gammas"),
+        pytest.param("betas", lambda obj, v: QaoaParams(1, (0.5,), (v,)), id="qaoa-betas"),
+        pytest.param(("T", POSITIVE), lambda obj, v: anneal_trotter(obj, v, 2), id="trotter-T"),
+        pytest.param("beta", lambda obj, v: gibbs_distribution(obj, v), id="gibbs-beta"),
+        pytest.param(
+            ("temperatures", POSITIVE),
+            lambda obj, v: simulated_annealing(obj, sweeps=2, temperatures=[2.0, v]),
+            id="anneal-temperatures",
+        ),
+        pytest.param(("time_limit", POSITIVE), lambda obj, v: BenchmarkConfig(time_limit=v), id="bench-time_limit"),
+        pytest.param("target AR", lambda obj, v: BenchmarkConfig(target=("ar", v)), id="bench-target"),
+        pytest.param(
+            "alpha", lambda obj, v: cvar(sample(Statevector.plus(obj.n), 8, obj=obj), v), id="cvar-alpha",
+        ),
     ],
 )
 def test_non_real_parameters_raise_naming_the_parameter(name, call, value):
-    # True once trained at alpha 1.0 and built the complete graph, and "0.5"
-    # failed on an unnamed comparison or was read as a number.
+    # True once trained at alpha 1.0, built the complete graph or was read
+    # as 1.0, and "0.5" failed on an unnamed comparison or conversion or
+    # was read as a number.
+    name, what = name if isinstance(name, tuple) else (name, "finite real")
     obj = gen_maxcut_r3r(6, seed=0).objective
-    with pytest.raises(TypeError, match=f"^{name} must be a finite real, got {re.escape(repr(value))}$"):
+    with pytest.raises(TypeError, match=f"^{re.escape(name)} must be a {what}, got {re.escape(repr(value))}$"):
         call(obj, value)
 
 
@@ -1016,7 +1073,7 @@ BOUNDARY_FAMILIES = {
         n=n, terms={**{(i, i): 1.0 - i % 3 for i in range(n)}, **{(i, i + 1): 2.0 for i in range(n - 1)}},
     ).as_objective()),
     "cubic": (3, lambda n: IsingModel(
-        n=n, h={i: 0.5 for i in range(n)}, J={(i, i + 1): -1.0 for i in range(n - 1)},
+        n=n, h=(0.5,) * n, J={(i, i + 1): -1.0 for i in range(n - 1)},
     ).as_objective(cubic=[(i, i + 1, i + 2, 1.0) for i in range(n - 2)])),
     "labs": (2, lambda n: gen_labs(n).objective),
 }
