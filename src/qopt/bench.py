@@ -108,6 +108,7 @@ def success_metrics(
     """
     if not results:
         raise ValueError("need at least one repetition")
+    time_limit = _as_real("time_limit", time_limit, positive=True)
     theta = _ar_theta(target)
     if theta is not None and (c_min is None or c_max is None):
         raise ValueError("AR targets need both c_min and c_max")

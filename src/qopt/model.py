@@ -335,9 +335,11 @@ class IsingModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", as_count("spin count", self.n, least=0))
-        if isinstance(self.h, Mapping):
-            raise TypeError(f"h must be a sequence of {self.n} fields, got a mapping")
-        h = tuple(_as_real("h", v) for v in self.h) if self.h else (0.0,) * self.n
+        h = self.h.tolist() if isinstance(self.h, np.ndarray) and self.h.ndim == 1 else self.h
+        if not isinstance(h, Sequence):
+            kind = "a mapping" if isinstance(h, Mapping) else f"a {np.ndim(h)}-D {type(h).__name__}"
+            raise TypeError(f"h must be a sequence of {self.n} fields, got {kind}")
+        h = tuple(_as_real("h", v) for v in h) if h else (0.0,) * self.n
         if len(h) != self.n:
             raise ValueError(f"field vector has length {len(h)}, model has {self.n} spins")
         couplings: dict[tuple[int, int], float] = {}

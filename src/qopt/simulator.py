@@ -313,13 +313,15 @@ def _frozen(values, dtype) -> np.ndarray:
 def energy_table(obj: DiagonalObjective) -> np.ndarray:
     """Full 2^n energy table for ``obj``, cached on the objective.
 
-    The only public way to a table: the qubit cap is checked before the
-    objective's program builds it (a model view doubles its per-variable
-    program into one array).
+    The only public way to a table: the current qubit cap is checked on
+    every call, before the objective's program builds the table (a model
+    view doubles its per-variable program into one array) and before a
+    cached one is read, so a table cached under a higher cap is not read
+    under a lower one.
     """
+    _check_cap(obj.n)
     table = obj._cache.get("energy_table")
     if table is None:
-        _check_cap(obj.n)
         table = obj.program.table()
         table.setflags(write=False)
         obj._cache["energy_table"] = table

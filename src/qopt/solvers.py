@@ -58,9 +58,10 @@ __all__ = [
 # since it never materializes amplitudes, only fixed-size energy chunks.
 _STREAM_EXTRA = 4
 _CHUNK_BITS = 20  # a streamed chunk prices 2^20 patterns
-# Annealing builds the energy table and draws packed ints up to this many
-# variables; above, it draws bit rows unless a table is cached, so moving
-# this bound moves results at the sizes it crosses.
+# Up to this many variables within the statevector cap, annealing reads the
+# energy table and draws packed ints; above it, an objective with a spin form
+# anneals on local fields and draws bit rows, so moving this bound moves
+# results at the sizes it crosses.
 _ANNEAL_TABLE_BITS = 20
 
 
@@ -190,14 +191,11 @@ def _geometric_temperatures(t_hot: float, t_cold: float, sweeps: int) -> np.ndar
     return t_hot * ratio ** np.arange(sweeps)
 
 
-# An uphill move's uniform is compared with math.exp unless it lies inside
-# this relative band around it, or the value is below the floor, where
-# relative error bounds give out near the subnormals; numpy's exp decides
-# those. The band is 2^12 times wider than the exps' largest relative
-# difference, 2^-52 (tests/test_annealing.py checks the premise).
-_EXP_BAND_LO = 1.0 - 2.0**-40
+# A frozen restart's sweep is skipped when its least uniform lies at or
+# above this multiple of math.exp at its least rejected delta: a margin for
+# math.exp not being exactly monotone (tests/test_annealing.py checks that
+# it never falls by this much as its argument grows).
 _EXP_BAND_HI = 1.0 + 2.0**-40
-_EXP_FLOOR = 1e-300
 # Up to this many uniforms per sweep, a frozen restart's least uniform is a
 # Python min over its column; above it, one numpy min over the whole block
 # costs less. Both took the same time at 60-90 uniforms (n = 20-64) on a
@@ -276,20 +274,20 @@ def _chains(
         # An accepted flip of v adds 4 J_uv z_v to each neighbour's g_u.
         neighbours = [[(u, 4.0 * c) for u, c in adj] for adj in adjacency]
     energies = [energy_of[s] for s in states]
-    exp, floor, lo, hi = math.exp, _EXP_FLOOR, _EXP_BAND_LO, _EXP_BAND_HI
+    exp, hi = math.exp, _EXP_BAND_HI
     best_states = states[:]
     best_energies = energies[:]
     # A sweep that accepts nothing keeps its state and has priced every flip
     # from it, so the least delta it rejected, lowest[r], bounds each later
     # delta_v until restart r moves (lowest[r] is None until such a sweep and
     # after any that moves). With P = math.exp(-lowest[r] / t),
-    # x_v = -delta_v / t <= -lowest[r] / t, so each p_v the loop compares
-    # with, math.exp or np.exp (within 2^-52 of each other), lies below
-    # P * hi <= u_min <= u_v. Where P is below the 1e-300 floor, u_min > 0
-    # means u_min >= 2^-53, above any such p_v. `delta < low` ignores a NaN
-    # delta, which the loop rejects anyway. Such a sweep rejects every
-    # proposal, with no side effect, and is skipped; its order and uniforms
-    # are still drawn, so every stream stays the same.
+    # x_v = -delta_v / t <= -lowest[r] / t, so each p_v = math.exp(x_v) the
+    # loop compares with lies at or below P * hi <= u_min <= u_v. Where P is
+    # near the subnormals, u_min > 0 means u_min >= 2^-53, far above any such
+    # p_v. `delta < low` ignores a NaN delta, which the loop rejects anyway.
+    # Such a sweep rejects every proposal, with no side effect, and is
+    # skipped; its order and uniforms are still drawn, so every stream stays
+    # the same.
     lowest = [None] * restarts
     base = list(range(n))
     masks = [1 << v for v in base]
@@ -331,18 +329,11 @@ def _chains(
                     sign = -1.0 if s & flip else 1.0
                     delta = sign * g[v]
                     e_new = e + delta
-                # Negated tests, so that a NaN delta is rejected. A uniform
-                # above the band is rejected by math.exp's value alone.
-                if not delta <= 0:
-                    x = -delta / t
-                    p = exp(x)
-                    if u <= p * hi or p < floor:
-                        if p < floor or p * lo <= u:
-                            p = float(np.exp(x))
-                    if not u < p:
-                        if delta < low:
-                            low = delta
-                        continue
+                # Negated tests, so that a NaN delta is rejected.
+                if not delta <= 0 and not u < exp(-delta / t):
+                    if delta < low:
+                        low = delta
+                    continue
                 if g is not None:
                     for j, w in neighbours[v]:
                         g[j] += sign * w
@@ -377,29 +368,27 @@ def simulated_annealing(
     restart ``r`` reads column ``r`` through a fixed view of it, so the
     stream does not depend on how restarts are scheduled and a sweep builds
     no array and no list of uniforms. Flip masks come from a table built
-    once per run. A run draws
-    its probe and start states, and prices every flip, from one source. Up
-    to 20 variables within the statevector cap, or up to the cap when the
-    table is already cached, it draws packed ints and reads a zero-copy
-    view of the cached :func:`~qopt.simulator.energy_table`. Otherwise, it
-    draws bit rows and reads local fields when the objective has a spin form
-    (:meth:`~qopt.model.DiagonalObjective.spin_model`), and otherwise
+    once per run. A run draws its probe and start states, and prices every
+    flip, from one source, chosen from the objective's size, its spin form
+    (:meth:`~qopt.model.DiagonalObjective.spin_model`) and the statevector
+    cap alone, never from what is already cached. Within the cap, up to 20
+    variables or when the objective has no spin form, it draws packed ints
+    and reads a zero-copy view of :func:`~qopt.simulator.energy_table`,
+    building the table if needed. Otherwise, it draws bit rows and reads
+    local fields when the objective has a spin form, and otherwise
     ``obj.value``. A probe flip of v costs two table reads, |g_v| summed
     over v's couplings, or two ``obj.value`` calls. The fields come from the
     spin form's coupling lists, in O(n + couplings) memory per restart and
     with no BLAS call; an accepted flip updates its neighbours' fields. Off
     the table, start energies and each restart's best energy in ``trace``
     come from ``obj.value``, so ``min(trace)`` is ``best_energy`` exactly. A
-    downhill move is accepted without an exponential. An uphill move
-    compares its uniform ``u`` with ``math.exp(-delta / t)``, except when
-    ``u`` lies within a relative 2^-40 of that value or the value is below
-    1e-300: there numpy's exp, which can differ from ``math.exp`` in the
-    last place, decides.
+    downhill move is accepted without an exponential; an uphill move is
+    accepted iff its uniform ``u < math.exp(-delta / t)``.
 
     A restart whose sweep accepts nothing keeps the least delta it rejected.
     A later sweep is skipped, its order and uniforms still drawn, while its
     least uniform lies at or above the acceptance probability of that delta
-    (widened by the 2^-40 band), so a frozen chain costs only those draws
+    (widened by a relative 2^-40), so a frozen chain costs only those draws
     and that minimum: a Python ``min`` over its column, or one numpy min
     over the block when a sweep draws more than 64 uniforms.
 
@@ -422,13 +411,8 @@ def simulated_annealing(
     if obj.n == 0:
         return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
     started = time.perf_counter()
-    cap = statevector_cap()
-    if obj.n <= min(cap, _ANNEAL_TABLE_BITS):
-        table = energy_table(obj)
-    else:
-        # A table a caller has already built, as `qopt bench` does, is read
-        # up to the cap; none is built above 20 variables.
-        table = obj._cache.get("energy_table") if obj.n <= cap else None
+    on_table = obj.n <= statevector_cap() and (obj.n <= _ANNEAL_TABLE_BITS or obj.spin_model() is None)
+    table = energy_table(obj) if on_table else None
     rng = np.random.default_rng(seed)
     temps, best_states, per_restart = _chains(obj, table, sweeps, temps, restarts, rng)
     winner = per_restart.index(min(per_restart))

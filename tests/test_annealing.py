@@ -247,9 +247,10 @@ def value_lockstep_reference(obj, temperatures, restarts, seed):
 
 
 def test_frozen_value_path_chain_skips_its_sweeps(monkeypatch):
-    # LABS has no spin form, so above 20 variables every proposal costs one
-    # obj.value call. On a cold schedule the chain freezes within a few
-    # sweeps; a sweep that can accept nothing is skipped, not priced.
+    # LABS has no spin form, so above the statevector cap every proposal
+    # costs one obj.value call. On a cold schedule the chain freezes within a
+    # few sweeps; a sweep that can accept nothing is skipped, not priced.
+    monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "20")
     obj = gen_labs(21).objective
     sweeps = 200
     temps = cold_schedule(sweeps)
@@ -353,9 +354,11 @@ def test_local_field_memory_is_linear_in_n():
     assert peak < 4 * 2**20
 
 
-def test_field_path_equals_value_path_on_integer_weights():
+def test_field_path_equals_value_path_on_integer_weights(monkeypatch):
     # With integer weights the local-field sums are exact, so annealing the
-    # QUBO and the same program with no source behind it walk one trajectory.
+    # QUBO and, above the statevector cap, the same program with no source
+    # behind it walk one trajectory.
+    monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "20")
     rng = np.random.default_rng(11)
     n = 24
     terms = {(i, j): float(rng.integers(-4, 5)) for i in range(n) for j in range(i, n) if rng.random() < 0.3}
@@ -432,10 +435,9 @@ def test_lowered_cap_falls_back_to_local_fields(monkeypatch):
 
 
 def test_cached_table_read_up_to_the_cap(monkeypatch):
-    # Above 20 variables annealing builds no table, but it reads one already
-    # cached on the objective (as `qopt bench` compiles one) up to the
-    # statevector cap, so no move is priced by obj.value; above the cap it
-    # leaves the table alone.
+    # LABS has no spin form, so up to the statevector cap it anneals on the
+    # table, cached or not, and no move is priced by obj.value; above the cap
+    # the table is not read, and obj.value prices every move.
     obj = gen_labs(21).objective
     energy_table(obj)
     expected = lockstep_reference(obj, 5, None, 2, 4)
@@ -468,25 +470,21 @@ def test_list_shuffle_draws_as_permutation():
             assert shuffled.bit_generator.state == drawn.bit_generator.state
 
 
-def test_uniform_in_the_band_is_decided_by_numpys_exp(table_objective):
+def test_uniform_next_to_the_exp_is_decided_by_math_exp(table_objective):
     # From state 0, an uphill flip of bit 0 (delta 1) whose uniform sits at
     # or next to math.exp's and numpy's value of exp(-1 / t), then a flip of
     # bit 1 that leads down to -5 only if the first was accepted. Where the
-    # two exps differ (temperatures that show it come first), numpy's
-    # decides, as in the lockstep loop.
+    # two exps differ (temperatures that show it come first), math.exp
+    # decides.
     energies = [0.0, 1.0, 2.0, -5.0]
     obj = table_objective(energies)
     temps = sorted((0.05 + k * 1e-5 for k in range(2000)), key=lambda t: math.exp(-1 / t) == np.exp(-1 / t))
     for t in temps[:10]:
         for p in {math.exp(-1 / t), float(np.exp(-1 / t))}:
             for u in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
-                def script():
-                    return ScriptedRng([0], [[0, 1]], [[u], [0.9]])
-
-                _, energy, _, _ = lockstep_reference(obj, 1, [t], 1, script())
-                assert energy == (-5.0 if u < np.exp(-1 / t) else 0.0)
-                _, _, per_restart = _chains(obj, np.array(energies), 1, np.array([t]), 1, script())
-                assert per_restart == [energy]
+                script = ScriptedRng([0], [[0, 1]], [[u], [0.9]])
+                _, _, per_restart = _chains(obj, np.array(energies), 1, np.array([t]), 1, script)
+                assert per_restart == [-5.0 if u < math.exp(-1 / t) else 0.0]
 
 
 def test_random_into_block_draws_as_a_fresh_array():
@@ -534,12 +532,12 @@ def test_replay_digest_is_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REPLAY_DIGEST
 
 
-def test_guard_band_covers_exp_disagreement():
-    # math.exp decides only outside a relative 2^-40 band, which must cover
-    # any difference from numpy's exp on the uphill range x < 0.
+def test_math_exp_never_falls_by_the_skip_margin():
+    # A frozen sweep is skipped when its least uniform reaches
+    # math.exp(x) * _EXP_BAND_HI at its least rejected exponent x. That needs
+    # math.exp at any exponent at or below x to stay within that bound, here
+    # over the uphill range x < 0.
     rng = np.random.default_rng(0)
     x = -np.concatenate([rng.exponential(3.0, 20000), rng.uniform(0.0, 700.0, 20000)])
-    ref = np.exp(x)
-    ours = np.array([math.exp(v) for v in x.tolist()])
-    keep = ref >= 1e-300
-    assert (np.abs(ours - ref)[keep] <= ref[keep] * 2.0**-44).all()
+    ours = np.array([math.exp(v) for v in np.sort(x).tolist()])
+    assert (np.maximum.accumulate(ours) <= ours * _EXP_BAND_HI).all()

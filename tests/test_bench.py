@@ -162,6 +162,17 @@ class TestSuccessMetrics:
         with pytest.raises(ValueError):
             success_metrics(res, ("nonsense", 0.5), c_min=0.0, c_max=1.0)
 
+    def test_time_limit_is_checked_as_the_config_checks_it(self):
+        # True once judged against a 1 s limit, and "60" failed on an
+        # unnamed comparison.
+        res = [timed_result(0.0, 1.0)]
+        for bad in (True, "60"):
+            with pytest.raises(TypeError, match=f"^time_limit must be a positive finite real, got {bad!r}$"):
+                success_metrics(res, "optimal", time_limit=bad, c_min=0.0)
+        for bad in (0.0, -1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^time_limit must be a positive finite real, got "):
+                success_metrics(res, "optimal", time_limit=bad, c_min=0.0)
+
 
 class TestRecordAndConfig:
     def test_ar_bounds_enforced(self):

@@ -208,6 +208,12 @@ class TestIsingModel:
         table = m.as_objective().energies_at(np.arange(4))
         assert list(table) == [2.0, -2.0, 0.0, 0.0]
 
+    def test_fields_from_a_numpy_array(self):
+        # A 1-D array once failed on numpy's "truth value of an array is ambiguous".
+        m = IsingModel(n=2, h=np.array([0.5, -1.0]))
+        assert m.h == (0.5, -1.0) and all(type(v) is float for v in m.h)
+        assert m == IsingModel(n=2, h=(0.5, -1.0))
+
     def test_default_fields_are_zero(self):
         m = IsingModel(n=3)
         assert m.h == (0.0, 0.0, 0.0)
@@ -225,6 +231,10 @@ class TestIsingModel:
         # The keys of a mapping were once read as the fields: {0: 0.5, 1: 0.5} gave h = (0.0, 1.0).
         with pytest.raises(TypeError, match="^h must be a sequence of 2 fields, got a mapping$"):
             IsingModel(n=2, h={0: 0.5, 1: 0.5})
+        with pytest.raises(TypeError, match="^h must be a sequence of 2 fields, got a 2-D ndarray$"):
+            IsingModel(n=2, h=np.array([[0.5], [0.5]]))
+        with pytest.raises(TypeError, match="^h must be a sequence of 2 fields, got a 0-D float$"):
+            IsingModel(n=2, h=0.5)
         with pytest.raises(ValueError, match=r"^J\[0, 1\] must be a finite real, got inf$"):
             IsingModel(n=2, J={(0, 1): math.inf})
         with pytest.raises(ValueError, match="^offset must be a finite real, got -inf$"):

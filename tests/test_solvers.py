@@ -27,8 +27,8 @@ from qopt.model import (
 )
 from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
-    CapacityError, QaoaParams, SampleSet, Statevector, _flip_symmetric, anneal_trotter, cvar, energy_table,
-    gibbs_distribution, qaoa_state, sample,
+    CapacityError, QaoaParams, SampleSet, Statevector, _energy_levels, _flip_symmetric, anneal_trotter, cvar,
+    energy_table, gibbs_distribution, qaoa_state, sample,
 )
 from qopt.solvers import (
     brute_force,
@@ -292,7 +292,9 @@ class TestSimulatedAnnealing:
         }
 
     def test_generic_fallback_path_runs(self, monkeypatch):
-        # A cubic view has no quadratic source and, at n=21, no table.
+        # A cubic view has no quadratic source and, at n=21 above a cap of
+        # 20, no table.
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "20")
         calls = []
         value = DiagonalObjective.value
         monkeypatch.setattr(DiagonalObjective, "value", lambda self, x: calls.append(1) or value(self, x))
@@ -1106,11 +1108,12 @@ def test_boundary_sizes_solve_or_refuse_in_one_line(solver, monkeypatch):
                 assert n > cap and str(exc) and "\n" not in str(exc), (family, n, exc)
             else:
                 assert_self_consistent(result, obj)
-    # The table-policy edge: annealing builds a table up to 20 variables and
-    # above that reads one only when it is already cached. Under a cap of 21,
-    # with the table cached as `qopt bench` compiles it, every solver solves
-    # LABS at 20 and 21 variables, except that the recursive reduction
-    # refuses it in one line: it needs a quadratic model.
+    # The table-policy edge: up to the cap, annealing reads the table up to
+    # 20 variables, and above that when the objective has no spin form, as
+    # LABS has none. Under a cap of 21, with the table cached as `qopt bench`
+    # compiles it, every solver solves LABS at 20 and 21 variables, except
+    # that the recursive reduction refuses it in one line: it needs a
+    # quadratic model.
     monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "21")
     for n in (20, 21):
         obj = BOUNDARY_FAMILIES["labs"][1](n)
@@ -1120,6 +1123,47 @@ def test_boundary_sizes_solve_or_refuse_in_one_line(solver, monkeypatch):
                 SOLVERS[solver](obj, **BOUNDARY_BUDGETS[solver])
         else:
             assert_self_consistent(SOLVERS[solver](obj, **BOUNDARY_BUDGETS[solver]), obj)
+
+
+CACHE_INSTANCES = {
+    "labs-21": lambda: gen_labs(21),
+    "maxcut-r3r-22": lambda: gen_maxcut_r3r(22, seed=3),
+    "sk-gauss-22": lambda: gen_spin_glass("complete", 22, dist="gaussian", seed=5),
+    "maxcut-r3r-12": lambda: gen_maxcut_r3r(12, seed=3),
+}
+CACHE_CASES = [
+    *((name, solver) for name in ("labs-21", "maxcut-r3r-22", "sk-gauss-22")
+      for solver in ("brute-force", "annealing", "grover")),
+    *(("maxcut-r3r-12", solver) for solver in SOLVERS),
+]
+
+
+@pytest.mark.parametrize("instance, solver", CACHE_CASES)
+def test_the_cache_is_never_an_input(instance, solver):
+    # A solver gives the same result on a fresh objective as on one whose
+    # table, levels and spin form an earlier call filled in.
+    def run(obj):
+        data = solve_result_to_json(SOLVERS[solver](obj, **BOUNDARY_BUDGETS[solver]))
+        del data["timings"]
+        return data
+
+    fresh = run(CACHE_INSTANCES[instance]().objective)
+    filled = CACHE_INSTANCES[instance]().objective
+    energy_table(filled)
+    _energy_levels(filled)
+    filled.spin_model()
+    assert run(filled) == fresh
+
+
+def test_cached_table_is_not_read_above_a_lowered_cap(monkeypatch):
+    # A table cached under the default cap is refused, like a fresh one, once
+    # the cap drops below its size.
+    obj = gen_maxcut_r3r(14, seed=2).objective
+    energy_table(obj)
+    monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "10")
+    for call in (grover_adaptive_search, lambda o: gibbs_distribution(o, 1.0)):
+        with pytest.raises(CapacityError, match="^14 qubits exceed the simulator cap of 10$"):
+            call(obj)
 
 
 class TestSolveResultJson:
