@@ -194,10 +194,15 @@ def _line_search(fun_and_grad, x, f, d, gd0, step):
     finite.
     """
     search = _MoreThuente(f, gd0, step)
+    last = None
     for _ in range(_MAX_TRIALS):
         x_new = step * d + x
-        f_new, g_new = fun_and_grad(x_new)
-        gd = _dot(g_new, d)
+        # A trial at the point just evaluated (the search falling back to its
+        # best step) reuses that evaluation, as scipy's memoised objective does.
+        if x_new.tobytes() != last:
+            last = x_new.tobytes()
+            f_new, g_new = fun_and_grad(x_new)
+            gd = _dot(g_new, d)
         done, next_step = search.update(step, f_new, gd)
         if done:
             return step, x_new, f_new, g_new, gd

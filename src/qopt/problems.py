@@ -469,7 +469,7 @@ def labs_energy(s: Sequence[int]) -> float:
     return total
 
 
-_LABS_BLOCK = 1 << 14  # lower-half patterns priced per table pass
+_LABS_BLOCK = 1 << 14  # quarter patterns priced per table pass
 
 
 @dataclass(frozen=True)
@@ -479,15 +479,23 @@ class _LabsProgram:
     k: int
 
     def table(self) -> np.ndarray:
-        # Negating every spin keeps each product, so pattern 2^k - 1 - x has
-        # x's energy: only the half with bit k-1 clear is priced, in uint32
-        # blocks that bound the temporaries, and the upper half is its mirror.
-        half = 1 << (self.k - 1)
-        energy = np.empty(2 * half, dtype=np.float64)
-        for start in range(0, half, _LABS_BLOCK):
-            stop = min(start + _LABS_BLOCK, half)
-            energy[start:stop] = self.at(np.arange(start, stop, dtype=np.uint32))
-        energy[half:] = energy[half - 1 :: -1]
+        # Negating every spin keeps each product, and negating every second
+        # spin negates the odd-lag correlations and keeps the even-lag ones,
+        # so flipping all bits, or the bits of one parity, keeps the energy.
+        # Only the quarter with bits k-1 and k-2 clear is priced, in uint32
+        # blocks that bound the temporaries; flipping the bits of k-2's
+        # parity maps it onto the rest of the lower half, and the upper half
+        # is the lower half's mirror.
+        k = self.k
+        quarter = 1 << (k - 2)
+        mask = sum(1 << b for b in range(k - 2, -1, -2))
+        energy = np.empty(4 * quarter, dtype=np.float64)
+        for start in range(0, quarter, _LABS_BLOCK):
+            stop = min(start + _LABS_BLOCK, quarter)
+            block = np.arange(start, stop, dtype=np.uint32)
+            energy[start:stop] = self.at(block)
+            energy[block ^ mask] = energy[start:stop]
+        energy[2 * quarter :] = energy[2 * quarter - 1 :: -1]
         return energy
 
     def at(self, block: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qopt._minimize import _MAX_TRIALS, lbfgs, nelder_mead
+from qopt._minimize import _MAX_TRIALS, _MoreThuente, lbfgs, nelder_mead
 from qopt.problems import gen_maxcut_r3r
 from qopt.simulator import QaoaParams, qaoa_value_and_gradient
 
@@ -147,8 +147,13 @@ class TestLbfgsMatchesScipy:
             (lambda: double_well(1.0, 3.0, 1.0, 10.0), np.array([1.5]), 1e-13, 1e-13),
             # The cubic through stp and sty with stp above sty.
             (lambda: double_well(1.0, -1.0, 1.0, 5.0), np.array([-2.5]), 1e-13, 1e-13),
+            # A search that falls back to the trial it has just evaluated.
+            (lambda: double_well(3.0, -3.0, 0.0, 0.0), np.array([-1.75]), 1e-13, 1e-13),
         ],
-        ids=["rosenbrock-2d", "rosenbrock-4d", "qaoa-p2-n10", "psi-step", "decreasing-slope-up", "decreasing-slope-down", "cubic-above-sty"],
+        ids=[
+            "rosenbrock-2d", "rosenbrock-4d", "qaoa-p2-n10", "psi-step", "decreasing-slope-up",
+            "decreasing-slope-down", "cubic-above-sty", "repeated-trial",
+        ],
     )
     def test_same_calls(self, minimize, make, x0, x_tol, fun_tol):
         fun = make()
@@ -160,27 +165,51 @@ class TestLbfgsMatchesScipy:
         assert np.abs(x - ref.x).max() <= x_tol
         assert abs(value - ref.fun) <= fun_tol
 
-    def test_failed_search_clears_memory_then_ends(self):
+    def test_repeated_trial_reuses_its_evaluation(self):
+        # On t^4 - 3 t^2 - 3 t from -1.75 a search falls back to the trial it
+        # has just evaluated; that trial is not evaluated again, so the run
+        # makes 14 calls (as scipy's L-BFGS-B does) where it once made 15.
+        fun, points = recorded(double_well(3.0, -3.0, 0.0, 0.0))
+        x, value = lbfgs(fun, np.array([-1.75]), **LBFGS_OPTIONS)
+        assert len(points) == 14
+        assert all(a.tobytes() != b.tobytes() for a, b in zip(points, points[1:]))
+        assert abs(x[0] - 1.4236610509974765) <= 1e-13
+
+    def test_failed_search_clears_memory_then_ends(self, monkeypatch):
         # From the fourth call on the gradient points uphill. The search
         # from the last accepted point then fails with the memory in use;
         # the memory is cleared, the retry along -g (unit step) fails too,
         # and with empty memory that ends the run at the accepted point.
+        # Each failed search runs all its trials, and a trial at the point
+        # just evaluated reuses that call, so trials are counted apart.
         weights = np.array([1.0, 10.0])
-        calls, grads = [], []
+        calls, grads, trials = [], [], []
 
         def fun(x):
             calls.append(x.copy())
             grads.append(2.0 * weights * x * (1.0 if len(calls) <= 3 else -1.0))
             return float((weights * x * x).sum()), grads[-1]
 
+        update = _MoreThuente.update
+
+        def counted(self, *args):
+            # Each trial is recorded as the index of the call it was decided on.
+            trials.append(len(calls) - 1)
+            return update(self, *args)
+
+        monkeypatch.setattr(_MoreThuente, "update", counted)
         x, value = lbfgs(fun, np.ones(2), **LBFGS_OPTIONS)
-        accepted = len(calls) - 1 - 2 * _MAX_TRIALS
-        assert accepted >= 3
+        failed = trials[-2 * _MAX_TRIALS :]
+        accepted = failed[0] - 1
+        assert accepted >= 3 and trials[-2 * _MAX_TRIALS - 1] == accepted
+        # Every later call is one of their trials; a repeated index is a reused one.
+        assert failed == sorted(failed) and set(failed) == set(range(accepted + 1, len(calls)))
         assert x.tobytes() == calls[accepted].tobytes()
         assert value == float((weights * x * x).sum())
         steepest = x - grads[accepted]
-        assert calls[accepted + 1].tobytes() != steepest.tobytes()
-        assert calls[accepted + 1 + _MAX_TRIALS].tobytes() == steepest.tobytes()
+        assert calls[failed[0]].tobytes() != steepest.tobytes()
+        assert failed[_MAX_TRIALS] > failed[_MAX_TRIALS - 1]
+        assert calls[failed[_MAX_TRIALS]].tobytes() == steepest.tobytes()
 
         # A first trial above f(0) whose slope is NaN leaves no finite next
         # step, so the search fails at once; with no memory yet the run ends

@@ -14,6 +14,7 @@ import pytest
 from qopt.model import ConstrainedModel, QuboModel, density
 from qopt.problems import (
     FAMILIES,
+    _LabsProgram,
     gen_ev_parking,
     gen_labs,
     gen_market_share,
@@ -321,13 +322,37 @@ class TestLabs:
         for k in range(2, 13):
             want = [labs_energy([1 - 2 * b for b in bits]) for bits in all_bits(k)]
             assert gen_labs(k).objective.program.table().tolist() == want
-        obj = gen_labs(16).objective
-        assert np.array_equal(obj.program.table(), obj.energies_at(np.arange(1 << 16)))
+        for k in (16, 18):
+            obj = gen_labs(k).objective
+            assert np.array_equal(obj.program.table(), obj.energies_at(np.arange(1 << k)))
+        # Flipping all bits, the even bits or the odd bits keeps every energy.
+        for k in range(2, 15):
+            table = gen_labs(k).objective.program.table()
+            idx = np.arange(1 << k)
+            for mask in ((1 << k) - 1, sum(1 << b for b in range(0, k, 2)), sum(1 << b for b in range(1, k, 2))):
+                assert np.array_equal(table[idx ^ mask], table)
+
+    def test_table_prices_one_quarter(self, monkeypatch):
+        # The other three quarters are the priced one under the flips of all
+        # bits, of bit k-2's parity, and of both.
+        priced = []
+        at = _LabsProgram.at
+
+        def counted(self, block):
+            priced.append(block.size)
+            return at(self, block)
+
+        monkeypatch.setattr(_LabsProgram, "at", counted)
+        for k in range(2, 17):
+            priced.clear()
+            gen_labs(k).objective.program.table()
+            assert sum(priced) == 1 << (k - 2)
 
     def test_table_builds_half_and_mirrors_it(self):
-        # Only the lower half is built, in blocks, and the upper half is its
-        # mirror: the peak is the output's 8 bytes per pattern plus the
-        # blocks' temporaries, where a full build held 12.
+        # Only the lowest quarter is priced, in blocks; flipping the bits of
+        # k-2's parity fills the rest of the lower half, and the upper half
+        # is its mirror: the peak is the output's 8 bytes per pattern plus
+        # the blocks' temporaries, where a full build held 12.
         k = 18
         program = gen_labs(k).objective.program
         tracemalloc.start()
