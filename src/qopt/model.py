@@ -87,7 +87,8 @@ def as_count(name: str, value, least: int | None = 1) -> int:
     """``value`` as an int: the one check for every size, count, index and seed.
 
     A float or a bool raises ``TypeError`` naming ``name``, a value below
-    ``least`` (None for seeds) ``ValueError``; numpy integers pass."""
+    ``least`` (None for master seeds, which are hashed) ``ValueError``;
+    numpy integers pass."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -295,13 +296,14 @@ class QuboModel:
     ) -> "QuboModel":
         """Build a model from ``(i, j, coeff)`` entries, accumulating duplicates.
 
-        Index pairs are normalized to ``i <= j``; repeated pairs sum.
+        Index pairs are normalized to ``i <= j``; repeated pairs sum, and a
+        pair whose sum is exactly zero is left out of ``terms``.
         """
         acc: dict[tuple[int, int], float] = {}
         for i, j, c in entries:
             key = (min(i, j), max(i, j))
             acc[key] = acc.get(key, 0.0) + _as_real(f"entry ({i}, {j}) coefficient", c)
-        return cls(n=n, terms=acc, offset=offset)
+        return cls(n=n, terms={key: c for key, c in acc.items() if c != 0.0}, offset=offset)
 
     def energy(self, x: Sequence[int]) -> float:
         """Exact objective value of an assignment, including the offset."""
@@ -529,8 +531,7 @@ def ising_to_qubo(m: IsingModel) -> QuboModel:
         # c*z_i*z_j = c (1 - 2x_i - 2x_j + 4 x_i x_j)
         offset += c
         entries += [(i, i, -2.0 * c), (j, j, -2.0 * c), (i, j, 4.0 * c)]
-    terms = QuboModel.from_entries(m.n, entries).terms
-    return QuboModel(n=m.n, terms={k: v for k, v in terms.items() if v != 0.0}, offset=offset)
+    return QuboModel.from_entries(m.n, entries, offset)
 
 
 def default_penalty(q: QuboModel) -> float:
@@ -606,8 +607,7 @@ def penalty_encode(cm: ConstrainedModel, penalty: float | None = None) -> QuboMo
             entries.append((i, i, p * (a * a - 2.0 * bound * a)))
             entries += [(i, jj, p * 2.0 * a * b2) for jj, b2 in items[k + 1 :]]
 
-    terms = QuboModel.from_entries(next_var, entries).terms
-    return QuboModel(n=next_var, terms={k: v for k, v in terms.items() if v != 0.0}, offset=offset)
+    return QuboModel.from_entries(next_var, entries, offset)
 
 
 def density(model: QuboModel | IsingModel) -> float:

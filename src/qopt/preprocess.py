@@ -101,6 +101,5 @@ def fix_variables(q: QuboModel, assignment: Mapping[int, int]) -> QuboModel:
                 entries.append((local[i], local[i], c))
         else:
             entries.append((local[i], local[j], c))
-    terms = QuboModel.from_entries(len(keep), entries).terms
-    return QuboModel(n=len(keep), terms={k: v for k, v in terms.items() if v != 0.0}, offset=offset)
+    return QuboModel.from_entries(len(keep), entries, offset)
 

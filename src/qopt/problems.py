@@ -50,9 +50,9 @@ ranges) are fixed here and recorded in instance metadata. Seeds and every
 size or count parameter pass through :func:`~qopt.model.as_count`: a numpy
 integer gives the same instance as the int, while a float or a bool raises
 ``TypeError`` naming the parameter. Every raw payload, generated or read, is
-held to its family's declared fields before ``build`` runs; a bad field raises
-one line naming family and field.
-``meta`` is descriptive, except QAP's ``params.penalty``, which its build reads.
+held to its family's declared fields before ``build`` runs; a bad or undeclared
+field raises one line naming family and field. ``meta`` is descriptive, except
+QAP's ``params``, held to its fields too, since its build reads ``penalty``.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ _Built = tuple[DiagonalObjective, ConstrainedModel | None]
 
 
 def _meta(seed, params: dict, **extra) -> dict:
-    return {"seed": None if seed is None else as_count("seed", seed, least=None), "params": params, **extra}
+    return {"seed": None if seed is None else as_count("seed", seed, least=0), "params": params, **extra}
 
 
 def _instance(family: str, raw: dict, meta: dict) -> ProblemInstance:
@@ -161,14 +161,17 @@ def _json(value, real: bool = False):
 
 
 def _check(family: str, raw: Mapping, meta: Mapping) -> None:
-    """Hold ``raw`` and ``meta["params"]`` to the family's fields: each alone,
-    in declared order, then the sizes. The first fault raises one line naming
-    family and field; integer faults keep ``as_count``'s field-first wording."""
+    """Hold ``raw`` and ``meta["params"]`` to the family's fields: no others,
+    then each alone in declared order, then the sizes. The first fault raises
+    one line naming family and field, in ``as_count``'s wording for integers."""
     row, where = FAMILIES[family], f"{family} payload"
     params = meta.get("params", {}) if row.params else {}
     if not isinstance(params, Mapping):
         raise TypeError(f"{family} meta: params must be an object, got {params!r}")
     for payload, fields, at in ((raw, row.fields, where), (params, row.params, f"{family} meta params")):
+        unknown = next((name for name in payload if name not in fields), None)
+        if unknown is not None:
+            raise ValueError(f"{at} has an undeclared {unknown!r} field (declared: {', '.join(fields)})")
         for name, spec in fields.items():
             if payload.get(name) is None and spec.endswith("?"):
                 continue
@@ -269,7 +272,7 @@ def _random_regular_edges(d: int, n: int, seed: int) -> set[tuple[int, int]]:
     """Edges ``(u, v)``, ``u < v``, of a random ``d``-regular graph on ``n``
     vertices: networkx 3.6.1's ``random_regular_graph(d, n, seed)`` pairing
     (Steger & Wormald), draw for draw, so both give the same edge set."""
-    rng = random.Random(as_count("seed", seed, least=None))
+    rng = random.Random(as_count("seed", seed, least=0))
 
     def suitable(edges, potential):
         # Whether some pair of the leftover stubs' vertices is still joinable.
@@ -364,7 +367,7 @@ def gen_mis(
     per edge.
     """
     n = as_count("n", n)
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    rng = np.random.default_rng(as_count("seed", seed, least=0))
     params: dict = {"n": n, "unit_disc": unit_disc}
     if unit_disc:
         if edge_prob is not None:
@@ -438,7 +441,7 @@ def gen_market_share(m: int, seed: int = 0) -> ProblemInstance:
     """
     m = as_count("m", m, least=2)
     n = 10 * (m - 1)
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    rng = np.random.default_rng(as_count("seed", seed, least=0))
     weights = rng.integers(0, 100, size=(m, n))
     targets = weights.sum(axis=1) // 2
     raw = {"m": m, "n": n, "weights": weights.tolist(), "targets": targets.tolist()}
@@ -566,7 +569,7 @@ def gen_qap(n: int, seed: int = 0, penalty: float | None = None) -> ProblemInsta
     penalty-encoded.
     """
     n = as_count("n", n, least=2)
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    rng = np.random.default_rng(as_count("seed", seed, least=0))
     a = rng.integers(0, 10, size=(n, n)).astype(np.float64)
     b = rng.integers(0, 10, size=(n, n)).astype(np.float64)
     raw = {"n": n, "a": a.tolist(), "b": b.tolist()}
@@ -653,7 +656,7 @@ def gen_spin_glass(
     if dist not in ("pm1", "gaussian"):
         raise ValueError(f"unknown coupling distribution {dist!r}")
 
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    rng = np.random.default_rng(as_count("seed", seed, least=0))
 
     def draw() -> float:
         if dist == "pm1":
@@ -710,7 +713,7 @@ def gen_ev_parking(N: int, K: int, M: int, E: int, seed: int = 0) -> ProblemInst
     and compiled with binary slacks, so ``M``, ``E`` and demands are integers.
     """
     N, K = as_count("N", N), as_count("K", K)
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    rng = np.random.default_rng(as_count("seed", seed, least=0))
     u = np.zeros((N, K), dtype=np.int64)
     d = np.zeros((N, K), dtype=np.int64)
     markups = []
@@ -763,7 +766,7 @@ def gen_portfolio(N: int, B: int, seed: int = 0, lam: float = 1.0) -> ProblemIns
     guaranteeing positive definiteness.
     """
     N = as_count("N", N)
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    rng = np.random.default_rng(as_count("seed", seed, least=0))
     mu = rng.uniform(0.0, 0.1, size=N)
     factors = rng.normal(0.0, 0.1, size=(N, max(1, N // 4)))
     noise = rng.uniform(0.001, 0.01, size=N)
@@ -844,9 +847,10 @@ class Family(NamedTuple):
     ``generate`` is the seeded generator ``qopt bench`` calls with a config's
     params. ``build(raw, meta)`` compiles a raw payload into ``(objective,
     constrained)``. ``help`` and ``flags`` describe ``qopt generate``.
-    ``fields`` declares every raw payload field and ``params`` those of
-    ``meta["params"]`` that ``build`` reads, in the spec syntax of ``_check``;
-    ``build`` reads them unchecked, and keeps only rules across fields.
+    ``fields`` declares every raw payload field and, for a family whose
+    ``build`` reads ``meta["params"]``, ``params`` declares every field
+    there, in the spec syntax of ``_check``; a payload may hold no other
+    field. ``build`` reads them unchecked, and keeps only rules across fields.
     """
 
     generate: Callable[..., ProblemInstance]
@@ -885,7 +889,7 @@ FAMILIES: dict[str, Family] = {
     "qap": Family(
         gen_qap, _build_qap, "quadratic assignment problem",
         (_N, Flag("--penalty", "penalty", float, None), _SEED),
-        {"a": "real[n,n]", "b": "real[n,n]", "n": "count>=2"}, {"penalty": "real>0?"},
+        {"a": "real[n,n]", "b": "real[n,n]", "n": "count>=2"}, {"n": "count>=2?", "penalty": "real>0?"},
     ),
     "spin-glass": Family(
         gen_spin_glass, _build_spin_glass, "seeded spin glass",

@@ -45,23 +45,27 @@ same floating-point operations as in a plain 2x2 update, qubit by qubit.
 The mixer's tiles live in the caller's scratch buffer; the generator
 gathers into at most two tiles of its own.
 
-A layered run on an objective of two or more variables whose table
-equals its own reverse bit for bit, ``E(x) == E(not x)`` for every pattern
-(MaxCut, spin glasses without fields, LABS), runs *folded* on half the
-statevector (Shaydulin, Hadfield, Hogg and Safro, arXiv:2012.04713). The
-plus state, the phase and the X mixer all commute with flipping every bit,
-so amplitude ``2^n - 1 - x`` always equals amplitude ``x`` and only the
-lower half, ``x < 2^(n-1)``, is kept. Qubits ``0..n-2`` are updated exactly
-as in a full run; under qubit ``n-1`` the partner of ``x`` is the mirror of
-its upper partner, ``2^(n-1) - 1 - x``, so the update reads the half
-reversed. The kernels recognise a folded state from its size alone. Every
-sum over the 2^n patterns first rebuilds the full array of its terms as the
-half followed by its mirror, so it adds the same numbers in the same order
-as a full run. By induction over the layers each kept amplitude goes
-through the same floating-point operations as in the full run, and the
-dropped half stays its exact mirror, so states, values and gradients are
-bit-identical. :func:`qaoa_state` and :func:`anneal_trotter` still return
-the full state; objectives that are not mirrors keep the full run.
+A layered run on an objective of two or more variables whose table equals
+its own reverse bit for bit, ``E(x) == E(not x)`` for every pattern (MaxCut,
+spin glasses without fields, LABS), runs *folded* on half the statevector
+(Shaydulin, Hadfield, Hogg and Safro, arXiv:2012.04713). The plus state, the
+phase and the X mixer all commute with flipping every bit, so amplitude
+``2^n - 1 - x`` always equals amplitude ``x`` and only the lower half,
+``x < 2^(n-1)``, is kept. One cached array describes the fold:
+:func:`_kept_table` is the table's lower half on such an objective and the
+whole table otherwise. A run starts with one amplitude per entry of it, its
+phases and energy sums read it, and brute force and Grover scan it. Qubits
+``0..n-2`` are updated exactly as in a full run; under qubit ``n-1`` the
+partner of ``x`` is the mirror of its upper partner, ``2^(n-1) - 1 - x``, so
+the update reads the half reversed. The kernels recognise a folded state
+from its size alone. Every sum over the 2^n patterns first rebuilds the full
+array of its terms as the half followed by its mirror, so it adds the same
+numbers in the same order as a full run. By induction over the layers each
+kept amplitude goes through the same floating-point operations as in the
+full run, and the dropped half stays its exact mirror, so states, values and
+gradients are bit-identical. :func:`qaoa_state` and :func:`anneal_trotter`
+still return the full state; objectives that are not mirrors keep the full
+run.
 
 Samples (:class:`SampleSet`) keep the same packing: a sample set is its
 arrays, the distinct measured patterns as a strictly ascending ``int64``
@@ -331,53 +335,49 @@ def energy_table(obj: DiagonalObjective) -> np.ndarray:
 def _energy_levels(obj: DiagonalObjective) -> tuple[np.ndarray, np.ndarray]:
     """Distinct energies of ``obj`` and each pattern's position among them.
 
-    ``levels[level_of]`` reproduces :func:`energy_table`, or on a
-    :func:`_flip_symmetric` objective its lower half: every layered run on
-    such an objective is folded and reads only that half (see the module
-    docstring), and the half holds every distinct energy, since the upper
-    half is its mirror. Both arrays are cached on the objective next to the
-    table.
+    ``levels[level_of]`` reproduces :func:`_kept_table`, the part of the
+    table that every layered run reads (see the module docstring); a lower
+    half holds every distinct energy, since the upper half is its mirror.
+    Both arrays are cached on the objective next to the table.
     """
     found = obj._cache.get("energy_levels")
     if found is None:
-        table = energy_table(obj)
-        if _flip_symmetric(obj):
-            table = table[: table.size // 2]
-        levels, level_of = np.unique(table, return_inverse=True)
+        levels, level_of = np.unique(_kept_table(obj), return_inverse=True)
         # ``level_of`` stays writeable: np.take copies read-only indices.
         levels.setflags(write=False)
         found = obj._cache["energy_levels"] = (levels, level_of)
     return found
 
 
-def _flip_symmetric(obj: DiagonalObjective) -> bool:
-    """Whether :func:`energy_table` equals its own reverse bit for bit.
+def _kept_table(obj: DiagonalObjective) -> np.ndarray:
+    """The read-only lower half of :func:`energy_table` if the table equals
+    its own reverse bit for bit, else the table itself; cached on the objective.
 
-    Reversing the table maps each pattern to its complement, so this is
-    ``E(x) == E(not x)`` exactly, for every ``x``. Below two variables the
-    answer is False: a folded run would hold one amplitude, numpy multiplies
-    a one-element array in place on another loop than longer arrays, and the
-    two can round a complex product differently, so the fold would not be
-    bit-identical (nor would it save anything). Cached on the objective next
-    to the table, where the simulator, brute force and Grover read it.
+    Reversing the table maps each pattern to its complement, so the half is
+    kept when ``E(x) == E(not x)`` for every ``x``: a layered run is then
+    folded (see the module docstring), and brute force and Grover scan only
+    the half. Below two variables the table is kept whole: a folded run would
+    hold one amplitude, numpy multiplies a one-element array in place on
+    another loop than longer arrays, and the two can round a complex product
+    differently, so the fold would not be bit-identical (nor save anything).
 
-    Each mirror pair is compared once: the lower half against the upper
-    half reversed. The first 64 pairs are compared before the rest, so a
-    table with fields is turned down in about the time of one small slice.
+    :func:`energy_table` is called first, so the cap is checked on every
+    call. Each mirror pair is compared once, as int64 bits, the first 64
+    pairs before the rest, so a table with fields is turned down in about
+    the time of one small slice.
     """
-    found = obj._cache.get("flip_symmetric")
-    if found is None:
-        found = obj.n >= 2
-        if found:
-            bits = energy_table(obj).view(np.int64)
-            half = bits.size // 2
-            head = min(half, 64)
-            found = bool(
-                np.array_equal(bits[:head], bits[: -head - 1 : -1])
-                and np.array_equal(bits[:half], bits[: half - 1 : -1])
-            )
-        obj._cache["flip_symmetric"] = found
-    return found
+    table = energy_table(obj)
+    kept = obj._cache.get("kept_table")
+    if kept is None:
+        bits, half = table.view(np.int64), table.size // 2
+        head = min(half, 64)
+        mirror = (
+            obj.n >= 2
+            and np.array_equal(bits[:head], bits[: -head - 1 : -1])
+            and np.array_equal(bits[:half], bits[: half - 1 : -1])
+        )
+        kept = obj._cache["kept_table"] = table[:half] if mirror else table
+    return kept
 
 
 def _folded(amps: np.ndarray, n: int) -> bool:
@@ -394,8 +394,8 @@ def _whole(values: np.ndarray, n: int) -> np.ndarray:
 def _apply_phase(amps: np.ndarray, scratch: np.ndarray, levels: np.ndarray, level_of: np.ndarray, angle: float) -> None:
     # One complex exp per distinct energy, gathered into ``scratch`` (a
     # caller-owned buffer of the state's size) and multiplied in: element for
-    # element this is exp(-1j * angle * table), since levels[level_of] ==
-    # table. A folded state gathers through the lower half of ``level_of``.
+    # element this is exp(-1j * angle * kept) for the run's kept table, since
+    # levels[level_of] == kept.
     # Nothing else of the state's size is allocated: the levels are made
     # complex before the product, so numpy casts no buffer for it; the exp
     # is taken in place; and the indices are in range, so mode "wrap"
@@ -404,7 +404,7 @@ def _apply_phase(amps: np.ndarray, scratch: np.ndarray, levels: np.ndarray, leve
     phases = levels.astype(np.complex128)
     phases *= -1j * angle
     np.exp(phases, out=phases)
-    np.take(phases, level_of[: amps.size], out=scratch, mode="wrap")
+    np.take(phases, level_of, out=scratch, mode="wrap")
     amps *= scratch
 
 
@@ -548,22 +548,18 @@ def _imag_inner(a: np.ndarray, b: np.ndarray, n: int) -> float:
 
 
 def _energy_sum(amps: np.ndarray, table: np.ndarray, n: int) -> float:
-    # sum |amp(x)|^2 E(x) over all 2^n patterns, in numpy's fixed order.
+    # sum |amp(x)|^2 E(x) over all 2^n patterns, in numpy's fixed order;
+    # ``table`` is the run's kept table, or the whole table for a full state.
     weighted = np.abs(amps) ** 2
-    weighted *= table[: amps.size]
+    weighted *= table
     return float(_whole(weighted, n).sum())
 
 
 def _start(obj: DiagonalObjective) -> np.ndarray:
-    """Initial amplitudes of a layered run: the plus state.
-
-    On a :func:`_flip_symmetric` objective the run is folded: it keeps only
-    the lower half of the state, which the kernels and sums recognise by its
-    size (see the module docstring).
-    """
-    _check_cap(obj.n)
-    m = obj.n - 1 if _flip_symmetric(obj) else obj.n
-    return np.full(1 << m, 2.0 ** (-obj.n / 2), dtype=np.complex128)
+    """The plus state of a layered run, one amplitude per entry of
+    :func:`_kept_table`: a half state when the run is folded, which the
+    kernels and sums recognise by its size (see the module docstring)."""
+    return np.full(_kept_table(obj).size, 2.0 ** (-obj.n / 2), dtype=np.complex128)
 
 
 def _evolve(obj: DiagonalObjective, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
@@ -618,7 +614,7 @@ def qaoa_value_and_gradient(obj: DiagonalObjective, params: QaoaParams) -> tuple
     """
     psi = _start(obj)
     p, n = params.p, obj.n
-    table = energy_table(obj)[: psi.size]
+    table = _kept_table(obj)
     levels, level_of = _energy_levels(obj)
     m = psi.size.bit_length() - 1
     kept = min(p, 1 << (statevector_cap() - m))
@@ -786,7 +782,7 @@ def sample(sv: Statevector, shots: int, seed: int = 0, *, obj: DiagonalObjective
     into ``index_energies``, which CVaR and the solvers read. A sampled
     CVaR training evaluation makes the same draw from its run's amplitudes.
     """
-    shots, seed = as_count("shots", shots), as_count("seed", seed, least=None)
+    shots, seed = as_count("shots", shots), as_count("seed", seed, least=0)
     _check_state(sv, obj)
     hit, counts = _draw(_probabilities(sv.amplitudes, sv.n), shots, seed)
     return SampleSet(

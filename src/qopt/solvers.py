@@ -31,7 +31,7 @@ from qopt.simulator import (
     _draw,
     _energy_sum,
     _evolve,
-    _flip_symmetric,
+    _kept_table,
     _probabilities,
     _tail_mean,
     cvar,  # not called here: perfbench's traced runs wrap solvers.cvar by name
@@ -132,13 +132,12 @@ def _objective_of(problem) -> DiagonalObjective:
 def brute_force(problem) -> SolveResult:
     """Exact enumeration: spectrum edges and the complete argmin set.
 
-    Up to the statevector cap it reads :func:`~qopt.simulator.energy_table`,
-    which builds and caches the table once; on a
-    :func:`~qopt.simulator._flip_symmetric` table it reads the lower half and
-    appends the complements ``2^n - 1 - x`` of its minimizers in reverse,
-    which keeps the argmin ascending. Above the cap, up to four qubits
-    further, it streams ``2^20``-pattern chunks priced by ``energies_at``,
-    which equal the table's slices bit for bit, and caches nothing.
+    Up to the statevector cap it reads :func:`~qopt.simulator._kept_table`,
+    which builds and caches the table once; when that is the lower half it
+    appends the complements ``2^n - 1 - x`` of its minimizers in reverse, which
+    keeps the argmin ascending. Above the cap, up to four qubits further, it
+    streams ``2^20``-pattern chunks priced by ``energies_at``, which equal the
+    table's slices bit for bit, and caches nothing.
     This is the reference oracle every other solver is tested against.
     """
     obj = _objective_of(problem)
@@ -150,9 +149,11 @@ def brute_force(problem) -> SolveResult:
     c_min = math.inf
     c_max = -math.inf
     argmin_idx: list[int] = []
-    fold = 2 if obj.n <= cap and _flip_symmetric(obj) else 1
+    fold = 1
     if obj.n <= cap:
-        chunks = [(0, energy_table(obj)[: total // fold])]
+        kept = _kept_table(obj)
+        fold = total // kept.size
+        chunks = [(0, kept)]
     else:
         chunk = 1 << _CHUNK_BITS
         chunks = (
@@ -407,7 +408,7 @@ def simulated_annealing(
         temps = np.asarray([_as_real("temperatures", t, positive=True) for t in temperatures], dtype=np.float64)
         if len(temps) != sweeps:
             raise ValueError(f"temperature schedule needs one entry per sweep, got {len(temps)} for {sweeps} sweeps")
-    seed = as_count("seed", seed, least=None)
+    seed = as_count("seed", seed, least=0)
     if obj.n == 0:
         return SolveResult(best_assignment=(), best_energy=obj.value(()), timings={"total": 0.0})
     started = time.perf_counter()
@@ -439,23 +440,23 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
 
     The simulation needs only the marked count and one marked pattern drawn
     uniformly (Durr & Hoyer, arXiv:quant-ph/9607014). Both are read from the
-    cached :func:`~qopt.simulator.energy_table`; the only other cache entry
-    read is :func:`~qopt.simulator._flip_symmetric`. The first success
+    cached :func:`~qopt.simulator.energy_table` and its
+    :func:`~qopt.simulator._kept_table`, which is scanned. The first success
     gathers the marked energies. Each success finds the pick-th marked
     pattern in (energy, index) order by a partition of them and a scan of
     the table for its level, with no sort, and keeps the energies below
     that level as the next marked set instead of recounting the table, so a
-    run with s successes makes at most 2 + s passes over the table, over
-    half the table when it is flip-symmetric.
+    run with s successes makes at most 2 + s passes over the kept table,
+    which is half the table when it is flip-symmetric.
     """
     obj = _objective_of(problem)
     max_rounds = as_count("max_rounds", max_rounds)
     started = time.perf_counter()
     table = energy_table(obj)
+    scan = _kept_table(obj)
     n_states = table.shape[0]
-    fold = 2 if _flip_symmetric(obj) else 1
-    scan = table[: n_states // fold]
-    rng = np.random.default_rng(as_count("seed", seed, least=None))
+    fold = n_states // scan.size
+    rng = np.random.default_rng(as_count("seed", seed, least=0))
 
     first = int(rng.integers(0, n_states))
     threshold = float(table[first])
@@ -670,7 +671,7 @@ def qaoa_solve(
         params = _params_of(vec)
         amps = _evolve(obj, params.gammas, params.betas)
         if objective_mode == "mean":
-            value = _energy_sum(amps, energy_table(obj), obj.n)
+            value = _energy_sum(amps, _kept_table(obj), obj.n)
         else:
             hit, counts = _draw(_probabilities(amps, obj.n), shots, eval_seed)
             value = _tail_mean(energy_table(obj)[hit], counts, alpha)
@@ -764,7 +765,7 @@ def _check_qaoa_args(p, objective_mode, alpha, optimizer_budget, shots, seed) ->
         check_real("alpha", alpha)
     return (
         as_count("p", p, least=0), as_count("optimizer_budget", optimizer_budget),
-        as_count("shots", shots), as_count("seed", seed, least=None),
+        as_count("shots", shots), as_count("seed", seed, least=0),
     )
 
 

@@ -146,6 +146,11 @@ class TestQuboModel:
         q = QuboModel.from_entries(3, [(2, 0, 1.5), (0, 2, 0.5), (1, 1, -1.0)])
         assert q.terms == {(0, 2): 2.0, (1, 1): -1.0}
 
+    def test_from_entries_leaves_out_pairs_that_cancel(self):
+        # A pair whose entries sum to exactly zero (a -0.0 too) is no term.
+        q = QuboModel.from_entries(3, [(0, 1, 1.5), (1, 0, -1.5), (2, 2, -0.0), (1, 1, 2.0)], offset=0.5)
+        assert q.terms == {(1, 1): 2.0} and q.offset == 0.5
+
     def test_rejects_bad_terms(self):
         with pytest.raises(ValueError):
             QuboModel(n=2, terms={(1, 0): 1.0})

@@ -988,7 +988,8 @@ class TestPayloadSchema:
         # builds with NaN points, markups or a topology of 3.7. Each case
         # replaces or deletes one leaf of raw or meta. A raw field may also
         # be refused through an array whose length it names; of meta only
-        # QAP's params.penalty is read, so every other meta edit builds.
+        # QAP's params are checked (its build reads penalty; n is declared
+        # beside it), so every other meta edit builds.
         assert sorted(self.ENVELOPES) == sorted(FAMILIES)
         envelopes = {family: [bare_envelope(make()) for make in makes] for family, makes in self.ENVELOPES.items()}
         rng = random.Random(3607)
@@ -1003,7 +1004,7 @@ class TestPayloadSchema:
                 sized = FAMILIES[family].fields.items()
                 fields = {key} | {name for name, spec in sized if key in re.split(r"[\[,\]]", spec)[1:]}
             else:
-                fields = {"penalty"} if family == "qap" and path[1:] == ("params", "penalty") else set()
+                fields = {path[-1]} if family == "qap" and path[1] == "params" else set()
             try:
                 instance_from_json(edited(envelope, path, bad))
                 outcomes["built"] += 1
@@ -1012,6 +1013,27 @@ class TestPayloadSchema:
                 assert_names(str(exc), family, fields)
                 outcomes["refused"] += 1
         assert outcomes["built"] > 100 and outcomes["refused"] > 100, outcomes
+
+    @pytest.mark.parametrize(
+        "make, path, renamed",
+        [
+            (lambda: gen_spin_glass("complete", 5, seed=1, cubic_terms=3), ("raw", "cubic"), "cubics"),
+            (lambda: gen_qap(3, seed=0, penalty=50.0), ("meta", "params", "penalty"), "penalti"),
+        ],
+        ids=["spin-glass-cubics", "qap-penalti"],
+    )
+    def test_undeclared_fields_are_refused(self, make, path, renamed):
+        # Each once built another instance without a word: the spin glass
+        # without its cubic terms (c_min -4.0 for -7.0), the QAP with the
+        # default penalty (c_max 38149.0 for 2725.0).
+        inst = make()
+        envelope = bare_envelope(inst)
+        *parents, last = path
+        holder = lookup(envelope, parents)
+        holder[renamed] = holder.pop(last)
+        with pytest.raises(ValueError) as caught:
+            instance_from_json(envelope)
+        assert_names(str(caught.value), inst.family, {renamed})
 
     @pytest.mark.parametrize(
         "make, path, value, field",

@@ -23,8 +23,8 @@ from qopt.simulator import (
     _apply_phase,
     _energy_levels,
     _energy_sum,
-    _flip_symmetric,
     _imag_inner,
+    _kept_table,
     _start,
     anneal_trotter,
     cvar,
@@ -655,7 +655,7 @@ class TestAdjointGradient:
         monkeypatch.setattr(simulator, "_apply_mixer", counted)
         monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n))
         low_value, low_grad = qaoa_value_and_gradient(obj, params)
-        kept = 2 if _flip_symmetric(obj) else 1
+        kept = (1 << obj.n) // _kept_table(obj).size
         assert len(passes) == 2 * p + (p - kept)
         assert low_value.hex() == value.hex()
         np.testing.assert_allclose(low_grad, grad, rtol=0, atol=1e-13)
@@ -676,7 +676,7 @@ class TestAdjointGradient:
         obj = make()
         energy_table(obj)
         _energy_levels(obj)
-        size = 16 << (obj.n - _flip_symmetric(obj))  # bytes of the run's array
+        size = 16 * _kept_table(obj).size  # bytes of the run's array
 
         def peak(p):
             params = QaoaParams(p=p, gammas=(0.3,) * p, betas=(0.2,) * p)
@@ -1082,6 +1082,11 @@ def hex_list(values):
     return [float(v).hex() for v in values]
 
 
+def folds(obj):
+    # Whether runs on ``obj`` are folded: its kept table is shorter than 2^n.
+    return _kept_table(obj).size < 1 << obj.n
+
+
 class TestFlipFold:
     @pytest.mark.parametrize("case", sorted(FOLD_CASES))
     def test_folded_runs_equal_unfolded_bit_for_bit(self, case):
@@ -1104,20 +1109,20 @@ class TestFlipFold:
     def test_symmetric_families_fold(self, case):
         # One variable never folds: its half would be a single amplitude.
         obj = FOLD_CASES[case]()
-        assert _flip_symmetric(obj) is (obj.n >= 2)
-        assert obj._cache["flip_symmetric"] is (obj.n >= 2)
+        assert folds(obj) is (obj.n >= 2)
+        assert (obj._cache["kept_table"].size < 1 << obj.n) is (obj.n >= 2)
         table = energy_table(obj)
         assert np.array_equal(table.view(np.int64), table[::-1].view(np.int64))
 
     def test_tables_that_are_not_mirrors_do_not_fold(self, table_objective):
         linear = QuboModel(n=3, terms={(0, 0): 1.0, (0, 1): -2.0, (1, 2): 0.5}).as_objective()
-        assert not _flip_symmetric(KERNEL_CASES["portfolio"]())
-        assert not _flip_symmetric(linear)
+        assert not folds(KERNEL_CASES["portfolio"]())
+        assert not folds(linear)
         table = energy_table(FOLD_CASES["sk-gaussian-n9"]()).copy()
-        assert _flip_symmetric(table_objective(table))
+        assert folds(table_objective(table))
         table[5] = np.nextafter(table[5], np.inf)
-        assert not _flip_symmetric(table_objective(table))
-        assert not _flip_symmetric(table_objective([1.0]))
+        assert not folds(table_objective(table))
+        assert not folds(table_objective([1.0]))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     def test_each_mirror_pair_is_compared(self, n, table_objective):
@@ -1125,12 +1130,34 @@ class TestFlipFold:
         # compared after the first 64; a -0.0 facing a 0.0 is no mirror.
         lower = np.arange(1 << (n - 1), dtype=np.float64) % 5
         table = np.concatenate([lower, lower[::-1]])
-        assert _flip_symmetric(table_objective(table))
+        assert folds(table_objective(table))
         half = table.size // 2
         for i, left, right in [(half - 1, 1.0, 2.0), (0, 3.0, 4.0), (half - 1, -0.0, 0.0), (0, 0.0, -0.0)]:
             broken = table.copy()
             broken[i], broken[table.size - 1 - i] = left, right
-            assert not _flip_symmetric(table_objective(broken))
+            assert not folds(table_objective(broken))
+
+    def test_kept_table_is_the_cached_lower_half_of_a_mirror(self):
+        obj = FOLD_CASES["labs-k8"]()
+        table = energy_table(obj)
+        kept = _kept_table(obj)
+        half = table.size // 2
+        assert kept.size == half and kept.tobytes() == table[:half].tobytes()
+        assert np.shares_memory(kept, table[:half]) and not np.shares_memory(kept, table[half:])
+        assert not kept.flags.writeable
+        assert _kept_table(obj) is kept
+
+    @pytest.mark.parametrize("make", [KERNEL_CASES["portfolio"], FOLD_CASES["ising-n1"]], ids=["portfolio", "n1"])
+    def test_tables_that_do_not_fold_are_kept_whole(self, make):
+        obj = make()
+        assert _kept_table(obj) is energy_table(obj)
+
+    def test_cached_kept_table_is_not_read_above_a_lowered_cap(self, monkeypatch):
+        obj = FOLD_CASES["maxcut-r3r-n10"]()
+        _kept_table(obj)
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n - 1))
+        with pytest.raises(CapacityError, match="10 qubits exceed the simulator cap of 9"):
+            _kept_table(obj)
 
     def test_only_plus_starts_on_mirrors_fold(self, monkeypatch):
         import qopt.simulator as simulator
@@ -1203,7 +1230,7 @@ class TestTiledKernel:
     @pytest.mark.parametrize("n, folded", TILE_CASES, ids=TILE_IDS)
     def test_runs_match_the_references(self, n, folded):
         obj = tile_objective(n, folded)
-        assert _flip_symmetric(obj) is folded
+        assert folds(obj) is folded
         table = energy_table(obj)
         plus = Statevector.plus(n).amplitudes
         params = QaoaParams(p=2, gammas=(0.37, -0.81), betas=(1.13, 0.29))

@@ -8,7 +8,9 @@ Independent oracles used here:
 - the closed-form single-spin QAOA landscape for the variational optimizer.
 """
 
+import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -25,9 +27,9 @@ from qopt.bench import SOLVERS, BenchmarkConfig
 from qopt.model import (
     ConstrainedModel, DiagonalObjective, IsingModel, LinearConstraint, QuboModel, index_to_bits, penalty_encode,
 )
-from qopt.problems import gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
+from qopt.problems import FAMILIES, gen_labs, gen_maxcut_r3r, gen_mis, gen_portfolio, gen_spin_glass
 from qopt.simulator import (
-    CapacityError, QaoaParams, SampleSet, Statevector, _energy_levels, _flip_symmetric, anneal_trotter, cvar,
+    CapacityError, QaoaParams, SampleSet, Statevector, _energy_levels, _kept_table, anneal_trotter, cvar,
     energy_table, gibbs_distribution, qaoa_state, sample,
 )
 from qopt.solvers import (
@@ -181,7 +183,7 @@ class TestBruteForce:
         # equals one read off the whole table, and the streamed path's.
         obj = make()
         table = energy_table(obj)
-        assert _flip_symmetric(obj)
+        assert _kept_table(obj).size == table.size // 2
         res = brute_force(obj)
         c_min = float(table.min())
         want = tuple(index_to_bits(int(i), obj.n) for i in np.flatnonzero(table == c_min))
@@ -399,7 +401,7 @@ def mirrored(lower):
     pattern 2^n - 1 - x has x's energy bit for bit."""
     lower = list(lower)
     obj = table_only(lower + lower[::-1])
-    assert _flip_symmetric(obj)
+    assert _kept_table(obj).size == len(lower)
     return obj
 
 
@@ -492,7 +494,7 @@ class TestGroverAdaptiveSearch:
     def test_matches_stable_sort_reference(self, make):
         # Energies are compared as float.hex, so that a -0.0 and a 0.0
         # threshold differ; the table is the only array left cached, next
-        # to its symmetry flag.
+        # to its kept table.
         obj = make()
         for seed in range(10):
             for max_rounds in (1, 6, 128):
@@ -502,7 +504,7 @@ class TestGroverAdaptiveSearch:
                 assert res.best_energy.hex() == want_e.hex()
                 assert [e.hex() for e in res.trace] == [e.hex() for e in want_trace]
                 assert res.extras == want_extras
-                assert list(obj._cache) == ["energy_table", "flip_symmetric"]
+                assert list(obj._cache) == ["energy_table", "kept_table"]
 
     def test_one_table_pass_per_success(self):
         # Beyond the first count and the first success's gather of the
@@ -533,14 +535,17 @@ class TestGroverAdaptiveSearch:
         for (make, fold), seed in itertools.product(cases, range(5)):
             obj = make(seed)
             plain = grover_adaptive_search(obj, seed=seed)
-            assert _flip_symmetric(obj) is (fold == 2)
+            assert (1 << obj.n) // _kept_table(obj).size == fold
             table = energy_table(obj)
+            # The kept table is cut again from the counted view, so that the
+            # scans of it are counted.
             obj._cache["energy_table"] = table.view(Counted)
+            del obj._cache["kept_table"]
             Counted.table, Counted.scanned = table, 0
             res = grover_adaptive_search(obj, seed=seed)
             successes = len(res.trace) - 1
             assert successes > 0
-            assert Counted.scanned <= (2 + successes) * (table.size // fold)
+            assert table.size // fold <= Counted.scanned <= (2 + successes) * (table.size // fold)
             assert (res.best_assignment, res.trace, res.extras) == (plain.best_assignment, plain.trace, plain.extras)
 
     def test_replay_deterministic(self):
@@ -772,7 +777,7 @@ class TestQaoaSolve:
         import qopt.solvers as solvers
 
         obj = make()
-        assert _flip_symmetric(obj) == folded
+        assert (_kept_table(obj).size < 1 << obj.n) == folded
         prepared = []
 
         def evolved(obj_, gammas, betas, _fn=solvers._evolve):
@@ -1192,3 +1197,39 @@ class TestSolveResultJson:
             "35bcca7a45a5b36f4af8fa70a1c7c47e462b4575a1fd5b0eac356c8f494e84e9"
         )
         assert (res.best_assignment, res.best_energy) == ((0, 1, 0, 0, 1, 0, 1, 1), -10.0)
+
+
+# Small sizes for every family whose generator takes a seed (LABS has none).
+SEEDED_FAMILY_SIZES = {
+    "maxcut-r3r": {"n": 6}, "mis": {"n": 4}, "udmis": {"n": 4}, "market-share": {"m": 2}, "qap": {"n": 2},
+    "spin-glass": {"topology": "complete", "n": 3}, "ev-parking": {"N": 3, "K": 2, "M": 2, "E": 9}, "portfolio": {"N": 4, "B": 2},
+}
+
+
+def seeded_calls():
+    inst = gen_maxcut_r3r(6, seed=0)
+    calls = {
+        name: functools.partial(fn, inst) for name, fn in SOLVERS.items() if "seed" in inspect.signature(fn).parameters
+    }
+    calls["sample"] = functools.partial(sample, Statevector.plus(6), 8, obj=inst.objective)
+    calls.update({f"gen-{family}": functools.partial(FAMILIES[family].generate, **sizes)
+                  for family, sizes in SEEDED_FAMILY_SIZES.items()})
+    return calls
+
+
+def test_seeded_families_are_listed():
+    seeded = [family for family, row in FAMILIES.items() if "seed" in inspect.signature(row.generate).parameters]
+    assert sorted(seeded) == sorted(SEEDED_FAMILY_SIZES)
+    assert sorted(seeded_calls()) == sorted(
+        ["annealing", "grover", "qaoa", "rqaoa", "sample", *(f"gen-{family}" for family in seeded)]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(seeded_calls()))
+def test_negative_seed_is_refused_by_name(name):
+    # A -1 once reached numpy's unnamed "expected non-negative integer"
+    # (annealing, grover, sample, and the generators drawing from numpy), or
+    # was taken (qaoa, rqaoa, maxcut-r3r). Master seeds, which are hashed,
+    # still take any int.
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        seeded_calls()[name](seed=-1)
