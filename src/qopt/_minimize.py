@@ -190,8 +190,7 @@ def _line_search(fun_and_grad, x, f, d, gd0, step):
     """Moré–Thuente search along ``d`` from ``x``, starting at ``step``.
 
     Returns ``(step, x, f, g, g'd)`` at the accepted point, or None when
-    no step was accepted within the trial limit or the next step is not
-    finite.
+    no step was accepted within the trial limit.
     """
     search = _MoreThuente(f, gd0, step)
     last = None
@@ -206,8 +205,6 @@ def _line_search(fun_and_grad, x, f, d, gd0, step):
         done, next_step = search.update(step, f_new, gd)
         if done:
             return step, x_new, f_new, g_new, gd
-        if not math.isfinite(next_step):
-            return None
         step = next_step
     return None
 
@@ -239,8 +236,8 @@ class _MoreThuente:
 
     def update(self, stp: float, f: float, g: float) -> tuple[bool, float]:
         """Whether the trial ``stp`` is accepted, and the next trial step."""
-        # numpy scalars and no warnings: a degenerate interval gives a
-        # non-finite step, which the caller treats as a failed search.
+        # numpy scalars and no warnings: a NaN value or slope can make the
+        # next step NaN, which the bounds below turn into a retreat.
         stp, f, g = np.float64(stp), np.float64(f), np.float64(g)
         with np.errstate(all="ignore"):
             ftest = self.finit + stp * self.gtest
@@ -286,7 +283,9 @@ class _MoreThuente:
             else:
                 self.stmin = stp + 1.1 * (stp - self.stx)
                 self.stmax = stp + 4.0 * (stp - self.stx)
-            stp = min(max(stp, 0.0), _STEP_MAX)
+            # A NaN step is bounded to 0, as in L-BFGS-B; a bracketed search
+            # then falls back to its best step.
+            stp = 0.0 if math.isnan(stp) else min(max(stp, 0.0), _STEP_MAX)
             if self.brackt and (
                 stp <= self.stmin or stp >= self.stmax or self.stmax - self.stmin <= _LS_XTOL * self.stmax
             ):

@@ -53,8 +53,12 @@ phase and the X mixer all commute with flipping every bit, so amplitude
 ``2^n - 1 - x`` always equals amplitude ``x`` and only the lower half,
 ``x < 2^(n-1)``, is kept. One cached array describes the fold:
 :func:`_kept_table` is the table's lower half on such an objective and the
-whole table otherwise. A run starts with one amplitude per entry of it, its
-phases and energy sums read it, and brute force and Grover scan it. Qubits
+whole table otherwise. A run starts with one amplitude per entry of it, and
+its phases and energy sums read it. Brute force and Grover scan it and hand
+the positions they find to :func:`_unfold`, which returns the ascending
+patterns they stand for (on a half, each position and its complement), so
+neither does mirror arithmetic; brute force keeps its optimum set as packed
+``int64`` indices, as a sample set does. Qubits
 ``0..n-2`` are updated exactly as in a full run; under qubit ``n-1`` the
 partner of ``x`` is the mirror of its upper partner, ``2^(n-1) - 1 - x``, so
 the update reads the half reversed. The kernels recognise a folded state
@@ -233,11 +237,11 @@ class SampleSet:
     at bit ``i``): ``indices`` is the strictly ascending ``int64`` array of
     distinct patterns that were hit, ``index_counts`` how often each one was
     drawn, and ``index_energies`` the energy of each; every set carries its
-    energies. The constructor checks the arrays (at least one shot, indices
-    in ``[0, 2^n)``, aligned shapes, counts of at least 1 that sum to
-    ``shots``, finite energies) and keeps read-only copies, so CVaR, sorting
-    and best-pattern lookups work on them directly. Packing limits patterns
-    to 62 variables.
+    energies. The constructor checks the seed (at least 0) and the arrays
+    (at least one shot, indices in ``[0, 2^n)``, aligned shapes, counts of
+    at least 1 that sum to ``shots``, finite energies) and keeps read-only
+    copies, so CVaR, sorting and best-pattern lookups work on them directly.
+    Packing limits patterns to 62 variables.
     """
 
     n: int
@@ -248,7 +252,7 @@ class SampleSet:
     index_energies: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, least in (("n", None), ("shots", 1), ("seed", None)):
+        for name, least in (("n", None), ("shots", 1), ("seed", 0)):
             object.__setattr__(self, name, as_count(name, getattr(self, name), least))
         if not 0 <= self.n <= _PACKED_BITS:
             raise ValueError(f"{self.n}-bit patterns do not fit the {_PACKED_BITS}-bit index packing limit")
@@ -378,6 +382,15 @@ def _kept_table(obj: DiagonalObjective) -> np.ndarray:
         )
         kept = obj._cache["kept_table"] = table[:half] if mirror else table
     return kept
+
+
+def _unfold(obj: DiagonalObjective, positions: np.ndarray) -> np.ndarray:
+    """The ascending patterns that ascending positions of :func:`_kept_table`
+    stand for: the positions themselves, followed, when the kept table is
+    the lower half, by their complements ``2^n - 1 - x`` in reverse order."""
+    if _kept_table(obj).size == 1 << obj.n:
+        return positions
+    return np.concatenate([positions, ((1 << obj.n) - 1) - positions[::-1]])
 
 
 def _folded(amps: np.ndarray, n: int) -> bool:

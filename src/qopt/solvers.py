@@ -34,6 +34,7 @@ from qopt.simulator import (
     _kept_table,
     _probabilities,
     _tail_mean,
+    _unfold,
     cvar,  # not called here: perfbench's traced runs wrap solvers.cvar by name
     energy_table,
     expectation,
@@ -71,7 +72,10 @@ class SolveResult:
 
     ``certificate`` is True only when the result came from exhaustive
     enumeration, in which case ``c_min``/``c_max``/``argmin`` describe the
-    exact spectrum edges and the complete optimum set. ``samples`` is set by
+    exact spectrum edges and the complete optimum set; ``argmin`` is a
+    read-only, strictly ascending ``int64`` array of packed indices (variable
+    ``i`` at bit ``i``), as in :class:`~qopt.simulator.SampleSet`, and only
+    ``best_assignment`` is a bit tuple. ``samples`` is set by
     sampling-based solvers, ``params`` by variational ones. ``timings`` maps
     phase names to wall seconds, and ``"total"`` to the whole run's;
     ``trace`` is the solver's iteration log.
@@ -82,7 +86,7 @@ class SolveResult:
     certificate: bool = False
     c_min: float | None = None
     c_max: float | None = None
-    argmin: tuple[tuple[int, ...], ...] | None = None
+    argmin: np.ndarray | None = None
     samples: SampleSet | None = None
     params: QaoaParams | None = None
     timings: Mapping[str, float] = field(default_factory=dict)
@@ -96,13 +100,14 @@ def solve_result_to_json(result: SolveResult) -> dict:
     def pattern_str(bits):
         return "".join(str(b) for b in bits)
 
+    n = len(result.best_assignment)
     data = {
         "best_assignment": pattern_str(result.best_assignment),
         "best_energy": result.best_energy,
         "certificate": result.certificate,
         "c_min": result.c_min,
         "c_max": result.c_max,
-        "argmin": None if result.argmin is None else [pattern_str(b) for b in result.argmin],
+        "argmin": None if result.argmin is None else [pattern_str(index_to_bits(i, n)) for i in result.argmin.tolist()],
         "params": None
         if result.params is None
         else {"p": result.params.p, "gammas": list(result.params.gammas), "betas": list(result.params.betas)},
@@ -132,12 +137,14 @@ def _objective_of(problem) -> DiagonalObjective:
 def brute_force(problem) -> SolveResult:
     """Exact enumeration: spectrum edges and the complete argmin set.
 
-    Up to the statevector cap it reads :func:`~qopt.simulator._kept_table`,
-    which builds and caches the table once; when that is the lower half it
-    appends the complements ``2^n - 1 - x`` of its minimizers in reverse, which
-    keeps the argmin ascending. Above the cap, up to four qubits further, it
-    streams ``2^20``-pattern chunks priced by ``energies_at``, which equal the
-    table's slices bit for bit, and caches nothing.
+    Up to the statevector cap it scans :func:`~qopt.simulator._kept_table`,
+    which builds and caches the table once, and
+    :func:`~qopt.simulator._unfold` turns the minimizing positions into
+    patterns (adding their complements when the kept table is the lower
+    half). Above the cap, up to four qubits further, it streams
+    ``2^20``-pattern chunks priced by ``energies_at``, which equal the
+    table's slices bit for bit, and caches nothing. ``argmin`` holds the
+    minimizers as packed indices, one ``int64`` per pattern.
     This is the reference oracle every other solver is tested against.
     """
     obj = _objective_of(problem)
@@ -148,12 +155,9 @@ def brute_force(problem) -> SolveResult:
     total = 1 << obj.n
     c_min = math.inf
     c_max = -math.inf
-    argmin_idx: list[int] = []
-    fold = 1
+    found: list[np.ndarray] = []
     if obj.n <= cap:
-        kept = _kept_table(obj)
-        fold = total // kept.size
-        chunks = [(0, kept)]
+        chunks = [(0, _kept_table(obj))]
     else:
         chunk = 1 << _CHUNK_BITS
         chunks = (
@@ -167,14 +171,15 @@ def brute_force(problem) -> SolveResult:
             c_max = hi
         if lo < c_min:
             c_min = lo
-            argmin_idx = []
+            found = []
         if lo == c_min:
-            argmin_idx.extend(int(start + k) for k in np.flatnonzero(table == c_min))
-    if fold == 2:
-        argmin_idx.extend([total - 1 - idx for idx in reversed(argmin_idx)])
-    argmin = tuple(index_to_bits(idx, obj.n) for idx in argmin_idx)
+            found.append(start + np.flatnonzero(table == c_min))
+    argmin = np.concatenate(found)
+    if obj.n <= cap:
+        argmin = _unfold(obj, argmin)
+    argmin.setflags(write=False)
     return SolveResult(
-        best_assignment=argmin[0],
+        best_assignment=index_to_bits(int(argmin[0]), obj.n),
         best_energy=c_min,
         certificate=True,
         c_min=c_min,
@@ -444,10 +449,12 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     :func:`~qopt.simulator._kept_table`, which is scanned. The first success
     gathers the marked energies. Each success finds the pick-th marked
     pattern in (energy, index) order by a partition of them and a scan of
-    the table for its level, with no sort, and keeps the energies below
-    that level as the next marked set instead of recounting the table, so a
-    run with s successes makes at most 2 + s passes over the kept table,
-    which is half the table when it is flip-symmetric.
+    the kept table for its level, with no sort, and
+    :func:`~qopt.simulator._unfold` lists the patterns at that level; the
+    energies below the level are kept as the next marked set instead of
+    recounting the table, so a run with s successes makes at most 2 + s
+    passes over the kept table, which is half the table when it is
+    flip-symmetric.
     """
     obj = _objective_of(problem)
     max_rounds = as_count("max_rounds", max_rounds)
@@ -486,16 +493,16 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
             # (pick - below)-th pattern at that level. `marked` holds the
             # scanned energies below the threshold in no particular order,
             # which the partition does not need: its k-th value depends on
-            # the values alone. Folded, each scanned energy stands for a
-            # pattern and its mirror, so the pick-th marked energy is the
-            # (pick // 2)-th of them, and the level's positions in index
-            # order are the scanned ones, then their mirrors 2^n - 1 - x in
-            # reverse. After the partition, every energy below `level` lies
-            # in marked[:k], and `level` equals the next threshold, so
-            # filtering that head gives the next marked energies and their
-            # count without a pass over the table. Only the first success
-            # gathers from the table; the level scan is the one pass per
-            # success.
+            # the values alone. Each scanned energy stands for `fold`
+            # patterns, so the pick-th marked energy is the (pick // fold)-th
+            # of them, and `_unfold` lists the patterns at the level in index
+            # order. After the partition, every energy below `level` lies in
+            # marked[:k], and `level` equals the next threshold (which is
+            # read from the table all the same: the level of a 0.0 pattern
+            # may be -0.0), so filtering that head gives the next marked
+            # energies and their count without a pass over the table. Only
+            # the first success gathers from the table; the level scan is
+            # the one pass per success.
             if marked is None:
                 marked = scan[scan < threshold]
             k = pick // fold
@@ -504,9 +511,7 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
             head = marked[:k]
             marked = head[head < level]
             below = fold * marked.size
-            at = np.flatnonzero(scan == level)
-            i = pick - below
-            best_idx = int(at[i]) if i < at.size else n_states - 1 - int(at[2 * at.size - 1 - i])
+            best_idx = int(_unfold(obj, np.flatnonzero(scan == level))[pick - below])
             threshold = float(table[best_idx])
             count = below
             thresholds.append(threshold)

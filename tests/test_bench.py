@@ -7,6 +7,7 @@ Python equality.
 
 import csv
 import dataclasses
+import importlib.util
 import io
 import itertools
 import json
@@ -37,6 +38,9 @@ from qopt.problems import gen_maxcut_r3r, gen_spin_glass
 from qopt.solvers import SolveResult, brute_force, simulated_annealing
 
 import qopt.bench as bench_module
+import qopt.cli as cli_module
+import qopt.model as model_module
+import qopt.solvers as solvers_module
 
 
 def make_record(**overrides):
@@ -594,3 +598,33 @@ class TestEmitJunit:
         text = emit_junit([make_record()], out)
         assert out.read_text(encoding="utf-8") == text
         ElementTree.fromstring(text)
+
+
+def test_traced_program_patches_and_restores_its_names():
+    # perfbench/tracing.py rebinds these qopt names by getattr for a traced
+    # run (`perfbench/run.py --trace 1`); renaming or dropping one would break
+    # that run without failing any other test. Each is wrapped inside the
+    # block and is the original object again after it.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    names = [(solvers_module, name) for name in (
+        "qaoa_state", "energy_table", "expectation", "sample", "cvar",
+        "brute_force", "simulated_annealing", "grover_adaptive_search", "qaoa_solve",
+    )]
+    names += [(bench_module, name) for name in ("energy_table", "brute_force")]
+    names += [(cli_module, "run_benchmark")]
+    names += [(model_module.DiagonalObjective, name) for name in ("energies_at", "value")]
+    tables = [bench_module.SOLVERS, bench_module.GENERATORS]
+    originals = [getattr(owner, name) for owner, name in names]
+    entries = [dict(table) for table in tables]
+    with tracing.traced_program(tracing.Tracer()):
+        for (owner, name), original in zip(names, originals):
+            assert getattr(owner, name) is not original and getattr(owner, name).__wrapped__ is original
+        for table, before in zip(tables, entries):
+            assert all(table[key].__wrapped__ is fn for key, fn in before.items())
+    assert all(getattr(owner, name) is original for (owner, name), original in zip(names, originals))
+    for table, before in zip(tables, entries):
+        assert table.keys() == before.keys() and all(table[key] is fn for key, fn in before.items())

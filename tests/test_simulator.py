@@ -26,6 +26,7 @@ from qopt.simulator import (
     _imag_inner,
     _kept_table,
     _start,
+    _unfold,
     anneal_trotter,
     cvar,
     energy_table,
@@ -777,6 +778,8 @@ class TestSample:
             SampleSet(n=1, shots=1, seed=0, indices=[0], index_counts=[1])
         with pytest.raises(ValueError, match="shots must be at least 1"):
             SampleSet(n=1, shots=0, seed=0, indices=[], index_counts=[], index_energies=[])
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            SampleSet(n=1, shots=1, seed=-1, indices=[0], index_counts=[1], index_energies=[0.0])
         for fields, message in [
             ({"indices": [0], "index_counts": [3], "index_energies": [0.0]}, "sum to the shot total"),
             ({"indices": [0, 1], "index_counts": [-1, 5]}, "at least 1"),
@@ -1151,6 +1154,23 @@ class TestFlipFold:
     def test_tables_that_do_not_fold_are_kept_whole(self, make):
         obj = make()
         assert _kept_table(obj) is energy_table(obj)
+
+    def test_unfold_adds_complements_of_a_lower_half(self):
+        # Every position stands for itself and its complement; together they
+        # come out ascending, as one index array over all 2^n patterns.
+        obj = FOLD_CASES["maxcut-r3r-n10"]()
+        kept = _kept_table(obj)
+        positions = np.flatnonzero(kept <= np.quantile(kept, 0.3))
+        patterns = _unfold(obj, positions)
+        full = (1 << obj.n) - 1
+        assert patterns.dtype == np.int64
+        assert patterns.tolist() == sorted(positions.tolist() + [full - x for x in positions.tolist()])
+
+    @pytest.mark.parametrize("make", [KERNEL_CASES["portfolio"], FOLD_CASES["ising-n1"]], ids=["portfolio", "n1"])
+    def test_unfold_of_a_whole_table_is_the_identity(self, make):
+        obj = make()
+        positions = np.flatnonzero(energy_table(obj) == energy_table(obj).min())
+        assert _unfold(obj, positions) is positions
 
     def test_cached_kept_table_is_not_read_above_a_lowered_cap(self, monkeypatch):
         obj = FOLD_CASES["maxcut-r3r-n10"]()

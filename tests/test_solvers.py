@@ -60,6 +60,11 @@ def naive_enumerate(obj):
     return best, worst, argmin
 
 
+def argmin_bits(result):
+    """A result's optimum set as bit tuples, in index order."""
+    return [index_to_bits(i, len(result.best_assignment)) for i in result.argmin.tolist()]
+
+
 def random_qubo(n, seed, fill=0.6):
     return _checks.random_qubo(n, np.random.default_rng(seed), fill)
 
@@ -77,13 +82,31 @@ class TestBruteForce:
         assert res.c_min == -1.0
         assert res.c_max == 1.0
         # z = -1 corresponds to bit 1.
-        assert res.argmin == ((1,),)
+        assert res.argmin.tolist() == [1]
         assert res.certificate
 
     def test_all_zero_model_every_assignment_optimal(self):
         res = brute_force(QuboModel(n=4, terms={}).as_objective())
         assert res.c_min == res.c_max == 0.0
-        assert len(res.argmin) == 16
+        assert res.argmin.tolist() == list(range(16))
+
+    def test_degenerate_optimum_set_is_one_index_array(self, monkeypatch):
+        # All 2^18 patterns are optimal: the set is one int64 index array
+        # (2 MiB), not 2^18 bit tuples, on the table path and the streamed one.
+        obj = QuboModel(n=18).as_objective()
+        tracemalloc.start()
+        try:
+            res = brute_force(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "14")
+        streamed = brute_force(QuboModel(n=18).as_objective())
+        for argmin in (res.argmin, streamed.argmin):
+            assert argmin.dtype == np.int64 and not argmin.flags.writeable
+            assert np.array_equal(argmin, np.arange(2**18))
+        assert res.best_assignment == streamed.best_assignment == (0,) * 18
 
     def test_matches_independent_enumeration(self):
         for seed in range(12):
@@ -92,7 +115,7 @@ class TestBruteForce:
             best, worst, argmin = naive_enumerate(obj)
             assert res.c_min == best
             assert res.c_max == worst
-            assert set(res.argmin) == set(argmin)
+            assert argmin_bits(res) == argmin
             assert_self_consistent(res, obj)
 
     def test_streaming_chunks_match_chain_dynamic_program(self, energies_at_calls, monkeypatch):
@@ -128,7 +151,7 @@ class TestBruteForce:
         second = brute_force(obj)
         assert obj._cache["energy_table"] is table
         assert calls == []
-        assert (second.c_min, second.c_max, second.argmin) == (first.c_min, first.c_max, first.argmin)
+        assert (second.c_min, second.c_max, second.argmin.tolist()) == (first.c_min, first.c_max, first.argmin.tolist())
         assert np.array_equal(energy_table(obj), obj.energies_at(np.arange(2**9)))
 
     def test_cached_table_read_above_chunk_size(self, energies_at_calls, monkeypatch):
@@ -143,8 +166,8 @@ class TestBruteForce:
         streamed = brute_force(streamed_obj)
         assert energies_at_calls == [1 << 20] * 4
         assert "energy_table" not in streamed_obj._cache
-        assert (cached.c_min, cached.c_max, cached.argmin, cached.extras) == (
-            streamed.c_min, streamed.c_max, streamed.argmin, streamed.extras,
+        assert (cached.c_min, cached.c_max, cached.argmin.tolist(), cached.extras) == (
+            streamed.c_min, streamed.c_max, streamed.argmin.tolist(), streamed.extras,
         )
 
     def test_table_built_and_cached_up_to_default_cap(self, energies_at_calls, monkeypatch):
@@ -166,7 +189,7 @@ class TestBruteForce:
             res = brute_force(obj)
             best, worst, argmin = naive_enumerate(obj)
             assert (res.c_min, res.c_max) == (best, worst)
-            assert set(res.argmin) == set(argmin)
+            assert argmin_bits(res) == argmin
             assert ("energy_table" in obj._cache) == (n <= 6)
         with pytest.raises(CapacityError):
             brute_force(random_qubo(11, 0).as_objective())
@@ -186,14 +209,14 @@ class TestBruteForce:
         assert _kept_table(obj).size == table.size // 2
         res = brute_force(obj)
         c_min = float(table.min())
-        want = tuple(index_to_bits(int(i), obj.n) for i in np.flatnonzero(table == c_min))
-        assert res.argmin == want and res.best_assignment == want[0]
+        want = np.flatnonzero(table == c_min)
+        assert res.argmin.tolist() == want.tolist() and res.best_assignment == index_to_bits(int(want[0]), obj.n)
         assert (res.c_min.hex(), res.c_max.hex()) == (c_min.hex(), float(table.max()).hex())
         assert res.certificate
         monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n - 1))
         streamed = brute_force(make())
-        assert (streamed.c_min.hex(), streamed.c_max.hex(), streamed.argmin, streamed.extras) == (
-            res.c_min.hex(), res.c_max.hex(), res.argmin, res.extras,
+        assert (streamed.c_min.hex(), streamed.c_max.hex(), streamed.argmin.tolist(), streamed.extras) == (
+            res.c_min.hex(), res.c_max.hex(), res.argmin.tolist(), res.extras,
         )
 
     def test_labs_k13_optimum(self):
