@@ -62,6 +62,16 @@ def _add_flag(parser: argparse.ArgumentParser, flag: Flag) -> None:
     parser.add_argument(flag.name, **spec)
 
 
+def _cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qopt",
@@ -69,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cap",
-        type=int,
+        type=_cap,
         default=None,
         help="override the statevector qubit cap (QOPT_STATEVECTOR_CAP)",
     )
@@ -294,13 +304,9 @@ def run_verify_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks = run_verify_checks(seed=args.seed)
-    failures = 0
+    failures = sum(not ok for _, ok, _ in checks)
     for name, ok, detail in checks:
-        if ok:
-            print(f"ok   {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
+        print(f"ok   {name}" if ok else f"FAIL {name}: {detail}")
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     if args.junit:
         cases = [({"name": name}, None if ok else (detail, None)) for name, ok, detail in checks]

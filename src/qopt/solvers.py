@@ -166,9 +166,7 @@ def brute_force(problem) -> SolveResult:
         )
     for start, table in chunks:
         lo = float(table.min())
-        hi = float(table.max())
-        if hi > c_max:
-            c_max = hi
+        c_max = max(c_max, float(table.max()))
         if lo < c_min:
             c_min = lo
             found = []
@@ -519,9 +517,8 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
         else:
             m = min(m * 8.0 / 7.0, m_cap)
 
-    best_bits = index_to_bits(best_idx, obj.n)
     return SolveResult(
-        best_assignment=best_bits,
+        best_assignment=index_to_bits(best_idx, obj.n),
         best_energy=float(table[best_idx]),
         timings={"total": time.perf_counter() - started},
         trace=tuple(thresholds),
@@ -610,7 +607,8 @@ def qaoa_solve(
 ) -> SolveResult:
     """Variational solve over the angle box ``[0, pi)^p x [0, pi/2)^p``.
 
-    ``objective_mode`` selects the objective and with it the optimizer:
+    Trains the angles, then samples their state. ``objective_mode`` selects
+    the objective and with it the optimizer:
 
     * ``mean`` (exact expectation) trains with exact gradients
       (:func:`~qopt.simulator.qaoa_value_and_gradient`). At depth 1 an 8x8
@@ -639,19 +637,49 @@ def qaoa_solve(
     the statevector call it replaces. Exhausting the budget flags the result
     instead of raising. ``p = 0`` just samples the plus state. The
     statevector cap is checked before any training, since the final state is
-    always prepared.
+    always prepared. ``timings`` holds ``optimize`` (training; 0.0 at
+    ``p = 0``) and ``total``.
     """
     obj = _objective_of(problem)
     p, optimizer_budget, shots, seed = _check_qaoa_args(p, objective_mode, alpha, optimizer_budget, shots, seed)
-
-    # The final state needs the full statevector. The closed form never
-    # builds one, so without this check it would train first and fail last.
-    _check_cap(obj.n)
-    closed_form = objective_mode == "mean" and obj.spin_model() is not None
     started = time.perf_counter()
+    final_params, trace, evaluations, budget_exhausted, best_value = _train(
+        obj, p, objective_mode, alpha, optimizer_budget, shots, seed
+    )
+    optimize_time = time.perf_counter() - started if p else 0.0
+
+    sv = qaoa_state(obj, final_params)
+    mean_energy = expectation(sv, obj)
+    samples = sample(sv, shots=shots, seed=derive_seed(seed, "final-sample"), obj=obj)
+    best_pattern, best_energy = samples.best()
+    return SolveResult(
+        best_assignment=best_pattern,
+        best_energy=best_energy,
+        samples=samples,
+        params=final_params,
+        timings={"optimize": optimize_time, "total": time.perf_counter() - started},
+        trace=tuple(trace),
+        extras={
+            "mode": objective_mode,
+            "alpha": alpha if objective_mode == "cvar" else None,
+            "objective_value": best_value if objective_mode == "cvar" and p > 0 else mean_energy,
+            "mean_energy": mean_energy,
+            "evaluations": evaluations,
+            "budget_exhausted": budget_exhausted,
+        },
+    )
+
+
+def _train(obj, p, objective_mode, alpha, optimizer_budget, shots, seed) -> tuple:
+    # The angles, the trace, the evaluations, whether the budget ran out, and
+    # the best value (inf at p = 0). Every caller prepares the angles' state
+    # and the closed form builds none, so the cap is checked before training.
+    _check_cap(obj.n)
+    if p == 0:
+        return QaoaParams(p=0, gammas=(), betas=()), [], 0, False, math.inf
+    closed_form = objective_mode == "mean" and obj.spin_model() is not None
     eval_seed = derive_seed(seed, "cvar-eval")
     evaluations = 0
-    budget_exhausted = False
     trace: list[tuple[int, float]] = []
     best_value = math.inf
     best_vec: np.ndarray | None = None
@@ -697,66 +725,40 @@ def qaoa_solve(
     def refine(start: np.ndarray) -> tuple[np.ndarray, float]:
         return lbfgs(value_and_gradient, start, **_LBFGS_OPTIONS)
 
-    if p == 0:
-        final_params = QaoaParams(p=0, gammas=(), betas=())
-        optimize_time = 0.0
-    else:
-        scored: list[tuple[float, np.ndarray]] = []
-        grid = _angle_grid(p if objective_mode == "cvar" else 1)
-        try:
-            if closed_form:
-                grid = np.array(list(grid))
-                for vec, value in zip(grid, qaoa_p1_energy(obj, grid[:, 0], grid[:, 1]).tolist()):
-                    spend(1)
-                    keep(vec, value)
-                    scored.append((value, vec))
-            else:
-                for vec in grid:
-                    scored.append((objective_value(vec), vec))
-            scored.sort(key=lambda sv_: sv_[0])
-            if objective_mode == "mean":
-                optima = [refine(vec) for _, vec in scored[:3]]
-                for _ in range(1, p):
-                    optima = [refine(_interp(x)) for x, _ in _distinct(optima)]
-            else:
-                # Refine from the best few grid points; spend what remains.
-                starts = min(3 if p == 1 else 2, len(scored))
-                for _, start_vec in scored[:starts]:
-                    left = optimizer_budget - evaluations
-                    if left < 8:
-                        break
-                    nelder_mead(
-                        objective_value,
-                        start_vec,
-                        maxfev=left if start_vec is scored[0][1] else max(left // 2, 8),
-                        xatol=1e-10,
-                        fatol=1e-12,
-                    )
-        except _BudgetDone:
-            budget_exhausted = True
-        final_params = _params_of(best_vec, p)
-        optimize_time = time.perf_counter() - started
-
-    sv = qaoa_state(obj, final_params)
-    mean_energy = expectation(sv, obj)
-    samples = sample(sv, shots=shots, seed=derive_seed(seed, "final-sample"), obj=obj)
-    best_pattern, best_energy = samples.best()
-    return SolveResult(
-        best_assignment=best_pattern,
-        best_energy=best_energy,
-        samples=samples,
-        params=final_params,
-        timings={"optimize": optimize_time, "total": time.perf_counter() - started},
-        trace=tuple(trace),
-        extras={
-            "mode": objective_mode,
-            "alpha": alpha if objective_mode == "cvar" else None,
-            "objective_value": best_value if objective_mode == "cvar" and p > 0 else mean_energy,
-            "mean_energy": mean_energy,
-            "evaluations": evaluations,
-            "budget_exhausted": budget_exhausted,
-        },
-    )
+    scored: list[tuple[float, np.ndarray]] = []
+    grid = _angle_grid(p if objective_mode == "cvar" else 1)
+    try:
+        if closed_form:
+            grid = np.array(list(grid))
+            for vec, value in zip(grid, qaoa_p1_energy(obj, grid[:, 0], grid[:, 1]).tolist()):
+                spend(1)
+                keep(vec, value)
+                scored.append((value, vec))
+        else:
+            for vec in grid:
+                scored.append((objective_value(vec), vec))
+        scored.sort(key=lambda r: r[0])
+        if objective_mode == "mean":
+            optima = [refine(vec) for _, vec in scored[:3]]
+            for _ in range(1, p):
+                optima = [refine(_interp(x)) for x, _ in _distinct(optima)]
+        else:
+            # Refine from the best few grid points; spend what remains.
+            starts = min(3 if p == 1 else 2, len(scored))
+            for _, start_vec in scored[:starts]:
+                left = optimizer_budget - evaluations
+                if left < 8:
+                    break
+                nelder_mead(
+                    objective_value,
+                    start_vec,
+                    maxfev=left if start_vec is scored[0][1] else max(left // 2, 8),
+                    xatol=1e-10,
+                    fatol=1e-12,
+                )
+    except _BudgetDone:
+        return _params_of(best_vec, p), trace, evaluations, True, best_value
+    return _params_of(best_vec, p), trace, evaluations, False, best_value
 
 
 def _check_qaoa_args(p, objective_mode, alpha, optimizer_budget, shots, seed) -> tuple[int, int, int, int]:
@@ -830,15 +832,17 @@ def recursive_qaoa(
 ) -> SolveResult:
     """Iterative variable elimination driven by measured pair correlations.
 
-    Each level optimizes a small ansatz on the current spin model, computes
-    exact pair correlations over its couplings, and freezes the relation of
+    Each level trains the ansatz on the current spin model as
+    :func:`qaoa_solve` does, prepares the trained state once, reads its
+    exact pair correlations over the couplings, and freezes the relation of
     the strongest pair (aligned for non-negative correlation, anti-aligned
     otherwise; ties resolve to the lowest index pair). Eliminations repeat
     until the model reaches ``cutoff`` variables, which are enumerated
     exactly, or until no coupling is left, when each spin follows the sign
     of its field; substitutions then unwind to a full assignment. With
     ``cutoff >= n`` this degenerates to plain enumeration and keeps its
-    certificate.
+    certificate. No level samples its state, so ``shots`` reaches only
+    CVaR training; it is validated in either mode.
     """
     obj = _objective_of(problem)
     cutoff = as_count("cutoff", cutoff)
@@ -858,21 +862,11 @@ def recursive_qaoa(
     original_of = list(range(obj.n))
     substitutions: list[tuple[int, int, int]] = []
     trace = []
-    level = 0
     while ising.n > cutoff and ising.J:
-        level += 1
         view = ising.as_objective()
-        inner = qaoa_solve(
-            view,
-            p=p,
-            objective_mode=objective_mode,
-            alpha=alpha,
-            optimizer_budget=optimizer_budget,
-            shots=shots,
-            seed=derive_seed(seed, "rqaoa-level", level),
-        )
-        sv = qaoa_state(view, inner.params)
-        correlations = _pair_correlations(sv, ising)
+        level_seed = derive_seed(seed, "rqaoa-level", len(substitutions) + 1)
+        params = _train(view, p, objective_mode, alpha, optimizer_budget, shots, level_seed)[0]
+        correlations = _pair_correlations(qaoa_state(view, params), ising)
         (i, j), corr = max(
             correlations.items(), key=lambda kv: (abs(kv[1]), (-kv[0][0], -kv[0][1]))
         )
@@ -897,6 +891,6 @@ def recursive_qaoa(
         best_energy=obj.value(best_bits),
         timings={"total": time.perf_counter() - started},
         trace=tuple(trace),
-        extras={"substitutions": tuple(substitutions), "levels": level, "cutoff": cutoff},
+        extras={"substitutions": tuple(substitutions), "levels": len(substitutions), "cutoff": cutoff},
     )
 

@@ -330,6 +330,22 @@ class TestSolve:
         assert "error:" in err
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "must be at least 1, got 0"), ("-3", "must be at least 1, got -3"), ("x", "invalid int value: 'x'")],
+    )
+    @pytest.mark.parametrize(
+        "command", [["generate", "labs", "--k", "4"], ["solve", "absent.json", "--solver", "qaoa"]],
+        ids=["generate", "solve"],
+    )
+    def test_cap_below_one_is_usage_error(self, capsys, value, message, command):
+        # Refused while parsing, naming the flag, before any command runs
+        # (the solve instance is never opened).
+        assert run_cli(["--cap", value, *command]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"qopt: error: argument --cap: {message}\n")
+
     @pytest.mark.parametrize("before", [None, "20"])
     def test_cap_flag_scoped_to_one_invocation(self, before, capsys, monkeypatch):
         if before is None:

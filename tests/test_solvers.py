@@ -69,6 +69,14 @@ def random_qubo(n, seed, fill=0.6):
     return _checks.random_qubo(n, np.random.default_rng(seed), fill)
 
 
+def sk_with_fields(n, dist, seed):
+    """Complete-graph couplings (+-1 or Gaussian) and Gaussian fields."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda: float(rng.choice((-1.0, 1.0)))) if dist == "pm1" else (lambda: float(rng.normal()))
+    couplings = {(a, b): draw() for a in range(n) for b in range(a + 1, n)}
+    return IsingModel(n=n, h=tuple(float(v) for v in rng.normal(size=n)), J=couplings).as_objective()
+
+
 def assert_self_consistent(result, obj):
     assert result.best_energy == pytest.approx(obj.value(result.best_assignment), abs=1e-9)
     assert len(result.best_assignment) == obj.n
@@ -625,6 +633,14 @@ class TestQaoaSolve:
         ar = (ref.c_max - res.extras["mean_energy"]) / (ref.c_max - ref.c_min)
         assert ar >= 0.692
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_timings_are_optimize_and_total(self, p):
+        res = qaoa_solve(random_qubo(5, 8).as_objective(), p=p, optimizer_budget=40, seed=0)
+        assert res.timings.keys() == {"optimize", "total"}
+        assert 0.0 <= res.timings["optimize"] <= res.timings["total"]
+        # Training is timed; at p = 0 nothing trains.
+        assert (res.timings["optimize"] > 0.0) == (p > 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             qaoa_solve(SINGLE_SPIN, p=-1)
@@ -994,6 +1010,59 @@ class TestRecursiveQaoa:
         b = recursive_qaoa(inst, cutoff=4, optimizer_budget=100, seed=21)
         assert a.best_assignment == b.best_assignment
         assert a.extras["substitutions"] == b.extras["substitutions"]
+
+    def test_each_level_prepares_one_state_and_samples_none(self, monkeypatch):
+        import qopt.solvers as solvers
+
+        calls = dict.fromkeys(("qaoa_state", "sample", "expectation"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(solvers, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, counted)
+        res = recursive_qaoa(gen_maxcut_r3r(18, seed=1), seed=0)
+        assert res.extras["levels"] == 10
+        assert calls == {"qaoa_state": 10, "sample": 0, "expectation": 0}
+
+    # Each case's instance, its options, and the sha256 of its result's
+    # assignment, energy, trace (correlations as hex) and substitutions,
+    # recorded before RQAOA trained through qaoa_solve's trainer instead of
+    # calling qaoa_solve at every level.
+    RQAOA_PINNED = {
+        "maxcut-r3r-10-s0": (lambda: gen_maxcut_r3r(10, seed=0), {},
+                             "dcc979ea72256738d5852bee67d5c0ca4adac2aa3a98f53bfa120740bf5140cf"),
+        "maxcut-r3r-10-s1": (lambda: gen_maxcut_r3r(10, seed=1), {},
+                             "f7bf5aee0d1b48fffb31dcd2b84c112306d46a01923f43ad239d646712945c55"),
+        "maxcut-r3r-14-s0": (lambda: gen_maxcut_r3r(14, seed=0), {},
+                             "8b2a1dc85ae78eea8899213a5fee44af0296e440f0f4f83950cd507fbaad6f98"),
+        "maxcut-r3r-14-s1": (lambda: gen_maxcut_r3r(14, seed=1), {},
+                             "32c3986ac6948d7066f6bd63f0775545a4fcba6a23414d9ff3e9e9088707646e"),
+        "maxcut-r3r-18-s0": (lambda: gen_maxcut_r3r(18, seed=0), {},
+                             "dd7155308403094bb1de5e340672da7b7dc8621d5ddc95833b68e83b5a15d6d5"),
+        "maxcut-r3r-18-s1": (lambda: gen_maxcut_r3r(18, seed=1), {},
+                             "8d461e7735076c4a9e9240bc8ad576f2369457458dfb723eed456145781a3f80"),
+        "sk-pm1-fields-12": (lambda: sk_with_fields(12, "pm1", 3), {},
+                             "e23530269c17edc95f225629f6fedae84db2d04d7092e6315f91c5be1a3ae066"),
+        "sk-gaussian-fields-12": (lambda: sk_with_fields(12, "gaussian", 4), {},
+                                  "0f97c220aff7d80be6d2ef7412794f6823bf018ad5a90fd6dec0fd49a00d46b1"),
+        "cvar-maxcut-r3r-12": (lambda: gen_maxcut_r3r(12, seed=2), {"objective_mode": "cvar", "optimizer_budget": 60},
+                               "2bbcd14d8e7006d2e602c3fdd942ca8d1efcb78f95297809a651ead880486040"),
+        "p2-maxcut-r3r-10": (lambda: gen_maxcut_r3r(10, seed=0), {"p": 2},
+                             "cf1bb9f30507fc86b6ad652e7e1439cd782cf95792ed1b7f8bbdafbe7bb345f4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RQAOA_PINNED))
+    def test_replay_pinned(self, case):
+        make, kwargs, digest = self.RQAOA_PINNED[case]
+        res = recursive_qaoa(make(), seed=0, **kwargs)
+        payload = [
+            list(res.best_assignment),
+            res.best_energy.hex(),
+            [[n, i, j, corr.hex()] for n, i, j, corr in res.trace],
+            [list(s) for s in res.extras["substitutions"]],
+        ]
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
