@@ -96,18 +96,14 @@ class SolveResult:
 
 def solve_result_to_json(result: SolveResult) -> dict:
     """JSON-safe view of a result (patterns rendered as bit strings)."""
-
-    def pattern_str(bits):
-        return "".join(str(b) for b in bits)
-
     n = len(result.best_assignment)
     data = {
-        "best_assignment": pattern_str(result.best_assignment),
+        "best_assignment": "".join(map(str, result.best_assignment)),
         "best_energy": result.best_energy,
         "certificate": result.certificate,
         "c_min": result.c_min,
         "c_max": result.c_max,
-        "argmin": None if result.argmin is None else [pattern_str(index_to_bits(i, n)) for i in result.argmin.tolist()],
+        "argmin": None if result.argmin is None else _bit_strings(result.argmin, n),
         "params": None
         if result.params is None
         else {"p": result.params.p, "gammas": list(result.params.gammas), "betas": list(result.params.betas)},
@@ -117,13 +113,22 @@ def solve_result_to_json(result: SolveResult) -> dict:
     }
     samples = result.samples
     if samples is not None:
-        patterns = (pattern_str(index_to_bits(i, samples.n)) for i in samples.indices.tolist())
+        patterns = _bit_strings(samples.indices, samples.n)
         data["samples"] = {
             "shots": samples.shots,
             "seed": samples.seed,
             "counts": dict(sorted(zip(patterns, samples.index_counts.tolist()))),
         }
     return data
+
+
+def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
+    # Packed indices as bit strings, variable 0 first, in one pass: a '0'/'1'
+    # byte per bit and a newline per row, decoded and split once.
+    chars = np.full((indices.size, n + 1), ord("\n"), dtype=np.uint8)
+    for i in range(n):
+        chars[:, i] = ((indices >> i) & 1) + ord("0")
+    return chars.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def _objective_of(problem) -> DiagonalObjective:
@@ -842,10 +847,11 @@ def recursive_qaoa(
     of its field; substitutions then unwind to a full assignment. With
     ``cutoff >= n`` this degenerates to plain enumeration and keeps its
     certificate. No level samples its state, so ``shots`` reaches only
-    CVaR training; it is validated in either mode.
+    CVaR training; it is validated in either mode. ``p`` must be at least
+    1: a depth-0 state is the plus state, whose pair correlations are all 0.
     """
     obj = _objective_of(problem)
-    cutoff = as_count("cutoff", cutoff)
+    cutoff, p = as_count("cutoff", cutoff), as_count("p", p)
     p, optimizer_budget, shots, seed = _check_qaoa_args(p, objective_mode, alpha, optimizer_budget, shots, seed)
     started = time.perf_counter()
     if obj.n <= cutoff:

@@ -265,6 +265,13 @@ class TestSolve:
             "mode", "alpha", "objective_value", "mean_energy", "evaluations", "budget_exhausted",
         }
 
+    def test_rqaoa_depth_zero_exits_one(self, tmp_path, capsys):
+        inst_path = generate(tmp_path, "maxcut-r3r", "--n", "12", "--seed", "0")
+        assert run_cli(["solve", str(inst_path), "--solver", "rqaoa", "--p", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: p must be at least 1, got 0\n"
+        assert captured.out == ""
+
     def test_flag_unsupported_by_solver_exits_one(self, tmp_path, capsys):
         inst_path = generate(tmp_path, "labs", "--k", "6")
         code = run_cli(["solve", str(inst_path), "--solver", "brute-force", "--p", "2"])

@@ -25,6 +25,7 @@ from qopt.simulator import (
     _energy_sum,
     _imag_inner,
     _kept_table,
+    _p1_couplings,
     _start,
     _unfold,
     anneal_trotter,
@@ -528,6 +529,22 @@ class TestP1ClosedForm:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    def test_build_at_n4096_holds_no_dense_matrix(self):
+        # The rows were once cut from a dense n x n matrix and two pairs x n
+        # blocks, a 752 MiB peak here; the coupling lists need about 3 MiB.
+        import tracemalloc
+
+        obj = gen_maxcut_r3r(4096, seed=1).objective
+        obj.spin_model()
+        tracemalloc.start()
+        try:
+            h, fields, us, vs, j_pair, rows_u, rows_v, offset = _p1_couplings(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert fields.shape == (4096, 3) and rows_u.shape == rows_v.shape == (6144, 4)
+
     def test_vectorised_call_equals_single_calls(self):
         obj = P1_CASES["sk-fields"]()
         gammas, betas = np.random.default_rng(5).uniform(-2.0, 2.0, (2, 7))
@@ -637,8 +654,8 @@ class TestAdjointGradient:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES), ids=PLUS_IDS)
     def test_cap_bounds_the_kept_states(self, case, monkeypatch):
         # At cap = n a full run keeps one pre-mixer state and a folded run two
-        # halves; the layers below them are stepped down from the lowest kept
-        # state, one more mixer pass each, to the same value and gradient.
+        # halves; each layer j below them is recomputed from the plus state,
+        # j more mixer passes, to the same value and gradient bit for bit.
         import qopt.simulator as simulator
 
         obj = KERNEL_CASES[case]()
@@ -657,9 +674,25 @@ class TestAdjointGradient:
         monkeypatch.setenv("QOPT_STATEVECTOR_CAP", str(obj.n))
         low_value, low_grad = qaoa_value_and_gradient(obj, params)
         kept = (1 << obj.n) // _kept_table(obj).size
-        assert len(passes) == 2 * p + (p - kept)
+        assert len(passes) == 2 * p + sum(range(p - kept))
         assert low_value.hex() == value.hex()
-        np.testing.assert_allclose(low_grad, grad, rtol=0, atol=1e-13)
+        assert low_grad.tobytes() == grad.tobytes()
+
+    def test_training_does_not_depend_on_the_cap(self, monkeypatch):
+        # Layers below the kept states once were stepped down by negated
+        # angles, which moved two gradient entries by ~5e-15 at cap 12 and
+        # so the angles this training ends on.
+        from qopt.solvers import qaoa_solve
+
+        inst = gen_maxcut_r3r(12, seed=3)
+        runs = []
+        for cap in (None, "12"):
+            if cap is not None:
+                monkeypatch.setenv("QOPT_STATEVECTOR_CAP", cap)
+            res = qaoa_solve(inst, p=3, seed=0)
+            angles = [float(x).hex() for x in (*res.params.gammas, *res.params.betas)]
+            runs.append((angles, res.extras["mean_energy"].hex(), res.extras["evaluations"]))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
         "make",
