@@ -146,6 +146,16 @@ def _json(value, real: bool = False):
     return float(value) if real and type(value) is int else value
 
 
+def _upper_qubo(diag: np.ndarray, pair: np.ndarray) -> QuboModel:
+    """The QUBO with ``diag`` as its linear terms and the upper triangle of
+    ``pair`` as its couplings, row by row with each row's diagonal first;
+    exact zeros are left out."""
+    dense = np.triu(pair, 1)
+    np.fill_diagonal(dense, diag)
+    rows, cols = np.nonzero(dense)
+    return QuboModel.from_entries(diag.size, zip(rows.tolist(), cols.tolist(), dense[rows, cols].tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Payload schema
 #
@@ -413,21 +423,14 @@ def gen_mis(
 
 
 def _build_market_share(raw: Mapping, meta: Mapping) -> _Built:
-    # sum_j (w_j . x - C_j)^2, expanded with x_i^2 = x_i.
-    n = raw["n"]
-    entries = []
-    offset = 0.0
-    for w, target in zip(raw["weights"], raw["targets"]):
-        c = float(target)
-        offset += c * c
-        for i in range(n):
-            if w[i] == 0:
-                continue
-            entries.append((i, i, float(w[i] * w[i] - 2.0 * c * w[i])))
-            for i2 in range(i + 1, n):
-                if w[i2] != 0:
-                    entries.append((i, i2, float(2.0 * w[i] * w[i2])))
-    return QuboModel.from_entries(n, entries, offset=offset).as_objective(), None
+    # sum_j (w_j . x - C_j)^2 is the objective (so no constrained form): the splits
+    # at penalty 1, with C_j^2 for a row without weight (penalty_encode refuses 0 = C).
+    rows = list(zip(raw["weights"], raw["targets"]))
+    split = ConstrainedModel(
+        objective=QuboModel(raw["n"], offset=sum(float(c) * c for w, c in rows if not any(w))),
+        equalities=tuple(LinearConstraint(tuple(w), c) for w, c in rows if any(w)),
+    )
+    return penalty_encode(split, 1.0).as_objective(), None
 
 
 def gen_market_share(m: int, seed: int = 0) -> ProblemInstance:
@@ -544,13 +547,7 @@ def _build_qap(raw: Mapping, meta: Mapping) -> _Built:
     # Variable x = i * n + k places facility i at location k, and
     # kron[x, y] = a[i, j] * b[k, l] is the cost of x and y = j * n + l together.
     kron = np.kron(np.asarray(raw["a"], dtype=np.float64), np.asarray(raw["b"], dtype=np.float64))
-    pair = kron + kron.T
-    entries = []
-    for x in range(n * n):
-        if kron[x, x] != 0.0:
-            entries.append((x, x, float(kron[x, x])))
-        entries += [(x, y, float(pair[x, y])) for y in range(x + 1, n * n) if pair[x, y] != 0.0]
-    cost = QuboModel.from_entries(n * n, entries)
+    cost = _upper_qubo(np.diag(kron), kron + kron.T)
 
     # One location per facility and one facility per location.
     rows = [LinearConstraint(tuple(float(x // n == i) for x in range(n * n)), 1.0) for i in range(n)]
@@ -742,14 +739,8 @@ def _build_portfolio(raw: Mapping, meta: Mapping) -> _Built:
     if B > n:
         raise ValueError(f"portfolio payload: B must be at most N={n}, got {B}")
     scale = lam / (2.0 * B * B)
-    entries = []
-    for i in range(n):
-        entries.append((i, i, float(scale * sigma[i, i] - mu[i] / B)))
-        for j in range(i + 1, n):
-            if sigma[i, j] != 0.0 or sigma[j, i] != 0.0:
-                entries.append((i, j, float(scale * (sigma[i, j] + sigma[j, i]))))
     constrained = ConstrainedModel(
-        objective=QuboModel.from_entries(n, entries),
+        objective=_upper_qubo(scale * np.diag(sigma) - mu / B, scale * (sigma + sigma.T)),
         equalities=(LinearConstraint(tuple(1.0 for _ in range(n)), float(B)),),
     )
     return penalty_encode(constrained).as_objective(), constrained

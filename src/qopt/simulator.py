@@ -366,20 +366,13 @@ def _kept_table(obj: DiagonalObjective) -> np.ndarray:
     differently, so the fold would not be bit-identical (nor save anything).
 
     :func:`energy_table` is called first, so the cap is checked on every
-    call. Each mirror pair is compared once, as int64 bits, the first 64
-    pairs before the rest, so a table with fields is turned down in about
-    the time of one small slice.
+    call. Each mirror pair is compared once, as int64 bits.
     """
     table = energy_table(obj)
     kept = obj._cache.get("kept_table")
     if kept is None:
         bits, half = table.view(np.int64), table.size // 2
-        head = min(half, 64)
-        mirror = (
-            obj.n >= 2
-            and np.array_equal(bits[:head], bits[: -head - 1 : -1])
-            and np.array_equal(bits[:half], bits[: half - 1 : -1])
-        )
+        mirror = obj.n >= 2 and np.array_equal(bits[:half], bits[: half - 1 : -1])
         kept = obj._cache["kept_table"] = table[:half] if mirror else table
     return kept
 

@@ -7,7 +7,8 @@ pytest does not collect this module; load it by name::
 While the session runs, ``sys.settrace`` and ``threading.settrace`` record
 each line that executes in a ``src/qopt`` file. At the end, the terminal
 summary lists every statement inside a function (or method) that never
-ran, as ``path:line: source``. Module-level statements are left out: they
+ran, as ``path:line: source``, and a session that would otherwise pass
+fails if that list is not empty. Module-level statements are left out: they
 run on import. A second section gives each module's line count and
 ``ast.stmt`` count, and their totals. Tracing slows the suite several times
 over.
@@ -19,6 +20,8 @@ import ast
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qopt"
 _PREFIX = str(_PACKAGE) + "/"
@@ -112,6 +115,11 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     sys.settrace(None)
     threading.settrace(None)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if exitstatus == pytest.ExitCode.OK and never_ran():
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter):

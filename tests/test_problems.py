@@ -822,6 +822,40 @@ class TestSerialization:
             if inst.constrained is not None:
                 assert back.constrained == inst.constrained
 
+    # Payloads where the rule that leaves out zero terms decides which terms
+    # exist: a market-share row with no weight, a portfolio pair that cancels
+    # (sigma_01 = -sigma_10) beside zero diagonals, and a QAP flow matrix with
+    # a zero row. The model block and the terms' insertion order are pinned.
+    @pytest.mark.parametrize(
+        "family, raw, model, order",
+        [
+            (
+                "market-share", {"m": 2, "n": 3, "weights": [[0, 0, 0], [3, 0, 5]], "targets": [7, 4]},
+                {"n": 3, "terms": [[0, 0, -15.0], [0, 2, 30.0], [2, 2, -15.0]], "offset": 65.0},
+                [(0, 0), (0, 2), (2, 2)],
+            ),
+            (
+                "portfolio",
+                {"N": 3, "B": 1, "lam": 1.0, "mu": [0.1, 0.0, 0.0],
+                 "sigma": [[0.2, 0.3, 0.0], [-0.3, 0.1, 0.0], [0.0, 0.0, 0.0]]},
+                {"n": 3, "terms": [[0, 0, -1.05], [0, 1, 2.1], [0, 2, 2.1], [1, 1, -1.0], [1, 2, 2.1], [2, 2, -1.05]],
+                 "offset": 1.05},
+                [(1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (2, 2)],
+            ),
+            (
+                "qap", {"n": 2, "a": [[0.0, 0.0], [1.0, 2.0]], "b": [[1.0, 2.0], [3.0, 4.0]]},
+                {"n": 4, "terms": [[0, 0, -62.0], [0, 1, 62.0], [0, 2, 63.0], [0, 3, 3.0], [1, 1, -62.0], [1, 2, 2.0],
+                                   [1, 3, 66.0], [2, 2, -60.0], [2, 3, 72.0], [3, 3, -54.0]], "offset": 124.0},
+                [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (0, 0), (0, 1), (1, 1)],
+            ),
+        ],
+        ids=["market-share-zero-row", "portfolio-cancelling-pair", "qap-zero-flow-row"],
+    )
+    def test_zero_rule_corners_compile_as_recorded(self, family, raw, model, order):
+        inst = hand_made(family, raw)
+        assert json.loads(json.dumps(instance_to_json(inst)["model"])) == model
+        assert list(inst.objective.source.terms) == order
+
     def test_envelope_has_model_schema(self):
         data = instance_to_json(gen_maxcut_r3r(6, seed=0))
         assert set(data) >= {"family", "meta", "raw", "model"}

@@ -1162,8 +1162,8 @@ class TestFlipFold:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     def test_each_mirror_pair_is_compared(self, n, table_objective):
-        # Pair i is (i, 2^n - 1 - i). The last pair, at the half boundary, is
-        # compared after the first 64; a -0.0 facing a 0.0 is no mirror.
+        # Pair i is (i, 2^n - 1 - i). The first pair and the last, at the half
+        # boundary, are both compared; a -0.0 facing a 0.0 is no mirror.
         lower = np.arange(1 << (n - 1), dtype=np.float64) % 5
         table = np.concatenate([lower, lower[::-1]])
         assert folds(table_objective(table))
