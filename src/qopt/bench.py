@@ -139,10 +139,11 @@ class BenchmarkRecord:
     ``density`` is the fraction of present couplings; ``ar_mean`` judges
     each repetition's mean sampled energy and ``ar_best`` its best sample,
     both None when the instance is too large to enumerate. ``success`` is
-    None without a target, and also for an AR target on such an instance,
-    which has no range to judge against; that cell's one-line reason is
-    ``extras["unjudged"]``. A cell whose generator or solver raised keeps
-    the message as ``extras["error"]``, and its measured fields keep their
+    None without a target, and also for a target on such an instance, which
+    has no range to judge against, unless the target is ``"optimal"`` and
+    every repetition carries a certificate (streamed brute force); that
+    cell's one-line reason is ``extras["unjudged"]``. A cell whose generator
+    or solver raised keeps the message as ``extras["error"]``, and its measured fields keep their
     defaults (0 variables, no metrics, zero stage timings). An instance
     entry is built once for all of its cells, by the first of them whose
     family and solver names resolve; only that cell carries the build's
@@ -344,15 +345,18 @@ def _run_cell(
                 "c_min": c_min,
                 "c_max": c_max,
             }
-            # An AR target is judged against the enumerated range, so a cell above
-            # the cap keeps its results, leaves ``success`` unset and says why.
-            if config.target == "optimal" or (config.target is not None and enumerable):
+            # A target is judged against the enumerated range, or an optimal one
+            # against every repetition's own certificate; a cell with neither
+            # keeps its results, leaves ``success`` unset and says why.
+            optimal = config.target == "optimal"
+            certified = optimal and all(r.certificate for r in results)
+            if config.target is not None and (enumerable or certified):
                 metrics = success_metrics(results, config.target, config.time_limit, c_min, c_max)
                 success = metrics["success_rate"] == 1.0
             elif config.target is not None:
                 extras["unjudged"] = (
-                    f"cell {problem_label} x {algorithm_label} has {obj.n} variables, "
-                    f"above the statevector cap of {statevector_cap()}, so its AR target cannot be judged"
+                    f"cell {problem_label} x {algorithm_label} has {obj.n} variables, above the statevector cap "
+                    f"of {statevector_cap()}, so its {'optimal' if optimal else 'AR'} target cannot be judged"
                 )
             t_post = clock() - t0
 

@@ -425,7 +425,16 @@ def gen_mis(
 def _build_market_share(raw: Mapping, meta: Mapping) -> _Built:
     # sum_j (w_j . x - C_j)^2 is the objective (so no constrained form): the splits
     # at penalty 1, with C_j^2 for a row without weight (penalty_encode refuses 0 = C).
+    # Weights and targets are non-negative ints, so sum_j (sum_i w_ji + C_j)^2
+    # bounds every compiled coefficient, the offset and every partial sum of
+    # an energy: below 2^53 all of them are exact doubles.
     rows = list(zip(raw["weights"], raw["targets"]))
+    bound = sum((sum(w) + c) ** 2 for w, c in rows)
+    if bound >= 1 << 53:
+        raise ValueError(
+            "market-share payload: weights and targets must keep sum_j (sum_i w_ji + C_j)^2 below 2^53"
+            f" to be priced exactly, got {float(bound):.4g}"
+        )
     split = ConstrainedModel(
         objective=QuboModel(raw["n"], offset=sum(float(c) * c for w, c in rows if not any(w))),
         equalities=tuple(LinearConstraint(tuple(w), c) for w, c in rows if any(w)),

@@ -67,9 +67,10 @@ array of its terms as the half followed by its mirror, so it adds the same
 numbers in the same order as a full run. By induction over the layers each
 kept amplitude goes through the same floating-point operations as in the
 full run, and the dropped half stays its exact mirror, so states, values and
-gradients are bit-identical. :func:`qaoa_state` and :func:`anneal_trotter`
-still return the full state; objectives that are not mirrors keep the full
-run.
+gradients are bit-identical. :func:`qaoa_state` is the one place a run
+becomes a full :class:`Statevector` (:func:`anneal_trotter` returns the
+:func:`qaoa_state` of its ramp); objectives that are not mirrors keep the
+full run.
 
 Samples (:class:`SampleSet`) keep the same packing: a sample set is its
 arrays, the distinct measured patterns as a strictly ascending ``int64``
@@ -88,13 +89,14 @@ amplitudes); the ``QOPT_STATEVECTOR_CAP`` environment variable overrides
 the cap.
 
 Every reduction over the 2^n amplitudes (the expectation, the gradient's
-inner products, CVaR of a state, and in :mod:`qopt.solvers` the pair
-correlations) is an elementwise product followed by numpy's ``sum``, never
-a BLAS dot. numpy sums one array in a fixed pairwise order on one thread.
-OpenBLAS splits a long dot across its thread pool, so the rounding of the
-result would follow the host's CPU count (or ``OPENBLAS_NUM_THREADS``) and
-a replay from the same seed could end on different angles; waking the pool
-also costs more than the sum.
+inner products, CVaR of a state, and the pair correlations
+:func:`qopt.solvers.recursive_qaoa` reads from each level's trained run) is
+an elementwise product followed by numpy's ``sum``, never a BLAS dot.
+numpy sums one array in a fixed pairwise order on one thread. OpenBLAS
+splits a long dot across its thread pool, so the rounding of the result
+would follow the host's CPU count (or ``OPENBLAS_NUM_THREADS``) and a replay
+from the same seed could end on different angles; waking the pool also
+costs more than the sum.
 """
 
 from __future__ import annotations
@@ -561,6 +563,21 @@ def _energy_sum(amps: np.ndarray, table: np.ndarray, n: int) -> float:
     return float(_whole(weighted, n).sum())
 
 
+def _pair_correlations(amps: np.ndarray, n: int, pairs) -> dict[tuple[int, int], float]:
+    # <Z_i Z_j> = sum |amp(x)|^2 z_i z_j over all 2^n patterns for each pair
+    # (i, j), with |amp|^2 taken once. z_i z_j is +1 where bits i and j agree
+    # and -1 where they differ, so flipping every bit keeps it: on a folded
+    # run the mirrored products are those of the full run, element for element.
+    probs = np.abs(amps) ** 2
+    idx = np.arange(probs.size, dtype=np.int64)
+    out = {}
+    for i, j in pairs:
+        zz = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
+        zz *= probs
+        out[(i, j)] = float(_whole(zz, n).sum())
+    return out
+
+
 def _start(obj: DiagonalObjective) -> np.ndarray:
     """The plus state of a layered run, one amplitude per entry of
     :func:`_kept_table`: a half state when the run is folded, which the
@@ -862,8 +879,9 @@ def anneal_trotter(obj: DiagonalObjective, T: float, steps: int) -> Statevector:
     check_real("T", T, positive=True)
     dt = T / steps
     lams = [(k + 0.5) / steps for k in range(steps)]
-    amps = _evolve(obj, [dt * lam for lam in lams], [dt * (1.0 - lam) for lam in lams])
-    return Statevector(n=obj.n, amplitudes=_whole(amps, obj.n))
+    return qaoa_state(
+        obj, QaoaParams(steps, tuple(dt * lam for lam in lams), tuple(dt * (1.0 - lam) for lam in lams))
+    )
 
 
 def gibbs_distribution(obj: DiagonalObjective, beta: float) -> np.ndarray:

@@ -25,13 +25,13 @@ from qopt.simulator import (
     CapacityError,
     QaoaParams,
     SampleSet,
-    Statevector,
     _check_alpha,
     _check_cap,
     _draw,
     _energy_sum,
     _evolve,
     _kept_table,
+    _pair_correlations,
     _probabilities,
     _tail_mean,
     _unfold,
@@ -449,13 +449,13 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     The simulation needs only the marked count and one marked pattern drawn
     uniformly (Durr & Hoyer, arXiv:quant-ph/9607014). Both are read from the
     cached :func:`~qopt.simulator.energy_table` and its
-    :func:`~qopt.simulator._kept_table`, which is scanned. The first success
-    gathers the marked energies. Each success finds the pick-th marked
+    :func:`~qopt.simulator._kept_table`, which is scanned once up front to
+    gather the marked energies. Each success finds the pick-th marked
     pattern in (energy, index) order by a partition of them and a scan of
     the kept table for its level, with no sort, and
     :func:`~qopt.simulator._unfold` lists the patterns at that level; the
     energies below the level are kept as the next marked set instead of
-    recounting the table, so a run with s successes makes at most 2 + s
+    recounting the table, so a run with s successes makes at most 1 + s
     passes over the kept table, which is half the table when it is
     flip-symmetric.
     """
@@ -477,8 +477,8 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
     marked_empty = False
     rounds_used = 0
     iterations_total = 0
-    count = fold * int(np.count_nonzero(scan < threshold))
-    marked = None
+    marked = scan[scan < threshold]
+    count = fold * marked.size
 
     for _ in range(max_rounds):
         rounds_used += 1
@@ -503,11 +503,9 @@ def grover_adaptive_search(problem, max_rounds: int = 128, seed: int = 0) -> Sol
             # marked[:k], and `level` equals the next threshold (which is
             # read from the table all the same: the level of a 0.0 pattern
             # may be -0.0), so filtering that head gives the next marked
-            # energies and their count without a pass over the table. Only
-            # the first success gathers from the table; the level scan is
-            # the one pass per success.
-            if marked is None:
-                marked = scan[scan < threshold]
+            # energies and their count without a pass over the table. The
+            # marked energies were gathered once, before the first round;
+            # the level scan is the one pass per success.
             k = pick // fold
             marked.partition(k)
             level = marked[k]
@@ -785,18 +783,6 @@ class _BudgetDone(Exception):
     """Internal: the evaluation budget ran out mid-optimization."""
 
 
-def _pair_correlations(sv: Statevector, ising: IsingModel) -> dict[tuple[int, int], float]:
-    probs = sv.probabilities()
-    idx = np.arange(probs.shape[0], dtype=np.int64)
-    out = {}
-    for (i, j) in ising.J:
-        # z_i z_j is +1 where bits i and j agree and -1 where they differ.
-        zz = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
-        zz *= probs
-        out[(i, j)] = float(zz.sum())
-    return out
-
-
 def _substitute_spin(ising: IsingModel, i: int, j: int, sign: int) -> IsingModel:
     """Eliminate spin j by the relation z_j = sign * z_i, reindexing above j."""
 
@@ -838,9 +824,11 @@ def recursive_qaoa(
     """Iterative variable elimination driven by measured pair correlations.
 
     Each level trains the ansatz on the current spin model as
-    :func:`qaoa_solve` does, prepares the trained state once, reads its
-    exact pair correlations over the couplings, and freezes the relation of
-    the strongest pair (aligned for non-negative correlation, anti-aligned
+    :func:`qaoa_solve` does, runs the trained layers once, reads the run's
+    exact pair correlations over the couplings (folded on half the
+    statevector when the level's table is flip-symmetric), builds no
+    :class:`~qopt.simulator.Statevector`, and freezes the relation of the
+    strongest pair (aligned for non-negative correlation, anti-aligned
     otherwise; ties resolve to the lowest index pair). Eliminations repeat
     until the model reaches ``cutoff`` variables, which are enumerated
     exactly, or until no coupling is left, when each spin follows the sign
@@ -872,7 +860,7 @@ def recursive_qaoa(
         view = ising.as_objective()
         level_seed = derive_seed(seed, "rqaoa-level", len(substitutions) + 1)
         params = _train(view, p, objective_mode, alpha, optimizer_budget, shots, level_seed)[0]
-        correlations = _pair_correlations(qaoa_state(view, params), ising)
+        correlations = _pair_correlations(_evolve(view, params.gammas, params.betas), ising.n, ising.J)
         (i, j), corr = max(
             correlations.items(), key=lambda kv: (abs(kv[1]), (-kv[0][0], -kv[0][1]))
         )

@@ -545,6 +545,43 @@ class TestBench:
         assert failure.get("message") == message and failure.text == message
         assert message.startswith("cell maxcut-r3r[n=26] x annealing[sweeps=5] has 26 variables")
 
+    def test_optimal_target_above_cap_is_judged_only_by_certificates(self, tmp_path, capsys, monkeypatch):
+        # Above the cap an "optimal" target was once judged anyway, and a cell
+        # without a certificate read success false with no reason given, even
+        # where its energy equals the brute-force cell's certified optimum.
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "8")
+        config = write_config(tmp_path, {
+            "instances": [{"family": "maxcut-r3r", "params": {"n": 10, "seed": 0}}],
+            "solvers": [{"algorithm": "annealing", "params": {"sweeps": 50}}, {"algorithm": "brute-force"}],
+            "target": "optimal",
+        })
+        json_path = tmp_path / "report.json"
+        assert run_cli(["bench", str(config), "--json", str(json_path)]) == 1
+        annealing, brute = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert annealing["success"] is None and brute["success"] is True
+        assert annealing["extras"]["best_energies"] == brute["extras"]["best_energies"] == [-13.0]
+        assert capsys.readouterr().err == (
+            "error: cell maxcut-r3r[n=10;seed=0] x annealing[sweeps=50] has 10 variables, "
+            "above the statevector cap of 8, so its optimal target cannot be judged\n"
+        )
+        assert "unjudged" not in brute["extras"]
+
+    def test_optimal_target_beyond_streamed_enumeration_is_unjudged(self, tmp_path, monkeypatch):
+        # Past the cap plus the few qubits brute force streams, no cell has a
+        # certificate: brute force errors and annealing is left unjudged.
+        monkeypatch.setenv("QOPT_STATEVECTOR_CAP", "8")
+        config = write_config(tmp_path, {
+            "instances": [{"family": "maxcut-r3r", "params": {"n": 14, "seed": 0}}],
+            "solvers": [{"algorithm": "annealing", "params": {"sweeps": 50}}, {"algorithm": "brute-force"}],
+            "target": "optimal",
+        })
+        json_path = tmp_path / "report.json"
+        assert run_cli(["bench", str(config), "--json", str(json_path)]) == 1
+        annealing, brute = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert annealing["success"] is None and brute["success"] is False
+        assert annealing["extras"]["unjudged"].endswith("so its optimal target cannot be judged")
+        assert "error" in brute["extras"] and "error" not in annealing["extras"]
+
     def test_unjudged_verdict_travels_with_the_record(self, tmp_path, capsys, monkeypatch):
         # ``report`` has no target to go by, yet fails the same JUnit case as
         # ``bench``: the reason is stored on the record when the cell runs.

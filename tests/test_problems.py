@@ -262,6 +262,23 @@ class TestMarketShare:
         with pytest.raises(ValueError):
             gen_market_share(1)
 
+    def test_refuses_payload_it_cannot_price_exactly(self):
+        # Term (0, 0) of this envelope is 2^53 + 1, which no double holds:
+        # the build once rounded it to 0.0 and left the term out.
+        raw = {"m": 2, "n": 2, "weights": [[2**53 + 1, 1], [0, 3]], "targets": [2**52, 1]}
+        with pytest.raises(ValueError, match=r"^market-share payload: weights and targets must keep .* below 2\^53"):
+            hand_made("market-share", raw)
+
+    def test_payload_just_under_the_bound_prices_exactly(self):
+        rows = [([31635422, 7, 18981253], 44289583), ([3, 0, 5], 4)]
+        bound = sum((sum(w) + c) ** 2 for w, c in rows)
+        assert (1 << 53) - 2**27 < bound < 1 << 53
+        weights, targets = map(list, zip(*rows))
+        inst = hand_made("market-share", {"m": 2, "n": 3, "weights": weights, "targets": targets})
+        table = inst.objective.energies_at(np.arange(8)).tolist()
+        for energy, bits in zip(table, all_bits(3)):
+            assert energy == sum((sum(a * b for a, b in zip(w, bits)) - c) ** 2 for w, c in rows)
+
 
 def labs_energy_by_correlate(seq):
     # Second enumerator on a different code path: full autocorrelation via

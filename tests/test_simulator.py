@@ -1305,13 +1305,14 @@ class TestTiledKernel:
 REPLAY_SCRIPT = """
 import json
 from qopt.problems import gen_maxcut_r3r, gen_spin_glass
-from qopt.simulator import QaoaParams, cvar, qaoa_state
-from qopt.solvers import _pair_correlations, qaoa_solve, simulated_annealing
+from qopt.simulator import QaoaParams, _evolve, _pair_correlations, cvar, qaoa_state
+from qopt.solvers import qaoa_solve, simulated_annealing
 
 inst = gen_maxcut_r3r(14, seed=3)
 res = qaoa_solve(inst, p=2, seed=0)
 obj = inst.objective
 sv = qaoa_state(obj, QaoaParams(p=1, gammas=(0.4,), betas=(0.3,)))
+pairs = _pair_correlations(_evolve(obj, (0.4,), (0.3,)), obj.n, obj.spin_model().J)
 sk = gen_spin_glass("complete", 30, dist="gaussian", seed=7)
 sa = simulated_annealing(sk, sweeps=6, restarts=3, seed=0)
 print(json.dumps({
@@ -1319,7 +1320,7 @@ print(json.dumps({
     "mean_energy": res.extras["mean_energy"].hex(),
     "evaluations": res.extras["evaluations"],
     "cvar": [cvar(sv, a, obj=obj).hex() for a in (0.3, 0.75, 0.9, 0.999, 1.0)],
-    "pairs": sorted([i, j, v.hex()] for (i, j), v in _pair_correlations(sv, obj.spin_model()).items()),
+    "pairs": sorted([i, j, v.hex()] for (i, j), v in pairs.items()),
     "anneal_energy": sa.best_energy.hex(),
     "anneal_trace": [e.hex() for e in sa.trace],
 }))

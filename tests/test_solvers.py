@@ -9,6 +9,7 @@ Independent oracles used here:
 """
 
 import functools
+import gc
 import hashlib
 import inspect
 import itertools
@@ -1021,7 +1022,7 @@ class TestRecursiveQaoa:
     def test_each_level_prepares_one_state_and_samples_none(self, monkeypatch):
         import qopt.solvers as solvers
 
-        calls = dict.fromkeys(("qaoa_state", "sample", "expectation"), 0)
+        calls = dict.fromkeys(("_evolve", "qaoa_state", "sample", "expectation"), 0)
         for name in calls:
             def counted(*args, _fn=getattr(solvers, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -1030,7 +1031,21 @@ class TestRecursiveQaoa:
             monkeypatch.setattr(solvers, name, counted)
         res = recursive_qaoa(gen_maxcut_r3r(18, seed=1), seed=0)
         assert res.extras["levels"] == 10
-        assert calls == {"qaoa_state": 10, "sample": 0, "expectation": 0}
+        assert calls == {"_evolve": 10, "qaoa_state": 0, "sample": 0, "expectation": 0}
+
+    def test_each_level_holds_no_full_state(self):
+        # A level reads its correlations from its trained run, folded on
+        # MaxCut. Building a full Statevector of the run, with its 2^18
+        # probabilities and products, once took the peak to 17.1 MiB.
+        inst = gen_maxcut_r3r(18, seed=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            recursive_qaoa(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
 
     # Each case's instance, its options, and the sha256 of its result's
     # assignment, energy, trace (correlations as hex) and substitutions,
