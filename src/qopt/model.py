@@ -454,6 +454,17 @@ class DiagonalObjective:
             self._cache["spin_model"] = spin if isinstance(spin, IsingModel) else None
         return self._cache["spin_model"]
 
+    def spin_couplings(self) -> tuple[tuple[tuple[int, float], ...], ...] | None:
+        """Per variable, its nonzero spin-form couplings as ``(u, J_uv)`` in ascending ``u``; None with no spin form."""
+        if "spin_couplings" not in self._cache:
+            spin, rows = self.spin_model(), None
+            if spin is not None:
+                rows = [[] for _ in range(spin.n)]
+                for u, v, c in sorted(e for (a, b), c in spin.J.items() if c != 0.0 for e in ((a, b, c), (b, a, c))):
+                    rows[u].append((v, c))
+            self._cache["spin_couplings"] = rows if rows is None else tuple(map(tuple, rows))
+        return self._cache["spin_couplings"]
+
 
 @dataclass(frozen=True)
 class LinearConstraint:

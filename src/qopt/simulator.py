@@ -675,35 +675,32 @@ def qaoa_value_and_gradient(obj: DiagonalObjective, params: QaoaParams) -> tuple
 
 
 def _p1_couplings(obj: DiagonalObjective) -> tuple:
-    """Arrays of ``obj.spin_model()`` for :func:`qaoa_p1_energy`, built from its coupling lists.
+    """Arrays of ``obj.spin_model()`` for :func:`qaoa_p1_energy`, read from
+    its coupling view :meth:`~qopt.model.DiagonalObjective.spin_couplings`.
 
-    Returns the fields ``h``; each variable's couplings, in ascending
-    neighbour order; the coupled pairs ``u < v`` in row-major order with
-    their couplings; for each pair, the couplings of ``u`` and of ``v`` to
-    the union of their other neighbours, in ascending order; and the offset.
-    Zero couplings are left out, and each row is zero-padded to the longest,
-    so a product of cosines over it equals the product over the whole row of
-    the coupling matrix: a zero contributes ``cos 0 = 1``, and numpy
-    multiplies along a row in index order. The build holds ``O(pairs *
-    width)``, never an ``n x n`` matrix: about 3.5 MiB at n=4096 on a
-    3-regular graph. All are cached on the objective next to its energy table.
+    Returns the fields ``h``; each variable's couplings, as the view lists
+    them; the coupled pairs ``u < v`` in row-major order with their
+    couplings; for each pair, the couplings of ``u`` and of ``v`` to the
+    union of their other neighbours, in ascending order; and the offset.
+    Each row is zero-padded to the longest, so a product of cosines over it
+    equals the product over the whole row of the coupling matrix: a zero
+    contributes ``cos 0 = 1``, and numpy multiplies along a row in index
+    order. No ``n x n`` matrix is built. All are cached on the objective.
     """
     found = obj._cache.get("p1_couplings")
     if found is None:
-        src = obj.spin_model()
+        src, graph = obj.spin_model(), obj.spin_couplings()
         if src is None:
             raise TypeError("the p=1 closed form needs a QUBO or Ising source behind the objective")
-        keys = sorted(k for k, c in src.J.items() if c != 0.0)
-        nbrs = [{} for _ in range(src.n)]
-        for u, v in keys:  # row-major, so each variable's neighbours arrive ascending
-            nbrs[u][v] = nbrs[v][u] = src.J[u, v]
-        us, vs = np.array(keys, dtype=np.intp).reshape(-1, 2).T.copy()
-        others = [sorted((nbrs[u].keys() | nbrs[v].keys()) - {u, v}) for u, v in keys]
+        near = [dict(row) for row in graph]
+        pairs = [(u, v) for u, row in enumerate(graph) for v, _ in row if u < v]
+        us, vs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        others = [sorted((near[u].keys() | near[v].keys()) - {u, v}) for u, v in pairs]
         found = obj._cache["p1_couplings"] = (
-            np.array(src.h, dtype=np.float64), _padded([list(row.values()) for row in nbrs]),
-            us, vs, np.array([src.J[k] for k in keys], dtype=np.float64),
-            _padded([[nbrs[u].get(w, 0.0) for w in ws] for (u, _), ws in zip(keys, others)]),
-            _padded([[nbrs[v].get(w, 0.0) for w in ws] for (_, v), ws in zip(keys, others)]),
+            np.array(src.h, dtype=np.float64), _padded([[c for _, c in row] for row in graph]),
+            us, vs, np.array([near[u][v] for u, v in pairs], dtype=np.float64),
+            _padded([[near[u].get(w, 0.0) for w in ws] for (u, _), ws in zip(pairs, others)]),
+            _padded([[near[v].get(w, 0.0) for w in ws] for (_, v), ws in zip(pairs, others)]),
             src.offset,
         )
     return found

@@ -95,7 +95,7 @@ class SolveResult:
 
 
 def solve_result_to_json(result: SolveResult) -> dict:
-    """JSON-safe view of a result (patterns rendered as bit strings)."""
+    """JSON-safe view of a result: bit strings, and the lowest 1024 of the ``argmin_count`` optima."""
     n = len(result.best_assignment)
     data = {
         "best_assignment": "".join(map(str, result.best_assignment)),
@@ -103,7 +103,8 @@ def solve_result_to_json(result: SolveResult) -> dict:
         "certificate": result.certificate,
         "c_min": result.c_min,
         "c_max": result.c_max,
-        "argmin": None if result.argmin is None else _bit_strings(result.argmin, n),
+        "argmin_count": None if result.argmin is None else result.argmin.size,
+        "argmin": None if result.argmin is None else _bit_strings(result.argmin[:1024], n),
         "params": None
         if result.params is None
         else {"p": result.params.p, "gammas": list(result.params.gammas), "betas": list(result.params.betas)},
@@ -222,9 +223,9 @@ class _ValueByIndex:
         return self.obj.value(index_to_bits(index, self.obj.n))
 
 
-def _field(h_v: float, adj: list, row) -> float:
+def _field(h_v: float, adj: tuple, row) -> float:
     # With spins z = 1 - 2x, flipping bit v changes the energy by z_v g_v,
-    # where g_v = -2 (h_v + sum_u J_vu z_u) is summed in adjacency order.
+    # where g_v = -2 (h_v + sum_u J_vu z_u) is summed in ascending u.
     acc = h_v
     for u, c in adj:
         acc = acc - c if row[u] else acc + c
@@ -252,13 +253,7 @@ def _chains(
         return rng.integers(0, high, size=(count, *row_shape), dtype=np.int64)
 
     energy_of = _ValueByIndex(obj) if table is None else memoryview(table)
-    spin = None if table is not None else obj.spin_model()
-    if spin is not None:
-        adjacency = [[] for _ in range(n)]
-        for (u, v), c in spin.J.items():
-            if c != 0.0:
-                adjacency[u].append((v, c))
-                adjacency[v].append((u, c))
+    spin, adjacency = (None, None) if table is not None else (obj.spin_model(), obj.spin_couplings())
     if temps is None:
         probes = min(256, 1 << min(n, 16))
         starts, flips = draw(probes), rng.integers(0, n, size=probes)
@@ -280,8 +275,6 @@ def _chains(
     fields = None
     if spin is not None:
         fields = [[_field(h_v, adj, row) for h_v, adj in zip(spin.h, adjacency)] for row in starts]
-        # An accepted flip of v adds 4 J_uv z_v to each neighbour's g_u.
-        neighbours = [[(u, 4.0 * c) for u, c in adj] for adj in adjacency]
     energies = [energy_of[s] for s in states]
     exp, hi = math.exp, _EXP_BAND_HI
     best_states = states[:]
@@ -344,8 +337,9 @@ def _chains(
                         low = delta
                     continue
                 if g is not None:
-                    for j, w in neighbours[v]:
-                        g[j] += sign * w
+                    # An accepted flip of v adds 4 J_uv z_v to each neighbour's g_u.
+                    for j, c in adjacency[v]:
+                        g[j] += 4.0 * sign * c
                 s, e = proposal, e_new
                 if e < best_e:
                     best_s, best_e = s, e
@@ -386,13 +380,14 @@ def simulated_annealing(
     building the table if needed. Otherwise, it draws bit rows and reads
     local fields when the objective has a spin form, and otherwise
     ``obj.value``. A probe flip of v costs two table reads, |g_v| summed
-    over v's couplings, or two ``obj.value`` calls. The fields come from the
-    spin form's coupling lists, in O(n + couplings) memory per restart and
-    with no BLAS call; an accepted flip updates its neighbours' fields. Off
-    the table, start energies and each restart's best energy in ``trace``
-    come from ``obj.value``, so ``min(trace)`` is ``best_energy`` exactly. A
-    downhill move is accepted without an exponential; an uphill move is
-    accepted iff its uniform ``u < math.exp(-delta / t)``.
+    over v's couplings, or two ``obj.value`` calls. The fields are summed
+    over the cached :meth:`~qopt.model.DiagonalObjective.spin_couplings`, in
+    O(n + couplings) memory per restart and with no BLAS call; an accepted
+    flip updates its neighbours' fields. Off the table, start energies and
+    each restart's best energy in ``trace`` come from ``obj.value``, so
+    ``min(trace)`` is ``best_energy`` exactly. A downhill move is accepted
+    without an exponential; an uphill move is accepted iff its uniform
+    ``u < math.exp(-delta / t)``.
 
     A restart whose sweep accepts nothing keeps the least delta it rejected.
     A later sweep is skipped, its order and uniforms still drawn, while its
@@ -794,12 +789,10 @@ def _substitute_spin(ising: IsingModel, i: int, j: int, sign: int) -> IsingModel
     new_h = [0.0] * (ising.n - 1)
     couplings: dict[tuple[int, int], float] = {}
     for v, hv in enumerate(ising.h):
-        if hv != 0.0:
-            k, s = image(v)
-            new_h[k] += s * hv
+        k, s = image(v)
+        new_h[k] += s * hv
+    # A zero term adds a signed zero, which changes no sum; J may keep a zero, which no reader counts.
     for (a, b), c in ising.J.items():
-        if c == 0.0:
-            continue
         (a, sa), (b, sb) = image(a), image(b)
         # Keys have a < b, so at most one end is j; z_i z_i = 1 folds into the offset.
         if a == b:
@@ -807,7 +800,6 @@ def _substitute_spin(ising: IsingModel, i: int, j: int, sign: int) -> IsingModel
         else:
             key = (min(a, b), max(a, b))
             couplings[key] = couplings.get(key, 0.0) + sa * sb * c
-    couplings = {k: v for k, v in couplings.items() if v != 0.0}
     return IsingModel(n=ising.n - 1, h=tuple(new_h), J=couplings, offset=offset)
 
 
@@ -825,18 +817,19 @@ def recursive_qaoa(
 
     Each level trains the ansatz on the current spin model as
     :func:`qaoa_solve` does, runs the trained layers once, reads the run's
-    exact pair correlations over the couplings (folded on half the
-    statevector when the level's table is flip-symmetric), builds no
-    :class:`~qopt.simulator.Statevector`, and freezes the relation of the
+    exact pair correlations over the couplings its
+    :meth:`~qopt.model.DiagonalObjective.spin_couplings` lists (folded on
+    half the statevector when the level's table is flip-symmetric), builds
+    no :class:`~qopt.simulator.Statevector`, and freezes the relation of the
     strongest pair (aligned for non-negative correlation, anti-aligned
     otherwise; ties resolve to the lowest index pair). Eliminations repeat
     until the model reaches ``cutoff`` variables, which are enumerated
     exactly, or until no coupling is left, when each spin follows the sign
     of its field; substitutions then unwind to a full assignment. With
     ``cutoff >= n`` this degenerates to plain enumeration and keeps its
-    certificate. No level samples its state, so ``shots`` reaches only
-    CVaR training; it is validated in either mode. ``p`` must be at least
-    1: a depth-0 state is the plus state, whose pair correlations are all 0.
+    certificate. No level samples its state, so ``shots`` reaches only CVaR
+    training; it is validated in either mode. ``p`` must be at least 1: a
+    depth-0 state is the plus state, whose pair correlations are all 0.
     """
     obj = _objective_of(problem)
     cutoff, p = as_count("cutoff", cutoff), as_count("p", p)
@@ -849,34 +842,33 @@ def recursive_qaoa(
             extras={"substitutions": (), "levels": 0, "cutoff": cutoff},
         )
 
-    ising = obj.spin_model()
-    if ising is None:
+    if obj.spin_model() is None:
         raise TypeError("recursive reduction needs a quadratic model behind the objective")
     # original_of[v] maps a current variable index back to the input index.
     original_of = list(range(obj.n))
     substitutions: list[tuple[int, int, int]] = []
     trace = []
-    while ising.n > cutoff and ising.J:
-        view = ising.as_objective()
+    view = obj.spin_model().as_objective()
+    while view.n > cutoff and any(view.spin_couplings()):
         level_seed = derive_seed(seed, "rqaoa-level", len(substitutions) + 1)
         params = _train(view, p, objective_mode, alpha, optimizer_budget, shots, level_seed)[0]
-        correlations = _pair_correlations(_evolve(view, params.gammas, params.betas), ising.n, ising.J)
-        (i, j), corr = max(
-            correlations.items(), key=lambda kv: (abs(kv[1]), (-kv[0][0], -kv[0][1]))
-        )
+        pairs = [(u, v) for u, row in enumerate(view.spin_couplings()) for v, _ in row if u < v]
+        correlations = _pair_correlations(_evolve(view, params.gammas, params.betas), view.n, pairs)
+        # The pairs come row-major, and max keeps the first of equal keys: a tie goes to the lowest pair.
+        (i, j), corr = max(correlations.items(), key=lambda kv: abs(kv[1]))
         sign = 1 if corr >= 0 else -1
         substitutions.append((original_of[j], original_of[i], sign))
-        trace.append((ising.n, original_of[i], original_of[j], corr))
-        ising = _substitute_spin(ising, i, j, sign)
+        trace.append((view.n, original_of[i], original_of[j], corr))
+        view = _substitute_spin(view.spin_model(), i, j, sign).as_objective()
         del original_of[j]
 
-    if ising.J:
-        remainder = brute_force(ising.as_objective()).best_assignment
+    if any(view.spin_couplings()):
+        remainder = brute_force(view).best_assignment
     else:
         # Every spin is decoupled: bit 1 (spin -1) iff its field is positive,
         # which is enumeration's smallest-index argmin without the 2^n cost.
-        remainder = tuple(int(hv > 0.0) for hv in ising.h)
-    spin_of = {original_of[k]: 1 - 2 * remainder[k] for k in range(ising.n)}
+        remainder = tuple(int(hv > 0.0) for hv in view.spin_model().h)
+    spin_of = {original_of[k]: 1 - 2 * remainder[k] for k in range(view.n)}
     for orig_j, orig_i, sign in reversed(substitutions):
         spin_of[orig_j] = sign * spin_of[orig_i]
     best_bits = tuple((1 - spin_of[v]) // 2 for v in range(obj.n))

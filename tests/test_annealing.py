@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qopt.model import DiagonalObjective, QuboModel, index_to_bits, ising_to_qubo
-from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
+from qopt.problems import gen_ev_parking, gen_labs, gen_maxcut_r3r, gen_portfolio, gen_qap, gen_spin_glass
 from qopt.simulator import energy_table
 from qopt.solvers import _EXP_BAND_HI, _chains, _geometric_temperatures, simulated_annealing
 
@@ -530,6 +530,29 @@ def test_replay_digest_is_pinned():
                     name, restarts, seed, res.best_assignment, res.best_energy, res.trace, sorted(res.extras.items()),
                 )))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REPLAY_DIGEST
+
+
+# sha256 of the results below, recorded while each local field was summed
+# in the spin model's own coupling order.
+OUT_OF_ORDER_DIGEST = "b89a5cd0c295f513579e2a443f845ca3e14b5f7b3cb42fc756a6703ed61ad02e"
+
+
+def test_out_of_order_families_are_pinned():
+    # qap and ev-parking list their couplings out of row-major order, so a
+    # change in the order local fields are summed in shows here first. Both
+    # sizes are above 20 variables, so every run anneals on local fields.
+    cases = {
+        **{f"qap-25-s{s}": lambda s=s: gen_qap(5, seed=s) for s in range(3)},
+        **{f"ev-parking-21-s{s}": lambda s=s: gen_ev_parking(6, 3, 1, 12, seed=s) for s in range(3)},
+    }
+    lines = []
+    for name, make in cases.items():
+        obj = make().objective
+        for restarts in (1, 4):
+            for seed in range(3):
+                res = simulated_annealing(obj, sweeps=300, restarts=restarts, seed=seed)
+                lines.append(repr((name, restarts, seed, res.best_assignment, res.best_energy, res.trace)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OUT_OF_ORDER_DIGEST
 
 
 def test_math_exp_never_falls_by_the_skip_margin():

@@ -786,6 +786,31 @@ class TestReproducibility:
         assert gen_labs(7).meta["seed"] == 0
 
 
+def test_the_coupling_view_is_the_spin_form_as_a_sorted_graph():
+    # Every family; qap and ev-parking again at sizes whose couplings are
+    # listed out of row-major order; and a QUBO that stores a zero coupling.
+    makes = [*TestReproducibility.SIZED, lambda t: gen_qap(5, seed=0), lambda t: gen_ev_parking(6, 3, 1, 12, seed=0)]
+    objs = [make(int).objective for make in makes]
+    objs.append(QuboModel(n=3, terms={(0, 0): 1.0, (0, 1): 0.0, (1, 2): -2.0}).as_objective())
+    assert objs[-1].spin_model().J == {(0, 1): 0.0, (1, 2): -0.5}
+    without = 0
+    for obj in objs:
+        spin, graph = obj.spin_model(), obj.spin_couplings()
+        assert obj.spin_couplings() is graph
+        if spin is None:
+            assert graph is None
+            without += 1
+            continue
+        assert len(graph) == spin.n
+        for u, row in enumerate(graph):
+            neighbours = [v for v, _ in row]
+            assert neighbours == sorted(set(neighbours)) and u not in neighbours
+            assert all(c != 0.0 and (u, c) in graph[v] for v, c in row)
+        pairs = {(u, v): c for u, row in enumerate(graph) for v, c in row if u < v}
+        assert pairs == {key: c for key, c in spin.J.items() if c != 0.0}
+    assert without == 2  # LABS and the cubic spin glass
+
+
 class TestFeasibilitySoundness:
     def test_constrained_families_optimum_is_feasible(self):
         instances = [

@@ -1,5 +1,6 @@
 """Simulator: matrix oracles, distribution contracts, invariances."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from qopt.model import IsingModel, QuboModel
-from qopt.problems import gen_labs, gen_maxcut_r3r, gen_portfolio, gen_spin_glass
+from qopt.problems import gen_ev_parking, gen_labs, gen_maxcut_r3r, gen_portfolio, gen_qap, gen_spin_glass
 from qopt.simulator import (
     CapacityError,
     QaoaParams,
@@ -531,7 +532,7 @@ class TestP1ClosedForm:
 
     def test_build_at_n4096_holds_no_dense_matrix(self):
         # The rows were once cut from a dense n x n matrix and two pairs x n
-        # blocks, a 752 MiB peak here; the coupling lists need about 3 MiB.
+        # blocks, a 752 MiB peak here; the coupling view and the rows need about 5 MiB.
         import tracemalloc
 
         obj = gen_maxcut_r3r(4096, seed=1).objective
@@ -544,6 +545,24 @@ class TestP1ClosedForm:
             tracemalloc.stop()
         assert peak < 16 << 20
         assert fields.shape == (4096, 3) and rows_u.shape == rows_v.shape == (6144, 4)
+
+    # sha256 of the energies below, recorded while the closed form built its
+    # rows from the spin model's sorted coupling keys.
+    OUT_OF_ORDER_DIGEST = "d6436a886f7be04cea3aa3d36db0743ef5057fa4d358cadcb2d91852afa3999d"
+
+    def test_out_of_order_families_are_pinned(self):
+        # qap and ev-parking list their couplings out of row-major order:
+        # real angles and the complex steps training takes, byte for byte.
+        rng = np.random.default_rng(56)
+        grid = rng.uniform(-math.pi, math.pi, (2, 16))
+        g, b = rng.uniform(-math.pi, math.pi, 2)
+        stepped = np.array([g + 1e-30j, g]), np.array([b, b + 1e-30j])
+        digest = hashlib.sha256()
+        for s in range(3):
+            for inst in (gen_qap(5, seed=s), gen_ev_parking(6, 3, 1, 12, seed=s)):
+                digest.update(qaoa_p1_energy(inst.objective, grid[0], grid[1]).tobytes())
+                digest.update(qaoa_p1_energy(inst.objective, *stepped).tobytes())
+        assert digest.hexdigest() == self.OUT_OF_ORDER_DIGEST
 
     def test_vectorised_call_equals_single_calls(self):
         obj = P1_CASES["sk-fields"]()

@@ -42,7 +42,7 @@ from qopt.solvers import (
     simulated_annealing,
     solve_result_to_json,
 )
-from qopt.solvers import _substitute_spin
+from qopt.solvers import _substitute_spin, _train
 
 
 def naive_enumerate(obj):
@@ -1047,6 +1047,21 @@ class TestRecursiveQaoa:
             tracemalloc.stop()
         assert peak < 13 * 2**20
 
+    def test_zero_couplings_are_not_ranked(self):
+        # A coupling stored as 0.0 is no coupling: the reduction must not
+        # train a level to eliminate along it. It once did, at one trained
+        # level's cost, when it ranked the stored pairs rather than the
+        # spin form's nonzero couplings.
+        fields = {(i, i): c for i, c in enumerate(np.random.default_rng(56).uniform(-1.0, 1.0, 10).tolist())}
+        zeros = {pair: 0.0 for pair in itertools.islice(itertools.combinations(range(10), 2), 0, 45, 3)}
+        assert len(zeros) == 15
+        bare, padded = (
+            recursive_qaoa(QuboModel(n=10, terms=terms).as_objective(), cutoff=4, seed=0)
+            for terms in (fields, {**fields, **zeros})
+        )
+        assert padded.extras["levels"] == bare.extras["levels"] == 0
+        assert (padded.best_assignment, padded.trace) == (bare.best_assignment, bare.trace)
+
     # Each case's instance, its options, and the sha256 of its result's
     # assignment, energy, trace (correlations as hex) and substitutions,
     # recorded before RQAOA trained through qaoa_solve's trainer instead of
@@ -1260,7 +1275,7 @@ CACHE_CASES = [
 @pytest.mark.parametrize("instance, solver", CACHE_CASES)
 def test_the_cache_is_never_an_input(instance, solver):
     # A solver gives the same result on a fresh objective as on one whose
-    # table, levels and spin form an earlier call filled in.
+    # table, levels, spin form and coupling view an earlier call filled in.
     def run(obj):
         data = solve_result_to_json(SOLVERS[solver](obj, **BOUNDARY_BUDGETS[solver]))
         del data["timings"]
@@ -1271,7 +1286,31 @@ def test_the_cache_is_never_an_input(instance, solver):
     energy_table(filled)
     _energy_levels(filled)
     filled.spin_model()
+    filled.spin_couplings()
     assert run(filled) == fresh
+
+
+class CountingCouplings(dict):
+    """A coupling dict that counts the passes made over its items."""
+
+    passes = 0
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+def test_the_coupling_view_is_built_once_per_objective():
+    # The p=1 closed form and annealing's local fields read one cached view
+    # of the spin form; neither walks the coupling dict itself. At n=22 the
+    # training runs on the closed form alone and annealing on local fields.
+    obj = gen_maxcut_r3r(22, seed=3).objective
+    spin = obj.spin_model()
+    object.__setattr__(spin, "J", CountingCouplings(spin.J))
+    _train(obj, 1, "mean", 0.25, 200, 1, 0)
+    simulated_annealing(obj, sweeps=5, restarts=2)
+    assert spin.J.passes == 1
+    assert "energy_table" not in obj._cache
 
 
 def test_cached_table_is_not_read_above_a_lowered_cap(monkeypatch):
@@ -1322,7 +1361,17 @@ class TestSolveResultJson:
         # one once took 4 s of a 0.02 s solve at n=20.
         res = brute_force(IsingModel(n=n).as_objective())
         assert res.argmin.size == 1 << n
-        assert solve_result_to_json(res)["argmin"] == self.per_index(res.argmin, n)
+        assert solve_result_to_json(res)["argmin"] == self.per_index(res.argmin[:1024], n)
+
+    def test_a_degenerate_optimum_set_renders_as_a_count_and_a_bounded_list(self):
+        # Every pattern of an all-zero model is optimal. Listing each one
+        # printed 28 MiB of JSON at n=20; the count carries the size, and the
+        # list keeps the 1024 lowest-index optima.
+        res = brute_force(IsingModel(n=20).as_objective())
+        data = solve_result_to_json(res)
+        assert data["argmin_count"] == 1 << 20
+        assert data["argmin"] == self.per_index(np.arange(1024), 20)
+        assert len(json.dumps(data, indent=2)) < 64 << 10
 
     def test_62_variable_samples_render_as_per_index_strings(self):
         indices = np.array([0, 1, 5, (1 << 61) + 3, (1 << 62) - 1], dtype=np.int64)
