@@ -30,6 +30,9 @@ __all__ = ["nelder_mead", "lbfgs"]
 # and the initial simplex's relative step (absolute for a zero entry).
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
+# Nelder-Mead stops once every vertex lies within 1e-10 of the best in each
+# coordinate and within 1e-12 of it in value.
+_XATOL, _FATOL = 1e-10, 1e-12
 
 # L-BFGS: pairs kept, largest step, line-search trials, and the line
 # search's sufficient-decrease, curvature and interval-width tolerances.
@@ -37,6 +40,10 @@ _MEMORY = 10
 _STEP_MAX = 1e10
 _MAX_TRIALS = 20
 _LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
+# L-BFGS stops once no gradient entry exceeds 1e-6 or a step gains less
+# than 1e-13 relative. Near an optimum the value then sits within rounding
+# of a run at gtol 1e-9: on criteria 01/02 the ratios agree to 5e-15.
+_FTOL, _GTOL = 1e-13, 1e-6
 _EPS = float(np.finfo(float).eps)
 
 
@@ -44,11 +51,11 @@ class _CallsSpent(Exception):
     """Internal: the next call would exceed ``maxfev``."""
 
 
-def nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float) -> tuple[np.ndarray, float]:
+def nelder_mead(fun, x0, maxfev: int) -> tuple[np.ndarray, float]:
     """Minimize ``fun`` by the Nelder-Mead simplex method from ``x0``.
 
-    Stops once every vertex lies within ``xatol`` of the best in each
-    coordinate and within ``fatol`` of it in value, or before a call that
+    Stops once every vertex lies within ``_XATOL`` of the best in each
+    coordinate and within ``_FATOL`` of it in value, or before a call that
     would exceed ``maxfev``. Returns the best vertex and the least value.
     """
     calls = 0
@@ -83,7 +90,7 @@ def nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float) -> tuple[np.nd
 
     while calls < maxfev:
         try:
-            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + _RHO) * xbar - _RHO * sim[-1]
@@ -145,12 +152,12 @@ def _direction(g: np.ndarray, memory: deque, h0: float) -> np.ndarray:
     return -r
 
 
-def lbfgs(fun_and_grad, x0, ftol: float, gtol: float) -> tuple[np.ndarray, float]:
+def lbfgs(fun_and_grad, x0) -> tuple[np.ndarray, float]:
     """Minimize a smooth function, ``fun_and_grad(x) -> (value, gradient)``,
     from ``x0`` by L-BFGS.
 
-    Stops once no gradient entry exceeds ``gtol`` in magnitude, or once an
-    iteration lowers the value by at most ``ftol * max(|f_old|, |f|, 1)``.
+    Stops once no gradient entry exceeds ``_GTOL`` in magnitude, or once an
+    iteration lowers the value by at most ``_FTOL * max(|f_old|, |f|, 1)``.
     A pair whose s'y is at most ``eps * -g_old's`` is not stored. A line
     search that fails (20 trials without an acceptable step, or an ascent
     direction) clears the memory and the iteration is retried along -g;
@@ -159,7 +166,7 @@ def lbfgs(fun_and_grad, x0, ftol: float, gtol: float) -> tuple[np.ndarray, float
     """
     x = np.array(x0, dtype=float)
     f, g = fun_and_grad(x.copy())
-    if np.abs(g).max() <= gtol:
+    if np.abs(g).max() <= _GTOL:
         return x, f
     memory: deque = deque(maxlen=_MEMORY)
     h0 = 1.0
@@ -177,7 +184,7 @@ def lbfgs(fun_and_grad, x0, ftol: float, gtol: float) -> tuple[np.ndarray, float
         first = False
         f_old, g_old = f, g
         step, x, f, g, gd = found
-        if np.abs(g).max() <= gtol or f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+        if np.abs(g).max() <= _GTOL or f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
             return x, f
         y = g - g_old
         sy = (gd - gd0) * step

@@ -69,10 +69,14 @@ def approximation_ratio(value: float, c_min: float, c_max: float) -> float:
     """(c_max - value) / (c_max - c_min), clamped into [0, 1].
 
     The problem must already be oriented as minimization; the optimum maps
-    to 1 and the worst state to 0.
+    to 1 and the worst state to 0. On a flat range (``c_max == c_min``,
+    every state optimal) a value at or below it scores 1 and one above it
+    0; a range whose ``c_max`` lies below ``c_min`` is an error.
     """
-    if not c_max > c_min:
-        raise ValueError(f"degenerate range: c_max={c_max} must exceed c_min={c_min}")
+    if not c_max >= c_min:
+        raise ValueError(f"inverted range: c_max={c_max} must not lie below c_min={c_min}")
+    if c_max == c_min:
+        return 1.0 if value <= c_min else 0.0
     return min(max(float((c_max - value) / (c_max - c_min)), 0.0), 1.0)
 
 
@@ -246,11 +250,14 @@ def _density_of(obj: DiagonalObjective) -> float | None:
 
 
 class _EntryBuild(NamedTuple):
-    """An instance entry's shared build and the seconds each part took."""
+    """An instance entry's shared build: the instance, the range its cells
+    are judged against or the reason it has none, and the seconds each
+    part took."""
 
     instance: ProblemInstance
-    c_min: float | None  # exact range; None above the statevector cap
+    c_min: float | None  # exact range; None when ``no_range`` says why
     c_max: float | None
+    no_range: str | None  # "has N variables, above the statevector cap of C"
     t_generate: float
     t_compile: float
     t_reference: float
@@ -259,36 +266,38 @@ class _EntryBuild(NamedTuple):
 def _build(generator: Callable[..., ProblemInstance], params: dict, seed: int, clock) -> _EntryBuild:
     """Generate an instance entry (``seed`` fills in a seed its params leave
     out), compile its energy table and enumerate its exact range, both only
-    up to the statevector cap."""
+    up to the statevector cap; above it, say why there is no range."""
     if "seed" in inspect.signature(generator).parameters:
         params.setdefault("seed", seed)
     t0 = clock()
     instance = generator(**params)
     t_generate = clock() - t0
     obj = instance.objective
-    enumerable = obj.n <= statevector_cap()
+    cap = statevector_cap()
+    no_range = f"has {obj.n} variables, above the statevector cap of {cap}" if obj.n > cap else None
 
     t0 = clock()
-    if enumerable:
+    if no_range is None:
         energy_table(obj)
     t_compile = clock() - t0
 
     t0 = clock()
     c_min = c_max = None
-    if enumerable:
+    if no_range is None:
         reference = brute_force(obj)
         c_min, c_max = reference.c_min, reference.c_max
     t_reference = clock() - t0
-    return _EntryBuild(instance, c_min, c_max, t_generate, t_compile, t_reference)
+    return _EntryBuild(instance, c_min, c_max, no_range, t_generate, t_compile, t_reference)
 
 
 def _run_cell(
-    config: BenchmarkConfig, entry: Mapping, built: _EntryBuild | str | None, solver_entry: Mapping, clock
-) -> tuple[BenchmarkRecord, _EntryBuild | str | None]:
+    config: BenchmarkConfig, entry: Mapping, built: _EntryBuild | Exception | None, solver_entry: Mapping, clock
+) -> tuple[BenchmarkRecord, _EntryBuild | Exception | None]:
     """Run one cell. ``built`` is its instance entry's build: None until the
     first cell whose family and solver names resolve makes it, then that
-    build or the ``<Type>: <message>`` line of the error it raised, which
-    every cell of the entry reports. Returns the record and ``built``."""
+    build, which decides what every cell of the entry is judged against, or
+    the exception it raised, which every cell of the entry raises again and
+    reports as ``<Type>: <message>``. Returns the record and ``built``."""
     family = entry.get("family", "?")
     params = dict(entry.get("params", {}))
     algorithm = solver_entry.get("algorithm", "?")
@@ -298,7 +307,6 @@ def _run_cell(
     cell_seed = derive_seed(config.master_seed, problem_label, algorithm_label)
 
     cell_start = clock()
-    error = None
     try:
         generator = GENERATORS[family]
         solver = SOLVERS[algorithm]
@@ -306,83 +314,77 @@ def _run_cell(
         if charged:
             try:
                 built = _build(generator, params, derive_seed(config.master_seed, problem_label) % (1 << 32), clock)
-            except Exception as exc:  # noqa: BLE001 - every cell of the entry reports it
-                built = f"{type(exc).__name__}: {exc}"
-        if isinstance(built, str):
-            error = built
-        else:
-            obj = built.instance.objective
-            c_min, c_max = built.c_min, built.c_max
-            enumerable = c_min is not None
-            accepted = inspect.signature(solver).parameters
+            except Exception as exc:  # noqa: BLE001 - every cell of the entry raises it again
+                built = exc
+        if isinstance(built, Exception):
+            # Dropping the old traceback keeps it from growing by a frame per cell.
+            raise built.with_traceback(None)
+        obj = built.instance.objective
+        c_min, c_max = built.c_min, built.c_max
+        accepted = inspect.signature(solver).parameters
 
-            # Each result's "total" becomes the seconds ``clock`` read around it,
-            # so success_metrics judges the time limit on the run's own clock.
-            results, ticks = [], [clock()]
-            for rep in range(config.repetitions):
-                run_params = dict(solver_params)
-                if "seed" in accepted:
-                    run_params.setdefault(
-                        "seed", derive_seed(config.master_seed, problem_label, algorithm_label, rep)
-                    )
-                result = solver(built.instance, **run_params)
-                ticks.append(clock())
-                results.append(replace(result, timings={**result.timings, "total": ticks[-1] - ticks[-2]}))
-            t_execute = ticks[-1] - ticks[0]
+        # Each result's "total" becomes the seconds ``clock`` read around it,
+        # so success_metrics judges the time limit on the run's own clock.
+        results, ticks = [], [clock()]
+        for rep in range(config.repetitions):
+            run_params = dict(solver_params)
+            if "seed" in accepted:
+                run_params.setdefault("seed", derive_seed(config.master_seed, problem_label, algorithm_label, rep))
+            result = solver(built.instance, **run_params)
+            ticks.append(clock())
+            results.append(replace(result, timings={**result.timings, "total": ticks[-1] - ticks[-2]}))
+        t_execute = ticks[-1] - ticks[0]
 
-            t0 = clock()
-            ar_mean = ar_best = success = None
-            mean_energies = [float(r.extras.get("mean_energy", r.best_energy)) for r in results]
-            if enumerable and c_max > c_min:
-                mean_ars = [approximation_ratio(e, c_min, c_max) for e in mean_energies]
-                best_ars = [approximation_ratio(r.best_energy, c_min, c_max) for r in results]
-                ar_mean = sum(mean_ars) / len(mean_ars)
-                ar_best = max(best_ars)
-            extras = {
-                "repetitions": config.repetitions,
-                "best_energies": [r.best_energy for r in results],
-                "mean_energies": mean_energies,
-                "c_min": c_min,
-                "c_max": c_max,
-            }
-            # A target is judged against the enumerated range, or an optimal one
-            # against every repetition's own certificate; a cell with neither
-            # keeps its results, leaves ``success`` unset and says why.
-            optimal = config.target == "optimal"
-            certified = optimal and all(r.certificate for r in results)
-            if config.target is not None and (enumerable or certified):
-                metrics = success_metrics(results, config.target, config.time_limit, c_min, c_max)
-                success = metrics["success_rate"] == 1.0
-            elif config.target is not None:
-                extras["unjudged"] = (
-                    f"cell {problem_label} x {algorithm_label} has {obj.n} variables, above the statevector cap "
-                    f"of {statevector_cap()}, so its {'optimal' if optimal else 'AR'} target cannot be judged"
-                )
-            t_post = clock() - t0
-
-            # The solver ran, so a parameter it takes without a default was given.
-            depth, shots = (
-                solver_params.get(name, accepted[name].default) if name in accepted else None
-                for name in ("p", "shots")
+        t0 = clock()
+        ar_mean = ar_best = success = None
+        mean_energies = [float(r.extras.get("mean_energy", r.best_energy)) for r in results]
+        if built.no_range is None:
+            mean_ars = [approximation_ratio(e, c_min, c_max) for e in mean_energies]
+            best_ars = [approximation_ratio(r.best_energy, c_min, c_max) for r in results]
+            ar_mean = sum(mean_ars) / len(mean_ars)
+            ar_best = max(best_ars)
+        extras = {
+            "repetitions": config.repetitions,
+            "best_energies": [r.best_energy for r in results],
+            "mean_energies": mean_energies,
+            "c_min": c_min,
+            "c_max": c_max,
+        }
+        # A target is judged against the build's range, or an optimal one
+        # against every repetition's own certificate; a cell with neither
+        # keeps its results, leaves ``success`` unset and says why.
+        optimal = config.target == "optimal"
+        certified = optimal and all(r.certificate for r in results)
+        if config.target is not None and (built.no_range is None or certified):
+            metrics = success_metrics(results, config.target, config.time_limit, c_min, c_max)
+            success = metrics["success_rate"] == 1.0
+        elif config.target is not None:
+            extras["unjudged"] = (
+                f"cell {problem_label} x {algorithm_label} {built.no_range}, "
+                f"so its {'optimal' if optimal else 'AR'} target cannot be judged"
             )
-            # The build's seconds go to the one cell that made it; the reference
-            # enumeration belongs to post-processing.
-            measured = dict(
-                variables=obj.n,
-                density=_density_of(obj),
-                ar_mean=ar_mean,
-                ar_best=ar_best,
-                depth=depth,
-                shots=shots,
-                t_generate=built.t_generate if charged else 0.0,
-                t_compile=built.t_compile if charged else 0.0,
-                t_execute=t_execute,
-                t_post=(t_post + built.t_reference) if charged else t_post,
-            )
+        t_post = clock() - t0
+
+        # The solver ran, so a parameter it takes without a default was given.
+        depth, shots = (
+            solver_params.get(name, accepted[name].default) if name in accepted else None for name in ("p", "shots")
+        )
+        # The build's seconds go to the one cell that made it; the reference
+        # enumeration belongs to post-processing.
+        measured = dict(
+            variables=obj.n,
+            density=_density_of(obj),
+            ar_mean=ar_mean,
+            ar_best=ar_best,
+            depth=depth,
+            shots=shots,
+            t_generate=built.t_generate if charged else 0.0,
+            t_compile=built.t_compile if charged else 0.0,
+            t_execute=t_execute,
+            t_post=(t_post + built.t_reference) if charged else t_post,
+        )
     except Exception as exc:  # noqa: BLE001 - cell failures must not abort the matrix
-        error = f"{type(exc).__name__}: {exc}"
-    if error is not None:
-        measured, extras = {}, {"error": error}
+        measured, extras = {}, {"error": f"{type(exc).__name__}: {exc}"}
         success = False if config.target is not None else None
     record = BenchmarkRecord(
         problem=problem_label,

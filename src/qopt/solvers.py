@@ -585,10 +585,6 @@ _SAME_OPTIMUM = 1e-9
 # charged four, the count before those states were kept, so budgets and
 # evaluation counts replay unchanged; tests/test_solvers.py counts them.
 _GRADIENT_COST = 4
-# L-BFGS stops once no gradient entry exceeds 1e-6 or a step gains less
-# than 1e-13 relative. Near an optimum the value then sits within rounding
-# of a run at gtol 1e-9: on criteria 01/02 the ratios agree to 5e-15.
-_LBFGS_OPTIONS = {"ftol": 1e-13, "gtol": 1e-6}
 # Imaginary step of the closed form's complex-step gradient: Im f(x + ih) / h
 # subtracts nothing, so its error is O(h^2), far below rounding.
 _COMPLEX_STEP = 1e-30
@@ -720,9 +716,6 @@ def _train(obj, p, objective_mode, alpha, optimizer_budget, shots, seed) -> tupl
         keep(vec, value)
         return value, grad
 
-    def refine(start: np.ndarray) -> tuple[np.ndarray, float]:
-        return lbfgs(value_and_gradient, start, **_LBFGS_OPTIONS)
-
     scored: list[tuple[float, np.ndarray]] = []
     grid = _angle_grid(p if objective_mode == "cvar" else 1)
     try:
@@ -737,9 +730,9 @@ def _train(obj, p, objective_mode, alpha, optimizer_budget, shots, seed) -> tupl
                 scored.append((objective_value(vec), vec))
         scored.sort(key=lambda r: r[0])
         if objective_mode == "mean":
-            optima = [refine(vec) for _, vec in scored[:3]]
+            optima = [lbfgs(value_and_gradient, vec) for _, vec in scored[:3]]
             for _ in range(1, p):
-                optima = [refine(_interp(x)) for x, _ in _distinct(optima)]
+                optima = [lbfgs(value_and_gradient, _interp(x)) for x, _ in _distinct(optima)]
         else:
             # Refine from the best few grid points; spend what remains.
             starts = min(3 if p == 1 else 2, len(scored))
@@ -747,13 +740,7 @@ def _train(obj, p, objective_mode, alpha, optimizer_budget, shots, seed) -> tupl
                 left = optimizer_budget - evaluations
                 if left < 8:
                     break
-                nelder_mead(
-                    objective_value,
-                    start_vec,
-                    maxfev=left if start_vec is scored[0][1] else max(left // 2, 8),
-                    xatol=1e-10,
-                    fatol=1e-12,
-                )
+                nelder_mead(objective_value, start_vec, left if start_vec is scored[0][1] else max(left // 2, 8))
     except _BudgetDone:
         return _params_of(best_vec, p), trace, evaluations, True, best_value
     return _params_of(best_vec, p), trace, evaluations, False, best_value

@@ -79,9 +79,15 @@ class TestApproximationRatio:
         assert approximation_ratio(3.0, -10.0, 0.0) == 0.0
         assert math.isnan(approximation_ratio(math.nan, -10.0, 0.0))
 
-    def test_degenerate_range_rejected(self):
-        with pytest.raises(ValueError):
-            approximation_ratio(1.0, 2.0, 2.0)
+    def test_flat_range_scores_one_at_or_below_it(self):
+        # Every state of a flat range is optimal; the ratio once raised there.
+        assert approximation_ratio(2.0, 2.0, 2.0) == 1.0
+        assert approximation_ratio(1.5, 2.0, 2.0) == 1.0
+        assert approximation_ratio(2.5, 2.0, 2.0) == 0.0
+
+    def test_inverted_range_rejected(self):
+        with pytest.raises(ValueError, match="inverted range"):
+            approximation_ratio(1.0, 2.0, 1.0)
 
     def test_offset_and_positive_rescale_invariance(self):
         rng = np.random.default_rng(0)
@@ -426,6 +432,33 @@ class TestRunBenchmark:
         assert rec.ar_mean is None and rec.ar_best is None
         row = emit_report([rec], "csv").splitlines()[1].split(",")
         assert row[4] == "n/a" and row[5] == "n/a"
+
+    def test_cap_read_once_per_entry(self, monkeypatch):
+        # The build decides whether its entry has a range and words the reason
+        # when it has none; its cells once read the cap again to say why.
+        reads = []
+
+        def cap():
+            reads.append(1)
+            return 6
+
+        monkeypatch.setattr(bench_module, "statevector_cap", cap)
+        cfg = BenchmarkConfig(
+            instances=({"family": "maxcut-r3r", "params": {"n": 8, "seed": 1}},),
+            solvers=(
+                {"algorithm": "annealing", "params": {"sweeps": 20}},
+                {"algorithm": "annealing", "params": {"sweeps": 30}},
+            ),
+            target="optimal",
+        )
+        records = run_benchmark(cfg, clock=lambda: 0.0)
+        assert len(reads) == 1
+        assert [rec.extras["unjudged"] for rec in records] == [
+            f"cell maxcut-r3r[n=8;seed=1] x annealing[sweeps={sweeps}] has 8 variables, "
+            "above the statevector cap of 6, so its optimal target cannot be judged"
+            for sweeps in (20, 30)
+        ]
+        assert all(rec.success is None and rec.variables == 8 for rec in records)
 
     def test_total_time_covers_parts(self):
         # Every clock reading is one tick later than the last, so each stage

@@ -601,6 +601,25 @@ class TestBench:
         assert report_xml.read_bytes() == bench_xml.read_bytes()
         assert ElementTree.parse(report_xml).getroot().get("failures") == "1"
 
+    def test_flat_range_is_judged(self, tmp_path, capsys):
+        # Every assignment of labs k=2 has energy 1, so c_min == c_max. An AR
+        # target there once turned every cell into an error row and exit 1.
+        config = write_config(tmp_path, {
+            "instances": [{"family": "labs", "params": {"k": 2}}],
+            "solvers": [{"algorithm": "annealing", "params": {"sweeps": 20}}, {"algorithm": "brute-force"}],
+            "target": ["ar", 0.9],
+        })
+        json_path = tmp_path / "report.json"
+        assert run_cli(["bench", str(config), "--deterministic-clock", "--json", str(json_path)]) == 0
+        assert capsys.readouterr().err == ""
+        records = json.loads(json_path.read_text(encoding="utf-8"))["records"]
+        assert [r["algorithm"] for r in records] == ["annealing[sweeps=20]", "brute-force"]
+        for record in records:
+            assert "error" not in record["extras"] and "unjudged" not in record["extras"]
+            assert record["extras"]["c_min"] == record["extras"]["c_max"] == 1.0
+            assert record["ar_mean"] == record["ar_best"] == 1.0
+            assert record["success"] is True and record["variables"] == 2
+
     def test_errored_cells_are_named_and_exit_one(self, tmp_path, capsys):
         # Misspelled names once reached only the JSON extras, with exit 0.
         config = write_config(tmp_path, {
